@@ -94,8 +94,7 @@ class ProjectionDriftGen(Generator):
         self.lipschitz = 2.0
 
     def _eval(self, t, y, z, u):
-        proj = np.array([self.body.project(row) for row in y])
-        return y - proj
+        return y - self.body.project_batch(y)
 
 
 class ScaledJumpGen(Generator):

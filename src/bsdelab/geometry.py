@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import linprog
@@ -41,6 +42,18 @@ __all__ = [
 ]
 
 _BOUNDARY_RTOL = 1e-9
+
+
+def _rows(xs, dim: int) -> np.ndarray:
+    """A C-ordered float copy-or-view of ``xs``, checked to be rows of length ``dim``.
+
+    C order matters for bit-identity: BLAS dot products over strided rows
+    accumulate in another order than over contiguous ones.
+    """
+    xs = np.ascontiguousarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != dim:
+        raise ValueError(f"expected rows of shape (n, {dim}), got {xs.shape}")
+    return xs
 
 
 @dataclass(frozen=True)
@@ -87,10 +100,23 @@ class ConvexBody:
         """A random point of the body, used by property checks."""
         raise NotImplementedError
 
+    def project_batch(self, xs: np.ndarray) -> np.ndarray:
+        """Projections of the rows of ``xs`` (shape (n, dim)).
+
+        Bit-identical to stacking ``project`` row by row.  This fallback
+        loops over the rows; bodies with a closed form override it.
+        """
+        xs = _rows(xs, self.dim)
+        out = np.empty_like(xs)
+        for i, x in enumerate(xs):
+            out[i] = self.project(x)
+        return out
+
     def dist2_batch(self, xs: np.ndarray) -> np.ndarray:
         """Squared distances for rows of ``xs``; overridden where it pays off."""
-        xs = np.asarray(xs, dtype=float)
-        return np.array([self.dist2(x) for x in xs])
+        xs = _rows(xs, self.dim)
+        diff = xs - self.project_batch(xs)
+        return np.sum(diff * diff, axis=-1)
 
     def dist_batch(self, xs: np.ndarray) -> np.ndarray:
         return np.sqrt(np.maximum(self.dist2_batch(xs), 0.0))
@@ -119,6 +145,17 @@ class Ball(ConvexBody):
         if norm <= self.radius:
             return x.copy()
         return self.center + v * (self.radius / norm)
+
+    def project_batch(self, xs):
+        xs = _rows(xs, self.dim)
+        v = xs - self.center
+        # stacked matmul reduces each row with the same BLAS dot product as
+        # the scalar norm; norm(axis=-1) and einsum round differently
+        norm = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+        # rows inside are returned as given; the max only keeps the unused
+        # outside formula free of a division by zero at the centre
+        scale = self.radius / np.maximum(norm, self.radius)
+        return np.where((norm <= self.radius)[:, None], xs, self.center + v * scale[:, None])
 
     def dist2(self, x):
         norm = np.linalg.norm(np.asarray(x, dtype=float) - self.center)
@@ -173,6 +210,9 @@ class Box(ConvexBody):
     def project(self, x):
         return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
 
+    def project_batch(self, xs):
+        return np.clip(_rows(xs, self.dim), self.lower, self.upper)
+
     def dist2(self, x):
         x = np.asarray(x, dtype=float)
         excess = np.maximum(x - self.upper, 0.0) + np.maximum(self.lower - x, 0.0)
@@ -201,11 +241,6 @@ class Box(ConvexBody):
     def sample_point(self, rng):
         return rng.uniform(self.lower, self.upper)
 
-    def dist2_batch(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        excess = np.maximum(xs - self.upper, 0.0) + np.maximum(self.lower - xs, 0.0)
-        return np.sum(excess * excess, axis=-1)
-
 
 @dataclass(frozen=True)
 class OrthantProduct(ConvexBody):
@@ -226,6 +261,11 @@ class OrthantProduct(ConvexBody):
         x = np.asarray(x, dtype=float)
         out = x.copy()
         out[: self.n_plus] = np.maximum(out[: self.n_plus], 0.0)
+        return out
+
+    def project_batch(self, xs):
+        out = _rows(xs, self.dim).copy()
+        out[:, : self.n_plus] = np.maximum(out[:, : self.n_plus], 0.0)
         return out
 
     def dist2(self, x):
@@ -391,39 +431,45 @@ class HalfspaceIntersection(ConvexBody):
         t_max = min(np.min(steps), 1e3)
         return self._interior + direction * t_max * rng.uniform(0.0, 0.999)
 
-    def dist2_batch(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        proj = np.array([self.project(x) for x in xs])
-        diff = xs - proj
-        return np.sum(diff * diff, axis=-1)
 
+@lru_cache(maxsize=None)
+def _sym_map(side: int):
+    """Index maps between a side x side matrix and its flattened vector.
 
-def _sym_indices(side: int):
-    return [(i, j) for i in range(side) for j in range(i, side)]
+    Returns the upper-triangle (row, col) of each vector entry with its
+    sqrt(2) scaling, and for each matrix cell the vector entry it reads with
+    the inverse scaling.  The vector order is row-major over the upper
+    triangle.
+    """
+    rows, cols = np.triu_indices(side)
+    off = rows != cols
+    scale = np.where(off, math.sqrt(2.0), 1.0)
+    cell = np.empty((side, side), dtype=np.intp)
+    cell[rows, cols] = cell[cols, rows] = np.arange(rows.size)
+    inv = np.where(np.eye(side, dtype=bool), 1.0, 1.0 / math.sqrt(2.0))
+    maps = (rows, cols, scale, cell, inv)
+    for arr in maps:
+        arr.setflags(write=False)
+    return maps
 
 
 def sym_to_vec(mat: np.ndarray) -> np.ndarray:
-    """Flatten a symmetric matrix isometrically (off-diagonals scaled by sqrt 2)."""
+    """Flatten symmetric matrices isometrically (off-diagonals scaled by sqrt 2).
+
+    Accepts one matrix or a stack of shape (..., side, side).
+    """
     mat = np.asarray(mat, dtype=float)
-    side = mat.shape[0]
-    out = np.empty(side * (side + 1) // 2)
-    for k, (i, j) in enumerate(_sym_indices(side)):
-        out[k] = mat[i, i] if i == j else math.sqrt(2.0) * mat[i, j]
-    return out
+    rows, cols, scale, _, _ = _sym_map(mat.shape[-1])
+    return mat[..., rows, cols] * scale
 
 
 def vec_to_sym(vec: np.ndarray, side: int) -> np.ndarray:
+    """Inverse of ``sym_to_vec``; accepts one vector or a stack (..., dim)."""
     vec = np.asarray(vec, dtype=float)
     if vec.shape[-1] != side * (side + 1) // 2:
         raise ValueError("flattened length does not match matrix side")
-    out = np.zeros((side, side))
-    inv = 1.0 / math.sqrt(2.0)
-    for k, (i, j) in enumerate(_sym_indices(side)):
-        if i == j:
-            out[i, i] = vec[k]
-        else:
-            out[i, j] = out[j, i] = vec[k] * inv
-    return out
+    _, _, _, cell, inv = _sym_map(side)
+    return vec[..., cell] * inv
 
 
 @dataclass(frozen=True)
@@ -463,6 +509,17 @@ class PsdCone(ConvexBody):
         split = spectral_split(vec_to_sym(x, self.side))
         return sym_to_vec(split.positive)
 
+    def project_batch(self, xs):
+        # the stacked form of spectral_split: vec_to_sym output is symmetric,
+        # so the symmetrization is skipped; spectral_split rejects NaN entries
+        # through its symmetry check, and so does this
+        xs = _rows(xs, self.dim)
+        if np.isnan(xs).any():
+            raise ValueError("PSD cone projection of a matrix with NaN entries")
+        w, q = np.linalg.eigh(vec_to_sym(xs, self.side))
+        pos = (q * np.maximum(w, 0.0)[:, None, :]) @ np.swapaxes(q, -1, -2)
+        return sym_to_vec(pos)
+
     def dist2(self, x):
         w = np.linalg.eigvalsh(vec_to_sym(x, self.side))
         neg = np.minimum(w, 0.0)
@@ -500,9 +557,7 @@ class PsdCone(ConvexBody):
         return sym_to_vec(g @ g.T / math.sqrt(self.side))
 
     def dist2_batch(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        mats = np.array([vec_to_sym(v, self.side) for v in xs])
-        w = np.linalg.eigvalsh(mats)
+        w = np.linalg.eigvalsh(vec_to_sym(_rows(xs, self.dim), self.side))
         neg = np.minimum(w, 0.0)
         return np.sum(neg * neg, axis=-1)
 
@@ -538,10 +593,15 @@ class FinitePointSet:
     def contains(self, x, tol=1e-9):
         return self.dist(x) <= tol
 
+    def _pairwise_d2(self, xs):
+        xs = _rows(xs, self.dim)
+        return np.sum((xs[:, None, :] - self.points[None, :, :]) ** 2, axis=2)
+
+    def project_batch(self, xs):
+        return self.points[np.argmin(self._pairwise_d2(xs), axis=1)]
+
     def dist2_batch(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        d2 = np.sum((xs[:, None, :] - self.points[None, :, :]) ** 2, axis=2)
-        return d2.min(axis=1)
+        return self._pairwise_d2(xs).min(axis=1)
 
     def dist_batch(self, xs):
         return np.sqrt(self.dist2_batch(xs))

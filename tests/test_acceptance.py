@@ -181,15 +181,8 @@ def _eigs_3x3(mat: np.ndarray) -> np.ndarray:
     return q + 2.0 * p * np.cos(phi + np.array([0.0, -2.0, 2.0]) * np.pi / 3.0)
 
 
-def test_criterion_06_projection_oracles():
-    cp = pytest.importorskip("cvxpy")
-    rng = np.random.default_rng(42)
-    tol = 1e-9
-    details = []
-
-    # closed-form bodies: re-derive the minimizer by hand in extended
-    # precision (exact oracle), then cross-check a subsample against an
-    # external conic solver at its achievable accuracy
+def _criterion_06_closed_form_cases():
+    """The ball, box and orthant of criterion 6, each with its exact oracle."""
     ball = Ball(np.array([0.3, -0.2, 0.5]), 1.7)
     box = Box(np.array([-1.0, -0.5, 0.2]), np.array([1.2, 0.8, 1.9]))
     orthant = OrthantProduct(n_plus=2, n_free=2)
@@ -215,42 +208,35 @@ def test_criterion_06_projection_oracles():
         clipped = np.minimum(q[:2], 0.0)
         return proj, np.sum(clipped * clipped)
 
-    cases = [
+    return [
         ("ball", ball, 3, ball_oracle),
         ("box", box, 3, box_oracle),
         ("orthant", orthant, 4, orthant_oracle),
     ]
-    for name, body, dim, oracle in cases:
+
+
+def test_criterion_06_projection_oracles():
+    rng = np.random.default_rng(42)
+    tol = 1e-9
+    details = []
+
+    # closed-form bodies: re-derive the minimizer by hand in extended
+    # precision (exact oracle), for the scalar and the batched projection
+    for name, body, dim, oracle in _criterion_06_closed_form_cases():
         pts = rng.uniform(-3.0, 3.0, size=(1000, dim))
+        batch = body.project_batch(pts)
         err = 0.0
-        for p in pts:
+        for p, p_batch in zip(pts, batch):
             ref_proj, ref_d2 = oracle(p)
+            ref_proj = ref_proj.astype(float)
             err = max(
                 err,
-                float(np.abs(body.project(p) - ref_proj.astype(float)).max()),
+                float(np.abs(body.project(p) - ref_proj).max()),
+                float(np.abs(p_batch - ref_proj).max()),
                 abs(body.dist2(p) - float(ref_d2)),
             )
         assert err <= tol, f"{name} oracle gap {err:.3e}"
         details.append((name, err))
-
-        # external solver cross-check on the first 100 points
-        param = cp.Parameter(dim)
-        x = cp.Variable(dim)
-        if name == "ball":
-            constraints = [cp.norm(x - body.center) <= body.radius]
-        elif name == "box":
-            constraints = [x >= body.lower, x <= body.upper]
-        else:
-            constraints = [x[:2] >= 0]
-        problem = cp.Problem(cp.Minimize(cp.sum_squares(x - param)), constraints)
-        solver_err = 0.0
-        for p in pts[:100]:
-            param.value = p
-            problem.solve(
-                solver=cp.CLARABEL, tol_gap_abs=1e-12, tol_gap_rel=1e-12, tol_feas=1e-12
-            )
-            solver_err = max(solver_err, float(np.abs(x.value - body.project(p)).max()))
-        assert solver_err <= 1e-6, f"{name} external solver gap {solver_err:.3e}"
 
     # PSD cone: certify the nearest-matrix characterization — both parts
     # positive semidefinite (Cholesky with a tolerance shift), orthogonal
@@ -265,20 +251,22 @@ def test_criterion_06_projection_oracles():
 
     cone = PsdCone(3)
     psd_err = 0.0
-    for _ in range(1000):
-        vec = rng.uniform(-3.0, 3.0, size=6)
+    # same draws as one 6-vector per loop pass
+    vecs = rng.uniform(-3.0, 3.0, size=(1000, 6))
+    for vec, batch_vec in zip(vecs, cone.project_batch(vecs)):
         mat = vec_to_sym(vec, 3)
-        proj = vec_to_sym(cone.project(vec), 3)
-        residual = proj - mat
         d2 = cone.dist2(vec)
         scale = 1.0 + float(np.sum(mat * mat))
-        psd_err = max(
-            psd_err,
-            abs(d2 - float(np.sum(residual * residual))),
-            abs(float(np.sum(proj * residual))) / scale,
-        )
-        assert psd_within(proj, tol * (1.0 + np.abs(proj).max()))
-        assert psd_within(residual, tol * (1.0 + np.abs(residual).max()))
+        for proj_vec in (cone.project(vec), batch_vec):
+            proj = vec_to_sym(proj_vec, 3)
+            residual = proj - mat
+            psd_err = max(
+                psd_err,
+                abs(d2 - float(np.sum(residual * residual))),
+                abs(float(np.sum(proj * residual))) / scale,
+            )
+            assert psd_within(proj, tol * (1.0 + np.abs(proj).max()))
+            assert psd_within(residual, tol * (1.0 + np.abs(residual).max()))
         lam = _eigs_3x3(mat)
         closed_form_gap = abs(d2 - float(np.sum(np.minimum(lam, 0.0) ** 2)))
         assert closed_form_gap <= 1e-6, f"closed-form distance gap {closed_form_gap:.3e}"
@@ -305,6 +293,32 @@ def test_criterion_06_projection_oracles():
 
     summary = ", ".join(f"{name} {err:.1e}" for name, err in details)
     record_criterion(6, f"max oracle gaps: {summary}")
+
+
+def test_criterion_06_external_solver_cross_check():
+    """Criterion 6's closed-form projections against an external conic solver."""
+    cp = pytest.importorskip("cvxpy")
+    rng = np.random.default_rng(42)
+    for name, body, dim, _ in _criterion_06_closed_form_cases():
+        # the first 100 of the oracle test's 1000 points
+        pts = rng.uniform(-3.0, 3.0, size=(1000, dim))[:100]
+        param = cp.Parameter(dim)
+        x = cp.Variable(dim)
+        if name == "ball":
+            constraints = [cp.norm(x - body.center) <= body.radius]
+        elif name == "box":
+            constraints = [x >= body.lower, x <= body.upper]
+        else:
+            constraints = [x[:2] >= 0]
+        problem = cp.Problem(cp.Minimize(cp.sum_squares(x - param)), constraints)
+        solver_err = 0.0
+        for p in pts:
+            param.value = p
+            problem.solve(
+                solver=cp.CLARABEL, tol_gap_abs=1e-12, tol_gap_rel=1e-12, tol_feas=1e-12
+            )
+            solver_err = max(solver_err, float(np.abs(x.value - body.project(p)).max()))
+        assert solver_err <= 1e-6, f"{name} external solver gap {solver_err:.3e}"
 
 
 def test_criterion_07_jump_defect_nonnegative():

@@ -10,8 +10,9 @@ from bsdelab.generators import (
     evaluate,
     verify_lipschitz,
 )
-from bsdelab.geometry import Ball
-from bsdelab.stochastic import FiniteMarkMeasure, jump_norm2
+from bsdelab.geometry import Ball, PsdCone, sym_to_vec
+from bsdelab.solver import RegressionBasis, TerminalCondition, solve_backward
+from bsdelab.stochastic import FiniteMarkMeasure, TimeGrid, jump_norm2, simulate_paths
 
 
 def unit_marks():
@@ -71,6 +72,47 @@ class TestEvaluation:
             gen(0.0, np.zeros((5, 3)), np.zeros((5, 2, 1)), np.zeros((5, 1, 2)))
         with pytest.raises(ValueError, match="shape"):
             gen(0.0, np.zeros((5, 2)), np.zeros((5, 2, 2)), np.zeros((5, 1, 2)))
+
+
+class RowByRowProjectionDrift(ProjectionDriftGen):
+    """Reference driver: projects one row at a time with the scalar ``project``."""
+
+    def _eval(self, t, y, z, u):
+        return y - np.array([self.body.project(row) for row in y])
+
+
+class TestBatchedProjectionDrift:
+    def test_backward_solve_matches_row_by_row_driver_bytes(self):
+        disc = Ball(center=[0.0, 0.0], radius=1.0)
+        paths = simulate_paths(TimeGrid.uniform(1.0, 10), unit_marks(), 1, 2000, seed=5)
+        # terminal points straddle the circle, so both projection branches run
+        terminal = TerminalCondition(
+            lambda w, n: np.stack([1.3 * np.cos(w[:, 0]) + 0.2 * n[:, 0], np.sin(w[:, 0])], axis=1),
+            state_dim=2,
+        )
+        sols = [
+            solve_backward(gen_cls(disc, 1, unit_marks()), terminal, paths, basis=RegressionBasis(2))
+            for gen_cls in (ProjectionDriftGen, RowByRowProjectionDrift)
+        ]
+        batched, reference = sols
+        for name in ("y", "z", "u", "y0"):
+            assert getattr(batched, name).tobytes() == getattr(reference, name).tobytes(), name
+
+    def test_psd_cone_bundle_matches_pointwise_evaluation(self):
+        cone = PsdCone(2)
+        marks = FiniteMarkMeasure(atoms=[[1.0], [-0.5]], weights=[1.0, 0.5])
+        gen = ProjectionDriftGen(cone, brownian_dim=1, marks=marks)
+        rng = np.random.default_rng(83)
+        n = 300
+        y = rng.uniform(-3.0, 3.0, size=(n, cone.dim))
+        y[:3] = [sym_to_vec(np.diag([1.0, 0.0])), np.zeros(3), sym_to_vec(-np.eye(2))]
+        z = rng.normal(size=(n, cone.dim, 1))
+        u = rng.normal(size=(n, 2, cone.dim))
+        out = gen(0.4, y, z, u)
+        pointwise = np.stack([evaluate(gen, 0.4, y[i], z[i], u[i]) for i in range(n)])
+        assert np.array_equal(out, pointwise)
+        reference = RowByRowProjectionDrift(cone, brownian_dim=1, marks=marks)
+        assert np.array_equal(out, reference(0.4, y, z, u))
 
 
 class TestLipschitz:

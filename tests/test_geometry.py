@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,6 +164,74 @@ class TestProjectionProperties:
         assert np.allclose(batch, single, atol=1e-12)
 
 
+def batch_edge_rows(body):
+    """Rows where a projection formula switches branch, for each body kind."""
+    if isinstance(body, Ball):
+        units = np.vstack([np.eye(body.dim), -np.eye(body.dim)])
+        # the centre, and points exactly on the sphere along each axis
+        return np.vstack([body.center, body.center + body.radius * units])
+    if isinstance(body, Box):
+        return np.vstack([body.lower, body.upper, np.where([1, 0, 1], body.lower, 5.0)])
+    if isinstance(body, OrthantProduct):
+        return np.array([[0.0, -0.0, 1.0], [0.0, 3.0, -2.0], [-1.0, 0.0, 0.0]])
+    if isinstance(body, PsdCone):
+        g = np.arange(1.0, body.side + 1.0)
+        singular = [np.zeros((body.side, body.side)), np.outer(g, g), -np.outer(g, g)]
+        if body.side > 1:
+            singular.append(np.diag(np.r_[1.0, np.zeros(body.side - 1)]))
+        return np.array([sym_to_vec(m) for m in singular])
+    if isinstance(body, HalfspaceIntersection):
+        # a vertex and a point on a facet
+        return np.array([[2.0, 1.5], [0.0, 1.5]])
+    return body.points.copy()
+
+
+BATCH_BODIES = bodies_for_properties() + [
+    PsdCone(1),
+    PsdCone(3),
+    FinitePointSet(points=[[-1.0, 0.0], [1.0, 1.0], [0.0, -2.0]]),
+]
+
+
+class TestBatchProjection:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("body", BATCH_BODIES, ids=lambda b: f"{type(b).__name__}-{b.dim}")
+    def test_rows_match_scalar_projection_bit_for_bit(self, body):
+        rng = np.random.default_rng(79)
+        xs = np.vstack([
+            batch_edge_rows(body),
+            rng.uniform(-4.0, 4.0, size=(300, body.dim)),
+            rng.normal(size=(30, body.dim)) * 1e3,
+        ])
+        expected = np.stack([body.project(x) for x in xs])
+        assert np.array_equal(body.project_batch(xs), expected)
+        # strided and Fortran-ordered views give the same rows
+        assert np.array_equal(body.project_batch(xs[::3]), expected[::3])
+        assert np.array_equal(body.project_batch(np.asfortranarray(xs)), expected)
+        empty = body.project_batch(np.empty((0, body.dim)))
+        assert empty.shape == (0, body.dim)
+
+    @pytest.mark.parametrize("body", BATCH_BODIES, ids=lambda b: f"{type(b).__name__}-{b.dim}")
+    def test_returns_a_new_array(self, body):
+        xs = np.zeros((2, body.dim))
+        out = body.project_batch(xs)
+        out += 1.0
+        assert np.array_equal(xs, np.zeros((2, body.dim)))
+
+    def test_psd_nan_row_rejected_like_scalar_projection(self):
+        cone = PsdCone(2)
+        xs = np.array([[1.0, 0.0, 1.0], [np.nan, 0.0, 1.0]])
+        with pytest.raises(ValueError):
+            cone.project(xs[1])
+        with pytest.raises(ValueError, match="NaN"):
+            cone.project_batch(xs)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 5), (1, 2, 2)])
+    def test_wrong_row_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="rows of shape"):
+            Ball(center=[0.0, 0.0], radius=1.0).project_batch(np.zeros(shape))
+
+
 class TestHessians:
     def test_ball_interior_zero(self):
         ball = Ball(center=[0.0, 0.0], radius=1.0)
@@ -278,6 +348,33 @@ class TestSymmetricEmbedding:
         assert np.linalg.eigvalsh(parts.positive).min() >= -1e-10
         assert np.linalg.eigvalsh(parts.negative).min() >= -1e-10
         assert abs(np.trace(parts.positive @ parts.negative)) <= 1e-9
+
+    @pytest.mark.parametrize("side", [1, 2, 3, 4])
+    def test_stacked_embedding_matches_entrywise_loop(self, side):
+        def loop_sym_to_vec(mat):
+            return np.array([
+                mat[i, i] if i == j else math.sqrt(2.0) * mat[i, j]
+                for i in range(side) for j in range(i, side)
+            ])
+
+        def loop_vec_to_sym(vec):
+            out = np.zeros((side, side))
+            k = 0
+            for i in range(side):
+                for j in range(i, side):
+                    out[i, j] = out[j, i] = vec[k] if i == j else vec[k] * (1.0 / math.sqrt(2.0))
+                    k += 1
+            return out
+
+        rng = np.random.default_rng(side)
+        g = rng.normal(size=(20, side, side))
+        mats = g + np.swapaxes(g, 1, 2)
+        vecs = np.stack([loop_sym_to_vec(m) for m in mats])
+        assert np.array_equal(sym_to_vec(mats), vecs)
+        assert np.array_equal(sym_to_vec(mats[0]), vecs[0])
+        expected = np.stack([loop_vec_to_sym(v) for v in vecs])
+        assert np.array_equal(vec_to_sym(vecs, side), expected)
+        assert np.array_equal(vec_to_sym(vecs[0], side), expected[0])
 
     def test_asymmetric_input_rejected(self):
         with pytest.raises(ValueError):
