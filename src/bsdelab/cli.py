@@ -36,8 +36,8 @@ from .conditions import (
     check_comparison_multidim,
     check_structural,
     check_viability_condition,
-    check_viability_empirical,
-    empirical_comparison,
+    comparison_path_report,
+    viability_path_report,
 )
 from .generators import AffineGen, Generator, ProjectionDriftGen, ScaledJumpGen, ZeroGen
 from .geometry import (
@@ -48,8 +48,8 @@ from .geometry import (
     OrthantProduct,
     PsdCone,
 )
-from .solver import RegressionBasis, SolverError, TerminalCondition, solve_backward
-from .stochastic import FiniteMarkMeasure, TimeGrid, simulate_paths
+from .solver import BsdeSolution, RegressionBasis, SolverError, TerminalCondition, solve_backward
+from .stochastic import DrivingPaths, FiniteMarkMeasure, TimeGrid, simulate_paths
 from .svgplot import render_line_plot
 
 __all__ = [
@@ -466,17 +466,57 @@ def _cell(v):
 # check runners
 
 
+def _read_only(*arrays):
+    for array in arrays:
+        array.flags.writeable = False
+
+
+class _ScenarioRun:
+    """The work one ``run_scenario`` call shares between its checks.
+
+    The scenario's path bundle and its primary solve (``generator`` with
+    ``terminal``) are computed on first use and at most once, with
+    read-only arrays, so every check sees the same draws and the same
+    solution and none can change them for the next.
+    """
+
+    def __init__(self, scenario: Scenario):
+        self.scenario = scenario
+        self._paths = None
+        self._solution = None
+
+    def paths(self) -> DrivingPaths:
+        if self._paths is None:
+            s = self.scenario
+            paths = simulate_paths(s.grid, s.marks, s.brownian_dim, s.solver.paths, s.seed)
+            _read_only(paths.brownian, paths.jump_counts, paths.count_nodes)
+            self._paths = paths
+        return self._paths
+
+    def solve(self, generator: Generator, terminal: TerminalCondition) -> BsdeSolution:
+        s = self.scenario
+        return solve_backward(
+            generator, terminal, self.paths(),
+            basis=RegressionBasis(s.solver.basis_degree), mode=s.solver.mode,
+        )
+
+    def solution(self) -> BsdeSolution:
+        if self._solution is None:
+            sol = self.solve(self.scenario.generator, self.scenario.terminal)
+            _read_only(sol.y, sol.z, sol.u, sol.y0, sol.y0_se)
+            self._solution = sol
+        return self._solution
+
+
 def _require(scenario: Scenario, check: str, **what):
     for label, value in what.items():
         if value is None:
             raise ScenarioError(label, f"the {check!r} check requires this field")
 
 
-def _simulate(scenario: Scenario, params: dict, writer: _ArtifactWriter):
-    paths = simulate_paths(
-        scenario.grid, scenario.marks, scenario.brownian_dim,
-        scenario.solver.paths, scenario.seed,
-    )
+def _simulate(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
+    scenario = run.scenario
+    paths = run.paths()
     columns = [("t", list(scenario.grid.nodes))]
     for j in range(paths.brownian_dim):
         columns.append((f"w{j}_mean", list(paths.brownian[:, :, j].mean(axis=0))))
@@ -492,20 +532,13 @@ def _simulate(scenario: Scenario, params: dict, writer: _ArtifactWriter):
     return row, files, paths
 
 
-def _solve(scenario: Scenario, params: dict, writer: _ArtifactWriter):
+def _solve(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
+    scenario = run.scenario
     _require(scenario, "solve", generator=scenario.generator, terminal=scenario.terminal)
-    paths = simulate_paths(
-        scenario.grid, scenario.marks, scenario.brownian_dim,
-        scenario.solver.paths, scenario.seed,
-    )
-    sol = solve_backward(
-        scenario.generator, scenario.terminal, paths,
-        basis=RegressionBasis(scenario.solver.basis_degree), mode=scenario.solver.mode,
-    )
+    sol = run.solution()
     m = sol.state_dim
     columns = [("t", list(sol.times))]
-    lo = np.quantile(sol.y, 0.05, axis=0)
-    hi = np.quantile(sol.y, 0.95, axis=0)
+    lo, hi = np.quantile(sol.y, [0.05, 0.95], axis=0)
     mean = sol.y.mean(axis=0)
     std = sol.y.std(axis=0)
     for k in range(m):
@@ -536,7 +569,8 @@ def _solve(scenario: Scenario, params: dict, writer: _ArtifactWriter):
     return row, files, sol
 
 
-def _viability(scenario: Scenario, params: dict, writer: _ArtifactWriter):
+def _viability(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
+    scenario = run.scenario
     _require(scenario, "viability", generator=scenario.generator, target=scenario.target)
     verdict = check_viability_condition(
         scenario.generator, scenario.target,
@@ -559,7 +593,8 @@ def _viability(scenario: Scenario, params: dict, writer: _ArtifactWriter):
     return row, files, verdict
 
 
-def _viability_empirical(scenario: Scenario, params: dict, writer: _ArtifactWriter):
+def _viability_empirical(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
+    scenario = run.scenario
     _require(
         scenario, "viability-empirical",
         generator=scenario.generator, terminal=scenario.terminal, target=scenario.target,
@@ -568,15 +603,8 @@ def _viability_empirical(scenario: Scenario, params: dict, writer: _ArtifactWrit
     expect = params.get("expect", "within")
     if expect not in ("within", "exceeds"):
         raise ScenarioError("checks", "viability-empirical expect must be 'within' or 'exceeds'")
-    paths = simulate_paths(
-        scenario.grid, scenario.marks, scenario.brownian_dim,
-        scenario.solver.paths, scenario.seed,
-    )
-    report, sol = check_viability_empirical(
-        scenario.generator, scenario.terminal, scenario.target, paths,
-        basis=RegressionBasis(scenario.solver.basis_degree),
-        mode=scenario.solver.mode, tolerance=level,
-    )
+    sol = run.solution()
+    report = viability_path_report(sol, scenario.target, tolerance=level)
     columns = [("t", list(report.times)), ("dk_mean", list(report.mean_distance))]
     files = [writer.write_table("distance_stats", columns)]
     svg = render_line_plot(
@@ -600,7 +628,8 @@ def _viability_empirical(scenario: Scenario, params: dict, writer: _ArtifactWrit
     return row, files, (report, sol)
 
 
-def _comparison(scenario: Scenario, params: dict, writer: _ArtifactWriter):
+def _comparison(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
+    scenario = run.scenario
     _require(scenario, "comparison", generator=scenario.generator, generator2=scenario.generator2)
     samples = int(params.get("samples", 3000))
     if scenario.generator.state_dim == 1:
@@ -628,7 +657,8 @@ def _comparison(scenario: Scenario, params: dict, writer: _ArtifactWriter):
     return row, files, verdict
 
 
-def _comparison_empirical(scenario: Scenario, params: dict, writer: _ArtifactWriter):
+def _comparison_empirical(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
+    scenario = run.scenario
     _require(
         scenario, "comparison-empirical",
         generator=scenario.generator, generator2=scenario.generator2,
@@ -638,14 +668,9 @@ def _comparison_empirical(scenario: Scenario, params: dict, writer: _ArtifactWri
     expect = params.get("expect", "ordered")
     if expect not in ("ordered", "violated"):
         raise ScenarioError("checks", "comparison-empirical expect must be 'ordered' or 'violated'")
-    paths = simulate_paths(
-        scenario.grid, scenario.marks, scenario.brownian_dim,
-        scenario.solver.paths, scenario.seed,
-    )
-    report, sol1, sol2 = empirical_comparison(
-        scenario.generator, scenario.generator2, scenario.terminal, scenario.terminal2,
-        paths, basis=RegressionBasis(scenario.solver.basis_degree), mode=scenario.solver.mode,
-    )
+    sol1 = run.solution()
+    sol2 = run.solve(scenario.generator2, scenario.terminal2)
+    report = comparison_path_report(sol1, sol2)
     columns = [
         ("t", list(report.times)),
         ("gap_min", list(report.min_gap_per_time)),
@@ -675,7 +700,8 @@ def _comparison_empirical(scenario: Scenario, params: dict, writer: _ArtifactWri
     return row, files, (report, sol1, sol2)
 
 
-def _structural(scenario: Scenario, params: dict, writer: _ArtifactWriter):
+def _structural(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
+    scenario = run.scenario
     _require(scenario, "structural", generator=scenario.generator)
     report = check_structural(
         scenario.generator,
@@ -699,7 +725,8 @@ def _structural(scenario: Scenario, params: dict, writer: _ArtifactWriter):
     return row, files, report
 
 
-def _matrix(scenario: Scenario, params: dict, writer: _ArtifactWriter):
+def _matrix(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
+    scenario = run.scenario
     _require(
         scenario, "matrix",
         generator=scenario.generator, generator2=scenario.generator2, target=scenario.target,
@@ -802,8 +829,11 @@ def run_scenario(
 
     ``checks`` optionally restricts execution to the named kinds; when
     the config lists none of them, default specs are synthesized for
-    whichever of those kinds the config supports.  ``extra_acceptance``
-    may inspect the in-memory results and append extra verdict rows.
+    whichever of those kinds the config supports.  The checks share one
+    path bundle and one solve of ``generator`` with ``terminal``, made
+    on first use, so a check's tables do not depend on which other
+    checks run.  ``extra_acceptance`` may inspect the in-memory results
+    and append extra verdict rows.
     """
     if isinstance(config, (str, Path)):
         doc = load_scenario(config).raw
@@ -831,9 +861,10 @@ def run_scenario(
     config_hash = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     started = time.perf_counter()
+    run = _ScenarioRun(scenario)
     rows, payloads = [], []
     for spec in selected:
-        row, _files, payload = _RUNNERS[spec.kind](scenario, spec.params, writer)
+        row, _files, payload = _RUNNERS[spec.kind](run, spec.params, writer)
         rows.append(row)
         payloads.append((spec, row, payload))
     if extra_acceptance is not None:

@@ -34,6 +34,7 @@ __all__ = [
     "viability_lhs_rhs",
     "check_viability_condition",
     "ViabilityPathReport",
+    "viability_path_report",
     "check_viability_empirical",
     "check_comparison_m1",
     "check_comparison_multidim",
@@ -43,6 +44,7 @@ __all__ = [
     "StackedGenerator",
     "stacked_reduction",
     "ComparisonPathReport",
+    "comparison_path_report",
     "empirical_comparison",
 ]
 
@@ -569,6 +571,37 @@ class ViabilityPathReport:
     empirically_viable: bool
 
 
+def viability_path_report(
+    sol: BsdeSolution, body, tolerance: float = 0.05
+) -> ViabilityPathReport:
+    """Track how far a solved equation strays from the target set.
+
+    The terminal values ``sol.y[:, -1]``, which are the payoff itself,
+    must sit in the target set; the report carries the per-time mean
+    distance and the distribution of pathwise maxima.
+    """
+    n, n_nodes, m = sol.y.shape
+    dists = body.dist_batch(sol.y.reshape(n * n_nodes, m)).reshape(n, n_nodes)
+    xi_dist = dists[:, -1]
+    if np.any(xi_dist > 1e-6):
+        raise ValueError(
+            f"terminal data leaves the target set (max distance {xi_dist.max():.3e})"
+        )
+    mean_distance = dists.mean(axis=0)
+    pathwise_max = dists.max(axis=1)
+    center = float(pathwise_max.mean())
+    half = 1.96 * float(pathwise_max.std()) / np.sqrt(n)
+    return ViabilityPathReport(
+        times=sol.times.copy(),
+        mean_distance=mean_distance,
+        max_mean_distance=float(mean_distance.max()),
+        pathwise_max_mean=center,
+        pathwise_max_ci=(center - half, center + half),
+        tolerance=tolerance,
+        empirically_viable=bool(mean_distance.max() <= tolerance),
+    )
+
+
 def check_viability_empirical(
     gen: Generator,
     terminal: TerminalCondition,
@@ -578,34 +611,10 @@ def check_viability_empirical(
     mode: str = "explicit",
     tolerance: float = 0.05,
 ) -> tuple[ViabilityPathReport, BsdeSolution]:
-    """Solve the equation and track how far the solution strays.
-
-    The terminal data must sit in the target set; the report carries the
-    per-time mean distance and the distribution of pathwise maxima.
-    """
-    xi = terminal(paths.brownian[:, -1, :], paths.count_nodes[:, -1, :])
-    xi_dist = body.dist_batch(xi)
-    if np.any(xi_dist > 1e-6):
-        raise ValueError(
-            f"terminal data leaves the target set (max distance {xi_dist.max():.3e})"
-        )
+    """Solve the equation on ``paths`` and report it with
+    :func:`viability_path_report`."""
     sol = solve_backward(gen, terminal, paths, basis=basis, mode=mode)
-    n, n_nodes, m = sol.y.shape
-    dists = body.dist_batch(sol.y.reshape(n * n_nodes, m)).reshape(n, n_nodes)
-    mean_distance = dists.mean(axis=0)
-    pathwise_max = dists.max(axis=1)
-    center = float(pathwise_max.mean())
-    half = 1.96 * float(pathwise_max.std()) / np.sqrt(n)
-    report = ViabilityPathReport(
-        times=sol.times.copy(),
-        mean_distance=mean_distance,
-        max_mean_distance=float(mean_distance.max()),
-        pathwise_max_mean=center,
-        pathwise_max_ci=(center - half, center + half),
-        tolerance=tolerance,
-        empirically_viable=bool(mean_distance.max() <= tolerance),
-    )
-    return report, sol
+    return viability_path_report(sol, body, tolerance), sol
 
 
 # ---------------------------------------------------------------------------
@@ -1171,6 +1180,29 @@ class ComparisonPathReport:
     gap_at_zero: np.ndarray
 
 
+def comparison_path_report(sol1: BsdeSolution, sol2: BsdeSolution) -> ComparisonPathReport:
+    """Compare two equations solved on one path bundle.
+
+    The terminal values ``sol.y[:, -1]``, which are the payoffs
+    themselves, must already be ordered; the report tracks the smallest
+    componentwise gap and the per-time fraction of paths where the
+    ordering fails."""
+    if sol1.paths is None or sol1.paths is not sol2.paths:
+        raise ValueError("solutions must be solved on one path bundle")
+    if sol1.state_dim != sol2.state_dim:
+        raise ValueError("solutions must share the state dimension")
+    if np.any(sol1.y[:, -1, :] < sol2.y[:, -1, :] - 1e-12):
+        raise ValueError("terminal data is not ordered: xi1 must dominate xi2 pathwise")
+    gap = sol1.y - sol2.y
+    return ComparisonPathReport(
+        times=sol1.times.copy(),
+        min_gap=float(gap.min()),
+        min_gap_per_time=gap.min(axis=(0, 2)),
+        violation_fraction=(gap < 0.0).any(axis=2).mean(axis=0),
+        gap_at_zero=gap[:, 0, :].mean(axis=0),
+    )
+
+
 def empirical_comparison(
     f1: Generator,
     f2: Generator,
@@ -1180,26 +1212,9 @@ def empirical_comparison(
     basis: RegressionBasis | None = None,
     mode: str = "explicit",
 ) -> tuple[ComparisonPathReport, BsdeSolution, BsdeSolution]:
-    """Solve both equations on one path bundle and compare them.
-
-    Terminal data must already be ordered; the report tracks the
-    smallest componentwise gap and the per-time fraction of paths where
-    the ordering fails."""
+    """Solve both equations on ``paths`` and compare them with
+    :func:`comparison_path_report`."""
     _require_matching_noise(f1, f2)
-    xi1 = terminal1(paths.brownian[:, -1, :], paths.count_nodes[:, -1, :])
-    xi2 = terminal2(paths.brownian[:, -1, :], paths.count_nodes[:, -1, :])
-    if np.any(xi1 < xi2 - 1e-12):
-        raise ValueError("terminal data is not ordered: xi1 must dominate xi2 pathwise")
     sol1 = solve_backward(f1, terminal1, paths, basis=basis, mode=mode)
     sol2 = solve_backward(f2, terminal2, paths, basis=basis, mode=mode)
-    gap = sol1.y - sol2.y
-    min_per_time = gap.min(axis=(0, 2))
-    violation = (gap < 0.0).any(axis=2).mean(axis=0)
-    report = ComparisonPathReport(
-        times=sol1.times.copy(),
-        min_gap=float(gap.min()),
-        min_gap_per_time=min_per_time,
-        violation_fraction=violation,
-        gap_at_zero=gap[:, 0, :].mean(axis=0),
-    )
-    return report, sol1, sol2
+    return comparison_path_report(sol1, sol2), sol1, sol2

@@ -481,8 +481,14 @@ class SpectralParts:
     eigenvalues: np.ndarray
 
 
+def _finite_matrix(mat: np.ndarray) -> np.ndarray:
+    if not np.isfinite(mat).all():
+        raise ValueError("matrix with non-finite (NaN or inf) entries")
+    return mat
+
+
 def spectral_split(mat: np.ndarray) -> SpectralParts:
-    mat = np.asarray(mat, dtype=float)
+    mat = _finite_matrix(np.asarray(mat, dtype=float))
     if not np.allclose(mat, mat.T, atol=1e-10 * max(1.0, np.abs(mat).max())):
         raise ValueError("spectral split requires a symmetric matrix")
     w, q = np.linalg.eigh((mat + mat.T) / 2.0)
@@ -509,25 +515,23 @@ class PsdCone(ConvexBody):
         split = spectral_split(vec_to_sym(x, self.side))
         return sym_to_vec(split.positive)
 
+    def _matrix(self, x):
+        return _finite_matrix(vec_to_sym(x, self.side))
+
     def project_batch(self, xs):
         # the stacked form of spectral_split: vec_to_sym output is symmetric,
-        # so the symmetrization is skipped; spectral_split rejects NaN entries
-        # through its symmetry check, and so does this
-        xs = _rows(xs, self.dim)
-        if np.isnan(xs).any():
-            raise ValueError("PSD cone projection of a matrix with NaN entries")
-        w, q = np.linalg.eigh(vec_to_sym(xs, self.side))
+        # so the symmetrization is skipped
+        w, q = np.linalg.eigh(self._matrix(_rows(xs, self.dim)))
         pos = (q * np.maximum(w, 0.0)[:, None, :]) @ np.swapaxes(q, -1, -2)
         return sym_to_vec(pos)
 
     def dist2(self, x):
-        w = np.linalg.eigvalsh(vec_to_sym(x, self.side))
+        w = np.linalg.eigvalsh(self._matrix(x))
         neg = np.minimum(w, 0.0)
         return float(neg @ neg)
 
     def hess_dist2(self, x):
-        mat = vec_to_sym(x, self.side)
-        w, q = np.linalg.eigh(mat)
+        w, q = np.linalg.eigh(self._matrix(x))
         scale = max(1.0, np.abs(w).max())
         if np.min(np.abs(w)) <= _BOUNDARY_RTOL * scale:
             return HessianResult(None, False, "zero eigenvalue (cone boundary)")
@@ -557,7 +561,7 @@ class PsdCone(ConvexBody):
         return sym_to_vec(g @ g.T / math.sqrt(self.side))
 
     def dist2_batch(self, xs):
-        w = np.linalg.eigvalsh(vec_to_sym(_rows(xs, self.dim), self.side))
+        w = np.linalg.eigvalsh(self._matrix(_rows(xs, self.dim)))
         neg = np.minimum(w, 0.0)
         return np.sum(neg * neg, axis=-1)
 

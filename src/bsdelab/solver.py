@@ -58,6 +58,9 @@ class TerminalCondition:
             raise ValueError(
                 f"terminal condition returned shape {out.shape}, expected ({n}, {self.state_dim})"
             )
+        bad = int(np.count_nonzero(~np.isfinite(out).all(axis=1)))
+        if bad:
+            raise ValueError(f"terminal condition returned non-finite values on {bad} of {n} paths")
         return out
 
 
@@ -124,6 +127,9 @@ class _StepRegression:
     def __init__(self, design: np.ndarray, step: int):
         u, s, _ = np.linalg.svd(design, full_matrices=False)
         keep = s > s[0] * _COLLINEAR_RTOL
+        # u[:, keep] is a Fortran-ordered copy even when every column is kept;
+        # fitting on the C-ordered u would save that copy, but BLAS then takes
+        # another kernel, whose last bits differ on some designs (20000 x 6)
         self.basis = u[:, keep]
         condition = float(s[0] / s[keep][-1])
         if condition > _MAX_CONDITION:
@@ -178,6 +184,14 @@ def _check_jump_power(paths: DrivingPaths):
             f"expects about {weakest:.1f} firings per step; increase paths or coarsen the grid",
             stacklevel=3,
         )
+
+
+def _finite_driver(gen: Generator, t: float, y, z, u, step: int) -> np.ndarray:
+    out = gen(t, y, z, u)
+    if not np.isfinite(out).all():
+        bad = int(np.count_nonzero(~np.isfinite(out).all(axis=1)))
+        raise SolverError(f"driver returned non-finite values at step {step} on {bad} paths")
+    return out
 
 
 def solve_backward(
@@ -239,12 +253,12 @@ def solve_backward(
 
         t_i = grid.nodes[i]
         if mode == "explicit":
-            y[:, i, :] = cond_mean + h * gen(t_i, cond_mean, z[:, i], u[:, i])
+            y[:, i, :] = cond_mean + h * _finite_driver(gen, t_i, cond_mean, z[:, i], u[:, i], i)
         else:
             current = cond_mean.copy()
             converged = False
             for _ in range(fixed_point_max_iter):
-                nxt = cond_mean + h * gen(t_i, current, z[:, i], u[:, i])
+                nxt = cond_mean + h * _finite_driver(gen, t_i, current, z[:, i], u[:, i], i)
                 delta = np.max(np.abs(nxt - current))
                 current = nxt
                 if delta <= fixed_point_tol:

@@ -12,6 +12,7 @@ import json
 import numpy as np
 import pytest
 
+import bsdelab.cli
 from bsdelab.cli import (
     PRESET_NAMES,
     RunManifest,
@@ -246,6 +247,91 @@ def test_empty_check_list_is_rejected(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# one path bundle and one primary solve per run
+
+
+def pair_config() -> dict:
+    """remark34b in miniature: a doubled jump driver against the zero driver."""
+    return solve_config(
+        generator={"kind": "scaled-jump", "scale": 2.0},
+        generator2={"kind": "zero", "state_dim": 1},
+        terminal2={"kind": "constant", "value": [0.0]},
+        checks=[
+            {"kind": "simulate"},
+            {"kind": "solve"},
+            {"kind": "comparison-empirical", "expect": "violated"},
+        ],
+    )
+
+
+def excursion_config() -> dict:
+    """thm25-demo in miniature, with a solve check next to the distance check."""
+    return solve_config(
+        target={"kind": "point-set", "points": [[-1.0], [1.0]]},
+        generator={"kind": "zero", "state_dim": 1},
+        terminal={"kind": "brownian-sign", "component": 0},
+        checks=[
+            {"kind": "solve"},
+            {"kind": "viability-empirical", "level": 0.9, "expect": "exceeds"},
+        ],
+    )
+
+
+@pytest.mark.parametrize(
+    "build, solves", [(pair_config, 2), (excursion_config, 1)], ids=["pair", "excursion"]
+)
+def test_checks_share_one_bundle_and_one_primary_solve(tmp_path, monkeypatch, build, solves):
+    calls = {"simulate_paths": 0, "solve_backward": 0}
+
+    def counted(name):
+        original = getattr(bsdelab.cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bsdelab.cli, name, wrapper)
+
+    counted("simulate_paths")
+    counted("solve_backward")
+    run_scenario(build(), tmp_path)
+    assert calls == {"simulate_paths": 1, "solve_backward": solves}
+
+
+@pytest.mark.parametrize("build", [pair_config, excursion_config], ids=["pair", "excursion"])
+def test_shared_run_writes_the_tables_of_each_check_run_alone(tmp_path, build):
+    cfg = build()
+    together = run_scenario(cfg, tmp_path / "together")
+    digests = {rec["path"]: rec["sha256"] for rec in together.files}
+    rows = {row["check"]: row for row in together.verdicts}
+    for spec in cfg["checks"]:
+        kind = spec["kind"]
+        alone = run_scenario(cfg, tmp_path / kind, checks=(kind,))
+        assert alone.verdicts == [rows[kind]]
+        for rec in alone.files:
+            if rec["path"] != "verdicts.csv":
+                assert rec["sha256"] == digests[rec["path"]], (kind, rec["path"])
+
+
+def test_shared_bundle_and_solution_are_read_only(tmp_path):
+    payloads = {}
+
+    def keep(scenario, results):
+        payloads.update((spec.kind, payload) for spec, _row, payload in results)
+        return []
+
+    run_scenario(pair_config(), tmp_path, extra_acceptance=keep)
+    paths, sol = payloads["simulate"], payloads["solve"]
+    _report, sol1, sol2 = payloads["comparison-empirical"]
+    assert sol1 is sol
+    assert sol.paths is paths and sol2.paths is paths
+    for array in (paths.brownian, paths.jump_counts, paths.count_nodes, sol.y, sol.z, sol.u):
+        assert not array.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        sol.y[0, 0, 0] = 1.0
+
+
+# ---------------------------------------------------------------------------
 # worker environment variable
 
 
@@ -316,6 +402,18 @@ def test_cli_exits_two_on_validation_error(tmp_path, capsys):
     code = main(["solve", "--config", str(config_path)])
     assert code == 2
     assert "config error at seed" in capsys.readouterr().err
+
+
+def test_cli_exits_two_on_non_finite_terminal_payoff(tmp_path, capsys):
+    cfg = solve_config(
+        generator={"kind": "zero", "state_dim": 1},
+        terminal={"kind": "constant", "value": [float("nan")]},
+    )
+    config_path = tmp_path / "scenario.json"
+    config_path.write_text(json.dumps(cfg))
+    code = main(["solve", "--config", str(config_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "non-finite values on 800 of 800 paths" in capsys.readouterr().err
 
 
 def test_cli_format_flag_switches_table_format(tmp_path):

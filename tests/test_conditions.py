@@ -17,14 +17,16 @@ from bsdelab.conditions import (
     check_viability_condition,
     check_viability_empirical,
     comparison_lhs_rhs,
+    comparison_path_report,
     empirical_comparison,
     matrix_lhs_rhs,
     stacked_reduction,
     viability_lhs_rhs,
+    viability_path_report,
 )
 from bsdelab.generators import AffineGen, ProjectionDriftGen, ScaledJumpGen, ZeroGen
 from bsdelab.geometry import Ball, Box, FinitePointSet, OrthantProduct, PsdCone, sym_to_vec
-from bsdelab.solver import TerminalCondition
+from bsdelab.solver import TerminalCondition, solve_backward
 from bsdelab.stochastic import FiniteMarkMeasure, TimeGrid, simulate_paths
 
 MARKS1 = FiniteMarkMeasure([[1.0]], [1.0])
@@ -403,6 +405,75 @@ def test_empirical_comparison_rejects_unordered_terminals():
     lo = TerminalCondition(lambda w, n: 1.0 * n[:, :1], 1)
     with pytest.raises(ValueError, match="not ordered"):
         empirical_comparison(g, g, lo, hi, paths)
+
+
+def _assert_same_report(a, b):
+    assert type(a) is type(b)
+    for name in a.__dataclass_fields__:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def test_viability_wrapper_is_solve_then_report():
+    grid = TimeGrid.uniform(1.0, 10)
+    paths = simulate_paths(grid, MARKS1, brownian_dim=1, n_paths=3000, seed=12)
+    target = FinitePointSet(np.array([[-1.0], [1.0]]))
+    terminal = TerminalCondition(lambda w, n: np.where(w[:, :1] >= 0, 1.0, -1.0), 1)
+    gen = ZeroGen(1, 1, MARKS1)
+    report, sol = check_viability_empirical(gen, terminal, target, paths, tolerance=0.1)
+    direct = viability_path_report(solve_backward(gen, terminal, paths), target, tolerance=0.1)
+    _assert_same_report(report, direct)
+    _assert_same_report(viability_path_report(sol, target, tolerance=0.1), direct)
+
+
+def test_viability_report_checks_the_solved_terminal_values():
+    grid = TimeGrid.uniform(1.0, 5)
+    paths = simulate_paths(grid, MARKS1, brownian_dim=1, n_paths=600, seed=3)
+    terminal = TerminalCondition(lambda w, n: 10.0 * w[:, :1], 1)
+    sol = solve_backward(ZeroGen(1, 1, MARKS1), terminal, paths)
+    with pytest.raises(ValueError, match="leaves the target set"):
+        viability_path_report(sol, Ball(np.zeros(1), 1.0))
+
+
+def test_comparison_wrapper_is_solve_then_report():
+    grid = TimeGrid.uniform(1.0, 10)
+    paths = simulate_paths(grid, MARKS1, brownian_dim=1, n_paths=3000, seed=12)
+    g = ScaledJumpGen(2.0)
+    zero = ZeroGen(1, 1, MARKS1)
+    counts = TerminalCondition(lambda w, n: 1.0 * n[:, :1], 1)
+    nil = TerminalCondition(lambda w, n: np.zeros((w.shape[0], 1)), 1)
+    report, sol1, sol2 = empirical_comparison(g, zero, counts, nil, paths)
+    direct = comparison_path_report(
+        solve_backward(g, counts, paths), solve_backward(zero, nil, paths)
+    )
+    _assert_same_report(report, direct)
+    _assert_same_report(comparison_path_report(sol1, sol2), direct)
+    assert report.violation_fraction.max() > 0.0
+
+
+def test_comparison_report_rejects_solutions_on_different_bundles():
+    grid = TimeGrid.uniform(1.0, 6)
+    g = ScaledJumpGen(0.5)
+    term = TerminalCondition(lambda w, n: 1.0 * n[:, :1], 1)
+    # two draws of the same stream are equal but are still two bundles
+    first = simulate_paths(grid, MARKS1, brownian_dim=1, n_paths=700, seed=9)
+    second = simulate_paths(grid, MARKS1, brownian_dim=1, n_paths=700, seed=9)
+    sol1 = solve_backward(g, term, first)
+    with pytest.raises(ValueError, match="one path bundle"):
+        comparison_path_report(sol1, solve_backward(g, term, second))
+    assert comparison_path_report(sol1, solve_backward(g, term, first)).min_gap == 0.0
+
+
+def test_comparison_report_rejects_mismatched_state_dimensions():
+    grid = TimeGrid.uniform(1.0, 6)
+    paths = simulate_paths(grid, MARKS1, brownian_dim=1, n_paths=700, seed=9)
+    one = solve_backward(
+        ZeroGen(1, 1, MARKS1), TerminalCondition(lambda w, n: 1.0 * n[:, :1], 1), paths
+    )
+    two = solve_backward(
+        ZeroGen(2, 1, MARKS1), TerminalCondition(lambda w, n: np.zeros((w.shape[0], 2)), 2), paths
+    )
+    with pytest.raises(ValueError, match="state dimension"):
+        comparison_path_report(one, two)
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,24 @@ class TestBatchProjection:
         with pytest.raises(ValueError, match="NaN"):
             cone.project_batch(xs)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["+inf", "-inf", "nan"])
+    def test_psd_non_finite_entries_rejected_everywhere(self, bad):
+        cone = PsdCone(2)
+        xs = np.array([[1.0, 0.0, 1.0], [bad, 0.0, 1.0]])
+        calls = {
+            "spectral_split": lambda: spectral_split(vec_to_sym(xs[1], 2)),
+            "project": lambda: cone.project(xs[1]),
+            "dist2": lambda: cone.dist2(xs[1]),
+            "hess_dist2": lambda: cone.hess_dist2(xs[1]),
+            "project_batch": lambda: cone.project_batch(xs),
+            "dist2_batch": lambda: cone.dist2_batch(xs),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ValueError, match="non-finite"):
+                call()
+                pytest.fail(f"{name} accepted a {bad} entry")
+
     @pytest.mark.parametrize("shape", [(3,), (2, 5), (1, 2, 2)])
     def test_wrong_row_shape_rejected(self, shape):
         with pytest.raises(ValueError, match="rows of shape"):

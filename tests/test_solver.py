@@ -203,6 +203,32 @@ class TestRegressionMachinery:
         with pytest.raises(ValueError, match="terminal"):
             solve_backward(gen, bad, paths)
 
+    def test_non_finite_terminal_payoff_rejected_with_row_count(self):
+        paths = simulate(n_paths=500, n_steps=2, seed=59)
+
+        def payoff(w, k):
+            out = w[:, 0].copy()
+            out[[3, 70]] = [np.nan, np.inf]
+            return out
+
+        gen = ZeroGen(state_dim=1, brownian_dim=1, marks=unit_marks())
+        with pytest.raises(ValueError, match="non-finite values on 2 of 500 paths"):
+            solve_backward(gen, TerminalCondition(payoff, 1), paths)
+
+    @pytest.mark.parametrize("mode", ["explicit", "implicit"])
+    def test_non_finite_driver_value_names_the_step(self, mode):
+        class NanLate(ZeroGen):
+            def _eval(self, t, y, z, u):
+                out = np.zeros_like(y)
+                if t >= 0.5:
+                    out[0] = np.nan
+                return out
+
+        paths = simulate(n_paths=500, n_steps=4, seed=61)
+        gen = NanLate(state_dim=1, brownian_dim=1, marks=unit_marks())
+        with pytest.raises(SolverError, match="non-finite values at step 3 on 1 paths"):
+            solve_backward(gen, brownian_terminal(), paths, mode=mode)
+
     def test_basis_degree_validation(self):
         with pytest.raises(ValueError):
             RegressionBasis(-1)
