@@ -112,7 +112,11 @@ def _number(node, path, key, default=_MISSING) -> float:
     v = _get(node, path, key, default)
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ScenarioError(f"{path}.{key}" if path else key, "expected a number")
-    return float(v)
+    v = float(v)
+    # Python's json reads NaN and Infinity
+    if not np.isfinite(v):
+        raise ScenarioError(f"{path}.{key}" if path else key, f"expected a finite number, got {v}")
+    return v
 
 
 def _integer(node, path, key, default=_MISSING) -> int:
@@ -137,6 +141,8 @@ def _array(node, path, key, default=_MISSING) -> np.ndarray:
         raise ScenarioError(f"{path}.{key}" if path else key, "expected a numeric array") from None
     if arr.dtype.kind not in "fi" or arr.size == 0:
         raise ScenarioError(f"{path}.{key}" if path else key, "expected a nonempty numeric array")
+    if not np.isfinite(arr).all():
+        raise ScenarioError(f"{path}.{key}" if path else key, "expected finite numbers, got NaN or infinity")
     return arr
 
 

@@ -11,23 +11,35 @@ whose violation excess out-scales any constant as the weight shrinks
 (excess stays above cutoff * weight with weight -> 0), which separates
 genuine failures from a merely undersized search cap; anything else is
 "inconclusive" with statistics.
+
+Samples move through the engine as a :class:`SampleBatch`, one row per
+point: the initial sweep is one evaluation of the whole batch, and every
+climb round one evaluation of that round's trials.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .generators import Generator, dependency_probe, evaluate
-from .geometry import ConvexBody, OrthantProduct, PsdCone, jump_defect, sym_to_vec, vec_to_sym
+from .generators import Generator, dependency_probe
+from .geometry import (
+    ConvexBody,
+    OrthantProduct,
+    PsdCone,
+    _rowdot,
+    jump_defect_batch,
+    sym_to_vec,
+    vec_to_sym,
+)
 from .solver import BsdeSolution, RegressionBasis, TerminalCondition, solve_backward
 from .stochastic import DrivingPaths, FiniteMarkMeasure
 
 __all__ = [
     "PointSample",
+    "SampleBatch",
     "ConditionVerdict",
     "SampleRanges",
     "ConditionSampler",
@@ -51,6 +63,7 @@ __all__ = [
 _TOL = 1e-9
 _WEIGHT_FLOOR = 1e-8
 _BLOWUP_CUTOFF = 1e8
+_SLOTS = ("y", "z", "u", "y_prime", "z_prime", "u_prime")
 
 
 @dataclass(frozen=True)
@@ -71,10 +84,53 @@ class PointSample:
 
     def to_dict(self) -> dict:
         out = {"t": self.t}
-        for name in ("y", "z", "u", "y_prime", "z_prime", "u_prime"):
+        for name in _SLOTS:
             val = getattr(self, name)
             out[name] = None if val is None else np.asarray(val).tolist()
         return out
+
+
+@dataclass(frozen=True)
+class SampleBatch:
+    """Evaluation points as a struct of arrays, one row per point.
+
+    ``t`` has shape (n,), ``y`` (n, m), ``z`` (n, m, d) and ``u``
+    (n, n_atoms, m); the primed slots have the shapes of their unprimed
+    ones, or are None for viability checks.
+    """
+
+    t: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    u: np.ndarray
+    y_prime: np.ndarray | None = None
+    z_prime: np.ndarray | None = None
+    u_prime: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return self.t.shape[0]
+
+    @classmethod
+    def of(cls, points: PointSample | list[PointSample]) -> SampleBatch:
+        """Stack one point or a list of points into a batch."""
+        if isinstance(points, PointSample):
+            points = [points]
+
+        def stack(name):
+            vals = [getattr(p, name) for p in points]
+            return None if vals[0] is None else np.stack([np.asarray(v, dtype=float) for v in vals])
+
+        return cls(np.array([float(p.t) for p in points]), *(stack(name) for name in _SLOTS))
+
+    def take(self, rows) -> SampleBatch:
+        """A new batch of the given rows, copied, in the given order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        slots = (getattr(self, name) for name in _SLOTS)
+        return SampleBatch(self.t[rows], *(None if a is None else a[rows] for a in slots))
+
+    def point(self, i: int) -> PointSample:
+        slots = (getattr(self, name) for name in _SLOTS)
+        return PointSample(float(self.t[i]), *(None if a is None else a[i].copy() for a in slots))
 
 
 @dataclass
@@ -140,7 +196,8 @@ class ConditionSampler:
     ``boundary_width`` of the relevant boundary (the body's surface for
     viability, small negative parts for orthant-type comparisons, small
     negative eigenvalues for the matrix cone), keeping a 1e-5 offset so
-    Hessian evaluations stay off the nonsmooth locus.
+    Hessian evaluations stay off the nonsmooth locus.  Points are drawn
+    one after another, so each seed fixes the whole stream.
     """
 
     def __init__(self, m: int, d: int, n_atoms: int, seed: int = 0, ranges: SampleRanges | None = None):
@@ -158,6 +215,11 @@ class ConditionSampler:
             u = np.zeros_like(u)
         return z, u
 
+    def _empty(self, n: int, primed: bool) -> SampleBatch:
+        m, d, j = self.m, self.d, self.n_atoms
+        shapes = [(n, m), (n, m, d), (n, j, m)] * (2 if primed else 1)
+        return SampleBatch(np.empty(n), *(np.empty(shape) for shape in shapes))
+
     def _near_boundary_y(self, body: ConvexBody) -> np.ndarray:
         r = self.ranges
         x = self.rng.uniform(-r.y_box, r.y_box, size=self.m)
@@ -173,16 +235,16 @@ class ConditionSampler:
         eps = self.rng.uniform(1e-5, r.boundary_width)
         return p + side * eps * direction
 
-    def viability(self, body: ConvexBody, n: int) -> list[PointSample]:
+    def viability(self, body: ConvexBody, n: int) -> SampleBatch:
         r = self.ranges
-        out = []
-        for _ in range(n):
+        out = self._empty(n, primed=False)
+        for i in range(n):
             if self.rng.uniform() < r.boundary_fraction:
-                y = self._near_boundary_y(body)
+                out.y[i] = self._near_boundary_y(body)
             else:
-                y = self.rng.uniform(-r.y_box, r.y_box, size=self.m)
-            z, u = self._blocks()
-            out.append(PointSample(t=self.rng.uniform(0.0, 1.0), y=y, z=z, u=u))
+                out.y[i] = self.rng.uniform(-r.y_box, r.y_box, size=self.m)
+            out.z[i], out.u[i] = self._blocks()
+            out.t[i] = self.rng.uniform(0.0, 1.0)
         return out
 
     def _difference_y(self) -> np.ndarray:
@@ -193,13 +255,13 @@ class ConditionSampler:
             y[neg] = -self.rng.uniform(1e-5, r.boundary_width, size=int(neg.sum()))
         return y
 
-    def pair(self, n: int, ordered_jumps: bool = False, reversed_jumps: bool = False) -> list[PointSample]:
+    def pair(self, n: int, ordered_jumps: bool = False, reversed_jumps: bool = False) -> SampleBatch:
         """Samples for comparison checks; ``ordered_jumps`` forces u >= u'."""
         r = self.ranges
-        out = []
-        for _ in range(n):
-            y = self._difference_y()
-            y_prime = self.rng.uniform(-r.y_box, r.y_box, size=self.m)
+        out = self._empty(n, primed=True)
+        for i in range(n):
+            out.y[i] = self._difference_y()
+            out.y_prime[i] = self.rng.uniform(-r.y_box, r.y_box, size=self.m)
             z, u = self._blocks()
             z_prime, u_prime = self._blocks()
             if ordered_jumps or reversed_jumps:
@@ -209,54 +271,33 @@ class ConditionSampler:
                 u = u_prime + du if ordered_jumps else u_prime - du
             elif self.rng.uniform() < r.zero_block_fraction:
                 # matched primed blocks isolate the state-difference terms
-                z_prime, u_prime = z.copy(), u.copy()
-            out.append(
-                PointSample(
-                    t=self.rng.uniform(0.0, 1.0),
-                    y=y,
-                    z=z,
-                    u=u,
-                    y_prime=y_prime,
-                    z_prime=z_prime,
-                    u_prime=u_prime,
-                )
-            )
+                z_prime, u_prime = z, u
+            out.z[i], out.u[i], out.z_prime[i], out.u_prime[i] = z, u, z_prime, u_prime
+            out.t[i] = self.rng.uniform(0.0, 1.0)
         return out
 
-    def matrix(self, side: int, n: int) -> list[PointSample]:
+    def matrix(self, side: int, n: int) -> SampleBatch:
         """Symmetric-matrix samples in flattened coordinates."""
         r = self.ranges
-        out = []
-        for _ in range(n):
+        out = self._empty(n, primed=True)
+        for i in range(n):
             lam = self.rng.uniform(-r.y_box, r.y_box, size=side)
             lam[np.abs(lam) < 1e-3] = 1e-3
             if self.rng.uniform() < r.boundary_fraction:
                 k = self.rng.integers(1, side + 1)
                 lam[:k] = -self.rng.uniform(1e-5, r.boundary_width, size=k)
             q, _ = np.linalg.qr(self.rng.normal(size=(side, side)))
-            y = sym_to_vec((q * lam) @ q.T)
-            y_prime = sym_to_vec(_random_sym(self.rng, side, r.y_box))
-            z = sym_to_vec(_random_sym(self.rng, side, r.z_box))[:, None]
-            z_prime = sym_to_vec(_random_sym(self.rng, side, r.z_box))[:, None]
-            u = np.stack([sym_to_vec(_random_sym(self.rng, side, r.u_box)) for _ in range(self.n_atoms)])
-            u_prime = np.stack(
-                [sym_to_vec(_random_sym(self.rng, side, r.u_box)) for _ in range(self.n_atoms)]
-            )
+            out.y[i] = sym_to_vec((q * lam) @ q.T)
+            out.y_prime[i] = sym_to_vec(_random_sym(self.rng, side, r.y_box))
+            out.z[i] = sym_to_vec(_random_sym(self.rng, side, r.z_box))[:, None]
+            out.z_prime[i] = sym_to_vec(_random_sym(self.rng, side, r.z_box))[:, None]
+            for slot in (out.u, out.u_prime):
+                for j in range(self.n_atoms):
+                    slot[i, j] = sym_to_vec(_random_sym(self.rng, side, r.u_box))
             if self.rng.uniform() < r.zero_block_fraction:
                 # matched primed blocks isolate the state-difference terms
-                z_prime = z.copy()
-                u_prime = u.copy()
-            out.append(
-                PointSample(
-                    t=self.rng.uniform(0.0, 1.0),
-                    y=y,
-                    z=z,
-                    u=u,
-                    y_prime=y_prime,
-                    z_prime=z_prime,
-                    u_prime=u_prime,
-                )
-            )
+                out.z_prime[i], out.u_prime[i] = out.z[i], out.u[i]
+            out.t[i] = self.rng.uniform(0.0, 1.0)
         return out
 
 
@@ -269,200 +310,237 @@ def _random_sym(rng, side, scale):
 # generic certification engine
 
 
-def _nudged(array: np.ndarray, step: float):
-    """All single-coordinate perturbations of an array, both signs."""
-    flat = array.ravel()
-    for idx in range(flat.size):
-        for sign in (step, -step):
-            bumped = flat.copy()
-            bumped[idx] += sign
-            yield bumped.reshape(array.shape)
+def _rowsum(x: np.ndarray) -> np.ndarray:
+    """Sum over every axis but the first."""
+    return np.ascontiguousarray(x).reshape(x.shape[0], -1).sum(axis=1)
 
 
-def _slot_zeroed(array: np.ndarray):
-    """Copies of the array with one nonzero coordinate cleared."""
+def _quadratic_form(hess: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_d <H z_d, z_d> per row, for H (n, m, m) and z (n, m, d)."""
+    return _rowsum(z * (hess @ z))
+
+
+def _nudged(array: np.ndarray, step: float) -> np.ndarray:
+    """All single-coordinate perturbations of an array, both signs, stacked."""
     flat = array.ravel()
-    for idx in range(flat.size):
-        if flat[idx] != 0.0:
-            cleared = flat.copy()
-            cleared[idx] = 0.0
-            yield cleared.reshape(array.shape)
+    rows = np.arange(2 * flat.size)
+    out = np.repeat(flat[None], rows.size, axis=0)
+    out[rows, rows // 2] += np.tile([step, -step], flat.size)
+    return out.reshape(-1, *array.shape)
+
+
+def _slot_zeroed(array: np.ndarray) -> np.ndarray:
+    """Copies of the array with one nonzero coordinate cleared, stacked."""
+    flat = array.ravel()
+    slots = np.flatnonzero(flat != 0.0)
+    out = np.repeat(flat[None], slots.size, axis=0)
+    out[np.arange(slots.size), slots] = 0.0
+    return out.reshape(-1, *array.shape)
+
+
+def _variants(s: SampleBatch, blocks) -> SampleBatch:
+    """Trials that copy the one-row batch ``s`` and replace one slot each.
+
+    ``blocks`` is a list of (slot name, stacked values); the trials come
+    block after block, one row per value, in the order given.
+    """
+    blocks = [(name, np.asarray(values, dtype=float)) for name, values in blocks]
+    trials = s.take(np.zeros(sum(len(values) for _, values in blocks), dtype=np.intp))
+    start = 0
+    for name, values in blocks:
+        getattr(trials, name)[start : start + len(values)] = values
+        start += len(values)
+    return trials
+
+
+def _neg_scaled(y: np.ndarray, alpha) -> np.ndarray:
+    """Rows of y with their negative entries scaled by ``alpha`` (a number or one per row)."""
+    return np.where(y < 0.0, np.reshape(alpha, (-1, 1)) * y, y)
+
+
+# multipliers the climbs try on a slot, or on its gap to the primed slot
+_SCALES = np.array([0.0, 0.5, 2.0])
+_SCALES_FLIP = np.array([0.0, 0.5, 2.0, -1.0])
 
 
 class _Inequality:
-    """Pointwise inequality lhs <= rhs0 + C * weight with refinement hooks."""
+    """Pointwise inequality lhs <= rhs0 + C * weight over batches of points."""
 
-    def excess_weight(self, s: PointSample):
-        """Return (lhs - rhs0, weight), or None when ingredients are undefined."""
+    def evaluate(self, b: SampleBatch, constant: float):
+        """(lhs, rhs, weight, defined), one entry per row of ``b``.
+
+        ``defined`` is False where an ingredient (a Hessian) is undefined;
+        such rows carry finite placeholder values.
+        """
         raise NotImplementedError
 
-    def lhs_rhs(self, s: PointSample, constant: float):
+    def excess_weight(self, b: SampleBatch):
+        """(lhs - rhs0, weight, defined), one entry per row of ``b``."""
+        lhs, rhs0, weight, defined = self.evaluate(b, 0.0)
+        return lhs - rhs0, weight, defined
+
+    def lhs_rhs(self, b: SampleBatch, constant: float):
+        """(lhs, rhs) per row; raises when an ingredient is undefined."""
+        lhs, rhs, _, defined = self.evaluate(b, constant)
+        if not defined.all():
+            raise ValueError(f"Hessian undefined at {int((~defined).sum())} of {len(b)} points")
+        return lhs, rhs
+
+    def shrink(self, b: SampleBatch, alpha) -> SampleBatch:
+        """Pull each row toward the boundary (weight -> 0) by ``alpha``,
+        a number or one per row."""
         raise NotImplementedError
 
-    def shrink(self, s: PointSample, alpha: float) -> PointSample:
-        """Pull the sample toward the boundary (weight -> 0)."""
-        raise NotImplementedError
-
-    def mutate(self, s: PointSample, rng) -> list[PointSample]:
+    def mutate(self, s: SampleBatch, rng) -> SampleBatch:
+        """One climb round's trials around the one-row batch ``s``."""
         raise NotImplementedError
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("BSDELAB_WORKERS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _point_lhs_rhs(ineq: _Inequality, constant: float):
+    """(lhs, rhs) of one point, as floats: the one-row case of ``lhs_rhs``."""
+
+    def lhs_rhs(s: PointSample) -> tuple[float, float]:
+        lhs, rhs = ineq.lhs_rhs(SampleBatch.of(s), constant)
+        return float(lhs[0]), float(rhs[0])
+
+    return lhs_rhs
 
 
-def _map_samples(fn, samples):
-    """Map ``fn`` over samples, in order.
-
-    BSDELAB_WORKERS > 1 fans the evaluations out over a thread pool;
-    results are consumed in submission order, so the verdict never
-    depends on the worker count.
-    """
-    workers = _worker_count()
-    if workers <= 1 or len(samples) < 2 * workers:
-        return [fn(s) for s in samples]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, samples, chunksize=max(1, len(samples) // (4 * workers))))
+_DESCENT_ALPHAS = np.array([0.5, 0.45, 0.55])
 
 
 def _run_certification(
     ineq: _Inequality,
-    samples: list[PointSample],
+    samples: SampleBatch,
     c_max: float,
     rng,
     refine_rounds: int = 8,
 ) -> ConditionVerdict:
-    evaluated = []
-    skipped = 0
-    for s, r in zip(samples, _map_samples(ineq.excess_weight, samples)):
-        if r is None:
-            skipped += 1
-        else:
-            evaluated.append((s, r[0], r[1]))
-    if not evaluated:
+    def evaluate(batch, phase):
+        excess, weight, defined = ineq.excess_weight(batch)
+        bad = defined & ~(np.isfinite(excess) & np.isfinite(weight))
+        if bad.any():
+            raise ValueError(
+                f"certification {phase}: {int(bad.sum())} of {len(batch)} defined "
+                "evaluations gave a non-finite excess or weight"
+            )
+        return excess, weight, defined
+
+    def margin(e, w):
+        return e - c_max * w
+
+    def ratio(e, w):
+        return e / np.maximum(w, 1e-300)
+
+    def climb(cand, rounds, phase, by_ratio=False):
+        # a round's trials are fixed when it starts; the scan then takes each
+        # trial that beats the best so far, so the last such trial wins
+        score = ratio if by_ratio else margin
+        s, e, w = cand
+        best = score(e, w)
+        for _ in range(rounds):
+            trials = ineq.mutate(s, rng)
+            te, tw, td = evaluate(trials, phase)
+            # inside the target set both sides of the clamped inequality
+            # vanish, so the margin climb stays on positive weights
+            admit = (td & ((te > 0.0) if by_ratio else (tw > 0.0))).tolist()
+            pick = None
+            for i, (ok, val) in enumerate(zip(admit, score(te, tw).tolist())):
+                if ok and val > best + 1e-15:
+                    pick, best = i, val
+            if pick is None:
+                break
+            s, e, w = trials.take([pick]), float(te[pick]), float(tw[pick])
+        return s, e, w
+
+    n = len(samples)
+    excess, weight, defined = (
+        evaluate(samples, "initial sweep") if n else (np.zeros(0), np.zeros(0), np.zeros(0, bool))
+    )
+    rows = np.flatnonzero(defined)
+    skipped = n - rows.size
+    if not rows.size:
         return ConditionVerdict(
             outcome="inconclusive",
-            samples=len(samples),
+            samples=n,
             skipped=skipped,
             detail="every sample hit an undefined ingredient",
         )
+    excess, weight = excess[rows], weight[rows]
+    boundary = int(np.count_nonzero(weight <= _WEIGHT_FLOOR))
+    # descending margin, ties in sample order
+    ranked = np.argsort(-margin(excess, weight), kind="stable")
+    # only positive-weight samples can lead to a violation; seeding (and
+    # the climb itself) stays on that stratum, otherwise the flat interior
+    # margin of exactly zero absorbs every ascent
+    positive = ranked[weight[ranked] > 0.0]
+    pool = positive[:30] if positive.size else ranked[:15]
 
-    def margin(excess, w):
-        return excess - c_max * w
-
-    boundary = sum(1 for _, _, w in evaluated if w <= _WEIGHT_FLOOR)
-    ranked = sorted(evaluated, key=lambda t: margin(t[1], t[2]), reverse=True)
-    # inside the target set both sides of the clamped inequality vanish,
-    # so only positive-weight samples can lead to a violation; seeding
-    # (and the climb itself) stays on that stratum, otherwise the flat
-    # interior margin of exactly zero absorbs every ascent
-    positive = [t for t in ranked if t[2] > 0.0]
-    pool = positive[:30] if positive else ranked[:15]
-
-    def climb(start, info, rounds):
-        current = start
-        for _ in range(rounds):
-            improved = False
-            for trial in ineq.mutate(current, rng):
-                r = ineq.excess_weight(trial)
-                if r is not None and r[1] > 0.0 and margin(*r) > margin(*info) + 1e-15:
-                    current, info, improved = trial, r, True
-            if not improved:
-                break
-        return current, info
-
-    seeded = []
-    for cand, excess, w in pool:
-        current, info = climb(cand, (excess, w), rounds=2)
-        seeded.append((current, *info))
-    seeded.sort(key=lambda t: margin(t[1], t[2]), reverse=True)
-
-    refined = []
-    for cand, excess, w in seeded[:8]:
-        current, info = climb(cand, (excess, w), refine_rounds)
-        refined.append((current, *info))
-    evaluated.extend(seeded)
-    evaluated.extend(refined)
+    seeded = [
+        climb((samples.take(rows[[i]]), float(excess[i]), float(weight[i])), 2, "seeding climb")
+        for i in pool
+    ]
+    seeded.sort(key=lambda c: margin(c[1], c[2]), reverse=True)
+    refined = [climb(cand, refine_rounds, "refine") for cand in seeded[:8]]
 
     # sustained-blowup test: a genuine failure keeps its excess above
     # cutoff * weight while the weight is driven to zero
-    def ratio(e, wt):
-        return e / max(wt, 1e-300)
-
-    for cand, excess, w in sorted(refined, key=lambda t: margin(t[1], t[2]), reverse=True)[:3]:
-        if excess <= _TOL:
+    for cand in sorted(refined, key=lambda c: margin(c[1], c[2]), reverse=True)[:3]:
+        if cand[1] <= _TOL:
             continue
         # cleanup pass: margin-optimal candidates may carry slack in
         # penalized slots that pays at the current offset but kills the
         # blowup; maximizing the ratio strips it before descending
-        current, info = cand, (excess, w)
-        for _ in range(6):
-            improved = False
-            for trial in ineq.mutate(current, rng):
-                r = ineq.excess_weight(trial)
-                if r is not None and r[0] > 0.0 and ratio(*r) > ratio(*info) + 1e-15:
-                    current, info, improved = trial, r, True
-            if not improved:
-                break
-        s, (excess, w) = current, info
+        s, e, w = climb(cand, 6, "cleanup", by_ratio=True)
         rescues = 4
         for _ in range(80):
-            nxt = None
-            for alpha in (0.5, 0.45, 0.55):
-                trial = ineq.shrink(s, alpha)
-                r = ineq.excess_weight(trial)
-                if r is not None:
-                    nxt = (trial, *r)
-                    break
-            if nxt is None:
+            trials = ineq.shrink(s.take([0, 0, 0]), _DESCENT_ALPHAS)
+            te, tw, td = evaluate(trials, "blowup descent")
+            hit = np.flatnonzero(td)
+            if not hit.size:
                 break
-            s, excess, w = nxt
-            if excess <= _TOL:
+            s, e, w = trials.take(hit[:1]), float(te[hit[0]]), float(tw[hit[0]])
+            if e <= _TOL:
                 # leftover slack only becomes decisive at depth: try one
                 # mutation round to strip it before abandoning the descent
                 if rescues > 0:
                     rescues -= 1
-                    best = None
-                    for trial in ineq.mutate(s, rng):
-                        r = ineq.excess_weight(trial)
-                        if r is not None and r[0] > _TOL and (best is None or ratio(*r) > ratio(*best[1])):
-                            best = (trial, r)
-                    if best is not None:
-                        s, (excess, w) = best
+                    trials = ineq.mutate(s, rng)
+                    te, tw, td = evaluate(trials, "blowup descent")
+                    live = td & (te > _TOL)
+                    if live.any():
+                        i = int(np.argmax(np.where(live, ratio(te, tw), -np.inf)))
+                        s, e, w = trials.take([i]), float(te[i]), float(tw[i])
                         continue
                 break
-            if w <= 1e-10 and excess > max(_TOL, _BLOWUP_CUTOFF * w):
-                def replay(sample, _ineq=ineq, _c=c_max):
-                    return _ineq.lhs_rhs(sample, _c)
-
-                lhs, rhs = ineq.lhs_rhs(s, c_max)
+            if w <= 1e-10 and e > max(_TOL, _BLOWUP_CUTOFF * w):
+                replay = _point_lhs_rhs(ineq, c_max)
+                witness = s.point(0)
+                lhs, rhs = replay(witness)
                 return ConditionVerdict(
                     outcome="falsified",
-                    witness=s,
+                    witness=witness,
                     witness_lhs=lhs,
                     witness_rhs=rhs,
                     margin=lhs - rhs,
-                    samples=len(samples),
+                    samples=n,
                     boundary_samples=boundary,
                     skipped=skipped,
                     detail=f"violation sustained to weight {w:.2e}",
                     _replay=replay,
                 )
 
-    sup_c = 0.0
-    for _, excess, w in evaluated:
-        if w > _WEIGHT_FLOOR:
-            sup_c = max(sup_c, excess / w)
-    worst_margin = max(margin(excess, w) for _, excess, w in evaluated)
+    found = seeded + refined
+    excess = np.concatenate([excess, [c[1] for c in found]])
+    weight = np.concatenate([weight, [c[2] for c in found]])
+    away = weight > _WEIGHT_FLOOR
+    sup_c = max(0.0, float(np.max(excess[away] / weight[away]))) if away.any() else 0.0
+    worst_margin = float(np.max(margin(excess, weight)))
     if sup_c <= c_max * (1.0 + 1e-12) and worst_margin <= _TOL:
         return ConditionVerdict(
             outcome="certified",
             constant=sup_c,
-            samples=len(samples),
+            samples=n,
             boundary_samples=boundary,
             skipped=skipped,
             detail=f"largest required constant {sup_c:.6g} within cap {c_max:g}",
@@ -470,7 +548,7 @@ def _run_certification(
     return ConditionVerdict(
         outcome="inconclusive",
         constant=sup_c,
-        samples=len(samples),
+        samples=n,
         boundary_samples=boundary,
         skipped=skipped,
         detail=(
@@ -484,6 +562,48 @@ def _run_certification(
 # viability
 
 
+class _ViabilityInequality(_Inequality):
+    """The pointwise viability inequality; see :func:`viability_lhs_rhs`."""
+
+    def __init__(self, gen, body):
+        self.gen, self.body = gen, body
+
+    def evaluate(self, b, constant):
+        body = self.body
+        f_val = self.gen(b.t, b.y, b.z, b.u)
+        lhs = 4.0 * _rowdot(b.y - body.project_batch(b.y), f_val)
+        hess, defined = body.hess_dist2_batch(b.y)
+        # the Hessian form and the jump defect are nonnegative for convex
+        # distance-squared; clamping removes rounding noise that large z/u
+        # would otherwise amplify into spurious violations
+        zterm = np.maximum(0.0, _quadratic_form(hess, b.z))
+        defect = np.maximum(0.0, jump_defect_batch(body, b.y, b.u, self.gen.marks))
+        weight = body.dist2_batch(b.y)
+        return lhs, zterm + constant * weight + 2.0 * defect, weight, defined
+
+    def _toward(self, y, alpha):
+        p = self.body.project_batch(y)
+        return p + np.reshape(alpha, (-1, 1)) * (y - p)
+
+    def shrink(self, b, alpha):
+        return dataclasses.replace(b, y=self._toward(b.y, alpha))
+
+    def mutate(self, s, rng):
+        y, z, u = s.y[0], s.z[0], s.u[0]
+        return _variants(s, [
+            ("y", self._toward(s.y, np.array([2.0, 1.5, 0.7, 0.4]))),
+            ("z", _SCALES_FLIP[:, None, None] * z),
+            ("u", _SCALES_FLIP[:, None, None] * u),
+            # random-direction proposals let the climb leave a dead block
+            ("y", [y + rng.normal(size=y.shape) * scale for scale in (0.05, 1.0)]),
+            ("z", [z + rng.normal(size=z.shape)]),
+            ("u", [u + rng.normal(size=u.shape)]),
+            # single-slot moves find violations hidden behind penalized slots
+            ("z", np.concatenate([_nudged(z, 1.0), _slot_zeroed(z)])),
+            ("u", np.concatenate([_nudged(u, 1.0), _slot_zeroed(u)])),
+        ])
+
+
 def viability_lhs_rhs(
     gen: Generator, body: ConvexBody, s: PointSample, constant: float
 ) -> tuple[float, float]:
@@ -493,57 +613,7 @@ def viability_lhs_rhs(
     rhs = <H z, z> + constant * d2(y) + 2 * jump defect, with H the
     Hessian of d2 at y.  Raises when that Hessian is undefined.
     """
-    f_val = evaluate(gen, s.t, s.y, s.z, s.u)
-    offset = s.y - body.project(s.y)
-    lhs = 4.0 * float(offset @ f_val)
-    hess = body.hess_dist2(s.y).require()
-    # the Hessian form and the jump defect are nonnegative for convex
-    # distance-squared; clamping removes rounding noise that large z/u
-    # would otherwise amplify into spurious violations
-    zterm = max(0.0, float(np.einsum("kd,kl,ld->", s.z, hess, s.z)))
-    defect = max(0.0, jump_defect(body, s.y, s.u, gen.marks))
-    rhs = zterm + constant * body.dist2(s.y) + 2.0 * defect
-    return lhs, rhs
-
-
-class _ViabilityInequality(_Inequality):
-    def __init__(self, gen, body):
-        self.gen, self.body = gen, body
-
-    def excess_weight(self, s):
-        try:
-            lhs, rhs0 = viability_lhs_rhs(self.gen, self.body, s, constant=0.0)
-        except ValueError:
-            return None
-        return lhs - rhs0, self.body.dist2(s.y)
-
-    def lhs_rhs(self, s, constant):
-        return viability_lhs_rhs(self.gen, self.body, s, constant)
-
-    def shrink(self, s, alpha):
-        p = self.body.project(s.y)
-        return PointSample(t=s.t, y=p + alpha * (s.y - p), z=s.z, u=s.u)
-
-    def mutate(self, s, rng):
-        out = []
-        p = self.body.project(s.y)
-        for alpha in (2.0, 1.5, 0.7, 0.4):
-            out.append(PointSample(t=s.t, y=p + alpha * (s.y - p), z=s.z, u=s.u))
-        for zs in (0.0, 0.5, 2.0, -1.0):
-            out.append(PointSample(t=s.t, y=s.y, z=zs * s.z, u=s.u))
-        for us in (0.0, 0.5, 2.0, -1.0):
-            out.append(PointSample(t=s.t, y=s.y, z=s.z, u=us * s.u))
-        # random-direction proposals let the climb leave a dead block
-        for scale in (0.05, 1.0):
-            out.append(PointSample(t=s.t, y=s.y + rng.normal(size=s.y.shape) * scale, z=s.z, u=s.u))
-        out.append(PointSample(t=s.t, y=s.y, z=s.z + rng.normal(size=s.z.shape), u=s.u))
-        out.append(PointSample(t=s.t, y=s.y, z=s.z, u=s.u + rng.normal(size=s.u.shape)))
-        # single-slot moves find violations hidden behind penalized slots
-        for z_new in (*_nudged(s.z, 1.0), *_slot_zeroed(s.z)):
-            out.append(PointSample(t=s.t, y=s.y, z=z_new, u=s.u))
-        for u_new in (*_nudged(s.u, 1.0), *_slot_zeroed(s.u)):
-            out.append(PointSample(t=s.t, y=s.y, z=s.z, u=u_new))
-        return out
+    return _point_lhs_rhs(_ViabilityInequality(gen, body), constant)(s)
 
 
 def check_viability_condition(
@@ -621,12 +691,15 @@ def check_viability_empirical(
 # scalar comparison (ordered jump arguments)
 
 
-def _m1_gap(f1: Generator, f2: Generator, s: PointSample) -> float:
-    marks = f1.marks
-    du = s.u - s.u_prime
-    val1 = evaluate(f1, s.t, s.y_prime, s.z, s.u)[0]
-    val2 = evaluate(f2, s.t, s.y_prime, s.z, s.u_prime)[0]
-    return val1 - val2 + float(marks.weights @ du[:, 0])
+def _jump_pull(marks: FiniteMarkMeasure, du: np.ndarray) -> np.ndarray:
+    """sum_j n_j du_j for rows of per-atom values du (n, n_atoms)."""
+    return _rowdot(du, np.broadcast_to(marks.weights, du.shape))
+
+
+def _m1_gaps(f1: Generator, f2: Generator, b: SampleBatch) -> np.ndarray:
+    val1 = f1(b.t, b.y_prime, b.z, b.u)[:, 0]
+    val2 = f2(b.t, b.y_prime, b.z, b.u_prime)[:, 0]
+    return val1 - val2 + _jump_pull(f1.marks, (b.u - b.u_prime)[:, :, 0])
 
 
 def check_comparison_m1(
@@ -639,36 +712,26 @@ def check_comparison_m1(
     _require_matching_noise(f1, f2)
     sampler = ConditionSampler(1, f1.brownian_dim, f1.marks.n_atoms, seed)
     samples = sampler.pair(n_samples, ordered_jumps=True)
-    worst, worst_sample = np.inf, None
-    for s in samples:
-        gap = _m1_gap(f1, f2, s)
-        if gap < worst:
-            worst, worst_sample = gap, s
+    gaps = _m1_gaps(f1, f2, samples)
+    first = int(np.argmin(gaps))  # the first smallest gap
+    worst, worst_sample = float(gaps[first]), samples.take([first])
     # sharpen the worst sample by scaling its jump gap
     for scale in (2.0, 4.0, 8.0):
         s = worst_sample
-        trial = PointSample(
-            t=s.t,
-            y=s.y,
-            z=s.z,
-            u=s.u_prime + scale * (s.u - s.u_prime),
-            y_prime=s.y_prime,
-            z_prime=s.z_prime,
-            u_prime=s.u_prime,
-        )
-        gap = _m1_gap(f1, f2, trial)
+        trial = dataclasses.replace(s, u=s.u_prime + scale * (s.u - s.u_prime))
+        gap = float(_m1_gaps(f1, f2, trial)[0])
         if gap < worst:
             worst, worst_sample = gap, trial
     if worst < -_TOL:
         return ConditionVerdict(
             outcome="falsified",
-            witness=worst_sample,
+            witness=worst_sample.point(0),
             witness_lhs=-worst,
             witness_rhs=0.0,
             margin=-worst,
             samples=n_samples,
             detail=f"driver gap {worst:.6g} falls below the compensator bound",
-            _replay=lambda sample: (-_m1_gap(f1, f2, sample), 0.0),
+            _replay=lambda sample: (-float(_m1_gaps(f1, f2, SampleBatch.of(sample))[0]), 0.0),
         )
     return ConditionVerdict(
         outcome="certified",
@@ -692,6 +755,68 @@ def _require_matching_noise(f1: Generator, f2: Generator):
 # multidimensional comparison
 
 
+def _prime_variants(s: SampleBatch, name: str, scales: np.ndarray) -> tuple:
+    """Block of trials moving slot ``name`` along its gap from the primed slot."""
+    value, prime = getattr(s, name)[0], getattr(s, name + "_prime")[0]
+    return name, prime + scales.reshape(-1, *[1] * value.ndim) * (value - prime)
+
+
+def _slot_moves(s: SampleBatch, name: str) -> tuple:
+    """Block of single-slot moves of ``name``: nudges of the slot, and
+    copies with one slot of its gap to the primed slot cleared."""
+    value, prime = getattr(s, name)[0], getattr(s, name + "_prime")[0]
+    return name, np.concatenate([_nudged(value, 1.0), prime + _slot_zeroed(value - prime)])
+
+
+class _ComparisonInequality(_Inequality):
+    """The componentwise comparison inequality; see :func:`comparison_lhs_rhs`."""
+
+    def __init__(self, f1, f2):
+        self.f1, self.f2 = f1, f2
+
+    def evaluate(self, b, constant):
+        y = b.y
+        neg = np.maximum(-y, 0.0)
+        is_neg = y < 0.0
+        val1 = self.f1(b.t, np.maximum(y, 0.0) + b.y_prime, b.z, b.u)
+        val2 = self.f2(b.t, b.y_prime, b.z_prime, b.u_prime)
+        lhs = -4.0 * _rowdot(neg, val1 - val2)
+
+        dz = b.z - b.z_prime
+        zterm = 2.0 * _rowsum(np.where(is_neg[:, :, None], dz**2, 0.0))
+        du = b.u - b.u_prime  # (n, n_atoms, m)
+        shifted_neg = np.maximum(-(y[:, None, :] + du), 0.0)
+        w = self.f1.marks.weights[:, None]
+        neg_atoms = np.broadcast_to(is_neg[:, None, :], du.shape)
+        pos_term = 2.0 * _rowsum(np.where(neg_atoms, 0.0, w * shifted_neg**2))
+        # per-component convexity gaps of x -> (x^-)^2; nonnegative, so
+        # clamp away cancellation noise from large jump offsets
+        inner = shifted_neg**2 - neg[:, None, :] ** 2 - 2.0 * y[:, None, :] * du
+        neg_term = 2.0 * _rowsum(np.where(neg_atoms, w * np.maximum(inner, 0.0), 0.0))
+        weight = _rowdot(neg, neg)
+        rhs = zterm + constant * weight + pos_term + neg_term
+        return lhs, rhs, weight, np.ones(len(b), dtype=bool)
+
+    def shrink(self, b, alpha):
+        return dataclasses.replace(b, y=_neg_scaled(b.y, alpha))
+
+    def mutate(self, s, rng):
+        y, z, u, y_prime = s.y[0], s.z[0], s.u[0], s.y_prime[0]
+        return _variants(s, [
+            ("y", _neg_scaled(s.y, np.array([2.0, 0.5, 0.25]))),
+            _prime_variants(s, "z", _SCALES),
+            _prime_variants(s, "u", _SCALES_FLIP),
+            # random-direction proposals let the climb leave a dead block
+            ("y", [y + rng.normal(size=y.shape) * 0.3]),
+            ("z", [z + rng.normal(size=z.shape)]),
+            ("u", [u + rng.normal(size=u.shape)]),
+            ("y_prime", [y_prime + rng.normal(size=y_prime.shape) * 0.1]),
+            # single-slot moves find violations hidden behind penalized slots
+            _slot_moves(s, "z"),
+            _slot_moves(s, "u"),
+        ])
+
+
 def comparison_lhs_rhs(
     f1: Generator, f2: Generator, s: PointSample, constant: float
 ) -> tuple[float, float]:
@@ -700,115 +825,7 @@ def comparison_lhs_rhs(
     Negative components of y act through the quadratic terms on the
     right; the left side couples the negative part of y with the driver
     gap evaluated at (y^+ + y', z, u) versus (y', z', u')."""
-    marks = f1.marks
-    y = s.y
-    neg = np.maximum(-y, 0.0)
-    is_neg = y < 0.0
-    val1 = evaluate(f1, s.t, np.maximum(y, 0.0) + s.y_prime, s.z, s.u)
-    val2 = evaluate(f2, s.t, s.y_prime, s.z_prime, s.u_prime)
-    lhs = -4.0 * float(neg @ (val1 - val2))
-
-    dz = s.z - s.z_prime
-    zterm = 2.0 * float(np.sum(dz[is_neg] ** 2))
-    du = s.u - s.u_prime  # (n_atoms, m)
-    shifted_neg = np.maximum(-(y[None, :] + du), 0.0)
-    w = marks.weights[:, None]
-    pos_term = 2.0 * float(np.sum(w * shifted_neg[:, ~is_neg] ** 2)) if (~is_neg).any() else 0.0
-    neg_term = 0.0
-    if is_neg.any():
-        # per-component convexity gaps of x -> (x^-)^2; nonnegative, so
-        # clamp away cancellation noise from large jump offsets
-        inner = shifted_neg[:, is_neg] ** 2 - neg[None, is_neg] ** 2 - 2.0 * y[None, is_neg] * du[:, is_neg]
-        neg_term = 2.0 * float(np.sum(w * np.maximum(inner, 0.0)))
-    rhs = zterm + constant * float(neg @ neg) + pos_term + neg_term
-    return lhs, rhs
-
-
-class _ComparisonInequality(_Inequality):
-    def __init__(self, f1, f2):
-        self.f1, self.f2 = f1, f2
-
-    def excess_weight(self, s):
-        lhs, rhs0 = comparison_lhs_rhs(self.f1, self.f2, s, constant=0.0)
-        neg = np.maximum(-s.y, 0.0)
-        return lhs - rhs0, float(neg @ neg)
-
-    def lhs_rhs(self, s, constant):
-        return comparison_lhs_rhs(self.f1, self.f2, s, constant)
-
-    def shrink(self, s, alpha):
-        y = np.where(s.y < 0.0, alpha * s.y, s.y)
-        return PointSample(
-            t=s.t, y=y, z=s.z, u=s.u, y_prime=s.y_prime, z_prime=s.z_prime, u_prime=s.u_prime
-        )
-
-    def mutate(self, s, rng):
-        out = []
-        for alpha in (2.0, 0.5, 0.25):
-            out.append(self.shrink(s, alpha))
-        for zs in (0.0, 0.5, 2.0):
-            dz = s.z - s.z_prime
-            out.append(
-                PointSample(
-                    t=s.t, y=s.y, z=s.z_prime + zs * dz, u=s.u,
-                    y_prime=s.y_prime, z_prime=s.z_prime, u_prime=s.u_prime,
-                )
-            )
-        for us in (0.0, 0.5, 2.0, -1.0):
-            du = s.u - s.u_prime
-            out.append(
-                PointSample(
-                    t=s.t, y=s.y, z=s.z, u=s.u_prime + us * du,
-                    y_prime=s.y_prime, z_prime=s.z_prime, u_prime=s.u_prime,
-                )
-            )
-        # random-direction proposals let the climb leave a dead block
-        out.append(
-            PointSample(
-                t=s.t, y=s.y + rng.normal(size=s.y.shape) * 0.3, z=s.z, u=s.u,
-                y_prime=s.y_prime, z_prime=s.z_prime, u_prime=s.u_prime,
-            )
-        )
-        out.append(
-            PointSample(
-                t=s.t, y=s.y, z=s.z + rng.normal(size=s.z.shape), u=s.u,
-                y_prime=s.y_prime, z_prime=s.z_prime, u_prime=s.u_prime,
-            )
-        )
-        out.append(
-            PointSample(
-                t=s.t, y=s.y, z=s.z, u=s.u + rng.normal(size=s.u.shape),
-                y_prime=s.y_prime, z_prime=s.z_prime, u_prime=s.u_prime,
-            )
-        )
-        out.append(
-            PointSample(
-                t=s.t, y=s.y, z=s.z, u=s.u,
-                y_prime=s.y_prime + rng.normal(size=s.y_prime.shape) * 0.1,
-                z_prime=s.z_prime, u_prime=s.u_prime,
-            )
-        )
-        # single-slot moves find violations hidden behind penalized slots;
-        # clearing a slot of the difference sets that slot of z to z'
-        z_moves = list(_nudged(s.z, 1.0))
-        z_moves += [s.z_prime + dz for dz in _slot_zeroed(s.z - s.z_prime)]
-        for z_new in z_moves:
-            out.append(
-                PointSample(
-                    t=s.t, y=s.y, z=z_new, u=s.u,
-                    y_prime=s.y_prime, z_prime=s.z_prime, u_prime=s.u_prime,
-                )
-            )
-        u_moves = list(_nudged(s.u, 1.0))
-        u_moves += [s.u_prime + du for du in _slot_zeroed(s.u - s.u_prime)]
-        for u_new in u_moves:
-            out.append(
-                PointSample(
-                    t=s.t, y=s.y, z=s.z, u=u_new,
-                    y_prime=s.y_prime, z_prime=s.z_prime, u_prime=s.u_prime,
-                )
-            )
-        return out
+    return _point_lhs_rhs(_ComparisonInequality(f1, f2), constant)(s)
 
 
 def check_comparison_multidim(
@@ -862,45 +879,47 @@ class _QuadraticClause(_Inequality):
     def __init__(self, gen):
         self.gen = gen
 
-    def _split(self, s):
-        y = s.y
-        return y, np.maximum(y, 0.0), np.maximum(-y, 0.0), y < 0.0
+    def evaluate(self, b, constant):
+        y = b.y
+        neg = np.maximum(-y, 0.0)
+        is_neg = y < 0.0
+        val1 = self.gen(b.t, np.maximum(y, 0.0) + b.y_prime, b.z, b.u)
+        val2 = self.gen(b.t, b.y_prime, b.z, b.u_prime)
+        lhs = 4.0 * _rowsum(np.where(is_neg, y * (val1 - val2), 0.0))
+        du = b.u - b.u_prime
+        w = self.gen.marks.weights[:, None]
+        neg_atoms = np.broadcast_to(is_neg[:, None, :], du.shape)
+        neg_term = 2.0 * _rowsum(np.where(neg_atoms, w * du**2, 0.0))
+        shifted_neg = np.maximum(-(y[:, None, :] + du), 0.0)
+        pos_term = 2.0 * _rowsum(np.where(neg_atoms, 0.0, w * shifted_neg**2))
+        weight = _rowdot(neg, neg)
+        return lhs - neg_term - pos_term, constant * weight, weight, np.ones(len(b), dtype=bool)
 
-    def excess_weight(self, s):
-        gen = self.gen
-        marks = gen.marks
-        y, pos, neg, is_neg = self._split(s)
-        val1 = evaluate(gen, s.t, pos + s.y_prime, s.z, s.u)
-        val2 = evaluate(gen, s.t, s.y_prime, s.z, s.u_prime)
-        lhs = 4.0 * float(np.sum(y[is_neg] * (val1 - val2)[is_neg]))
-        du = s.u - s.u_prime
-        w = marks.weights[:, None]
-        neg_term = 2.0 * float(np.sum(w * du[:, is_neg] ** 2))
-        shifted_neg = np.maximum(-(y[None, :] + du), 0.0)
-        pos_term = 2.0 * float(np.sum(w * shifted_neg[:, ~is_neg] ** 2)) if (~is_neg).any() else 0.0
-        return lhs - neg_term - pos_term, float(neg @ neg)
-
-    def lhs_rhs(self, s, constant):
-        excess, w = self.excess_weight(s)
-        return excess, constant * w
-
-    def shrink(self, s, alpha):
-        y = np.where(s.y < 0.0, alpha * s.y, s.y)
-        return PointSample(
-            t=s.t, y=y, z=s.z, u=s.u, y_prime=s.y_prime, z_prime=s.z_prime, u_prime=s.u_prime
-        )
+    def shrink(self, b, alpha):
+        return dataclasses.replace(b, y=_neg_scaled(b.y, alpha))
 
     def mutate(self, s, rng):
-        out = [self.shrink(s, a) for a in (2.0, 0.5)]
-        for us in (0.0, 0.5, 2.0):
-            du = s.u - s.u_prime
-            out.append(
-                PointSample(
-                    t=s.t, y=s.y, z=s.z, u=s.u_prime + us * du,
-                    y_prime=s.y_prime, z_prime=s.z_prime, u_prime=s.u_prime,
-                )
-            )
-        return out
+        return _variants(s, [
+            ("y", _neg_scaled(s.y, np.array([2.0, 0.5]))),
+            _prime_variants(s, "u", _SCALES),
+        ])
+
+
+def _monotone_gaps(gen: Generator, b: SampleBatch) -> np.ndarray:
+    """(n, m) gaps f_k(y^+ off k + y', z, u) - f_k(y', z, u') + sum_j n_j (u - u')_jk.
+
+    Component k of the state moves up by the positive part of y in every
+    other component; one driver call covers all n * m cases.
+    """
+    n, m = b.y.shape
+    delta = np.repeat(np.maximum(b.y, 0.0)[:, None, :], m, axis=1)
+    delta[:, np.arange(m), np.arange(m)] = 0.0
+    rows = np.repeat(np.arange(n), m)
+    val1 = gen(b.t[rows], (delta + b.y_prime[:, None, :]).reshape(n * m, m), b.z[rows], b.u[rows])
+    val1 = np.diagonal(val1.reshape(n, m, m), axis1=1, axis2=2)
+    val2 = gen(b.t, b.y_prime, b.z, b.u_prime)
+    du = np.swapaxes(b.u - b.u_prime, 1, 2).reshape(n * m, -1)
+    return val1 - val2 + _jump_pull(gen.marks, du).reshape(n, m)
 
 
 def check_structural(
@@ -926,32 +945,24 @@ def check_structural(
     diagonal_z = not offending
 
     sampler = ConditionSampler(gen.state_dim, gen.brownian_dim, gen.marks.n_atoms, seed + 1)
-    marks = gen.marks
-
-    def mono_gap(s: PointSample, k: int) -> float:
-        delta = np.maximum(s.y, 0.0)
-        delta[k] = 0.0
-        du = s.u - s.u_prime
-        val1 = evaluate(gen, s.t, delta + s.y_prime, s.z, s.u)[k]
-        val2 = evaluate(gen, s.t, s.y_prime, s.z, s.u_prime)[k]
-        return val1 - val2 + float(marks.weights @ du[:, k])
-
-    worst, worst_sample, worst_k = np.inf, None, None
-    for s in sampler.pair(n_samples, ordered_jumps=True):
-        for k in range(gen.state_dim):
-            gap = mono_gap(s, k)
-            if gap < worst:
-                worst, worst_sample, worst_k = gap, s, k
+    samples = sampler.pair(n_samples, ordered_jumps=True)
+    gaps = _monotone_gaps(gen, samples)
+    # the first smallest gap, scanning samples and then components
+    first = int(np.argmin(gaps))
+    worst = float(gaps.flat[first])
+    worst_row, worst_k = divmod(first, gen.state_dim)
     if worst < -_TOL:
         monotone = ConditionVerdict(
             outcome="falsified",
-            witness=worst_sample,
+            witness=samples.point(worst_row),
             witness_lhs=-worst,
             witness_rhs=0.0,
             margin=-worst,
             samples=n_samples,
             detail=f"monotonicity fails on component {worst_k}",
-            _replay=lambda s, _k=worst_k: (-mono_gap(s, _k), 0.0),
+            _replay=lambda s, _k=worst_k: (
+                -float(_monotone_gaps(gen, SampleBatch.of(s))[0, _k]), 0.0
+            ),
         )
     else:
         monotone = ConditionVerdict(
@@ -987,6 +998,65 @@ def check_structural(
 # matrix comparison on the semidefinite cone
 
 
+class _MatrixInequality(_Inequality):
+    """The semidefinite comparison inequality; see :func:`matrix_lhs_rhs`."""
+
+    def __init__(self, f1, f2, side):
+        self.f1, self.f2, self.side = f1, f2, side
+        self.cone = PsdCone(side)
+
+    def _eigen(self, y):
+        w, q = np.linalg.eigh(vec_to_sym(y, self.side))
+        return w, q, np.swapaxes(q, -1, -2)
+
+    def evaluate(self, b, constant):
+        cone, marks = self.cone, self.f1.marks
+        w_eig, q, qt = self._eigen(b.y)
+        y_pos = sym_to_vec((q * np.maximum(w_eig, 0.0)[:, None, :]) @ qt)
+        y_neg = sym_to_vec((q * np.maximum(-w_eig, 0.0)[:, None, :]) @ qt)
+
+        val1 = self.f1(b.t, y_pos + b.y_prime, b.z, b.u)
+        val2 = self.f2(b.t, b.y_prime, b.z_prime, b.u_prime)
+        lhs = -4.0 * _rowdot(y_neg, val1 - val2)
+
+        hess, defined = cone.hess_dist2_batch(b.y)
+        # quadratic form of a convex function's Hessian and per-atom
+        # convexity gaps are nonnegative; clamp away rounding noise
+        zterm = np.maximum(0.0, _quadratic_form(hess, b.z - b.z_prime))
+        w2 = _rowdot(y_neg, y_neg)
+        jump = np.zeros(len(b))
+        for j in range(marks.n_atoms):
+            du = b.u[:, j] - b.u_prime[:, j]
+            gap = cone.dist2_batch(b.y + du) - w2 + 2.0 * _rowdot(y_neg, du)
+            jump += marks.weights[j] * np.maximum(0.0, gap)
+        rhs = zterm + constant * w2 + 2.0 * jump
+        return lhs, rhs, cone.dist2_batch(b.y), defined
+
+    def _shrunk(self, y, alpha):
+        w, q, qt = self._eigen(y)
+        w = np.where(w < 0.0, np.reshape(alpha, (-1, 1)) * w, w)
+        return sym_to_vec((q * w[:, None, :]) @ qt)
+
+    def shrink(self, b, alpha):
+        return dataclasses.replace(b, y=self._shrunk(b.y, alpha))
+
+    def mutate(self, s, rng):
+        y, z, y_prime = s.y[0], s.z[0], s.y_prime[0]
+        side = self.side
+        return _variants(s, [
+            ("y", self._shrunk(s.y[[0, 0, 0]], np.array([2.0, 0.5, 0.25]))),
+            _prime_variants(s, "z", _SCALES),
+            _prime_variants(s, "u", _SCALES),
+            # random-direction proposals let the climb leave a dead block
+            ("y", [y + sym_to_vec(_random_sym(rng, side, 0.3))]),
+            ("z", [z + sym_to_vec(_random_sym(rng, side, 1.0))[:, None]]),
+            ("y_prime", [y_prime + sym_to_vec(_random_sym(rng, side, 0.2))]),
+            # single-slot moves find violations hidden behind penalized slots
+            _slot_moves(s, "z"),
+            _slot_moves(s, "u"),
+        ])
+
+
 def matrix_lhs_rhs(
     f1: Generator, f2: Generator, side: int, s: PointSample, constant: float
 ) -> tuple[float, float]:
@@ -995,114 +1065,7 @@ def matrix_lhs_rhs(
     All slots are flattened symmetric matrices; the curvature term uses
     the cone's distance Hessian and the jump correction mirrors the
     semidefinite splitting."""
-    cone = PsdCone(side)
-    y_mat = vec_to_sym(s.y, side)
-    w_eig, q = np.linalg.eigh(y_mat)
-    y_pos = sym_to_vec((q * np.maximum(w_eig, 0.0)) @ q.T)
-    y_neg_vec = sym_to_vec((q * np.maximum(-w_eig, 0.0)) @ q.T)
-
-    val1 = evaluate(f1, s.t, y_pos + s.y_prime, s.z, s.u)
-    val2 = evaluate(f2, s.t, s.y_prime, s.z_prime, s.u_prime)
-    lhs = -4.0 * float(y_neg_vec @ (val1 - val2))
-
-    hess = cone.hess_dist2(s.y).require()
-    dz = s.z - s.z_prime
-    # quadratic form of a convex function's Hessian and per-atom
-    # convexity gaps are nonnegative; clamp away rounding noise
-    zterm = max(0.0, float(np.einsum("kd,kl,ld->", dz, hess, dz)))
-    w2 = float(y_neg_vec @ y_neg_vec)
-    jump = 0.0
-    for j in range(f1.marks.n_atoms):
-        du = s.u[j] - s.u_prime[j]
-        gap = cone.dist2(s.y + du) - w2 + 2.0 * float(y_neg_vec @ du)
-        jump += f1.marks.weights[j] * max(0.0, gap)
-    rhs = zterm + constant * w2 + 2.0 * jump
-    return lhs, rhs
-
-
-class _MatrixInequality(_Inequality):
-    def __init__(self, f1, f2, side):
-        self.f1, self.f2, self.side = f1, f2, side
-        self.cone = PsdCone(side)
-
-    def excess_weight(self, s):
-        try:
-            lhs, rhs0 = matrix_lhs_rhs(self.f1, self.f2, self.side, s, constant=0.0)
-        except ValueError:
-            return None
-        return lhs - rhs0, self.cone.dist2(s.y)
-
-    def lhs_rhs(self, s, constant):
-        return matrix_lhs_rhs(self.f1, self.f2, self.side, s, constant)
-
-    def shrink(self, s, alpha):
-        mat = vec_to_sym(s.y, self.side)
-        w, q = np.linalg.eigh(mat)
-        shrunk = np.where(w < 0.0, alpha * w, w)
-        return PointSample(
-            t=s.t, y=sym_to_vec((q * shrunk) @ q.T), z=s.z, u=s.u,
-            y_prime=s.y_prime, z_prime=s.z_prime, u_prime=s.u_prime,
-        )
-
-    def mutate(self, s, rng):
-        out = [self.shrink(s, a) for a in (2.0, 0.5, 0.25)]
-        for zs in (0.0, 0.5, 2.0):
-            dz = s.z - s.z_prime
-            out.append(
-                PointSample(
-                    t=s.t, y=s.y, z=s.z_prime + zs * dz, u=s.u,
-                    y_prime=s.y_prime, z_prime=s.z_prime, u_prime=s.u_prime,
-                )
-            )
-        for us in (0.0, 0.5, 2.0):
-            du = s.u - s.u_prime
-            out.append(
-                PointSample(
-                    t=s.t, y=s.y, z=s.z, u=s.u_prime + us * du,
-                    y_prime=s.y_prime, z_prime=s.z_prime, u_prime=s.u_prime,
-                )
-            )
-        # random-direction proposals let the climb leave a dead block
-        out.append(
-            PointSample(
-                t=s.t, y=s.y + sym_to_vec(_random_sym(rng, self.side, 0.3)), z=s.z, u=s.u,
-                y_prime=s.y_prime, z_prime=s.z_prime, u_prime=s.u_prime,
-            )
-        )
-        out.append(
-            PointSample(
-                t=s.t, y=s.y, z=s.z + sym_to_vec(_random_sym(rng, self.side, 1.0))[:, None],
-                u=s.u, y_prime=s.y_prime, z_prime=s.z_prime, u_prime=s.u_prime,
-            )
-        )
-        out.append(
-            PointSample(
-                t=s.t, y=s.y, z=s.z, u=s.u,
-                y_prime=s.y_prime + sym_to_vec(_random_sym(rng, self.side, 0.2)),
-                z_prime=s.z_prime, u_prime=s.u_prime,
-            )
-        )
-        # single-slot moves find violations hidden behind penalized slots;
-        # clearing a slot of the difference sets that slot of z to z'
-        z_moves = list(_nudged(s.z, 1.0))
-        z_moves += [s.z_prime + dz for dz in _slot_zeroed(s.z - s.z_prime)]
-        for z_new in z_moves:
-            out.append(
-                PointSample(
-                    t=s.t, y=s.y, z=z_new, u=s.u,
-                    y_prime=s.y_prime, z_prime=s.z_prime, u_prime=s.u_prime,
-                )
-            )
-        u_moves = list(_nudged(s.u, 1.0))
-        u_moves += [s.u_prime + du for du in _slot_zeroed(s.u - s.u_prime)]
-        for u_new in u_moves:
-            out.append(
-                PointSample(
-                    t=s.t, y=s.y, z=s.z, u=u_new,
-                    y_prime=s.y_prime, z_prime=s.z_prime, u_prime=s.u_prime,
-                )
-            )
-        return out
+    return _point_lhs_rhs(_MatrixInequality(f1, f2, side), constant)(s)
 
 
 def check_comparison_matrix(

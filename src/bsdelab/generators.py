@@ -1,7 +1,8 @@
 """Drivers f(t, y, z, u) for backward equations with jumps.
 
 Evaluation is batch-first: y has shape (n, m), z has shape (n, m, d) and
-u has shape (n, n_atoms, m), one row of u per atom of the jump intensity.
+u has shape (n, n_atoms, m), one row of u per atom of the jump intensity;
+t is one time for every row or an (n,) array of per-row times.
 Every driver declares a Lipschitz bound in the norm
 |dy| + |dz|_F + (sum_j n_j |du_j|^2)^{1/2}, which ``verify_lipschitz``
 stress-tests empirically and the implicit solver relies on.
@@ -31,14 +32,17 @@ __all__ = [
 
 
 class Generator:
-    """Base driver; subclasses implement ``_eval`` on validated batches."""
+    """Base driver; subclasses implement ``_eval`` on validated batches.
+
+    ``_eval`` receives t as a float or as an (n,) array of per-row times.
+    """
 
     state_dim: int
     brownian_dim: int
     marks: FiniteMarkMeasure
     lipschitz: float
 
-    def __call__(self, t: float, y: np.ndarray, z: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def __call__(self, t, y: np.ndarray, z: np.ndarray, u: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         z = np.asarray(z, dtype=float)
         u = np.asarray(u, dtype=float)
@@ -50,7 +54,12 @@ class Generator:
             raise ValueError(f"driver input z must have shape (n, {m}, {d}), got {z.shape}")
         if u.shape != (n, j, m):
             raise ValueError(f"driver input u must have shape (n, {j}, {m}), got {u.shape}")
-        out = self._eval(float(t), y, z, u)
+        t = np.asarray(t, dtype=float)
+        if t.ndim == 0:
+            t = float(t)
+        elif t.shape != (n,):
+            raise ValueError(f"driver time t must be a number or have shape ({n},), got {t.shape}")
+        out = self._eval(t, y, z, u)
         if out.shape != (n, m):
             raise ValueError("driver returned wrong shape")
         return out
@@ -136,10 +145,9 @@ class AffineGen(Generator):
         if self.c.shape != (marks.n_atoms, m, m):
             raise ValueError(f"jump coefficient must have shape ({marks.n_atoms}, {m}, {m})")
         if callable(drift):
-            self._drift = drift
+            self._drift, self._shift = drift, None
         else:
-            vec = np.asarray(drift, dtype=float).reshape(m)
-            self._drift = lambda t: vec
+            self._drift, self._shift = None, np.asarray(drift, dtype=float).reshape(m)
         l_y = np.linalg.norm(self.a, 2)
         l_z = np.linalg.norm(self.b.reshape(m, m * brownian_dim), 2)
         scaled = np.concatenate(
@@ -149,10 +157,22 @@ class AffineGen(Generator):
         self.lipschitz = float(max(l_y, l_z, l_u))
 
     def _eval(self, t, y, z, u):
-        out = y @ self.a.T
+        # einsum, not y @ a.T: BLAS would take another kernel for one row
+        # than for many, and a row's value would depend on its batch
+        out = np.einsum("kl,nl->nk", self.a, y)
         out += np.einsum("kij,nij->nk", self.b, z)
         out += np.einsum("jkl,njl->nk", self.c, u)
-        return out + self._drift(t)
+        return out + self._drift_at(t)
+
+    def _drift_at(self, t):
+        if self._drift is None:
+            return self._shift
+        if np.ndim(t) == 0:
+            return self._drift(t)
+        # one call of the drift per distinct time
+        times, inverse = np.unique(t, return_inverse=True)
+        values = np.stack([np.asarray(self._drift(float(s)), dtype=float) for s in times])
+        return values[inverse]
 
 
 @dataclass(frozen=True)

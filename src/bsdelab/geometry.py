@@ -36,6 +36,7 @@ __all__ = [
     "sym_to_vec",
     "vec_to_sym",
     "jump_defect",
+    "jump_defect_batch",
     "QuadSpec",
     "MollifiedResult",
     "mollified_dist2",
@@ -54,6 +55,18 @@ def _rows(xs, dim: int) -> np.ndarray:
     if xs.ndim != 2 or xs.shape[1] != dim:
         raise ValueError(f"expected rows of shape (n, {dim}), got {xs.shape}")
     return xs
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows of two (n, k) arrays.
+
+    A stacked matmul on C-ordered rows reduces each row with the same BLAS
+    dot product as ``a[i] @ b[i]``, so one row gives the same bits alone
+    as in any batch; ``einsum`` and ``sum(a * b)`` round differently.
+    """
+    a = np.ascontiguousarray(a, dtype=float)
+    b = np.ascontiguousarray(b, dtype=float)
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 @dataclass(frozen=True)
@@ -90,8 +103,31 @@ class ConvexBody:
         x = np.asarray(x, dtype=float)
         return 2.0 * (x - self.project(x))
 
+    # why the Hessian is undefined where ``hess_dist2_batch`` says so
+    _hess_undefined = "nonsmooth point"
+
     def hess_dist2(self, x: np.ndarray) -> HessianResult:
-        raise NotImplementedError
+        """Hessian of d2 at one point: the one-row case of ``hess_dist2_batch``."""
+        mats, defined = self.hess_dist2_batch(np.asarray(x, dtype=float)[None])
+        if not defined[0]:
+            return HessianResult(None, False, self._hess_undefined)
+        return HessianResult(mats[0], True)
+
+    def hess_dist2_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Hessians of d2 at the rows of ``xs``: shape (n, dim, dim), and a
+        (n,) mask of the rows where the Hessian is defined.
+
+        Undefined rows carry a zero matrix.  This fallback loops over
+        ``hess_dist2``; a body overrides one of the two.
+        """
+        xs = _rows(xs, self.dim)
+        mats = np.zeros((xs.shape[0], self.dim, self.dim))
+        defined = np.zeros(xs.shape[0], dtype=bool)
+        for i, x in enumerate(xs):
+            res = self.hess_dist2(x)
+            if res.defined:
+                mats[i], defined[i] = res.matrix, True
+        return mats, defined
 
     def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
         return self.dist(x) <= tol
@@ -149,9 +185,8 @@ class Ball(ConvexBody):
     def project_batch(self, xs):
         xs = _rows(xs, self.dim)
         v = xs - self.center
-        # stacked matmul reduces each row with the same BLAS dot product as
-        # the scalar norm; norm(axis=-1) and einsum round differently
-        norm = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+        # the same bits as the scalar norm; norm(axis=-1) rounds differently
+        norm = np.sqrt(_rowdot(v, v))
         # rows inside are returned as given; the max only keeps the unused
         # outside formula free of a division by zero at the centre
         scale = self.radius / np.maximum(norm, self.radius)
@@ -161,19 +196,21 @@ class Ball(ConvexBody):
         norm = np.linalg.norm(np.asarray(x, dtype=float) - self.center)
         return max(norm - self.radius, 0.0) ** 2
 
-    def hess_dist2(self, x):
-        x = np.asarray(x, dtype=float)
-        v = x - self.center
-        rho = np.linalg.norm(v)
-        tol = _BOUNDARY_RTOL * max(1.0, self.radius, rho)
-        if abs(rho - self.radius) <= tol:
-            return HessianResult(None, False, "point on the sphere")
-        if rho < self.radius:
-            return HessianResult(np.zeros((self.dim, self.dim)), True)
-        outer = np.outer(v, v)
-        mat = 2.0 * (1.0 - self.radius / rho) * np.eye(self.dim)
-        mat += 2.0 * self.radius / rho**3 * outer
-        return HessianResult(mat, True)
+    _hess_undefined = "point on the sphere"
+
+    def hess_dist2_batch(self, xs):
+        xs = _rows(xs, self.dim)
+        v = xs - self.center
+        rho = np.sqrt(_rowdot(v, v))
+        tol = _BOUNDARY_RTOL * np.maximum(max(1.0, self.radius), rho)
+        defined = np.abs(rho - self.radius) > tol
+        # zero inside; outside, 2(1 - r/rho) I + 2 r/rho^3 v v^T
+        mats = np.zeros((xs.shape[0], self.dim, self.dim))
+        out = defined & (rho > self.radius)
+        r, vo = rho[out][:, None, None], v[out]
+        mats[out] = 2.0 * (1.0 - self.radius / r) * np.eye(self.dim)
+        mats[out] += 2.0 * self.radius / r**3 * (vo[:, :, None] * vo[:, None, :])
+        return mats, defined
 
     def contains(self, x, tol=1e-9):
         return np.linalg.norm(np.asarray(x, dtype=float) - self.center) <= self.radius + tol
@@ -218,21 +255,20 @@ class Box(ConvexBody):
         excess = np.maximum(x - self.upper, 0.0) + np.maximum(self.lower - x, 0.0)
         return float(excess @ excess)
 
-    def hess_dist2(self, x):
-        x = np.asarray(x, dtype=float)
-        scale = np.maximum(1.0, np.abs(x))
-        diag = np.zeros(self.dim)
-        for i in range(self.dim):
-            if self.lower[i] == self.upper[i]:
-                # pinned coordinate: d2 contribution is a smooth parabola
-                diag[i] = 2.0
-                continue
-            tol = _BOUNDARY_RTOL * scale[i]
-            if abs(x[i] - self.lower[i]) <= tol or abs(x[i] - self.upper[i]) <= tol:
-                return HessianResult(None, False, f"coordinate {i} on a facet")
-            if x[i] < self.lower[i] or x[i] > self.upper[i]:
-                diag[i] = 2.0
-        return HessianResult(np.diag(diag), True)
+    _hess_undefined = "coordinate on a facet"
+
+    def hess_dist2_batch(self, xs):
+        xs = _rows(xs, self.dim)
+        tol = _BOUNDARY_RTOL * np.maximum(1.0, np.abs(xs))
+        # a pinned coordinate's d2 contribution is a smooth parabola
+        pinned = self.lower == self.upper
+        facet = ~pinned & (
+            (np.abs(xs - self.lower) <= tol) | (np.abs(xs - self.upper) <= tol)
+        )
+        defined = ~facet.any(axis=1)
+        diag = np.where(pinned | (xs < self.lower) | (xs > self.upper), 2.0, 0.0)
+        diag[~defined] = 0.0
+        return diag[:, :, None] * np.eye(self.dim), defined
 
     def contains(self, x, tol=1e-9):
         x = np.asarray(x, dtype=float)
@@ -273,15 +309,17 @@ class OrthantProduct(ConvexBody):
         neg = np.minimum(x[: self.n_plus], 0.0)
         return float(neg @ neg)
 
-    def hess_dist2(self, x):
-        x = np.asarray(x, dtype=float)
-        head = x[: self.n_plus]
+    _hess_undefined = "constrained coordinate at zero"
+
+    def hess_dist2_batch(self, xs):
+        xs = _rows(xs, self.dim)
+        head = xs[:, : self.n_plus]
         tol = _BOUNDARY_RTOL * np.maximum(1.0, np.abs(head))
-        if np.any(np.abs(head) <= tol):
-            return HessianResult(None, False, "constrained coordinate at zero")
-        diag = np.zeros(self.dim)
-        diag[: self.n_plus] = np.where(head < 0.0, 2.0, 0.0)
-        return HessianResult(np.diag(diag), True)
+        defined = ~np.any(np.abs(head) <= tol, axis=1)
+        diag = np.zeros(xs.shape)
+        diag[:, : self.n_plus] = np.where(head < 0.0, 2.0, 0.0)
+        diag[~defined] = 0.0
+        return diag[:, :, None] * np.eye(self.dim), defined
 
     def contains(self, x, tol=1e-9):
         return bool(np.all(np.asarray(x, dtype=float)[: self.n_plus] >= -tol))
@@ -530,27 +568,32 @@ class PsdCone(ConvexBody):
         neg = np.minimum(w, 0.0)
         return float(neg @ neg)
 
-    def hess_dist2(self, x):
-        w, q = np.linalg.eigh(self._matrix(x))
-        scale = max(1.0, np.abs(w).max())
-        if np.min(np.abs(w)) <= _BOUNDARY_RTOL * scale:
-            return HessianResult(None, False, "zero eigenvalue (cone boundary)")
-        # derivative of the cone projection in the eigenbasis
+    _hess_undefined = "zero eigenvalue (cone boundary)"
+
+    def hess_dist2_batch(self, xs):
+        w, q = np.linalg.eigh(self._matrix(_rows(xs, self.dim)))
+        abs_w = np.abs(w)
+        scale = np.maximum(1.0, abs_w.max(axis=-1))[:, None, None]
+        defined = abs_w.min(axis=-1) > _BOUNDARY_RTOL * scale[:, 0, 0]
+        # derivative of the cone projection in each eigenbasis
         lam_pos = np.maximum(w, 0.0)
-        denom = w[:, None] - w[None, :]
+        denom = w[:, :, None] - w[:, None, :]
         with np.errstate(divide="ignore", invalid="ignore"):
-            omega = (lam_pos[:, None] - lam_pos[None, :]) / denom
+            omega = (lam_pos[:, :, None] - lam_pos[:, None, :]) / denom
         same = np.abs(denom) <= 1e-12 * scale
-        pos = np.broadcast_to(w[:, None] > 0.0, omega.shape)
+        pos = np.broadcast_to(w[:, :, None] > 0.0, omega.shape)
         omega = np.where(same, pos.astype(float), omega)
+        qt = np.swapaxes(q, -1, -2)
         n = self.dim
-        hess = np.empty((n, n))
+        hess = np.empty((w.shape[0], n, n))
         for col, basis in enumerate(np.eye(n)):
             e_mat = vec_to_sym(basis, self.side)
-            inner = q.T @ e_mat @ q
-            dproj = q @ (omega * inner) @ q.T
-            hess[:, col] = sym_to_vec(2.0 * (e_mat - dproj))
-        return HessianResult((hess + hess.T) / 2.0, True)
+            inner = qt @ e_mat @ q
+            dproj = q @ (omega * inner) @ qt
+            hess[:, :, col] = sym_to_vec(2.0 * (e_mat - dproj))
+        hess = (hess + np.swapaxes(hess, -1, -2)) / 2.0
+        hess[~defined] = 0.0
+        return hess, defined
 
     def contains(self, x, tol=1e-9):
         w = np.linalg.eigvalsh(vec_to_sym(x, self.side))
@@ -611,22 +654,34 @@ class FinitePointSet:
         return np.sqrt(self.dist2_batch(xs))
 
 
-def jump_defect(body: ConvexBody, y: np.ndarray, u: np.ndarray, marks) -> float:
-    """Intensity-weighted convexity defect of d2 along the jumps.
+def jump_defect_batch(body: ConvexBody, ys: np.ndarray, us: np.ndarray, marks) -> np.ndarray:
+    """Intensity-weighted convexity defects of d2 along the jumps, per row.
 
+    Row i of ``ys`` (n, dim) with jumps ``us[i]`` (n_atoms, dim) gets
     sum_j n_j [ d2(y + u_j) - d2(y) - <grad d2(y), u_j> ], nonnegative for
     convex bodies since d2 is convex.
     """
+    ys = _rows(ys, body.dim)
+    us = np.asarray(us, dtype=float)
+    if us.shape != (ys.shape[0], marks.n_atoms, body.dim):
+        raise ValueError("jump integrand must supply one row per atom")
+    base = body.dist2_batch(ys)
+    grad = 2.0 * (ys - body.project_batch(ys))
+    total = np.zeros(ys.shape[0])
+    for j in range(marks.n_atoms):
+        total += marks.weights[j] * (
+            body.dist2_batch(ys + us[:, j]) - base - _rowdot(grad, us[:, j])
+        )
+    return total
+
+
+def jump_defect(body: ConvexBody, y: np.ndarray, u: np.ndarray, marks) -> float:
+    """The jump defect at one point: the one-row case of ``jump_defect_batch``."""
     y = np.asarray(y, dtype=float)
     u = np.atleast_2d(np.asarray(u, dtype=float))
     if u.shape[0] != marks.n_atoms:
         raise ValueError("jump integrand must supply one row per atom")
-    base = body.dist2(y)
-    grad = body.grad_dist2(y)
-    total = 0.0
-    for j in range(marks.n_atoms):
-        total += marks.weights[j] * (body.dist2(y + u[j]) - base - grad @ u[j])
-    return float(total)
+    return float(jump_defect_batch(body, y[None], u[None], marks)[0])
 
 
 @dataclass(frozen=True)

@@ -419,6 +419,8 @@ def test_criterion_10_reduction_coherence():
             stacked, orthant, n_samples=2000, seed=200 + i, c_max=500.0
         )
         expect = "certified" if sound else "falsified"
+        for verdict in (direct, reduced):
+            assert not verdict.falsified or verdict.replay()["violated"], f"pair {i}: no replay"
         agree += direct.outcome == reduced.outcome
         correct += (direct.outcome == expect) + (reduced.outcome == expect)
         if direct.certified and reduced.certified:

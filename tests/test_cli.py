@@ -332,10 +332,10 @@ def test_shared_bundle_and_solution_are_read_only(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# worker environment variable
+# certification reruns
 
 
-def test_worker_count_never_affects_results(tmp_path, monkeypatch):
+def test_rerun_of_a_viability_check_gives_identical_bytes(tmp_path):
     cfg = solve_config(
         target={"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
         generator={"kind": "projection-drift"},
@@ -343,14 +343,13 @@ def test_worker_count_never_affects_results(tmp_path, monkeypatch):
     )
     del cfg["terminal"]
 
-    monkeypatch.setenv("BSDELAB_WORKERS", "3")
-    threaded = run_scenario(cfg, tmp_path / "threaded")
-    monkeypatch.setenv("BSDELAB_WORKERS", "1")
-    serial = run_scenario(cfg, tmp_path / "serial")
+    first = run_scenario(cfg, tmp_path / "first")
+    second = run_scenario(cfg, tmp_path / "second")
 
-    assert threaded.verdicts == serial.verdicts
-    assert threaded.files == serial.files
-    assert read_artifacts(tmp_path / "threaded") == read_artifacts(tmp_path / "serial")
+    assert first.verdicts == second.verdicts
+    assert first.files == second.files
+    assert "viability_verdict.json" in read_artifacts(tmp_path / "first")
+    assert read_artifacts(tmp_path / "first") == read_artifacts(tmp_path / "second")
 
 
 # ---------------------------------------------------------------------------
@@ -405,15 +404,46 @@ def test_cli_exits_two_on_validation_error(tmp_path, capsys):
 
 
 def test_cli_exits_two_on_non_finite_terminal_payoff(tmp_path, capsys):
-    cfg = solve_config(
-        generator={"kind": "zero", "state_dim": 1},
-        terminal={"kind": "constant", "value": [float("nan")]},
-    )
+    # every number in the config is finite; the payoff 1e308 * W_T overflows
+    # on the paths where |W_T| > 1.8, 58 of them at seed 3
+    cfg = solve_config(terminal={"kind": "brownian", "component": 0, "scale": 1e308})
     config_path = tmp_path / "scenario.json"
     config_path.write_text(json.dumps(cfg))
+    with np.errstate(over="ignore"):
+        code = main(["solve", "--config", str(config_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "non-finite values on 58 of 800 paths" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=str)
+@pytest.mark.parametrize(
+    "field,overrides",
+    [
+        ("generator.scale", lambda bad: {"generator": {"kind": "scaled-jump", "scale": bad}}),
+        (
+            "terminal.value",
+            lambda bad: {
+                "generator": {"kind": "zero", "state_dim": 1},
+                "terminal": {"kind": "constant", "value": [bad]},
+            },
+        ),
+    ],
+    ids=["number", "array"],
+)
+def test_cli_exits_two_on_non_finite_config_numbers(tmp_path, capsys, monkeypatch, field, overrides, bad):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a config with a non-finite number reached the simulator")
+
+    monkeypatch.setattr(bsdelab.cli, "simulate_paths", no_work)
+    config_path = tmp_path / "scenario.json"
+    # json writes NaN, Infinity and -Infinity, and reads them back
+    config_path.write_text(json.dumps(solve_config(**overrides(bad))))
     code = main(["solve", "--config", str(config_path), "--out", str(tmp_path / "out")])
     assert code == 2
-    assert "non-finite values on 800 of 800 paths" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error at {field}: expected ")
+    assert "finite" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_format_flag_switches_table_format(tmp_path):

@@ -1,13 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_geometry import bodies_for_properties
 
 from bsdelab.conditions import (
     ComparisonPathReport,
     ConditionSampler,
     ConditionVerdict,
     PointSample,
+    SampleBatch,
     SampleRanges,
     StackedGenerator,
     check_comparison_m1,
@@ -24,7 +28,13 @@ from bsdelab.conditions import (
     viability_lhs_rhs,
     viability_path_report,
 )
-from bsdelab.generators import AffineGen, ProjectionDriftGen, ScaledJumpGen, ZeroGen
+from bsdelab.conditions import (
+    _ComparisonInequality,
+    _MatrixInequality,
+    _QuadraticClause,
+    _ViabilityInequality,
+)
+from bsdelab.generators import AffineGen, Generator, ProjectionDriftGen, ScaledJumpGen, ZeroGen
 from bsdelab.geometry import Ball, Box, FinitePointSet, OrthantProduct, PsdCone, sym_to_vec
 from bsdelab.solver import TerminalCondition, solve_backward
 from bsdelab.stochastic import FiniteMarkMeasure, TimeGrid, simulate_paths
@@ -91,9 +101,9 @@ def test_matrix_values_on_diagonal_point():
 @given(st.integers(0, 10_000))
 def test_comparison_right_side_never_negative(seed):
     g = ScaledJumpGen(1.3)
-    sampler = ConditionSampler(1, 1, 1, seed)
-    for s in sampler.pair(5):
-        lhs, rhs0 = comparison_lhs_rhs(g, g, s, constant=0.0)
+    samples = ConditionSampler(1, 1, 1, seed).pair(5)
+    for i in range(len(samples)):
+        lhs, rhs0 = comparison_lhs_rhs(g, g, samples.point(i), constant=0.0)
         del lhs
         assert rhs0 >= -1e-12
 
@@ -196,6 +206,7 @@ def test_multidim_comparison_matches_jump_threshold(scale, expected):
     g = ScaledJumpGen(scale)
     verdict = check_comparison_multidim(g, g, n_samples=1500, seed=0, c_max=50.0)
     assert verdict.outcome == expected
+    assert not verdict.falsified or verdict.replay()["violated"]
 
 
 def test_multidim_certified_constant_is_modest_for_half_scale():
@@ -271,6 +282,7 @@ def test_structural_flags_negative_state_coupling():
     report = check_structural(_affine_m2(a, b, c), n_samples=800, seed=0)
     assert report.outcome == "falsified"
     assert report.monotone.falsified
+    assert report.monotone.replay()["violated"]
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +352,7 @@ def test_stacked_viability_agrees_with_comparison_threshold(scale, expected):
     stacked, orthant = stacked_reduction(g, g)
     verdict = check_viability_condition(stacked, orthant, n_samples=1500, seed=3, c_max=500.0)
     assert verdict.outcome == expected
+    assert not verdict.falsified or verdict.replay()["violated"]
 
 
 def test_stacked_rejects_mismatched_dimensions():
@@ -477,6 +490,128 @@ def test_comparison_report_rejects_mismatched_state_dimensions():
 
 
 # ---------------------------------------------------------------------------
+# batched evaluation
+
+
+def _random_affine(rng, m, d, marks, drift=None):
+    drift = rng.normal(size=m) if drift is None else drift
+    return AffineGen(
+        rng.normal(size=(m, m)), rng.normal(size=(m, m, d)), rng.normal(size=(marks.n_atoms, m, m)),
+        drift, brownian_dim=d, marks=marks,
+    )
+
+
+def _viability_case(name, gen, body, rng):
+    sampler = ConditionSampler(body.dim, gen.brownian_dim, gen.marks.n_atoms, seed=5)
+    samples = sampler.viability(body, 60)
+    # the last rows sit on the body's boundary, where the Hessian is undefined
+    edge = body.project_batch(rng.uniform(-6.0, 6.0, size=(8, body.dim)))
+    y = np.concatenate([samples.y[:-8], edge])
+    return name, _ViabilityInequality(gen, body), dataclasses.replace(samples, y=y)
+
+
+def _viability_cases():
+    rng = np.random.default_rng(17)
+    cases = []
+    for body in bodies_for_properties():
+        drivers = [
+            ProjectionDriftGen(body, brownian_dim=2, marks=MARKS2),
+            _random_affine(rng, body.dim, 2, MARKS2, drift=lambda t, m=body.dim: np.full(m, np.cos(t))),
+        ]
+        for gen in drivers:
+            name = f"viability-{type(body).__name__}-{type(gen).__name__}"
+            cases.append(_viability_case(name, gen, body, rng))
+    stacked, orthant = stacked_reduction(_random_affine(rng, 2, 1, MARKS1), _random_affine(rng, 2, 1, MARKS1))
+    cases.append(_viability_case("viability-stacked", stacked, orthant, rng))
+    return cases
+
+
+def _comparison_cases():
+    rng = np.random.default_rng(19)
+    pair = ConditionSampler(2, 1, 1, seed=8)
+    f1, f2 = _random_affine(rng, 2, 1, MARKS1), _random_affine(rng, 2, 1, MARKS1)
+    cone = PsdCone(2)
+    singular = np.array([sym_to_vec(np.diag([1.0, 0.0])), np.zeros(3)])
+    matrix = ConditionSampler(3, 1, 1, seed=9).matrix(2, 40)
+    matrix = dataclasses.replace(matrix, y=np.concatenate([matrix.y[:-2], singular]))
+    g1, g2 = _random_affine(rng, 3, 1, MARKS1), _random_affine(rng, 3, 1, MARKS1)
+    return [
+        ("comparison-affine", _ComparisonInequality(f1, f2), pair.pair(60)),
+        ("comparison-scaled-jump", _ComparisonInequality(ScaledJumpGen(2.0), ScaledJumpGen(0.5)),
+         ConditionSampler(1, 1, 1, seed=2).pair(60)),
+        ("quadratic", _QuadraticClause(f1), pair.pair(60, reversed_jumps=True)),
+        ("matrix", _MatrixInequality(g1, g2, cone.side), matrix),
+    ]
+
+
+INEQUALITY_CASES = _viability_cases() + _comparison_cases()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name,ineq,batch", INEQUALITY_CASES, ids=[c[0] for c in INEQUALITY_CASES])
+def test_batch_evaluation_equals_one_row_calls_bit_for_bit(name, ineq, batch):
+    excess, weight, defined = ineq.excess_weight(batch)
+    rows = [ineq.excess_weight(batch.take([i])) for i in range(len(batch))]
+    assert excess.tobytes() == np.concatenate([r[0] for r in rows]).tobytes()
+    assert weight.tobytes() == np.concatenate([r[1] for r in rows]).tobytes()
+    assert np.array_equal(defined, np.concatenate([r[2] for r in rows]))
+    if name.startswith(("viability", "matrix")) and "Halfspace" not in name:
+        assert 0 < defined.sum() < len(batch), "cases should include undefined Hessians"
+    # the single-point entry points are one-row calls of the same code
+    constant = 3.0
+    lhs, rhs = ineq.lhs_rhs(batch.take(np.flatnonzero(defined)), constant)
+    for k, i in enumerate(np.flatnonzero(defined)):
+        assert ineq.lhs_rhs(batch.take([i]), constant) == (lhs[k], rhs[k])
+    if not defined.all():
+        with pytest.raises(ValueError, match="Hessian undefined"):
+            ineq.lhs_rhs(batch, constant)
+
+
+def test_point_functions_agree_with_batch_rows():
+    gen = ProjectionDriftGen(Ball(np.zeros(2), 1.0), brownian_dim=2, marks=MARKS2)
+    ineq = _ViabilityInequality(gen, gen.body)
+    batch = ConditionSampler(2, 2, 2, seed=4).viability(gen.body, 20)
+    lhs, rhs = ineq.lhs_rhs(batch, 2.0)
+    for i in range(len(batch)):
+        assert viability_lhs_rhs(gen, gen.body, batch.point(i), 2.0) == (lhs[i], rhs[i])
+
+
+def test_sample_batch_round_trips_points():
+    batch = ConditionSampler(2, 1, 2, seed=1).pair(5)
+    points = [batch.point(i) for i in range(len(batch))]
+    again = SampleBatch.of(points)
+    for name in ("t", "y", "z", "u", "y_prime", "z_prime", "u_prime"):
+        assert np.array_equal(getattr(again, name), getattr(batch, name)), name
+    assert SampleBatch.of(points[3]).take([0]).point(0).to_dict() == points[3].to_dict()
+    viability = ConditionSampler(2, 1, 1, seed=1).viability(Ball(np.zeros(2), 1.0), 3)
+    assert viability.y_prime is None and viability.take([2, 0]).y_prime is None
+
+
+class _NanOutsideGen(Generator):
+    """Drift that returns NaN on rows whose first state coordinate exceeds 3."""
+
+    def __init__(self):
+        self.state_dim, self.brownian_dim, self.marks, self.lipschitz = 2, 1, MARKS1, 1.0
+
+    def _eval(self, t, y, z, u):
+        return np.where(y[:, :1] > 3.0, np.nan, y)
+
+
+def test_empty_sample_budget_is_inconclusive():
+    ball = Ball(np.zeros(2), 1.0)
+    verdict = check_viability_condition(ProjectionDriftGen(ball, 1, MARKS1), ball, n_samples=0)
+    assert verdict.outcome == "inconclusive"
+    assert verdict.samples == 0 and verdict.skipped == 0
+
+
+def test_engine_rejects_non_finite_evaluations():
+    ball = Ball(np.zeros(2), 1.0)
+    with pytest.raises(ValueError, match=r"initial sweep: \d+ of 300 defined evaluations") as err:
+        check_viability_condition(_NanOutsideGen(), ball, n_samples=300, seed=0)
+    assert "non-finite" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
 # sampler and verdict plumbing
 
 
@@ -493,7 +628,7 @@ def test_sampler_concentrates_near_boundary():
     ball = Ball(np.zeros(3), 1.0)
     sampler = ConditionSampler(3, 1, 1, seed=0)
     samples = sampler.viability(ball, 600)
-    dists = np.array([ball.dist(s.y) for s in samples])
+    dists = np.array([ball.dist(y) for y in samples.y])
     near = np.sum((dists > 0.0) & (dists <= 0.1 + 1e-12))
     # about 15% land just outside within the boundary width (half of the
     # 30% boundary draws), plus strays from the bulk
@@ -501,18 +636,16 @@ def test_sampler_concentrates_near_boundary():
 
 
 def test_ordered_jump_sampler_respects_ordering():
-    sampler = ConditionSampler(2, 1, 2, seed=1)
-    for s in sampler.pair(50, ordered_jumps=True):
-        assert np.all(s.u >= s.u_prime - 1e-15)
+    samples = ConditionSampler(2, 1, 2, seed=1).pair(50, ordered_jumps=True)
+    assert np.all(samples.u >= samples.u_prime - 1e-15)
 
 
 def test_sample_ranges_bound_draws():
     ranges = SampleRanges(y_box=2.0, z_box=1.0, u_box=0.5)
-    sampler = ConditionSampler(2, 2, 1, seed=3, ranges=ranges)
-    for s in sampler.pair(40):
-        assert np.all(np.abs(s.y) <= 2.0 + 1e-12)
-        assert np.all(np.abs(s.z) <= 1.0 + 1e-12)
-        assert np.all(np.abs(s.u) <= 0.5 + 1e-12)
+    samples = ConditionSampler(2, 2, 1, seed=3, ranges=ranges).pair(40)
+    assert np.all(np.abs(samples.y) <= 2.0 + 1e-12)
+    assert np.all(np.abs(samples.z) <= 1.0 + 1e-12)
+    assert np.all(np.abs(samples.u) <= 0.5 + 1e-12)
 
 
 def test_verdict_serialization_round_trip():
@@ -524,6 +657,7 @@ def test_verdict_serialization_round_trip():
     verdict = check_viability_condition(gen, ball, n_samples=800, seed=1)
     payload = verdict.to_dict()
     assert payload["outcome"] == "falsified"
+    assert verdict.replay()["violated"]
     assert isinstance(payload["witness"]["y"], list)
     assert payload["margin"] > 0.0
 

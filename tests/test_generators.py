@@ -74,6 +74,65 @@ class TestEvaluation:
             gen(0.0, np.zeros((5, 2)), np.zeros((5, 2, 2)), np.zeros((5, 1, 2)))
 
 
+class TestPerRowTimes:
+    def _inputs(self, gen, n, seed):
+        rng = np.random.default_rng(seed)
+        m, d, j = gen.state_dim, gen.brownian_dim, gen.marks.n_atoms
+        # repeated times, as in a climb round that shares one sample's t
+        t = np.repeat(rng.uniform(0.0, 1.0, size=n // 3 + 1), 3)[:n]
+        return t, rng.normal(size=(n, m)) * 3.0, rng.normal(size=(n, m, d)), rng.normal(size=(n, j, m))
+
+    def _drivers(self):
+        marks = FiniteMarkMeasure(atoms=[[1.0], [-0.5]], weights=[1.0, 0.5])
+        rng = np.random.default_rng(7)
+        coeffs = (rng.normal(size=(2, 2)), rng.normal(size=(2, 2, 1)), rng.normal(size=(2, 2, 2)))
+        return {
+            "affine-callable-drift": AffineGen(
+                *coeffs, drift=lambda t: np.array([np.sin(3.0 * t), t * t]), brownian_dim=1, marks=marks
+            ),
+            "affine-constant-drift": AffineGen(*coeffs, drift=[0.3, -0.2], brownian_dim=1, marks=marks),
+            "projection-drift": ProjectionDriftGen(Ball(center=[0.0, 0.0], radius=1.0), 1, marks),
+            "scaled-jump": ScaledJumpGen(0.7),
+            "zero": ZeroGen(2, 1, marks),
+        }
+
+    @pytest.mark.parametrize("name", ["affine-callable-drift", "affine-constant-drift",
+                                      "projection-drift", "scaled-jump", "zero"])
+    def test_time_array_matches_per_row_scalar_calls(self, name):
+        gen = self._drivers()[name]
+        t, y, z, u = self._inputs(gen, 31, seed=11)
+        out = gen(t, y, z, u)
+        rows = np.stack([gen(float(t[i]), y[i : i + 1], z[i : i + 1], u[i : i + 1])[0] for i in range(len(t))])
+        assert out.tobytes() == rows.tobytes()
+
+    def test_callable_drift_called_once_per_distinct_time(self):
+        seen = []
+
+        def drift(t):
+            seen.append(t)
+            return np.array([t, -t])
+
+        marks = unit_marks()
+        gen = AffineGen(np.eye(2), np.zeros((2, 2, 1)), np.zeros((1, 2, 2)), drift, 1, marks)
+        t, y, z, u = self._inputs(gen, 12, seed=3)
+        gen(t, y, z, u)
+        assert sorted(seen) == sorted(set(t.tolist()))
+        assert all(type(s) is float for s in seen)
+
+    def test_affine_rows_do_not_depend_on_the_batch(self):
+        # BLAS picks gemv for one row and gemm for many; the driver must not
+        gen = self._drivers()["affine-constant-drift"]
+        _, y, z, u = self._inputs(gen, 30, seed=5)
+        out = gen(0.4, y, z, u)
+        alone = np.stack([gen(0.4, y[i : i + 1], z[i : i + 1], u[i : i + 1])[0] for i in range(30)])
+        assert out.tobytes() == alone.tobytes()
+
+    def test_time_array_of_wrong_shape_rejected(self):
+        gen = ZeroGen(state_dim=2, brownian_dim=1, marks=unit_marks())
+        with pytest.raises(ValueError, match="driver time t"):
+            gen(np.zeros(4), np.zeros((5, 2)), np.zeros((5, 2, 1)), np.zeros((5, 1, 2)))
+
+
 class RowByRowProjectionDrift(ProjectionDriftGen):
     """Reference driver: projects one row at a time with the scalar ``project``."""
 

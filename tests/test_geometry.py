@@ -15,6 +15,7 @@ from bsdelab.geometry import (
     PsdCone,
     QuadSpec,
     jump_defect,
+    jump_defect_batch,
     mollified_dist2,
     spectral_split,
     sym_to_vec,
@@ -238,6 +239,7 @@ class TestBatchProjection:
             "hess_dist2": lambda: cone.hess_dist2(xs[1]),
             "project_batch": lambda: cone.project_batch(xs),
             "dist2_batch": lambda: cone.dist2_batch(xs),
+            "hess_dist2_batch": lambda: cone.hess_dist2_batch(xs),
         }
         for name, call in calls.items():
             with pytest.raises(ValueError, match="non-finite"):
@@ -248,6 +250,46 @@ class TestBatchProjection:
     def test_wrong_row_shape_rejected(self, shape):
         with pytest.raises(ValueError, match="rows of shape"):
             Ball(center=[0.0, 0.0], radius=1.0).project_batch(np.zeros(shape))
+
+
+def hessian_rows(body, rng):
+    """Random points plus points where the Hessian of d2 is undefined."""
+    edge = batch_edge_rows(body)
+    if isinstance(body, (Ball, Box)):
+        # projections of far points land on the sphere or on facets
+        edge = np.vstack([edge, body.project_batch(rng.uniform(-6.0, 6.0, size=(10, body.dim)))])
+    return np.vstack([edge, rng.uniform(-4.0, 4.0, size=(200, body.dim))])
+
+
+HESSIAN_BODIES = bodies_for_properties() + [PsdCone(1), PsdCone(3)]
+
+
+class TestBatchHessians:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("body", HESSIAN_BODIES, ids=lambda b: f"{type(b).__name__}-{b.dim}")
+    def test_rows_match_stacked_scalar_hessians(self, body):
+        xs = hessian_rows(body, np.random.default_rng(89))
+        mats, defined = body.hess_dist2_batch(xs)
+        assert mats.shape == (xs.shape[0], body.dim, body.dim)
+        assert defined.shape == (xs.shape[0],) and defined.dtype == bool
+        for x, mat, ok in zip(xs, mats, defined):
+            res = body.hess_dist2(x)
+            assert res.defined == ok
+            if ok:
+                assert mat.tobytes() == res.matrix.tobytes()
+            else:
+                assert res.reason and np.all(mat == 0.0)
+        if not isinstance(body, HalfspaceIntersection):
+            # every body but the halfspaces has a nonsmooth locus among the rows
+            assert 0 < defined.sum() < xs.shape[0]
+        empty, none = body.hess_dist2_batch(np.empty((0, body.dim)))
+        assert empty.shape == (0, body.dim, body.dim) and none.shape == (0,)
+
+    def test_undefined_reasons_name_the_locus(self):
+        assert Ball(center=[0.0, 0.0], radius=1.0).hess_dist2([1.0, 0.0]).reason == "point on the sphere"
+        assert "facet" in Box([0.0], [1.0]).hess_dist2([1.0]).reason
+        assert "zero" in OrthantProduct(1, 1).hess_dist2([0.0, 3.0]).reason
+        assert "eigenvalue" in PsdCone(2).hess_dist2(sym_to_vec(np.diag([1.0, 0.0]))).reason
 
 
 class TestHessians:
@@ -420,6 +462,23 @@ class TestJumpDefect:
             y = rng.uniform(-5.0, 5.0, size=body.dim)
             u = rng.uniform(-3.0, 3.0, size=(2, body.dim))
             assert jump_defect(body, y, u, marks) >= -1e-12
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("body", bodies_for_properties(), ids=lambda b: type(b).__name__)
+    def test_batch_matches_rows(self, body):
+        marks = FiniteMarkMeasure(atoms=[[1.0], [-0.5]], weights=[1.0, 2.5])
+        rng = np.random.default_rng(71)
+        ys = np.vstack([batch_edge_rows(body), rng.uniform(-5.0, 5.0, size=(80, body.dim))])
+        us = rng.uniform(-3.0, 3.0, size=(ys.shape[0], 2, body.dim))
+        us[::4] = 0.0
+        batch = jump_defect_batch(body, ys, us, marks)
+        rows = np.array([jump_defect(body, y, u, marks) for y, u in zip(ys, us)])
+        assert batch.tobytes() == rows.tobytes()
+
+    def test_batch_rejects_missing_atoms(self):
+        marks = FiniteMarkMeasure(atoms=[[1.0], [-0.5]], weights=[1.0, 2.5])
+        with pytest.raises(ValueError, match="one row per atom"):
+            jump_defect_batch(OrthantProduct(1, 0), np.zeros((3, 1)), np.zeros((3, 1, 1)), marks)
 
 
 class TestMollifiedDistance:
