@@ -4,11 +4,15 @@
 Each preset is executed with its full workload by default, writing
 tables, plots, and a manifest under ``runs/<name>``.  Use ``--paths``
 or ``--steps`` to downscale every preset for a quick smoke run, and
-``--only`` to restrict to a subset.  The exit code is 0 only when every
-check of every executed preset passed.
+``--only`` to restrict to a subset.  Each preset's summary line ends
+with its table digest: the SHA-256 over the manifest's sorted
+``(path, sha256)`` file records, ``manifest.json`` itself excluded, so
+two runs wrote the same bytes exactly when their digests agree.  The
+exit code is 0 only when every check of every executed preset passed.
 """
 
 import argparse
+import hashlib
 import sys
 import time
 from pathlib import Path
@@ -30,6 +34,12 @@ def parse_args(argv=None):
     return parser.parse_args(argv)
 
 
+def table_digest(manifest) -> str:
+    records = sorted((rec["path"], rec["sha256"]) for rec in manifest.files)
+    text = "".join(f"{sha}  {path}\n" for path, sha in records)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     names = args.only or list(PRESET_NAMES)
@@ -41,7 +51,10 @@ def main(argv=None) -> int:
             name, out_dir, fmt=args.fmt,
             seed=args.seed, paths=args.paths, steps=args.steps,
         )
-        print(f"{name}  (seed {manifest.seed}, {manifest.wall_clock_seconds:.1f}s, {out_dir})")
+        print(
+            f"{name}  (seed {manifest.seed}, {manifest.wall_clock_seconds:.1f}s, {out_dir})"
+            f"  tables {table_digest(manifest)}"
+        )
         for row in manifest.verdicts:
             status = "PASS" if row["passed"] else "FAIL"
             print(f"  [{status}] {row['check']}: {row['detail']}")

@@ -48,7 +48,13 @@ from .geometry import (
     OrthantProduct,
     PsdCone,
 )
-from .solver import BsdeSolution, RegressionBasis, SolverError, TerminalCondition, solve_backward
+from .solver import (
+    BsdeSolution,
+    RegressionBasis,
+    SolverError,
+    TerminalCondition,
+    solve_backward_many,
+)
 from .stochastic import DrivingPaths, FiniteMarkMeasure, TimeGrid, simulate_paths
 from .svgplot import render_line_plot
 
@@ -78,6 +84,8 @@ _CHECK_KINDS = (
     "structural",
     "matrix",
 )
+# numeric check parameters, validated with the config; ``samples`` is an integer
+_CHECK_NUMBERS = ("c_max", "threshold", "level", "tolerance")
 
 
 class ScenarioError(ValueError):
@@ -379,6 +387,13 @@ class Scenario:
             if kind not in _CHECK_KINDS:
                 raise ScenarioError(f"checks[{i}].kind", f"unknown check kind {kind!r}")
             params = {k: v for k, v in entry.items() if k != "kind"}
+            if "samples" in params:
+                params["samples"] = _integer(entry, f"checks[{i}]", "samples")
+                if params["samples"] < 1:
+                    raise ScenarioError(f"checks[{i}].samples", "must be at least 1")
+            for key in _CHECK_NUMBERS:
+                if key in params:
+                    params[key] = _number(entry, f"checks[{i}]", key)
             checks.append(CheckSpec(kind, params))
 
         seed = _integer(cfg, "", "seed", 0)
@@ -480,16 +495,23 @@ def _read_only(*arrays):
 class _ScenarioRun:
     """The work one ``run_scenario`` call shares between its checks.
 
-    The scenario's path bundle and its primary solve (``generator`` with
-    ``terminal``) are computed on first use and at most once, with
-    read-only arrays, so every check sees the same draws and the same
-    solution and none can change them for the next.
+    The scenario's path bundle is simulated on first use and at most once.
+    Its problems are ``generator`` with ``terminal`` and, when a
+    ``comparison-empirical`` check is selected, ``generator2`` with
+    ``terminal2``; the first check that needs a solution solves all of
+    them in one backward pass.  Every array is read-only, so each check
+    sees the same draws and the same solutions and none can change them
+    for the next.
     """
 
-    def __init__(self, scenario: Scenario):
+    def __init__(self, scenario: Scenario, kinds):
         self.scenario = scenario
+        self._problems = [(scenario.generator, scenario.terminal)]
+        second = (scenario.generator2, scenario.terminal2)
+        if "comparison-empirical" in kinds and None not in second:
+            self._problems.append(second)
         self._paths = None
-        self._solution = None
+        self._solutions = None
 
     def paths(self) -> DrivingPaths:
         if self._paths is None:
@@ -499,19 +521,20 @@ class _ScenarioRun:
             self._paths = paths
         return self._paths
 
-    def solve(self, generator: Generator, terminal: TerminalCondition) -> BsdeSolution:
-        s = self.scenario
-        return solve_backward(
-            generator, terminal, self.paths(),
-            basis=RegressionBasis(s.solver.basis_degree), mode=s.solver.mode,
-        )
+    def solutions(self) -> list[BsdeSolution]:
+        if self._solutions is None:
+            s = self.scenario
+            solutions = solve_backward_many(
+                self._problems, self.paths(),
+                basis=RegressionBasis(s.solver.basis_degree), mode=s.solver.mode,
+            )
+            for sol in solutions:
+                _read_only(sol.y, sol.z, sol.u, sol.y0, sol.y0_se)
+            self._solutions = solutions
+        return self._solutions
 
     def solution(self) -> BsdeSolution:
-        if self._solution is None:
-            sol = self.solve(self.scenario.generator, self.scenario.terminal)
-            _read_only(sol.y, sol.z, sol.u, sol.y0, sol.y0_se)
-            self._solution = sol
-        return self._solution
+        return self.solutions()[0]
 
 
 def _require(scenario: Scenario, check: str, **what):
@@ -580,15 +603,15 @@ def _viability(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
     _require(scenario, "viability", generator=scenario.generator, target=scenario.target)
     verdict = check_viability_condition(
         scenario.generator, scenario.target,
-        n_samples=int(params.get("samples", 4000)),
+        n_samples=params.get("samples", 4000),
         seed=scenario.seed,
-        c_max=float(params.get("c_max", 100.0)),
+        c_max=params.get("c_max", 100.0),
     )
     threshold = params.get("threshold")
-    passed = verdict.certified and (threshold is None or verdict.constant <= float(threshold))
+    passed = verdict.certified and (threshold is None or verdict.constant <= threshold)
     detail = verdict.detail or f"constant {verdict.constant:.6f}"
     if threshold is not None and verdict.certified:
-        detail += f" (threshold {float(threshold)})"
+        detail += f" (threshold {threshold})"
     files = [writer.write_text("viability_verdict.json",
                                json.dumps(verdict.to_dict(), indent=1) + "\n")]
     row = {
@@ -605,7 +628,7 @@ def _viability_empirical(run: _ScenarioRun, params: dict, writer: _ArtifactWrite
         scenario, "viability-empirical",
         generator=scenario.generator, terminal=scenario.terminal, target=scenario.target,
     )
-    level = float(params.get("level", 0.05))
+    level = params.get("level", 0.05)
     expect = params.get("expect", "within")
     if expect not in ("within", "exceeds"):
         raise ScenarioError("checks", "viability-empirical expect must be 'within' or 'exceeds'")
@@ -637,7 +660,7 @@ def _viability_empirical(run: _ScenarioRun, params: dict, writer: _ArtifactWrite
 def _comparison(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
     scenario = run.scenario
     _require(scenario, "comparison", generator=scenario.generator, generator2=scenario.generator2)
-    samples = int(params.get("samples", 3000))
+    samples = params.get("samples", 3000)
     if scenario.generator.state_dim == 1:
         verdict = check_comparison_m1(
             scenario.generator, scenario.generator2, n_samples=samples, seed=scenario.seed
@@ -646,7 +669,7 @@ def _comparison(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
     else:
         verdict = check_comparison_multidim(
             scenario.generator, scenario.generator2, n_samples=samples,
-            seed=scenario.seed, c_max=float(params.get("c_max", 500.0)),
+            seed=scenario.seed, c_max=params.get("c_max", 500.0),
         )
         route = "componentwise"
     expect = params.get("expect", "certified")
@@ -670,12 +693,11 @@ def _comparison_empirical(run: _ScenarioRun, params: dict, writer: _ArtifactWrit
         generator=scenario.generator, generator2=scenario.generator2,
         terminal=scenario.terminal, terminal2=scenario.terminal2,
     )
-    tolerance = float(params.get("tolerance", 0.02))
+    tolerance = params.get("tolerance", 0.02)
     expect = params.get("expect", "ordered")
     if expect not in ("ordered", "violated"):
         raise ScenarioError("checks", "comparison-empirical expect must be 'ordered' or 'violated'")
-    sol1 = run.solution()
-    sol2 = run.solve(scenario.generator2, scenario.terminal2)
+    sol1, sol2 = run.solutions()
     report = comparison_path_report(sol1, sol2)
     columns = [
         ("t", list(report.times)),
@@ -711,9 +733,9 @@ def _structural(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
     _require(scenario, "structural", generator=scenario.generator)
     report = check_structural(
         scenario.generator,
-        n_samples=int(params.get("samples", 2500)),
+        n_samples=params.get("samples", 2500),
         seed=scenario.seed,
-        c_max=float(params.get("c_max", 500.0)),
+        c_max=params.get("c_max", 500.0),
     )
     expect = params.get("expect", "certified")
     detail = (
@@ -741,9 +763,9 @@ def _matrix(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
         raise ScenarioError("target", "the 'matrix' check requires a psd-cone target")
     verdict = check_comparison_matrix(
         scenario.generator, scenario.generator2, scenario.target.side,
-        n_samples=int(params.get("samples", 3000)),
+        n_samples=params.get("samples", 3000),
         seed=scenario.seed,
-        c_max=float(params.get("c_max", 500.0)),
+        c_max=params.get("c_max", 500.0),
     )
     expect = params.get("expect", "certified")
     files = [writer.write_text("matrix_verdict.json",
@@ -836,8 +858,8 @@ def run_scenario(
     ``checks`` optionally restricts execution to the named kinds; when
     the config lists none of them, default specs are synthesized for
     whichever of those kinds the config supports.  The checks share one
-    path bundle and one solve of ``generator`` with ``terminal``, made
-    on first use, so a check's tables do not depend on which other
+    path bundle and one backward pass over every problem they solve,
+    made on first use, so a check's tables do not depend on which other
     checks run.  ``extra_acceptance`` may inspect the in-memory results
     and append extra verdict rows.
     """
@@ -867,7 +889,7 @@ def run_scenario(
     config_hash = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     started = time.perf_counter()
-    run = _ScenarioRun(scenario)
+    run = _ScenarioRun(scenario, {spec.kind for spec in selected})
     rows, payloads = [], []
     for spec in selected:
         row, _files, payload = _RUNNERS[spec.kind](run, spec.params, writer)

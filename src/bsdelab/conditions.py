@@ -34,7 +34,13 @@ from .geometry import (
     sym_to_vec,
     vec_to_sym,
 )
-from .solver import BsdeSolution, RegressionBasis, TerminalCondition, solve_backward
+from .solver import (
+    BsdeSolution,
+    RegressionBasis,
+    TerminalCondition,
+    solve_backward,
+    solve_backward_many,
+)
 from .stochastic import DrivingPaths, FiniteMarkMeasure
 
 __all__ = [
@@ -1175,9 +1181,10 @@ def empirical_comparison(
     basis: RegressionBasis | None = None,
     mode: str = "explicit",
 ) -> tuple[ComparisonPathReport, BsdeSolution, BsdeSolution]:
-    """Solve both equations on ``paths`` and compare them with
-    :func:`comparison_path_report`."""
+    """Solve both equations on ``paths`` in one backward pass and compare
+    them with :func:`comparison_path_report`."""
     _require_matching_noise(f1, f2)
-    sol1 = solve_backward(f1, terminal1, paths, basis=basis, mode=mode)
-    sol2 = solve_backward(f2, terminal2, paths, basis=basis, mode=mode)
+    sol1, sol2 = solve_backward_many(
+        [(f1, terminal1), (f2, terminal2)], paths, basis=basis, mode=mode
+    )
     return comparison_path_report(sol1, sol2), sol1, sol2

@@ -10,6 +10,7 @@ scheme is exact up to Monte Carlo noise in the fitted coefficients.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -26,6 +27,7 @@ __all__ = [
     "BsdeSolution",
     "SolverError",
     "solve_backward",
+    "solve_backward_many",
     "closed_form_linear",
     "DeviationCurves",
     "apriori_diagnostics",
@@ -105,12 +107,19 @@ class RegressionBasis:
         if not live.any():
             return np.ones((n, 1))
         centered = (features[:, live] - features[:, live].mean(axis=0)) / std[live]
+        centered = np.ascontiguousarray(centered.T)
         powers = _monomial_powers(int(live.sum()), self.degree)
-        design = np.ones((n, powers.shape[0]))
+        # built column-major, each distinct power of a feature computed once;
+        # a column multiplies its factors in ascending feature order
+        design = np.ones((powers.shape[0], n))
+        factors = {}
         for col, p in enumerate(powers):
             for feat_idx in np.nonzero(p)[0]:
-                design[:, col] *= centered[:, feat_idx] ** p[feat_idx]
-        return design
+                key = (feat_idx, p[feat_idx])
+                if key not in factors:
+                    factors[key] = centered[feat_idx] ** p[feat_idx]
+                design[col] *= factors[key]
+        return design.T
 
 
 @dataclass(frozen=True)
@@ -179,19 +188,58 @@ def _check_jump_power(paths: DrivingPaths):
     h_min = paths.grid.steps.min()
     weakest = h_min * paths.marks.weights.min() * paths.n_paths
     if weakest < 100.0:
+        # attribute the warning to the first caller outside this module
+        frame, stacklevel = sys._getframe(1), 2
+        while frame.f_back is not None and frame.f_globals.get("__name__") == __name__:
+            frame, stacklevel = frame.f_back, stacklevel + 1
         warnings.warn(
             "jump integrand regressions are underpowered: the least active atom "
             f"expects about {weakest:.1f} firings per step; increase paths or coarsen the grid",
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 
-def _finite_driver(gen: Generator, t: float, y, z, u, step: int) -> np.ndarray:
+def _finite_driver(gen: Generator, t: float, y, z, u, step: int, where: str) -> np.ndarray:
     out = gen(t, y, z, u)
     if not np.isfinite(out).all():
         bad = int(np.count_nonzero(~np.isfinite(out).all(axis=1)))
-        raise SolverError(f"driver returned non-finite values at step {step} on {bad} paths")
+        raise SolverError(f"driver{where} returned non-finite values at step {step} on {bad} paths")
     return out
+
+
+def _problem_step(
+    gen, y, z, u, i, h, t_i, reg, dw, comp, marks, where,
+    mode, fixed_point_tol, fixed_point_max_iter,
+):
+    """One problem's share of step i: its targets, its fit and its driver.
+
+    Writes y[:, i], z[:, i] and u[:, i].  A function, so that one problem's
+    step temporaries are freed before the next problem makes its own.
+    """
+    n, m = y.shape[0], gen.state_dim
+    d, J = dw.shape[1], comp.shape[1]
+    y_next = y[:, i + 1, :]
+    z_target = (y_next[:, :, None] * dw[:, None, :]).reshape(n, m * d) / h
+    u_target = (y_next[:, None, :] * comp[:, :, None]).reshape(n, J * m)
+    u_target /= h * np.repeat(marks.weights, m)
+    stacked = np.concatenate([y_next, z_target, u_target], axis=1)
+    fitted = reg.fit(stacked)
+    cond_mean = fitted[:, :m]
+    z[:, i, :, :] = fitted[:, m : m + m * d].reshape(n, m, d)
+    u[:, i, :, :] = fitted[:, m + m * d :].reshape(n, J, m)
+
+    if mode == "explicit":
+        y[:, i, :] = cond_mean + h * _finite_driver(gen, t_i, cond_mean, z[:, i], u[:, i], i, where)
+        return
+    current = cond_mean.copy()
+    for _ in range(fixed_point_max_iter):
+        nxt = cond_mean + h * _finite_driver(gen, t_i, current, z[:, i], u[:, i], i, where)
+        delta = np.max(np.abs(nxt - current))
+        current = nxt
+        if delta <= fixed_point_tol:
+            y[:, i, :] = current
+            return
+    raise SolverError(f"implicit fixed point{where} stalled at step {i}")
 
 
 def solve_backward(
@@ -207,81 +255,94 @@ def solve_backward(
 
     ``mode`` selects how the drift enters each step: "explicit" plugs the
     regressed conditional mean into the driver, "implicit" solves the
-    one-step fixed point (requires h * Lipschitz < 1).
+    one-step fixed point (requires h * Lipschitz < 1).  This is the
+    one-problem case of :func:`solve_backward_many`.
+    """
+    (sol,) = solve_backward_many(
+        [(gen, terminal)], paths, basis=basis, mode=mode,
+        fixed_point_tol=fixed_point_tol, fixed_point_max_iter=fixed_point_max_iter,
+    )
+    return sol
+
+
+def solve_backward_many(
+    problems,
+    paths: DrivingPaths,
+    basis: RegressionBasis | None = None,
+    mode: str = "explicit",
+    fixed_point_tol: float = 1e-12,
+    fixed_point_max_iter: int = 100,
+) -> list[BsdeSolution]:
+    """Solve several equations on one bundle in a single backward pass.
+
+    ``problems`` is a sequence of ``(generator, terminal)`` pairs.  The
+    step-i regression depends only on the state (W, N) at t_i, not on the
+    equation, so each step builds one design and one SVD and fits every
+    problem's targets on it.  Each solution equals a solve of its problem
+    alone, bit for bit; ``mode`` is as in :func:`solve_backward`.
     """
     if basis is None:
         basis = RegressionBasis()
     if mode not in ("explicit", "implicit"):
         raise ValueError("mode must be 'explicit' or 'implicit'")
+    problems = list(problems)
+    if not problems:
+        raise ValueError("no problems to solve")
     grid, marks = paths.grid, paths.marks
-    n, m = paths.n_paths, gen.state_dim
-    d, J = gen.brownian_dim, marks.n_atoms
-    if paths.brownian_dim != d:
-        raise ValueError("path bundle and driver disagree on the Brownian dimension")
-    if mode == "implicit":
-        contraction = grid.steps.max() * gen.lipschitz
-        if contraction >= 1.0:
-            raise SolverError(
-                f"implicit step is not a contraction: h * L = {contraction:.3f} >= 1"
-            )
+    steps = grid.steps
+    n, N = paths.n_paths, grid.n_steps
+    d, J = paths.brownian_dim, marks.n_atoms
+    # error messages name the problem only when there is more than one
+    wheres = [f" of problem {k}" if len(problems) > 1 else "" for k in range(len(problems))]
+    for (gen, _), where in zip(problems, wheres):
+        if gen.brownian_dim != d:
+            raise ValueError(f"path bundle and driver{where} disagree on the Brownian dimension")
+        if mode == "implicit":
+            contraction = steps.max() * gen.lipschitz
+            if contraction >= 1.0:
+                raise SolverError(
+                    f"implicit step{where} is not a contraction: h * L = {contraction:.3f} >= 1"
+                )
     _check_jump_power(paths)
 
-    steps = grid.steps
-    N = grid.n_steps
-    y = np.empty((n, N + 1, m))
-    z = np.empty((n, N, m, d))
-    u = np.empty((n, N, J, m))
-    y[:, N, :] = terminal(paths.brownian[:, N, :], paths.count_nodes[:, N, :])
+    ys, zs, us = [], [], []
+    for gen, terminal in problems:
+        m = gen.state_dim
+        y = np.empty((n, N + 1, m))
+        y[:, N, :] = terminal(paths.brownian[:, N, :], paths.count_nodes[:, N, :])
+        ys.append(y)
+        zs.append(np.empty((n, N, m, d)))
+        us.append(np.empty((n, N, J, m)))
     regression = []
 
     for i in range(N - 1, -1, -1):
         h = steps[i]
         reg = _StepRegression(basis.design_matrix(paths.state(i)), step=i)
         regression.append(reg.diagnostics)
-        y_next = y[:, i + 1, :]
         dw = paths.brownian_increments(i)
         comp = compensated_increment(paths.jump_counts[:, i, :], h, marks)
+        for (gen, _), y, z, u, where in zip(problems, ys, zs, us, wheres):
+            _problem_step(
+                gen, y, z, u, i, h, grid.nodes[i], reg, dw, comp, marks, where,
+                mode, fixed_point_tol, fixed_point_max_iter,
+            )
 
-        z_target = (y_next[:, :, None] * dw[:, None, :]).reshape(n, m * d) / h
-        u_target = (y_next[:, None, :] * comp[:, :, None]).reshape(n, J * m)
-        u_target /= h * np.repeat(marks.weights, m)
-        stacked = np.concatenate([y_next, z_target, u_target], axis=1)
-        fitted = reg.fit(stacked)
-        cond_mean = fitted[:, :m]
-        z[:, i, :, :] = fitted[:, m : m + m * d].reshape(n, m, d)
-        u[:, i, :, :] = fitted[:, m + m * d :].reshape(n, J, m)
-
-        t_i = grid.nodes[i]
-        if mode == "explicit":
-            y[:, i, :] = cond_mean + h * _finite_driver(gen, t_i, cond_mean, z[:, i], u[:, i], i)
-        else:
-            current = cond_mean.copy()
-            converged = False
-            for _ in range(fixed_point_max_iter):
-                nxt = cond_mean + h * _finite_driver(gen, t_i, current, z[:, i], u[:, i], i)
-                delta = np.max(np.abs(nxt - current))
-                current = nxt
-                if delta <= fixed_point_tol:
-                    converged = True
-                    break
-            if not converged:
-                raise SolverError(f"implicit fixed point stalled at step {i}")
-            y[:, i, :] = current
-
-    y0 = y[:, 0, :].mean(axis=0)
-    y0_se = y[:, 1, :].std(axis=0) / np.sqrt(n)
-    return BsdeSolution(
-        times=grid.nodes.copy(),
-        y=y,
-        z=z,
-        u=u,
-        y0=y0,
-        y0_se=y0_se,
-        mode=mode,
-        regression=list(reversed(regression)),
-        paths=paths,
-        basis=basis,
-    )
+    regression.reverse()
+    return [
+        BsdeSolution(
+            times=grid.nodes.copy(),
+            y=y,
+            z=z,
+            u=u,
+            y0=y[:, 0, :].mean(axis=0),
+            y0_se=y[:, 1, :].std(axis=0) / np.sqrt(n),
+            mode=mode,
+            regression=list(regression),
+            paths=paths,
+            basis=basis,
+        )
+        for y, z, u in zip(ys, zs, us)
+    ]
 
 
 def closed_form_linear(

@@ -278,24 +278,29 @@ def excursion_config() -> dict:
 
 
 @pytest.mark.parametrize(
-    "build, solves", [(pair_config, 2), (excursion_config, 1)], ids=["pair", "excursion"]
+    "build, problems", [(pair_config, 2), (excursion_config, 1)], ids=["pair", "excursion"]
 )
-def test_checks_share_one_bundle_and_one_primary_solve(tmp_path, monkeypatch, build, solves):
-    calls = {"simulate_paths": 0, "solve_backward": 0}
+def test_checks_share_one_bundle_and_one_primary_solve(tmp_path, monkeypatch, build, problems):
+    calls = {"simulate_paths": 0, "solve_backward_many": 0}
+    solved = []
 
     def counted(name):
         original = getattr(bsdelab.cli, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            if name == "solve_backward_many":
+                solved.append(len(args[0]))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(bsdelab.cli, name, wrapper)
 
     counted("simulate_paths")
-    counted("solve_backward")
+    counted("solve_backward_many")
     run_scenario(build(), tmp_path)
-    assert calls == {"simulate_paths": 1, "solve_backward": solves}
+    # one backward pass serves every problem the run solves
+    assert calls == {"simulate_paths": 1, "solve_backward_many": 1}
+    assert solved == [problems]
 
 
 @pytest.mark.parametrize("build", [pair_config, excursion_config], ids=["pair", "excursion"])
@@ -443,6 +448,42 @@ def test_cli_exits_two_on_non_finite_config_numbers(tmp_path, capsys, monkeypatc
     err = capsys.readouterr().err
     assert err.startswith(f"config error at {field}: expected ")
     assert "finite" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "check, field, message",
+    [
+        ({"kind": "viability", "c_max": float("nan")}, "c_max", "expected a finite number"),
+        ({"kind": "viability", "threshold": float("inf")}, "threshold", "expected a finite number"),
+        ({"kind": "viability-empirical", "level": "high"}, "level", "expected a number"),
+        ({"kind": "comparison-empirical", "tolerance": float("nan")}, "tolerance", "expected a finite"),
+        ({"kind": "viability", "samples": "many"}, "samples", "expected an integer"),
+        ({"kind": "viability", "samples": 0}, "samples", "must be at least 1"),
+        ({"kind": "viability", "samples": 250.0}, "samples", "expected an integer"),
+    ],
+    ids=[
+        "nan-c_max", "inf-threshold", "text-level", "nan-tolerance",
+        "text-samples", "zero-samples", "float-samples",
+    ],
+)
+def test_cli_exits_two_on_bad_check_parameters(
+    tmp_path, capsys, monkeypatch, check, field, message
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a config with a bad check parameter reached the work")
+
+    monkeypatch.setattr(bsdelab.cli, "simulate_paths", no_work)
+    monkeypatch.setattr(bsdelab.cli, "check_viability_condition", no_work)
+    cfg = solve_config(
+        target={"kind": "ball", "center": [0.0], "radius": 1.0},
+        checks=[{"kind": "solve"}, check],
+    )
+    config_path = tmp_path / "scenario.json"
+    config_path.write_text(json.dumps(cfg))
+    code = main(["check-viability", "--config", str(config_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error at checks[1].{field}: {message}")
     assert not (tmp_path / "out").exists()
 
 

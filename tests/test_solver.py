@@ -8,8 +8,10 @@ from bsdelab.solver import (
     TerminalCondition,
     _StepRegression,
     apriori_diagnostics,
+    _monomial_powers,
     closed_form_linear,
     solve_backward,
+    solve_backward_many,
 )
 from bsdelab.stochastic import FiniteMarkMeasure, TimeGrid, simulate_paths
 
@@ -232,6 +234,111 @@ class TestRegressionMachinery:
     def test_basis_degree_validation(self):
         with pytest.raises(ValueError):
             RegressionBasis(-1)
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("n_live", [1, 2, 3])
+    def test_design_matrix_matches_the_column_loop(self, degree, n_live):
+        def column_loop(features):
+            # the design built one column at a time, each power recomputed
+            std = features.std(axis=0)
+            live = std > 0.0
+            centered = (features[:, live] - features[:, live].mean(axis=0)) / std[live]
+            powers = _monomial_powers(int(live.sum()), degree)
+            design = np.ones((features.shape[0], powers.shape[0]))
+            for col, p in enumerate(powers):
+                for feat_idx in np.nonzero(p)[0]:
+                    design[:, col] *= centered[:, feat_idx] ** p[feat_idx]
+            return design
+
+        rng = np.random.default_rng(degree + 10 * n_live)
+        live = rng.normal(size=(3000, n_live)) * [1.0, 3.0, 0.2][:n_live]
+        live[:, -1] = rng.poisson(0.7, size=3000)
+        # a dead (zero-variance) feature between the live ones is dropped
+        features = np.insert(live, 1, 2.5, axis=1)
+        design = RegressionBasis(degree).design_matrix(features)
+        expected = column_loop(features)
+        assert design.shape == expected.shape
+        assert design.tobytes() == expected.tobytes()
+
+
+def lockstep_problems():
+    marks = unit_marks()
+    affine = AffineGen(
+        a=[[-0.3, 0.2], [0.1, 0.4]],
+        b=[[[0.5], [0.0]], [[0.2], [-0.3]]],
+        c=[[[0.3, 0.0], [0.1, -0.2]]],
+        drift=[0.1, -0.2],
+        brownian_dim=1,
+        marks=marks,
+    )
+    pair = TerminalCondition(
+        fn=lambda w, k: np.stack([w[:, 0], k[:, 0] - w[:, 0] ** 2], axis=1), state_dim=2
+    )
+    return [
+        (ScaledJumpGen(2.0), count_terminal()),
+        (ZeroGen(state_dim=1, brownian_dim=1, marks=marks), constant_terminal(0.0)),
+        (affine, pair),
+    ]
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("mode", ["explicit", "implicit"])
+    def test_equals_separate_solves_bit_for_bit(self, mode):
+        paths = simulate(n_paths=4_000, n_steps=10, seed=83)
+        problems = lockstep_problems()
+        together = solve_backward_many(problems, paths, mode=mode)
+        assert len(together) == len(problems)
+        for (gen, terminal), sol in zip(problems, together):
+            alone = solve_backward(gen, terminal, paths, mode=mode)
+            for name in ("y", "z", "u", "y0", "y0_se"):
+                assert getattr(sol, name).tobytes() == getattr(alone, name).tobytes(), name
+            assert sol.regression == alone.regression
+            assert sol.mode == mode and sol.paths is paths
+
+    def test_one_design_per_step_for_every_problem(self, monkeypatch):
+        calls = []
+        original = RegressionBasis.design_matrix
+
+        def counted(self, features):
+            calls.append(features.shape)
+            return original(self, features)
+
+        monkeypatch.setattr(RegressionBasis, "design_matrix", counted)
+        paths = simulate(n_paths=2_000, n_steps=6, seed=89)
+        solve_backward_many(lockstep_problems(), paths)
+        assert len(calls) == 6
+
+    @pytest.mark.parametrize("mode", ["explicit", "implicit"])
+    def test_non_finite_driver_names_the_step_and_the_problem(self, mode):
+        class NanLate(ZeroGen):
+            def _eval(self, t, y, z, u):
+                out = np.zeros_like(y)
+                if t >= 0.5:
+                    out[0] = np.nan
+                return out
+
+        paths = simulate(n_paths=500, n_steps=4, seed=61)
+        problems = [
+            (ScaledJumpGen(0.5), count_terminal()),
+            (NanLate(state_dim=1, brownian_dim=1, marks=unit_marks()), brownian_terminal()),
+        ]
+        with pytest.raises(
+            SolverError, match="driver of problem 1 returned non-finite values at step 3 on 1 paths"
+        ):
+            solve_backward_many(problems, paths, mode=mode)
+
+    def test_per_problem_checks_name_the_problem(self):
+        paths = simulate(n_paths=500, n_steps=4, seed=67)
+        fine = (ScaledJumpGen(0.5), count_terminal())
+        with pytest.raises(SolverError, match="problem 1 is not a contraction"):
+            solve_backward_many(
+                [fine, (ScaledJumpGen(5.0), count_terminal())], paths, mode="implicit"
+            )
+        wide = ZeroGen(state_dim=1, brownian_dim=2, marks=unit_marks())
+        with pytest.raises(ValueError, match="problem 1 disagree on the Brownian dimension"):
+            solve_backward_many([fine, (wide, count_terminal())], paths)
+        with pytest.raises(ValueError, match="no problems"):
+            solve_backward_many([], paths)
 
 
 class TestDeviationDiagnostics:
