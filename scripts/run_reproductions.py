@@ -8,16 +8,26 @@ or ``--steps`` to downscale every preset for a quick smoke run, and
 with its table digest: the SHA-256 over the manifest's sorted
 ``(path, sha256)`` file records, ``manifest.json`` itself excluded, so
 two runs wrote the same bytes exactly when their digests agree.  The
+last bits of some tables depend on the BLAS thread count, so BLAS runs
+on one thread unless ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or
+``MKL_NUM_THREADS`` is set, and the summary prints the count used.  The
 exit code is 0 only when every check of every executed preset passed.
 """
 
-import argparse
-import hashlib
-import sys
-import time
-from pathlib import Path
+import os
 
-from bsdelab.cli import PRESET_NAMES, reproduce
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# BLAS reads these when numpy loads, so they are set before any import of it
+for _var in BLAS_VARS:
+    os.environ.setdefault(_var, "1")
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from bsdelab.cli import PRESET_NAMES, reproduce  # noqa: E402
 
 
 def parse_args(argv=None):
@@ -62,6 +72,7 @@ def main(argv=None) -> int:
     elapsed = time.perf_counter() - started
     verdict = "all passed" if failures == 0 else f"{failures} preset(s) failed"
     print(f"\n{len(names)} preset(s) in {elapsed:.1f}s: {verdict}")
+    print("BLAS threads: " + ", ".join(f"{var}={os.environ[var]}" for var in BLAS_VARS))
     return 0 if failures == 0 else 1
 
 

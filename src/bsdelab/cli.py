@@ -488,8 +488,12 @@ def _cell(v):
 
 
 def _read_only(*arrays):
+    # the bundle and solution arrays are views of time-major storage, so
+    # lock that storage too, not only the view
     for array in arrays:
         array.flags.writeable = False
+        if isinstance(array.base, np.ndarray):
+            array.base.flags.writeable = False
 
 
 class _ScenarioRun:
@@ -567,7 +571,9 @@ def _solve(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
     sol = run.solution()
     m = sol.state_dim
     columns = [("t", list(sol.times))]
-    lo, hi = np.quantile(sol.y, [0.05, 0.95], axis=0)
+    # over the time-major storage, so the copy np.quantile makes keeps each
+    # time's values contiguous for its partition
+    lo, hi = np.quantile(sol.y.transpose(1, 0, 2), [0.05, 0.95], axis=1)
     mean = sol.y.mean(axis=0)
     std = sol.y.std(axis=0)
     for k in range(m):

@@ -657,7 +657,8 @@ def viability_path_report(
     distance and the distribution of pathwise maxima.
     """
     n, n_nodes, m = sol.y.shape
-    dists = body.dist_batch(sol.y.reshape(n * n_nodes, m)).reshape(n, n_nodes)
+    # reshape in the solver's time-major memory order, so no copy of y is made
+    dists = body.dist_batch(sol.y.transpose(1, 0, 2).reshape(-1, m)).reshape(n_nodes, n).T
     xi_dist = dists[:, -1]
     if np.any(xi_dist > 1e-6):
         raise ValueError(

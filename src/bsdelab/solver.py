@@ -162,6 +162,11 @@ class BsdeSolution:
     y has shape (n_paths, N + 1, m); z has shape (n_paths, N, m, d);
     u has shape (n_paths, N, n_atoms, m).  ``y0`` averages the time-zero
     values, with a first-order Monte Carlo standard error.
+
+    The solver stores y, z and u time-major and hands out transposed
+    views with these shapes, so a per-step slice such as ``y[:, i]`` is
+    one contiguous block.  A reshape that merges the path and time axes
+    copies the whole array; reshape ``y.transpose(1, 0, 2)`` instead.
     """
 
     times: np.ndarray
@@ -213,31 +218,33 @@ def _problem_step(
 ):
     """One problem's share of step i: its targets, its fit and its driver.
 
-    Writes y[:, i], z[:, i] and u[:, i].  A function, so that one problem's
-    step temporaries are freed before the next problem makes its own.
+    ``y``, ``z`` and ``u`` are the time-major stores (N + 1, n, m),
+    (N, n, m, d) and (N, n, J, m); writes y[i], z[i] and u[i].  A function,
+    so that one problem's step temporaries are freed before the next
+    problem makes its own.
     """
-    n, m = y.shape[0], gen.state_dim
+    n, m = y.shape[1], gen.state_dim
     d, J = dw.shape[1], comp.shape[1]
-    y_next = y[:, i + 1, :]
+    y_next = y[i + 1]
     z_target = (y_next[:, :, None] * dw[:, None, :]).reshape(n, m * d) / h
     u_target = (y_next[:, None, :] * comp[:, :, None]).reshape(n, J * m)
     u_target /= h * np.repeat(marks.weights, m)
     stacked = np.concatenate([y_next, z_target, u_target], axis=1)
     fitted = reg.fit(stacked)
     cond_mean = fitted[:, :m]
-    z[:, i, :, :] = fitted[:, m : m + m * d].reshape(n, m, d)
-    u[:, i, :, :] = fitted[:, m + m * d :].reshape(n, J, m)
+    z[i] = fitted[:, m : m + m * d].reshape(n, m, d)
+    u[i] = fitted[:, m + m * d :].reshape(n, J, m)
 
     if mode == "explicit":
-        y[:, i, :] = cond_mean + h * _finite_driver(gen, t_i, cond_mean, z[:, i], u[:, i], i, where)
+        y[i] = cond_mean + h * _finite_driver(gen, t_i, cond_mean, z[i], u[i], i, where)
         return
     current = cond_mean.copy()
     for _ in range(fixed_point_max_iter):
-        nxt = cond_mean + h * _finite_driver(gen, t_i, current, z[:, i], u[:, i], i, where)
+        nxt = cond_mean + h * _finite_driver(gen, t_i, current, z[i], u[i], i, where)
         delta = np.max(np.abs(nxt - current))
         current = nxt
         if delta <= fixed_point_tol:
-            y[:, i, :] = current
+            y[i] = current
             return
     raise SolverError(f"implicit fixed point{where} stalled at step {i}")
 
@@ -305,14 +312,15 @@ def solve_backward_many(
                 )
     _check_jump_power(paths)
 
+    # time-major stores, so that each step reads and writes contiguous blocks
     ys, zs, us = [], [], []
     for gen, terminal in problems:
         m = gen.state_dim
-        y = np.empty((n, N + 1, m))
-        y[:, N, :] = terminal(paths.brownian[:, N, :], paths.count_nodes[:, N, :])
+        y = np.empty((N + 1, n, m))
+        y[N] = terminal(paths.brownian[:, N, :], paths.count_nodes[:, N, :])
         ys.append(y)
-        zs.append(np.empty((n, N, m, d)))
-        us.append(np.empty((n, N, J, m)))
+        zs.append(np.empty((N, n, m, d)))
+        us.append(np.empty((N, n, J, m)))
     regression = []
 
     for i in range(N - 1, -1, -1):
@@ -331,11 +339,11 @@ def solve_backward_many(
     return [
         BsdeSolution(
             times=grid.nodes.copy(),
-            y=y,
-            z=z,
-            u=u,
-            y0=y[:, 0, :].mean(axis=0),
-            y0_se=y[:, 1, :].std(axis=0) / np.sqrt(n),
+            y=y.transpose(1, 0, 2),
+            z=z.transpose(1, 0, 2, 3),
+            u=u.transpose(1, 0, 2, 3),
+            y0=y[0].mean(axis=0),
+            y0_se=y[1].std(axis=0) / np.sqrt(n),
             mode=mode,
             regression=list(regression),
             paths=paths,

@@ -167,6 +167,14 @@ class DrivingPaths:
     brownian:     (n_paths, N + 1, d) node values, zero at t_0
     jump_counts:  (n_paths, N, n_atoms) counts per step and atom
     count_nodes:  (n_paths, N + 1, n_atoms) cumulative counts at nodes
+
+    ``simulate_paths`` stores all three time-major, as (N + 1, n_paths, d)
+    and so on, and these shapes are transposed views of that storage: a
+    per-step slice such as ``brownian[:, i]`` or ``state(i)`` is one
+    contiguous block, which is what the backward pass reads.  A reshape
+    that merges the path and time axes copies the whole array; reshape
+    ``a.transpose(1, 0, 2)`` instead.  Path-major arrays built by hand
+    work too, only more slowly.
     """
 
     grid: TimeGrid
@@ -178,10 +186,10 @@ class DrivingPaths:
     def __post_init__(self):
         if self.count_nodes is None:
             cum = np.zeros(
-                (self.n_paths, self.grid.n_steps + 1, self.marks.n_atoms), dtype=np.int64
+                (self.grid.n_steps + 1, self.n_paths, self.marks.n_atoms), dtype=np.int64
             )
-            np.cumsum(self.jump_counts, axis=1, out=cum[:, 1:, :])
-            object.__setattr__(self, "count_nodes", cum)
+            np.cumsum(self.jump_counts.transpose(1, 0, 2), axis=0, out=cum[1:])
+            object.__setattr__(self, "count_nodes", cum.transpose(1, 0, 2))
 
     @property
     def n_paths(self) -> int:
@@ -226,19 +234,23 @@ def simulate_paths(
     d = brownian_dim
     J = marks.n_atoms
 
-    dW = np.empty((n_paths, n_steps, d))
-    counts = np.empty((n_paths, n_steps, J), dtype=np.int64)
+    # time-major storage: step i of every path is one contiguous block
+    dW = np.empty((n_steps, n_paths, d))
+    counts = np.empty((n_steps, n_paths, J), dtype=np.int64)
     for i in range(n_steps):
         sqrt_h = np.sqrt(h[i])
         for c in range(d):
-            dW[:, i, c] = sqrt_h * key.normals(i, c, n_paths, offset=path_offset)
+            dW[i, :, c] = sqrt_h * key.normals(i, c, n_paths, offset=path_offset)
         for j in range(J):
             u = key.uniforms(i, d + j, n_paths, offset=path_offset)
-            counts[:, i, j] = poisson_counts(u, h[i] * marks.weights[j])
+            counts[i, :, j] = poisson_counts(u, h[i] * marks.weights[j])
 
-    W = np.zeros((n_paths, n_steps + 1, d))
-    np.cumsum(dW, axis=1, out=W[:, 1:, :])
-    return DrivingPaths(grid=grid, marks=marks, brownian=W, jump_counts=counts)
+    W = np.zeros((n_steps + 1, n_paths, d))
+    np.cumsum(dW, axis=0, out=W[1:])
+    return DrivingPaths(
+        grid=grid, marks=marks,
+        brownian=W.transpose(1, 0, 2), jump_counts=counts.transpose(1, 0, 2),
+    )
 
 
 def compensated_increment(counts: np.ndarray, h: float, marks: FiniteMarkMeasure) -> np.ndarray:

@@ -332,8 +332,14 @@ def test_shared_bundle_and_solution_are_read_only(tmp_path):
     assert sol.paths is paths and sol2.paths is paths
     for array in (paths.brownian, paths.jump_counts, paths.count_nodes, sol.y, sol.z, sol.u):
         assert not array.flags.writeable
+        # the arrays are views of time-major storage, which is locked too
+        assert array.base is not None and not array.base.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         sol.y[0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        sol.y.base[0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        paths.brownian.base[...] = 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from bsdelab.solver import (
     solve_backward,
     solve_backward_many,
 )
-from bsdelab.stochastic import FiniteMarkMeasure, TimeGrid, simulate_paths
+from bsdelab.stochastic import DrivingPaths, FiniteMarkMeasure, TimeGrid, simulate_paths
 
 
 def unit_marks():
@@ -339,6 +339,51 @@ class TestLockstep:
             solve_backward_many([fine, (wide, count_terminal())], paths)
         with pytest.raises(ValueError, match="no problems"):
             solve_backward_many([], paths)
+
+
+def layout_problems(case):
+    if case == "scaled-jump":
+        return 1, unit_marks(), [(ScaledJumpGen(2.0), count_terminal())]
+    marks = FiniteMarkMeasure([[1.0], [-0.5]], [1.0, 0.7])
+    affine = AffineGen(
+        a=[[-0.3, 0.2], [0.1, 0.4]],
+        b=[[[0.5, 0.1], [0.0, -0.2]], [[0.2, 0.0], [-0.3, 0.1]]],
+        c=[[[0.3, 0.0], [0.1, -0.2]], [[0.0, 0.2], [-0.1, 0.1]]],
+        drift=[0.1, -0.2],
+        brownian_dim=2,
+        marks=marks,
+    )
+    pair = TerminalCondition(
+        fn=lambda w, k: np.stack([w[:, 0] + k[:, 1], k[:, 0] - w[:, 1] ** 2], axis=1),
+        state_dim=2,
+    )
+    return 2, marks, [(affine, pair)]
+
+
+class TestLayout:
+    @pytest.mark.parametrize("case", ["scaled-jump", "affine"])
+    def test_path_major_bundle_gives_the_same_bits(self, case):
+        # the simulator stores its bundle time-major; one built by hand from
+        # C-ordered path-major arrays must solve to the same bytes
+        d, marks, problems = layout_problems(case)
+        paths = simulate(n_paths=3_000, n_steps=8, seed=97, d=d, marks=marks)
+        by_hand = DrivingPaths(
+            grid=paths.grid,
+            marks=marks,
+            brownian=np.ascontiguousarray(paths.brownian),
+            jump_counts=np.ascontiguousarray(paths.jump_counts),
+        )
+        assert by_hand.brownian.flags.c_contiguous
+        assert np.array_equal(by_hand.count_nodes, paths.count_nodes)
+        for sol, ref in zip(
+            solve_backward_many(problems, by_hand), solve_backward_many(problems, paths)
+        ):
+            for name in ("y", "z", "u", "y0", "y0_se"):
+                mine, theirs = getattr(sol, name), getattr(ref, name)
+                assert mine.shape == theirs.shape, name
+                assert (
+                    np.ascontiguousarray(mine).tobytes() == np.ascontiguousarray(theirs).tobytes()
+                ), name
 
 
 class TestDeviationDiagnostics:

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bsdelab.generators import ZeroGen
+from bsdelab.solver import TerminalCondition, solve_backward
 from bsdelab.stochastic import (
     DrivingPaths,
     FiniteMarkMeasure,
@@ -143,6 +145,38 @@ class TestSimulation:
         assert s.shape == (10, 3)
         assert np.array_equal(s[:, :2], paths.brownian[:, 2, :])
         assert np.array_equal(s[:, 2], paths.count_nodes[:, 2, 0].astype(float))
+
+
+class TestLayout:
+    def test_per_step_slices_are_contiguous_with_path_major_shapes(self):
+        marks = FiniteMarkMeasure(atoms=[[1.0], [-1.0]], weights=[1.0, 0.5])
+        paths = simulate_paths(TimeGrid.uniform(1.0, 5), marks, 2, 40, seed=3)
+        assert paths.brownian.shape == (40, 6, 2)
+        assert paths.jump_counts.shape == (40, 5, 2)
+        assert paths.count_nodes.shape == (40, 6, 2)
+        for i in range(6):
+            assert paths.brownian[:, i].flags.c_contiguous
+            assert paths.count_nodes[:, i].flags.c_contiguous
+            assert paths.state(i).flags.c_contiguous
+            assert paths.state(i).shape == (40, 4)
+        for i in range(5):
+            assert paths.jump_counts[:, i].flags.c_contiguous
+
+    def test_solution_steps_are_contiguous_with_path_major_shapes(self):
+        marks = FiniteMarkMeasure(atoms=[[1.0], [-1.0]], weights=[1.0, 0.5])
+        paths = simulate_paths(TimeGrid.uniform(1.0, 4), marks, 2, 1000, seed=8)
+        terminal = TerminalCondition(
+            fn=lambda w, k: np.stack([w[:, 0], k[:, 1].astype(float)], axis=1), state_dim=2
+        )
+        sol = solve_backward(ZeroGen(2, 2, marks), terminal, paths)
+        assert sol.y.shape == (1000, 5, 2)
+        assert sol.z.shape == (1000, 4, 2, 2)
+        assert sol.u.shape == (1000, 4, 2, 2)
+        for i in range(5):
+            assert sol.y[:, i].flags.c_contiguous
+        for i in range(4):
+            assert sol.z[:, i].flags.c_contiguous
+            assert sol.u[:, i].flags.c_contiguous
 
 
 class TestCompensation:
