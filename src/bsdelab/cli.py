@@ -343,6 +343,12 @@ class Scenario:
                 cfg["generator"], "generator",
                 brownian_dim=brownian_dim, marks=marks, target=target,
             )
+            if target is not None and target.dim != generator.state_dim:
+                raise ScenarioError(
+                    "target",
+                    f"target dimension {target.dim} differs from the generator's "
+                    f"state dimension {generator.state_dim}",
+                )
         if cfg.get("generator2") is not None:
             generator2 = _build_generator(
                 cfg["generator2"], "generator2",

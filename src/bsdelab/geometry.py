@@ -2,9 +2,11 @@
 
 Each body exposes the squared distance d2(x) = |x - project(x)|^2 together
 with its gradient 2(x - project(x)) and, where it exists, its Hessian.
-The Hessian of d2 is undefined on a measure-zero locus (set boundary,
-facet coordinates, zero eigenvalues); those points are reported with an
-explicit marker instead of a silently wrong matrix.
+Bodies compute these for batches of rows; a one-point method is the
+one-row case of its batch method.  The Hessian of d2 is undefined on a
+measure-zero locus (set boundary, facet coordinates, zero eigenvalues,
+tight constraints with zero multipliers); those points are reported with
+an explicit marker instead of a silently wrong matrix.
 
 Symmetric-matrix bodies act on flattened coordinates: a side x side
 matrix is embedded as a vector of length side(side+1)/2 with sqrt(2)
@@ -15,11 +17,11 @@ equal trace inner products of matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog, nnls
 from scipy.special import roots_legendre
 
 __all__ = [
@@ -57,6 +59,11 @@ def _rows(xs, dim: int) -> np.ndarray:
     return xs
 
 
+def _one_row(x) -> np.ndarray:
+    """One point as a one-row batch; the batch method checks its length."""
+    return np.asarray(x, dtype=float)[None]
+
+
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products of matching rows of two (n, k) arrays.
 
@@ -84,50 +91,57 @@ class HessianResult:
 
 
 class ConvexBody:
-    """Closed convex set with projection-based distance calculus."""
+    """Closed convex set with projection-based distance calculus.
+
+    A body defines the batch primitives: ``project_batch`` and
+    ``hess_dist2_batch``, and ``dist2_batch`` where it has a closed form.
+    The one-point methods are their one-row cases.
+    """
 
     dim: int
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def dist2(self, x: np.ndarray) -> float:
-        p = self.project(np.asarray(x, dtype=float))
-        diff = np.asarray(x, dtype=float) - p
-        return float(diff @ diff)
-
-    def dist(self, x: np.ndarray) -> float:
-        return math.sqrt(max(self.dist2(x), 0.0))
-
-    def grad_dist2(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return 2.0 * (x - self.project(x))
 
     # why the Hessian is undefined where ``hess_dist2_batch`` says so
     _hess_undefined = "nonsmooth point"
 
-    def hess_dist2(self, x: np.ndarray) -> HessianResult:
-        """Hessian of d2 at one point: the one-row case of ``hess_dist2_batch``."""
-        mats, defined = self.hess_dist2_batch(np.asarray(x, dtype=float)[None])
-        if not defined[0]:
-            return HessianResult(None, False, self._hess_undefined)
-        return HessianResult(mats[0], True)
+    def project_batch(self, xs: np.ndarray) -> np.ndarray:
+        """Projections of the rows of ``xs`` (shape (n, dim)), as a new array."""
+        raise NotImplementedError
+
+    def dist2_batch(self, xs: np.ndarray) -> np.ndarray:
+        """Squared distances for rows of ``xs``."""
+        xs = _rows(xs, self.dim)
+        diff = xs - self.project_batch(xs)
+        return np.sum(diff * diff, axis=-1)
+
+    def dist_batch(self, xs: np.ndarray) -> np.ndarray:
+        return np.sqrt(np.maximum(self.dist2_batch(xs), 0.0))
 
     def hess_dist2_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Hessians of d2 at the rows of ``xs``: shape (n, dim, dim), and a
         (n,) mask of the rows where the Hessian is defined.
 
-        Undefined rows carry a zero matrix.  This fallback loops over
-        ``hess_dist2``; a body overrides one of the two.
+        Undefined rows carry a zero matrix.
         """
-        xs = _rows(xs, self.dim)
-        mats = np.zeros((xs.shape[0], self.dim, self.dim))
-        defined = np.zeros(xs.shape[0], dtype=bool)
-        for i, x in enumerate(xs):
-            res = self.hess_dist2(x)
-            if res.defined:
-                mats[i], defined[i] = res.matrix, True
-        return mats, defined
+        raise NotImplementedError
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        return self.project_batch(_one_row(x))[0]
+
+    def dist2(self, x: np.ndarray) -> float:
+        return float(self.dist2_batch(_one_row(x))[0])
+
+    def dist(self, x: np.ndarray) -> float:
+        return float(self.dist_batch(_one_row(x))[0])
+
+    def grad_dist2(self, x: np.ndarray) -> np.ndarray:
+        x = _one_row(x)
+        return 2.0 * (x - self.project_batch(x))[0]
+
+    def hess_dist2(self, x: np.ndarray) -> HessianResult:
+        mats, defined = self.hess_dist2_batch(_one_row(x))
+        if not defined[0]:
+            return HessianResult(None, False, self._hess_undefined)
+        return HessianResult(mats[0], True)
 
     def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
         return self.dist(x) <= tol
@@ -135,27 +149,6 @@ class ConvexBody:
     def sample_point(self, rng: np.random.Generator) -> np.ndarray:
         """A random point of the body, used by property checks."""
         raise NotImplementedError
-
-    def project_batch(self, xs: np.ndarray) -> np.ndarray:
-        """Projections of the rows of ``xs`` (shape (n, dim)).
-
-        Bit-identical to stacking ``project`` row by row.  This fallback
-        loops over the rows; bodies with a closed form override it.
-        """
-        xs = _rows(xs, self.dim)
-        out = np.empty_like(xs)
-        for i, x in enumerate(xs):
-            out[i] = self.project(x)
-        return out
-
-    def dist2_batch(self, xs: np.ndarray) -> np.ndarray:
-        """Squared distances for rows of ``xs``; overridden where it pays off."""
-        xs = _rows(xs, self.dim)
-        diff = xs - self.project_batch(xs)
-        return np.sum(diff * diff, axis=-1)
-
-    def dist_batch(self, xs: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.maximum(self.dist2_batch(xs), 0.0))
 
 
 @dataclass(frozen=True)
@@ -174,14 +167,6 @@ class Ball(ConvexBody):
     def dim(self) -> int:
         return self.center.shape[0]
 
-    def project(self, x):
-        x = np.asarray(x, dtype=float)
-        v = x - self.center
-        norm = np.linalg.norm(v)
-        if norm <= self.radius:
-            return x.copy()
-        return self.center + v * (self.radius / norm)
-
     def project_batch(self, xs):
         xs = _rows(xs, self.dim)
         v = xs - self.center
@@ -191,10 +176,6 @@ class Ball(ConvexBody):
         # outside formula free of a division by zero at the centre
         scale = self.radius / np.maximum(norm, self.radius)
         return np.where((norm <= self.radius)[:, None], xs, self.center + v * scale[:, None])
-
-    def dist2(self, x):
-        norm = np.linalg.norm(np.asarray(x, dtype=float) - self.center)
-        return max(norm - self.radius, 0.0) ** 2
 
     _hess_undefined = "point on the sphere"
 
@@ -221,7 +202,7 @@ class Ball(ConvexBody):
         return self.center + v * self.radius * rng.uniform() ** (1.0 / self.dim)
 
     def dist2_batch(self, xs):
-        norms = np.linalg.norm(np.asarray(xs, dtype=float) - self.center, axis=-1)
+        norms = np.linalg.norm(_rows(xs, self.dim) - self.center, axis=-1)
         return np.maximum(norms - self.radius, 0.0) ** 2
 
 
@@ -244,16 +225,8 @@ class Box(ConvexBody):
     def dim(self) -> int:
         return self.lower.shape[0]
 
-    def project(self, x):
-        return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
-
     def project_batch(self, xs):
         return np.clip(_rows(xs, self.dim), self.lower, self.upper)
-
-    def dist2(self, x):
-        x = np.asarray(x, dtype=float)
-        excess = np.maximum(x - self.upper, 0.0) + np.maximum(self.lower - x, 0.0)
-        return float(excess @ excess)
 
     _hess_undefined = "coordinate on a facet"
 
@@ -293,21 +266,10 @@ class OrthantProduct(ConvexBody):
     def dim(self) -> int:
         return self.n_plus + self.n_free
 
-    def project(self, x):
-        x = np.asarray(x, dtype=float)
-        out = x.copy()
-        out[: self.n_plus] = np.maximum(out[: self.n_plus], 0.0)
-        return out
-
     def project_batch(self, xs):
         out = _rows(xs, self.dim).copy()
         out[:, : self.n_plus] = np.maximum(out[:, : self.n_plus], 0.0)
         return out
-
-    def dist2(self, x):
-        x = np.asarray(x, dtype=float)
-        neg = np.minimum(x[: self.n_plus], 0.0)
-        return float(neg @ neg)
 
     _hess_undefined = "constrained coordinate at zero"
 
@@ -330,20 +292,23 @@ class OrthantProduct(ConvexBody):
         return out
 
     def dist2_batch(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        neg = np.minimum(xs[..., : self.n_plus], 0.0)
+        neg = np.minimum(_rows(xs, self.dim)[:, : self.n_plus], 0.0)
         return np.sum(neg * neg, axis=-1)
 
 
 class HalfspaceIntersection(ConvexBody):
-    """Intersection of halfspaces a_i . x <= b_i, projected by Dykstra sweeps.
+    """Intersection of halfspaces a_i . x <= b_i, projected exactly.
 
-    Construction fails if the system is infeasible.  Projections run
-    Dykstra iterations and then attempt an exact active-set polish, so
-    distances are accurate to machine precision in the generic case.
+    Each row is projected by one nonnegative least-squares solve of the
+    least-distance problem (Lawson and Hanson, *Solving Least Squares
+    Problems*, 1974, ch. 23), which also gives the multipliers lambda >= 0
+    with x - p = A^T lambda.  The Hessian of d2 is 2 A_a^+ A_a over the
+    normals with positive multipliers; it is undefined where a tight
+    constraint has a zero multiplier.  Construction fails if the system
+    is infeasible.
     """
 
-    def __init__(self, normals, offsets, max_sweeps: int = 20_000, tol: float = 1e-14):
+    def __init__(self, normals, offsets):
         normals = np.atleast_2d(np.asarray(normals, dtype=float))
         offsets = np.asarray(offsets, dtype=float).ravel()
         if normals.shape[0] != offsets.shape[0]:
@@ -355,9 +320,7 @@ class HalfspaceIntersection(ConvexBody):
             raise ValueError("halfspaces: zero normal vector")
         self.normals = normals
         self.offsets = offsets
-        self._row_norm2 = norms**2
-        self.max_sweeps = max_sweeps
-        self.tol = tol
+        self._norms = norms
         self._interior = self._chebyshev_center(normals, offsets, norms)
 
     @staticmethod
@@ -383,77 +346,55 @@ class HalfspaceIntersection(ConvexBody):
     def inradius_center(self) -> np.ndarray:
         return self._interior.copy()
 
-    def _dykstra(self, x):
-        p = x.copy()
-        corrections = np.zeros_like(self.normals)
-        scale = max(1.0, np.linalg.norm(x))
-        for _ in range(self.max_sweeps):
-            start = p.copy()
-            corr_start = corrections.copy()
-            for i in range(self.normals.shape[0]):
-                z = p + corrections[i]
-                viol = self.normals[i] @ z - self.offsets[i]
-                if viol > 0.0:
-                    p = z - (viol / self._row_norm2[i]) * self.normals[i]
-                else:
-                    p = z
-                corrections[i] = z - p
-            # the iterate alone can stall for a few sweeps while the
-            # corrections keep moving; only the joint fixed point is the
-            # projection, so test both
-            if (
-                np.max(np.abs(p - start)) <= self.tol * scale
-                and np.max(np.abs(corrections - corr_start)) <= self.tol * scale
-            ):
-                break
-        return p
+    def _solve(self, xs):
+        """Projections of the rows of ``xs`` and their multipliers, one per halfspace.
 
-    def _polish(self, x, p):
-        scale = max(1.0, np.linalg.norm(x))
-        resid = self.normals @ p - self.offsets
-        active = np.flatnonzero(resid >= -1e-8 * scale)
-        if active.size == 0:
-            return x.copy() if self.contains(x, tol=1e-12 * scale) else p
-        candidates = [tuple(active)]
-        if 0 < active.size <= 6:
-            # active-set guesses from Dykstra can overshoot; try subsets
-            from itertools import combinations
-
-            for k in range(active.size - 1, 0, -1):
-                candidates.extend(tuple(c) for c in combinations(active, k))
-        for cand in candidates:
-            idx = np.asarray(cand)
-            A = self.normals[idx]
-            gram = A @ A.T
-            rhs = A @ x - self.offsets[idx]
-            try:
-                lam = np.linalg.solve(gram, rhs)
-            except np.linalg.LinAlgError:
-                lam, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-            if np.any(lam < -1e-10 * scale):
-                continue
-            cand_p = x - A.T @ lam
-            if np.all(self.normals @ cand_p - self.offsets <= 1e-10 * scale):
-                return cand_p
-        return p
-
-    def project(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.contains(x, tol=0.0):
-            return x.copy()
-        return self._polish(x, self._dykstra(x))
-
-    def hess_dist2(self, x):
-        """Central-difference estimate; exact kinks are not detected."""
-        x = np.asarray(x, dtype=float)
-        eps = 1e-5 * max(1.0, np.linalg.norm(x))
+        The step z = p - x solves min |z| s.t. -A z >= A x - b.  With
+        E = [-A^T; (A x - b)^T] and f the last unit vector, u = nnls(E, f)
+        leaves the residual r = E u - f, and z = -r[:dim] / r[dim].  An
+        interior row gives u = 0, hence p = x exactly.  Since
+        r[dim] = -1 / (1 + |z|^2) comes out of cancellation, far rows would
+        lose digits; so the solve runs on (A x - b) / s, with s the largest
+        distance from x to a violated halfspace (at least 1), and z and
+        lambda are scaled back.
+        """
         n = self.dim
-        mat = np.empty((n, n))
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = eps
-            mat[:, j] = (self.grad_dist2(x + e) - self.grad_dist2(x - e)) / (2.0 * eps)
-        return HessianResult((mat + mat.T) / 2.0, True)
+        e = np.empty((n + 1, self.normals.shape[0]))
+        e[:n] = -self.normals.T
+        f = np.zeros(n + 1)
+        f[n] = 1.0
+        proj = np.empty_like(xs)
+        lam = np.empty((xs.shape[0], self.normals.shape[0]))
+        for i, x in enumerate(xs):
+            excess = self.normals @ x - self.offsets
+            scale = max(1.0, float(np.max(excess / self._norms)))
+            e[n] = excess / scale
+            u, _ = nnls(e, f)
+            r = e @ u - f
+            proj[i] = x - scale * (r[:n] / r[n])
+            lam[i] = scale * u / -r[n]
+        return proj, lam
+
+    def project_batch(self, xs):
+        return self._solve(_rows(xs, self.dim))[0]
+
+    _hess_undefined = "tight constraint with a zero multiplier"
+
+    def hess_dist2_batch(self, xs):
+        xs = _rows(xs, self.dim)
+        proj, lam = self._solve(xs)
+        tol = _BOUNDARY_RTOL * np.maximum(1.0, np.abs(xs).max(axis=1))[:, None]
+        # stacked products give each row the same bits alone as in a batch
+        slack = (self.offsets - (proj[:, None, :] @ self.normals.T)[:, 0]) / self._norms
+        tight = slack <= tol
+        # lambda_i |a_i| is the length of the step along normal i
+        active = lam * self._norms > tol
+        defined = ~np.any(tight & ~active, axis=1)
+        mats = np.zeros((xs.shape[0], self.dim, self.dim))
+        for i in np.flatnonzero(defined & active.any(axis=1)):
+            a = self.normals[active[i]]
+            mats[i] = 2.0 * np.linalg.pinv(a) @ a
+        return mats, defined
 
     def contains(self, x, tol=1e-9):
         return bool(np.all(self.normals @ np.asarray(x, dtype=float) - self.offsets <= tol))
@@ -549,10 +490,6 @@ class PsdCone(ConvexBody):
     def dim(self) -> int:
         return self.side * (self.side + 1) // 2
 
-    def project(self, x):
-        split = spectral_split(vec_to_sym(x, self.side))
-        return sym_to_vec(split.positive)
-
     def _matrix(self, x):
         return _finite_matrix(vec_to_sym(x, self.side))
 
@@ -562,11 +499,6 @@ class PsdCone(ConvexBody):
         w, q = np.linalg.eigh(self._matrix(_rows(xs, self.dim)))
         pos = (q * np.maximum(w, 0.0)[:, None, :]) @ np.swapaxes(q, -1, -2)
         return sym_to_vec(pos)
-
-    def dist2(self, x):
-        w = np.linalg.eigvalsh(self._matrix(x))
-        neg = np.minimum(w, 0.0)
-        return float(neg @ neg)
 
     _hess_undefined = "zero eigenvalue (cone boundary)"
 
@@ -596,8 +528,7 @@ class PsdCone(ConvexBody):
         return hess, defined
 
     def contains(self, x, tol=1e-9):
-        w = np.linalg.eigvalsh(vec_to_sym(x, self.side))
-        return bool(w.min() >= -tol)
+        return bool(np.linalg.eigvalsh(self._matrix(x)).min() >= -tol)
 
     def sample_point(self, rng):
         g = rng.normal(size=(self.side, self.side))
@@ -626,16 +557,13 @@ class FinitePointSet:
         return self.points.shape[1]
 
     def project(self, x):
-        x = np.asarray(x, dtype=float)
-        d2 = np.sum((self.points - x) ** 2, axis=1)
-        return self.points[int(np.argmin(d2))].copy()
+        return self.project_batch(_one_row(x))[0]
 
     def dist2(self, x):
-        x = np.asarray(x, dtype=float)
-        return float(np.min(np.sum((self.points - x) ** 2, axis=1)))
+        return float(self.dist2_batch(_one_row(x))[0])
 
     def dist(self, x):
-        return math.sqrt(self.dist2(x))
+        return float(self.dist_batch(_one_row(x))[0])
 
     def contains(self, x, tol=1e-9):
         return self.dist(x) <= tol
@@ -767,26 +695,16 @@ def mollified_dist2(
     pts = x - delta * nodes[live]
     kv = kernel[live]
 
-    d2_vals = np.array([body.dist2(p) for p in pts])
-    value = float(kv @ d2_vals / mass)
-    grads = np.array([body.grad_dist2(p) for p in pts])
-    gradient = kv @ grads / mass
-
-    hess_sum = np.zeros((dim, dim))
-    hess_mass = 0.0
-    skipped = 0
-    for weight, p in zip(kv, pts):
-        res = body.hess_dist2(p)
-        if res.defined:
-            hess_sum += weight * res.matrix
-            hess_mass += weight
-        else:
-            skipped += 1
+    value = float(kv @ body.dist2_batch(pts) / mass)
+    gradient = kv @ (2.0 * (pts - body.project_batch(pts))) / mass
+    mats, defined = body.hess_dist2_batch(pts)
+    hess_mass = kv[defined].sum()
     if hess_mass > 0.0:
-        hessian = hess_sum / hess_mass
+        # undefined rows carry zero matrices, so only their weight is left out
+        hessian = np.tensordot(kv, mats, axes=1) / hess_mass
     else:
         hessian = np.zeros((dim, dim))
         low_confidence = True
-    if skipped > 0.1 * nodes_used:
+    if nodes_used - defined.sum() > 0.1 * nodes_used:
         low_confidence = True
     return MollifiedResult(value, gradient, hessian, low_confidence, nodes_used)

@@ -7,6 +7,7 @@ N with driver -c*N has value N_t + (1 - c)(s - t) for horizon s, and
 P(N_{0.5} = 0) = exp(-0.5) ~ 0.6065.
 """
 
+import itertools
 import time
 
 import numpy as np
@@ -284,12 +285,44 @@ def test_criterion_06_projection_oracles():
     nodes = np.column_stack([gx.ravel(), gy.ravel()])
     feasible = nodes[np.all(nodes @ poly.normals.T <= poly.offsets + 1e-12, axis=1)]
     queries = rng.uniform(-3.0, 3.0, size=(1000, 2))
-    poly_err = 0.0
+
+    # polygon: exact oracle, the query itself when feasible, else the
+    # nearest of its projections onto the vertices and the edge segments
+    def feasible_point(v):
+        return np.all(poly.normals @ v <= poly.offsets + 1e-12)
+
+    corners = []
+    for i, j in itertools.combinations(range(len(poly.offsets)), 2):
+        pair = poly.normals[[i, j]]
+        if abs(np.linalg.det(pair)) > 1e-12:
+            v = np.linalg.solve(pair, poly.offsets[[i, j]])
+            if feasible_point(v):
+                corners.append(({i, j}, v))
+    edges = []
+    for k in range(len(poly.offsets)):
+        ends = [v for lines, v in corners if k in lines]
+        assert len(ends) == 2, f"edge {k} has {len(ends)} ends"
+        edges.append(ends)
+
+    def exact_projection(q):
+        if feasible_point(q):
+            return q
+        cands = [v for _, v in corners]
+        for v0, v1 in edges:
+            t = np.clip((q - v0) @ (v1 - v0) / ((v1 - v0) @ (v1 - v0)), 0.0, 1.0)
+            cands.append(v0 + t * (v1 - v0))
+        return min(cands, key=lambda c: float((q - c) @ (q - c)))
+
+    poly_err = exact_err = 0.0
     for q in queries:
+        p = poly.project(q)
         best = feasible[np.argmin(np.sum((feasible - q) ** 2, axis=1))]
-        poly_err = max(poly_err, float(np.linalg.norm(poly.project(q) - best)))
+        poly_err = max(poly_err, float(np.linalg.norm(p - best)))
+        exact_err = max(exact_err, float(np.linalg.norm(p - exact_projection(q))))
     assert poly_err <= 2 * pitch, f"polygon projection error {poly_err:.4f}"
+    assert exact_err <= tol, f"polygon exact oracle gap {exact_err:.3e}"
     details.append(("polygon", poly_err))
+    details.append(("polygon exact", exact_err))
 
     summary = ", ".join(f"{name} {err:.1e}" for name, err in details)
     record_criterion(6, f"max oracle gaps: {summary}")

@@ -414,6 +414,32 @@ def test_cli_exits_two_on_validation_error(tmp_path, capsys):
     assert "config error at seed" in capsys.readouterr().err
 
 
+def test_cli_exits_two_on_target_of_another_dimension(tmp_path, capsys, monkeypatch):
+    # a 2-D ball would broadcast against 1-D states and read as "within"
+    def no_work(*args, **kwargs):
+        raise AssertionError("a target of the wrong dimension reached the simulator")
+
+    monkeypatch.setattr(bsdelab.cli, "simulate_paths", no_work)
+    cfg = solve_config(
+        generator={"kind": "zero", "state_dim": 1},
+        terminal={"kind": "constant", "value": [0.5]},
+        target={"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+        checks=[{"kind": "viability-empirical"}],
+    )
+    with pytest.raises(ScenarioError) as err:
+        run_scenario(cfg, tmp_path / "direct")
+    assert err.value.field_path == "target"
+    config_path = tmp_path / "scenario.json"
+    config_path.write_text(json.dumps(cfg))
+    code = main(["check-viability", "--config", str(config_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "config error at target: target dimension 2 differs from the generator's state dimension 1"
+    )
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "direct").exists()
+
+
 def test_cli_exits_two_on_non_finite_terminal_payoff(tmp_path, capsys):
     # every number in the config is finite; the payoff 1e308 * W_T overflows
     # on the paths where |W_T| > 1.8, 58 of them at seed 3

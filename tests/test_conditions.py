@@ -35,7 +35,9 @@ from bsdelab.conditions import (
     _ViabilityInequality,
 )
 from bsdelab.generators import AffineGen, Generator, ProjectionDriftGen, ScaledJumpGen, ZeroGen
-from bsdelab.geometry import Ball, Box, FinitePointSet, OrthantProduct, PsdCone, sym_to_vec
+from bsdelab.geometry import (
+    Ball, Box, FinitePointSet, HalfspaceIntersection, OrthantProduct, PsdCone, sym_to_vec,
+)
 from bsdelab.solver import TerminalCondition, solve_backward
 from bsdelab.stochastic import FiniteMarkMeasure, TimeGrid, simulate_paths
 
@@ -133,6 +135,19 @@ def test_projection_drift_certified_on_psd_cone():
     gen = ProjectionDriftGen(cone, brownian_dim=1, marks=MARKS1)
     verdict = check_viability_condition(gen, cone, n_samples=1200, seed=0)
     assert verdict.certified
+    assert 4.0 - 1e-9 <= verdict.constant <= 4.01
+
+
+def test_projection_drift_certified_on_polygon():
+    # the criterion-6 polygon: five facets, one of them oblique
+    polygon = HalfspaceIntersection(
+        normals=[[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0]],
+        offsets=[1.5, 1.5, 1.0, 1.2, 1.8],
+    )
+    gen = ProjectionDriftGen(polygon, brownian_dim=2, marks=MARKS2)
+    verdict = check_viability_condition(gen, polygon, n_samples=400, seed=0)
+    assert not verdict.falsified or verdict.replay()["violated"]
+    assert verdict.certified, verdict.detail
     assert 4.0 - 1e-9 <= verdict.constant <= 4.01
 
 

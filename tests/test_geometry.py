@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bsdelab.geometry import (
     Ball,
     Box,
+    ConvexBody,
     FinitePointSet,
     HalfspaceIntersection,
     MollifiedResult,
@@ -21,6 +22,7 @@ from bsdelab.geometry import (
     sym_to_vec,
     vec_to_sym,
 )
+from bsdelab.geometry import _bump, _quad_nodes
 from bsdelab.stochastic import FiniteMarkMeasure
 
 
@@ -45,14 +47,18 @@ def fd_hessian_of_grad(g, x, eps=1e-5):
     return (out + out.T) / 2.0
 
 
+def triangle():
+    return HalfspaceIntersection(
+        normals=[[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], offsets=[2.0, 1.5, 1.0]
+    )
+
+
 def bodies_for_properties():
     return [
         Ball(center=[0.5, -0.25], radius=1.5),
         Box(lower=[-1.0, 0.0, -2.0], upper=[1.0, 2.0, -1.0]),
         OrthantProduct(2, 1),
-        HalfspaceIntersection(
-            normals=[[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], offsets=[2.0, 1.5, 1.0]
-        ),
+        triangle(),
         PsdCone(2),
     ]
 
@@ -97,6 +103,23 @@ class TestProjectionPointValues:
             x = rng.uniform(-4.0, 4.0, size=2)
             assert np.allclose(square.project(x), box.project(x), atol=1e-10)
             assert square.dist2(x) == pytest.approx(box.dist2(x), abs=1e-10)
+
+    def test_far_points_keep_their_accuracy_on_a_random_polytope(self):
+        rng = np.random.default_rng(17)
+        normals = rng.normal(size=(20, 6))
+        poly = HalfspaceIntersection(normals, np.abs(rng.normal(size=20)) + 0.5)
+        xs = rng.normal(size=(200, 6)) * 1e3
+        ps = poly.project_batch(xs)
+        # an unscaled least-distance solve leaves violations near 1e-8 |x| here
+        excess = (ps @ normals.T - poly.offsets).max(axis=1)
+        assert np.all(excess <= 1e-13 * np.linalg.norm(xs, axis=1))
+        # nearest: the obtuse-angle inequality against feasible points
+        ks = np.array([poly.sample_point(rng) for _ in range(20)])
+        steps, spokes = xs - ps, ks[:, None, :] - ps[None, :, :]
+        cosines = np.sum(steps * spokes, axis=2) / (
+            np.linalg.norm(steps, axis=1) * np.linalg.norm(spokes, axis=2)
+        )
+        assert cosines.max() <= 1e-9
 
     def test_infeasible_halfspaces_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -236,6 +259,7 @@ class TestBatchProjection:
             "spectral_split": lambda: spectral_split(vec_to_sym(xs[1], 2)),
             "project": lambda: cone.project(xs[1]),
             "dist2": lambda: cone.dist2(xs[1]),
+            "contains": lambda: cone.contains(xs[1]),
             "hess_dist2": lambda: cone.hess_dist2(xs[1]),
             "project_batch": lambda: cone.project_batch(xs),
             "dist2_batch": lambda: cone.dist2_batch(xs),
@@ -246,10 +270,20 @@ class TestBatchProjection:
                 call()
                 pytest.fail(f"{name} accepted a {bad} entry")
 
-    @pytest.mark.parametrize("shape", [(3,), (2, 5), (1, 2, 2)])
-    def test_wrong_row_shape_rejected(self, shape):
-        with pytest.raises(ValueError, match="rows of shape"):
-            Ball(center=[0.0, 0.0], radius=1.0).project_batch(np.zeros(shape))
+    @pytest.mark.parametrize("body", BATCH_BODIES, ids=lambda b: f"{type(b).__name__}-{b.dim}")
+    def test_wrong_row_shape_rejected(self, body):
+        n = body.dim
+        batch = ("project_batch", "dist2_batch", "dist_batch", "hess_dist2_batch")
+        scalar = ("project", "dist2", "dist", "grad_dist2", "hess_dist2")
+        calls = [(name, shape) for name in batch for shape in [(n,), (2, n + 1), (1, 2, n)]]
+        # a point of the wrong length
+        calls += [(name, (n + 1,)) for name in scalar]
+        for name, shape in calls:
+            if not hasattr(body, name):
+                continue
+            with pytest.raises(ValueError, match="rows of shape"):
+                getattr(body, name)(np.zeros(shape))
+                pytest.fail(f"{name} accepted shape {shape}")
 
 
 def hessian_rows(body, rng):
@@ -279,9 +313,8 @@ class TestBatchHessians:
                 assert mat.tobytes() == res.matrix.tobytes()
             else:
                 assert res.reason and np.all(mat == 0.0)
-        if not isinstance(body, HalfspaceIntersection):
-            # every body but the halfspaces has a nonsmooth locus among the rows
-            assert 0 < defined.sum() < xs.shape[0]
+        # every body has a nonsmooth locus among the rows
+        assert 0 < defined.sum() < xs.shape[0]
         empty, none = body.hess_dist2_batch(np.empty((0, body.dim)))
         assert empty.shape == (0, body.dim, body.dim) and none.shape == (0,)
 
@@ -290,6 +323,18 @@ class TestBatchHessians:
         assert "facet" in Box([0.0], [1.0]).hess_dist2([1.0]).reason
         assert "zero" in OrthantProduct(1, 1).hess_dist2([0.0, 3.0]).reason
         assert "eigenvalue" in PsdCone(2).hess_dist2(sym_to_vec(np.diag([1.0, 0.0]))).reason
+        assert "zero multiplier" in triangle().hess_dist2([0.0, 1.5]).reason
+
+    def test_polytope_undefined_on_the_kinks_and_exact_elsewhere(self):
+        body = triangle()
+        # the vertex (2, 1.5), a facet point, and a point outside the vertex
+        # on the edge of the normal cone of x <= 2
+        for x in ([2.0, 1.5], [0.0, 1.5], [3.0, 1.5]):
+            assert not body.hess_dist2(x).defined, x
+        assert np.array_equal(body.hess_dist2([0.0, 0.0]).matrix, np.zeros((2, 2)))
+        assert np.allclose(body.hess_dist2([0.0, 3.0]).matrix, np.diag([0.0, 2.0]), atol=1e-15)
+        # beyond the vertex, inside its normal cone, d2 = |x - v|^2
+        assert np.allclose(body.hess_dist2([3.0, 2.5]).matrix, 2.0 * np.eye(2), atol=1e-15)
 
 
 class TestHessians:
@@ -329,7 +374,7 @@ class TestHessians:
     @pytest.mark.parametrize(
         "body",
         [Ball(center=[0.5, -0.25], radius=1.5), Box(lower=[-1.0, 0.0], upper=[1.0, 2.0]),
-         OrthantProduct(2, 1)],
+         OrthantProduct(2, 1), triangle()],
         ids=lambda b: type(b).__name__,
     )
     def test_fd_oracle_on_smooth_points(self, body):
@@ -481,7 +526,64 @@ class TestJumpDefect:
             jump_defect_batch(OrthantProduct(1, 0), np.zeros((3, 1)), np.zeros((3, 1, 1)), marks)
 
 
+def looped_mollified_dist2(body: ConvexBody, x, delta, quad) -> MollifiedResult:
+    """``mollified_dist2`` with one scalar call per quadrature node, as the reference."""
+    x = np.asarray(x, dtype=float)
+    dim = x.shape[0]
+    nodes, base_w = _quad_nodes(dim, quad)
+    kernel = _bump(np.sum(nodes * nodes, axis=1)) * base_w
+    live = kernel > 0.0
+    nodes_used = int(live.sum())
+    mass = kernel[live].sum()
+    low_confidence = nodes_used < 8 or mass <= 0.0
+    pts = x - delta * nodes[live]
+    kv = kernel[live]
+    value = float(kv @ np.array([body.dist2(p) for p in pts]) / mass)
+    gradient = kv @ np.array([body.grad_dist2(p) for p in pts]) / mass
+    hess_sum = np.zeros((dim, dim))
+    hess_mass = 0.0
+    skipped = 0
+    for weight, p in zip(kv, pts):
+        res = body.hess_dist2(p)
+        if res.defined:
+            hess_sum += weight * res.matrix
+            hess_mass += weight
+        else:
+            skipped += 1
+    if hess_mass > 0.0:
+        hessian = hess_sum / hess_mass
+    else:
+        hessian = np.zeros((dim, dim))
+        low_confidence = True
+    if skipped > 0.1 * nodes_used:
+        low_confidence = True
+    return MollifiedResult(value, gradient, hessian, low_confidence, nodes_used)
+
+
 class TestMollifiedDistance:
+    @pytest.mark.parametrize(
+        "body",
+        [Ball(center=[0.5, -0.25, 0.0, 1.0], radius=1.5),
+         Box(lower=[-1.0, 0.0, -2.0, -0.5], upper=[1.0, 2.0, -1.0, 0.5]),
+         OrthantProduct(2, 2), PsdCone(2)],
+        ids=lambda b: f"{type(b).__name__}-{b.dim}",
+    )
+    def test_batched_matches_node_loop(self, body):
+        rng = np.random.default_rng(83)
+        quad = QuadSpec(mc_samples=1000, seed=3)
+        xs = rng.uniform(-3.0, 3.0, size=(5, body.dim))
+        # points on the boundary put quadrature nodes on the nonsmooth locus
+        xs = np.vstack([xs, body.project_batch(xs[:2] * 3.0)])
+        for x in xs:
+            delta = rng.uniform(0.05, 0.8)
+            got = mollified_dist2(body, x, delta, quad)
+            ref = looped_mollified_dist2(body, x, delta, quad)
+            assert abs(got.value - ref.value) <= 1e-12
+            assert np.abs(got.gradient - ref.gradient).max() <= 1e-12
+            assert np.abs(got.hessian - ref.hessian).max() <= 1e-12
+            assert got.low_confidence == ref.low_confidence
+            assert got.nodes_used == ref.nodes_used
+
     def test_bounds_hold_pointwise(self):
         bodies = [Ball(center=[0.0, 0.0], radius=1.0), Box(lower=[-1.0, -1.0], upper=[1.0, 1.0])]
         rng = np.random.default_rng(71)
