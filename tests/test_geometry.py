@@ -270,8 +270,13 @@ class TestBatchProjection:
                 call()
                 pytest.fail(f"{name} accepted a {bad} entry")
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 5), (1, 2, 2)])
+    def test_wrong_row_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="rows of shape"):
+            Ball(center=[0.0, 0.0], radius=1.0).project_batch(np.zeros(shape))
+
     @pytest.mark.parametrize("body", BATCH_BODIES, ids=lambda b: f"{type(b).__name__}-{b.dim}")
-    def test_wrong_row_shape_rejected(self, body):
+    def test_wrong_shape_rejected_by_every_method(self, body):
         n = body.dim
         batch = ("project_batch", "dist2_batch", "dist_batch", "hess_dist2_batch")
         scalar = ("project", "dist2", "dist", "grad_dist2", "hess_dist2")
