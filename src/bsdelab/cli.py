@@ -23,9 +23,11 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -73,19 +75,6 @@ __all__ = [
 
 SCENARIO_SCHEMA = "bsdelab/scenario-v1"
 MANIFEST_SCHEMA = "bsdelab/manifest-v1"
-
-_CHECK_KINDS = (
-    "simulate",
-    "solve",
-    "viability",
-    "viability-empirical",
-    "comparison",
-    "comparison-empirical",
-    "structural",
-    "matrix",
-)
-# numeric check parameters, validated with the config; ``samples`` is an integer
-_CHECK_NUMBERS = ("c_max", "threshold", "level", "tolerance")
 
 
 class ScenarioError(ValueError):
@@ -158,20 +147,29 @@ def _array(node, path, key, default=_MISSING) -> np.ndarray:
 # component builders
 
 
+@contextmanager
+def _reported_at(path):
+    """Report a component constructor's ``ValueError`` at ``path``."""
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except ValueError as exc:
+        raise ScenarioError(path, str(exc)) from None
+
+
 def _build_marks(spec, path) -> FiniteMarkMeasure:
     spec = _as_dict(spec, path)
     points = _array(spec, path, "points")
     weights = _array(spec, path, "weights")
-    try:
+    with _reported_at(path):
         return FiniteMarkMeasure(points, weights)
-    except ValueError as exc:
-        raise ScenarioError(path, str(exc)) from None
 
 
 def _build_target(spec, path):
     spec = _as_dict(spec, path)
     kind = _string(spec, path, "kind")
-    try:
+    with _reported_at(path):
         if kind == "ball":
             return Ball(_array(spec, path, "center"), _number(spec, path, "radius"))
         if kind == "box":
@@ -188,17 +186,13 @@ def _build_target(spec, path):
             return HalfspaceIntersection(
                 _array(spec, path, "normals"), _array(spec, path, "offsets")
             )
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(path, str(exc)) from None
     raise ScenarioError(f"{path}.kind", f"unknown target kind {kind!r}")
 
 
 def _build_generator(spec, path, *, brownian_dim, marks, target) -> Generator:
     spec = _as_dict(spec, path)
     kind = _string(spec, path, "kind")
-    try:
+    with _reported_at(path):
         if kind == "zero":
             return ZeroGen(_integer(spec, path, "state_dim"), brownian_dim, marks)
         if kind == "scaled-jump":
@@ -216,14 +210,15 @@ def _build_generator(spec, path, *, brownian_dim, marks, target) -> Generator:
             c = _array(spec, path, "c", np.zeros((marks.n_atoms, m, m)))
             drift = _array(spec, path, "drift", np.zeros(m))
             return AffineGen(a, b, c, drift, brownian_dim, marks)
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(path, str(exc)) from None
     raise ScenarioError(f"{path}.kind", f"unknown generator kind {kind!r}")
 
 
-def _build_terminal(spec, path, *, state_dim, marks) -> TerminalCondition:
+# the state dimension of each terminal kind that reads one coordinate of the
+# driving paths; a ``constant`` terminal takes the generator's
+_TERMINAL_DIMS = {"brownian": 1, "brownian-sign": 1, "counts": 1, "circle-angle": 2}
+
+
+def _build_terminal(spec, path, *, state_dim, brownian_dim, marks) -> TerminalCondition:
     spec = _as_dict(spec, path)
     kind = _string(spec, path, "kind")
     if kind == "constant":
@@ -233,49 +228,44 @@ def _build_terminal(spec, path, *, state_dim, marks) -> TerminalCondition:
         return TerminalCondition(
             lambda w, n, v=value: np.tile(v, (w.shape[0], 1)), state_dim, "constant terminal value"
         )
-    if kind == "brownian":
-        comp = _integer(spec, path, "component", 0)
-        scale = _number(spec, path, "scale", 1.0)
-        offset = _number(spec, path, "offset", 0.0)
-        if state_dim != 1:
-            raise ScenarioError(path, "brownian terminal data is one-dimensional")
-        return TerminalCondition(
-            lambda w, n, c=comp, a=scale, b=offset: a * w[:, c] + b,
-            1,
-            f"scaled Brownian coordinate {comp} at the horizon",
+    if kind not in _TERMINAL_DIMS:
+        raise ScenarioError(f"{path}.kind", f"unknown terminal kind {kind!r}")
+    dim = _TERMINAL_DIMS[kind]
+    if state_dim != dim:
+        raise ScenarioError(
+            path,
+            f"{kind} terminal data is {dim}-dimensional, the generator's state "
+            f"{state_dim}-dimensional",
         )
+    comp = _integer(spec, path, "component", 0)
+    bound, what = (marks.n_atoms, "atom") if kind == "counts" else (brownian_dim, "Brownian")
+    if not 0 <= comp < bound:
+        raise ScenarioError(f"{path}.component", f"{what} index out of range 0..{bound - 1}")
     if kind == "brownian-sign":
-        comp = _integer(spec, path, "component", 0)
-        if state_dim != 1:
-            raise ScenarioError(path, "brownian-sign terminal data is one-dimensional")
         return TerminalCondition(
             lambda w, n, c=comp: np.where(w[:, c] >= 0.0, 1.0, -1.0),
             1,
             f"sign of Brownian coordinate {comp} at the horizon",
         )
-    if kind == "counts":
-        comp = _integer(spec, path, "component", 0)
-        if not 0 <= comp < marks.n_atoms:
-            raise ScenarioError(f"{path}.component", f"atom index out of range 0..{marks.n_atoms - 1}")
-        scale = _number(spec, path, "scale", 1.0)
-        offset = _number(spec, path, "offset", 0.0)
-        if state_dim != 1:
-            raise ScenarioError(path, "counts terminal data is one-dimensional")
-        return TerminalCondition(
-            lambda w, n, c=comp, a=scale, b=offset: a * n[:, c].astype(float) + b,
-            1,
-            f"scaled jump count of atom {comp} at the horizon",
-        )
     if kind == "circle-angle":
-        comp = _integer(spec, path, "component", 0)
-        if state_dim != 2:
-            raise ScenarioError(path, "circle-angle terminal data is two-dimensional")
         return TerminalCondition(
             lambda w, n, c=comp: np.stack([np.cos(w[:, c]), np.sin(w[:, c])], axis=1),
             2,
             f"unit-circle point at angle W^{comp}_T",
         )
-    raise ScenarioError(f"{path}.kind", f"unknown terminal kind {kind!r}")
+    scale = _number(spec, path, "scale", 1.0)
+    offset = _number(spec, path, "offset", 0.0)
+    if kind == "counts":
+        return TerminalCondition(
+            lambda w, n, c=comp, a=scale, b=offset: a * n[:, c].astype(float) + b,
+            1,
+            f"scaled jump count of atom {comp} at the horizon",
+        )
+    return TerminalCondition(
+        lambda w, n, c=comp, a=scale, b=offset: a * w[:, c] + b,
+        1,
+        f"scaled Brownian coordinate {comp} at the horizon",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +274,8 @@ def _build_terminal(spec, path, *, state_dim, marks) -> TerminalCondition:
 
 @dataclass(frozen=True)
 class CheckSpec:
+    """One check of a scenario: its kind and every parameter, defaults filled in."""
+
     kind: str
     params: dict
 
@@ -337,35 +329,28 @@ class Scenario:
         if cfg.get("target") is not None:
             target = _build_target(cfg["target"], "target")
 
-        generator = generator2 = None
-        if cfg.get("generator") is not None:
-            generator = _build_generator(
-                cfg["generator"], "generator",
-                brownian_dim=brownian_dim, marks=marks, target=target,
-            )
-            if target is not None and target.dim != generator.state_dim:
-                raise ScenarioError(
-                    "target",
-                    f"target dimension {target.dim} differs from the generator's "
-                    f"state dimension {generator.state_dim}",
+        # generator and terminal, then the second problem's pair
+        drivers = {}
+        for gen_key, term_key in (("generator", "terminal"), ("generator2", "terminal2")):
+            gen = term = None
+            if cfg.get(gen_key) is not None:
+                gen = _build_generator(
+                    cfg[gen_key], gen_key, brownian_dim=brownian_dim, marks=marks, target=target
                 )
-        if cfg.get("generator2") is not None:
-            generator2 = _build_generator(
-                cfg["generator2"], "generator2",
-                brownian_dim=brownian_dim, marks=marks, target=target,
-            )
-        terminal = terminal2 = None
-        if cfg.get("terminal") is not None:
-            if generator is None:
-                raise ScenarioError("terminal", "a terminal condition requires a generator")
-            terminal = _build_terminal(
-                cfg["terminal"], "terminal", state_dim=generator.state_dim, marks=marks
-            )
-        if cfg.get("terminal2") is not None:
-            if generator2 is None:
-                raise ScenarioError("terminal2", "terminal2 requires generator2")
-            terminal2 = _build_terminal(
-                cfg["terminal2"], "terminal2", state_dim=generator2.state_dim, marks=marks
+            if cfg.get(term_key) is not None:
+                if gen is None:
+                    raise ScenarioError(term_key, f"{term_key} requires {gen_key}")
+                term = _build_terminal(
+                    cfg[term_key], term_key,
+                    state_dim=gen.state_dim, brownian_dim=brownian_dim, marks=marks,
+                )
+            drivers[gen_key], drivers[term_key] = gen, term
+        generator = drivers["generator"]
+        if target is not None and generator is not None and target.dim != generator.state_dim:
+            raise ScenarioError(
+                "target",
+                f"target dimension {target.dim} differs from the generator's "
+                f"state dimension {generator.state_dim}",
             )
 
         solver_spec = _as_dict(cfg.get("solver", {}), "solver")
@@ -384,23 +369,7 @@ class Scenario:
         checks_node = cfg.get("checks", [])
         if not isinstance(checks_node, list):
             raise ScenarioError("checks", "expected a list")
-        checks = []
-        for i, entry in enumerate(checks_node):
-            if isinstance(entry, str):
-                entry = {"kind": entry}
-            entry = _as_dict(entry, f"checks[{i}]")
-            kind = _string(entry, f"checks[{i}]", "kind")
-            if kind not in _CHECK_KINDS:
-                raise ScenarioError(f"checks[{i}].kind", f"unknown check kind {kind!r}")
-            params = {k: v for k, v in entry.items() if k != "kind"}
-            if "samples" in params:
-                params["samples"] = _integer(entry, f"checks[{i}]", "samples")
-                if params["samples"] < 1:
-                    raise ScenarioError(f"checks[{i}].samples", "must be at least 1")
-            for key in _CHECK_NUMBERS:
-                if key in params:
-                    params[key] = _number(entry, f"checks[{i}]", key)
-            checks.append(CheckSpec(kind, params))
+        checks = [_check_spec(entry, f"checks[{i}]") for i, entry in enumerate(checks_node)]
 
         seed = _integer(cfg, "", "seed", 0)
         if seed < 0:
@@ -410,10 +379,40 @@ class Scenario:
             raise ScenarioError("output_dir", "expected a string")
         return cls(
             raw=cfg, name=name, grid=grid, brownian_dim=brownian_dim, marks=marks,
-            generator=generator, generator2=generator2, terminal=terminal,
-            terminal2=terminal2, target=target, solver=solver, checks=checks,
-            seed=seed, output_dir=output_dir,
+            target=target, solver=solver, checks=checks, seed=seed, output_dir=output_dir,
+            **drivers,
         )
+
+
+def _check_spec(entry, path) -> CheckSpec:
+    """Validate one ``checks`` entry against its kind and fill in the defaults."""
+    if isinstance(entry, str):
+        entry = {"kind": entry}
+    entry = _as_dict(entry, path)
+    kind = _string(entry, path, "kind")
+    if kind not in _CHECKS:
+        raise ScenarioError(f"{path}.kind", f"unknown check kind {kind!r}")
+    check = _CHECKS[kind]
+    accepted = {"kind", *check.params, *(("expect",) if check.expects else ())}
+    for key in entry:
+        if key not in accepted:
+            raise ScenarioError(f"{path}.{key}", f"not a parameter of the {kind!r} check")
+    params = {}
+    for key, default in check.params.items():
+        if key not in entry:
+            params[key] = default
+        elif isinstance(default, int):  # ``samples``, the one integer parameter
+            params[key] = _integer(entry, path, key)
+            if params[key] < 1:
+                raise ScenarioError(f"{path}.{key}", "must be at least 1")
+        else:
+            params[key] = _number(entry, path, key)
+    if check.expects:
+        params["expect"] = _string(entry, path, "expect", check.expects[0])
+        if params["expect"] not in check.expects:
+            allowed = " or ".join(map(repr, check.expects))
+            raise ScenarioError(f"{path}.expect", f"expected {allowed}")
+    return CheckSpec(kind, params)
 
 
 def load_scenario(path) -> Scenario:
@@ -426,10 +425,6 @@ def load_scenario(path) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ScenarioError("<config>", f"invalid JSON: {exc}") from None
     return Scenario.from_dict(doc)
-
-
-def _canonical_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------
@@ -455,28 +450,27 @@ class _ArtifactWriter:
         self._used.add(candidate)
         return candidate
 
-    def _put(self, name: str, data: bytes) -> str:
+    def write_text(self, name: str, text: str) -> None:
+        name, data = self.unique(name), text.encode("utf-8")
         (self.out_dir / name).write_bytes(data)
         self.records.append({"path": name, "sha256": hashlib.sha256(data).hexdigest()})
-        return name
 
-    def write_text(self, name: str, text: str) -> str:
-        return self._put(self.unique(name), text.encode("utf-8"))
+    def write_json(self, name: str, doc) -> None:
+        self.write_text(name, json.dumps(doc, indent=1) + "\n")
 
-    def write_table(self, stem: str, columns: list[tuple[str, list]]) -> str:
+    def write_table(self, stem: str, columns: list[tuple[str, list]]) -> None:
         names = [c[0] for c in columns]
-        cols = [c[1] for c in columns]
-        rows = list(zip(*cols)) if cols else []
+        rows = list(zip(*[c[1] for c in columns]))
         if self.fmt == "json":
             doc = {"schema": "bsdelab/table-v1", "columns": names,
                    "rows": [list(r) for r in rows]}
-            return self.write_text(f"{stem}.json", json.dumps(doc, indent=1) + "\n")
+            self.write_json(f"{stem}.json", doc)
+            return
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(names)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
-        return self.write_text(f"{stem}.csv", buf.getvalue())
+        writer.writerows([_cell(v) for v in row] for row in rows)
+        self.write_text(f"{stem}.csv", buf.getvalue())
 
 
 def _cell(v):
@@ -543,14 +537,13 @@ class _ScenarioRun:
             self._solutions = solutions
         return self._solutions
 
-    def solution(self) -> BsdeSolution:
-        return self.solutions()[0]
 
-
-def _require(scenario: Scenario, check: str, **what):
-    for label, value in what.items():
-        if value is None:
-            raise ScenarioError(label, f"the {check!r} check requires this field")
+def _row(check: str, outcome: str, passed, value, detail: str) -> dict:
+    """One verdict row; a check with no value (no constant) reads NaN."""
+    return {
+        "check": check, "outcome": outcome, "passed": bool(passed),
+        "value": float("nan") if value is None else float(value), "detail": detail,
+    }
 
 
 def _simulate(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
@@ -562,19 +555,15 @@ def _simulate(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
         columns.append((f"w{j}_std", list(paths.brownian[:, :, j].std(axis=0))))
     for j in range(scenario.marks.n_atoms):
         columns.append((f"n{j}_mean", list(paths.count_nodes[:, :, j].mean(axis=0))))
-    files = [writer.write_table("path_stats", columns)]
-    row = {
-        "check": "simulate", "outcome": "completed", "passed": True,
-        "value": float(scenario.solver.paths),
-        "detail": f"{scenario.solver.paths} paths on {scenario.grid.n_steps} steps",
-    }
-    return row, files, paths
+    writer.write_table("path_stats", columns)
+    n = scenario.solver.paths
+    detail = f"{n} paths on {scenario.grid.n_steps} steps"
+    return _row("simulate", "completed", True, n, detail), paths
 
 
 def _solve(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
     scenario = run.scenario
-    _require(scenario, "solve", generator=scenario.generator, terminal=scenario.terminal)
-    sol = run.solution()
+    sol = run.solutions()[0]
     m = sol.state_dim
     columns = [("t", list(sol.times))]
     # over the time-major storage, so the copy np.quantile makes keeps each
@@ -592,7 +581,7 @@ def _solve(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
             scenario.target.dist_batch(sol.y[:, i, :]).mean() for i in range(sol.y.shape[1])
         ])
         columns.append(("dk_mean", list(dk)))
-    files = [writer.write_table("y_stats", columns)]
+    writer.write_table("y_stats", columns)
     svg = render_line_plot(
         sol.times,
         [(f"mean Y[{k}]", mean[:, k]) for k in range(m)],
@@ -600,115 +589,71 @@ def _solve(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
         title=f"{scenario.name}: solution mean with 5-95% band",
         x_label="t", y_label="Y",
     )
-    files.append(writer.write_text("y_mean.svg", svg))
+    writer.write_text("y_mean.svg", svg)
     y0 = ", ".join(f"{v:.6f}" for v in sol.y0)
-    row = {
-        "check": "solve", "outcome": "completed", "passed": True,
-        "value": float(sol.y0[0]),
-        "detail": f"Y_0 = [{y0}], standard error {float(np.max(sol.y0_se)):.2e}",
-    }
-    return row, files, sol
+    detail = f"Y_0 = [{y0}], standard error {float(np.max(sol.y0_se)):.2e}"
+    return _row("solve", "completed", True, sol.y0[0], detail), sol
 
 
 def _viability(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
     scenario = run.scenario
-    _require(scenario, "viability", generator=scenario.generator, target=scenario.target)
     verdict = check_viability_condition(
         scenario.generator, scenario.target,
-        n_samples=params.get("samples", 4000),
+        n_samples=params["samples"],
         seed=scenario.seed,
-        c_max=params.get("c_max", 100.0),
+        c_max=params["c_max"],
     )
-    threshold = params.get("threshold")
+    threshold = params["threshold"]
     passed = verdict.certified and (threshold is None or verdict.constant <= threshold)
     detail = verdict.detail or f"constant {verdict.constant:.6f}"
     if threshold is not None and verdict.certified:
         detail += f" (threshold {threshold})"
-    files = [writer.write_text("viability_verdict.json",
-                               json.dumps(verdict.to_dict(), indent=1) + "\n")]
-    row = {
-        "check": "viability", "outcome": verdict.outcome, "passed": bool(passed),
-        "value": float(verdict.constant) if verdict.constant is not None else float("nan"),
-        "detail": detail,
-    }
-    return row, files, verdict
+    writer.write_json("viability_verdict.json", verdict.to_dict())
+    return _row("viability", verdict.outcome, passed, verdict.constant, detail), verdict
 
 
 def _viability_empirical(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
     scenario = run.scenario
-    _require(
-        scenario, "viability-empirical",
-        generator=scenario.generator, terminal=scenario.terminal, target=scenario.target,
-    )
-    level = params.get("level", 0.05)
-    expect = params.get("expect", "within")
-    if expect not in ("within", "exceeds"):
-        raise ScenarioError("checks", "viability-empirical expect must be 'within' or 'exceeds'")
-    sol = run.solution()
+    level, expect = params["level"], params["expect"]
+    sol = run.solutions()[0]
     report = viability_path_report(sol, scenario.target, tolerance=level)
     columns = [("t", list(report.times)), ("dk_mean", list(report.mean_distance))]
-    files = [writer.write_table("distance_stats", columns)]
+    writer.write_table("distance_stats", columns)
     svg = render_line_plot(
         report.times, [("mean distance to target", report.mean_distance)],
         title=f"{scenario.name}: mean distance to the target set",
         x_label="t", y_label="E d_K(Y_t)",
     )
-    files.append(writer.write_text("distance.svg", svg))
+    writer.write_text("distance.svg", svg)
     worst = float(report.max_mean_distance)
-    if expect == "within":
-        passed = worst <= level
-        outcome = "within" if passed else "exceeded"
-    else:
-        passed = worst >= level
-        outcome = "exceeds" if passed else "below"
-    row = {
-        "check": "viability-empirical", "outcome": outcome, "passed": bool(passed),
-        "value": worst,
-        "detail": f"max_t mean distance {worst:.6f} ({expect} {level})",
-    }
-    return row, files, (report, sol)
+    passed = worst <= level if expect == "within" else worst >= level
+    outcome = expect if passed else {"within": "exceeded", "exceeds": "below"}[expect]
+    detail = f"max_t mean distance {worst:.6f} ({expect} {level})"
+    return _row("viability-empirical", outcome, passed, worst, detail), (report, sol)
 
 
 def _comparison(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
     scenario = run.scenario
-    _require(scenario, "comparison", generator=scenario.generator, generator2=scenario.generator2)
-    samples = params.get("samples", 3000)
     if scenario.generator.state_dim == 1:
         verdict = check_comparison_m1(
-            scenario.generator, scenario.generator2, n_samples=samples, seed=scenario.seed
+            scenario.generator, scenario.generator2, n_samples=params["samples"], seed=scenario.seed
         )
         route = "scalar"
     else:
         verdict = check_comparison_multidim(
-            scenario.generator, scenario.generator2, n_samples=samples,
-            seed=scenario.seed, c_max=params.get("c_max", 500.0),
+            scenario.generator, scenario.generator2, n_samples=params["samples"],
+            seed=scenario.seed, c_max=params["c_max"],
         )
         route = "componentwise"
-    expect = params.get("expect", "certified")
-    if expect not in ("certified", "falsified"):
-        raise ScenarioError("checks", "comparison expect must be 'certified' or 'falsified'")
-    files = [writer.write_text("comparison_verdict.json",
-                               json.dumps(verdict.to_dict(), indent=1) + "\n")]
-    row = {
-        "check": "comparison", "outcome": verdict.outcome,
-        "passed": bool(verdict.outcome == expect),
-        "value": float(verdict.constant) if verdict.constant is not None else float("nan"),
-        "detail": f"{route} route: {verdict.detail or verdict.outcome}",
-    }
-    return row, files, verdict
+    writer.write_json("comparison_verdict.json", verdict.to_dict())
+    detail = f"{route} route: {verdict.detail or verdict.outcome}"
+    passed = verdict.outcome == params["expect"]
+    return _row("comparison", verdict.outcome, passed, verdict.constant, detail), verdict
 
 
 def _comparison_empirical(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
     scenario = run.scenario
-    _require(
-        scenario, "comparison-empirical",
-        generator=scenario.generator, generator2=scenario.generator2,
-        terminal=scenario.terminal, terminal2=scenario.terminal2,
-    )
-    tolerance = params.get("tolerance", 0.02)
-    expect = params.get("expect", "ordered")
-    if expect not in ("ordered", "violated"):
-        raise ScenarioError("checks", "comparison-empirical expect must be 'ordered' or 'violated'")
+    tolerance = params["tolerance"]
     sol1, sol2 = run.solutions()
     report = comparison_path_report(sol1, sol2)
     columns = [
@@ -716,7 +661,7 @@ def _comparison_empirical(run: _ScenarioRun, params: dict, writer: _ArtifactWrit
         ("gap_min", list(report.min_gap_per_time)),
         ("violation_fraction", list(report.violation_fraction)),
     ]
-    files = [writer.write_table("gap_stats", columns)]
+    writer.write_table("gap_stats", columns)
     svg = render_line_plot(
         report.times,
         [("min gap Y1-Y2", report.min_gap_per_time),
@@ -724,83 +669,92 @@ def _comparison_empirical(run: _ScenarioRun, params: dict, writer: _ArtifactWrit
         title=f"{scenario.name}: pathwise ordering of the two solutions",
         x_label="t", y_label="",
     )
-    files.append(writer.write_text("gap.svg", svg))
-    ordered = report.min_gap >= -tolerance
-    passed = ordered if expect == "ordered" else not ordered
-    row = {
-        "check": "comparison-empirical",
-        "outcome": "ordered" if ordered else "violated",
-        "passed": bool(passed),
-        "value": float(report.min_gap),
-        "detail": (
-            f"min gap {report.min_gap:.6f} (tolerance {tolerance}), "
-            f"peak violation fraction {float(report.violation_fraction.max()):.4f}"
-        ),
-    }
-    return row, files, (report, sol1, sol2)
+    writer.write_text("gap.svg", svg)
+    outcome = "ordered" if report.min_gap >= -tolerance else "violated"
+    detail = (
+        f"min gap {report.min_gap:.6f} (tolerance {tolerance}), "
+        f"peak violation fraction {float(report.violation_fraction.max()):.4f}"
+    )
+    row = _row("comparison-empirical", outcome, outcome == params["expect"], report.min_gap, detail)
+    return row, (report, sol1, sol2)
 
 
 def _structural(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
     scenario = run.scenario
-    _require(scenario, "structural", generator=scenario.generator)
     report = check_structural(
         scenario.generator,
-        n_samples=params.get("samples", 2500),
+        n_samples=params["samples"],
         seed=scenario.seed,
-        c_max=params.get("c_max", 500.0),
+        c_max=params["c_max"],
     )
-    expect = params.get("expect", "certified")
     detail = (
         f"diagonal z: {report.diagonal_z}; monotone: {report.monotone.outcome}; "
         f"quadratic: {report.quadratic.outcome}; implied: {report.quadratic_implied}"
     )
-    files = [writer.write_text("structural_report.json",
-                               json.dumps(report.to_dict(), indent=1) + "\n")]
-    row = {
-        "check": "structural", "outcome": report.outcome,
-        "passed": bool(report.outcome == expect),
-        "value": float(report.passed),
-        "detail": detail,
-    }
-    return row, files, report
+    writer.write_json("structural_report.json", report.to_dict())
+    passed = report.outcome == params["expect"]
+    return _row("structural", report.outcome, passed, report.passed, detail), report
 
 
 def _matrix(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
     scenario = run.scenario
-    _require(
-        scenario, "matrix",
-        generator=scenario.generator, generator2=scenario.generator2, target=scenario.target,
-    )
-    if not isinstance(scenario.target, PsdCone):
-        raise ScenarioError("target", "the 'matrix' check requires a psd-cone target")
     verdict = check_comparison_matrix(
         scenario.generator, scenario.generator2, scenario.target.side,
-        n_samples=params.get("samples", 3000),
+        n_samples=params["samples"],
         seed=scenario.seed,
-        c_max=params.get("c_max", 500.0),
+        c_max=params["c_max"],
     )
-    expect = params.get("expect", "certified")
-    files = [writer.write_text("matrix_verdict.json",
-                               json.dumps(verdict.to_dict(), indent=1) + "\n")]
-    row = {
-        "check": "matrix", "outcome": verdict.outcome,
-        "passed": bool(verdict.outcome == expect),
-        "value": float(verdict.constant) if verdict.constant is not None else float("nan"),
-        "detail": verdict.detail or f"constant {verdict.constant}",
-    }
-    return row, files, verdict
+    writer.write_json("matrix_verdict.json", verdict.to_dict())
+    detail = verdict.detail or f"constant {verdict.constant}"
+    passed = verdict.outcome == params["expect"]
+    return _row("matrix", verdict.outcome, passed, verdict.constant, detail), verdict
 
 
-_RUNNERS = {
-    "simulate": _simulate,
-    "solve": _solve,
-    "viability": _viability,
-    "viability-empirical": _viability_empirical,
-    "comparison": _comparison,
-    "comparison-empirical": _comparison_empirical,
-    "structural": _structural,
-    "matrix": _matrix,
+class _Check(NamedTuple):
+    """One check kind: its runner, the scenario fields it needs, its
+    parameters with their defaults, and its ``expect`` values, the first
+    being the default (a kind with none takes no ``expect``)."""
+
+    run: Callable
+    needs: tuple
+    params: dict
+    expects: tuple
+
+
+_VERDICT_EXPECTS = ("certified", "falsified")
+_CHECKS = {
+    "simulate": _Check(_simulate, (), {}, ()),
+    "solve": _Check(_solve, ("generator", "terminal"), {}, ()),
+    "viability": _Check(
+        _viability, ("generator", "target"),
+        {"samples": 4000, "c_max": 100.0, "threshold": None}, (),
+    ),
+    "viability-empirical": _Check(
+        _viability_empirical, ("generator", "terminal", "target"),
+        {"level": 0.05}, ("within", "exceeds"),
+    ),
+    "comparison": _Check(
+        _comparison, ("generator", "generator2"),
+        {"samples": 3000, "c_max": 500.0}, _VERDICT_EXPECTS,
+    ),
+    "comparison-empirical": _Check(
+        _comparison_empirical, ("generator", "generator2", "terminal", "terminal2"),
+        {"tolerance": 0.02}, ("ordered", "violated"),
+    ),
+    "structural": _Check(
+        _structural, ("generator",), {"samples": 2500, "c_max": 500.0}, _VERDICT_EXPECTS,
+    ),
+    # the target must also be a psd-cone, which ``run_scenario`` checks
+    "matrix": _Check(
+        _matrix, ("generator", "generator2", "target"),
+        {"samples": 3000, "c_max": 500.0}, _VERDICT_EXPECTS,
+    ),
 }
+
+
+def _missing_field(scenario: Scenario, kind: str):
+    """The first scenario field a ``kind`` check needs that is not set, or None."""
+    return next((name for name in _CHECKS[kind].needs if getattr(scenario, name) is None), None)
 
 
 # ---------------------------------------------------------------------------
@@ -830,17 +784,7 @@ class RunManifest:
         return all(row["passed"] for row in self.verdicts)
 
     def to_dict(self) -> dict:
-        return {
-            "schema": MANIFEST_SCHEMA,
-            "name": self.name,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "version": self.version,
-            "wall_clock_seconds": self.wall_clock_seconds,
-            "verdicts": self.verdicts,
-            "files": self.files,
-            "created": self.created,
-        }
+        return {"schema": MANIFEST_SCHEMA, **asdict(self)}
 
 
 def _apply_overrides(doc: dict, seed=None, paths=None, steps=None) -> dict:
@@ -869,11 +813,12 @@ def run_scenario(
 
     ``checks`` optionally restricts execution to the named kinds; when
     the config lists none of them, default specs are synthesized for
-    whichever of those kinds the config supports.  The checks share one
-    path bundle and one backward pass over every problem they solve,
-    made on first use, so a check's tables do not depend on which other
-    checks run.  ``extra_acceptance`` may inspect the in-memory results
-    and append extra verdict rows.
+    whichever of those kinds the config supports.  Every scenario field
+    a selected check needs is checked before any work or file write.
+    The checks share one path bundle and one backward pass over every
+    problem they solve, made on first use, so a check's tables do not
+    depend on which other checks run.  ``extra_acceptance`` may inspect
+    the in-memory results and append extra verdict rows.
     """
     if isinstance(config, (str, Path)):
         doc = load_scenario(config).raw
@@ -886,17 +831,26 @@ def run_scenario(
     if checks is not None:
         selected = [c for c in scenario.checks if c.kind in checks]
         if not selected:
-            selected = [CheckSpec(kind, {}) for kind in checks if _supports(scenario, kind)]
+            selected = [
+                _check_spec(kind, "checks") for kind in checks
+                if _missing_field(scenario, kind) is None
+            ]
         if not selected:
             raise ScenarioError(
                 "checks", f"config supports none of the requested checks {sorted(checks)}"
             )
     if not selected:
         raise ScenarioError("checks", "no checks requested")
+    for spec in selected:
+        missing = _missing_field(scenario, spec.kind)
+        if missing is not None:
+            raise ScenarioError(missing, f"the {spec.kind!r} check requires this field")
+        if spec.kind == "matrix" and not isinstance(scenario.target, PsdCone):
+            raise ScenarioError("target", "the 'matrix' check requires a psd-cone target")
 
     out = Path(out_dir) if out_dir is not None else Path(scenario.output_dir or f"runs/{scenario.name}")
     writer = _ArtifactWriter(out, fmt)
-    canonical = _canonical_json(doc)
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     writer.write_text("config.json", canonical + "\n")
     config_hash = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -904,22 +858,14 @@ def run_scenario(
     run = _ScenarioRun(scenario, {spec.kind for spec in selected})
     rows, payloads = [], []
     for spec in selected:
-        row, _files, payload = _RUNNERS[spec.kind](run, spec.params, writer)
+        row, payload = _CHECKS[spec.kind].run(run, spec.params, writer)
         rows.append(row)
         payloads.append((spec, row, payload))
     if extra_acceptance is not None:
         rows.extend(extra_acceptance(scenario, payloads))
 
-    writer.write_table(
-        "verdicts",
-        [
-            ("check", [r["check"] for r in rows]),
-            ("outcome", [r["outcome"] for r in rows]),
-            ("passed", [r["passed"] for r in rows]),
-            ("value", [r["value"] for r in rows]),
-            ("detail", [r["detail"] for r in rows]),
-        ],
-    )
+    columns = ("check", "outcome", "passed", "value", "detail")
+    writer.write_table("verdicts", [(key, [r[key] for r in rows]) for key in columns])
     manifest = RunManifest(
         name=scenario.name,
         config_hash=config_hash,
@@ -936,22 +882,13 @@ def run_scenario(
     return manifest
 
 
-def _supports(scenario: Scenario, kind: str) -> bool:
-    need = {
-        "simulate": (),
-        "solve": ("generator", "terminal"),
-        "viability": ("generator", "target"),
-        "viability-empirical": ("generator", "terminal", "target"),
-        "comparison": ("generator", "generator2"),
-        "comparison-empirical": ("generator", "generator2", "terminal", "terminal2"),
-        "structural": ("generator",),
-        "matrix": ("generator", "generator2", "target"),
-    }[kind]
-    return all(getattr(scenario, attr) is not None for attr in need)
-
-
 # ---------------------------------------------------------------------------
 # reproduction presets
+
+
+def _bound_row(check: str, err: float, bound: float, value, detail: str) -> dict:
+    """An acceptance row, ``within`` when ``err`` is at most ``bound``."""
+    return _row(check, "within" if err <= bound else "exceeded", err <= bound, value, detail)
 
 
 def _example28_config() -> dict:
@@ -975,18 +912,12 @@ def _example28_config() -> dict:
 
 def _example28_extra(scenario, payloads):
     rows = []
-    for spec, _row, payload in payloads:
+    for spec, _verdict, payload in payloads:
         if spec.kind == "viability-empirical":
             report, sol = payload
-            norms = np.linalg.norm(sol.y, axis=2).mean(axis=0)
-            worst = float(norms.max())
-            rows.append({
-                "check": "acceptance:ball-norm",
-                "outcome": "within" if worst <= 1.05 else "exceeded",
-                "passed": bool(worst <= 1.05),
-                "value": worst,
-                "detail": f"max_t mean |Y_t| = {worst:.6f} (bound 1.05)",
-            })
+            worst = float(np.linalg.norm(sol.y, axis=2).mean(axis=0).max())
+            detail = f"max_t mean |Y_t| = {worst:.6f} (bound 1.05)"
+            rows.append(_bound_row("acceptance:ball-norm", worst, 1.05, worst, detail))
     return rows
 
 
@@ -1008,18 +939,11 @@ def _remark34a_config() -> dict:
 def _y0_acceptance(target_y0: float, tolerance: float):
     def extra(scenario, payloads):
         rows = []
-        for spec, _row, payload in payloads:
+        for spec, _verdict, payload in payloads:
             if spec.kind == "solve":
                 err = float(abs(payload.y0[0] - target_y0))
-                rows.append({
-                    "check": "acceptance:y0",
-                    "outcome": "within" if err <= tolerance else "exceeded",
-                    "passed": bool(err <= tolerance),
-                    "value": float(payload.y0[0]),
-                    "detail": (
-                        f"|Y_0 - ({target_y0})| = {err:.6f} (tolerance {tolerance})"
-                    ),
-                })
+                detail = f"|Y_0 - ({target_y0})| = {err:.6f} (tolerance {tolerance})"
+                rows.append(_bound_row("acceptance:y0", err, tolerance, payload.y0[0], detail))
         return rows
 
     return extra
@@ -1041,22 +965,17 @@ def _remark34b_config() -> dict:
 def _remark34b_extra(scenario, payloads):
     rows = _y0_acceptance(-1.0, 0.02)(scenario, payloads)
     expected = float(np.exp(-0.5))
-    for spec, _row, payload in payloads:
+    for spec, _verdict, payload in payloads:
         if spec.kind == "comparison-empirical":
             report = payload[0]
             idx = int(np.argmin(np.abs(report.times - 0.5)))
             frac = float(report.violation_fraction[idx])
+            detail = (
+                f"violation fraction {frac:.4f} at t={report.times[idx]:.2f}, "
+                f"expected {expected:.4f} +/- 0.03"
+            )
             err = abs(frac - expected)
-            rows.append({
-                "check": "acceptance:violation-fraction",
-                "outcome": "within" if err <= 0.03 else "exceeded",
-                "passed": bool(err <= 0.03),
-                "value": frac,
-                "detail": (
-                    f"violation fraction {frac:.4f} at t={report.times[idx]:.2f}, "
-                    f"expected {expected:.4f} +/- 0.03"
-                ),
-            })
+            rows.append(_bound_row("acceptance:violation-fraction", err, 0.03, frac, detail))
     return rows
 
 

@@ -93,6 +93,12 @@ def test_terminal_requires_matching_generator_dimension():
         Scenario.from_dict(cfg)
     assert err.value.field_path == "terminal.value"
 
+    # a Brownian component must name one of the brownian_dim coordinates
+    for component in (5, -1):
+        with pytest.raises(ScenarioError) as err:
+            Scenario.from_dict(solve_config(terminal={"kind": "brownian", "component": component}))
+        assert err.value.field_path == "terminal.component", component
+
 
 def test_terminal_without_generator_is_rejected():
     cfg = solve_config()
@@ -493,10 +499,16 @@ def test_cli_exits_two_on_non_finite_config_numbers(tmp_path, capsys, monkeypatc
         ({"kind": "viability", "samples": "many"}, "samples", "expected an integer"),
         ({"kind": "viability", "samples": 0}, "samples", "must be at least 1"),
         ({"kind": "viability", "samples": 250.0}, "samples", "expected an integer"),
+        ({"kind": "comparison", "expect": "certifed"}, "expect", "expected 'certified' or 'falsified'"),
+        ({"kind": "structural", "expect": "certifed"}, "expect", "expected 'certified' or 'falsified'"),
+        ({"kind": "matrix", "expect": "certifed"}, "expect", "expected 'certified' or 'falsified'"),
+        ({"kind": "viability-empirical", "levl": 0.9}, "levl", "not a parameter of the 'viability-empirical'"),
+        ({"kind": "viability", "expect": "certified"}, "expect", "not a parameter of the 'viability'"),
     ],
     ids=[
         "nan-c_max", "inf-threshold", "text-level", "nan-tolerance",
-        "text-samples", "zero-samples", "float-samples",
+        "text-samples", "zero-samples", "float-samples", "comparison-expect",
+        "structural-expect", "matrix-expect", "unknown-key", "viability-expect",
     ],
 )
 def test_cli_exits_two_on_bad_check_parameters(
@@ -517,6 +529,45 @@ def test_cli_exits_two_on_bad_check_parameters(
     assert code == 2
     assert capsys.readouterr().err.startswith(f"config error at checks[1].{field}: {message}")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, field, overrides",
+    [
+        ("solve", "terminal", {"checks": ["simulate", "structural", "solve"]}),
+        (
+            "check-matrix",
+            "target",
+            {
+                "generator": {"kind": "zero", "state_dim": 2},
+                "generator2": {"kind": "zero", "state_dim": 2},
+                "target": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+                "checks": ["simulate", "structural", "matrix"],
+            },
+        ),
+    ],
+    ids=["no-terminal", "matrix-on-a-ball"],
+)
+def test_cli_exits_two_on_a_field_a_check_needs_before_any_work(
+    tmp_path, capsys, monkeypatch, command, field, overrides
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a check whose scenario field is missing reached the work")
+
+    for name in ("simulate_paths", "check_structural", "check_comparison_matrix"):
+        monkeypatch.setattr(bsdelab.cli, name, no_work)
+    cfg = solve_config(**overrides)
+    del cfg["terminal"]
+    with pytest.raises(ScenarioError) as err:
+        run_scenario(cfg, tmp_path / "direct")
+    assert err.value.field_path == field
+    config_path = tmp_path / "scenario.json"
+    config_path.write_text(json.dumps(cfg))
+    code = main([command, "--config", str(config_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error at {field}: the ")
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "direct").exists()
 
 
 def test_cli_format_flag_switches_table_format(tmp_path):
