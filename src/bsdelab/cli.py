@@ -370,6 +370,14 @@ class Scenario:
         if not isinstance(checks_node, list):
             raise ScenarioError("checks", "expected a list")
         checks = [_check_spec(entry, f"checks[{i}]") for i, entry in enumerate(checks_node)]
+        # the scalar comparison route certifies with no constant to cap
+        if generator is not None and generator.state_dim == 1:
+            for i, entry in enumerate(checks_node):
+                if checks[i].kind == "comparison" and isinstance(entry, dict) and "c_max" in entry:
+                    raise ScenarioError(
+                        f"checks[{i}].c_max",
+                        "not a parameter of the scalar 'comparison' route (state_dim 1)",
+                    )
 
         seed = _integer(cfg, "", "seed", 0)
         if seed < 0:

@@ -41,7 +41,7 @@ from .solver import (
     solve_backward,
     solve_backward_many,
 )
-from .stochastic import DrivingPaths, FiniteMarkMeasure
+from .stochastic import DrivingPaths, FiniteMarkMeasure, StreamKey
 
 __all__ = [
     "PointSample",
@@ -169,18 +169,9 @@ class ConditionVerdict:
         return {"lhs": lhs, "rhs": rhs, "violated": lhs > rhs + _TOL}
 
     def to_dict(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "constant": self.constant,
-            "witness": None if self.witness is None else self.witness.to_dict(),
-            "witness_lhs": self.witness_lhs,
-            "witness_rhs": self.witness_rhs,
-            "margin": self.margin,
-            "samples": self.samples,
-            "boundary_samples": self.boundary_samples,
-            "skipped": self.skipped,
-            "detail": self.detail,
-        }
+        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.name != "_replay"}
+        out["witness"] = None if self.witness is None else self.witness.to_dict()
+        return out
 
 
 @dataclass(frozen=True)
@@ -195,6 +186,16 @@ class SampleRanges:
     zero_block_fraction: float = 0.25
 
 
+# Sampler kind k draws on stream step 2**32 - 1 - k, at the top of the
+# 32-bit step range, which no path bundle reaches (a bundle's steps are its
+# time steps 0, 1, ...); each field of a kind draws on its own channel.
+_SAMPLER_KINDS = ("viability", "pair", "ordered", "reversed", "matrix")
+_SAMPLE_FIELDS = (
+    "t", "y", "y_prime", "z", "u", "z_prime", "u_prime", "zero", "zero_prime",
+    "matched", "boundary", "side", "eps", "direction", "du", "du_zero", "rank", "q",
+)
+
+
 class ConditionSampler:
     """Seeded sample generator with boundary concentration.
 
@@ -202,114 +203,125 @@ class ConditionSampler:
     ``boundary_width`` of the relevant boundary (the body's surface for
     viability, small negative parts for orthant-type comparisons, small
     negative eigenvalues for the matrix cone), keeping a 1e-5 offset so
-    Hessian evaluations stay off the nonsmooth locus.  Points are drawn
-    one after another, so each seed fixes the whole stream.
+    Hessian evaluations stay off the nonsmooth locus.  Samples are keyed
+    by (seed, sampler kind, row): each field of row i comes from fixed
+    positions of a counter-based stream, so budgets are prefix-stable --
+    the first k rows of an n-row draw are exactly a k-row draw.
     """
 
     def __init__(self, m: int, d: int, n_atoms: int, seed: int = 0, ranges: SampleRanges | None = None):
         self.m, self.d, self.n_atoms = m, d, n_atoms
         self.ranges = ranges or SampleRanges()
-        self.rng = np.random.default_rng(seed)
+        self.key = StreamKey(seed)
 
-    def _blocks(self):
+    def _draw(self, kind, name, n, shape=(), low=0.0, high=1.0, normal=False):
+        """(n, *shape) draws of one field, uniform on (low, high) or standard
+        normal; row i takes positions [i k, (i + 1) k) of the field's stream,
+        k = prod(shape), whatever n is."""
+        count = n * int(np.prod(shape, dtype=np.int64))
+        step, channel = 2**32 - 1 - _SAMPLER_KINDS.index(kind), _SAMPLE_FIELDS.index(name)
+        if normal:
+            return self.key.normals(step, channel, count).reshape(n, *shape)
+        return low + (high - low) * self.key.uniforms(step, channel, count).reshape(n, *shape)
+
+    def _noise_blocks(self, kind, n, primed=False):
+        """z (n, m, d) and u (n, n_atoms, m) in their boxes, each zeroed on
+        a ``zero_block_fraction`` share of rows."""
         r = self.ranges
-        z = self.rng.uniform(-r.z_box, r.z_box, size=(self.m, self.d))
-        u = self.rng.uniform(-r.u_box, r.u_box, size=(self.n_atoms, self.m))
-        if self.rng.uniform() < r.zero_block_fraction:
-            z = np.zeros_like(z)
-        if self.rng.uniform() < r.zero_block_fraction:
-            u = np.zeros_like(u)
+        suffix = "_prime" if primed else ""
+        z = self._draw(kind, "z" + suffix, n, (self.m, self.d), -r.z_box, r.z_box)
+        u = self._draw(kind, "u" + suffix, n, (self.n_atoms, self.m), -r.u_box, r.u_box)
+        zero = self._draw(kind, "zero" + suffix, n, (2,)) < r.zero_block_fraction
+        z[zero[:, 0]] = 0.0
+        u[zero[:, 1]] = 0.0
         return z, u
 
-    def _empty(self, n: int, primed: bool) -> SampleBatch:
-        m, d, j = self.m, self.d, self.n_atoms
-        shapes = [(n, m), (n, m, d), (n, j, m)] * (2 if primed else 1)
-        return SampleBatch(np.empty(n), *(np.empty(shape) for shape in shapes))
-
-    def _near_boundary_y(self, body: ConvexBody) -> np.ndarray:
-        r = self.ranges
-        x = self.rng.uniform(-r.y_box, r.y_box, size=self.m)
-        p = body.project(x)
-        offset = x - p
-        norm = np.linalg.norm(offset)
-        if norm < 1e-9:
-            direction = self.rng.normal(size=self.m)
-            direction /= np.linalg.norm(direction)
-        else:
-            direction = offset / norm
-        side = 1.0 if self.rng.uniform() < 0.5 else -1.0
-        eps = self.rng.uniform(1e-5, r.boundary_width)
-        return p + side * eps * direction
+    def _matched(self, kind, out: SampleBatch) -> SampleBatch:
+        """Copy the unprimed z and u blocks into the primed ones on a
+        ``zero_block_fraction`` share of rows: matched primed blocks
+        isolate the state-difference terms."""
+        same = self._draw(kind, "matched", len(out)) < self.ranges.zero_block_fraction
+        out.z_prime[same], out.u_prime[same] = out.z[same], out.u[same]
+        return out
 
     def viability(self, body: ConvexBody, n: int) -> SampleBatch:
         r = self.ranges
-        out = self._empty(n, primed=False)
-        for i in range(n):
-            if self.rng.uniform() < r.boundary_fraction:
-                out.y[i] = self._near_boundary_y(body)
-            else:
-                out.y[i] = self.rng.uniform(-r.y_box, r.y_box, size=self.m)
-            out.z[i], out.u[i] = self._blocks()
-            out.t[i] = self.rng.uniform(0.0, 1.0)
-        return out
-
-    def _difference_y(self) -> np.ndarray:
-        r = self.ranges
-        y = self.rng.uniform(-r.y_box, r.y_box, size=self.m)
-        if self.rng.uniform() < r.boundary_fraction:
-            neg = y < 0.0
-            y[neg] = -self.rng.uniform(1e-5, r.boundary_width, size=int(neg.sum()))
-        return y
+        kind = "viability"
+        y = self._draw(kind, "y", n, (self.m,), -r.y_box, r.y_box)
+        # boundary rows move to distance eps from their projection, on a
+        # random side, along the offset, or a random direction from inside
+        near = np.flatnonzero(self._draw(kind, "boundary", n) < r.boundary_fraction)
+        x = y[near]
+        p = body.project_batch(x)
+        offset = x - p
+        inside = np.sqrt(_rowdot(offset, offset)) < 1e-9
+        direction = self._draw(kind, "direction", n, (self.m,), normal=True)[near]
+        direction = np.where(inside[:, None], direction, offset)
+        direction /= np.sqrt(_rowdot(direction, direction))[:, None]
+        side = np.where(self._draw(kind, "side", n)[near] < 0.5, 1.0, -1.0)
+        eps = self._draw(kind, "eps", n, (), 1e-5, r.boundary_width)[near]
+        y[near] = p + (side * eps)[:, None] * direction
+        z, u = self._noise_blocks(kind, n)
+        return SampleBatch(self._draw(kind, "t", n), y, z, u)
 
     def pair(self, n: int, ordered_jumps: bool = False, reversed_jumps: bool = False) -> SampleBatch:
-        """Samples for comparison checks; ``ordered_jumps`` forces u >= u'."""
+        """Samples for comparison checks; ``ordered_jumps`` forces u >= u',
+        ``reversed_jumps`` u <= u'."""
         r = self.ranges
-        out = self._empty(n, primed=True)
-        for i in range(n):
-            out.y[i] = self._difference_y()
-            out.y_prime[i] = self.rng.uniform(-r.y_box, r.y_box, size=self.m)
-            z, u = self._blocks()
-            z_prime, u_prime = self._blocks()
-            if ordered_jumps or reversed_jumps:
-                du = self.rng.uniform(0.0, r.u_box, size=(self.n_atoms, self.m))
-                zero = self.rng.uniform(size=du.shape) < 0.3
-                du[zero] = 0.0
-                u = u_prime + du if ordered_jumps else u_prime - du
-            elif self.rng.uniform() < r.zero_block_fraction:
-                # matched primed blocks isolate the state-difference terms
-                z_prime, u_prime = z, u
-            out.z[i], out.u[i], out.z_prime[i], out.u_prime[i] = z, u, z_prime, u_prime
-            out.t[i] = self.rng.uniform(0.0, 1.0)
-        return out
+        kind = "ordered" if ordered_jumps else "reversed" if reversed_jumps else "pair"
+        y = self._draw(kind, "y", n, (self.m,), -r.y_box, r.y_box)
+        # boundary rows pull every negative entry to just below zero
+        near = self._draw(kind, "boundary", n) < r.boundary_fraction
+        small = -self._draw(kind, "eps", n, (self.m,), 1e-5, r.boundary_width)
+        y = np.where(near[:, None] & (y < 0.0), small, y)
+        y_prime = self._draw(kind, "y_prime", n, (self.m,), -r.y_box, r.y_box)
+        z, u = self._noise_blocks(kind, n)
+        z_prime, u_prime = self._noise_blocks(kind, n, primed=True)
+        out = SampleBatch(self._draw(kind, "t", n), y, z, u, y_prime, z_prime, u_prime)
+        if kind == "pair":
+            return self._matched(kind, out)
+        shape = (self.n_atoms, self.m)
+        du = self._draw(kind, "du", n, shape, 0.0, r.u_box)
+        du[self._draw(kind, "du_zero", n, shape) < 0.3] = 0.0
+        return dataclasses.replace(out, u=u_prime + du if ordered_jumps else u_prime - du)
 
     def matrix(self, side: int, n: int) -> SampleBatch:
         """Symmetric-matrix samples in flattened coordinates."""
         r = self.ranges
-        out = self._empty(n, primed=True)
-        for i in range(n):
-            lam = self.rng.uniform(-r.y_box, r.y_box, size=side)
-            lam[np.abs(lam) < 1e-3] = 1e-3
-            if self.rng.uniform() < r.boundary_fraction:
-                k = self.rng.integers(1, side + 1)
-                lam[:k] = -self.rng.uniform(1e-5, r.boundary_width, size=k)
-            q, _ = np.linalg.qr(self.rng.normal(size=(side, side)))
-            out.y[i] = sym_to_vec((q * lam) @ q.T)
-            out.y_prime[i] = sym_to_vec(_random_sym(self.rng, side, r.y_box))
-            out.z[i] = sym_to_vec(_random_sym(self.rng, side, r.z_box))[:, None]
-            out.z_prime[i] = sym_to_vec(_random_sym(self.rng, side, r.z_box))[:, None]
-            for slot in (out.u, out.u_prime):
-                for j in range(self.n_atoms):
-                    slot[i, j] = sym_to_vec(_random_sym(self.rng, side, r.u_box))
-            if self.rng.uniform() < r.zero_block_fraction:
-                # matched primed blocks isolate the state-difference terms
-                out.z_prime[i], out.u_prime[i] = out.z[i], out.u[i]
-            out.t[i] = self.rng.uniform(0.0, 1.0)
-        return out
+        kind = "matrix"
+        lam = self._draw(kind, "y", n, (side,), -r.y_box, r.y_box)
+        lam[np.abs(lam) < 1e-3] = 1e-3
+        # boundary rows get 1..side small negative eigenvalues, leading ones first
+        near = self._draw(kind, "boundary", n) < r.boundary_fraction
+        rank = 1 + np.floor(side * self._draw(kind, "rank", n)).astype(np.int64)
+        small = -self._draw(kind, "eps", n, (side,), 1e-5, r.boundary_width)
+        lam = np.where(near[:, None] & (np.arange(side) < rank[:, None]), small, lam)
+        q, _ = np.linalg.qr(self._draw(kind, "q", n, (side, side), normal=True))
+        square = (side, side)
+
+        def flat(mats):
+            # C order, so each row is evaluated alike in any batch
+            return np.ascontiguousarray(sym_to_vec(mats))
+
+        def sym(name, lead, scale):
+            return flat(_random_sym(self._draw(kind, name, n, lead + square, normal=True), scale))
+
+        out = SampleBatch(
+            self._draw(kind, "t", n),
+            flat((q * lam[:, None, :]) @ np.swapaxes(q, -1, -2)),
+            sym("z", (), r.z_box)[:, :, None],
+            sym("u", (self.n_atoms,), r.u_box),
+            sym("y_prime", (), r.y_box),
+            sym("z_prime", (), r.z_box)[:, :, None],
+            sym("u_prime", (self.n_atoms,), r.u_box),
+        )
+        return self._matched(kind, out)
 
 
-def _random_sym(rng, side, scale):
-    g = rng.normal(size=(side, side)) * scale / 2.0
-    return g + g.T
+def _random_sym(g, scale):
+    """Symmetric matrices (g + g^T) * scale / 2 from stacked square normals g."""
+    g = g * scale / 2.0
+    return g + np.swapaxes(g, -1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +431,13 @@ def _run_certification(
     ineq: _Inequality,
     samples: SampleBatch,
     c_max: float,
-    rng,
+    seed: int,
     refine_rounds: int = 8,
 ) -> ConditionVerdict:
+    # the climbs' random proposals come from a generator of their own, so a
+    # verdict depends on the sample budget only through the samples
+    rng = np.random.default_rng(seed)
+
     def evaluate(batch, phase):
         excess, weight, defined = ineq.excess_weight(batch)
         bad = defined & ~(np.isfinite(excess) & np.isfinite(weight))
@@ -524,16 +540,9 @@ def _run_certification(
                 witness = s.point(0)
                 lhs, rhs = replay(witness)
                 return ConditionVerdict(
-                    outcome="falsified",
-                    witness=witness,
-                    witness_lhs=lhs,
-                    witness_rhs=rhs,
-                    margin=lhs - rhs,
-                    samples=n,
-                    boundary_samples=boundary,
-                    skipped=skipped,
-                    detail=f"violation sustained to weight {w:.2e}",
-                    _replay=replay,
+                    outcome="falsified", witness=witness, witness_lhs=lhs, witness_rhs=rhs,
+                    margin=lhs - rhs, samples=n, boundary_samples=boundary, skipped=skipped,
+                    detail=f"violation sustained to weight {w:.2e}", _replay=replay,
                 )
 
     found = seeded + refined
@@ -543,24 +552,15 @@ def _run_certification(
     sup_c = max(0.0, float(np.max(excess[away] / weight[away]))) if away.any() else 0.0
     worst_margin = float(np.max(margin(excess, weight)))
     if sup_c <= c_max * (1.0 + 1e-12) and worst_margin <= _TOL:
-        return ConditionVerdict(
-            outcome="certified",
-            constant=sup_c,
-            samples=n,
-            boundary_samples=boundary,
-            skipped=skipped,
-            detail=f"largest required constant {sup_c:.6g} within cap {c_max:g}",
-        )
-    return ConditionVerdict(
-        outcome="inconclusive",
-        constant=sup_c,
-        samples=n,
-        boundary_samples=boundary,
-        skipped=skipped,
-        detail=(
+        outcome, detail = "certified", f"largest required constant {sup_c:.6g} within cap {c_max:g}"
+    else:
+        outcome, detail = "inconclusive", (
             f"samples demand a constant near {sup_c:.6g} (cap {c_max:g}) without a "
             "sustained boundary violation; raise the cap or the sample budget"
-        ),
+        )
+    return ConditionVerdict(
+        outcome=outcome, constant=sup_c, samples=n, boundary_samples=boundary,
+        skipped=skipped, detail=detail,
     )
 
 
@@ -633,7 +633,7 @@ def check_viability_condition(
     """Sampled certification of the pointwise viability inequality."""
     sampler = ConditionSampler(gen.state_dim, gen.brownian_dim, gen.marks.n_atoms, seed, ranges)
     samples = sampler.viability(body, n_samples)
-    return _run_certification(_ViabilityInequality(gen, body), samples, c_max, sampler.rng)
+    return _run_certification(_ViabilityInequality(gen, body), samples, c_max, seed)
 
 
 @dataclass(frozen=True)
@@ -729,21 +729,23 @@ def check_comparison_m1(
         gap = float(_m1_gaps(f1, f2, trial)[0])
         if gap < worst:
             worst, worst_sample = gap, trial
+    return _gap_verdict(
+        worst, worst_sample.point(0), n_samples,
+        f"driver gap {worst:.6g} falls below the compensator bound",
+        lambda sample: (-float(_m1_gaps(f1, f2, SampleBatch.of(sample))[0]), 0.0),
+    )
+
+
+def _gap_verdict(worst, witness, n_samples, detail, replay) -> ConditionVerdict:
+    """Verdict on a sampled gap that must stay nonnegative: falsified at
+    ``witness`` when the smallest gap ``worst`` is negative."""
     if worst < -_TOL:
         return ConditionVerdict(
-            outcome="falsified",
-            witness=worst_sample.point(0),
-            witness_lhs=-worst,
-            witness_rhs=0.0,
-            margin=-worst,
-            samples=n_samples,
-            detail=f"driver gap {worst:.6g} falls below the compensator bound",
-            _replay=lambda sample: (-float(_m1_gaps(f1, f2, SampleBatch.of(sample))[0]), 0.0),
+            outcome="falsified", witness=witness, witness_lhs=-worst, witness_rhs=0.0,
+            margin=-worst, samples=n_samples, detail=detail, _replay=replay,
         )
     return ConditionVerdict(
-        outcome="certified",
-        constant=0.0,
-        samples=n_samples,
+        outcome="certified", constant=0.0, samples=n_samples,
         detail=f"smallest sampled slack {worst:.3g}",
     )
 
@@ -849,7 +851,7 @@ def check_comparison_multidim(
         raise ValueError("drivers must share the state dimension")
     sampler = ConditionSampler(f1.state_dim, f1.brownian_dim, f1.marks.n_atoms, seed, ranges)
     samples = sampler.pair(n_samples)
-    return _run_certification(_ComparisonInequality(f1, f2), samples, c_max, sampler.rng)
+    return _run_certification(_ComparisonInequality(f1, f2), samples, c_max, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -958,27 +960,14 @@ def check_structural(
     first = int(np.argmin(gaps))
     worst = float(gaps.flat[first])
     worst_row, worst_k = divmod(first, gen.state_dim)
-    if worst < -_TOL:
-        monotone = ConditionVerdict(
-            outcome="falsified",
-            witness=samples.point(worst_row),
-            witness_lhs=-worst,
-            witness_rhs=0.0,
-            margin=-worst,
-            samples=n_samples,
-            detail=f"monotonicity fails on component {worst_k}",
-            _replay=lambda s, _k=worst_k: (
-                -float(_monotone_gaps(gen, SampleBatch.of(s))[0, _k]), 0.0
-            ),
-        )
-    else:
-        monotone = ConditionVerdict(
-            outcome="certified", constant=0.0, samples=n_samples,
-            detail=f"smallest sampled slack {worst:.3g}",
-        )
+    monotone = _gap_verdict(
+        worst, samples.point(worst_row), n_samples,
+        f"monotonicity fails on component {worst_k}",
+        lambda s: (-float(_monotone_gaps(gen, SampleBatch.of(s))[0, worst_k]), 0.0),
+    )
 
     quad_samples = sampler.pair(n_samples, reversed_jumps=True)
-    quadratic = _run_certification(_QuadraticClause(gen), quad_samples, c_max, sampler.rng)
+    quadratic = _run_certification(_QuadraticClause(gen), quad_samples, c_max, seed)
 
     diag_u = all(
         probe.u_components(k) <= {k} for k in range(gen.state_dim)
@@ -1055,9 +1044,9 @@ class _MatrixInequality(_Inequality):
             _prime_variants(s, "z", _SCALES),
             _prime_variants(s, "u", _SCALES),
             # random-direction proposals let the climb leave a dead block
-            ("y", [y + sym_to_vec(_random_sym(rng, side, 0.3))]),
-            ("z", [z + sym_to_vec(_random_sym(rng, side, 1.0))[:, None]]),
-            ("y_prime", [y_prime + sym_to_vec(_random_sym(rng, side, 0.2))]),
+            ("y", [y + sym_to_vec(_random_sym(rng.normal(size=(side, side)), 0.3))]),
+            ("z", [z + sym_to_vec(_random_sym(rng.normal(size=(side, side)), 1.0))[:, None]]),
+            ("y_prime", [y_prime + sym_to_vec(_random_sym(rng.normal(size=(side, side)), 0.2))]),
             # single-slot moves find violations hidden behind penalized slots
             _slot_moves(s, "z"),
             _slot_moves(s, "u"),
@@ -1093,7 +1082,7 @@ def check_comparison_matrix(
         raise ValueError("matrix comparison is set up for a single Brownian channel")
     sampler = ConditionSampler(vec_dim, 1, f1.marks.n_atoms, seed, ranges)
     samples = sampler.matrix(side, n_samples)
-    return _run_certification(_MatrixInequality(f1, f2, side), samples, c_max, sampler.rng)
+    return _run_certification(_MatrixInequality(f1, f2, side), samples, c_max, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,17 @@ def poisson_counts(u: np.ndarray, mean: float) -> np.ndarray:
     return np.minimum(counts, cdf.shape[0] - 1).astype(np.int64)
 
 
+def _accumulate(steps: np.ndarray, nodes: np.ndarray) -> None:
+    """nodes[i + 1] = nodes[i] + steps[i] along the leading (time) axis.
+
+    Each step adds one contiguous block of a time-major buffer; the same
+    sums as ``np.cumsum(steps, axis=0)``, which walks every path down a
+    strided column.
+    """
+    for i in range(steps.shape[0]):
+        np.add(nodes[i], steps[i], out=nodes[i + 1])
+
+
 @dataclass(frozen=True)
 class DrivingPaths:
     """Simulated noise bundle on a fixed grid.
@@ -188,7 +199,7 @@ class DrivingPaths:
             cum = np.zeros(
                 (self.grid.n_steps + 1, self.n_paths, self.marks.n_atoms), dtype=np.int64
             )
-            np.cumsum(self.jump_counts.transpose(1, 0, 2), axis=0, out=cum[1:])
+            _accumulate(self.jump_counts.transpose(1, 0, 2), cum)
             object.__setattr__(self, "count_nodes", cum.transpose(1, 0, 2))
 
     @property
@@ -246,7 +257,7 @@ def simulate_paths(
             counts[i, :, j] = poisson_counts(u, h[i] * marks.weights[j])
 
     W = np.zeros((n_steps + 1, n_paths, d))
-    np.cumsum(dW, axis=0, out=W[1:])
+    _accumulate(dW, W)
     return DrivingPaths(
         grid=grid, marks=marks,
         brownian=W.transpose(1, 0, 2), jump_counts=counts.transpose(1, 0, 2),

@@ -504,11 +504,13 @@ def test_cli_exits_two_on_non_finite_config_numbers(tmp_path, capsys, monkeypatc
         ({"kind": "matrix", "expect": "certifed"}, "expect", "expected 'certified' or 'falsified'"),
         ({"kind": "viability-empirical", "levl": 0.9}, "levl", "not a parameter of the 'viability-empirical'"),
         ({"kind": "viability", "expect": "certified"}, "expect", "not a parameter of the 'viability'"),
+        ({"kind": "comparison", "c_max": 1e-9}, "c_max", "not a parameter of the scalar 'comparison'"),
     ],
     ids=[
         "nan-c_max", "inf-threshold", "text-level", "nan-tolerance",
         "text-samples", "zero-samples", "float-samples", "comparison-expect",
         "structural-expect", "matrix-expect", "unknown-key", "viability-expect",
+        "scalar-comparison-c_max",
     ],
 )
 def test_cli_exits_two_on_bad_check_parameters(
@@ -529,6 +531,20 @@ def test_cli_exits_two_on_bad_check_parameters(
     assert code == 2
     assert capsys.readouterr().err.startswith(f"config error at checks[1].{field}: {message}")
     assert not (tmp_path / "out").exists()
+
+
+def test_comparison_c_max_is_refused_only_when_given_on_the_scalar_route():
+    scalar = solve_config(generator2={"kind": "zero", "state_dim": 1}, checks=["comparison"])
+    assert Scenario.from_dict(scalar).checks[0].params["c_max"] == 500.0
+    multidim = solve_config(
+        generator={"kind": "zero", "state_dim": 2}, generator2={"kind": "zero", "state_dim": 2},
+        terminal=None, checks=[{"kind": "comparison", "c_max": 50.0}],
+    )
+    assert Scenario.from_dict(multidim).checks[0].params["c_max"] == 50.0
+    scalar["checks"] = [{"kind": "solve"}, {"kind": "comparison", "c_max": 500.0}]
+    with pytest.raises(ScenarioError) as err:
+        Scenario.from_dict(scalar)
+    assert err.value.field_path == "checks[1].c_max"
 
 
 @pytest.mark.parametrize(

@@ -29,10 +29,12 @@ from bsdelab.conditions import (
     viability_path_report,
 )
 from bsdelab.conditions import (
+    _SLOTS,
     _ComparisonInequality,
     _MatrixInequality,
     _QuadraticClause,
     _ViabilityInequality,
+    _run_certification,
 )
 from bsdelab.generators import AffineGen, Generator, ProjectionDriftGen, ScaledJumpGen, ZeroGen
 from bsdelab.geometry import (
@@ -632,11 +634,65 @@ def test_engine_rejects_non_finite_evaluations():
 
 def test_sampler_is_deterministic_per_seed():
     ball = Ball(np.zeros(2), 1.0)
+    push = AffineGen(
+        np.zeros((2, 2)), np.zeros((2, 2, 2)), np.zeros((2, 2, 2)),
+        np.array([1.0, 0.0]), brownian_dim=2, marks=MARKS2,
+    )
+    for gen in (ProjectionDriftGen(ball, brownian_dim=2, marks=MARKS2), push):
+        v1 = check_viability_condition(gen, ball, n_samples=400, seed=42)
+        v2 = check_viability_condition(gen, ball, n_samples=400, seed=42)
+        assert v1.to_dict() == v2.to_dict()
+    assert v1.falsified and v1.witness is not None
+
+
+def _assert_same_batch(a, b):
+    assert len(a) == len(b)
+    for name in ("t", *_SLOTS):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
+# (state dimension, draw); PsdCone(2) and 2 x 2 matrices flatten to dimension 3
+SAMPLER_DRAWS = {
+    "viability-ball": (2, lambda s, n: s.viability(Ball(np.zeros(2), 1.0), n)),
+    "viability-psd": (3, lambda s, n: s.viability(PsdCone(2), n)),
+    "pair": (2, lambda s, n: s.pair(n)),
+    "pair-ordered": (2, lambda s, n: s.pair(n, ordered_jumps=True)),
+    "pair-reversed": (2, lambda s, n: s.pair(n, reversed_jumps=True)),
+    "matrix": (3, lambda s, n: s.matrix(2, n)),
+}
+
+
+@pytest.mark.parametrize("m,draw", SAMPLER_DRAWS.values(), ids=SAMPLER_DRAWS.keys())
+def test_sample_budgets_are_prefix_stable(m, draw):
+    full = draw(ConditionSampler(m, 1, 2, seed=11), 4000)
+    head = draw(ConditionSampler(m, 1, 2, seed=11), 2000)
+    _assert_same_batch(full.take(np.arange(2000)), head)
+
+
+def test_verdict_depends_on_the_budget_only_through_the_samples():
+    ball = Ball(np.zeros(2), 1.0)
     gen = ProjectionDriftGen(ball, brownian_dim=2, marks=MARKS2)
-    v1 = check_viability_condition(gen, ball, n_samples=400, seed=42)
-    v2 = check_viability_condition(gen, ball, n_samples=400, seed=42)
-    assert v1.outcome == v2.outcome
-    assert v1.constant == v2.constant
+    verdict = check_viability_condition(gen, ball, n_samples=300, seed=3)
+    samples = ConditionSampler(2, 2, 2, seed=3).viability(ball, 600).take(np.arange(300))
+    again = _run_certification(_ViabilityInequality(gen, ball), samples, 100.0, 3)
+    assert verdict.to_dict() == again.to_dict()
+
+
+def test_structural_ordered_and_reversed_draws_differ():
+    sampler = ConditionSampler(2, 1, 1, seed=1)
+    ordered = sampler.pair(500, ordered_jumps=True)
+    reversed_ = sampler.pair(500, reversed_jumps=True)
+    for name in ("t", "y", "y_prime"):
+        a, b = getattr(ordered, name), getattr(reversed_, name)
+        assert not np.any((a == b).reshape(len(a), -1).all(axis=1)), name
+    for name in ("z", "z_prime", "u_prime"):  # rows of zeroed blocks may agree
+        assert not np.array_equal(getattr(ordered, name), getattr(reversed_, name)), name
+    assert np.all(ordered.u >= ordered.u_prime) and np.all(reversed_.u <= reversed_.u_prime)
+    # each kind is one stream: a second draw of the same kind repeats it
+    _assert_same_batch(sampler.pair(500, ordered_jumps=True), ordered)
 
 
 def test_sampler_concentrates_near_boundary():

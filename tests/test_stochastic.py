@@ -138,6 +138,22 @@ class TestSimulation:
         assert np.array_equal(paths.count_nodes[:, 1:, :], recon)
         assert np.all(paths.count_nodes[:, 0, :] == 0)
 
+    def test_per_step_accumulation_matches_cumsum_bytes(self):
+        grid = TimeGrid.uniform(1.0, 7)
+        marks = FiniteMarkMeasure(atoms=[[1.0], [-1.0]], weights=[1.0, 0.5])
+        paths = simulate_paths(grid, marks, 2, 300, seed=21)
+        key, h = StreamKey(21), grid.steps
+        dW = np.stack([
+            np.stack([np.sqrt(h[i]) * key.normals(i, c, 300) for c in range(2)], axis=1)
+            for i in range(7)
+        ])
+        W = np.zeros((8, 300, 2))
+        np.cumsum(dW, axis=0, out=W[1:])
+        assert paths.brownian.tobytes() == W.transpose(1, 0, 2).tobytes()
+        counts = np.zeros((8, 300, 2), dtype=np.int64)
+        np.cumsum(paths.jump_counts.transpose(1, 0, 2), axis=0, out=counts[1:])
+        assert paths.count_nodes.tobytes() == counts.transpose(1, 0, 2).tobytes()
+
     def test_state_concatenates_brownian_and_counts(self):
         grid = TimeGrid.uniform(1.0, 3)
         paths = simulate_paths(grid, unit_marks(), 2, 10, seed=4)
