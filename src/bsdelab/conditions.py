@@ -299,16 +299,13 @@ class ConditionSampler:
         q, _ = np.linalg.qr(self._draw(kind, "q", n, (side, side), normal=True))
         square = (side, side)
 
-        def flat(mats):
-            # C order, so each row is evaluated alike in any batch
-            return np.ascontiguousarray(sym_to_vec(mats))
-
         def sym(name, lead, scale):
-            return flat(_random_sym(self._draw(kind, name, n, lead + square, normal=True), scale))
+            draw = self._draw(kind, name, n, lead + square, normal=True)
+            return sym_to_vec(_random_sym(draw, scale))
 
         out = SampleBatch(
             self._draw(kind, "t", n),
-            flat((q * lam[:, None, :]) @ np.swapaxes(q, -1, -2)),
+            sym_to_vec((q * lam[:, None, :]) @ np.swapaxes(q, -1, -2)),
             sym("z", (), r.z_box)[:, :, None],
             sym("u", (self.n_atoms,), r.u_box),
             sym("y_prime", (), r.y_box),

@@ -435,11 +435,12 @@ def _sym_map(side: int):
 def sym_to_vec(mat: np.ndarray) -> np.ndarray:
     """Flatten symmetric matrices isometrically (off-diagonals scaled by sqrt 2).
 
-    Accepts one matrix or a stack of shape (..., side, side).
+    Accepts one matrix or a stack of shape (..., side, side).  The result is
+    C-ordered, so a driver evaluates each of its rows alike in any batch.
     """
     mat = np.asarray(mat, dtype=float)
     rows, cols, scale, _, _ = _sym_map(mat.shape[-1])
-    return mat[..., rows, cols] * scale
+    return np.ascontiguousarray(mat[..., rows, cols] * scale)
 
 
 def vec_to_sym(vec: np.ndarray, side: int) -> np.ndarray:

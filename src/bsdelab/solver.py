@@ -10,12 +10,13 @@ scheme is exact up to Monte Carlo noise in the fitted coefficients.
 
 from __future__ import annotations
 
+import concurrent.futures
 import sys
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, svd
 
 from .generators import Generator, ZeroGen
 from .stochastic import DrivingPaths, FiniteMarkMeasure, compensated_increment
@@ -100,14 +101,15 @@ class RegressionBasis:
             raise ValueError("basis degree must be nonnegative")
 
     def design_matrix(self, features: np.ndarray) -> np.ndarray:
-        features = np.asarray(features, dtype=float)
-        std = features.std(axis=0)
+        # feature-major, so that each feature's mean and std are pairwise sums
+        # over one contiguous row (a strided axis-0 sum adds row after row)
+        rows = np.ascontiguousarray(np.asarray(features, dtype=float).T)
+        mean, std = rows.mean(axis=1), rows.std(axis=1)
         live = std > 0.0
-        n = features.shape[0]
+        n = rows.shape[1]
         if not live.any():
             return np.ones((n, 1))
-        centered = (features[:, live] - features[:, live].mean(axis=0)) / std[live]
-        centered = np.ascontiguousarray(centered.T)
+        centered = (rows[live] - mean[live, None]) / std[live, None]
         powers = _monomial_powers(int(live.sum()), self.degree)
         # built column-major, each distinct power of a feature computed once;
         # a column multiplies its factors in ascending feature order
@@ -131,15 +133,19 @@ class RegressionDiagnostics:
 
 
 class _StepRegression:
-    """Economy SVD of one step's design, reused across all targets."""
+    """Economy SVD of one step's design, reused across all targets.
+
+    The SVD works in the design's own buffer, which it overwrites.
+    """
 
     def __init__(self, design: np.ndarray, step: int):
-        u, s, _ = np.linalg.svd(design, full_matrices=False)
+        # gesdd makes no copy of a Fortran-ordered design and returns a
+        # Fortran-ordered u; the fit's BLAS kernel, and so its last bits,
+        # depend on that order (a C-ordered u takes another kernel)
+        u, s, _ = svd(design, full_matrices=False, overwrite_a=True, check_finite=False)
         keep = s > s[0] * _COLLINEAR_RTOL
-        # u[:, keep] is a Fortran-ordered copy even when every column is kept;
-        # fitting on the C-ordered u would save that copy, but BLAS then takes
-        # another kernel, whose last bits differ on some designs (20000 x 6)
-        self.basis = u[:, keep]
+        # u itself when every column is kept; u[:, keep] copies, Fortran-ordered
+        self.basis = u if keep.all() else u[:, keep]
         condition = float(s[0] / s[keep][-1])
         if condition > _MAX_CONDITION:
             raise SolverError(
@@ -286,7 +292,9 @@ def solve_backward_many(
     step-i regression depends only on the state (W, N) at t_i, not on the
     equation, so each step builds one design and one SVD and fits every
     problem's targets on it.  Each solution equals a solve of its problem
-    alone, bit for bit; ``mode`` is as in :func:`solve_backward`.
+    alone, bit for bit; ``mode`` is as in :func:`solve_backward`.  The next
+    step's design and SVD are built on a worker thread, which ends with the
+    call.
     """
     if basis is None:
         basis = RegressionBasis()
@@ -323,17 +331,28 @@ def solve_backward_many(
         us.append(np.empty((N, n, J, m)))
     regression = []
 
-    for i in range(N - 1, -1, -1):
-        h = steps[i]
-        reg = _StepRegression(basis.design_matrix(paths.state(i)), step=i)
-        regression.append(reg.diagnostics)
-        dw = paths.brownian_increments(i)
-        comp = compensated_increment(paths.jump_counts[:, i, :], h, marks)
-        for (gen, _), y, z, u, where in zip(problems, ys, zs, us, wheres):
-            _problem_step(
-                gen, y, z, u, i, h, grid.nodes[i], reg, dw, comp, marks, where,
-                mode, fixed_point_tol, fixed_point_max_iter,
-            )
+    def step_regression(i):
+        return _StepRegression(basis.design_matrix(paths.state(i)), step=i)
+
+    # the step-i regression reads only the state at t_i, so a worker thread
+    # builds step i - 1's design and SVD while this thread fits and drives
+    # step i; one step at most is in flight, and its error surfaces when the
+    # loop reaches that step
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as worker:
+        ahead = worker.submit(step_regression, N - 1)
+        for i in range(N - 1, -1, -1):
+            reg = ahead.result()
+            if i > 0:
+                ahead = worker.submit(step_regression, i - 1)
+            regression.append(reg.diagnostics)
+            h = steps[i]
+            dw = paths.brownian_increments(i)
+            comp = compensated_increment(paths.jump_counts[:, i, :], h, marks)
+            for (gen, _), y, z, u, where in zip(problems, ys, zs, us, wheres):
+                _problem_step(
+                    gen, y, z, u, i, h, grid.nodes[i], reg, dw, comp, marks, where,
+                    mode, fixed_point_tol, fixed_point_max_iter,
+                )
 
     regression.reverse()
     return [

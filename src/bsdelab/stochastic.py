@@ -154,10 +154,16 @@ def _poisson_cdf_table(mean: float, tail: float = 1e-16, cap: int = 400) -> np.n
 
 
 def poisson_counts(u: np.ndarray, mean: float) -> np.ndarray:
-    """Invert uniforms through the Poisson(mean) CDF."""
+    """Invert uniforms through the Poisson(mean) CDF.
+
+    Uniforms below P(X = 0), most of them at a small mean, give 0 without a
+    search; only the rest are searched in the table.
+    """
     cdf = _poisson_cdf_table(mean)
-    counts = np.searchsorted(cdf, u, side="right")
-    return np.minimum(counts, cdf.shape[0] - 1).astype(np.int64)
+    counts = np.zeros(np.shape(u), dtype=np.int64)
+    fired = u >= cdf[0]
+    counts[fired] = np.minimum(np.searchsorted(cdf, u[fired], side="right"), cdf.shape[0] - 1)
+    return counts
 
 
 def _accumulate(steps: np.ndarray, nodes: np.ndarray) -> None:

@@ -127,6 +127,25 @@ class TestPerRowTimes:
         alone = np.stack([gen(0.4, y[i : i + 1], z[i : i + 1], u[i : i + 1])[0] for i in range(30)])
         assert out.tobytes() == alone.tobytes()
 
+    def test_affine_rows_do_not_depend_on_the_batch_on_raw_sym_to_vec_rows(self):
+        # matrix states as the matrix sampler and climb hand them on
+        rng = np.random.default_rng(13)
+        marks = FiniteMarkMeasure(atoms=[[1.0], [-0.5]], weights=[1.0, 0.5])
+        gen = AffineGen(
+            rng.normal(size=(3, 3)), rng.normal(size=(3, 3, 1)), rng.normal(size=(2, 3, 3)),
+            drift=[0.3, -0.2, 0.1], brownian_dim=1, marks=marks,
+        )
+
+        def sym(*lead):
+            g = rng.normal(size=lead + (2, 2))
+            return sym_to_vec(g + np.swapaxes(g, -1, -2))
+
+        n = 40
+        y, z, u = sym(n), sym(n)[:, :, None], sym(n, 2)
+        out = gen(0.4, y, z, u)
+        alone = np.stack([gen(0.4, y[i : i + 1], z[i : i + 1], u[i : i + 1])[0] for i in range(n)])
+        assert out.tobytes() == alone.tobytes()
+
     def test_time_array_of_wrong_shape_rejected(self):
         gen = ZeroGen(state_dim=2, brownian_dim=1, marks=unit_marks())
         with pytest.raises(ValueError, match="driver time t"):

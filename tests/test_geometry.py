@@ -486,6 +486,13 @@ class TestSymmetricEmbedding:
         assert np.array_equal(vec_to_sym(vecs, side), expected)
         assert np.array_equal(vec_to_sym(vecs[0], side), expected[0])
 
+    @pytest.mark.parametrize("lead", [(), (7,), (5, 3)])
+    def test_embedding_is_c_ordered(self, lead):
+        g = np.random.default_rng(3).normal(size=lead + (3, 3))
+        vecs = sym_to_vec(g + np.swapaxes(g, -1, -2))
+        assert vecs.shape == lead + (6,)
+        assert vecs.flags.c_contiguous
+
     def test_asymmetric_input_rejected(self):
         with pytest.raises(ValueError):
             spectral_split(np.array([[0.0, 1.0], [0.0, 0.0]]))

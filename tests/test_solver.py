@@ -1,3 +1,6 @@
+import math
+import threading
+
 import numpy as np
 import pytest
 
@@ -239,10 +242,12 @@ class TestRegressionMachinery:
     @pytest.mark.parametrize("n_live", [1, 2, 3])
     def test_design_matrix_matches_the_column_loop(self, degree, n_live):
         def column_loop(features):
-            # the design built one column at a time, each power recomputed
-            std = features.std(axis=0)
+            # the design built one column at a time, each power recomputed;
+            # the statistics are reductions over feature-major rows, as in the basis
+            rows = np.ascontiguousarray(features.T)
+            std = rows.std(axis=1)
             live = std > 0.0
-            centered = (features[:, live] - features[:, live].mean(axis=0)) / std[live]
+            centered = (features[:, live] - rows.mean(axis=1)[live]) / std[live]
             powers = _monomial_powers(int(live.sum()), degree)
             design = np.ones((features.shape[0], powers.shape[0]))
             for col, p in enumerate(powers):
@@ -259,6 +264,62 @@ class TestRegressionMachinery:
         expected = column_loop(features)
         assert design.shape == expected.shape
         assert design.tobytes() == expected.tobytes()
+
+    def test_standardized_columns_match_an_fsum_reference(self):
+        # the state (W, N) of a 200k-path bundle; a sum that adds row after
+        # row is off by about 1e-12 in the std of the count feature
+        rng = np.random.default_rng(31)
+        n = 200_000
+        w, counts = rng.normal(size=n), rng.poisson(0.6, size=n).astype(float)
+        design = RegressionBasis(1).design_matrix(np.stack([w, counts], axis=1))
+        for col, x in ((1, w), (2, counts)):
+            mean = math.fsum(x) / n
+            std = math.sqrt(math.fsum((x - mean) ** 2) / n)
+            expected = (x - mean) / std
+            assert np.max(np.abs(design[:, col] - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+    def test_design_bytes_do_not_depend_on_the_feature_layout(self):
+        rng = np.random.default_rng(41)
+        wide = np.empty((5000, 6))
+        wide[:, 0] = rng.normal(size=5000)
+        wide[:, 2] = rng.poisson(0.7, size=5000)
+        wide[:, 4] = 3.0 * rng.normal(size=5000)
+        features = np.ascontiguousarray(wide[:, ::2])
+        basis = RegressionBasis(2)
+        expected = basis.design_matrix(features)
+        layouts = {"F": np.asfortranarray(features), "strided view": wide[:, ::2]}
+        for name, same in layouts.items():
+            assert np.array_equal(same, features)
+            assert basis.design_matrix(same).tobytes() == expected.tobytes(), name
+
+    def test_ill_conditioned_middle_step_raises_there_and_leaves_no_thread(self, monkeypatch):
+        # step 4 is built ahead on the worker thread while step 5 is driven;
+        # its error must surface only when the loop reaches it
+        paths = simulate(n_paths=2_000, n_steps=10, seed=71)
+        bad_state = paths.state(4)
+        original = RegressionBasis.design_matrix
+
+        def near_collinear_at_step_4(self, features):
+            design = np.array(original(self, features), order="F")
+            if np.array_equal(features, bad_state):
+                noise = np.random.default_rng(1).normal(size=design.shape[0])
+                design[:, -1] = design[:, 1] * (1.0 + 1e-13 * noise)
+            return design
+
+        driven = []
+
+        class Recording(ZeroGen):
+            def _eval(self, t, y, z, u):
+                driven.append(round(float(np.max(t)) * 10))
+                return np.zeros_like(y)
+
+        monkeypatch.setattr(RegressionBasis, "design_matrix", near_collinear_at_step_4)
+        gen = Recording(state_dim=1, brownian_dim=1, marks=unit_marks())
+        before = threading.active_count()
+        with pytest.raises(SolverError, match="design at step 4 is ill conditioned"):
+            solve_backward(gen, brownian_terminal(), paths)
+        assert threading.active_count() == before
+        assert driven == [9, 8, 7, 6, 5]
 
 
 def lockstep_problems():

@@ -10,6 +10,7 @@ from bsdelab.stochastic import (
     FiniteMarkMeasure,
     StreamKey,
     TimeGrid,
+    _poisson_cdf_table,
     compensated_increment,
     jump_norm2,
     poisson_counts,
@@ -97,6 +98,20 @@ class TestPoissonInversion:
     def test_zero_mean_like_limit(self):
         u = StreamKey(3).uniforms(0, 0, 1000)
         assert np.all(poisson_counts(u, 1e-12) == 0)
+
+    @pytest.mark.parametrize("mean", [0.02, 0.5, 3.0, 380.0])
+    def test_equals_a_search_over_every_uniform(self, mean):
+        # rows below P(X = 0) skip the search; the table stops at 400 at a
+        # large mean, where the search is capped
+        cdf = _poisson_cdf_table(mean)
+        u = np.concatenate([StreamKey(5).uniforms(0, 0, 50_000), cdf, np.nextafter(cdf, 0.0)])
+        full = np.minimum(np.searchsorted(cdf, u, side="right"), cdf.shape[0] - 1)
+        counts = poisson_counts(u, mean)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, full)
+        assert (counts == 0).any()
+        if mean > 100.0:
+            assert cdf.shape[0] == 401 and (counts == 400).sum() > 5_000
 
 
 class TestSimulation:
