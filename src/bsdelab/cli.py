@@ -26,6 +26,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -86,9 +87,7 @@ class ScenarioError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# config validation helpers
-
-_MISSING = object()
+# config validation: a reader per value, a field table per object
 
 
 def _as_dict(node, path: str) -> dict:
@@ -97,50 +96,100 @@ def _as_dict(node, path: str) -> dict:
     return node
 
 
-def _get(node: dict, path: str, key: str, default=_MISSING):
+def _read(node, path: str, fields: dict, owner: str) -> dict:
+    """The fields of the config object at ``path``, read by their table.
+
+    ``fields`` maps each key the object takes to its reader, called as
+    ``reader(value, field_path)``, or to ``(reader, default)`` for an
+    optional key.  Any other key is refused as not a parameter of ``owner``.
+    """
+    node = _as_dict(node, path)
+    for key in node:
+        if key not in fields:
+            raise ScenarioError(f"{path}.{key}" if path else key, f"not a parameter of {owner}")
+    return {key: _field(node, path, key, spec) for key, spec in fields.items()}
+
+
+def _field(node: dict, path: str, key: str, spec):
+    at = f"{path}.{key}" if path else key
+    reader, *default = spec if isinstance(spec, tuple) else (spec,)
     if key in node:
-        return node[key]
-    if default is _MISSING:
-        raise ScenarioError(f"{path}.{key}" if path else key, "missing required field")
-    return default
+        return reader(node[key], at)
+    if not default:
+        raise ScenarioError(at, "missing required field")
+    return default[0]
 
 
-def _number(node, path, key, default=_MISSING) -> float:
-    v = _get(node, path, key, default)
+def _read_kind(node, path: str, kinds: dict, noun: str) -> tuple[str, dict]:
+    """The ``kind`` of the config object at ``path`` and its other fields,
+    read by the field table that ends the kind's entry in ``kinds``."""
+    kind = _field(_as_dict(node, path), path, "kind", _string)
+    if kind not in kinds:
+        raise ScenarioError(f"{path}.kind", f"unknown {noun} kind {kind!r}")
+    fields = _read(node, path, {"kind": _string, **kinds[kind][-1]}, f"the {kind!r} {noun}")
+    del fields["kind"]
+    return kind, fields
+
+
+def _number(v, path) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ScenarioError(f"{path}.{key}" if path else key, "expected a number")
+        raise ScenarioError(path, "expected a number")
     v = float(v)
     # Python's json reads NaN and Infinity
     if not np.isfinite(v):
-        raise ScenarioError(f"{path}.{key}" if path else key, f"expected a finite number, got {v}")
+        raise ScenarioError(path, f"expected a finite number, got {v}")
     return v
 
 
-def _integer(node, path, key, default=_MISSING) -> int:
-    v = _get(node, path, key, default)
+def _integer(v, path) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
-        raise ScenarioError(f"{path}.{key}" if path else key, "expected an integer")
+        raise ScenarioError(path, "expected an integer")
     return v
 
 
-def _string(node, path, key, default=_MISSING) -> str:
-    v = _get(node, path, key, default)
+def _string(v, path) -> str:
     if not isinstance(v, str):
-        raise ScenarioError(f"{path}.{key}" if path else key, "expected a string")
+        raise ScenarioError(path, "expected a string")
     return v
 
 
-def _array(node, path, key, default=_MISSING) -> np.ndarray:
-    v = _get(node, path, key, default)
+def _array(v, path) -> np.ndarray:
     try:
         arr = np.asarray(v, dtype=float)
     except (TypeError, ValueError):
-        raise ScenarioError(f"{path}.{key}" if path else key, "expected a numeric array") from None
+        raise ScenarioError(path, "expected a numeric array") from None
     if arr.dtype.kind not in "fi" or arr.size == 0:
-        raise ScenarioError(f"{path}.{key}" if path else key, "expected a nonempty numeric array")
+        raise ScenarioError(path, "expected a nonempty numeric array")
     if not np.isfinite(arr).all():
-        raise ScenarioError(f"{path}.{key}" if path else key, "expected finite numbers, got NaN or infinity")
+        raise ScenarioError(path, "expected finite numbers, got NaN or infinity")
     return arr
+
+
+def _at_least(low: int):
+    """A reader of integers of at least ``low``."""
+
+    def read(v, path) -> int:
+        if _integer(v, path) < low:
+            raise ScenarioError(path, f"must be at least {low}" if low else "must be nonnegative")
+        return v
+
+    return read
+
+
+def _choice(*values):
+    """An optional string field taking one of ``values``, the first by default."""
+
+    def read(v, path) -> str:
+        if _string(v, path) not in values:
+            raise ScenarioError(path, "expected " + " or ".join(map(repr, values)))
+        return v
+
+    return read, values[0]
+
+
+def _or_none(reader):
+    """``reader``, with null read as an absent object."""
+    return lambda v, path: None if v is None else reader(v, path)
 
 
 # ---------------------------------------------------------------------------
@@ -152,120 +201,127 @@ def _reported_at(path):
     """Report a component constructor's ``ValueError`` at ``path``."""
     try:
         yield
-    except ScenarioError:
-        raise
     except ValueError as exc:
         raise ScenarioError(path, str(exc)) from None
 
 
-def _build_marks(spec, path) -> FiniteMarkMeasure:
-    spec = _as_dict(spec, path)
-    points = _array(spec, path, "points")
-    weights = _array(spec, path, "weights")
+# each target kind: its constructor, and its fields, which are the
+# constructor's parameters
+_TARGETS = {
+    "ball": (Ball, {"center": _array, "radius": _number}),
+    "box": (Box, {"lower": _array, "upper": _array}),
+    "orthant-product": (OrthantProduct, {"n_plus": _integer, "n_free": _integer}),
+    "psd-cone": (PsdCone, {"side": _integer}),
+    "point-set": (FinitePointSet, {"points": _array}),
+    "halfspaces": (HalfspaceIntersection, {"normals": _array, "offsets": _array}),
+}
+
+
+def _target(spec, path):
+    kind, fields = _read_kind(spec, path, _TARGETS, "target")
     with _reported_at(path):
-        return FiniteMarkMeasure(points, weights)
+        return _TARGETS[kind][0](**fields)
 
 
-def _build_target(spec, path):
-    spec = _as_dict(spec, path)
-    kind = _string(spec, path, "kind")
+def _grid(spec, path) -> TimeGrid:
+    grid = _read(spec, path, {"horizon": _number, "steps": _at_least(1)}, "the grid")
+    if grid["horizon"] <= 0.0:
+        raise ScenarioError(f"{path}.horizon", "must be positive")
+    return TimeGrid.uniform(grid["horizon"], grid["steps"])
+
+
+def _marks(spec, path) -> FiniteMarkMeasure:
+    marks = _read(spec, path, {"points": _array, "weights": _array}, "the marks")
     with _reported_at(path):
-        if kind == "ball":
-            return Ball(_array(spec, path, "center"), _number(spec, path, "radius"))
-        if kind == "box":
-            return Box(_array(spec, path, "lower"), _array(spec, path, "upper"))
-        if kind == "orthant-product":
-            return OrthantProduct(
-                _integer(spec, path, "n_plus"), _integer(spec, path, "n_free")
-            )
-        if kind == "psd-cone":
-            return PsdCone(_integer(spec, path, "side"))
-        if kind == "point-set":
-            return FinitePointSet(_array(spec, path, "points"))
-        if kind == "halfspaces":
-            return HalfspaceIntersection(
-                _array(spec, path, "normals"), _array(spec, path, "offsets")
-            )
-    raise ScenarioError(f"{path}.kind", f"unknown target kind {kind!r}")
+        return FiniteMarkMeasure(marks["points"], marks["weights"])
 
 
-def _build_generator(spec, path, *, brownian_dim, marks, target) -> Generator:
-    spec = _as_dict(spec, path)
-    kind = _string(spec, path, "kind")
-    with _reported_at(path):
-        if kind == "zero":
-            return ZeroGen(_integer(spec, path, "state_dim"), brownian_dim, marks)
-        if kind == "scaled-jump":
-            return ScaledJumpGen(_number(spec, path, "scale"), marks)
-        if kind == "projection-drift":
-            if target is None:
-                raise ScenarioError(path, "projection-drift requires a target set")
-            return ProjectionDriftGen(target, brownian_dim, marks)
-        if kind == "affine":
-            a = _array(spec, path, "a")
-            m = a.shape[0] if a.ndim == 2 else 0
-            if a.ndim != 2 or a.shape != (m, m):
-                raise ScenarioError(f"{path}.a", "expected a square matrix")
-            b = _array(spec, path, "b", np.zeros((m, m, brownian_dim)))
-            c = _array(spec, path, "c", np.zeros((marks.n_atoms, m, m)))
-            drift = _array(spec, path, "drift", np.zeros(m))
-            return AffineGen(a, b, c, drift, brownian_dim, marks)
-    raise ScenarioError(f"{path}.kind", f"unknown generator kind {kind!r}")
+def _square_matrix(v, path) -> np.ndarray:
+    a = _array(v, path)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ScenarioError(path, "expected a square matrix")
+    return a
 
 
-# the state dimension of each terminal kind that reads one coordinate of the
-# driving paths; a ``constant`` terminal takes the generator's
-_TERMINAL_DIMS = {"brownian": 1, "brownian-sign": 1, "counts": 1, "circle-angle": 2}
+def _projection_drift(brownian_dim, marks, target):
+    if target is None:
+        raise ValueError("projection-drift requires a target set")
+    return ProjectionDriftGen(target, brownian_dim, marks)
 
 
-def _build_terminal(spec, path, *, state_dim, brownian_dim, marks) -> TerminalCondition:
-    spec = _as_dict(spec, path)
-    kind = _string(spec, path, "kind")
-    if kind == "constant":
-        value = _array(spec, path, "value")
-        if value.shape != (state_dim,):
-            raise ScenarioError(f"{path}.value", f"expected {state_dim} components")
-        return TerminalCondition(
-            lambda w, n, v=value: np.tile(v, (w.shape[0], 1)), state_dim, "constant terminal value"
-        )
-    if kind not in _TERMINAL_DIMS:
-        raise ScenarioError(f"{path}.kind", f"unknown terminal kind {kind!r}")
-    dim = _TERMINAL_DIMS[kind]
-    if state_dim != dim:
-        raise ScenarioError(
-            path,
-            f"{kind} terminal data is {dim}-dimensional, the generator's state "
-            f"{state_dim}-dimensional",
-        )
-    comp = _integer(spec, path, "component", 0)
-    bound, what = (marks.n_atoms, "atom") if kind == "counts" else (brownian_dim, "Brownian")
-    if not 0 <= comp < bound:
-        raise ScenarioError(f"{path}.component", f"{what} index out of range 0..{bound - 1}")
-    if kind == "brownian-sign":
-        return TerminalCondition(
-            lambda w, n, c=comp: np.where(w[:, c] >= 0.0, 1.0, -1.0),
-            1,
-            f"sign of Brownian coordinate {comp} at the horizon",
-        )
-    if kind == "circle-angle":
-        return TerminalCondition(
-            lambda w, n, c=comp: np.stack([np.cos(w[:, c]), np.sin(w[:, c])], axis=1),
-            2,
-            f"unit-circle point at angle W^{comp}_T",
-        )
-    scale = _number(spec, path, "scale", 1.0)
-    offset = _number(spec, path, "offset", 0.0)
-    if kind == "counts":
-        return TerminalCondition(
-            lambda w, n, c=comp, a=scale, b=offset: a * n[:, c].astype(float) + b,
-            1,
-            f"scaled jump count of atom {comp} at the horizon",
-        )
-    return TerminalCondition(
-        lambda w, n, c=comp, a=scale, b=offset: a * w[:, c] + b,
-        1,
-        f"scaled Brownian coordinate {comp} at the horizon",
+def _affine(brownian_dim, marks, target, a, b, c, drift):
+    m = a.shape[0]
+    return AffineGen(
+        a,
+        np.zeros((m, m, brownian_dim)) if b is None else b,
+        np.zeros((marks.n_atoms, m, m)) if c is None else c,
+        np.zeros(m) if drift is None else drift,
+        brownian_dim, marks,
     )
+
+
+# each generator kind: its constructor, called with the Brownian dimension,
+# the marks, the target set and the kind's fields, and its fields
+_GENERATORS = {
+    "zero": (lambda d, marks, _, state_dim: ZeroGen(state_dim, d, marks), {"state_dim": _integer}),
+    "scaled-jump": (lambda d, marks, _, scale: ScaledJumpGen(scale, marks), {"scale": _number}),
+    "projection-drift": (_projection_drift, {}),
+    "affine": (
+        _affine,
+        {"a": _square_matrix, "b": (_array, None), "c": (_array, None), "drift": (_array, None)},
+    ),
+}
+
+
+def _generator(spec, path, top: dict) -> Generator:
+    kind, fields = _read_kind(spec, path, _GENERATORS, "generator")
+    with _reported_at(path):
+        return _GENERATORS[kind][0](top["brownian_dim"], top["marks"], top["target"], **fields)
+
+
+# each terminal kind: the dimension of its data (None: the generator's state
+# dimension), what its ``component`` indexes (None: it takes none), its payoff
+# of (W_T, N_T) given its fields, its description, and its fields
+_COMPONENT = {"component": (_integer, 0)}
+_SCALED = {**_COMPONENT, "scale": (_number, 1.0), "offset": (_number, 0.0)}
+_TERMINALS = {
+    "constant": (
+        None, None, lambda w, n, value: np.tile(value, (w.shape[0], 1)),
+        "constant terminal value", {"value": _array},
+    ),
+    "brownian": (
+        1, "Brownian", lambda w, n, component, scale, offset: scale * w[:, component] + offset,
+        "scaled Brownian coordinate {component} at the horizon", _SCALED,
+    ),
+    "brownian-sign": (
+        1, "Brownian", lambda w, n, component: np.where(w[:, component] >= 0.0, 1.0, -1.0),
+        "sign of Brownian coordinate {component} at the horizon", _COMPONENT,
+    ),
+    "counts": (
+        1, "atom", lambda w, n, component, scale, offset: scale * n[:, component] + offset,
+        "scaled jump count of atom {component} at the horizon", _SCALED,
+    ),
+    "circle-angle": (
+        2, "Brownian",
+        lambda w, n, component: np.stack([np.cos(w[:, component]), np.sin(w[:, component])], axis=1),
+        "unit-circle point at angle W^{component}_T", _COMPONENT,
+    ),
+}
+
+
+def _terminal(spec, path, state_dim: int, top: dict) -> TerminalCondition:
+    kind, fields = _read_kind(spec, path, _TERMINALS, "terminal")
+    dim, index, payoff, about, _ = _TERMINALS[kind]
+    if dim is None and fields["value"].shape != (state_dim,):
+        raise ScenarioError(f"{path}.value", f"expected {state_dim} components")
+    if dim is not None and dim != state_dim:
+        raise ScenarioError(path, f"{kind} terminal data is {dim}-dimensional, "
+                                  f"the generator's state {state_dim}-dimensional")
+    if index is not None:
+        bound = top["marks"].n_atoms if index == "atom" else top["brownian_dim"]
+        if not 0 <= fields["component"] < bound:
+            raise ScenarioError(f"{path}.component", f"{index} index out of range 0..{bound - 1}")
+    return TerminalCondition(partial(payoff, **fields), state_dim, about.format(**fields))
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +338,53 @@ class CheckSpec:
 
 @dataclass(frozen=True)
 class SolverSettings:
-    paths: int = 10_000
-    basis_degree: int = 2
-    mode: str = "explicit"
+    paths: int
+    basis_degree: int
+    mode: str
+
+
+_SOLVER = {
+    "paths": (_at_least(1), 10_000),
+    "basis_degree": (_at_least(0), 2),
+    "mode": _choice("explicit", "implicit"),
+}
+
+
+def _solver(spec, path) -> SolverSettings:
+    return SolverSettings(**_read(spec, path, _SOLVER, "the solver"))
+
+
+def _check_spec(entry, path) -> CheckSpec:
+    """Read one ``checks`` entry, a kind name or an object, defaults filled in."""
+    if isinstance(entry, str):
+        entry = {"kind": entry}
+    return CheckSpec(*_read_kind(entry, path, _CHECKS, "check"))
+
+
+def _checks(node, path) -> tuple[CheckSpec, ...]:
+    if not isinstance(node, list):
+        raise ScenarioError(path, "expected a list")
+    return tuple(_check_spec(entry, f"{path}[{i}]") for i, entry in enumerate(node))
+
+
+# the generators and terminals are read as objects here and built in
+# ``Scenario.from_dict``, which knows what each is built on
+_SCENARIO = {
+    "schema": _string,
+    "name": (_string, "scenario"),
+    "grid": _grid,
+    "brownian_dim": (_at_least(1), 1),
+    "marks": _marks,
+    "target": (_or_none(_target), None),
+    "generator": (_or_none(_as_dict), None),
+    "terminal": (_or_none(_as_dict), None),
+    "generator2": (_or_none(_as_dict), None),
+    "terminal2": (_or_none(_as_dict), None),
+    "solver": (_solver, _solver({}, "solver")),
+    "checks": (_checks, ()),
+    "seed": (_at_least(0), 0),
+    "output_dir": (_or_none(_string), None),
+}
 
 
 @dataclass
@@ -302,125 +402,41 @@ class Scenario:
     terminal2: TerminalCondition | None
     target: object | None
     solver: SolverSettings
-    checks: list[CheckSpec]
+    checks: tuple[CheckSpec, ...]
     seed: int
     output_dir: str | None
 
     @classmethod
     def from_dict(cls, cfg) -> "Scenario":
-        cfg = _as_dict(cfg, "<config>")
-        schema = _string(cfg, "", "schema")
-        if schema != SCENARIO_SCHEMA:
-            raise ScenarioError("schema", f"expected {SCENARIO_SCHEMA!r}, got {schema!r}")
-        name = _string(cfg, "", "name", "scenario")
-        grid_spec = _as_dict(_get(cfg, "", "grid"), "grid")
-        horizon = _number(grid_spec, "grid", "horizon")
-        steps = _integer(grid_spec, "grid", "steps")
-        if horizon <= 0.0:
-            raise ScenarioError("grid.horizon", "must be positive")
-        if steps < 1:
-            raise ScenarioError("grid.steps", "must be at least 1")
-        grid = TimeGrid.uniform(horizon, steps)
-        brownian_dim = _integer(cfg, "", "brownian_dim", 1)
-        if brownian_dim < 1:
-            raise ScenarioError("brownian_dim", "must be at least 1")
-        marks = _build_marks(_get(cfg, "", "marks"), "marks")
-        target = None
-        if cfg.get("target") is not None:
-            target = _build_target(cfg["target"], "target")
-
+        top = _read(_as_dict(cfg, "<config>"), "", _SCENARIO, "the scenario")
+        if top["schema"] != SCENARIO_SCHEMA:
+            raise ScenarioError("schema", f"expected {SCENARIO_SCHEMA!r}, got {top['schema']!r}")
         # generator and terminal, then the second problem's pair
-        drivers = {}
         for gen_key, term_key in (("generator", "terminal"), ("generator2", "terminal2")):
-            gen = term = None
-            if cfg.get(gen_key) is not None:
-                gen = _build_generator(
-                    cfg[gen_key], gen_key, brownian_dim=brownian_dim, marks=marks, target=target
-                )
-            if cfg.get(term_key) is not None:
-                if gen is None:
+            if top[gen_key] is not None:
+                top[gen_key] = _generator(top[gen_key], gen_key, top)
+            if top[term_key] is not None:
+                if top[gen_key] is None:
                     raise ScenarioError(term_key, f"{term_key} requires {gen_key}")
-                term = _build_terminal(
-                    cfg[term_key], term_key,
-                    state_dim=gen.state_dim, brownian_dim=brownian_dim, marks=marks,
-                )
-            drivers[gen_key], drivers[term_key] = gen, term
-        generator = drivers["generator"]
+                top[term_key] = _terminal(top[term_key], term_key, top[gen_key].state_dim, top)
+        target, generator, generator2 = top["target"], top["generator"], top["generator2"]
         if target is not None and generator is not None and target.dim != generator.state_dim:
+            raise ScenarioError("target", f"target dimension {target.dim} differs from the "
+                                          f"generator's state dimension {generator.state_dim}")
+        if None not in (generator, generator2) and generator2.state_dim != generator.state_dim:
             raise ScenarioError(
-                "target",
-                f"target dimension {target.dim} differs from the generator's "
-                f"state dimension {generator.state_dim}",
+                "generator2", f"the state dimension {generator2.state_dim} differs from the "
+                f"generator's state dimension {generator.state_dim}",
             )
 
-        solver_spec = _as_dict(cfg.get("solver", {}), "solver")
-        solver = SolverSettings(
-            paths=_integer(solver_spec, "solver", "paths", 10_000),
-            basis_degree=_integer(solver_spec, "solver", "basis_degree", 2),
-            mode=_string(solver_spec, "solver", "mode", "explicit"),
-        )
-        if solver.paths < 1:
-            raise ScenarioError("solver.paths", "must be at least 1")
-        if solver.basis_degree < 0:
-            raise ScenarioError("solver.basis_degree", "must be nonnegative")
-        if solver.mode not in ("explicit", "implicit"):
-            raise ScenarioError("solver.mode", "expected 'explicit' or 'implicit'")
-
-        checks_node = cfg.get("checks", [])
-        if not isinstance(checks_node, list):
-            raise ScenarioError("checks", "expected a list")
-        checks = [_check_spec(entry, f"checks[{i}]") for i, entry in enumerate(checks_node)]
         # the scalar comparison route certifies with no constant to cap
         if generator is not None and generator.state_dim == 1:
-            for i, entry in enumerate(checks_node):
-                if checks[i].kind == "comparison" and isinstance(entry, dict) and "c_max" in entry:
-                    raise ScenarioError(
-                        f"checks[{i}].c_max",
-                        "not a parameter of the scalar 'comparison' route (state_dim 1)",
-                    )
-
-        seed = _integer(cfg, "", "seed", 0)
-        if seed < 0:
-            raise ScenarioError("seed", "must be nonnegative")
-        output_dir = cfg.get("output_dir")
-        if output_dir is not None and not isinstance(output_dir, str):
-            raise ScenarioError("output_dir", "expected a string")
-        return cls(
-            raw=cfg, name=name, grid=grid, brownian_dim=brownian_dim, marks=marks,
-            target=target, solver=solver, checks=checks, seed=seed, output_dir=output_dir,
-            **drivers,
-        )
-
-
-def _check_spec(entry, path) -> CheckSpec:
-    """Validate one ``checks`` entry against its kind and fill in the defaults."""
-    if isinstance(entry, str):
-        entry = {"kind": entry}
-    entry = _as_dict(entry, path)
-    kind = _string(entry, path, "kind")
-    if kind not in _CHECKS:
-        raise ScenarioError(f"{path}.kind", f"unknown check kind {kind!r}")
-    check = _CHECKS[kind]
-    accepted = {"kind", *check.params, *(("expect",) if check.expects else ())}
-    for key in entry:
-        if key not in accepted:
-            raise ScenarioError(f"{path}.{key}", f"not a parameter of the {kind!r} check")
-    params = {}
-    for key, default in check.params.items():
-        if key not in entry:
-            params[key] = default
-        elif isinstance(default, int):  # ``samples``, the one integer parameter
-            params[key] = _integer(entry, path, key)
-            if params[key] < 1:
-                raise ScenarioError(f"{path}.{key}", "must be at least 1")
-        else:
-            params[key] = _number(entry, path, key)
-    if check.expects:
-        params["expect"] = _string(entry, path, "expect", check.expects[0])
-        if params["expect"] not in check.expects:
-            allowed = " or ".join(map(repr, check.expects))
-            raise ScenarioError(f"{path}.expect", f"expected {allowed}")
-    return CheckSpec(kind, params)
+            for i, (spec, entry) in enumerate(zip(top["checks"], cfg.get("checks", []))):
+                if spec.kind == "comparison" and isinstance(entry, dict) and "c_max" in entry:
+                    raise ScenarioError(f"checks[{i}].c_max", "not a parameter of the scalar "
+                                        "'comparison' route (state_dim 1)")
+        del top["schema"]
+        return cls(raw=cfg, **top)
 
 
 def load_scenario(path) -> Scenario:
@@ -607,9 +623,7 @@ def _viability(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
     scenario = run.scenario
     verdict = check_viability_condition(
         scenario.generator, scenario.target,
-        n_samples=params["samples"],
-        seed=scenario.seed,
-        c_max=params["c_max"],
+        n_samples=params["samples"], seed=scenario.seed, c_max=params["c_max"],
     )
     threshold = params["threshold"]
     passed = verdict.certified and (threshold is None or verdict.constant <= threshold)
@@ -690,10 +704,7 @@ def _comparison_empirical(run: _ScenarioRun, params: dict, writer: _ArtifactWrit
 def _structural(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
     scenario = run.scenario
     report = check_structural(
-        scenario.generator,
-        n_samples=params["samples"],
-        seed=scenario.seed,
-        c_max=params["c_max"],
+        scenario.generator, n_samples=params["samples"], seed=scenario.seed, c_max=params["c_max"]
     )
     detail = (
         f"diagonal z: {report.diagonal_z}; monotone: {report.monotone.outcome}; "
@@ -708,9 +719,7 @@ def _matrix(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
     scenario = run.scenario
     verdict = check_comparison_matrix(
         scenario.generator, scenario.generator2, scenario.target.side,
-        n_samples=params["samples"],
-        seed=scenario.seed,
-        c_max=params["c_max"],
+        n_samples=params["samples"], seed=scenario.seed, c_max=params["c_max"],
     )
     writer.write_json("matrix_verdict.json", verdict.to_dict())
     detail = verdict.detail or f"constant {verdict.constant}"
@@ -719,43 +728,43 @@ def _matrix(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
 
 
 class _Check(NamedTuple):
-    """One check kind: its runner, the scenario fields it needs, its
-    parameters with their defaults, and its ``expect`` values, the first
-    being the default (a kind with none takes no ``expect``)."""
+    """One check kind: its runner, the scenario fields it needs, and the
+    field table of its parameters, ``expect`` among them if it takes one."""
 
     run: Callable
     needs: tuple
-    params: dict
-    expects: tuple
+    fields: dict
 
 
-_VERDICT_EXPECTS = ("certified", "falsified")
+_SAMPLES = _at_least(1)
+_VERDICT = _choice("certified", "falsified")
 _CHECKS = {
-    "simulate": _Check(_simulate, (), {}, ()),
-    "solve": _Check(_solve, ("generator", "terminal"), {}, ()),
+    "simulate": _Check(_simulate, (), {}),
+    "solve": _Check(_solve, ("generator", "terminal"), {}),
     "viability": _Check(
         _viability, ("generator", "target"),
-        {"samples": 4000, "c_max": 100.0, "threshold": None}, (),
+        {"samples": (_SAMPLES, 4000), "c_max": (_number, 100.0), "threshold": (_number, None)},
     ),
     "viability-empirical": _Check(
         _viability_empirical, ("generator", "terminal", "target"),
-        {"level": 0.05}, ("within", "exceeds"),
+        {"level": (_number, 0.05), "expect": _choice("within", "exceeds")},
     ),
     "comparison": _Check(
         _comparison, ("generator", "generator2"),
-        {"samples": 3000, "c_max": 500.0}, _VERDICT_EXPECTS,
+        {"samples": (_SAMPLES, 3000), "c_max": (_number, 500.0), "expect": _VERDICT},
     ),
     "comparison-empirical": _Check(
         _comparison_empirical, ("generator", "generator2", "terminal", "terminal2"),
-        {"tolerance": 0.02}, ("ordered", "violated"),
+        {"tolerance": (_number, 0.02), "expect": _choice("ordered", "violated")},
     ),
     "structural": _Check(
-        _structural, ("generator",), {"samples": 2500, "c_max": 500.0}, _VERDICT_EXPECTS,
+        _structural, ("generator",),
+        {"samples": (_SAMPLES, 2500), "c_max": (_number, 500.0), "expect": _VERDICT},
     ),
     # the target must also be a psd-cone, which ``run_scenario`` checks
     "matrix": _Check(
         _matrix, ("generator", "generator2", "target"),
-        {"samples": 3000, "c_max": 500.0}, _VERDICT_EXPECTS,
+        {"samples": (_SAMPLES, 3000), "c_max": (_number, 500.0), "expect": _VERDICT},
     ),
 }
 
@@ -795,17 +804,6 @@ class RunManifest:
         return {"schema": MANIFEST_SCHEMA, **asdict(self)}
 
 
-def _apply_overrides(doc: dict, seed=None, paths=None, steps=None) -> dict:
-    doc = json.loads(json.dumps(doc))
-    if seed is not None:
-        doc["seed"] = seed
-    if paths is not None:
-        doc.setdefault("solver", {})["paths"] = paths
-    if steps is not None:
-        doc.setdefault("grid", {})["steps"] = steps
-    return doc
-
-
 def run_scenario(
     config,
     out_dir=None,
@@ -832,7 +830,13 @@ def run_scenario(
         doc = load_scenario(config).raw
     else:
         doc = _as_dict(config, "<config>")
-    doc = _apply_overrides(doc, seed=seed, paths=paths, steps=steps)
+    doc = json.loads(json.dumps(doc))  # a copy for the overrides
+    if seed is not None:
+        doc["seed"] = seed
+    if paths is not None:
+        doc.setdefault("solver", {})["paths"] = paths
+    if steps is not None:
+        doc.setdefault("grid", {})["steps"] = steps
     scenario = Scenario.from_dict(doc)
 
     selected = scenario.checks
@@ -918,15 +922,11 @@ def _example28_config() -> dict:
     }
 
 
-def _example28_extra(scenario, payloads):
-    rows = []
-    for spec, _verdict, payload in payloads:
-        if spec.kind == "viability-empirical":
-            report, sol = payload
-            worst = float(np.linalg.norm(sol.y, axis=2).mean(axis=0).max())
-            detail = f"max_t mean |Y_t| = {worst:.6f} (bound 1.05)"
-            rows.append(_bound_row("acceptance:ball-norm", worst, 1.05, worst, detail))
-    return rows
+def _ball_norm(payload) -> dict:
+    _report, sol = payload
+    worst = float(np.linalg.norm(sol.y, axis=2).mean(axis=0).max())
+    detail = f"max_t mean |Y_t| = {worst:.6f} (bound 1.05)"
+    return _bound_row("acceptance:ball-norm", worst, 1.05, worst, detail)
 
 
 def _remark34a_config() -> dict:
@@ -944,47 +944,37 @@ def _remark34a_config() -> dict:
     }
 
 
-def _y0_acceptance(target_y0: float, tolerance: float):
-    def extra(scenario, payloads):
-        rows = []
-        for spec, _verdict, payload in payloads:
-            if spec.kind == "solve":
-                err = float(abs(payload.y0[0] - target_y0))
-                detail = f"|Y_0 - ({target_y0})| = {err:.6f} (tolerance {tolerance})"
-                rows.append(_bound_row("acceptance:y0", err, tolerance, payload.y0[0], detail))
-        return rows
+def _y0_within(target_y0: float, tolerance: float):
+    """The row of a ``solve`` check's ``Y_0``, ``within`` when |Y_0 - target_y0| <= tolerance."""
 
-    return extra
+    def row(sol) -> dict:
+        err = float(abs(sol.y0[0] - target_y0))
+        detail = f"|Y_0 - ({target_y0})| = {err:.6f} (tolerance {tolerance})"
+        return _bound_row("acceptance:y0", err, tolerance, sol.y0[0], detail)
+
+    return row
 
 
 def _remark34b_config() -> dict:
-    cfg = _remark34a_config()
-    cfg["name"] = "remark34b"
-    cfg["generator"] = {"kind": "scaled-jump", "scale": 2.0}
-    cfg["generator2"] = {"kind": "zero", "state_dim": 1}
-    cfg["terminal2"] = {"kind": "constant", "value": [0.0]}
-    cfg["checks"] = [
-        {"kind": "solve"},
-        {"kind": "comparison-empirical", "expect": "violated"},
-    ]
-    return cfg
+    return {
+        **_remark34a_config(),
+        "name": "remark34b",
+        "generator": {"kind": "scaled-jump", "scale": 2.0},
+        "generator2": {"kind": "zero", "state_dim": 1},
+        "terminal2": {"kind": "constant", "value": [0.0]},
+        "checks": [{"kind": "solve"}, {"kind": "comparison-empirical", "expect": "violated"}],
+    }
 
 
-def _remark34b_extra(scenario, payloads):
-    rows = _y0_acceptance(-1.0, 0.02)(scenario, payloads)
-    expected = float(np.exp(-0.5))
-    for spec, _verdict, payload in payloads:
-        if spec.kind == "comparison-empirical":
-            report = payload[0]
-            idx = int(np.argmin(np.abs(report.times - 0.5)))
-            frac = float(report.violation_fraction[idx])
-            detail = (
-                f"violation fraction {frac:.4f} at t={report.times[idx]:.2f}, "
-                f"expected {expected:.4f} +/- 0.03"
-            )
-            err = abs(frac - expected)
-            rows.append(_bound_row("acceptance:violation-fraction", err, 0.03, frac, detail))
-    return rows
+def _violation_fraction(payload) -> dict:
+    report, expected = payload[0], float(np.exp(-0.5))
+    idx = int(np.argmin(np.abs(report.times - 0.5)))
+    frac = float(report.violation_fraction[idx])
+    detail = (
+        f"violation fraction {frac:.4f} at t={report.times[idx]:.2f}, "
+        f"expected {expected:.4f} +/- 0.03"
+    )
+    return _bound_row("acceptance:violation-fraction", abs(frac - expected), 0.03, frac, detail)
 
 
 def _thm25_config() -> dict:
@@ -1003,11 +993,16 @@ def _thm25_config() -> dict:
     }
 
 
+# each preset: its config, and the function of a check's payload that gives
+# its acceptance row, by check kind
 _PRESETS = {
-    "example28": (_example28_config, _example28_extra),
-    "remark34a": (_remark34a_config, _y0_acceptance(0.5, 0.02)),
-    "remark34b": (_remark34b_config, _remark34b_extra),
-    "thm25-demo": (_thm25_config, None),
+    "example28": (_example28_config, {"viability-empirical": _ball_norm}),
+    "remark34a": (_remark34a_config, {"solve": _y0_within(0.5, 0.02)}),
+    "remark34b": (
+        _remark34b_config,
+        {"solve": _y0_within(-1.0, 0.02), "comparison-empirical": _violation_fraction},
+    ),
+    "thm25-demo": (_thm25_config, {}),
 }
 
 PRESET_NAMES = tuple(sorted(_PRESETS))
@@ -1017,10 +1012,13 @@ def reproduce(name: str, out_dir=None, *, fmt="csv", seed=None, paths=None, step
     """Run a named reproduction preset with its pinned configuration."""
     if name not in _PRESETS:
         raise ScenarioError("preset", f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    build, extra = _PRESETS[name]
+    build, rows = _PRESETS[name]
     return run_scenario(
         build(), out_dir, fmt=fmt, seed=seed, paths=paths, steps=steps,
-        extra_acceptance=extra,
+        # one acceptance row for each check of a kind the preset names, in check order
+        extra_acceptance=lambda _scenario, payloads: [
+            rows[spec.kind](payload) for spec, _row, payload in payloads if spec.kind in rows
+        ],
     )
 
 

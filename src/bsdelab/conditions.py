@@ -47,7 +47,6 @@ __all__ = [
     "PointSample",
     "SampleBatch",
     "ConditionVerdict",
-    "SampleRanges",
     "ConditionSampler",
     "viability_lhs_rhs",
     "check_viability_condition",
@@ -174,16 +173,17 @@ class ConditionVerdict:
         return out
 
 
-@dataclass(frozen=True)
-class SampleRanges:
-    """Draw boxes and boundary-concentration policy for the samplers."""
-
-    y_box: float = 5.0
-    z_box: float = 3.0
-    u_box: float = 3.0
-    boundary_fraction: float = 0.3
-    boundary_width: float = 0.1
-    zero_block_fraction: float = 0.25
+# the samplers' draw boxes, y (and y') in [-5, 5] and z and u in [-3, 3];
+# the matrix sampler scales its symmetric draws by them
+_Y_BOX = 5.0
+_Z_BOX = 3.0
+_U_BOX = 3.0
+# the share of rows moved near the boundary, and how near (at most)
+_BOUNDARY_FRACTION = 0.3
+_BOUNDARY_WIDTH = 0.1
+# the share of rows whose z or u block is zeroed, or whose primed blocks
+# copy the unprimed ones
+_ZERO_BLOCK_FRACTION = 0.25
 
 
 # Sampler kind k draws on stream step 2**32 - 1 - k, at the top of the
@@ -199,8 +199,8 @@ _SAMPLE_FIELDS = (
 class ConditionSampler:
     """Seeded sample generator with boundary concentration.
 
-    A ``boundary_fraction`` share of draws lands within
-    ``boundary_width`` of the relevant boundary (the body's surface for
+    A ``_BOUNDARY_FRACTION`` share of draws lands within
+    ``_BOUNDARY_WIDTH`` of the relevant boundary (the body's surface for
     viability, small negative parts for orthant-type comparisons, small
     negative eigenvalues for the matrix cone), keeping a 1e-5 offset so
     Hessian evaluations stay off the nonsmooth locus.  Samples are keyed
@@ -209,9 +209,8 @@ class ConditionSampler:
     the first k rows of an n-row draw are exactly a k-row draw.
     """
 
-    def __init__(self, m: int, d: int, n_atoms: int, seed: int = 0, ranges: SampleRanges | None = None):
+    def __init__(self, m: int, d: int, n_atoms: int, seed: int = 0):
         self.m, self.d, self.n_atoms = m, d, n_atoms
-        self.ranges = ranges or SampleRanges()
         self.key = StreamKey(seed)
 
     def _draw(self, kind, name, n, shape=(), low=0.0, high=1.0, normal=False):
@@ -226,31 +225,29 @@ class ConditionSampler:
 
     def _noise_blocks(self, kind, n, primed=False):
         """z (n, m, d) and u (n, n_atoms, m) in their boxes, each zeroed on
-        a ``zero_block_fraction`` share of rows."""
-        r = self.ranges
+        a ``_ZERO_BLOCK_FRACTION`` share of rows."""
         suffix = "_prime" if primed else ""
-        z = self._draw(kind, "z" + suffix, n, (self.m, self.d), -r.z_box, r.z_box)
-        u = self._draw(kind, "u" + suffix, n, (self.n_atoms, self.m), -r.u_box, r.u_box)
-        zero = self._draw(kind, "zero" + suffix, n, (2,)) < r.zero_block_fraction
+        z = self._draw(kind, "z" + suffix, n, (self.m, self.d), -_Z_BOX, _Z_BOX)
+        u = self._draw(kind, "u" + suffix, n, (self.n_atoms, self.m), -_U_BOX, _U_BOX)
+        zero = self._draw(kind, "zero" + suffix, n, (2,)) < _ZERO_BLOCK_FRACTION
         z[zero[:, 0]] = 0.0
         u[zero[:, 1]] = 0.0
         return z, u
 
     def _matched(self, kind, out: SampleBatch) -> SampleBatch:
         """Copy the unprimed z and u blocks into the primed ones on a
-        ``zero_block_fraction`` share of rows: matched primed blocks
+        ``_ZERO_BLOCK_FRACTION`` share of rows: matched primed blocks
         isolate the state-difference terms."""
-        same = self._draw(kind, "matched", len(out)) < self.ranges.zero_block_fraction
+        same = self._draw(kind, "matched", len(out)) < _ZERO_BLOCK_FRACTION
         out.z_prime[same], out.u_prime[same] = out.z[same], out.u[same]
         return out
 
     def viability(self, body: ConvexBody, n: int) -> SampleBatch:
-        r = self.ranges
         kind = "viability"
-        y = self._draw(kind, "y", n, (self.m,), -r.y_box, r.y_box)
+        y = self._draw(kind, "y", n, (self.m,), -_Y_BOX, _Y_BOX)
         # boundary rows move to distance eps from their projection, on a
         # random side, along the offset, or a random direction from inside
-        near = np.flatnonzero(self._draw(kind, "boundary", n) < r.boundary_fraction)
+        near = np.flatnonzero(self._draw(kind, "boundary", n) < _BOUNDARY_FRACTION)
         x = y[near]
         p = body.project_batch(x)
         offset = x - p
@@ -259,7 +256,7 @@ class ConditionSampler:
         direction = np.where(inside[:, None], direction, offset)
         direction /= np.sqrt(_rowdot(direction, direction))[:, None]
         side = np.where(self._draw(kind, "side", n)[near] < 0.5, 1.0, -1.0)
-        eps = self._draw(kind, "eps", n, (), 1e-5, r.boundary_width)[near]
+        eps = self._draw(kind, "eps", n, (), 1e-5, _BOUNDARY_WIDTH)[near]
         y[near] = p + (side * eps)[:, None] * direction
         z, u = self._noise_blocks(kind, n)
         return SampleBatch(self._draw(kind, "t", n), y, z, u)
@@ -267,34 +264,32 @@ class ConditionSampler:
     def pair(self, n: int, ordered_jumps: bool = False, reversed_jumps: bool = False) -> SampleBatch:
         """Samples for comparison checks; ``ordered_jumps`` forces u >= u',
         ``reversed_jumps`` u <= u'."""
-        r = self.ranges
         kind = "ordered" if ordered_jumps else "reversed" if reversed_jumps else "pair"
-        y = self._draw(kind, "y", n, (self.m,), -r.y_box, r.y_box)
+        y = self._draw(kind, "y", n, (self.m,), -_Y_BOX, _Y_BOX)
         # boundary rows pull every negative entry to just below zero
-        near = self._draw(kind, "boundary", n) < r.boundary_fraction
-        small = -self._draw(kind, "eps", n, (self.m,), 1e-5, r.boundary_width)
+        near = self._draw(kind, "boundary", n) < _BOUNDARY_FRACTION
+        small = -self._draw(kind, "eps", n, (self.m,), 1e-5, _BOUNDARY_WIDTH)
         y = np.where(near[:, None] & (y < 0.0), small, y)
-        y_prime = self._draw(kind, "y_prime", n, (self.m,), -r.y_box, r.y_box)
+        y_prime = self._draw(kind, "y_prime", n, (self.m,), -_Y_BOX, _Y_BOX)
         z, u = self._noise_blocks(kind, n)
         z_prime, u_prime = self._noise_blocks(kind, n, primed=True)
         out = SampleBatch(self._draw(kind, "t", n), y, z, u, y_prime, z_prime, u_prime)
         if kind == "pair":
             return self._matched(kind, out)
         shape = (self.n_atoms, self.m)
-        du = self._draw(kind, "du", n, shape, 0.0, r.u_box)
+        du = self._draw(kind, "du", n, shape, 0.0, _U_BOX)
         du[self._draw(kind, "du_zero", n, shape) < 0.3] = 0.0
         return dataclasses.replace(out, u=u_prime + du if ordered_jumps else u_prime - du)
 
     def matrix(self, side: int, n: int) -> SampleBatch:
         """Symmetric-matrix samples in flattened coordinates."""
-        r = self.ranges
         kind = "matrix"
-        lam = self._draw(kind, "y", n, (side,), -r.y_box, r.y_box)
+        lam = self._draw(kind, "y", n, (side,), -_Y_BOX, _Y_BOX)
         lam[np.abs(lam) < 1e-3] = 1e-3
         # boundary rows get 1..side small negative eigenvalues, leading ones first
-        near = self._draw(kind, "boundary", n) < r.boundary_fraction
+        near = self._draw(kind, "boundary", n) < _BOUNDARY_FRACTION
         rank = 1 + np.floor(side * self._draw(kind, "rank", n)).astype(np.int64)
-        small = -self._draw(kind, "eps", n, (side,), 1e-5, r.boundary_width)
+        small = -self._draw(kind, "eps", n, (side,), 1e-5, _BOUNDARY_WIDTH)
         lam = np.where(near[:, None] & (np.arange(side) < rank[:, None]), small, lam)
         q, _ = np.linalg.qr(self._draw(kind, "q", n, (side, side), normal=True))
         square = (side, side)
@@ -306,11 +301,11 @@ class ConditionSampler:
         out = SampleBatch(
             self._draw(kind, "t", n),
             sym_to_vec((q * lam[:, None, :]) @ np.swapaxes(q, -1, -2)),
-            sym("z", (), r.z_box)[:, :, None],
-            sym("u", (self.n_atoms,), r.u_box),
-            sym("y_prime", (), r.y_box),
-            sym("z_prime", (), r.z_box)[:, :, None],
-            sym("u_prime", (self.n_atoms,), r.u_box),
+            sym("z", (), _Z_BOX)[:, :, None],
+            sym("u", (self.n_atoms,), _U_BOX),
+            sym("y_prime", (), _Y_BOX),
+            sym("z_prime", (), _Z_BOX)[:, :, None],
+            sym("u_prime", (self.n_atoms,), _U_BOX),
         )
         return self._matched(kind, out)
 
@@ -422,6 +417,7 @@ def _point_lhs_rhs(ineq: _Inequality, constant: float):
 
 
 _DESCENT_ALPHAS = np.array([0.5, 0.45, 0.55])
+_REFINE_ROUNDS = 8
 
 
 def _run_certification(
@@ -429,7 +425,6 @@ def _run_certification(
     samples: SampleBatch,
     c_max: float,
     seed: int,
-    refine_rounds: int = 8,
 ) -> ConditionVerdict:
     # the climbs' random proposals come from a generator of their own, so a
     # verdict depends on the sample budget only through the samples
@@ -500,7 +495,7 @@ def _run_certification(
         for i in pool
     ]
     seeded.sort(key=lambda c: margin(c[1], c[2]), reverse=True)
-    refined = [climb(cand, refine_rounds, "refine") for cand in seeded[:8]]
+    refined = [climb(cand, _REFINE_ROUNDS, "refine") for cand in seeded[:8]]
 
     # sustained-blowup test: a genuine failure keeps its excess above
     # cutoff * weight while the weight is driven to zero
@@ -625,10 +620,9 @@ def check_viability_condition(
     n_samples: int = 4000,
     seed: int = 0,
     c_max: float = 100.0,
-    ranges: SampleRanges | None = None,
 ) -> ConditionVerdict:
     """Sampled certification of the pointwise viability inequality."""
-    sampler = ConditionSampler(gen.state_dim, gen.brownian_dim, gen.marks.n_atoms, seed, ranges)
+    sampler = ConditionSampler(gen.state_dim, gen.brownian_dim, gen.marks.n_atoms, seed)
     samples = sampler.viability(body, n_samples)
     return _run_certification(_ViabilityInequality(gen, body), samples, c_max, seed)
 
@@ -682,12 +676,11 @@ def check_viability_empirical(
     body,
     paths: DrivingPaths,
     basis: RegressionBasis | None = None,
-    mode: str = "explicit",
     tolerance: float = 0.05,
 ) -> tuple[ViabilityPathReport, BsdeSolution]:
-    """Solve the equation on ``paths`` and report it with
+    """Solve the equation on ``paths`` (explicit steps) and report it with
     :func:`viability_path_report`."""
-    sol = solve_backward(gen, terminal, paths, basis=basis, mode=mode)
+    sol = solve_backward(gen, terminal, paths, basis=basis)
     return viability_path_report(sol, body, tolerance), sol
 
 
@@ -840,13 +833,12 @@ def check_comparison_multidim(
     n_samples: int = 4000,
     seed: int = 0,
     c_max: float = 500.0,
-    ranges: SampleRanges | None = None,
 ) -> ConditionVerdict:
     """Sampled certification of the componentwise comparison inequality."""
     _require_matching_noise(f1, f2)
     if f1.state_dim != f2.state_dim:
         raise ValueError("drivers must share the state dimension")
-    sampler = ConditionSampler(f1.state_dim, f1.brownian_dim, f1.marks.n_atoms, seed, ranges)
+    sampler = ConditionSampler(f1.state_dim, f1.brownian_dim, f1.marks.n_atoms, seed)
     samples = sampler.pair(n_samples)
     return _run_certification(_ComparisonInequality(f1, f2), samples, c_max, seed)
 
@@ -1068,7 +1060,6 @@ def check_comparison_matrix(
     n_samples: int = 3000,
     seed: int = 0,
     c_max: float = 500.0,
-    ranges: SampleRanges | None = None,
 ) -> ConditionVerdict:
     """Comparison certification for semidefinite-ordered matrix solutions."""
     _require_matching_noise(f1, f2)
@@ -1077,7 +1068,7 @@ def check_comparison_matrix(
         raise ValueError(f"matrix drivers must act on flattened dimension {vec_dim}")
     if f1.brownian_dim != 1:
         raise ValueError("matrix comparison is set up for a single Brownian channel")
-    sampler = ConditionSampler(vec_dim, 1, f1.marks.n_atoms, seed, ranges)
+    sampler = ConditionSampler(vec_dim, 1, f1.marks.n_atoms, seed)
     samples = sampler.matrix(side, n_samples)
     return _run_certification(_MatrixInequality(f1, f2, side), samples, c_max, seed)
 
@@ -1166,12 +1157,9 @@ def empirical_comparison(
     terminal2: TerminalCondition,
     paths: DrivingPaths,
     basis: RegressionBasis | None = None,
-    mode: str = "explicit",
 ) -> tuple[ComparisonPathReport, BsdeSolution, BsdeSolution]:
-    """Solve both equations on ``paths`` in one backward pass and compare
-    them with :func:`comparison_path_report`."""
+    """Solve both equations on ``paths`` in one backward pass (explicit
+    steps) and compare them with :func:`comparison_path_report`."""
     _require_matching_noise(f1, f2)
-    sol1, sol2 = solve_backward_many(
-        [(f1, terminal1), (f2, terminal2)], paths, basis=basis, mode=mode
-    )
+    sol1, sol2 = solve_backward_many([(f1, terminal1), (f2, terminal2)], paths, basis=basis)
     return comparison_path_report(sol1, sol2), sol1, sol2

@@ -183,9 +183,7 @@ class LipschitzReport:
     n_pairs: int
 
 
-def verify_lipschitz(
-    gen: Generator, n_pairs: int = 2000, seed: int = 0, t_max: float = 1.0
-) -> LipschitzReport:
+def verify_lipschitz(gen: Generator, n_pairs: int = 2000, seed: int = 0) -> LipschitzReport:
     """Empirical Lipschitz ratio against the declared bound.
 
     Pairs include block-isolated perturbations (only y, only z, only u)
@@ -195,7 +193,7 @@ def verify_lipschitz(
     m, d, j = gen.state_dim, gen.brownian_dim, gen.marks.n_atoms
     worst = 0.0
     for k in range(n_pairs):
-        t = rng.uniform(0.0, t_max)
+        t = rng.uniform(0.0, 1.0)
         y1 = rng.uniform(-5.0, 5.0, size=m)
         z1 = rng.uniform(-3.0, 3.0, size=(m, d))
         u1 = rng.uniform(-3.0, 3.0, size=(j, m))
@@ -245,9 +243,12 @@ class DependencyReport:
         return frozenset(comp for _, comp in self.u_slots[k])
 
 
-def dependency_probe(
-    gen: Generator, n_base: int = 6, seed: int = 0, tol: float = 1e-10
-) -> DependencyReport:
+# the probe's base points, and the change of an output that counts as a move
+_PROBE_POINTS = 6
+_PROBE_TOL = 1e-10
+
+
+def dependency_probe(gen: Generator, seed: int = 0) -> DependencyReport:
     """Perturb one scalar slot at a time and record which outputs move."""
     rng = np.random.default_rng(seed)
     m, d, j = gen.state_dim, gen.brownian_dim, gen.marks.n_atoms
@@ -255,7 +256,7 @@ def dependency_probe(
     z_slots = [set() for _ in range(m)]
     u_slots = [set() for _ in range(m)]
     time_dep = False
-    for _ in range(n_base):
+    for _ in range(_PROBE_POINTS):
         t = rng.uniform(0.0, 1.0)
         y = rng.uniform(-5.0, 5.0, size=m)
         z = rng.uniform(-3.0, 3.0, size=(m, d))
@@ -266,23 +267,23 @@ def dependency_probe(
             bumped = y.copy()
             bumped[i] += step
             diff = np.abs(evaluate(gen, t, bumped, z, u) - base)
-            for k in np.flatnonzero(diff > tol):
+            for k in np.flatnonzero(diff > _PROBE_TOL):
                 y_slots[k].add(i)
         for r in range(m):
             for c in range(d):
                 bumped = z.copy()
                 bumped[r, c] += step
                 diff = np.abs(evaluate(gen, t, y, bumped, u) - base)
-                for k in np.flatnonzero(diff > tol):
+                for k in np.flatnonzero(diff > _PROBE_TOL):
                     z_slots[k].add((r, c))
         for atom in range(j):
             for comp in range(m):
                 bumped = u.copy()
                 bumped[atom, comp] += step
                 diff = np.abs(evaluate(gen, t, y, z, bumped) - base)
-                for k in np.flatnonzero(diff > tol):
+                for k in np.flatnonzero(diff > _PROBE_TOL):
                     u_slots[k].add((atom, comp))
-        if np.any(np.abs(evaluate(gen, t + 0.37, y, z, u) - base) > tol):
+        if np.any(np.abs(evaluate(gen, t + 0.37, y, z, u) - base) > _PROBE_TOL):
             time_dep = True
     return DependencyReport(
         y_slots=tuple(frozenset(s) for s in y_slots),

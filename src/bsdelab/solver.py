@@ -38,6 +38,10 @@ __all__ = [
 # is dropped silently; anything between the two thresholds is an error
 _COLLINEAR_RTOL = 1e-14
 _MAX_CONDITION = 1e12
+# the implicit step's fixed point: done when an iterate moves by at most
+# the tolerance, stalled after the iteration cap
+_FIXED_POINT_TOL = 1e-12
+_FIXED_POINT_MAX_ITER = 100
 
 
 class SolverError(RuntimeError):
@@ -218,10 +222,7 @@ def _finite_driver(gen: Generator, t: float, y, z, u, step: int, where: str) -> 
     return out
 
 
-def _problem_step(
-    gen, y, z, u, i, h, t_i, reg, dw, comp, marks, where,
-    mode, fixed_point_tol, fixed_point_max_iter,
-):
+def _problem_step(gen, y, z, u, i, h, t_i, reg, dw, comp, marks, where, mode):
     """One problem's share of step i: its targets, its fit and its driver.
 
     ``y``, ``z`` and ``u`` are the time-major stores (N + 1, n, m),
@@ -245,11 +246,11 @@ def _problem_step(
         y[i] = cond_mean + h * _finite_driver(gen, t_i, cond_mean, z[i], u[i], i, where)
         return
     current = cond_mean.copy()
-    for _ in range(fixed_point_max_iter):
+    for _ in range(_FIXED_POINT_MAX_ITER):
         nxt = cond_mean + h * _finite_driver(gen, t_i, current, z[i], u[i], i, where)
         delta = np.max(np.abs(nxt - current))
         current = nxt
-        if delta <= fixed_point_tol:
+        if delta <= _FIXED_POINT_TOL:
             y[i] = current
             return
     raise SolverError(f"implicit fixed point{where} stalled at step {i}")
@@ -261,8 +262,6 @@ def solve_backward(
     paths: DrivingPaths,
     basis: RegressionBasis | None = None,
     mode: str = "explicit",
-    fixed_point_tol: float = 1e-12,
-    fixed_point_max_iter: int = 100,
 ) -> BsdeSolution:
     """Run the backward induction over a simulated bundle.
 
@@ -271,10 +270,7 @@ def solve_backward(
     one-step fixed point (requires h * Lipschitz < 1).  This is the
     one-problem case of :func:`solve_backward_many`.
     """
-    (sol,) = solve_backward_many(
-        [(gen, terminal)], paths, basis=basis, mode=mode,
-        fixed_point_tol=fixed_point_tol, fixed_point_max_iter=fixed_point_max_iter,
-    )
+    (sol,) = solve_backward_many([(gen, terminal)], paths, basis=basis, mode=mode)
     return sol
 
 
@@ -283,8 +279,6 @@ def solve_backward_many(
     paths: DrivingPaths,
     basis: RegressionBasis | None = None,
     mode: str = "explicit",
-    fixed_point_tol: float = 1e-12,
-    fixed_point_max_iter: int = 100,
 ) -> list[BsdeSolution]:
     """Solve several equations on one bundle in a single backward pass.
 
@@ -349,10 +343,7 @@ def solve_backward_many(
             dw = paths.brownian_increments(i)
             comp = compensated_increment(paths.jump_counts[:, i, :], h, marks)
             for (gen, _), y, z, u, where in zip(problems, ys, zs, us, wheres):
-                _problem_step(
-                    gen, y, z, u, i, h, grid.nodes[i], reg, dw, comp, marks, where,
-                    mode, fixed_point_tol, fixed_point_max_iter,
-                )
+                _problem_step(gen, y, z, u, i, h, grid.nodes[i], reg, dw, comp, marks, where, mode)
 
     regression.reverse()
     return [

@@ -561,8 +561,17 @@ def test_comparison_c_max_is_refused_only_when_given_on_the_scalar_route():
                 "checks": ["simulate", "structural", "matrix"],
             },
         ),
+        (
+            "check-comparison",
+            "generator2",
+            {
+                "generator2": {"kind": "zero", "state_dim": 2},
+                "terminal2": {"kind": "constant", "value": [0.0, 0.0]},
+                "checks": ["comparison"],
+            },
+        ),
     ],
-    ids=["no-terminal", "matrix-on-a-ball"],
+    ids=["no-terminal", "matrix-on-a-ball", "generator2-of-another-dimension"],
 )
 def test_cli_exits_two_on_a_field_a_check_needs_before_any_work(
     tmp_path, capsys, monkeypatch, command, field, overrides
@@ -584,6 +593,68 @@ def test_cli_exits_two_on_a_field_a_check_needs_before_any_work(
     assert capsys.readouterr().err.startswith(f"config error at {field}: the ")
     assert not (tmp_path / "out").exists()
     assert not (tmp_path / "direct").exists()
+
+
+UNIT_BALL = {"kind": "ball", "center": [0.0], "radius": 1.0}
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"seeed": 3}, "seeed"),
+        ({"grid": {"horizon": 1.0, "steps": 5, "step": 5}}, "grid.step"),
+        ({"marks": {"points": [[1.0]], "weights": [1.0], "atoms": [[1.0]]}}, "marks.atoms"),
+        ({"solver": {"paths": 800, "basis_degre": 7}}, "solver.basis_degre"),
+        ({"target": {**UNIT_BALL, "centre": [0.0]}}, "target.centre"),
+        ({"target": {"kind": "box", "lower": [0.0], "upper": [1.0], "uper": [1.0]}}, "target.uper"),
+        (
+            {"target": {"kind": "orthant-product", "n_plus": 1, "n_free": 0, "n_fixed": 0}},
+            "target.n_fixed",
+        ),
+        ({"target": {"kind": "psd-cone", "side": 1, "size": 1}}, "target.size"),
+        ({"target": {"kind": "point-set", "points": [[0.0]], "point": [0.0]}}, "target.point"),
+        (
+            {"target": {"kind": "halfspaces", "normals": [[1.0]], "offsets": [1.0], "offset": 1.0}},
+            "target.offset",
+        ),
+        ({"generator": {"kind": "zero", "state_dim": 1, "dim": 1}}, "generator.dim"),
+        ({"generator": {"kind": "scaled-jump", "scale": 0.5, "scal": 0.5}}, "generator.scal"),
+        (
+            {"target": UNIT_BALL, "generator": {"kind": "projection-drift", "body": "ball"}},
+            "generator.body",
+        ),
+        ({"generator": {"kind": "affine", "a": [[0.0]], "A": [[0.0]]}}, "generator.A"),
+        ({"terminal": {"kind": "constant", "value": [0.0], "values": [0.0]}}, "terminal.values"),
+        ({"terminal": {"kind": "brownian", "scale": 2.0, "shift": 1.0}}, "terminal.shift"),
+        ({"terminal": {"kind": "brownian-sign", "sign": 1}}, "terminal.sign"),
+        ({"terminal": {"kind": "counts", "atom": 0}}, "terminal.atom"),
+        (
+            {
+                "generator": {"kind": "zero", "state_dim": 2},
+                "terminal": {"kind": "circle-angle", "angle": 0},
+            },
+            "terminal.angle",
+        ),
+    ],
+    ids=[
+        "top-level", "grid", "marks", "solver", "ball", "box", "orthant-product", "psd-cone",
+        "point-set", "halfspaces", "zero", "scaled-jump", "projection-drift", "affine",
+        "constant", "brownian", "brownian-sign", "counts", "circle-angle",
+    ],
+)
+def test_cli_exits_two_on_an_unknown_key_in_any_config_object(
+    tmp_path, capsys, monkeypatch, overrides, field
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a config with an unknown key reached the simulator")
+
+    monkeypatch.setattr(bsdelab.cli, "simulate_paths", no_work)
+    config_path = tmp_path / "scenario.json"
+    config_path.write_text(json.dumps(solve_config(**overrides)))
+    code = main(["solve", "--config", str(config_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error at {field}: not a parameter of ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_format_flag_switches_table_format(tmp_path):
