@@ -46,6 +46,7 @@ from .generators import AffineGen, Generator, ProjectionDriftGen, ScaledJumpGen,
 from .geometry import (
     Ball,
     Box,
+    ConvexBody,
     FinitePointSet,
     HalfspaceIntersection,
     OrthantProduct,
@@ -439,16 +440,20 @@ class Scenario:
         return cls(raw=cfg, **top)
 
 
-def load_scenario(path) -> Scenario:
+def _read_config(path):
+    """The JSON document of a config file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioError("<config>", f"cannot read {path}: {exc}") from None
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError("<config>", f"invalid JSON: {exc}") from None
-    return Scenario.from_dict(doc)
+
+
+def load_scenario(path) -> Scenario:
+    return Scenario.from_dict(_read_config(path))
 
 
 # ---------------------------------------------------------------------------
@@ -728,50 +733,63 @@ def _matrix(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
 
 
 class _Check(NamedTuple):
-    """One check kind: its runner, the scenario fields it needs, and the
-    field table of its parameters, ``expect`` among them if it takes one."""
+    """One check kind: its runner, the scenario fields it needs, the type
+    its target must have, the Brownian dimension it is set up for (None:
+    any), and the field table of its parameters, ``expect`` among them if
+    it takes one."""
 
     run: Callable
     needs: tuple
+    target: type
+    brownian_dim: int | None
     fields: dict
 
 
 _SAMPLES = _at_least(1)
 _VERDICT = _choice("certified", "falsified")
 _CHECKS = {
-    "simulate": _Check(_simulate, (), {}),
-    "solve": _Check(_solve, ("generator", "terminal"), {}),
+    "simulate": _Check(_simulate, (), object, None, {}),
+    "solve": _Check(_solve, ("generator", "terminal"), object, None, {}),
     "viability": _Check(
-        _viability, ("generator", "target"),
+        _viability, ("generator", "target"), ConvexBody, None,
         {"samples": (_SAMPLES, 4000), "c_max": (_number, 100.0), "threshold": (_number, None)},
     ),
     "viability-empirical": _Check(
-        _viability_empirical, ("generator", "terminal", "target"),
+        _viability_empirical, ("generator", "terminal", "target"), object, None,
         {"level": (_number, 0.05), "expect": _choice("within", "exceeds")},
     ),
     "comparison": _Check(
-        _comparison, ("generator", "generator2"),
+        _comparison, ("generator", "generator2"), object, None,
         {"samples": (_SAMPLES, 3000), "c_max": (_number, 500.0), "expect": _VERDICT},
     ),
     "comparison-empirical": _Check(
-        _comparison_empirical, ("generator", "generator2", "terminal", "terminal2"),
+        _comparison_empirical, ("generator", "generator2", "terminal", "terminal2"), object, None,
         {"tolerance": (_number, 0.02), "expect": _choice("ordered", "violated")},
     ),
     "structural": _Check(
-        _structural, ("generator",),
+        _structural, ("generator",), object, None,
         {"samples": (_SAMPLES, 2500), "c_max": (_number, 500.0), "expect": _VERDICT},
     ),
-    # the target must also be a psd-cone, which ``run_scenario`` checks
     "matrix": _Check(
-        _matrix, ("generator", "generator2", "target"),
+        _matrix, ("generator", "generator2", "target"), PsdCone, 1,
         {"samples": (_SAMPLES, 3000), "c_max": (_number, 500.0), "expect": _VERDICT},
     ),
 }
 
 
-def _missing_field(scenario: Scenario, kind: str):
-    """The first scenario field a ``kind`` check needs that is not set, or None."""
-    return next((name for name in _CHECKS[kind].needs if getattr(scenario, name) is None), None)
+def _unmet(scenario: Scenario, kind: str):
+    """The first requirement of a ``kind`` check that the scenario does not
+    meet, as (field path, message), or None."""
+    check = _CHECKS[kind]
+    missing = next((name for name in check.needs if getattr(scenario, name) is None), None)
+    if missing is not None:
+        return missing, f"the {kind!r} check requires this field"
+    if not isinstance(scenario.target, check.target):
+        return "target", (f"the {kind!r} check requires a {check.target.__name__} target, "
+                          f"not a {type(scenario.target).__name__}")
+    if check.brownian_dim not in (None, scenario.brownian_dim):
+        return "brownian_dim", f"the {kind!r} check is set up for brownian_dim {check.brownian_dim}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -795,13 +813,17 @@ class RunManifest:
     verdicts: list = field(default_factory=list)
     files: list = field(default_factory=list)
     created: str = ""
+    # the directory the run wrote to; not part of manifest.json
+    out_dir: Path | None = field(default=None, repr=False, compare=False)
 
     @property
     def all_passed(self) -> bool:
         return all(row["passed"] for row in self.verdicts)
 
     def to_dict(self) -> dict:
-        return {"schema": MANIFEST_SCHEMA, **asdict(self)}
+        doc = asdict(self)
+        del doc["out_dir"]
+        return {"schema": MANIFEST_SCHEMA, **doc}
 
 
 def run_scenario(
@@ -817,19 +839,17 @@ def run_scenario(
 ) -> RunManifest:
     """Validate a config (path or dict), run its checks, write artifacts.
 
-    ``checks`` optionally restricts execution to the named kinds; when
-    the config lists none of them, default specs are synthesized for
-    whichever of those kinds the config supports.  Every scenario field
-    a selected check needs is checked before any work or file write.
+    The artifacts go to ``out_dir``, or else the config's ``output_dir``,
+    or else ``runs/<name>``.  ``checks`` optionally restricts execution to
+    the named kinds; when the config lists none of them, default specs are
+    synthesized for whichever of those kinds the config supports.  Every
+    requirement of a selected check is checked before any work or file write.
     The checks share one path bundle and one backward pass over every
     problem they solve, made on first use, so a check's tables do not
     depend on which other checks run.  ``extra_acceptance`` may inspect
     the in-memory results and append extra verdict rows.
     """
-    if isinstance(config, (str, Path)):
-        doc = load_scenario(config).raw
-    else:
-        doc = _as_dict(config, "<config>")
+    doc = _read_config(config) if isinstance(config, (str, Path)) else _as_dict(config, "<config>")
     doc = json.loads(json.dumps(doc))  # a copy for the overrides
     if seed is not None:
         doc["seed"] = seed
@@ -844,8 +864,7 @@ def run_scenario(
         selected = [c for c in scenario.checks if c.kind in checks]
         if not selected:
             selected = [
-                _check_spec(kind, "checks") for kind in checks
-                if _missing_field(scenario, kind) is None
+                _check_spec(kind, "checks") for kind in checks if _unmet(scenario, kind) is None
             ]
         if not selected:
             raise ScenarioError(
@@ -854,13 +873,11 @@ def run_scenario(
     if not selected:
         raise ScenarioError("checks", "no checks requested")
     for spec in selected:
-        missing = _missing_field(scenario, spec.kind)
-        if missing is not None:
-            raise ScenarioError(missing, f"the {spec.kind!r} check requires this field")
-        if spec.kind == "matrix" and not isinstance(scenario.target, PsdCone):
-            raise ScenarioError("target", "the 'matrix' check requires a psd-cone target")
+        unmet = _unmet(scenario, spec.kind)
+        if unmet is not None:
+            raise ScenarioError(*unmet)
 
-    out = Path(out_dir) if out_dir is not None else Path(scenario.output_dir or f"runs/{scenario.name}")
+    out = Path(out_dir or scenario.output_dir or f"runs/{scenario.name}")
     writer = _ArtifactWriter(out, fmt)
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     writer.write_text("config.json", canonical + "\n")
@@ -887,6 +904,7 @@ def run_scenario(
         verdicts=rows,
         files=sorted(writer.records, key=lambda r: r["path"]),
         created=datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        out_dir=out,
     )
     (out / "manifest.json").write_text(
         json.dumps(manifest.to_dict(), indent=1) + "\n", encoding="utf-8"
@@ -1063,30 +1081,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_manifest(manifest: RunManifest, out_dir):
+def _print_manifest(manifest: RunManifest):
     print(f"scenario: {manifest.name}  (seed {manifest.seed}, config {manifest.config_hash[:12]})")
     for row in manifest.verdicts:
         status = "PASS" if row["passed"] else "FAIL"
         print(f"  [{status}] {row['check']}: {row['outcome']} - {row['detail']}")
-    print(f"wrote {len(manifest.files)} files to {out_dir} in {manifest.wall_clock_seconds:.1f}s")
+    print(f"wrote {len(manifest.files)} files to {manifest.out_dir} "
+          f"in {manifest.wall_clock_seconds:.1f}s")
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        options = dict(fmt=args.fmt, seed=args.seed, paths=args.paths, steps=args.steps)
         if args.command == "reproduce":
-            out = args.out or f"runs/{args.name}"
-            manifest = reproduce(
-                args.name, out, fmt=args.fmt, seed=args.seed,
-                paths=args.paths, steps=args.steps,
-            )
+            manifest = reproduce(args.name, args.out, **options)
         else:
-            checks = _COMMAND_CHECKS[args.command]
-            doc = load_scenario(args.config)
-            out = args.out or doc.output_dir or f"runs/{doc.name}"
             manifest = run_scenario(
-                doc.raw, out, fmt=args.fmt, checks=checks, seed=args.seed,
-                paths=args.paths, steps=args.steps,
+                args.config, args.out, checks=_COMMAND_CHECKS[args.command], **options
             )
     except ScenarioError as exc:
         print(f"config error at {exc}", file=sys.stderr)
@@ -1097,7 +1109,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-    _print_manifest(manifest, out)
+    _print_manifest(manifest)
     return 0 if manifest.all_passed else 1
 
 

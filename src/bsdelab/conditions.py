@@ -12,6 +12,12 @@ whose violation excess out-scales any constant as the weight shrinks
 genuine failures from a merely undersized search cap; anything else is
 "inconclusive" with statistics.
 
+Comparison is viability of the difference y = Y1 - Y2 in an order cone:
+the nonnegative orthant for componentwise order, the semidefinite cone
+for matrix order.  Both use the viability inequality's evaluation, with
+the driver gap f1(t, proj(y) + y', z, u) - f2(t, y', z', u') as the drift
+and the gaps z - z' and u - u' in the curvature and jump terms.
+
 Samples move through the engine as a :class:`SampleBatch`, one row per
 point: the initial sweep is one evaluation of the whole batch, and every
 climb round one evaluation of that round's trials.
@@ -29,10 +35,9 @@ from .geometry import (
     ConvexBody,
     OrthantProduct,
     PsdCone,
+    _jump_defect,
     _rowdot,
-    jump_defect_batch,
     sym_to_vec,
-    vec_to_sym,
 )
 from .solver import (
     BsdeSolution,
@@ -566,17 +571,22 @@ class _ViabilityInequality(_Inequality):
     def __init__(self, gen, body):
         self.gen, self.body = gen, body
 
+    def _reads(self, b, proj):
+        """The drift paired with y - proj(y), and the z and u blocks that
+        the curvature and jump terms read."""
+        return self.gen(b.t, b.y, b.z, b.u), b.z, b.u
+
     def evaluate(self, b, constant):
         body = self.body
-        f_val = self.gen(b.t, b.y, b.z, b.u)
-        lhs = 4.0 * _rowdot(b.y - body.project_batch(b.y), f_val)
+        proj, weight = body.project_batch(b.y), body.dist2_batch(b.y)
+        drift, z, u = self._reads(b, proj)
+        lhs = 4.0 * _rowdot(b.y - proj, drift)
         hess, defined = body.hess_dist2_batch(b.y)
         # the Hessian form and the jump defect are nonnegative for convex
         # distance-squared; clamping removes rounding noise that large z/u
         # would otherwise amplify into spurious violations
-        zterm = np.maximum(0.0, _quadratic_form(hess, b.z))
-        defect = np.maximum(0.0, jump_defect_batch(body, b.y, b.u, self.gen.marks))
-        weight = body.dist2_batch(b.y)
+        zterm = np.maximum(0.0, _quadratic_form(hess, z))
+        defect = np.maximum(0.0, _jump_defect(body, b.y, proj, weight, u, self.gen.marks))
         return lhs, zterm + constant * weight + 2.0 * defect, weight, defined
 
     def _toward(self, y, alpha):
@@ -767,49 +777,37 @@ def _slot_moves(s: SampleBatch, name: str) -> tuple:
     return name, np.concatenate([_nudged(value, 1.0), prime + _slot_zeroed(value - prime)])
 
 
-class _ComparisonInequality(_Inequality):
-    """The componentwise comparison inequality; see :func:`comparison_lhs_rhs`."""
+class _ComparisonInequality(_ViabilityInequality):
+    """Comparison as viability of the difference y in an order cone; see
+    :func:`comparison_lhs_rhs`."""
 
-    def __init__(self, f1, f2):
-        self.f1, self.f2 = f1, f2
+    # multipliers the climbs try on the gap u - u'
+    _u_scales = _SCALES_FLIP
 
-    def evaluate(self, b, constant):
-        y = b.y
-        neg = np.maximum(-y, 0.0)
-        is_neg = y < 0.0
-        val1 = self.f1(b.t, np.maximum(y, 0.0) + b.y_prime, b.z, b.u)
-        val2 = self.f2(b.t, b.y_prime, b.z_prime, b.u_prime)
-        lhs = -4.0 * _rowdot(neg, val1 - val2)
+    def __init__(self, f1, f2, cone):
+        super().__init__(f1, cone)
+        self.f2 = f2
 
-        dz = b.z - b.z_prime
-        zterm = 2.0 * _rowsum(np.where(is_neg[:, :, None], dz**2, 0.0))
-        du = b.u - b.u_prime  # (n, n_atoms, m)
-        shifted_neg = np.maximum(-(y[:, None, :] + du), 0.0)
-        w = self.f1.marks.weights[:, None]
-        neg_atoms = np.broadcast_to(is_neg[:, None, :], du.shape)
-        pos_term = 2.0 * _rowsum(np.where(neg_atoms, 0.0, w * shifted_neg**2))
-        # per-component convexity gaps of x -> (x^-)^2; nonnegative, so
-        # clamp away cancellation noise from large jump offsets
-        inner = shifted_neg**2 - neg[:, None, :] ** 2 - 2.0 * y[:, None, :] * du
-        neg_term = 2.0 * _rowsum(np.where(neg_atoms, w * np.maximum(inner, 0.0), 0.0))
-        weight = _rowdot(neg, neg)
-        rhs = zterm + constant * weight + pos_term + neg_term
-        return lhs, rhs, weight, np.ones(len(b), dtype=bool)
+    def _reads(self, b, proj):
+        gap = self.gen(b.t, proj + b.y_prime, b.z, b.u) - self.f2(b.t, b.y_prime, b.z_prime, b.u_prime)
+        return gap, b.z - b.z_prime, b.u - b.u_prime
 
-    def shrink(self, b, alpha):
-        return dataclasses.replace(b, y=_neg_scaled(b.y, alpha))
-
-    def mutate(self, s, rng):
+    def _random_moves(self, s, rng):
         y, z, u, y_prime = s.y[0], s.z[0], s.u[0], s.y_prime[0]
-        return _variants(s, [
-            ("y", _neg_scaled(s.y, np.array([2.0, 0.5, 0.25]))),
-            _prime_variants(s, "z", _SCALES),
-            _prime_variants(s, "u", _SCALES_FLIP),
-            # random-direction proposals let the climb leave a dead block
+        return [
             ("y", [y + rng.normal(size=y.shape) * 0.3]),
             ("z", [z + rng.normal(size=z.shape)]),
             ("u", [u + rng.normal(size=u.shape)]),
             ("y_prime", [y_prime + rng.normal(size=y_prime.shape) * 0.1]),
+        ]
+
+    def mutate(self, s, rng):
+        return _variants(s, [
+            ("y", self._toward(s.y, np.array([2.0, 0.5, 0.25]))),
+            _prime_variants(s, "z", _SCALES),
+            _prime_variants(s, "u", self._u_scales),
+            # random-direction proposals let the climb leave a dead block
+            *self._random_moves(s, rng),
             # single-slot moves find violations hidden behind penalized slots
             _slot_moves(s, "z"),
             _slot_moves(s, "u"),
@@ -821,10 +819,10 @@ def comparison_lhs_rhs(
 ) -> tuple[float, float]:
     """Componentwise comparison inequality for the difference variable y.
 
-    Negative components of y act through the quadratic terms on the
-    right; the left side couples the negative part of y with the driver
-    gap evaluated at (y^+ + y', z, u) versus (y', z', u')."""
-    return _point_lhs_rhs(_ComparisonInequality(f1, f2), constant)(s)
+    The viability inequality of y in the orthant R^m_+, with the driver
+    gap f1(t, y^+ + y', z, u) - f2(t, y', z', u') as its drift and the
+    gaps z - z' and u - u' in the curvature and jump terms."""
+    return _point_lhs_rhs(_ComparisonInequality(f1, f2, OrthantProduct(f1.state_dim, 0)), constant)(s)
 
 
 def check_comparison_multidim(
@@ -840,7 +838,8 @@ def check_comparison_multidim(
         raise ValueError("drivers must share the state dimension")
     sampler = ConditionSampler(f1.state_dim, f1.brownian_dim, f1.marks.n_atoms, seed)
     samples = sampler.pair(n_samples)
-    return _run_certification(_ComparisonInequality(f1, f2), samples, c_max, seed)
+    cone = OrthantProduct(f1.state_dim, 0)
+    return _run_certification(_ComparisonInequality(f1, f2, cone), samples, c_max, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -983,63 +982,19 @@ def check_structural(
 # matrix comparison on the semidefinite cone
 
 
-class _MatrixInequality(_Inequality):
+class _MatrixInequality(_ComparisonInequality):
     """The semidefinite comparison inequality; see :func:`matrix_lhs_rhs`."""
 
-    def __init__(self, f1, f2, side):
-        self.f1, self.f2, self.side = f1, f2, side
-        self.cone = PsdCone(side)
+    _u_scales = _SCALES
 
-    def _eigen(self, y):
-        w, q = np.linalg.eigh(vec_to_sym(y, self.side))
-        return w, q, np.swapaxes(q, -1, -2)
-
-    def evaluate(self, b, constant):
-        cone, marks = self.cone, self.f1.marks
-        w_eig, q, qt = self._eigen(b.y)
-        y_pos = sym_to_vec((q * np.maximum(w_eig, 0.0)[:, None, :]) @ qt)
-        y_neg = sym_to_vec((q * np.maximum(-w_eig, 0.0)[:, None, :]) @ qt)
-
-        val1 = self.f1(b.t, y_pos + b.y_prime, b.z, b.u)
-        val2 = self.f2(b.t, b.y_prime, b.z_prime, b.u_prime)
-        lhs = -4.0 * _rowdot(y_neg, val1 - val2)
-
-        hess, defined = cone.hess_dist2_batch(b.y)
-        # quadratic form of a convex function's Hessian and per-atom
-        # convexity gaps are nonnegative; clamp away rounding noise
-        zterm = np.maximum(0.0, _quadratic_form(hess, b.z - b.z_prime))
-        w2 = _rowdot(y_neg, y_neg)
-        jump = np.zeros(len(b))
-        for j in range(marks.n_atoms):
-            du = b.u[:, j] - b.u_prime[:, j]
-            gap = cone.dist2_batch(b.y + du) - w2 + 2.0 * _rowdot(y_neg, du)
-            jump += marks.weights[j] * np.maximum(0.0, gap)
-        rhs = zterm + constant * w2 + 2.0 * jump
-        return lhs, rhs, cone.dist2_batch(b.y), defined
-
-    def _shrunk(self, y, alpha):
-        w, q, qt = self._eigen(y)
-        w = np.where(w < 0.0, np.reshape(alpha, (-1, 1)) * w, w)
-        return sym_to_vec((q * w[:, None, :]) @ qt)
-
-    def shrink(self, b, alpha):
-        return dataclasses.replace(b, y=self._shrunk(b.y, alpha))
-
-    def mutate(self, s, rng):
+    def _random_moves(self, s, rng):
         y, z, y_prime = s.y[0], s.z[0], s.y_prime[0]
-        side = self.side
-        return _variants(s, [
-            ("y", self._shrunk(s.y[[0, 0, 0]], np.array([2.0, 0.5, 0.25]))),
-            _prime_variants(s, "z", _SCALES),
-            _prime_variants(s, "u", _SCALES),
-            # random-direction proposals let the climb leave a dead block
-            ("y", [y + sym_to_vec(_random_sym(rng.normal(size=(side, side)), 0.3))]),
-            ("z", [z + sym_to_vec(_random_sym(rng.normal(size=(side, side)), 1.0))[:, None]]),
-            ("y_prime", [y_prime + sym_to_vec(_random_sym(rng.normal(size=(side, side)), 0.2))]),
-            # single-slot moves find violations hidden behind penalized slots
-            _slot_moves(s, "z"),
-            _slot_moves(s, "u"),
-        ])
+        side = self.body.side
+
+        def sym(scale):
+            return sym_to_vec(_random_sym(rng.normal(size=(side, side)), scale))
+
+        return [("y", [y + sym(0.3)]), ("z", [z + sym(1.0)[:, None]]), ("y_prime", [y_prime + sym(0.2)])]
 
 
 def matrix_lhs_rhs(
@@ -1047,10 +1002,10 @@ def matrix_lhs_rhs(
 ) -> tuple[float, float]:
     """Comparison inequality for symmetric-matrix solutions, d = 1.
 
-    All slots are flattened symmetric matrices; the curvature term uses
-    the cone's distance Hessian and the jump correction mirrors the
-    semidefinite splitting."""
-    return _point_lhs_rhs(_MatrixInequality(f1, f2, side), constant)(s)
+    All slots are flattened symmetric matrices; the inequality is that of
+    :func:`comparison_lhs_rhs` with the semidefinite cone as the order
+    cone, so y^+ is the positive spectral part of y."""
+    return _point_lhs_rhs(_MatrixInequality(f1, f2, PsdCone(side)), constant)(s)
 
 
 def check_comparison_matrix(
@@ -1070,7 +1025,7 @@ def check_comparison_matrix(
         raise ValueError("matrix comparison is set up for a single Brownian channel")
     sampler = ConditionSampler(vec_dim, 1, f1.marks.n_atoms, seed)
     samples = sampler.matrix(side, n_samples)
-    return _run_certification(_MatrixInequality(f1, f2, side), samples, c_max, seed)
+    return _run_certification(_MatrixInequality(f1, f2, PsdCone(side)), samples, c_max, seed)
 
 
 # ---------------------------------------------------------------------------

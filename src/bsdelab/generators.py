@@ -96,6 +96,8 @@ class ProjectionDriftGen(Generator):
     """
 
     def __init__(self, body: ConvexBody, brownian_dim: int, marks: FiniteMarkMeasure):
+        if not isinstance(body, ConvexBody):
+            raise ValueError(f"projection drift needs a convex body, got {type(body).__name__}")
         self.body = body
         self.state_dim = body.dim
         self.brownian_dim = brownian_dim

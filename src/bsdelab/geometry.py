@@ -594,8 +594,12 @@ def jump_defect_batch(body: ConvexBody, ys: np.ndarray, us: np.ndarray, marks) -
     us = np.asarray(us, dtype=float)
     if us.shape != (ys.shape[0], marks.n_atoms, body.dim):
         raise ValueError("jump integrand must supply one row per atom")
-    base = body.dist2_batch(ys)
-    grad = 2.0 * (ys - body.project_batch(ys))
+    return _jump_defect(body, ys, body.project_batch(ys), body.dist2_batch(ys), us, marks)
+
+
+def _jump_defect(body, ys, proj, base, us, marks) -> np.ndarray:
+    """``jump_defect_batch`` given the projections and d2 of the rows."""
+    grad = 2.0 * (ys - proj)
     total = np.zeros(ys.shape[0])
     for j in range(marks.n_atoms):
         total += marks.weights[j] * (

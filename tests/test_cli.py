@@ -8,6 +8,7 @@ its digest), table formats, exit codes, and the reproduction presets.
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -570,8 +571,30 @@ def test_comparison_c_max_is_refused_only_when_given_on_the_scalar_route():
                 "checks": ["comparison"],
             },
         ),
+        (
+            "check-viability",
+            "target",
+            {
+                "target": {"kind": "point-set", "points": [[-1.0], [1.0]]},
+                "checks": ["simulate", "structural", "viability"],
+            },
+        ),
+        (
+            "check-matrix",
+            "brownian_dim",
+            {
+                "brownian_dim": 2,
+                "generator": {"kind": "zero", "state_dim": 3},
+                "generator2": {"kind": "zero", "state_dim": 3},
+                "target": {"kind": "psd-cone", "side": 2},
+                "checks": ["simulate", "structural", "matrix"],
+            },
+        ),
     ],
-    ids=["no-terminal", "matrix-on-a-ball", "generator2-of-another-dimension"],
+    ids=[
+        "no-terminal", "matrix-on-a-ball", "generator2-of-another-dimension",
+        "viability-on-a-point-set", "matrix-with-two-brownian-channels",
+    ],
 )
 def test_cli_exits_two_on_a_field_a_check_needs_before_any_work(
     tmp_path, capsys, monkeypatch, command, field, overrides
@@ -579,7 +602,9 @@ def test_cli_exits_two_on_a_field_a_check_needs_before_any_work(
     def no_work(*args, **kwargs):
         raise AssertionError("a check whose scenario field is missing reached the work")
 
-    for name in ("simulate_paths", "check_structural", "check_comparison_matrix"):
+    for name in (
+        "simulate_paths", "check_structural", "check_comparison_matrix", "check_viability_condition",
+    ):
         monkeypatch.setattr(bsdelab.cli, name, no_work)
     cfg = solve_config(**overrides)
     del cfg["terminal"]
@@ -593,6 +618,58 @@ def test_cli_exits_two_on_a_field_a_check_needs_before_any_work(
     assert capsys.readouterr().err.startswith(f"config error at {field}: the ")
     assert not (tmp_path / "out").exists()
     assert not (tmp_path / "direct").exists()
+
+
+def test_cli_exits_two_on_projection_drift_toward_a_point_set(tmp_path, capsys):
+    cfg = solve_config(
+        target={"kind": "point-set", "points": [[-1.0], [1.0]]},
+        generator={"kind": "projection-drift"},
+        checks=["solve"],
+    )
+    config_path = tmp_path / "scenario.json"
+    config_path.write_text(json.dumps(cfg))
+    code = main(["solve", "--config", str(config_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "config error at generator: projection drift needs a convex body, got FinitePointSet"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("entry", ["main", "main-reproduce", "run_scenario-path", "run_scenario-dict"])
+def test_each_entry_point_builds_the_scenario_once(tmp_path, monkeypatch, entry):
+    built = []
+    from_dict = Scenario.from_dict.__func__
+
+    def counted(cls, cfg):
+        built.append(cfg)
+        return from_dict(cls, cfg)
+
+    monkeypatch.setattr(Scenario, "from_dict", classmethod(counted))
+    cfg = solve_config(checks=["simulate"])
+    config_path = tmp_path / "scenario.json"
+    config_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    if entry == "main":
+        assert main(["simulate", "--config", str(config_path), "--out", str(out), "--seed", "4"]) == 0
+    elif entry == "main-reproduce":
+        assert main(["reproduce", "thm25-demo", "--out", str(out), "--paths", "2000", "--steps", "5"]) == 0
+    elif entry == "run_scenario-path":
+        run_scenario(config_path, out, seed=4)
+    else:
+        run_scenario(cfg, out, seed=4)
+    assert len(built) == 1
+    assert (out / "manifest.json").exists()
+
+
+def test_output_directory_defaults_to_the_config_then_runs_name(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_scenario(solve_config(checks=["simulate"])).out_dir == Path("runs/smoke")
+    cfg = solve_config(checks=["simulate"], output_dir="elsewhere")
+    assert run_scenario(cfg).out_dir == Path("elsewhere")
+    assert run_scenario(cfg, tmp_path / "given").out_dir == tmp_path / "given"
+    assert (tmp_path / "runs" / "smoke" / "manifest.json").exists()
+    assert "out_dir" not in json.loads((tmp_path / "elsewhere" / "manifest.json").read_text())
 
 
 UNIT_BALL = {"kind": "ball", "center": [0.0], "radius": 1.0}

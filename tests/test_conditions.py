@@ -37,7 +37,7 @@ from bsdelab.conditions import (
 )
 from bsdelab.generators import AffineGen, Generator, ProjectionDriftGen, ScaledJumpGen, ZeroGen
 from bsdelab.geometry import (
-    Ball, Box, FinitePointSet, HalfspaceIntersection, OrthantProduct, PsdCone, sym_to_vec,
+    Ball, Box, FinitePointSet, HalfspaceIntersection, OrthantProduct, PsdCone, sym_to_vec, vec_to_sym,
 )
 from bsdelab.solver import TerminalCondition, solve_backward
 from bsdelab.stochastic import FiniteMarkMeasure, TimeGrid, simulate_paths
@@ -337,6 +337,84 @@ def test_matrix_comparison_validates_flattened_dimension():
 
 
 # ---------------------------------------------------------------------------
+# comparison as viability of the difference, against hand-derived formulas
+
+
+def _componentwise_reference(f1, f2, b, constant):
+    """The orthant comparison inequality derived component by component:
+    (lhs, rhs, weight, defined) per row."""
+    y = b.y
+    neg = np.maximum(-y, 0.0)
+    is_neg = y < 0.0
+    val1 = f1(b.t, np.maximum(y, 0.0) + b.y_prime, b.z, b.u)
+    val2 = f2(b.t, b.y_prime, b.z_prime, b.u_prime)
+    lhs = -4.0 * np.sum(neg * (val1 - val2), axis=1)
+    dz = b.z - b.z_prime
+    zterm = 2.0 * np.sum(np.where(is_neg[:, :, None], dz**2, 0.0), axis=(1, 2))
+    du = b.u - b.u_prime  # (n, n_atoms, m)
+    shifted_neg = np.maximum(-(y[:, None, :] + du), 0.0)
+    w = f1.marks.weights[:, None]
+    neg_atoms = np.broadcast_to(is_neg[:, None, :], du.shape)
+    pos_term = 2.0 * np.sum(np.where(neg_atoms, 0.0, w * shifted_neg**2), axis=(1, 2))
+    # per-component convexity gaps of x -> (x^-)^2
+    inner = shifted_neg**2 - neg[:, None, :] ** 2 - 2.0 * y[:, None, :] * du
+    neg_term = 2.0 * np.sum(np.where(neg_atoms, w * np.maximum(inner, 0.0), 0.0), axis=(1, 2))
+    weight = np.sum(neg * neg, axis=1)
+    rhs = zterm + constant * weight + pos_term + neg_term
+    return lhs, rhs, weight, np.ones(len(b), dtype=bool)
+
+
+def _semidefinite_reference(f1, f2, side, b, constant):
+    """The semidefinite comparison inequality from the spectral split of y:
+    (lhs, rhs, weight, defined) per row."""
+    cone = PsdCone(side)
+    w_eig, q = np.linalg.eigh(vec_to_sym(b.y, side))
+    qt = np.swapaxes(q, -1, -2)
+    y_pos = sym_to_vec((q * np.maximum(w_eig, 0.0)[:, None, :]) @ qt)
+    y_neg = sym_to_vec((q * np.maximum(-w_eig, 0.0)[:, None, :]) @ qt)
+    val1 = f1(b.t, y_pos + b.y_prime, b.z, b.u)
+    val2 = f2(b.t, b.y_prime, b.z_prime, b.u_prime)
+    lhs = -4.0 * np.sum(y_neg * (val1 - val2), axis=1)
+    hess, defined = cone.hess_dist2_batch(b.y)
+    dz = b.z - b.z_prime
+    zterm = np.maximum(0.0, np.einsum("nid,nij,njd->n", dz, hess, dz))
+    w2 = np.sum(y_neg * y_neg, axis=1)
+    jump = np.zeros(len(b))
+    for j in range(f1.marks.n_atoms):
+        du = b.u[:, j] - b.u_prime[:, j]
+        gap = cone.dist2_batch(b.y + du) - w2 + 2.0 * np.sum(y_neg * du, axis=1)
+        jump += f1.marks.weights[j] * np.maximum(0.0, gap)
+    return lhs, zterm + constant * w2 + 2.0 * jump, cone.dist2_batch(b.y), defined
+
+
+def _assert_matches_reference(ineq, reference, batch):
+    for constant in (0.0, 7.5):
+        got, want = ineq.evaluate(batch, constant), reference(batch, constant)
+        for name, g, w in zip(("lhs", "rhs", "weight"), got, want):
+            gap = np.abs(g - w) / np.maximum(1.0, np.abs(w))
+            assert gap.max() <= 1e-12, (name, gap.max())
+        assert np.array_equal(got[3], want[3])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_componentwise_comparison_is_orthant_viability_of_the_difference(seed):
+    rng = np.random.default_rng(seed)
+    f1, f2 = _random_affine(rng, 3, 2, MARKS2), _random_affine(rng, 3, 2, MARKS2)
+    batch = ConditionSampler(3, 2, MARKS2.n_atoms, seed).pair(2000)
+    ineq = _ComparisonInequality(f1, f2, OrthantProduct(3, 0))
+    _assert_matches_reference(ineq, lambda b, c: _componentwise_reference(f1, f2, b, c), batch)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_semidefinite_comparison_is_cone_viability_of_the_difference(seed):
+    rng = np.random.default_rng(seed)
+    f1, f2 = _random_affine(rng, 3, 1, MARKS2), _random_affine(rng, 3, 1, MARKS2)
+    batch = ConditionSampler(3, 1, MARKS2.n_atoms, seed).matrix(2, 2000)
+    ineq = _MatrixInequality(f1, f2, PsdCone(2))
+    _assert_matches_reference(ineq, lambda b, c: _semidefinite_reference(f1, f2, 2, b, c), batch)
+
+
+# ---------------------------------------------------------------------------
 # stacked reduction
 
 
@@ -552,11 +630,14 @@ def _comparison_cases():
     matrix = dataclasses.replace(matrix, y=np.concatenate([matrix.y[:-2], singular]))
     g1, g2 = _random_affine(rng, 3, 1, MARKS1), _random_affine(rng, 3, 1, MARKS1)
     return [
-        ("comparison-affine", _ComparisonInequality(f1, f2), pair.pair(60)),
-        ("comparison-scaled-jump", _ComparisonInequality(ScaledJumpGen(2.0), ScaledJumpGen(0.5)),
-         ConditionSampler(1, 1, 1, seed=2).pair(60)),
+        ("comparison-affine", _ComparisonInequality(f1, f2, OrthantProduct(2, 0)), pair.pair(60)),
+        (
+            "comparison-scaled-jump",
+            _ComparisonInequality(ScaledJumpGen(2.0), ScaledJumpGen(0.5), OrthantProduct(1, 0)),
+            ConditionSampler(1, 1, 1, seed=2).pair(60),
+        ),
         ("quadratic", _QuadraticClause(f1), pair.pair(60, reversed_jumps=True)),
-        ("matrix", _MatrixInequality(g1, g2, cone.side), matrix),
+        ("matrix", _MatrixInequality(g1, g2, cone), matrix),
     ]
 
 

@@ -10,7 +10,7 @@ from bsdelab.generators import (
     evaluate,
     verify_lipschitz,
 )
-from bsdelab.geometry import Ball, PsdCone, sym_to_vec
+from bsdelab.geometry import Ball, FinitePointSet, PsdCone, sym_to_vec
 from bsdelab.solver import RegressionBasis, TerminalCondition, solve_backward
 from bsdelab.stochastic import FiniteMarkMeasure, TimeGrid, jump_norm2, simulate_paths
 
@@ -37,6 +37,12 @@ class TestEvaluation:
         outside = evaluate(gen, 0.0, [2.0, 0.0], np.zeros((2, 2)), np.zeros((1, 2)))
         assert np.allclose(inside, 0.0)
         assert np.allclose(outside, [1.0, 0.0])
+
+    def test_projection_drift_refuses_a_body_that_is_not_convex(self):
+        # nearest-point maps of nonconvex sets expand distances, so the
+        # declared bound 2 would be false
+        with pytest.raises(ValueError, match="convex body, got FinitePointSet"):
+            ProjectionDriftGen(FinitePointSet([[-1.0], [1.0]]), brownian_dim=1, marks=unit_marks())
 
     def test_affine_contractions(self):
         marks = FiniteMarkMeasure(atoms=[[1.0], [2.0]], weights=[1.0, 2.0])
