@@ -155,6 +155,7 @@ class ConditionVerdict:
     boundary_samples: int = 0
     skipped: int = 0
     detail: str = ""
+    profile: dict | None = None  # counts per engine phase; None for a sampled gap
     _replay: callable = field(default=None, repr=False, compare=False)
 
     @property
@@ -269,6 +270,8 @@ class ConditionSampler:
     def pair(self, n: int, ordered_jumps: bool = False, reversed_jumps: bool = False) -> SampleBatch:
         """Samples for comparison checks; ``ordered_jumps`` forces u >= u',
         ``reversed_jumps`` u <= u'."""
+        if ordered_jumps and reversed_jumps:
+            raise ValueError("pair: ordered_jumps and reversed_jumps exclude each other")
         kind = "ordered" if ordered_jumps else "reversed" if reversed_jumps else "pair"
         y = self._draw(kind, "y", n, (self.m,), -_Y_BOX, _Y_BOX)
         # boundary rows pull every negative entry to just below zero
@@ -401,9 +404,8 @@ class _Inequality:
             raise ValueError(f"Hessian undefined at {int((~defined).sum())} of {len(b)} points")
         return lhs, rhs
 
-    def shrink(self, b: SampleBatch, alpha) -> SampleBatch:
-        """Pull each row toward the boundary (weight -> 0) by ``alpha``,
-        a number or one per row."""
+    def shrink(self, b: SampleBatch, alpha: float) -> SampleBatch:
+        """Pull each row toward the boundary (weight -> 0) by the factor ``alpha``."""
         raise NotImplementedError
 
     def mutate(self, s: SampleBatch, rng) -> SampleBatch:
@@ -421,7 +423,6 @@ def _point_lhs_rhs(ineq: _Inequality, constant: float):
     return lhs_rhs
 
 
-_DESCENT_ALPHAS = np.array([0.5, 0.45, 0.55])
 _REFINE_ROUNDS = 8
 
 
@@ -431,16 +432,26 @@ def _run_certification(
     c_max: float,
     seed: int,
 ) -> ConditionVerdict:
-    # the climbs' random proposals come from a generator of their own, so a
+    """Sweep every sample, climb from the best eight, then descend from the
+    best climbed point toward weight 0 to test for a sustained violation.
+    The verdict's ``profile`` counts each phase's evaluations, rows and
+    accepted moves, and the descent's depth in shrink steps."""
+    # the climb's random proposals come from a generator of their own, so a
     # verdict depends on the sample budget only through the samples
     rng = np.random.default_rng(seed)
+    profile = {phase: {"evaluations": 0, "rows": 0, "accepted": 0} for phase in ("sweep", "climb", "descent")}
+    profile["descent"]["depth"] = 0
 
     def evaluate(batch, phase):
+        count = profile[phase]
+        count["evaluations"] += 1
+        count["rows"] += len(batch)
         excess, weight, defined = ineq.excess_weight(batch)
         bad = defined & ~(np.isfinite(excess) & np.isfinite(weight))
         if bad.any():
+            where = "initial sweep" if phase == "sweep" else phase
             raise ValueError(
-                f"certification {phase}: {int(bad.sum())} of {len(batch)} defined "
+                f"certification {where}: {int(bad.sum())} of {len(batch)} defined "
                 "evaluations gave a non-finite excess or weight"
             )
         return excess, weight, defined
@@ -448,33 +459,29 @@ def _run_certification(
     def margin(e, w):
         return e - c_max * w
 
-    def ratio(e, w):
-        return e / np.maximum(w, 1e-300)
-
-    def climb(cand, rounds, phase, by_ratio=False):
+    def climb(s, e, w):
         # a round's trials are fixed when it starts; the scan then takes each
         # trial that beats the best so far, so the last such trial wins
-        score = ratio if by_ratio else margin
-        s, e, w = cand
-        best = score(e, w)
-        for _ in range(rounds):
+        best = margin(e, w)
+        for _ in range(_REFINE_ROUNDS):
             trials = ineq.mutate(s, rng)
-            te, tw, td = evaluate(trials, phase)
+            te, tw, td = evaluate(trials, "climb")
             # inside the target set both sides of the clamped inequality
-            # vanish, so the margin climb stays on positive weights
-            admit = (td & ((te > 0.0) if by_ratio else (tw > 0.0))).tolist()
+            # vanish, so the climb stays on positive weights
+            admit = (td & (tw > 0.0)).tolist()
             pick = None
-            for i, (ok, val) in enumerate(zip(admit, score(te, tw).tolist())):
+            for i, (ok, val) in enumerate(zip(admit, margin(te, tw).tolist())):
                 if ok and val > best + 1e-15:
                     pick, best = i, val
             if pick is None:
                 break
+            profile["climb"]["accepted"] += 1
             s, e, w = trials.take([pick]), float(te[pick]), float(tw[pick])
         return s, e, w
 
     n = len(samples)
     excess, weight, defined = (
-        evaluate(samples, "initial sweep") if n else (np.zeros(0), np.zeros(0), np.zeros(0, bool))
+        evaluate(samples, "sweep") if n else (np.zeros(0), np.zeros(0), np.zeros(0, bool))
     )
     rows = np.flatnonzero(defined)
     skipped = n - rows.size
@@ -484,67 +491,59 @@ def _run_certification(
             samples=n,
             skipped=skipped,
             detail="every sample hit an undefined ingredient",
+            profile=profile,
         )
     excess, weight = excess[rows], weight[rows]
     boundary = int(np.count_nonzero(weight <= _WEIGHT_FLOOR))
     # descending margin, ties in sample order
     ranked = np.argsort(-margin(excess, weight), kind="stable")
-    # only positive-weight samples can lead to a violation; seeding (and
-    # the climb itself) stays on that stratum, otherwise the flat interior
-    # margin of exactly zero absorbs every ascent
+    # only positive-weight samples can lead to a violation; the climb starts
+    # (and stays) on that stratum, otherwise the flat interior margin of
+    # exactly zero absorbs every ascent
     positive = ranked[weight[ranked] > 0.0]
-    pool = positive[:30] if positive.size else ranked[:15]
-
-    seeded = [
-        climb((samples.take(rows[[i]]), float(excess[i]), float(weight[i])), 2, "seeding climb")
-        for i in pool
+    climbed = [
+        climb(samples.take(rows[[i]]), float(excess[i]), float(weight[i]))
+        for i in (positive if positive.size else ranked)[:8]
     ]
-    seeded.sort(key=lambda c: margin(c[1], c[2]), reverse=True)
-    refined = [climb(cand, _REFINE_ROUNDS, "refine") for cand in seeded[:8]]
 
     # sustained-blowup test: a genuine failure keeps its excess above
-    # cutoff * weight while the weight is driven to zero
-    for cand in sorted(refined, key=lambda c: margin(c[1], c[2]), reverse=True)[:3]:
-        if cand[1] <= _TOL:
+    # cutoff * weight while the weight is halved toward zero
+    s, e, w = max(climbed, key=lambda c: margin(c[1], c[2]))
+    descent = profile["descent"]
+    rescues = 4
+    while e > _TOL and descent["depth"] < 80:
+        trial = ineq.shrink(s, 0.5)
+        te, tw, td = evaluate(trial, "descent")
+        if not td[0]:
+            break
+        s, e, w = trial, float(te[0]), float(tw[0])
+        descent["depth"] += 1
+        descent["accepted"] += 1
+        if e <= _TOL:
+            # leftover slack only becomes decisive at depth: try one
+            # mutation round to strip it before abandoning the descent
+            if rescues:
+                rescues -= 1
+                trials = ineq.mutate(s, rng)
+                te, tw, td = evaluate(trials, "descent")
+                live = td & (te > _TOL)
+                if live.any():
+                    i = int(np.argmax(np.where(live, te / np.maximum(tw, 1e-300), -np.inf)))
+                    s, e, w = trials.take([i]), float(te[i]), float(tw[i])
+                    descent["accepted"] += 1
             continue
-        # cleanup pass: margin-optimal candidates may carry slack in
-        # penalized slots that pays at the current offset but kills the
-        # blowup; maximizing the ratio strips it before descending
-        s, e, w = climb(cand, 6, "cleanup", by_ratio=True)
-        rescues = 4
-        for _ in range(80):
-            trials = ineq.shrink(s.take([0, 0, 0]), _DESCENT_ALPHAS)
-            te, tw, td = evaluate(trials, "blowup descent")
-            hit = np.flatnonzero(td)
-            if not hit.size:
-                break
-            s, e, w = trials.take(hit[:1]), float(te[hit[0]]), float(tw[hit[0]])
-            if e <= _TOL:
-                # leftover slack only becomes decisive at depth: try one
-                # mutation round to strip it before abandoning the descent
-                if rescues > 0:
-                    rescues -= 1
-                    trials = ineq.mutate(s, rng)
-                    te, tw, td = evaluate(trials, "blowup descent")
-                    live = td & (te > _TOL)
-                    if live.any():
-                        i = int(np.argmax(np.where(live, ratio(te, tw), -np.inf)))
-                        s, e, w = trials.take([i]), float(te[i]), float(tw[i])
-                        continue
-                break
-            if w <= 1e-10 and e > max(_TOL, _BLOWUP_CUTOFF * w):
-                replay = _point_lhs_rhs(ineq, c_max)
-                witness = s.point(0)
-                lhs, rhs = replay(witness)
-                return ConditionVerdict(
-                    outcome="falsified", witness=witness, witness_lhs=lhs, witness_rhs=rhs,
-                    margin=lhs - rhs, samples=n, boundary_samples=boundary, skipped=skipped,
-                    detail=f"violation sustained to weight {w:.2e}", _replay=replay,
-                )
+        if w <= 1e-10 and e > max(_TOL, _BLOWUP_CUTOFF * w):
+            replay = _point_lhs_rhs(ineq, c_max)
+            witness = s.point(0)
+            lhs, rhs = replay(witness)
+            return ConditionVerdict(
+                outcome="falsified", witness=witness, witness_lhs=lhs, witness_rhs=rhs,
+                margin=lhs - rhs, samples=n, boundary_samples=boundary, skipped=skipped,
+                detail=f"violation sustained to weight {w:.2e}", profile=profile, _replay=replay,
+            )
 
-    found = seeded + refined
-    excess = np.concatenate([excess, [c[1] for c in found]])
-    weight = np.concatenate([weight, [c[2] for c in found]])
+    excess = np.concatenate([excess, [c[1] for c in climbed]])
+    weight = np.concatenate([weight, [c[2] for c in climbed]])
     away = weight > _WEIGHT_FLOOR
     sup_c = max(0.0, float(np.max(excess[away] / weight[away]))) if away.any() else 0.0
     worst_margin = float(np.max(margin(excess, weight)))
@@ -557,7 +556,7 @@ def _run_certification(
         )
     return ConditionVerdict(
         outcome=outcome, constant=sup_c, samples=n, boundary_samples=boundary,
-        skipped=skipped, detail=detail,
+        skipped=skipped, detail=detail, profile=profile,
     )
 
 
@@ -703,10 +702,22 @@ def _jump_pull(marks: FiniteMarkMeasure, du: np.ndarray) -> np.ndarray:
     return _rowdot(du, np.broadcast_to(marks.weights, du.shape))
 
 
-def _m1_gaps(f1: Generator, f2: Generator, b: SampleBatch) -> np.ndarray:
-    val1 = f1(b.t, b.y_prime, b.z, b.u)[:, 0]
-    val2 = f2(b.t, b.y_prime, b.z, b.u_prime)[:, 0]
-    return val1 - val2 + _jump_pull(f1.marks, (b.u - b.u_prime)[:, :, 0])
+def _monotone_gaps(f1: Generator, f2: Generator, b: SampleBatch) -> np.ndarray:
+    """(n, m) gaps f1_k(y^+ off k + y', z, u) - f2_k(y', z, u') + sum_j n_j (u - u')_jk.
+
+    Component k of the state moves up by the positive part of y in every
+    other component; one call of ``f1`` covers all n * m cases.  At m = 1
+    nothing moves, and the gap is the scalar comparison's.
+    """
+    n, m = b.y.shape
+    delta = np.repeat(np.maximum(b.y, 0.0)[:, None, :], m, axis=1)
+    delta[:, np.arange(m), np.arange(m)] = 0.0
+    rows = np.repeat(np.arange(n), m)
+    val1 = f1(b.t[rows], (delta + b.y_prime[:, None, :]).reshape(n * m, m), b.z[rows], b.u[rows])
+    val1 = np.diagonal(val1.reshape(n, m, m), axis1=1, axis2=2)
+    val2 = f2(b.t, b.y_prime, b.z, b.u_prime)
+    du = np.swapaxes(b.u - b.u_prime, 1, 2).reshape(n * m, -1)
+    return val1 - val2 + _jump_pull(f1.marks, du).reshape(n, m)
 
 
 def check_comparison_m1(
@@ -719,20 +730,20 @@ def check_comparison_m1(
     _require_matching_noise(f1, f2)
     sampler = ConditionSampler(1, f1.brownian_dim, f1.marks.n_atoms, seed)
     samples = sampler.pair(n_samples, ordered_jumps=True)
-    gaps = _m1_gaps(f1, f2, samples)
+    gaps = _monotone_gaps(f1, f2, samples)
     first = int(np.argmin(gaps))  # the first smallest gap
-    worst, worst_sample = float(gaps[first]), samples.take([first])
+    worst, worst_sample = float(gaps[first, 0]), samples.take([first])
     # sharpen the worst sample by scaling its jump gap
     for scale in (2.0, 4.0, 8.0):
         s = worst_sample
         trial = dataclasses.replace(s, u=s.u_prime + scale * (s.u - s.u_prime))
-        gap = float(_m1_gaps(f1, f2, trial)[0])
+        gap = float(_monotone_gaps(f1, f2, trial)[0, 0])
         if gap < worst:
             worst, worst_sample = gap, trial
     return _gap_verdict(
         worst, worst_sample.point(0), n_samples,
         f"driver gap {worst:.6g} falls below the compensator bound",
-        lambda sample: (-float(_m1_gaps(f1, f2, SampleBatch.of(sample))[0]), 0.0),
+        lambda sample: (-float(_monotone_gaps(f1, f2, SampleBatch.of(sample))[0, 0]), 0.0),
     )
 
 
@@ -902,23 +913,6 @@ class _QuadraticClause(_Inequality):
         ])
 
 
-def _monotone_gaps(gen: Generator, b: SampleBatch) -> np.ndarray:
-    """(n, m) gaps f_k(y^+ off k + y', z, u) - f_k(y', z, u') + sum_j n_j (u - u')_jk.
-
-    Component k of the state moves up by the positive part of y in every
-    other component; one driver call covers all n * m cases.
-    """
-    n, m = b.y.shape
-    delta = np.repeat(np.maximum(b.y, 0.0)[:, None, :], m, axis=1)
-    delta[:, np.arange(m), np.arange(m)] = 0.0
-    rows = np.repeat(np.arange(n), m)
-    val1 = gen(b.t[rows], (delta + b.y_prime[:, None, :]).reshape(n * m, m), b.z[rows], b.u[rows])
-    val1 = np.diagonal(val1.reshape(n, m, m), axis1=1, axis2=2)
-    val2 = gen(b.t, b.y_prime, b.z, b.u_prime)
-    du = np.swapaxes(b.u - b.u_prime, 1, 2).reshape(n * m, -1)
-    return val1 - val2 + _jump_pull(gen.marks, du).reshape(n, m)
-
-
 def check_structural(
     gen: Generator,
     n_samples: int = 2500,
@@ -943,7 +937,7 @@ def check_structural(
 
     sampler = ConditionSampler(gen.state_dim, gen.brownian_dim, gen.marks.n_atoms, seed + 1)
     samples = sampler.pair(n_samples, ordered_jumps=True)
-    gaps = _monotone_gaps(gen, samples)
+    gaps = _monotone_gaps(gen, gen, samples)
     # the first smallest gap, scanning samples and then components
     first = int(np.argmin(gaps))
     worst = float(gaps.flat[first])
@@ -951,7 +945,7 @@ def check_structural(
     monotone = _gap_verdict(
         worst, samples.point(worst_row), n_samples,
         f"monotonicity fails on component {worst_k}",
-        lambda s: (-float(_monotone_gaps(gen, SampleBatch.of(s))[0, worst_k]), 0.0),
+        lambda s: (-float(_monotone_gaps(gen, gen, SampleBatch.of(s))[0, worst_k]), 0.0),
     )
 
     quad_samples = sampler.pair(n_samples, reversed_jumps=True)

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linprog, nnls
 from scipy.special import roots_legendre
 
 __all__ = [
@@ -325,6 +324,9 @@ class HalfspaceIntersection(ConvexBody):
 
     @staticmethod
     def _chebyshev_center(normals, offsets, norms):
+        # scipy.optimize loads here and in _solve, not with the package
+        from scipy.optimize import linprog
+
         # caps keep the LP bounded when the intersection is unbounded
         m = normals.shape[1]
         res = linprog(
@@ -358,6 +360,8 @@ class HalfspaceIntersection(ConvexBody):
         distance from x to a violated halfspace (at least 1), and z and
         lambda are scaled back.
         """
+        from scipy.optimize import nnls
+
         n = self.dim
         e = np.empty((n + 1, self.normals.shape[0]))
         e[:n] = -self.normals.T

@@ -8,6 +8,9 @@ its digest), table formats, exit codes, and the reproduction presets.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -788,3 +791,12 @@ def test_reproduce_preset_runs_with_reduced_workload(tmp_path, capsys):
             "wall_clock_seconds", "verdicts", "files", "created",
         )
     }).all_passed, bool)
+
+
+def test_loading_the_command_line_leaves_scipy_optimize_unloaded():
+    # only a polytope target needs scipy.optimize; it imports it on first use
+    src = str(Path(bsdelab.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, bsdelab.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_acceptance import _random_affine_pair
 from test_geometry import bodies_for_properties
 
 from bsdelab.conditions import (
@@ -761,6 +762,11 @@ def test_verdict_depends_on_the_budget_only_through_the_samples():
     assert verdict.to_dict() == again.to_dict()
 
 
+def test_pair_sampler_refuses_ordered_and_reversed_jumps_together():
+    with pytest.raises(ValueError, match="exclude each other"):
+        ConditionSampler(2, 1, 1, seed=0).pair(10, ordered_jumps=True, reversed_jumps=True)
+
+
 def test_structural_ordered_and_reversed_draws_differ():
     sampler = ConditionSampler(2, 1, 1, seed=1)
     ordered = sampler.pair(500, ordered_jumps=True)
@@ -798,6 +804,42 @@ def test_sample_ranges_bound_draws():
     for name, box in boxes.items():
         largest = np.abs(getattr(samples, name)).max()
         assert 0.9 * box < largest <= box, name
+
+
+def _criterion_10_verdicts(rng_seed, n_pairs):
+    """(pair index, expected outcome, direct verdict, stacked verdict) for
+    the first criterion-10 pairs drawn at ``rng_seed``, with its budgets."""
+    rng = np.random.default_rng(rng_seed)
+    for i in range(n_pairs):
+        sound = i % 2 == 0
+        f1, f2 = _random_affine_pair(rng, sound)
+        direct = check_comparison_multidim(f1, f2, n_samples=1500, seed=100 + i, c_max=500.0)
+        stacked, orthant = stacked_reduction(f1, f2)
+        reduced = check_viability_condition(stacked, orthant, n_samples=2000, seed=200 + i, c_max=500.0)
+        yield i, "certified" if sound else "falsified", direct, reduced
+
+
+@pytest.mark.parametrize("rng_seed", [8, 9])
+def test_both_routes_match_the_construction_beyond_criterion_10s_seed(rng_seed):
+    for i, expect, direct, reduced in _criterion_10_verdicts(rng_seed, 20):
+        for route, verdict in (("direct", direct), ("stacked", reduced)):
+            assert verdict.outcome == expect, f"pair {i} {route}: {verdict.outcome}"
+            assert not verdict.falsified or verdict.replay()["violated"], f"pair {i} {route}: no replay"
+
+
+def test_verdict_profile_counts_the_sweep_climb_and_descent():
+    (_, _, certified, _), (_, _, falsified, _) = _criterion_10_verdicts(7, 2)
+    assert certified.certified and falsified.falsified
+    for verdict in (certified, falsified):
+        profile = verdict.to_dict()["profile"]
+        assert set(profile) == {"sweep", "climb", "descent"}
+        assert profile["sweep"] == {"evaluations": 1, "rows": 1500, "accepted": 0}
+        assert 0 < profile["climb"]["evaluations"] <= 64
+        assert profile["climb"]["accepted"] <= profile["climb"]["evaluations"]
+        assert profile["descent"]["evaluations"] <= 84
+    # a falsification halves the weight at each step down to 1e-10
+    assert falsified.profile["descent"]["depth"] > 0
+    assert certified.profile["descent"] == {"evaluations": 0, "rows": 0, "accepted": 0, "depth": 0}
 
 
 def test_verdict_serialization_round_trip():
