@@ -27,6 +27,10 @@ import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+# the checkout's own package comes first, so the script runs from a plain
+# checkout as well as with the package installed
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
 from bsdelab.cli import PRESET_NAMES, reproduce  # noqa: E402
 
 

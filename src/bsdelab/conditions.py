@@ -371,18 +371,19 @@ def _variants(s: SampleBatch, blocks) -> SampleBatch:
     return trials
 
 
-def _neg_scaled(y: np.ndarray, alpha) -> np.ndarray:
-    """Rows of y with their negative entries scaled by ``alpha`` (a number or one per row)."""
-    return np.where(y < 0.0, np.reshape(alpha, (-1, 1)) * y, y)
-
-
-# multipliers the climbs try on a slot, or on its gap to the primed slot
-_SCALES = np.array([0.0, 0.5, 2.0])
-_SCALES_FLIP = np.array([0.0, 0.5, 2.0, -1.0])
+# the climb's trials: factors that move y toward the body, and multipliers
+# of the z and u gaps to the primed blocks
+_TOWARD = np.array([2.0, 1.5, 0.7, 0.4])
+_GAP_SCALES = np.array([0.0, 0.5, 2.0, -1.0])
 
 
 class _Inequality:
-    """Pointwise inequality lhs <= rhs0 + C * weight over batches of points."""
+    """Pointwise inequality lhs <= rhs0 + C * weight over batches of points,
+    a viability condition for the convex ``body``: the weight is the
+    squared distance of y to it."""
+
+    def __init__(self, gen, body):
+        self.gen, self.body = gen, body
 
     def evaluate(self, b: SampleBatch, constant: float):
         """(lhs, rhs, weight, defined), one entry per row of ``b``.
@@ -404,13 +405,29 @@ class _Inequality:
             raise ValueError(f"Hessian undefined at {int((~defined).sum())} of {len(b)} points")
         return lhs, rhs
 
-    def shrink(self, b: SampleBatch, alpha: float) -> SampleBatch:
-        """Pull each row toward the boundary (weight -> 0) by the factor ``alpha``."""
-        raise NotImplementedError
+    def _toward(self, y, alpha):
+        p = self.body.project_batch(y)
+        return p + np.reshape(alpha, (-1, 1)) * (y - p)
 
-    def mutate(self, s: SampleBatch, rng) -> SampleBatch:
-        """One climb round's trials around the one-row batch ``s``."""
-        raise NotImplementedError
+    def shrink(self, b: SampleBatch, alpha: float) -> SampleBatch:
+        """Pull each row's y toward the body (weight -> 0) by the factor ``alpha``."""
+        return dataclasses.replace(b, y=self._toward(b.y, alpha))
+
+    def mutate(self, s: SampleBatch) -> SampleBatch:
+        """One climb round's trials around the one-row batch ``s``: y moved
+        toward the body, z and u moved along their gaps from the primed
+        blocks (from 0 when there are none), and single-slot moves that
+        nudge one slot of z or u or clear one slot of its gap."""
+        blocks = [("y", self._toward(s.y, _TOWARD))]
+        slots = []
+        for name in ("z", "u"):
+            value, prime = getattr(s, name)[0], getattr(s, name + "_prime")
+            prime = 0.0 if prime is None else prime[0]
+            gap = value - prime
+            blocks.append((name, prime + _GAP_SCALES.reshape(-1, *[1] * gap.ndim) * gap))
+            # single-slot moves find violations hidden behind penalized slots
+            slots.append((name, np.concatenate([_nudged(value, 1.0), prime + _slot_zeroed(gap)])))
+        return _variants(s, blocks + slots)
 
 
 def _point_lhs_rhs(ineq: _Inequality, constant: float):
@@ -430,15 +447,13 @@ def _run_certification(
     ineq: _Inequality,
     samples: SampleBatch,
     c_max: float,
-    seed: int,
 ) -> ConditionVerdict:
     """Sweep every sample, climb from the best eight, then descend from the
     best climbed point toward weight 0 to test for a sustained violation.
-    The verdict's ``profile`` counts each phase's evaluations, rows and
-    accepted moves, and the descent's depth in shrink steps."""
-    # the climb's random proposals come from a generator of their own, so a
-    # verdict depends on the sample budget only through the samples
-    rng = np.random.default_rng(seed)
+    Every move is a fixed function of the point it starts from, so the
+    verdict is a function of the samples.  The verdict's ``profile`` counts
+    each phase's evaluations, rows and accepted moves, and the descent's
+    depth in shrink steps."""
     profile = {phase: {"evaluations": 0, "rows": 0, "accepted": 0} for phase in ("sweep", "climb", "descent")}
     profile["descent"]["depth"] = 0
 
@@ -460,23 +475,19 @@ def _run_certification(
         return e - c_max * w
 
     def climb(s, e, w):
-        # a round's trials are fixed when it starts; the scan then takes each
-        # trial that beats the best so far, so the last such trial wins
+        # each round moves to its best trial if that beats the current margin
         best = margin(e, w)
         for _ in range(_REFINE_ROUNDS):
-            trials = ineq.mutate(s, rng)
+            trials = ineq.mutate(s)
             te, tw, td = evaluate(trials, "climb")
             # inside the target set both sides of the clamped inequality
             # vanish, so the climb stays on positive weights
-            admit = (td & (tw > 0.0)).tolist()
-            pick = None
-            for i, (ok, val) in enumerate(zip(admit, margin(te, tw).tolist())):
-                if ok and val > best + 1e-15:
-                    pick, best = i, val
-            if pick is None:
+            tm = np.where(td & (tw > 0.0), margin(te, tw), -np.inf)
+            pick = int(np.argmax(tm))
+            if not tm[pick] > best + 1e-15:
                 break
             profile["climb"]["accepted"] += 1
-            s, e, w = trials.take([pick]), float(te[pick]), float(tw[pick])
+            s, e, w, best = trials.take([pick]), float(te[pick]), float(tw[pick]), float(tm[pick])
         return s, e, w
 
     n = len(samples)
@@ -524,7 +535,7 @@ def _run_certification(
             # mutation round to strip it before abandoning the descent
             if rescues:
                 rescues -= 1
-                trials = ineq.mutate(s, rng)
+                trials = ineq.mutate(s)
                 te, tw, td = evaluate(trials, "descent")
                 live = td & (te > _TOL)
                 if live.any():
@@ -567,9 +578,6 @@ def _run_certification(
 class _ViabilityInequality(_Inequality):
     """The pointwise viability inequality; see :func:`viability_lhs_rhs`."""
 
-    def __init__(self, gen, body):
-        self.gen, self.body = gen, body
-
     def _reads(self, b, proj):
         """The drift paired with y - proj(y), and the z and u blocks that
         the curvature and jump terms read."""
@@ -587,28 +595,6 @@ class _ViabilityInequality(_Inequality):
         zterm = np.maximum(0.0, _quadratic_form(hess, z))
         defect = np.maximum(0.0, _jump_defect(body, b.y, proj, weight, u, self.gen.marks))
         return lhs, zterm + constant * weight + 2.0 * defect, weight, defined
-
-    def _toward(self, y, alpha):
-        p = self.body.project_batch(y)
-        return p + np.reshape(alpha, (-1, 1)) * (y - p)
-
-    def shrink(self, b, alpha):
-        return dataclasses.replace(b, y=self._toward(b.y, alpha))
-
-    def mutate(self, s, rng):
-        y, z, u = s.y[0], s.z[0], s.u[0]
-        return _variants(s, [
-            ("y", self._toward(s.y, np.array([2.0, 1.5, 0.7, 0.4]))),
-            ("z", _SCALES_FLIP[:, None, None] * z),
-            ("u", _SCALES_FLIP[:, None, None] * u),
-            # random-direction proposals let the climb leave a dead block
-            ("y", [y + rng.normal(size=y.shape) * scale for scale in (0.05, 1.0)]),
-            ("z", [z + rng.normal(size=z.shape)]),
-            ("u", [u + rng.normal(size=u.shape)]),
-            # single-slot moves find violations hidden behind penalized slots
-            ("z", np.concatenate([_nudged(z, 1.0), _slot_zeroed(z)])),
-            ("u", np.concatenate([_nudged(u, 1.0), _slot_zeroed(u)])),
-        ])
 
 
 def viability_lhs_rhs(
@@ -633,7 +619,7 @@ def check_viability_condition(
     """Sampled certification of the pointwise viability inequality."""
     sampler = ConditionSampler(gen.state_dim, gen.brownian_dim, gen.marks.n_atoms, seed)
     samples = sampler.viability(body, n_samples)
-    return _run_certification(_ViabilityInequality(gen, body), samples, c_max, seed)
+    return _run_certification(_ViabilityInequality(gen, body), samples, c_max)
 
 
 @dataclass(frozen=True)
@@ -730,18 +716,16 @@ def check_comparison_m1(
     _require_matching_noise(f1, f2)
     sampler = ConditionSampler(1, f1.brownian_dim, f1.marks.n_atoms, seed)
     samples = sampler.pair(n_samples, ordered_jumps=True)
-    gaps = _monotone_gaps(f1, f2, samples)
-    first = int(np.argmin(gaps))  # the first smallest gap
-    worst, worst_sample = float(gaps[first, 0]), samples.take([first])
-    # sharpen the worst sample by scaling its jump gap
-    for scale in (2.0, 4.0, 8.0):
-        s = worst_sample
-        trial = dataclasses.replace(s, u=s.u_prime + scale * (s.u - s.u_prime))
-        gap = float(_monotone_gaps(f1, f2, trial)[0, 0])
-        if gap < worst:
-            worst, worst_sample = gap, trial
+    s = samples.take([int(np.argmin(_monotone_gaps(f1, f2, samples)))])  # the first smallest gap
+    # sharpen it: the row itself and its jump gap scaled by 2, 4 and 8, the
+    # first smallest gap kept (the row itself on a tie)
+    scaled = s.u_prime + np.array([2.0, 4.0, 8.0])[:, None, None] * (s.u - s.u_prime)
+    trials = dataclasses.replace(s.take([0, 0, 0, 0]), u=np.concatenate([s.u, scaled]))
+    gaps = _monotone_gaps(f1, f2, trials)[:, 0]
+    pick = int(np.argmin(gaps))
+    worst = float(gaps[pick])
     return _gap_verdict(
-        worst, worst_sample.point(0), n_samples,
+        worst, trials.point(pick), n_samples,
         f"driver gap {worst:.6g} falls below the compensator bound",
         lambda sample: (-float(_monotone_gaps(f1, f2, SampleBatch.of(sample))[0, 0]), 0.0),
     )
@@ -775,25 +759,9 @@ def _require_matching_noise(f1: Generator, f2: Generator):
 # multidimensional comparison
 
 
-def _prime_variants(s: SampleBatch, name: str, scales: np.ndarray) -> tuple:
-    """Block of trials moving slot ``name`` along its gap from the primed slot."""
-    value, prime = getattr(s, name)[0], getattr(s, name + "_prime")[0]
-    return name, prime + scales.reshape(-1, *[1] * value.ndim) * (value - prime)
-
-
-def _slot_moves(s: SampleBatch, name: str) -> tuple:
-    """Block of single-slot moves of ``name``: nudges of the slot, and
-    copies with one slot of its gap to the primed slot cleared."""
-    value, prime = getattr(s, name)[0], getattr(s, name + "_prime")[0]
-    return name, np.concatenate([_nudged(value, 1.0), prime + _slot_zeroed(value - prime)])
-
-
 class _ComparisonInequality(_ViabilityInequality):
     """Comparison as viability of the difference y in an order cone; see
-    :func:`comparison_lhs_rhs`."""
-
-    # multipliers the climbs try on the gap u - u'
-    _u_scales = _SCALES_FLIP
+    :func:`comparison_lhs_rhs` and :func:`matrix_lhs_rhs`."""
 
     def __init__(self, f1, f2, cone):
         super().__init__(f1, cone)
@@ -802,27 +770,6 @@ class _ComparisonInequality(_ViabilityInequality):
     def _reads(self, b, proj):
         gap = self.gen(b.t, proj + b.y_prime, b.z, b.u) - self.f2(b.t, b.y_prime, b.z_prime, b.u_prime)
         return gap, b.z - b.z_prime, b.u - b.u_prime
-
-    def _random_moves(self, s, rng):
-        y, z, u, y_prime = s.y[0], s.z[0], s.u[0], s.y_prime[0]
-        return [
-            ("y", [y + rng.normal(size=y.shape) * 0.3]),
-            ("z", [z + rng.normal(size=z.shape)]),
-            ("u", [u + rng.normal(size=u.shape)]),
-            ("y_prime", [y_prime + rng.normal(size=y_prime.shape) * 0.1]),
-        ]
-
-    def mutate(self, s, rng):
-        return _variants(s, [
-            ("y", self._toward(s.y, np.array([2.0, 0.5, 0.25]))),
-            _prime_variants(s, "z", _SCALES),
-            _prime_variants(s, "u", self._u_scales),
-            # random-direction proposals let the climb leave a dead block
-            *self._random_moves(s, rng),
-            # single-slot moves find violations hidden behind penalized slots
-            _slot_moves(s, "z"),
-            _slot_moves(s, "u"),
-        ])
 
 
 def comparison_lhs_rhs(
@@ -850,7 +797,7 @@ def check_comparison_multidim(
     sampler = ConditionSampler(f1.state_dim, f1.brownian_dim, f1.marks.n_atoms, seed)
     samples = sampler.pair(n_samples)
     cone = OrthantProduct(f1.state_dim, 0)
-    return _run_certification(_ComparisonInequality(f1, f2, cone), samples, c_max, seed)
+    return _run_certification(_ComparisonInequality(f1, f2, cone), samples, c_max)
 
 
 # ---------------------------------------------------------------------------
@@ -882,10 +829,11 @@ class StructuralReport:
 
 
 class _QuadraticClause(_Inequality):
-    """Clause bounding the negative-part drift against jump quadratics."""
+    """Clause bounding the negative-part drift against jump quadratics; its
+    weight is the squared distance of y to the nonnegative orthant."""
 
     def __init__(self, gen):
-        self.gen = gen
+        super().__init__(gen, OrthantProduct(gen.state_dim, 0))
 
     def evaluate(self, b, constant):
         y = b.y
@@ -902,15 +850,6 @@ class _QuadraticClause(_Inequality):
         pos_term = 2.0 * _rowsum(np.where(neg_atoms, 0.0, w * shifted_neg**2))
         weight = _rowdot(neg, neg)
         return lhs - neg_term - pos_term, constant * weight, weight, np.ones(len(b), dtype=bool)
-
-    def shrink(self, b, alpha):
-        return dataclasses.replace(b, y=_neg_scaled(b.y, alpha))
-
-    def mutate(self, s, rng):
-        return _variants(s, [
-            ("y", _neg_scaled(s.y, np.array([2.0, 0.5]))),
-            _prime_variants(s, "u", _SCALES),
-        ])
 
 
 def check_structural(
@@ -949,7 +888,7 @@ def check_structural(
     )
 
     quad_samples = sampler.pair(n_samples, reversed_jumps=True)
-    quadratic = _run_certification(_QuadraticClause(gen), quad_samples, c_max, seed)
+    quadratic = _run_certification(_QuadraticClause(gen), quad_samples, c_max)
 
     diag_u = all(
         probe.u_components(k) <= {k} for k in range(gen.state_dim)
@@ -976,21 +915,6 @@ def check_structural(
 # matrix comparison on the semidefinite cone
 
 
-class _MatrixInequality(_ComparisonInequality):
-    """The semidefinite comparison inequality; see :func:`matrix_lhs_rhs`."""
-
-    _u_scales = _SCALES
-
-    def _random_moves(self, s, rng):
-        y, z, y_prime = s.y[0], s.z[0], s.y_prime[0]
-        side = self.body.side
-
-        def sym(scale):
-            return sym_to_vec(_random_sym(rng.normal(size=(side, side)), scale))
-
-        return [("y", [y + sym(0.3)]), ("z", [z + sym(1.0)[:, None]]), ("y_prime", [y_prime + sym(0.2)])]
-
-
 def matrix_lhs_rhs(
     f1: Generator, f2: Generator, side: int, s: PointSample, constant: float
 ) -> tuple[float, float]:
@@ -999,7 +923,7 @@ def matrix_lhs_rhs(
     All slots are flattened symmetric matrices; the inequality is that of
     :func:`comparison_lhs_rhs` with the semidefinite cone as the order
     cone, so y^+ is the positive spectral part of y."""
-    return _point_lhs_rhs(_MatrixInequality(f1, f2, PsdCone(side)), constant)(s)
+    return _point_lhs_rhs(_ComparisonInequality(f1, f2, PsdCone(side)), constant)(s)
 
 
 def check_comparison_matrix(
@@ -1019,7 +943,7 @@ def check_comparison_matrix(
         raise ValueError("matrix comparison is set up for a single Brownian channel")
     sampler = ConditionSampler(vec_dim, 1, f1.marks.n_atoms, seed)
     samples = sampler.matrix(side, n_samples)
-    return _run_certification(_MatrixInequality(f1, f2, PsdCone(side)), samples, c_max, seed)
+    return _run_certification(_ComparisonInequality(f1, f2, PsdCone(side)), samples, c_max)
 
 
 # ---------------------------------------------------------------------------

@@ -800,3 +800,13 @@ def test_loading_the_command_line_leaves_scipy_optimize_unloaded():
     probe = "import sys, bsdelab.cli; print('scipy.optimize' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_reproduction_script_runs_from_a_plain_checkout(tmp_path):
+    # the script puts the checkout's src/ first, so no PYTHONPATH is needed
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_reproductions.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    args = [sys.executable, str(script), "--only", "thm25-demo", "--paths", "2000", "--out", str(tmp_path)]
+    out = subprocess.run(args, env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert any(line.startswith("thm25-demo") and " tables " in line for line in out.stdout.splitlines())

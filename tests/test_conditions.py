@@ -31,9 +31,9 @@ from bsdelab.conditions import (
 from bsdelab.conditions import (
     _SLOTS,
     _ComparisonInequality,
-    _MatrixInequality,
     _QuadraticClause,
     _ViabilityInequality,
+    _monotone_gaps,
     _run_certification,
 )
 from bsdelab.generators import AffineGen, Generator, ProjectionDriftGen, ScaledJumpGen, ZeroGen
@@ -203,6 +203,18 @@ def test_scalar_comparison_falsifies_oversized_jump_scales(scale):
     assert verdict.replay()["violated"]
 
 
+def test_scalar_comparison_sharpens_the_sampled_row_once():
+    # the smallest sampled gap is sharpened by scaling its jump gap by 2, 4
+    # and 8; the scales do not compound
+    g = ScaledJumpGen(2.0)
+    verdict = check_comparison_m1(g, g, n_samples=1500, seed=0)
+    samples = ConditionSampler(1, 1, 1, seed=0).pair(1500, ordered_jumps=True)
+    sampled = samples.take([int(np.argmin(_monotone_gaps(g, g, samples)))])
+    witness = verdict.witness
+    assert np.allclose(witness.u - witness.u_prime, 8.0 * (sampled.u[0] - sampled.u_prime[0]), rtol=1e-12, atol=0.0)
+    assert verdict.replay()["violated"]
+
+
 def test_scalar_comparison_rejects_multidimensional_drivers():
     gen = _affine_m2()
     with pytest.raises(ValueError, match="one-dimensional"):
@@ -300,6 +312,15 @@ def test_structural_flags_negative_state_coupling():
     assert report.outcome == "falsified"
     assert report.monotone.falsified
     assert report.monotone.replay()["violated"]
+
+
+@pytest.mark.parametrize("alpha", [2.0, 1.5, 0.7, 0.5, 0.4])
+def test_quadratic_clause_shrinks_the_negative_part(alpha):
+    # the clause's weight is d2 to the orthant, so a shrink scales only the
+    # negative entries of y
+    batch = ConditionSampler(2, 1, 1, seed=3).pair(4000, reversed_jumps=True)
+    shrunk = _QuadraticClause(_affine_m2(*_structural_base())).shrink(batch, alpha)
+    assert shrunk.y.tobytes() == np.where(batch.y < 0.0, alpha * batch.y, batch.y).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +432,7 @@ def test_semidefinite_comparison_is_cone_viability_of_the_difference(seed):
     rng = np.random.default_rng(seed)
     f1, f2 = _random_affine(rng, 3, 1, MARKS2), _random_affine(rng, 3, 1, MARKS2)
     batch = ConditionSampler(3, 1, MARKS2.n_atoms, seed).matrix(2, 2000)
-    ineq = _MatrixInequality(f1, f2, PsdCone(2))
+    ineq = _ComparisonInequality(f1, f2, PsdCone(2))
     _assert_matches_reference(ineq, lambda b, c: _semidefinite_reference(f1, f2, 2, b, c), batch)
 
 
@@ -638,7 +659,7 @@ def _comparison_cases():
             ConditionSampler(1, 1, 1, seed=2).pair(60),
         ),
         ("quadratic", _QuadraticClause(f1), pair.pair(60, reversed_jumps=True)),
-        ("matrix", _MatrixInequality(g1, g2, cone), matrix),
+        ("matrix", _ComparisonInequality(g1, g2, cone), matrix),
     ]
 
 
@@ -758,7 +779,7 @@ def test_verdict_depends_on_the_budget_only_through_the_samples():
     gen = ProjectionDriftGen(ball, brownian_dim=2, marks=MARKS2)
     verdict = check_viability_condition(gen, ball, n_samples=300, seed=3)
     samples = ConditionSampler(2, 2, 2, seed=3).viability(ball, 600).take(np.arange(300))
-    again = _run_certification(_ViabilityInequality(gen, ball), samples, 100.0, 3)
+    again = _run_certification(_ViabilityInequality(gen, ball), samples, 100.0)
     assert verdict.to_dict() == again.to_dict()
 
 
@@ -806,22 +827,32 @@ def test_sample_ranges_bound_draws():
         assert 0.9 * box < largest <= box, name
 
 
-def _criterion_10_verdicts(rng_seed, n_pairs):
+CRITERION_10_BUDGETS = (1500, 2000)
+
+
+def _criterion_10_verdicts(rng_seed, n_pairs, budgets=CRITERION_10_BUDGETS):
     """(pair index, expected outcome, direct verdict, stacked verdict) for
-    the first criterion-10 pairs drawn at ``rng_seed``, with its budgets."""
+    the first criterion-10 pairs drawn at ``rng_seed``, with the sample
+    budgets (direct, stacked), by default criterion 10's."""
     rng = np.random.default_rng(rng_seed)
     for i in range(n_pairs):
         sound = i % 2 == 0
         f1, f2 = _random_affine_pair(rng, sound)
-        direct = check_comparison_multidim(f1, f2, n_samples=1500, seed=100 + i, c_max=500.0)
+        direct = check_comparison_multidim(f1, f2, n_samples=budgets[0], seed=100 + i, c_max=500.0)
         stacked, orthant = stacked_reduction(f1, f2)
-        reduced = check_viability_condition(stacked, orthant, n_samples=2000, seed=200 + i, c_max=500.0)
+        reduced = check_viability_condition(stacked, orthant, n_samples=budgets[1], seed=200 + i, c_max=500.0)
         yield i, "certified" if sound else "falsified", direct, reduced
 
 
-@pytest.mark.parametrize("rng_seed", [8, 9])
-def test_both_routes_match_the_construction_beyond_criterion_10s_seed(rng_seed):
-    for i, expect, direct, reduced in _criterion_10_verdicts(rng_seed, 20):
+# small budgets leave the climb more to find: without the z slot moves,
+# stacked pairs 9 and 13 at rng seed 11 and 7 and 13 at rng seed 12 go wrong
+@pytest.mark.parametrize(
+    "rng_seed,budgets",
+    [(8, CRITERION_10_BUDGETS), (9, CRITERION_10_BUDGETS), (11, (300, 400)), (12, (300, 400))],
+    ids=["8", "9", "11-small-budget", "12-small-budget"],
+)
+def test_both_routes_match_the_construction_beyond_criterion_10s_seed(rng_seed, budgets):
+    for i, expect, direct, reduced in _criterion_10_verdicts(rng_seed, 20, budgets):
         for route, verdict in (("direct", direct), ("stacked", reduced)):
             assert verdict.outcome == expect, f"pair {i} {route}: {verdict.outcome}"
             assert not verdict.falsified or verdict.replay()["violated"], f"pair {i} {route}: no replay"
