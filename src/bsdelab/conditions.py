@@ -627,41 +627,28 @@ class ViabilityPathReport:
     times: np.ndarray
     mean_distance: np.ndarray
     max_mean_distance: float
-    pathwise_max_mean: float
-    pathwise_max_ci: tuple[float, float]
-    tolerance: float
-    empirically_viable: bool
 
 
-def viability_path_report(
-    sol: BsdeSolution, body, tolerance: float = 0.05
-) -> ViabilityPathReport:
+def viability_path_report(sol: BsdeSolution, body) -> ViabilityPathReport:
     """Track how far a solved equation strays from the target set.
 
     The terminal values ``sol.y[:, -1]``, which are the payoff itself,
     must sit in the target set; the report carries the per-time mean
-    distance and the distribution of pathwise maxima.
+    distance over paths and its largest value.
     """
     n, n_nodes, m = sol.y.shape
-    # reshape in the solver's time-major memory order, so no copy of y is made
-    dists = body.dist_batch(sol.y.transpose(1, 0, 2).reshape(-1, m)).reshape(n_nodes, n).T
-    xi_dist = dists[:, -1]
+    # (time, path) distances, in the solver's time-major order, so y is not copied
+    dists = body.dist_batch(sol.y.transpose(1, 0, 2).reshape(-1, m)).reshape(n_nodes, n)
+    xi_dist = dists[-1]
     if np.any(xi_dist > 1e-6):
         raise ValueError(
             f"terminal data leaves the target set (max distance {xi_dist.max():.3e})"
         )
-    mean_distance = dists.mean(axis=0)
-    pathwise_max = dists.max(axis=1)
-    center = float(pathwise_max.mean())
-    half = 1.96 * float(pathwise_max.std()) / np.sqrt(n)
+    mean_distance = dists.mean(axis=1)
     return ViabilityPathReport(
         times=sol.times.copy(),
         mean_distance=mean_distance,
         max_mean_distance=float(mean_distance.max()),
-        pathwise_max_mean=center,
-        pathwise_max_ci=(center - half, center + half),
-        tolerance=tolerance,
-        empirically_viable=bool(mean_distance.max() <= tolerance),
     )
 
 
@@ -671,12 +658,11 @@ def check_viability_empirical(
     body,
     paths: DrivingPaths,
     basis: RegressionBasis | None = None,
-    tolerance: float = 0.05,
 ) -> tuple[ViabilityPathReport, BsdeSolution]:
     """Solve the equation on ``paths`` (explicit steps) and report it with
     :func:`viability_path_report`."""
     sol = solve_backward(gen, terminal, paths, basis=basis)
-    return viability_path_report(sol, body, tolerance), sol
+    return viability_path_report(sol, body), sol
 
 
 # ---------------------------------------------------------------------------

@@ -157,8 +157,8 @@ class Ball(ConvexBody):
 
     def __post_init__(self):
         center = np.asarray(self.center, dtype=float).ravel()
-        if self.radius <= 0.0:
-            raise ValueError("ball radius must be positive")
+        if not (np.isfinite(center).all() and np.isfinite(self.radius) and self.radius > 0.0):
+            raise ValueError("ball centre and radius must be finite, and the radius positive")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", float(self.radius))
 
@@ -215,8 +215,9 @@ class Box(ConvexBody):
         upper = np.asarray(self.upper, dtype=float).ravel()
         if lower.shape != upper.shape:
             raise ValueError("box bounds must have matching shapes")
-        if np.any(lower > upper):
-            raise ValueError("box lower bounds must not exceed upper bounds")
+        # false on a NaN bound; infinite bounds make a valid, unbounded box
+        if not np.all(lower <= upper):
+            raise ValueError("box bounds must not be NaN, and lower must not exceed upper")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 

@@ -11,15 +11,16 @@ scheme is exact up to Monte Carlo noise in the fitted coefficients.
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 import sys
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm, svd
+from scipy.linalg import svd
 
-from .generators import Generator, ZeroGen
-from .stochastic import DrivingPaths, FiniteMarkMeasure, compensated_increment
+from .generators import Generator
+from .stochastic import DrivingPaths, compensated_increment
 
 __all__ = [
     "TerminalCondition",
@@ -29,7 +30,6 @@ __all__ = [
     "SolverError",
     "solve_backward",
     "solve_backward_many",
-    "closed_form_linear",
     "DeviationCurves",
     "apriori_diagnostics",
 ]
@@ -71,20 +71,13 @@ class TerminalCondition:
         return out
 
 
-def _monomial_powers(n_features: int, degree: int):
-    powers = [np.zeros(n_features, dtype=int)]
-    frontier = [np.zeros(n_features, dtype=int)]
-    for _ in range(degree):
-        nxt = []
-        for p in frontier:
-            start = np.max(np.nonzero(p)[0]) if p.any() else 0
-            for i in range(start, n_features):
-                q = p.copy()
-                q[i] += 1
-                nxt.append(q)
-        powers.extend(nxt)
-        frontier = nxt
-    return np.array(powers)
+def _monomial_powers(n_features: int, degree: int) -> np.ndarray:
+    """Exponent rows of the monomials of total degree <= ``degree``, by degree."""
+    return np.array([
+        np.bincount(np.array(c, dtype=int), minlength=n_features)
+        for k in range(degree + 1)
+        for c in itertools.combinations_with_replacement(range(n_features), k)
+    ])
 
 
 @dataclass(frozen=True)
@@ -188,7 +181,6 @@ class BsdeSolution:
     mode: str
     regression: list = field(repr=False, default_factory=list)
     paths: DrivingPaths = field(repr=False, default=None)
-    basis: RegressionBasis = field(repr=False, default=None)
 
     @property
     def n_paths(self) -> int:
@@ -357,39 +349,9 @@ def solve_backward_many(
             mode=mode,
             regression=list(regression),
             paths=paths,
-            basis=basis,
         )
         for y, z, u in zip(ys, zs, us)
     ]
-
-
-def closed_form_linear(
-    a_matrix: np.ndarray,
-    terminal: TerminalCondition,
-    paths: DrivingPaths,
-    basis: RegressionBasis | None = None,
-) -> BsdeSolution:
-    """Solution for the linear driver f(y) = A y.
-
-    Runs a zero-driver pass and rescales it by the matrix exponential
-    exp(A (T - t)); the martingale integrands scale the same way.
-    """
-    a_matrix = np.asarray(a_matrix, dtype=float)
-    m = a_matrix.shape[0]
-    if a_matrix.shape != (m, m):
-        raise ValueError("linear coefficient must be square")
-    zero = ZeroGen(state_dim=m, brownian_dim=paths.brownian_dim, marks=paths.marks)
-    sol = solve_backward(zero, terminal, paths, basis=basis)
-    horizon = sol.times[-1]
-    for i, t in enumerate(sol.times):
-        scale = expm(a_matrix * (horizon - t))
-        sol.y[:, i, :] = sol.y[:, i, :] @ scale.T
-        if i < sol.times.shape[0] - 1:
-            sol.z[:, i] = np.einsum("kl,nld->nkd", scale, sol.z[:, i])
-            sol.u[:, i] = np.einsum("kl,njl->njk", scale, sol.u[:, i])
-    sol.y0 = sol.y[:, 0, :].mean(axis=0)
-    sol.y0_se = sol.y[:, 1, :].std(axis=0) / np.sqrt(sol.n_paths)
-    return sol
 
 
 @dataclass(frozen=True)
@@ -405,32 +367,25 @@ class DeviationCurves:
     value_gap: np.ndarray
     z_tail: np.ndarray
     u_tail: np.ndarray
-    z_raw_tail: np.ndarray
-    u_raw_tail: np.ndarray
     total: np.ndarray
     linear_bound: float
 
 
-def apriori_diagnostics(
-    sol: BsdeSolution, terminal: TerminalCondition, marks: FiniteMarkMeasure | None = None
-) -> DeviationCurves:
-    """Compare a solution against the plain conditional expectation of xi."""
-    if sol.paths is None:
-        raise ValueError("solution does not carry its path bundle")
-    marks = marks if marks is not None else sol.paths.marks
-    zero = ZeroGen(
-        state_dim=sol.state_dim, brownian_dim=sol.paths.brownian_dim, marks=marks
-    )
-    base = solve_backward(zero, terminal, sol.paths, basis=sol.basis)
+def apriori_diagnostics(sol: BsdeSolution, base: BsdeSolution) -> DeviationCurves:
+    """Compare a solution against ``base``, the zero-driver solution with the
+    same terminal data on the same bundle (solve both in one pass)."""
+    if sol.paths is None or sol.paths is not base.paths:
+        raise ValueError("solutions must be solved on one path bundle")
+    if sol.state_dim != base.state_dim:
+        raise ValueError("solutions must share the state dimension")
+    if not np.array_equal(sol.y[:, -1], base.y[:, -1]):
+        raise ValueError("solutions must share the terminal data")
 
     h = sol.paths.grid.steps
     value_gap = np.mean(np.sum((sol.y - base.y) ** 2, axis=2), axis=0)
-
     z_step = np.mean(np.sum((sol.z - base.z) ** 2, axis=(2, 3)), axis=0) * h
-    z_raw = np.mean(np.sum(sol.z**2, axis=(2, 3)), axis=0) * h
-    w = marks.weights[None, None, :, None]
+    w = sol.paths.marks.weights[None, None, :, None]
     u_step = np.mean(np.sum(w * (sol.u - base.u) ** 2, axis=(2, 3)), axis=0) * h
-    u_raw = np.mean(np.sum(w * sol.u**2, axis=(2, 3)), axis=0) * h
 
     def tail(per_step):
         out = np.zeros(h.shape[0] + 1)
@@ -446,8 +401,6 @@ def apriori_diagnostics(
         value_gap=value_gap,
         z_tail=z_tail,
         u_tail=u_tail,
-        z_raw_tail=tail(z_raw),
-        u_raw_tail=tail(u_raw),
         total=total,
         linear_bound=linear_bound,
     )

@@ -42,8 +42,8 @@ class FiniteMarkMeasure:
             raise ValueError("marks: atoms and weights must have equal length")
         if atoms.shape[0] == 0:
             raise ValueError("marks: at least one atom required")
-        if np.any(weights <= 0.0):
-            raise ValueError("marks: weights must be strictly positive")
+        if not (np.isfinite(atoms).all() and np.isfinite(weights).all() and np.all(weights > 0.0)):
+            raise ValueError("marks: atoms and weights must be finite, weights strictly positive")
         for a in range(atoms.shape[0]):
             for b in range(a + 1, atoms.shape[0]):
                 if np.array_equal(atoms[a], atoms[b]):

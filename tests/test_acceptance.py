@@ -19,6 +19,7 @@ from bsdelab.conditions import (
     check_comparison_multidim,
     check_viability_condition,
     check_viability_empirical,
+    comparison_path_report,
     empirical_comparison,
     stacked_reduction,
 )
@@ -41,6 +42,7 @@ from bsdelab.solver import (
     TerminalCondition,
     apriori_diagnostics,
     solve_backward,
+    solve_backward_many,
 )
 from bsdelab.stochastic import FiniteMarkMeasure, TimeGrid, simulate_paths
 
@@ -61,20 +63,31 @@ def _zero_terminal():
 
 @pytest.fixture(scope="module")
 def count_payoff_run():
-    """Pinned 200k-path bundle with the half-scaled jump driver solved on it."""
+    """Pinned 200k-path bundle and four problems solved on it in one pass.
+
+    The scaled jump drivers 0.5 and 2.0 with the count payoff, and the zero
+    driver with the count payoff and with zero payoff.
+    """
     grid = TimeGrid.uniform(1.0, 50)
     start = time.perf_counter()
     paths = simulate_paths(grid, UNIT_MARKS, brownian_dim=1, n_paths=200_000, seed=2024)
-    terminal = _count_terminal()
-    sol = solve_backward(
-        ScaledJumpGen(0.5), terminal, paths, basis=RegressionBasis(degree=2)
+    terminal, zero = _count_terminal(), ZeroGen(1, 1, UNIT_MARKS)
+    half, double, base, nil = solve_backward_many(
+        [
+            (ScaledJumpGen(0.5), terminal),
+            (ScaledJumpGen(2.0), terminal),
+            (zero, terminal),
+            (zero, _zero_terminal()),
+        ],
+        paths,
+        basis=RegressionBasis(degree=2),
     )
     elapsed = time.perf_counter() - start
-    return paths, terminal, sol, elapsed
+    return {"half": half, "double": double, "base": base, "nil": nil, "elapsed": elapsed}
 
 
 def test_criterion_01_half_scaled_jump_driver_value(count_payoff_run):
-    paths, terminal, sol, elapsed = count_payoff_run
+    sol, elapsed = count_payoff_run["half"], count_payoff_run["elapsed"]
     err = abs(float(sol.y0[0]) - 0.5)
     assert err <= 0.02, f"time-zero value off by {err:.4f}"
     assert elapsed <= 60.0, f"solve took {elapsed:.1f}s"
@@ -89,15 +102,8 @@ def test_criterion_01_half_scaled_jump_driver_value(count_payoff_run):
 
 
 def test_criterion_02_double_scaled_jump_value_and_violations(count_payoff_run):
-    paths, terminal, _, _ = count_payoff_run
-    report, sol, _ = empirical_comparison(
-        ScaledJumpGen(2.0),
-        ZeroGen(1, 1, UNIT_MARKS),
-        terminal,
-        _zero_terminal(),
-        paths,
-        basis=RegressionBasis(degree=2),
-    )
+    sol = count_payoff_run["double"]
+    report = comparison_path_report(sol, count_payoff_run["nil"])
     err = abs(float(sol.y0[0]) + 1.0)
     assert err <= 0.02, f"time-zero value off by {err:.4f}"
     idx = int(np.argmin(np.abs(report.times - 0.5)))
@@ -157,9 +163,7 @@ def test_criterion_05_two_point_target_excursion():
         state_dim=1,
         description="sign of the terminal Brownian value",
     )
-    report, _ = check_viability_empirical(
-        ZeroGen(1, 1, UNIT_MARKS), terminal, target, paths, tolerance=0.9
-    )
+    report, _ = check_viability_empirical(ZeroGen(1, 1, UNIT_MARKS), terminal, target, paths)
     assert report.max_mean_distance >= 0.9, f"max mean distance {report.max_mean_distance:.4f}"
     record_criterion(5, f"max mean distance {report.max_mean_distance:.4f} >= 0.9")
 
@@ -397,8 +401,7 @@ def test_criterion_08_mollified_distance_bounds():
 
 
 def test_criterion_09_deviation_curve_shape(count_payoff_run):
-    _, terminal, sol, _ = count_payoff_run
-    curves = apriori_diagnostics(sol, terminal)
+    curves = apriori_diagnostics(count_payoff_run["half"], count_payoff_run["base"])
     t = curves.times
     expected = 0.25 * (1.0 - t) ** 2
     early = t <= 0.8

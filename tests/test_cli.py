@@ -228,6 +228,29 @@ def test_cell_formatting():
     assert _cell("text") == "text"
 
 
+def test_solve_table_carries_the_mean_distance_to_the_target(tmp_path):
+    cfg = solve_config(
+        target={"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+        generator={"kind": "projection-drift"},
+        terminal={"kind": "circle-angle", "component": 0},
+    )
+    solved = {}
+
+    def keep(scenario, results):
+        solved.update((spec.kind, payload) for spec, _row, payload in results)
+        return []
+
+    run_scenario(cfg, tmp_path, extra_acceptance=keep)
+    sol, ball = solved["solve"], Scenario.from_dict(cfg).target
+    lines = (tmp_path / "y_stats.csv").read_text().splitlines()
+    column = lines[0].split(",").index("dk_mean")
+    written = [float(line.split(",")[column]) for line in lines[1:]]
+    # each node's mean of the one-row distances
+    expected = [np.mean([ball.dist(row) for row in sol.y[:, i]]) for i in range(len(sol.times))]
+    assert np.array(written).tobytes() == np.array(expected).tobytes()
+    assert max(written) > 0.0
+
+
 def test_solution_plot_is_emitted_as_svg(tmp_path):
     run_scenario(solve_config(), tmp_path)
     svg = (tmp_path / "y_mean.svg").read_text()

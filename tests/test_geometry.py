@@ -26,6 +26,34 @@ from bsdelab.geometry import _bump, _quad_nodes
 from bsdelab.stochastic import FiniteMarkMeasure
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: FiniteMarkMeasure([[1.0]], [math.nan]),
+        lambda: FiniteMarkMeasure([[1.0]], [math.inf]),
+        lambda: FiniteMarkMeasure([[math.nan]], [1.0]),
+        lambda: FiniteMarkMeasure([[1.0], [math.inf]], [1.0, 1.0]),
+        lambda: Ball(np.zeros(2), math.nan),
+        lambda: Ball(np.zeros(2), math.inf),
+        lambda: Ball([0.0, math.nan], 1.0),
+        lambda: Box([math.nan, 0.0], [1.0, 1.0]),
+        lambda: Box([0.0, 0.0], [1.0, math.nan]),
+    ],
+    ids=[
+        "nan-weight", "inf-weight", "nan-atom", "inf-atom", "nan-radius", "inf-radius",
+        "nan-centre", "nan-lower", "nan-upper",
+    ],
+)
+def test_constructors_refuse_non_finite_inputs(build):
+    with pytest.raises(ValueError, match="finite|NaN"):
+        build()
+
+
+def test_half_infinite_box_is_a_body():
+    box = Box([0.0, -math.inf], [math.inf, 1.0])
+    assert box.dist(np.array([-1.0, 3.0])) == pytest.approx(math.sqrt(5.0))
+
+
 def fd_gradient(f, x, eps=1e-6):
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)

@@ -3,6 +3,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from bsdelab.generators import AffineGen, ScaledJumpGen, ZeroGen
 from bsdelab.solver import (
@@ -12,7 +13,6 @@ from bsdelab.solver import (
     _StepRegression,
     apriori_diagnostics,
     _monomial_powers,
-    closed_form_linear,
     solve_backward,
     solve_backward_many,
 )
@@ -130,6 +130,28 @@ class TestModes:
         paths = simulate(n_paths=500, n_steps=2, seed=29)
         with pytest.raises(ValueError, match="mode"):
             solve_backward(ScaledJumpGen(0.5), count_terminal(), paths, mode="midpoint")
+
+
+def closed_form_linear(a_matrix, terminal, paths):
+    """Solution for the linear driver f(y) = A y.
+
+    Runs a zero-driver pass and rescales it by the matrix exponential
+    exp(A (T - t)); the martingale integrands scale the same way.
+    """
+    a_matrix = np.asarray(a_matrix, dtype=float)
+    m = a_matrix.shape[0]
+    zero = ZeroGen(state_dim=m, brownian_dim=paths.brownian_dim, marks=paths.marks)
+    sol = solve_backward(zero, terminal, paths)
+    horizon = sol.times[-1]
+    for i, t in enumerate(sol.times):
+        scale = expm(a_matrix * (horizon - t))
+        sol.y[:, i, :] = sol.y[:, i, :] @ scale.T
+        if i < sol.times.shape[0] - 1:
+            sol.z[:, i] = np.einsum("kl,nld->nkd", scale, sol.z[:, i])
+            sol.u[:, i] = np.einsum("kl,njl->njk", scale, sol.u[:, i])
+    sol.y0 = sol.y[:, 0, :].mean(axis=0)
+    sol.y0_se = sol.y[:, 1, :].std(axis=0) / np.sqrt(sol.n_paths)
+    return sol
 
 
 class TestLinearClosedForm:
@@ -447,11 +469,16 @@ class TestLayout:
                 ), name
 
 
+def zero_driver_pair(gen, paths):
+    """``gen`` and the zero driver with the count payoff, solved in one pass."""
+    zero = ZeroGen(state_dim=1, brownian_dim=1, marks=unit_marks())
+    return solve_backward_many([(gen, count_terminal()), (zero, count_terminal())], paths)
+
+
 class TestDeviationDiagnostics:
     def test_linear_jump_driver_curve(self):
         paths = simulate(n_paths=30_000, n_steps=25, seed=61)
-        sol = solve_backward(ScaledJumpGen(0.5), count_terminal(), paths)
-        curves = apriori_diagnostics(sol, count_terminal())
+        curves = apriori_diagnostics(*zero_driver_pair(ScaledJumpGen(0.5), paths))
         # value gap follows ((T - t)/2)^2; martingale integrands coincide
         for idx in (0, 5, 12):
             t = curves.times[idx]
@@ -464,8 +491,7 @@ class TestDeviationDiagnostics:
 
     def test_everything_vanishes_at_horizon(self):
         paths = simulate(n_paths=5_000, n_steps=8, seed=67)
-        sol = solve_backward(ScaledJumpGen(0.5), count_terminal(), paths)
-        curves = apriori_diagnostics(sol, count_terminal())
+        curves = apriori_diagnostics(*zero_driver_pair(ScaledJumpGen(0.5), paths))
         assert curves.value_gap[-1] == 0.0
         assert curves.z_tail[-1] == 0.0
         assert curves.u_tail[-1] == 0.0
@@ -474,7 +500,40 @@ class TestDeviationDiagnostics:
     def test_zero_driver_has_zero_curve(self):
         paths = simulate(n_paths=5_000, n_steps=8, seed=71)
         gen = ZeroGen(state_dim=1, brownian_dim=1, marks=unit_marks())
-        sol = solve_backward(gen, count_terminal(), paths)
-        curves = apriori_diagnostics(sol, count_terminal())
+        curves = apriori_diagnostics(*zero_driver_pair(gen, paths))
         assert np.allclose(curves.total, 0.0)
         assert curves.linear_bound == 0.0
+
+    def test_solves_nothing(self, monkeypatch):
+        paths = simulate(n_paths=2_000, n_steps=6, seed=73)
+        sol, base = zero_driver_pair(ScaledJumpGen(0.5), paths)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the diagnostics ran a backward pass")
+
+        monkeypatch.setattr("bsdelab.solver.solve_backward_many", refuse)
+        monkeypatch.setattr("bsdelab.solver.solve_backward", refuse)
+        curves = apriori_diagnostics(sol, base)
+        assert curves.total[-1] == 0.0
+
+    def test_rejects_a_base_it_cannot_compare(self):
+        # two draws of the same stream are equal but are still two bundles
+        first = simulate(n_paths=1_000, n_steps=4, seed=79)
+        second = simulate(n_paths=1_000, n_steps=4, seed=79)
+        sol, base = zero_driver_pair(ScaledJumpGen(0.5), first)
+        _, other = zero_driver_pair(ScaledJumpGen(0.5), second)
+        with pytest.raises(ValueError, match="one path bundle"):
+            apriori_diagnostics(sol, other)
+        wide = solve_backward(
+            ZeroGen(state_dim=2, brownian_dim=1, marks=unit_marks()),
+            TerminalCondition(fn=lambda w, k: np.zeros((w.shape[0], 2)), state_dim=2),
+            first,
+        )
+        with pytest.raises(ValueError, match="state dimension"):
+            apriori_diagnostics(sol, wide)
+        shifted = solve_backward(
+            ZeroGen(state_dim=1, brownian_dim=1, marks=unit_marks()), constant_terminal(1.0), first
+        )
+        with pytest.raises(ValueError, match="terminal data"):
+            apriori_diagnostics(sol, shifted)
+        assert apriori_diagnostics(sol, base).total[-1] == 0.0
