@@ -566,6 +566,11 @@ class _ScenarioRun:
             self._solutions = solutions
         return self._solutions
 
+    def regression(self) -> list[dict]:
+        """The backward pass's design diagnostics, one per time step, or []
+        when no check solved."""
+        return [] if self._solutions is None else [asdict(r) for r in self._solutions[0].regression]
+
 
 def _row(check: str, outcome: str, passed, value, detail: str) -> dict:
     """One verdict row; a check with no value (no constant) reads NaN."""
@@ -801,7 +806,10 @@ class RunManifest:
 
     ``files`` lists every emitted artifact except the manifest itself,
     each with a SHA-256 digest, so a rerun can be verified byte for
-    byte.  ``verdicts`` has one entry per executed check.
+    byte.  ``verdicts`` has one entry per executed check, and
+    ``regression`` one per time step of the backward pass (its design's
+    step, columns, rank and condition number; empty when nothing solved),
+    which no table carries.
     """
 
     name: str
@@ -810,6 +818,7 @@ class RunManifest:
     version: str
     wall_clock_seconds: float
     verdicts: list = field(default_factory=list)
+    regression: list = field(default_factory=list)
     files: list = field(default_factory=list)
     created: str = ""
     # the directory the run wrote to; not part of manifest.json
@@ -901,6 +910,7 @@ def run_scenario(
         version=__version__,
         wall_clock_seconds=round(time.perf_counter() - started, 3),
         verdicts=rows,
+        regression=run.regression(),
         files=sorted(writer.records, key=lambda r: r["path"]),
         created=datetime.now(timezone.utc).isoformat(timespec="seconds"),
         out_dir=out,

@@ -20,7 +20,7 @@ and the gaps z - z' and u - u' in the curvature and jump terms.
 
 Samples move through the engine as a :class:`SampleBatch`, one row per
 point: the initial sweep is one evaluation of the whole batch, and every
-climb round one evaluation of that round's trials.
+climb round one evaluation of the trials of all its live candidates.
 """
 
 from __future__ import annotations
@@ -338,39 +338,6 @@ def _quadratic_form(hess: np.ndarray, z: np.ndarray) -> np.ndarray:
     return _rowsum(z * (hess @ z))
 
 
-def _nudged(array: np.ndarray, step: float) -> np.ndarray:
-    """All single-coordinate perturbations of an array, both signs, stacked."""
-    flat = array.ravel()
-    rows = np.arange(2 * flat.size)
-    out = np.repeat(flat[None], rows.size, axis=0)
-    out[rows, rows // 2] += np.tile([step, -step], flat.size)
-    return out.reshape(-1, *array.shape)
-
-
-def _slot_zeroed(array: np.ndarray) -> np.ndarray:
-    """Copies of the array with one nonzero coordinate cleared, stacked."""
-    flat = array.ravel()
-    slots = np.flatnonzero(flat != 0.0)
-    out = np.repeat(flat[None], slots.size, axis=0)
-    out[np.arange(slots.size), slots] = 0.0
-    return out.reshape(-1, *array.shape)
-
-
-def _variants(s: SampleBatch, blocks) -> SampleBatch:
-    """Trials that copy the one-row batch ``s`` and replace one slot each.
-
-    ``blocks`` is a list of (slot name, stacked values); the trials come
-    block after block, one row per value, in the order given.
-    """
-    blocks = [(name, np.asarray(values, dtype=float)) for name, values in blocks]
-    trials = s.take(np.zeros(sum(len(values) for _, values in blocks), dtype=np.intp))
-    start = 0
-    for name, values in blocks:
-        getattr(trials, name)[start : start + len(values)] = values
-        start += len(values)
-    return trials
-
-
 # the climb's trials: factors that move y toward the body, and multipliers
 # of the z and u gaps to the primed blocks
 _TOWARD = np.array([2.0, 1.5, 0.7, 0.4])
@@ -406,28 +373,54 @@ class _Inequality:
         return lhs, rhs
 
     def _toward(self, y, alpha):
-        p = self.body.project_batch(y)
-        return p + np.reshape(alpha, (-1, 1)) * (y - p)
+        """Each row of y pulled toward the body by each factor in ``alpha``,
+        (n, len(alpha), m)."""
+        p = self.body.project_batch(y)[:, None]
+        return p + np.reshape(alpha, (-1, 1)) * (y[:, None] - p)
 
     def shrink(self, b: SampleBatch, alpha: float) -> SampleBatch:
         """Pull each row's y toward the body (weight -> 0) by the factor ``alpha``."""
-        return dataclasses.replace(b, y=self._toward(b.y, alpha))
+        return dataclasses.replace(b, y=self._toward(b.y, alpha)[:, 0])
 
-    def mutate(self, s: SampleBatch) -> SampleBatch:
-        """One climb round's trials around the one-row batch ``s``: y moved
-        toward the body, z and u moved along their gaps from the primed
-        blocks (from 0 when there are none), and single-slot moves that
-        nudge one slot of z or u or clear one slot of its gap."""
-        blocks = [("y", self._toward(s.y, _TOWARD))]
+    def mutate(self, s: SampleBatch) -> tuple[SampleBatch, np.ndarray]:
+        """One climb round's trials around every row of ``s``, and the row
+        each trial comes from.  A row's trials are contiguous: y moved toward
+        the body, z and u moved along their gaps from the primed blocks (from
+        0 when there are none), and single-slot moves that nudge one slot of
+        z or u by +-1 or clear one nonzero slot of its gap."""
+        n = len(s)
+        blocks = [("y", self._toward(s.y, _TOWARD), None)]
         slots = []
         for name in ("z", "u"):
-            value, prime = getattr(s, name)[0], getattr(s, name + "_prime")
-            prime = 0.0 if prime is None else prime[0]
+            value, prime = getattr(s, name), getattr(s, name + "_prime")
+            prime = np.zeros_like(value) if prime is None else prime
             gap = value - prime
-            blocks.append((name, prime + _GAP_SCALES.reshape(-1, *[1] * gap.ndim) * gap))
+            scales = _GAP_SCALES.reshape(-1, *[1] * (gap.ndim - 1))
+            blocks.append((name, prime[:, None] + scales * gap[:, None], None))
             # single-slot moves find violations hidden behind penalized slots
-            slots.append((name, np.concatenate([_nudged(value, 1.0), prime + _slot_zeroed(gap)])))
-        return _variants(s, blocks + slots)
+            flat, gap = value.reshape(n, -1), gap.reshape(n, -1)
+            size = flat.shape[1]
+            nudge = np.repeat(flat[:, None], 2 * size, axis=1)
+            rows = np.arange(2 * size)
+            nudge[:, rows, rows // 2] += np.tile([1.0, -1.0], size)
+            clear = np.repeat(gap[:, None], size, axis=1)
+            clear[:, np.arange(size), np.arange(size)] = 0.0
+            clear = prime.reshape(n, 1, -1) + clear
+            shape = (n, -1, *value.shape[1:])
+            slots += [(name, nudge.reshape(shape), None), (name, clear.reshape(shape), gap != 0.0)]
+        blocks += slots
+        keep = np.concatenate([np.ones(v.shape[:2], bool) if k is None else k for _, v, k in blocks], 1)
+        owner = np.repeat(np.arange(n), keep.sum(axis=1))
+        trials = s.take(owner)
+        # each block's kept trials land at their places in the stacked order
+        place = (np.cumsum(keep) - 1).reshape(keep.shape)
+        start = 0
+        for name, values, _ in blocks:
+            cols = slice(start, start + values.shape[1])
+            sel = keep[:, cols]
+            getattr(trials, name)[place[:, cols][sel]] = values[sel]
+            start = cols.stop
+        return trials, owner
 
 
 def _point_lhs_rhs(ineq: _Inequality, constant: float):
@@ -448,8 +441,9 @@ def _run_certification(
     samples: SampleBatch,
     c_max: float,
 ) -> ConditionVerdict:
-    """Sweep every sample, climb from the best eight, then descend from the
-    best climbed point toward weight 0 to test for a sustained violation.
+    """Sweep every sample, climb from the best eight in lock-step, then
+    descend from the best climbed point toward weight 0 to test for a
+    sustained violation.
     Every move is a fixed function of the point it starts from, so the
     verdict is a function of the samples.  The verdict's ``profile`` counts
     each phase's evaluations, rows and accepted moves, and the descent's
@@ -474,22 +468,6 @@ def _run_certification(
     def margin(e, w):
         return e - c_max * w
 
-    def climb(s, e, w):
-        # each round moves to its best trial if that beats the current margin
-        best = margin(e, w)
-        for _ in range(_REFINE_ROUNDS):
-            trials = ineq.mutate(s)
-            te, tw, td = evaluate(trials, "climb")
-            # inside the target set both sides of the clamped inequality
-            # vanish, so the climb stays on positive weights
-            tm = np.where(td & (tw > 0.0), margin(te, tw), -np.inf)
-            pick = int(np.argmax(tm))
-            if not tm[pick] > best + 1e-15:
-                break
-            profile["climb"]["accepted"] += 1
-            s, e, w, best = trials.take([pick]), float(te[pick]), float(tw[pick]), float(tm[pick])
-        return s, e, w
-
     n = len(samples)
     excess, weight, defined = (
         evaluate(samples, "sweep") if n else (np.zeros(0), np.zeros(0), np.zeros(0, bool))
@@ -512,14 +490,35 @@ def _run_certification(
     # (and stays) on that stratum, otherwise the flat interior margin of
     # exactly zero absorbs every ascent
     positive = ranked[weight[ranked] > 0.0]
-    climbed = [
-        climb(samples.take(rows[[i]]), float(excess[i]), float(weight[i]))
-        for i in (positive if positive.size else ranked)[:8]
-    ]
+    first = (positive if positive.size else ranked)[:8]
+    c, ce, cw = samples.take(rows[first]), excess[first], weight[first]
+    # lock-step rounds: every live candidate moves to the first best of its
+    # trials if that beats its margin, and drops out otherwise
+    best, live = margin(ce, cw), np.arange(len(c))
+    for _ in range(_REFINE_ROUNDS):
+        if not live.size:
+            break
+        trials, owner = ineq.mutate(c.take(live))
+        te, tw, td = evaluate(trials, "climb")
+        # inside the target set both sides of the clamped inequality vanish,
+        # so the climb stays on positive weights
+        tm = np.where(td & (tw > 0.0), margin(te, tw), -np.inf)
+        counts = np.bincount(owner)
+        starts = np.cumsum(counts) - counts
+        top = np.maximum.reduceat(tm, starts)[owner]
+        pick = np.minimum.reduceat(np.where(tm == top, np.arange(tm.size), tm.size), starts)
+        gain = tm[pick] > best[live] + 1e-15
+        live, pick = live[gain], pick[gain]
+        profile["climb"]["accepted"] += live.size
+        for f in dataclasses.fields(c):
+            if getattr(c, f.name) is not None:
+                getattr(c, f.name)[live] = getattr(trials, f.name)[pick]
+        ce[live], cw[live], best[live] = te[pick], tw[pick], tm[pick]
 
     # sustained-blowup test: a genuine failure keeps its excess above
     # cutoff * weight while the weight is halved toward zero
-    s, e, w = max(climbed, key=lambda c: margin(c[1], c[2]))
+    i = int(np.argmax(margin(ce, cw)))
+    s, e, w = c.take([i]), float(ce[i]), float(cw[i])
     descent = profile["descent"]
     rescues = 4
     while e > _TOL and descent["depth"] < 80:
@@ -535,7 +534,7 @@ def _run_certification(
             # mutation round to strip it before abandoning the descent
             if rescues:
                 rescues -= 1
-                trials = ineq.mutate(s)
+                trials, _ = ineq.mutate(s)
                 te, tw, td = evaluate(trials, "descent")
                 live = td & (te > _TOL)
                 if live.any():
@@ -553,8 +552,8 @@ def _run_certification(
                 detail=f"violation sustained to weight {w:.2e}", profile=profile, _replay=replay,
             )
 
-    excess = np.concatenate([excess, [c[1] for c in climbed]])
-    weight = np.concatenate([weight, [c[2] for c in climbed]])
+    excess = np.concatenate([excess, ce])
+    weight = np.concatenate([weight, cw])
     away = weight > _WEIGHT_FLOOR
     sup_c = max(0.0, float(np.max(excess[away] / weight[away]))) if away.any() else 0.0
     worst_margin = float(np.max(margin(excess, weight)))

@@ -113,6 +113,8 @@ class ScaledJumpGen(Generator):
 
     def __init__(self, scale: float, marks: FiniteMarkMeasure | None = None):
         self.scale = float(scale)
+        if not np.isfinite(self.scale):
+            raise ValueError("scaled jump driver: scale must be finite")
         self.marks = marks if marks is not None else FiniteMarkMeasure([[1.0]], [1.0])
         self.state_dim = 1
         self.brownian_dim = 1

@@ -556,6 +556,8 @@ class FinitePointSet:
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         if pts.shape[0] == 0:
             raise ValueError("point set must be nonempty")
+        if not np.isfinite(pts).all():
+            raise ValueError("point set: points must be finite")
         object.__setattr__(self, "points", pts)
 
     @property

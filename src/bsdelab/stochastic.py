@@ -74,6 +74,8 @@ class TimeGrid:
         nodes = np.asarray(self.nodes, dtype=float).ravel()
         if nodes.shape[0] < 2:
             raise ValueError("empty grid: need at least one step")
+        if not np.isfinite(nodes).all():
+            raise ValueError("grid nodes must be finite")
         if nodes[0] != 0.0:
             raise ValueError("grid must start at t = 0")
         if np.any(np.diff(nodes) <= 0.0):

@@ -164,6 +164,20 @@ def test_manifest_lists_every_artifact_with_correct_digest(tmp_path):
     assert header == "check,outcome,passed,value,detail"
 
 
+def test_manifest_carries_per_step_regression_diagnostics_outside_the_tables(tmp_path):
+    first = run_scenario(solve_config(), tmp_path / "a")
+    second = run_scenario(solve_config(), tmp_path / "b")
+    doc = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    assert [entry["step"] for entry in doc["regression"]] == list(range(5))
+    for entry in doc["regression"]:
+        assert set(entry) == {"step", "n_columns", "rank", "condition"}
+        assert 0 < entry["rank"] <= entry["n_columns"] and entry["condition"] >= 1.0
+    assert second.regression == first.regression == doc["regression"]
+    assert read_artifacts(tmp_path / "a") == read_artifacts(tmp_path / "b")
+    # a run that solves nothing has no diagnostics
+    assert run_scenario(solve_config(), tmp_path / "c", checks=("simulate",)).regression == []
+
+
 def test_seed_override_changes_hash_and_outputs(tmp_path):
     base = run_scenario(solve_config(), tmp_path / "base")
     reseeded = run_scenario(solve_config(), tmp_path / "reseeded", seed=9)

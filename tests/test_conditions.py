@@ -29,6 +29,7 @@ from bsdelab.conditions import (
     viability_path_report,
 )
 from bsdelab.conditions import (
+    _REFINE_ROUNDS,
     _SLOTS,
     _ComparisonInequality,
     _QuadraticClause,
@@ -686,6 +687,28 @@ def test_batch_evaluation_equals_one_row_calls_bit_for_bit(name, ineq, batch):
             ineq.lhs_rhs(batch, constant)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name,ineq,batch", INEQUALITY_CASES, ids=[c[0] for c in INEQUALITY_CASES])
+def test_mutate_of_a_batch_stacks_its_one_row_calls_bit_for_bit(name, ineq, batch):
+    s = batch.take(np.arange(6))
+    # gaps with different numbers of nonzero slots: row 1 closes one z slot,
+    # row 2 its whole u gap (viability gaps are measured from 0)
+    s.z[1].flat[0] = 0.0 if s.z_prime is None else s.z_prime[1].flat[0]
+    s.u[2] = 0.0 if s.u_prime is None else s.u_prime[2]
+    trials, owner = ineq.mutate(s)
+    rows = [ineq.mutate(s.take([i])) for i in range(len(s))]
+    assert all(not row_owner.any() for _, row_owner in rows)
+    assert np.array_equal(owner, np.repeat(np.arange(len(s)), [len(t) for t, _ in rows]))
+    assert len(set(np.bincount(owner))) > 1, "segments should differ in length"
+    for f in dataclasses.fields(trials):
+        got, want = getattr(trials, f.name), [getattr(t, f.name) for t, _ in rows]
+        if got is None:
+            assert all(w is None for w in want) and name.startswith("viability")
+            continue
+        want = np.concatenate(want)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), f.name
+
+
 def test_point_functions_agree_with_batch_rows():
     gen = ProjectionDriftGen(Ball(np.zeros(2), 1.0), brownian_dim=2, marks=MARKS2)
     ineq = _ViabilityInequality(gen, gen.body)
@@ -859,15 +882,20 @@ def test_both_routes_match_the_construction_beyond_criterion_10s_seed(rng_seed, 
 
 
 def test_verdict_profile_counts_the_sweep_climb_and_descent():
-    (_, _, certified, _), (_, _, falsified, _) = _criterion_10_verdicts(7, 2)
+    (_, _, certified, certified_stacked), (_, _, falsified, falsified_stacked) = _criterion_10_verdicts(7, 2)
     assert certified.certified and falsified.falsified
     for verdict in (certified, falsified):
         profile = verdict.to_dict()["profile"]
         assert set(profile) == {"sweep", "climb", "descent"}
         assert profile["sweep"] == {"evaluations": 1, "rows": 1500, "accepted": 0}
-        assert 0 < profile["climb"]["evaluations"] <= 64
-        assert profile["climb"]["accepted"] <= profile["climb"]["evaluations"]
+        # one evaluation per lock-step round serves every live candidate
+        assert 0 < profile["climb"]["evaluations"] <= _REFINE_ROUNDS
+        assert profile["climb"]["accepted"] <= 8 * profile["climb"]["evaluations"]
         assert profile["descent"]["evaluations"] <= 84
+    # the candidates climb as they did one after another: same rows, same moves
+    climbs = [(v.profile["climb"]["rows"], v.profile["climb"]["accepted"])
+              for v in (certified, falsified, certified_stacked, falsified_stacked)]
+    assert climbs == [(1314, 64), (1324, 64), (1916, 64), (1908, 64)]
     # a falsification halves the weight at each step down to 1e-10
     assert falsified.profile["descent"]["depth"] > 0
     assert certified.profile["descent"] == {"evaluations": 0, "rows": 0, "accepted": 0, "depth": 0}

@@ -301,6 +301,11 @@ class TestDeclaredBounds:
     def test_scaled_jump_constant_with_unit_weight(self):
         assert ScaledJumpGen(2.0).lipschitz == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+    def test_scaled_jump_scale_must_be_finite(self, scale):
+        with pytest.raises(ValueError, match="finite"):
+            ScaledJumpGen(scale)
+
     def test_affine_bound_dominates_sampled_ratios(self):
         rng = np.random.default_rng(11)
         marks = FiniteMarkMeasure(atoms=[[1.0]], weights=[0.5])

@@ -38,10 +38,12 @@ from bsdelab.stochastic import FiniteMarkMeasure
         lambda: Ball([0.0, math.nan], 1.0),
         lambda: Box([math.nan, 0.0], [1.0, 1.0]),
         lambda: Box([0.0, 0.0], [1.0, math.nan]),
+        lambda: FinitePointSet([[0.0, 1.0], [math.nan, 0.0]]),
+        lambda: FinitePointSet([[0.0, math.inf]]),
     ],
     ids=[
         "nan-weight", "inf-weight", "nan-atom", "inf-atom", "nan-radius", "inf-radius",
-        "nan-centre", "nan-lower", "nan-upper",
+        "nan-centre", "nan-lower", "nan-upper", "nan-point", "inf-point",
     ],
 )
 def test_constructors_refuse_non_finite_inputs(build):

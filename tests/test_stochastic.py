@@ -35,6 +35,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             TimeGrid(np.array([0.0, 0.5, 0.5, 1.0]))
 
+    @pytest.mark.parametrize("nodes", [[0.0, 1.0, np.inf], [0.0, np.nan, 1.0]], ids=["inf-node", "nan-node"])
+    def test_grid_nodes_must_be_finite(self, nodes):
+        with pytest.raises(ValueError, match="finite"):
+            TimeGrid(np.array(nodes))
+
     def test_marks_require_positive_weights(self):
         with pytest.raises(ValueError):
             FiniteMarkMeasure(atoms=[[1.0], [2.0]], weights=[1.0, 0.0])
