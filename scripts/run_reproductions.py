@@ -7,7 +7,9 @@ or ``--steps`` to downscale every preset for a quick smoke run, and
 ``--only`` to restrict to a subset.  Each preset's summary line ends
 with its table digest: the SHA-256 over the manifest's sorted
 ``(path, sha256)`` file records, ``manifest.json`` itself excluded, so
-two runs wrote the same bytes exactly when their digests agree.  The
+two runs wrote the same bytes exactly when their digests agree.  Under
+its verdicts, a ``seconds`` line gives the manifest's wall-clock seconds
+of the bundle draw, the backward pass and each check.  The
 last bits of some tables depend on the BLAS thread count, so BLAS runs
 on one thread unless ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or
 ``MKL_NUM_THREADS`` is set, and the summary prints the count used.  The
@@ -54,6 +56,14 @@ def table_digest(manifest) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def seconds_line(seconds: dict) -> str:
+    """The manifest's seconds: the draw and the backward pass when they ran,
+    then each check without them."""
+    parts = [(name, seconds[name]) for name in ("draw", "backward") if name in seconds]
+    parts += [(entry["check"], entry["seconds"]) for entry in seconds["checks"]]
+    return ", ".join(f"{name} {value:.3f}" for name, value in parts)
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     names = args.only or list(PRESET_NAMES)
@@ -72,6 +82,7 @@ def main(argv=None) -> int:
         for row in manifest.verdicts:
             status = "PASS" if row["passed"] else "FAIL"
             print(f"  [{status}] {row['check']}: {row['detail']}")
+        print("  seconds: " + seconds_line(manifest.seconds))
         failures += 0 if manifest.all_passed else 1
     elapsed = time.perf_counter() - started
     verdict = "all passed" if failures == 0 else f"{failures} preset(s) failed"

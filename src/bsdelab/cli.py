@@ -59,7 +59,7 @@ from .solver import (
     TerminalCondition,
     solve_backward_many,
 )
-from .stochastic import DrivingPaths, FiniteMarkMeasure, TimeGrid, simulate_paths
+from .stochastic import DrivingPaths, FiniteMarkMeasure, TimeGrid, _on_two_threads, simulate_paths
 from .svgplot import render_line_plot
 
 __all__ = [
@@ -534,7 +534,8 @@ class _ScenarioRun:
     ``terminal2``; the first check that needs a solution solves all of
     them in one backward pass.  Every array is read-only, so each check
     sees the same draws and the same solutions and none can change them
-    for the next.
+    for the next.  ``seconds`` times the draw, the backward pass and each
+    check run through ``run_check``, for the manifest.
     """
 
     def __init__(self, scenario: Scenario, kinds):
@@ -545,11 +546,17 @@ class _ScenarioRun:
             self._problems.append(second)
         self._paths = None
         self._solutions = None
+        self.seconds = {"checks": []}
+
+    def _shared_seconds(self) -> float:
+        return self.seconds.get("draw", 0.0) + self.seconds.get("backward", 0.0)
 
     def paths(self) -> DrivingPaths:
         if self._paths is None:
             s = self.scenario
+            started = time.perf_counter()
             paths = simulate_paths(s.grid, s.marks, s.brownian_dim, s.solver.paths, s.seed)
+            self.seconds["draw"] = time.perf_counter() - started
             _read_only(paths.brownian, paths.jump_counts, paths.count_nodes)
             self._paths = paths
         return self._paths
@@ -557,14 +564,26 @@ class _ScenarioRun:
     def solutions(self) -> list[BsdeSolution]:
         if self._solutions is None:
             s = self.scenario
+            paths = self.paths()
+            started = time.perf_counter()
             solutions = solve_backward_many(
-                self._problems, self.paths(),
+                self._problems, paths,
                 basis=RegressionBasis(s.solver.basis_degree), mode=s.solver.mode,
             )
+            self.seconds["backward"] = time.perf_counter() - started
             for sol in solutions:
                 _read_only(sol.y, sol.z, sol.u, sol.y0, sol.y0_se)
             self._solutions = solutions
         return self._solutions
+
+    def run_check(self, spec: CheckSpec, writer: _ArtifactWriter):
+        """Run one check; its seconds leave out the draw and the backward
+        pass it may have made, which are timed on their own."""
+        shared, started = self._shared_seconds(), time.perf_counter()
+        row, payload = _CHECKS[spec.kind].run(self, spec.params, writer)
+        own = time.perf_counter() - started - (self._shared_seconds() - shared)
+        self.seconds["checks"].append({"check": spec.kind, "seconds": own})
+        return row, payload
 
     def regression(self) -> list[dict]:
         """The backward pass's design diagnostics, one per time step, or []
@@ -600,11 +619,19 @@ def _solve(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
     sol = run.solutions()[0]
     m = sol.state_dim
     columns = [("t", list(sol.times))]
-    # over the time-major storage, so the copy np.quantile makes keeps each
-    # time's values contiguous for its partition
-    lo, hi = np.quantile(sol.y.transpose(1, 0, 2), [0.05, 0.95], axis=1)
-    mean = sol.y.mean(axis=0)
-    std = sol.y.std(axis=0)
+    # node by node over the time-major store, each node one contiguous block,
+    # half of the nodes on a worker thread; the same bytes as one reduction
+    # over the whole store, without its copies of it
+    store = sol.y.transpose(1, 0, 2)
+    lo, hi, mean, std = stats = np.empty((4, store.shape[0], m))
+
+    def node_stats(first, stop):
+        for i in range(first, stop):
+            stats[:2, i] = np.quantile(store[i], [0.05, 0.95], axis=0)
+            stats[2, i] = store[i].mean(axis=0)
+            stats[3, i] = store[i].std(axis=0)
+
+    _on_two_threads(node_stats, store.shape[0])
     for k in range(m):
         columns.append((f"y{k}_mean", list(mean[:, k])))
         columns.append((f"y{k}_std", list(std[:, k])))
@@ -612,7 +639,7 @@ def _solve(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
         columns.append((f"y{k}_hi", list(hi[:, k])))
     if scenario.target is not None:
         # one call on the time-major store, then the mean over paths at each node
-        dk = scenario.target.dist_batch(sol.y.transpose(1, 0, 2).reshape(-1, m))
+        dk = scenario.target.dist_batch(store.reshape(-1, m))
         columns.append(("dk_mean", list(dk.reshape(sol.y.shape[1], -1).mean(axis=1))))
     writer.write_table("y_stats", columns)
     svg = render_line_plot(
@@ -808,8 +835,11 @@ class RunManifest:
     each with a SHA-256 digest, so a rerun can be verified byte for
     byte.  ``verdicts`` has one entry per executed check, and
     ``regression`` one per time step of the backward pass (its design's
-    step, columns, rank and condition number; empty when nothing solved),
-    which no table carries.
+    step, columns, rank and condition number; empty when nothing solved).
+    ``seconds`` gives the wall-clock seconds of the bundle draw
+    (``draw``) and of the backward pass (``backward``), each present when
+    it ran, and of each check in run order (``checks``, without the draw
+    and backward pass it made).  No table carries either.
     """
 
     name: str
@@ -819,6 +849,7 @@ class RunManifest:
     wall_clock_seconds: float
     verdicts: list = field(default_factory=list)
     regression: list = field(default_factory=list)
+    seconds: dict = field(default_factory=dict)
     files: list = field(default_factory=list)
     created: str = ""
     # the directory the run wrote to; not part of manifest.json
@@ -895,7 +926,7 @@ def run_scenario(
     run = _ScenarioRun(scenario, {spec.kind for spec in selected})
     rows, payloads = [], []
     for spec in selected:
-        row, payload = _CHECKS[spec.kind].run(run, spec.params, writer)
+        row, payload = run.run_check(spec, writer)
         rows.append(row)
         payloads.append((spec, row, payload))
     if extra_acceptance is not None:
@@ -911,6 +942,7 @@ def run_scenario(
         wall_clock_seconds=round(time.perf_counter() - started, 3),
         verdicts=rows,
         regression=run.regression(),
+        seconds=run.seconds,
         files=sorted(writer.records, key=lambda r: r["path"]),
         created=datetime.now(timezone.utc).isoformat(timespec="seconds"),
         out_dir=out,

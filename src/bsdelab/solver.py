@@ -280,7 +280,8 @@ def solve_backward_many(
     problem's targets on it.  Each solution equals a solve of its problem
     alone, bit for bit; ``mode`` is as in :func:`solve_backward`.  The next
     step's design and SVD are built on a worker thread, which ends with the
-    call.
+    call.  Only the design build runs beside this thread's fits and
+    drivers: ``scipy.linalg.svd`` holds the GIL while it runs.
     """
     if basis is None:
         basis = RegressionBasis()

@@ -9,6 +9,7 @@ how the work is scheduled or chunked.
 
 from __future__ import annotations
 
+import concurrent.futures
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,7 +145,13 @@ class StreamKey:
 
 
 def _poisson_cdf_table(mean: float, tail: float = 1e-16, cap: int = 400) -> np.ndarray:
-    """CDF values P(X <= k) until the remaining tail is below ``tail``."""
+    """CDF values P(X <= k) until the remaining tail is below ``tail``.
+
+    Raises ``ValueError`` when ``cap`` terms leave more of the mass out than
+    the rounding of their sum can explain: at a mean above about 270 the
+    table would need more terms, and above about 745 ``exp(-mean)``
+    underflows to 0.
+    """
     pmf = np.exp(-mean)
     cdf = [pmf]
     k = 0
@@ -152,6 +159,13 @@ def _poisson_cdf_table(mean: float, tail: float = 1e-16, cap: int = 400) -> np.n
         k += 1
         pmf *= mean / k
         cdf.append(cdf[-1] + pmf)
+    # a sum of k terms can fall short of 1 by a few ulps and never reach it;
+    # such a table is complete, and stops at the cap with those last ulps
+    if 1.0 - cdf[-1] > max(tail, cap * np.finfo(float).eps):
+        raise ValueError(
+            f"Poisson mean {float(mean)!r} needs more than {cap} terms of its CDF table; "
+            "refine the time grid or lower the jump intensity"
+        )
     return np.asarray(cdf)
 
 
@@ -166,6 +180,24 @@ def poisson_counts(u: np.ndarray, mean: float) -> np.ndarray:
     fired = u >= cdf[0]
     counts[fired] = np.minimum(np.searchsorted(cdf, u[fired], side="right"), cdf.shape[0] - 1)
     return counts
+
+
+def _on_two_threads(work, n: int) -> None:
+    """Run ``work(lo, hi)`` over [0, n) in two halves, one per core.
+
+    The calling thread runs [0, ceil(n / 2)) and one worker thread the rest;
+    the worker ends with the call, and an error on either side is raised
+    here once both halves are done.  The halves must write disjoint outputs.
+    With n = 1 the worker has nothing to do and is not started.
+    """
+    mid = (n + 1) // 2
+    if mid == n:
+        work(0, n)
+        return
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as worker:
+        rest = worker.submit(work, mid, n)
+        work(0, mid)
+        rest.result()
 
 
 def _accumulate(steps: np.ndarray, nodes: np.ndarray) -> None:
@@ -242,6 +274,14 @@ def simulate_paths(
     Brownian channels occupy stream channels 0..d-1, atoms d..d+J-1.
     ``path_offset`` generates paths [offset, offset + n_paths) of the
     notional full run, so chunked generation concatenates exactly.
+
+    The work runs on two threads: this one draws the first half of the
+    steps and one worker thread the second half, then each thread takes
+    one of the two cumulative sums (``brownian`` and ``count_nodes``).
+    Every draw is keyed by its step, channel and path, so the bundle is
+    the same bit for bit however the work is split; the worker ends with
+    the call.  A jump mean too large for its Poisson table (see
+    ``_poisson_cdf_table``) raises ``ValueError`` naming its step and atom.
     """
     if brownian_dim < 1:
         raise ValueError("brownian_dim must be at least 1")
@@ -256,19 +296,32 @@ def simulate_paths(
     # time-major storage: step i of every path is one contiguous block
     dW = np.empty((n_steps, n_paths, d))
     counts = np.empty((n_steps, n_paths, J), dtype=np.int64)
-    for i in range(n_steps):
-        sqrt_h = np.sqrt(h[i])
-        for c in range(d):
-            dW[i, :, c] = sqrt_h * key.normals(i, c, n_paths, offset=path_offset)
-        for j in range(J):
-            u = key.uniforms(i, d + j, n_paths, offset=path_offset)
-            counts[i, :, j] = poisson_counts(u, h[i] * marks.weights[j])
+
+    def draw(first, stop):
+        for i in range(first, stop):
+            sqrt_h = np.sqrt(h[i])
+            for c in range(d):
+                dW[i, :, c] = sqrt_h * key.normals(i, c, n_paths, offset=path_offset)
+            for j in range(J):
+                u = key.uniforms(i, d + j, n_paths, offset=path_offset)
+                try:
+                    counts[i, :, j] = poisson_counts(u, h[i] * marks.weights[j])
+                except ValueError as exc:
+                    raise ValueError(f"jump draw at step {i}, atom {j}: {exc}") from None
 
     W = np.zeros((n_steps + 1, n_paths, d))
-    _accumulate(dW, W)
+    cum = np.zeros((n_steps + 1, n_paths, J), dtype=np.int64)
+    sums = [(dW, W), (counts, cum)]
+
+    def accumulate(first, stop):
+        for increments, nodes in sums[first:stop]:
+            _accumulate(increments, nodes)
+
+    _on_two_threads(draw, n_steps)
+    _on_two_threads(accumulate, len(sums))
     return DrivingPaths(
-        grid=grid, marks=marks,
-        brownian=W.transpose(1, 0, 2), jump_counts=counts.transpose(1, 0, 2),
+        grid=grid, marks=marks, brownian=W.transpose(1, 0, 2),
+        jump_counts=counts.transpose(1, 0, 2), count_nodes=cum.transpose(1, 0, 2),
     )
 
 

@@ -6,6 +6,7 @@ byte for byte), the manifest contract (every emitted file is listed with
 its digest), table formats, exit codes, and the reproduction presets.
 """
 
+import csv
 import hashlib
 import json
 import os
@@ -176,6 +177,55 @@ def test_manifest_carries_per_step_regression_diagnostics_outside_the_tables(tmp
     assert read_artifacts(tmp_path / "a") == read_artifacts(tmp_path / "b")
     # a run that solves nothing has no diagnostics
     assert run_scenario(solve_config(), tmp_path / "c", checks=("simulate",)).regression == []
+
+
+def test_manifest_times_the_draw_the_backward_pass_and_each_check_outside_the_tables(tmp_path):
+    cfg = solve_config(checks=[{"kind": "simulate"}, {"kind": "solve"}])
+    first = run_scenario(cfg, tmp_path / "a")
+    run_scenario(cfg, tmp_path / "b")
+    doc = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    seconds = doc["seconds"]
+    assert set(seconds) == {"draw", "backward", "checks"}
+    assert [entry["check"] for entry in seconds["checks"]] == ["simulate", "solve"]
+    assert seconds["draw"] > 0.0 and seconds["backward"] > 0.0
+    assert all(entry["seconds"] > 0.0 for entry in seconds["checks"])
+    assert first.seconds == seconds
+    assert read_artifacts(tmp_path / "a") == read_artifacts(tmp_path / "b")
+    # a run that draws nothing times its checks only
+    no_draw = run_scenario(
+        solve_config(generator2={"kind": "zero", "state_dim": 1},
+                     checks=[{"kind": "comparison", "samples": 50, "expect": "certified"}]),
+        tmp_path / "c",
+    )
+    assert set(no_draw.seconds) == {"checks"}
+
+
+def test_solve_table_node_statistics_equal_reductions_over_the_whole_store(tmp_path):
+    # two components, so each node's band, mean and std are per column
+    solutions = []
+
+    def keep(_scenario, payloads):
+        solutions.extend(payload for spec, _row, payload in payloads if spec.kind == "solve")
+        return []
+
+    cfg = solve_config(
+        generator={"kind": "zero", "state_dim": 2},
+        terminal={"kind": "circle-angle", "component": 0},
+        grid={"horizon": 1.0, "steps": 7},
+    )
+    run_scenario(cfg, tmp_path / "out", extra_acceptance=keep)
+    (sol,) = solutions
+    assert sol.state_dim == 2
+    store = sol.y.transpose(1, 0, 2)
+    lo, hi = np.quantile(store, [0.05, 0.95], axis=1)
+    want = {"mean": sol.y.mean(axis=0), "std": sol.y.std(axis=0), "lo": lo, "hi": hi}
+    with open(tmp_path / "out" / "y_stats.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    table = np.array(rows, dtype=float)
+    for k in range(2):
+        for name, values in want.items():
+            column = table[:, header.index(f"y{k}_{name}")]
+            assert column.tobytes() == np.ascontiguousarray(values[:, k]).tobytes(), (k, name)
 
 
 def test_seed_override_changes_hash_and_outputs(tmp_path):
@@ -497,6 +547,18 @@ def test_cli_exits_two_on_non_finite_terminal_payoff(tmp_path, capsys):
         code = main(["solve", "--config", str(config_path), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "non-finite values on 58 of 800 paths" in capsys.readouterr().err
+
+
+def test_cli_exits_two_on_a_jump_mean_beyond_its_poisson_table(tmp_path, capsys):
+    # one step of rate 1000: 400 terms of the Poisson table hold almost none of it
+    cfg = solve_config(grid={"horizon": 1.0, "steps": 1}, marks={"points": [[1.0]], "weights": [1000.0]})
+    config_path = tmp_path / "scenario.json"
+    config_path.write_text(json.dumps(cfg))
+    code = main(["solve", "--config", str(config_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "jump draw at step 0, atom 0: Poisson mean 1000.0 needs more than 400 terms" in (
+        capsys.readouterr().err
+    )
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=str)

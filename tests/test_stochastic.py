@@ -1,8 +1,11 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bsdelab.stochastic
 from bsdelab.generators import ZeroGen
 from bsdelab.solver import TerminalCondition, solve_backward
 from bsdelab.stochastic import (
@@ -104,10 +107,11 @@ class TestPoissonInversion:
         u = StreamKey(3).uniforms(0, 0, 1000)
         assert np.all(poisson_counts(u, 1e-12) == 0)
 
-    @pytest.mark.parametrize("mean", [0.02, 0.5, 3.0, 380.0])
+    @pytest.mark.parametrize("mean", [0.02, 0.5, 3.0, 240.0])
     def test_equals_a_search_over_every_uniform(self, mean):
-        # rows below P(X = 0) skip the search; the table stops at 400 at a
-        # large mean, where the search is capped
+        # rows below P(X = 0) skip the search; at 240 the table runs to its
+        # 400-term cap with its sum stalled a few ulps below 1, and the
+        # uniforms at or above that sum search past its end and are capped
         cdf = _poisson_cdf_table(mean)
         u = np.concatenate([StreamKey(5).uniforms(0, 0, 50_000), cdf, np.nextafter(cdf, 0.0)])
         full = np.minimum(np.searchsorted(cdf, u, side="right"), cdf.shape[0] - 1)
@@ -116,7 +120,22 @@ class TestPoissonInversion:
         assert np.array_equal(counts, full)
         assert (counts == 0).any()
         if mean > 100.0:
-            assert cdf.shape[0] == 401 and (counts == 400).sum() > 5_000
+            assert cdf.shape[0] == 401 and 1.0 - cdf[-1] > 1e-16
+            assert (counts == 400).any()
+
+    @pytest.mark.parametrize("mean", [380.0, 800.0])
+    def test_a_mean_beyond_its_table_raises(self, mean):
+        # 400 terms hold too little of Poisson(380); at 800, exp(-mean)
+        # underflows and every term is 0.  Both once gave 400 on every path.
+        with pytest.raises(ValueError, match=f"Poisson mean {mean} needs more than 400 terms"):
+            _poisson_cdf_table(mean)
+        with pytest.raises(ValueError, match=f"Poisson mean {mean}"):
+            poisson_counts(StreamKey(5).uniforms(0, 0, 100), mean)
+
+    def test_simulation_names_the_step_and_atom_of_a_mean_beyond_its_table(self):
+        marks = FiniteMarkMeasure([[1.0]], [1000.0])
+        with pytest.raises(ValueError, match="step 0, atom 0: Poisson mean 1000.0"):
+            simulate_paths(TimeGrid.uniform(1.0, 1), marks, 1, 20_000, 1)
 
 
 class TestSimulation:
@@ -181,6 +200,70 @@ class TestSimulation:
         assert s.shape == (10, 3)
         assert np.array_equal(s[:, :2], paths.brownian[:, 2, :])
         assert np.array_equal(s[:, 2], paths.count_nodes[:, 2, 0].astype(float))
+
+
+def reference_bundle(grid, marks, d, n_paths, seed, path_offset):
+    """The bundle built on one thread, step by step, from the keyed draws."""
+    key, h = StreamKey(seed), grid.steps
+    N, J = grid.n_steps, marks.n_atoms
+    W = np.zeros((N + 1, n_paths, d))
+    counts = np.empty((N, n_paths, J), dtype=np.int64)
+    nodes = np.zeros((N + 1, n_paths, J), dtype=np.int64)
+    for i in range(N):
+        for c in range(d):
+            W[i + 1, :, c] = W[i, :, c] + np.sqrt(h[i]) * key.normals(i, c, n_paths, path_offset)
+        for j in range(J):
+            u = key.uniforms(i, d + j, n_paths, path_offset)
+            counts[i, :, j] = poisson_counts(u, h[i] * marks.weights[j])
+            nodes[i + 1, :, j] = nodes[i, :, j] + counts[i, :, j]
+    return W.transpose(1, 0, 2), counts.transpose(1, 0, 2), nodes.transpose(1, 0, 2)
+
+
+class TestTwoThreadDraw:
+    """The draw splits its steps, and its two cumulative sums, between this
+    thread and one worker; the bundle must not depend on the split."""
+
+    @pytest.mark.parametrize(
+        "nodes,d,weights,n_paths,offset",
+        [
+            ([0.0, 0.1, 0.15, 0.4, 0.45, 0.8, 1.3, 2.0], 2, [1.0, 0.5], 301, 0),
+            ([0.0, 0.3, 0.35, 1.0, 1.6], 1, [2.0], 64, 17),
+            ([0.0, 0.7], 2, [1.0, 3.0], 50, 9),
+            ([0.0, 0.2, 0.5, 0.9], 1, [0.5, 4.0], 1, 1000),
+        ],
+        ids=["odd-steps-d2-J2", "offset", "one-step", "one-path"],
+    )
+    def test_bundle_equals_a_one_thread_reference_bit_for_bit(self, nodes, d, weights, n_paths, offset):
+        grid = TimeGrid(np.array(nodes))
+        atoms = [[float(k + 1)] for k in range(len(weights))]
+        marks = FiniteMarkMeasure(atoms, weights)
+        paths = simulate_paths(grid, marks, d, n_paths, seed=41, path_offset=offset)
+        for got, want in zip(
+            (paths.brownian, paths.jump_counts, paths.count_nodes),
+            reference_bundle(grid, marks, d, n_paths, 41, offset),
+        ):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+    def test_an_error_on_the_worker_surfaces_and_leaves_no_thread(self, monkeypatch):
+        # three steps: this thread draws steps 0 and 1, the worker step 2,
+        # whose width makes atom 1's mean about 1000
+        threads = {}
+        original = bsdelab.stochastic.poisson_counts
+
+        def recorded(u, mean):
+            threads[float(mean)] = threading.current_thread()
+            return original(u, mean)
+
+        monkeypatch.setattr(bsdelab.stochastic, "poisson_counts", recorded)
+        grid = TimeGrid(np.array([0.0, 0.001, 0.002, 1000.0]))
+        marks = FiniteMarkMeasure([[1.0], [-1.0]], [1e-3, 1.0])
+        with pytest.raises(ValueError, match=r"step 2, atom 1: Poisson mean 999\.998"):
+            simulate_paths(grid, marks, 1, 200, seed=3)
+        big = max(threads)
+        assert big > 900.0 and threads[big] is not threading.main_thread()
+        assert threads[0.001 * 1e-3] is threading.main_thread()
+        # the conftest guard fails the test if the worker outlived the call
 
 
 class TestLayout:
