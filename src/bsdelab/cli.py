@@ -390,9 +390,8 @@ _SCENARIO = {
 
 @dataclass
 class Scenario:
-    """Validated scenario: built components plus the raw config document."""
+    """Validated scenario: the built components of a config document."""
 
-    raw: dict
     name: str
     grid: TimeGrid
     brownian_dim: int
@@ -437,7 +436,7 @@ class Scenario:
                     raise ScenarioError(f"checks[{i}].c_max", "not a parameter of the scalar "
                                         "'comparison' route (state_dim 1)")
         del top["schema"]
-        return cls(raw=cfg, **top)
+        return cls(**top)
 
 
 def _read_config(path):

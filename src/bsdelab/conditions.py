@@ -20,7 +20,9 @@ and the gaps z - z' and u - u' in the curvature and jump terms.
 
 Samples move through the engine as a :class:`SampleBatch`, one row per
 point: the initial sweep is one evaluation of the whole batch, and every
-climb round one evaluation of the trials of all its live candidates.
+climb round one evaluation of the trials of all its live candidates.  A
+falsified verdict's witness is a one-row batch, and the public
+``*_lhs_rhs`` functions evaluate a batch, one (lhs, rhs) entry per row.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from .solver import (
 from .stochastic import DrivingPaths, FiniteMarkMeasure, StreamKey
 
 __all__ = [
-    "PointSample",
     "SampleBatch",
     "ConditionVerdict",
     "ConditionSampler",
@@ -77,36 +78,13 @@ _SLOTS = ("y", "z", "u", "y_prime", "z_prime", "u_prime")
 
 
 @dataclass(frozen=True)
-class PointSample:
-    """One evaluation point for a pointwise inequality.
-
-    Comparison checks read the primed slots as the second solution's
-    arguments; viability checks ignore them.
-    """
-
-    t: float
-    y: np.ndarray
-    z: np.ndarray
-    u: np.ndarray
-    y_prime: np.ndarray | None = None
-    z_prime: np.ndarray | None = None
-    u_prime: np.ndarray | None = None
-
-    def to_dict(self) -> dict:
-        out = {"t": self.t}
-        for name in _SLOTS:
-            val = getattr(self, name)
-            out[name] = None if val is None else np.asarray(val).tolist()
-        return out
-
-
-@dataclass(frozen=True)
 class SampleBatch:
     """Evaluation points as a struct of arrays, one row per point.
 
     ``t`` has shape (n,), ``y`` (n, m), ``z`` (n, m, d) and ``u``
     (n, n_atoms, m); the primed slots have the shapes of their unprimed
-    ones, or are None for viability checks.
+    ones, or are None for viability checks.  Comparison checks read the
+    primed slots as the second solution's arguments.
     """
 
     t: np.ndarray
@@ -120,34 +98,18 @@ class SampleBatch:
     def __len__(self) -> int:
         return self.t.shape[0]
 
-    @classmethod
-    def of(cls, points: PointSample | list[PointSample]) -> SampleBatch:
-        """Stack one point or a list of points into a batch."""
-        if isinstance(points, PointSample):
-            points = [points]
-
-        def stack(name):
-            vals = [getattr(p, name) for p in points]
-            return None if vals[0] is None else np.stack([np.asarray(v, dtype=float) for v in vals])
-
-        return cls(np.array([float(p.t) for p in points]), *(stack(name) for name in _SLOTS))
-
     def take(self, rows) -> SampleBatch:
         """A new batch of the given rows, copied, in the given order."""
         rows = np.asarray(rows, dtype=np.intp)
         slots = (getattr(self, name) for name in _SLOTS)
         return SampleBatch(self.t[rows], *(None if a is None else a[rows] for a in slots))
 
-    def point(self, i: int) -> PointSample:
-        slots = (getattr(self, name) for name in _SLOTS)
-        return PointSample(float(self.t[i]), *(None if a is None else a[i].copy() for a in slots))
-
 
 @dataclass
 class ConditionVerdict:
     outcome: str  # "certified" | "falsified" | "inconclusive"
     constant: float | None = None
-    witness: PointSample | None = None
+    witness: SampleBatch | None = None  # one row
     witness_lhs: float | None = None
     witness_rhs: float | None = None
     margin: float | None = None
@@ -170,12 +132,15 @@ class ConditionVerdict:
         """Re-evaluate the stored witness; violations must reproduce."""
         if self.witness is None or self._replay is None:
             raise ValueError("verdict has no witness to replay")
-        lhs, rhs = self._replay(self.witness)
+        lhs, rhs = (float(side[0]) for side in self._replay(self.witness))
         return {"lhs": lhs, "rhs": rhs, "violated": lhs > rhs + _TOL}
 
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.name != "_replay"}
-        out["witness"] = None if self.witness is None else self.witness.to_dict()
+        w = self.witness
+        if w is not None:
+            slots = {name: None if (a := getattr(w, name)) is None else a[0].tolist() for name in _SLOTS}
+            out["witness"] = {"t": float(w.t[0]), **slots}
         return out
 
 
@@ -423,16 +388,6 @@ class _Inequality:
         return trials, owner
 
 
-def _point_lhs_rhs(ineq: _Inequality, constant: float):
-    """(lhs, rhs) of one point, as floats: the one-row case of ``lhs_rhs``."""
-
-    def lhs_rhs(s: PointSample) -> tuple[float, float]:
-        lhs, rhs = ineq.lhs_rhs(SampleBatch.of(s), constant)
-        return float(lhs[0]), float(rhs[0])
-
-    return lhs_rhs
-
-
 _REFINE_ROUNDS = 8
 
 
@@ -543,13 +498,12 @@ def _run_certification(
                     descent["accepted"] += 1
             continue
         if w <= 1e-10 and e > max(_TOL, _BLOWUP_CUTOFF * w):
-            replay = _point_lhs_rhs(ineq, c_max)
-            witness = s.point(0)
-            lhs, rhs = replay(witness)
+            lhs, rhs = (float(side[0]) for side in ineq.lhs_rhs(s, c_max))
             return ConditionVerdict(
-                outcome="falsified", witness=witness, witness_lhs=lhs, witness_rhs=rhs,
+                outcome="falsified", witness=s, witness_lhs=lhs, witness_rhs=rhs,
                 margin=lhs - rhs, samples=n, boundary_samples=boundary, skipped=skipped,
-                detail=f"violation sustained to weight {w:.2e}", profile=profile, _replay=replay,
+                detail=f"violation sustained to weight {w:.2e}", profile=profile,
+                _replay=lambda b: ineq.lhs_rhs(b, c_max),
             )
 
     excess = np.concatenate([excess, ce])
@@ -597,15 +551,16 @@ class _ViabilityInequality(_Inequality):
 
 
 def viability_lhs_rhs(
-    gen: Generator, body: ConvexBody, s: PointSample, constant: float
-) -> tuple[float, float]:
-    """Drift-versus-curvature split of the pointwise viability inequality.
+    gen: Generator, body: ConvexBody, s: SampleBatch, constant: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Drift-versus-curvature split of the pointwise viability inequality,
+    one (lhs, rhs) entry per row of ``s``.
 
     lhs = 4 <y - proj(y), f(t, y, z, u)>;
     rhs = <H z, z> + constant * d2(y) + 2 * jump defect, with H the
-    Hessian of d2 at y.  Raises when that Hessian is undefined.
+    Hessian of d2 at y.  Raises when that Hessian is undefined at a row.
     """
-    return _point_lhs_rhs(_ViabilityInequality(gen, body), constant)(s)
+    return _ViabilityInequality(gen, body).lhs_rhs(s, constant)
 
 
 def check_viability_condition(
@@ -710,9 +665,9 @@ def check_comparison_m1(
     pick = int(np.argmin(gaps))
     worst = float(gaps[pick])
     return _gap_verdict(
-        worst, trials.point(pick), n_samples,
+        worst, trials.take([pick]), n_samples,
         f"driver gap {worst:.6g} falls below the compensator bound",
-        lambda sample: (-float(_monotone_gaps(f1, f2, SampleBatch.of(sample))[0, 0]), 0.0),
+        lambda b: (-_monotone_gaps(f1, f2, b)[:, 0], np.zeros(len(b))),
     )
 
 
@@ -758,14 +713,15 @@ class _ComparisonInequality(_ViabilityInequality):
 
 
 def comparison_lhs_rhs(
-    f1: Generator, f2: Generator, s: PointSample, constant: float
-) -> tuple[float, float]:
-    """Componentwise comparison inequality for the difference variable y.
+    f1: Generator, f2: Generator, s: SampleBatch, constant: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Componentwise comparison inequality for the difference variable y,
+    one (lhs, rhs) entry per row of ``s``.
 
     The viability inequality of y in the orthant R^m_+, with the driver
     gap f1(t, y^+ + y', z, u) - f2(t, y', z', u') as its drift and the
     gaps z - z' and u - u' in the curvature and jump terms."""
-    return _point_lhs_rhs(_ComparisonInequality(f1, f2, OrthantProduct(f1.state_dim, 0)), constant)(s)
+    return _ComparisonInequality(f1, f2, OrthantProduct(f1.state_dim, 0)).lhs_rhs(s, constant)
 
 
 def check_comparison_multidim(
@@ -867,9 +823,9 @@ def check_structural(
     worst = float(gaps.flat[first])
     worst_row, worst_k = divmod(first, gen.state_dim)
     monotone = _gap_verdict(
-        worst, samples.point(worst_row), n_samples,
+        worst, samples.take([worst_row]), n_samples,
         f"monotonicity fails on component {worst_k}",
-        lambda s: (-float(_monotone_gaps(gen, gen, SampleBatch.of(s))[0, worst_k]), 0.0),
+        lambda b: (-_monotone_gaps(gen, gen, b)[:, worst_k], np.zeros(len(b))),
     )
 
     quad_samples = sampler.pair(n_samples, reversed_jumps=True)
@@ -901,14 +857,15 @@ def check_structural(
 
 
 def matrix_lhs_rhs(
-    f1: Generator, f2: Generator, side: int, s: PointSample, constant: float
-) -> tuple[float, float]:
-    """Comparison inequality for symmetric-matrix solutions, d = 1.
+    f1: Generator, f2: Generator, side: int, s: SampleBatch, constant: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Comparison inequality for symmetric-matrix solutions, d = 1, one
+    (lhs, rhs) entry per row of ``s``.
 
     All slots are flattened symmetric matrices; the inequality is that of
     :func:`comparison_lhs_rhs` with the semidefinite cone as the order
     cone, so y^+ is the positive spectral part of y."""
-    return _point_lhs_rhs(_ComparisonInequality(f1, f2, PsdCone(side)), constant)(s)
+    return _ComparisonInequality(f1, f2, PsdCone(side)).lhs_rhs(s, constant)
 
 
 def check_comparison_matrix(

@@ -5,7 +5,9 @@ u has shape (n, n_atoms, m), one row of u per atom of the jump intensity;
 t is one time for every row or an (n,) array of per-row times.
 Every driver declares a Lipschitz bound in the norm
 |dy| + |dz|_F + (sum_j n_j |du_j|^2)^{1/2}, which ``verify_lipschitz``
-stress-tests empirically and the implicit solver relies on.
+stress-tests empirically and the implicit solver relies on.  The probes
+``verify_lipschitz`` and ``dependency_probe`` evaluate a driver in
+batched calls; ``evaluate`` is a one-point convenience for callers.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ConvexBody
-from .stochastic import FiniteMarkMeasure, jump_norm2
+from .geometry import ConvexBody, _rowdot
+from .stochastic import FiniteMarkMeasure
 
 __all__ = [
     "Generator",
@@ -175,7 +177,7 @@ class AffineGen(Generator):
             return self._drift(t)
         # one call of the drift per distinct time
         times, inverse = np.unique(t, return_inverse=True)
-        values = np.stack([np.asarray(self._drift(float(s)), dtype=float) for s in times])
+        values = np.array([self._drift(float(s)) for s in times], dtype=float).reshape(-1, self.state_dim)
         return values[inverse]
 
 
@@ -195,33 +197,31 @@ def verify_lipschitz(gen: Generator, n_pairs: int = 2000, seed: int = 0) -> Lips
     """
     rng = np.random.default_rng(seed)
     m, d, j = gen.state_dim, gen.brownian_dim, gen.marks.n_atoms
-    worst = 0.0
+    t, y1, z1, u1, dy, dz, du = (np.empty((n_pairs, *shape)) for shape in ((),) + ((m,), (m, d), (j, m)) * 2)
     for k in range(n_pairs):
-        t = rng.uniform(0.0, 1.0)
-        y1 = rng.uniform(-5.0, 5.0, size=m)
-        z1 = rng.uniform(-3.0, 3.0, size=(m, d))
-        u1 = rng.uniform(-3.0, 3.0, size=(j, m))
-        dy = rng.normal(size=m) * rng.uniform(0.01, 2.0)
-        dz = rng.normal(size=(m, d)) * rng.uniform(0.01, 2.0)
-        du = rng.normal(size=(j, m)) * rng.uniform(0.01, 2.0)
-        block = k % 4
-        if block == 0:
-            dz, du = 0.0 * dz, 0.0 * du
-        elif block == 1:
-            dy, du = 0.0 * dy, 0.0 * du
-        elif block == 2:
-            dy, dz = 0.0 * dy, 0.0 * dz
-        y2, z2, u2 = y1 + dy, z1 + dz, u1 + du
-        denom = (
-            np.linalg.norm(dy)
-            + np.linalg.norm(dz)
-            + np.sqrt(jump_norm2(u2 - u1, gen.marks))
-        )
-        if denom < 1e-12:
-            continue
-        f1 = evaluate(gen, t, y1, z1, u1)
-        f2 = evaluate(gen, t, y2, z2, u2)
-        worst = max(worst, np.linalg.norm(f2 - f1) / denom)
+        t[k] = rng.uniform(0.0, 1.0)
+        y1[k] = rng.uniform(-5.0, 5.0, size=m)
+        z1[k] = rng.uniform(-3.0, 3.0, size=(m, d))
+        u1[k] = rng.uniform(-3.0, 3.0, size=(j, m))
+        dy[k] = rng.normal(size=m) * rng.uniform(0.01, 2.0)
+        dz[k] = rng.normal(size=(m, d)) * rng.uniform(0.01, 2.0)
+        du[k] = rng.normal(size=(j, m)) * rng.uniform(0.01, 2.0)
+    # pair k moves only y, only z, only u, or all three, by k mod 4
+    moves = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], dtype=bool)[np.arange(n_pairs) % 4]
+    for delta, move in zip((dy, dz, du), moves.T):
+        delta[~move] = 0.0
+    y2, z2, u2 = y1 + dy, z1 + dz, u1 + du
+    # the u gap is u2 - u1, not du, in the norm of ``jump_norm2``, row by row
+    dz, gap = dz.reshape(n_pairs, m * d), u2 - u1
+    denom = (
+        np.sqrt(_rowdot(dy, dy))
+        + np.sqrt(_rowdot(dz, dz))
+        + np.sqrt(np.sum(gen.marks.weights * np.sum(gap * gap, axis=2), axis=1))
+    )
+    kept = denom >= 1e-12
+    t = t[kept]
+    diff = gen(t, y2[kept], z2[kept], u2[kept]) - gen(t, y1[kept], z1[kept], u1[kept])
+    worst = np.fmax.reduce(np.sqrt(_rowdot(diff, diff)) / denom[kept], initial=0.0)
     passed = worst <= gen.lipschitz * (1.0 + 1e-9) + 1e-12
     return LipschitzReport(estimate=worst, declared=gen.lipschitz, passed=passed, n_pairs=n_pairs)
 
@@ -253,45 +253,39 @@ _PROBE_TOL = 1e-10
 
 
 def dependency_probe(gen: Generator, seed: int = 0) -> DependencyReport:
-    """Perturb one scalar slot at a time and record which outputs move."""
+    """Perturb one scalar slot at a time and record which outputs move.
+
+    Each base point takes one row, then one row per slot of y, z and u
+    with that slot bumped, then one row at a later time; every row of
+    every point goes through the driver in one call."""
     rng = np.random.default_rng(seed)
     m, d, j = gen.state_dim, gen.brownian_dim, gen.marks.n_atoms
-    y_slots = [set() for _ in range(m)]
-    z_slots = [set() for _ in range(m)]
-    u_slots = [set() for _ in range(m)]
-    time_dep = False
-    for _ in range(_PROBE_POINTS):
-        t = rng.uniform(0.0, 1.0)
-        y = rng.uniform(-5.0, 5.0, size=m)
-        z = rng.uniform(-3.0, 3.0, size=(m, d))
-        u = rng.uniform(-3.0, 3.0, size=(j, m))
-        base = evaluate(gen, t, y, z, u)
-        step = rng.uniform(0.3, 1.1)
-        for i in range(m):
-            bumped = y.copy()
-            bumped[i] += step
-            diff = np.abs(evaluate(gen, t, bumped, z, u) - base)
-            for k in np.flatnonzero(diff > _PROBE_TOL):
-                y_slots[k].add(i)
-        for r in range(m):
-            for c in range(d):
-                bumped = z.copy()
-                bumped[r, c] += step
-                diff = np.abs(evaluate(gen, t, y, bumped, u) - base)
-                for k in np.flatnonzero(diff > _PROBE_TOL):
-                    z_slots[k].add((r, c))
-        for atom in range(j):
-            for comp in range(m):
-                bumped = u.copy()
-                bumped[atom, comp] += step
-                diff = np.abs(evaluate(gen, t, y, z, bumped) - base)
-                for k in np.flatnonzero(diff > _PROBE_TOL):
-                    u_slots[k].add((atom, comp))
-        if np.any(np.abs(evaluate(gen, t + 0.37, y, z, u) - base) > _PROBE_TOL):
-            time_dep = True
+    size = m + m * d + j * m
+    bumps = np.arange(size)
+    t, x = np.empty((_PROBE_POINTS, size + 2)), np.empty((_PROBE_POINTS, size + 2, size))
+    for p in range(_PROBE_POINTS):
+        t[p] = rng.uniform(0.0, 1.0)
+        x[p] = np.concatenate([
+            rng.uniform(-5.0, 5.0, size=m),
+            rng.uniform(-3.0, 3.0, size=(m, d)).ravel(),
+            rng.uniform(-3.0, 3.0, size=(j, m)).ravel(),
+        ])
+        x[p, 1 + bumps, bumps] += rng.uniform(0.3, 1.1)
+        t[p, -1] += 0.37
+    x = x.reshape(-1, size)
+    out = gen(t.ravel(), x[:, :m], x[:, m : m + m * d].reshape(-1, m, d), x[:, m + m * d :].reshape(-1, j, m))
+    out = out.reshape(_PROBE_POINTS, size + 2, m)
+    # moved[s, k]: output k moved under bump s (the last: the time) at some point
+    moved = (np.abs(out[:, 1:] - out[:, :1]) > _PROBE_TOL).any(axis=0)
+
+    def slots(labels, start):
+        return tuple(
+            frozenset(label for s, label in enumerate(labels, start) if moved[s, k]) for k in range(m)
+        )
+
     return DependencyReport(
-        y_slots=tuple(frozenset(s) for s in y_slots),
-        z_slots=tuple(frozenset(s) for s in z_slots),
-        u_slots=tuple(frozenset(s) for s in u_slots),
-        time=time_dep,
+        y_slots=slots(range(m), 0),
+        z_slots=slots([(r, c) for r in range(m) for c in range(d)], m),
+        u_slots=slots([(a, comp) for a in range(j) for comp in range(m)], m + m * d),
+        time=bool(moved[-1].any()),
     )

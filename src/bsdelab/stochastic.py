@@ -137,15 +137,25 @@ class StreamKey:
 
     def uniforms(self, step: int, channel: int, count: int, offset: int = 0) -> np.ndarray:
         """Draws in the open interval (0, 1); position k is draw offset + k."""
-        raw = self._raw(step, channel, count, offset)
-        return ((raw >> np.uint64(11)) + 0.5) * 2.0**-53
+        return _open_uniforms(self._raw(step, channel, count, offset))
 
     def normals(self, step: int, channel: int, count: int, offset: int = 0) -> np.ndarray:
         return ndtri(self.uniforms(step, channel, count, offset))
 
 
+def _open_uniforms(raw: np.ndarray) -> np.ndarray:
+    """Uniforms in (0, 1) from raw 64-bit words: (top 53 bits + 1/2) 2^-53.
+
+    For the top 53-bit value, 2^53 - 1/2 rounds to 2^53 and the formula
+    gives 1.0; those words take the largest double below 1 instead.
+    """
+    u = ((raw >> np.uint64(11)) + 0.5) * 2.0**-53
+    return np.minimum(u, np.nextafter(1.0, 0.0), out=u)
+
+
 def _poisson_cdf_table(mean: float, tail: float = 1e-16, cap: int = 400) -> np.ndarray:
-    """CDF values P(X <= k) until the remaining tail is below ``tail``.
+    """CDF values P(X <= k) until the remaining tail is below ``tail``, or
+    until, past the mode, a term leaves the sum unchanged.
 
     Raises ``ValueError`` when ``cap`` terms leave more of the mass out than
     the rounding of their sum can explain: at a mean above about 270 the
@@ -159,8 +169,10 @@ def _poisson_cdf_table(mean: float, tail: float = 1e-16, cap: int = 400) -> np.n
         k += 1
         pmf *= mean / k
         cdf.append(cdf[-1] + pmf)
-    # a sum of k terms can fall short of 1 by a few ulps and never reach it;
-    # such a table is complete, and stops at the cap with those last ulps
+        if k > mean and cdf[-1] == cdf[-2]:
+            break
+    # a sum of k terms can fall short of 1 by a few ulps and stall there;
+    # such a table is complete, and ends at its first repeated value
     if 1.0 - cdf[-1] > max(tail, cap * np.finfo(float).eps):
         raise ValueError(
             f"Poisson mean {float(mean)!r} needs more than {cap} terms of its CDF table; "

@@ -11,7 +11,6 @@ from bsdelab.conditions import (
     ComparisonPathReport,
     ConditionSampler,
     ConditionVerdict,
-    PointSample,
     SampleBatch,
     StackedGenerator,
     check_comparison_m1,
@@ -64,10 +63,10 @@ def _affine_m2(a=None, b=None, c=None, drift=None):
 def test_viability_values_on_ball_point():
     ball = Ball(np.zeros(2), 1.0)
     gen = ZeroGen(2, 2, MARKS2)
-    sample = PointSample(
-        t=0.3, y=np.array([2.0, 0.0]), z=np.eye(2), u=np.zeros((2, 2))
+    sample = SampleBatch(
+        t=np.array([0.3]), y=np.array([[2.0, 0.0]]), z=np.eye(2)[None], u=np.zeros((1, 2, 2))
     )
-    lhs, rhs = viability_lhs_rhs(gen, ball, sample, constant=5.0)
+    (lhs,), (rhs,) = viability_lhs_rhs(gen, ball, sample, constant=5.0)
     # Hessian at radius 2 is diag(2, 1); columns give 2 + 1, distance^2 is 1
     assert lhs == pytest.approx(0.0, abs=1e-14)
     assert rhs == pytest.approx(3.0 + 5.0, abs=1e-12)
@@ -76,16 +75,16 @@ def test_viability_values_on_ball_point():
 def test_comparison_values_on_jump_pair():
     g = ScaledJumpGen(2.0)
     eps, du = 0.01, 2.0
-    sample = PointSample(
-        t=0.0,
-        y=np.array([-eps]),
-        z=np.array([[0.5]]),
-        u=np.array([[du]]),
-        y_prime=np.array([0.3]),
-        z_prime=np.array([[0.5]]),
-        u_prime=np.array([[0.0]]),
+    sample = SampleBatch(
+        t=np.array([0.0]),
+        y=np.array([[-eps]]),
+        z=np.array([[[0.5]]]),
+        u=np.array([[[du]]]),
+        y_prime=np.array([[0.3]]),
+        z_prime=np.array([[[0.5]]]),
+        u_prime=np.array([[[0.0]]]),
     )
-    lhs, rhs = comparison_lhs_rhs(g, g, sample, constant=7.0)
+    (lhs,), (rhs,) = comparison_lhs_rhs(g, g, sample, constant=7.0)
     assert lhs == pytest.approx(8.0 * eps * du, rel=1e-12)
     assert rhs == pytest.approx(4.0 * eps * du - 2.0 * eps**2 + 7.0 * eps**2, rel=1e-12)
 
@@ -93,11 +92,11 @@ def test_comparison_values_on_jump_pair():
 def test_matrix_values_on_diagonal_point():
     zero = ZeroGen(3, 1, MARKS1)
     y = sym_to_vec(np.diag([1.0, -0.4]))
-    sample = PointSample(
-        t=0.0, y=y, z=np.zeros((3, 1)), u=np.zeros((1, 3)),
-        y_prime=np.zeros(3), z_prime=np.zeros((3, 1)), u_prime=np.zeros((1, 3)),
+    sample = SampleBatch(
+        t=np.zeros(1), y=y[None], z=np.zeros((1, 3, 1)), u=np.zeros((1, 1, 3)),
+        y_prime=np.zeros((1, 3)), z_prime=np.zeros((1, 3, 1)), u_prime=np.zeros((1, 1, 3)),
     )
-    lhs, rhs = matrix_lhs_rhs(zero, zero, 2, sample, constant=3.0)
+    (lhs,), (rhs,) = matrix_lhs_rhs(zero, zero, 2, sample, constant=3.0)
     assert lhs == pytest.approx(0.0, abs=1e-14)
     assert rhs == pytest.approx(3.0 * 0.16, rel=1e-12)
 
@@ -107,10 +106,8 @@ def test_matrix_values_on_diagonal_point():
 def test_comparison_right_side_never_negative(seed):
     g = ScaledJumpGen(1.3)
     samples = ConditionSampler(1, 1, 1, seed).pair(5)
-    for i in range(len(samples)):
-        lhs, rhs0 = comparison_lhs_rhs(g, g, samples.point(i), constant=0.0)
-        del lhs
-        assert rhs0 >= -1e-12
+    _, rhs0 = comparison_lhs_rhs(g, g, samples, constant=0.0)
+    assert np.all(rhs0 >= -1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -715,16 +712,17 @@ def test_point_functions_agree_with_batch_rows():
     batch = ConditionSampler(2, 2, 2, seed=4).viability(gen.body, 20)
     lhs, rhs = ineq.lhs_rhs(batch, 2.0)
     for i in range(len(batch)):
-        assert viability_lhs_rhs(gen, gen.body, batch.point(i), 2.0) == (lhs[i], rhs[i])
+        (row_lhs,), (row_rhs,) = viability_lhs_rhs(gen, gen.body, batch.take([i]), 2.0)
+        assert (row_lhs, row_rhs) == (lhs[i], rhs[i])
 
 
 def test_sample_batch_round_trips_points():
     batch = ConditionSampler(2, 1, 2, seed=1).pair(5)
-    points = [batch.point(i) for i in range(len(batch))]
-    again = SampleBatch.of(points)
+    rows = batch.take([3, 1])
     for name in ("t", "y", "z", "u", "y_prime", "z_prime", "u_prime"):
-        assert np.array_equal(getattr(again, name), getattr(batch, name)), name
-    assert SampleBatch.of(points[3]).take([0]).point(0).to_dict() == points[3].to_dict()
+        assert np.array_equal(getattr(rows, name), getattr(batch, name)[[3, 1]]), name
+    rows.y[0] = 99.0
+    assert not (batch.y == 99.0).any(), "take copies its rows"
     viability = ConditionSampler(2, 1, 1, seed=1).viability(Ball(np.zeros(2), 1.0), 3)
     assert viability.y_prime is None and viability.take([2, 0]).y_prime is None
 
@@ -919,3 +917,69 @@ def test_replay_requires_witness():
     verdict = ConditionVerdict(outcome="certified", constant=0.0)
     with pytest.raises(ValueError, match="no witness"):
         verdict.replay()
+
+
+def _falsified_viability():
+    ball = Ball(np.zeros(2), 1.0)
+    push = AffineGen(
+        np.zeros((2, 2)), np.zeros((2, 2, 2)), np.zeros((2, 2, 2)),
+        np.array([1.0, 0.0]), brownian_dim=2, marks=MARKS2,
+    )
+    verdict = check_viability_condition(push, ball, n_samples=800, seed=1)
+    return verdict, lambda w: viability_lhs_rhs(push, ball, w, 100.0)
+
+
+def _falsified_comparison():
+    rng = np.random.default_rng(7)
+    _random_affine_pair(rng, True)
+    f1, f2 = _random_affine_pair(rng, False)
+    verdict = check_comparison_multidim(f1, f2, n_samples=1500, seed=101, c_max=500.0)
+    return verdict, lambda w: comparison_lhs_rhs(f1, f2, w, 500.0)
+
+
+def _falsified_matrix():
+    shape = (np.zeros((3, 3)), np.zeros((3, 3, 1)), np.zeros((1, 3, 3)))
+    f1 = AffineGen(*shape, sym_to_vec(-np.eye(2)), brownian_dim=1, marks=MARKS1)
+    f2 = AffineGen(*shape, sym_to_vec(np.eye(2)), brownian_dim=1, marks=MARKS1)
+    verdict = check_comparison_matrix(f1, f2, side=2, n_samples=800, seed=0)
+    return verdict, lambda w: matrix_lhs_rhs(f1, f2, 2, w, 500.0)
+
+
+def _falsified_m1():
+    g = ScaledJumpGen(2.0)
+    verdict = check_comparison_m1(g, g, n_samples=1500, seed=0)
+    return verdict, lambda w: (-_monotone_gaps(g, g, w)[:, 0], np.zeros(1))
+
+
+def _falsified_monotone():
+    a, b, c = _structural_base()
+    c = c.copy()
+    c[0, 0, 0] = -2.0
+    gen = _affine_m2(a, b, c)
+    verdict = check_structural(gen, n_samples=800, seed=0).monotone
+    return verdict, lambda w: (-_monotone_gaps(gen, gen, w).min(axis=1), np.zeros(1))
+
+
+FALSIFIED = {
+    "viability": _falsified_viability,
+    "comparison": _falsified_comparison,
+    "matrix": _falsified_matrix,
+    "m1": _falsified_m1,
+    "structural-monotone": _falsified_monotone,
+}
+
+
+@pytest.mark.parametrize("falsify", FALSIFIED.values(), ids=FALSIFIED.keys())
+def test_falsified_witness_is_a_one_row_batch_that_replays(falsify):
+    verdict, lhs_rhs = falsify()
+    witness = verdict.witness
+    assert verdict.falsified and isinstance(witness, SampleBatch) and len(witness) == 1
+    (lhs,), (rhs,) = lhs_rhs(witness)
+    assert verdict.replay() == {"lhs": lhs, "rhs": rhs, "violated": True}
+    assert (verdict.witness_lhs, verdict.witness_rhs) == (lhs, rhs)
+    # the record holds the row as plain numbers, t first, then every slot
+    record = verdict.to_dict()["witness"]
+    assert list(record) == ["t", *_SLOTS] and record["t"] == witness.t[0]
+    for name in _SLOTS:
+        value = getattr(witness, name)
+        assert record[name] == (None if value is None else value[0].tolist()), name

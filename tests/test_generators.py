@@ -10,7 +10,7 @@ from bsdelab.generators import (
     evaluate,
     verify_lipschitz,
 )
-from bsdelab.geometry import Ball, FinitePointSet, PsdCone, sym_to_vec
+from bsdelab.geometry import Ball, Box, FinitePointSet, PsdCone, sym_to_vec
 from bsdelab.solver import RegressionBasis, TerminalCondition, solve_backward
 from bsdelab.stochastic import FiniteMarkMeasure, TimeGrid, jump_norm2, simulate_paths
 
@@ -199,6 +199,20 @@ class TestBatchedProjectionDrift:
         assert np.array_equal(out, reference(0.4, y, z, u))
 
 
+def _dense_affine():
+    rng = np.random.default_rng(7)
+    marks = FiniteMarkMeasure(atoms=[[1.0], [-1.0]], weights=[0.5, 2.0])
+    m, d = 3, 2
+    return AffineGen(
+        rng.normal(size=(m, m)),
+        rng.normal(size=(m, m, d)),
+        rng.normal(size=(2, m, m)),
+        drift=rng.normal(size=m),
+        brownian_dim=d,
+        marks=marks,
+    )
+
+
 class TestLipschitz:
     def test_zero_driver_passes_with_zero_estimate(self):
         gen = ZeroGen(state_dim=2, brownian_dim=1, marks=unit_marks())
@@ -228,19 +242,26 @@ class TestLipschitz:
         assert report.estimate <= 2.0 + 1e-9
 
     def test_affine_norm_bound_holds(self):
-        rng = np.random.default_rng(7)
-        marks = FiniteMarkMeasure(atoms=[[1.0], [-1.0]], weights=[0.5, 2.0])
-        m, d = 3, 2
-        gen = AffineGen(
-            rng.normal(size=(m, m)),
-            rng.normal(size=(m, m, d)),
-            rng.normal(size=(2, m, m)),
-            drift=rng.normal(size=m),
-            brownian_dim=d,
-            marks=marks,
-        )
-        report = verify_lipschitz(gen, n_pairs=3000, seed=8)
+        report = verify_lipschitz(_dense_affine(), n_pairs=3000, seed=8)
         assert report.passed
+
+    def test_estimates_keep_their_bits(self):
+        # pinned from the pair-by-pair loop: the batched probe draws the
+        # same values in the same order and measures the same gaps
+        # (the jump pairs' ratio reads the u gap as (u1 + du) - u1, not du)
+        ball = ProjectionDriftGen(Ball(center=[0.0, 0.0], radius=1.0), brownian_dim=1, marks=unit_marks())
+        assert verify_lipschitz(ball, n_pairs=500, seed=4).estimate == 0.9999841491794597
+        assert verify_lipschitz(ScaledJumpGen(1.5), n_pairs=300, seed=1).estimate == 1.5000000000024813
+        assert verify_lipschitz(_dense_affine(), n_pairs=3000, seed=8).estimate == 3.6377332898176222
+
+    def test_no_pairs_give_a_zero_estimate(self):
+        # the two driver calls see empty batches, per-row times included
+        gen = AffineGen(
+            np.eye(1), np.zeros((1, 1, 1)), np.zeros((1, 1, 1)),
+            drift=lambda t: np.array([t]), brownian_dim=1, marks=unit_marks(),
+        )
+        report = verify_lipschitz(gen, n_pairs=0)
+        assert report.estimate == 0.0 and report.passed
 
     def test_underdeclared_bound_fails(self):
         gen = ScaledJumpGen(2.0)
@@ -295,6 +316,23 @@ class TestDependencyProbe:
             marks=unit_marks(),
         )
         assert dependency_probe(gen).time
+
+    def test_draw_dependent_reports_keep_their_slots(self):
+        # pinned from the point-by-point loop: which slots move depends on
+        # where the probe's base points and steps fall
+        box = Box(np.full(3, -4.5), np.full(3, 4.5))
+        clipped = ProjectionDriftGen(box, brownian_dim=1, marks=unit_marks())
+        late = AffineGen(
+            np.zeros((1, 1)), np.zeros((1, 1, 1)), np.zeros((1, 1, 1)),
+            drift=lambda t: np.array([max(t - 1.2, 0.0)]), brownian_dim=1, marks=unit_marks(),
+        )
+        slots = [dependency_probe(clipped, seed=seed).y_slots for seed in (0, 1, 2)]
+        assert slots == [
+            (frozenset(), frozenset({1}), frozenset({2})),
+            (frozenset({0}), frozenset({1}), frozenset({2})),
+            (frozenset(), frozenset(), frozenset({2})),
+        ]
+        assert [dependency_probe(late, seed=seed).time for seed in (0, 1, 2)] == [True, False, True]
 
 
 class TestDeclaredBounds:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 import bsdelab.stochastic
 from bsdelab.generators import ZeroGen
@@ -13,6 +14,7 @@ from bsdelab.stochastic import (
     FiniteMarkMeasure,
     StreamKey,
     TimeGrid,
+    _open_uniforms,
     _poisson_cdf_table,
     compensated_increment,
     jump_norm2,
@@ -85,6 +87,22 @@ class TestStreamKey:
         part = StreamKey(99).uniforms(5, 2, n, offset=offset)
         assert np.array_equal(full[offset:], part)
 
+    def test_top_words_stay_below_one(self):
+        # the 2048 words whose top 53 bits are all set once gave exactly 1.0
+        edge = np.array([2**64 - 1, 2**64 - 2**11, 2**64 - 2**10], dtype=np.uint64)
+        u = _open_uniforms(edge)
+        assert np.all(u == np.nextafter(1.0, 0.0))
+        assert np.all(np.isfinite(ndtri(u)))
+        assert _open_uniforms(np.array([0, 2**64 - 2**11 - 1], dtype=np.uint64)).tolist() == [
+            2.0**-54, 1.0 - 2.0**-52,
+        ]
+
+    def test_other_words_keep_their_bits(self):
+        raw = np.random.default_rng(3).integers(0, 2**64, size=100_000, dtype=np.uint64, endpoint=False)
+        raw = raw[(raw >> np.uint64(11)) != 2**53 - 1]
+        formula = ((raw >> np.uint64(11)) + 0.5) * 2.0**-53
+        assert _open_uniforms(raw).tobytes() == formula.tobytes()
+
 
 class TestPoissonInversion:
     def test_matches_pmf(self):
@@ -109,9 +127,9 @@ class TestPoissonInversion:
 
     @pytest.mark.parametrize("mean", [0.02, 0.5, 3.0, 240.0])
     def test_equals_a_search_over_every_uniform(self, mean):
-        # rows below P(X = 0) skip the search; at 240 the table runs to its
-        # 400-term cap with its sum stalled a few ulps below 1, and the
-        # uniforms at or above that sum search past its end and are capped
+        # rows below P(X = 0) skip the search; at 240 the sum stalls a few
+        # ulps below 1, the table ends at its first repeated value, index
+        # 378, and the uniforms at or above that sum are capped to it
         cdf = _poisson_cdf_table(mean)
         u = np.concatenate([StreamKey(5).uniforms(0, 0, 50_000), cdf, np.nextafter(cdf, 0.0)])
         full = np.minimum(np.searchsorted(cdf, u, side="right"), cdf.shape[0] - 1)
@@ -120,8 +138,15 @@ class TestPoissonInversion:
         assert np.array_equal(counts, full)
         assert (counts == 0).any()
         if mean > 100.0:
-            assert cdf.shape[0] == 401 and 1.0 - cdf[-1] > 1e-16
-            assert (counts == 400).any()
+            assert cdf.shape[0] == 379 and cdf[-1] == cdf[-2] and 1.0 - cdf[-1] > 1e-16
+            assert (counts == 378).any()
+
+    @pytest.mark.parametrize("mean,stall", [(0.02, 8), (240.0, 378)])
+    def test_a_stalled_sum_ends_the_table_at_its_first_repeat(self, mean, stall):
+        # the presets' 0.02 once built 401 entries, the last 394 equal
+        cdf = _poisson_cdf_table(mean)
+        assert cdf.shape[0] == stall + 1 and cdf[-1] == cdf[-2] and len(set(cdf[:-1])) == stall
+        assert poisson_counts(np.array([cdf[-1], np.nextafter(1.0, 0.0)]), mean).tolist() == [stall, stall]
 
     @pytest.mark.parametrize("mean", [380.0, 800.0])
     def test_a_mean_beyond_its_table_raises(self, mean):
