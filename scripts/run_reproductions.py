@@ -13,7 +13,9 @@ of the bundle draw, the backward pass and each check.  The
 last bits of some tables depend on the BLAS thread count, so BLAS runs
 on one thread unless ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or
 ``MKL_NUM_THREADS`` is set, and the summary prints the count used.  The
-exit code is 0 only when every check of every executed preset passed.
+summary line also gives the peak resident memory (``ru_maxrss``) of the
+whole process, so with one ``--only NAME`` it is that preset's own peak.
+The exit code is 0 only when every check of every executed preset passed.
 """
 
 import os
@@ -25,6 +27,7 @@ for _var in BLAS_VARS:
 
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
+import resource  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -86,7 +89,8 @@ def main(argv=None) -> int:
         failures += 0 if manifest.all_passed else 1
     elapsed = time.perf_counter() - started
     verdict = "all passed" if failures == 0 else f"{failures} preset(s) failed"
-    print(f"\n{len(names)} preset(s) in {elapsed:.1f}s: {verdict}")
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
+    print(f"\n{len(names)} preset(s) in {elapsed:.1f}s, peak RSS {peak_mb:.1f} MB: {verdict}")
     print("BLAS threads: " + ", ".join(f"{var}={os.environ[var]}" for var in BLAS_VARS))
     return 0 if failures == 0 else 1
 

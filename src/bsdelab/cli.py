@@ -188,6 +188,13 @@ def _choice(*values):
     return read, values[0]
 
 
+def _seed(v, path) -> int:
+    # the counter-based streams key on an unsigned 64-bit master seed
+    if not 0 <= _integer(v, path) < 2**64:
+        raise ScenarioError(path, "must be nonnegative and below 2**64")
+    return v
+
+
 def _or_none(reader):
     """``reader``, with null read as an absent object."""
     return lambda v, path: None if v is None else reader(v, path)
@@ -383,7 +390,7 @@ _SCENARIO = {
     "terminal2": (_or_none(_as_dict), None),
     "solver": (_solver, _solver({}, "solver")),
     "checks": (_checks, ()),
-    "seed": (_at_least(0), 0),
+    "seed": (_seed, 0),
     "output_dir": (_or_none(_string), None),
 }
 
@@ -556,7 +563,7 @@ class _ScenarioRun:
             started = time.perf_counter()
             paths = simulate_paths(s.grid, s.marks, s.brownian_dim, s.solver.paths, s.seed)
             self.seconds["draw"] = time.perf_counter() - started
-            _read_only(paths.brownian, paths.jump_counts, paths.count_nodes)
+            _read_only(paths.brownian, paths.count_nodes)
             self._paths = paths
         return self._paths
 
@@ -899,6 +906,9 @@ def run_scenario(
 
     selected = scenario.checks
     if checks is not None:
+        unknown = sorted(set(checks) - set(_CHECKS))
+        if unknown:
+            raise ScenarioError("checks", "unknown check kind " + ", ".join(map(repr, unknown)))
         selected = [c for c in scenario.checks if c.kind in checks]
         if not selected:
             selected = [

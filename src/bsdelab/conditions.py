@@ -815,7 +815,8 @@ def check_structural(
                 offending.append((k, (row, col)))
     diagonal_z = not offending
 
-    sampler = ConditionSampler(gen.state_dim, gen.brownian_dim, gen.marks.n_atoms, seed + 1)
+    # wrapped to the stream keys' 64 bits; every smaller seed keeps its samples
+    sampler = ConditionSampler(gen.state_dim, gen.brownian_dim, gen.marks.n_atoms, (seed + 1) % 2**64)
     samples = sampler.pair(n_samples, ordered_jumps=True)
     gaps = _monotone_gaps(gen, gen, samples)
     # the first smallest gap, scanning samples and then components
@@ -949,7 +950,7 @@ def comparison_path_report(sol1: BsdeSolution, sol2: BsdeSolution) -> Comparison
     themselves, must already be ordered; the report tracks the smallest
     componentwise gap and the per-time fraction of paths where the
     ordering fails."""
-    if sol1.paths is None or sol1.paths is not sol2.paths:
+    if sol1.paths is not sol2.paths:
         raise ValueError("solutions must be solved on one path bundle")
     if sol1.state_dim != sol2.state_dim:
         raise ValueError("solutions must share the state dimension")

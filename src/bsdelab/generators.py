@@ -154,6 +154,9 @@ class AffineGen(Generator):
             self._drift, self._shift = drift, None
         else:
             self._drift, self._shift = None, np.asarray(drift, dtype=float).reshape(m)
+        for name, coef in (("a", self.a), ("b", self.b), ("c", self.c), ("drift", self._shift)):
+            if coef is not None and not np.isfinite(coef).all():
+                raise ValueError(f"affine driver: coefficient {name} must be finite")
         l_y = np.linalg.norm(self.a, 2)
         l_z = np.linalg.norm(self.b.reshape(m, m * brownian_dim), 2)
         scaled = np.concatenate(

@@ -179,8 +179,8 @@ class BsdeSolution:
     y0: np.ndarray
     y0_se: np.ndarray
     mode: str
-    regression: list = field(repr=False, default_factory=list)
-    paths: DrivingPaths = field(repr=False, default=None)
+    regression: list = field(repr=False)
+    paths: DrivingPaths = field(repr=False)
 
     @property
     def n_paths(self) -> int:
@@ -334,7 +334,7 @@ def solve_backward_many(
             regression.append(reg.diagnostics)
             h = steps[i]
             dw = paths.brownian_increments(i)
-            comp = compensated_increment(paths.jump_counts[:, i, :], h, marks)
+            comp = compensated_increment(paths.jump_increments(i), h, marks)
             for (gen, _), y, z, u, where in zip(problems, ys, zs, us, wheres):
                 _problem_step(gen, y, z, u, i, h, grid.nodes[i], reg, dw, comp, marks, where, mode)
 
@@ -375,7 +375,7 @@ class DeviationCurves:
 def apriori_diagnostics(sol: BsdeSolution, base: BsdeSolution) -> DeviationCurves:
     """Compare a solution against ``base``, the zero-driver solution with the
     same terminal data on the same bundle (solve both in one pass)."""
-    if sol.paths is None or sol.paths is not base.paths:
+    if sol.paths is not base.paths:
         raise ValueError("solutions must be solved on one path bundle")
     if sol.state_dim != base.state_dim:
         raise ValueError("solutions must share the state dimension")

@@ -212,26 +212,25 @@ def _on_two_threads(work, n: int) -> None:
         rest.result()
 
 
-def _accumulate(steps: np.ndarray, nodes: np.ndarray) -> None:
-    """nodes[i + 1] = nodes[i] + steps[i] along the leading (time) axis.
-
-    Each step adds one contiguous block of a time-major buffer; the same
-    sums as ``np.cumsum(steps, axis=0)``, which walks every path down a
-    strided column.
+def _accumulate(nodes: np.ndarray) -> None:
+    """nodes[i + 1] += nodes[i] along the leading (time) axis: increments
+    stored at nodes 1..N become node values.  Each step adds one contiguous
+    block of a time-major buffer, the same sums as ``np.cumsum(axis=0)``,
+    which walks every path down a strided column.
     """
-    for i in range(steps.shape[0]):
-        np.add(nodes[i], steps[i], out=nodes[i + 1])
+    for i in range(nodes.shape[0] - 1):
+        np.add(nodes[i], nodes[i + 1], out=nodes[i + 1])
 
 
 @dataclass(frozen=True)
 class DrivingPaths:
-    """Simulated noise bundle on a fixed grid.
+    """Simulated noise bundle on a fixed grid, as node values.
 
     brownian:     (n_paths, N + 1, d) node values, zero at t_0
-    jump_counts:  (n_paths, N, n_atoms) counts per step and atom
-    count_nodes:  (n_paths, N + 1, n_atoms) cumulative counts at nodes
+    count_nodes:  (n_paths, N + 1, n_atoms) integer cumulative counts at nodes
 
-    ``simulate_paths`` stores all three time-major, as (N + 1, n_paths, d)
+    Step i's increments are ``brownian_increments(i)`` and ``jump_increments(i)``.
+    ``simulate_paths`` stores both time-major, as (N + 1, n_paths, d)
     and so on, and these shapes are transposed views of that storage: a
     per-step slice such as ``brownian[:, i]`` or ``state(i)`` is one
     contiguous block, which is what the backward pass reads.  A reshape
@@ -243,16 +242,18 @@ class DrivingPaths:
     grid: TimeGrid
     marks: FiniteMarkMeasure
     brownian: np.ndarray
-    jump_counts: np.ndarray
-    count_nodes: np.ndarray = field(repr=False, default=None)
+    count_nodes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.count_nodes is None:
-            cum = np.zeros(
-                (self.grid.n_steps + 1, self.n_paths, self.marks.n_atoms), dtype=np.int64
+        n_nodes = self.grid.n_steps + 1
+        if self.brownian.ndim != 3 or self.brownian.shape[1] != n_nodes:
+            raise ValueError(f"brownian must have shape (n_paths, {n_nodes}, d)")
+        if self.count_nodes.shape != (self.n_paths, n_nodes, self.marks.n_atoms):
+            raise ValueError(
+                f"count_nodes must have shape ({self.n_paths}, {n_nodes}, {self.marks.n_atoms})"
             )
-            _accumulate(self.jump_counts.transpose(1, 0, 2), cum)
-            object.__setattr__(self, "count_nodes", cum.transpose(1, 0, 2))
+        if not np.issubdtype(self.count_nodes.dtype, np.integer):
+            raise ValueError("count_nodes must have an integer dtype")
 
     @property
     def n_paths(self) -> int:
@@ -265,6 +266,10 @@ class DrivingPaths:
     def brownian_increments(self, i: int) -> np.ndarray:
         """Increment over step i, shape (n_paths, d)."""
         return self.brownian[:, i + 1, :] - self.brownian[:, i, :]
+
+    def jump_increments(self, i: int) -> np.ndarray:
+        """Jump counts per atom over step i, shape (n_paths, n_atoms)."""
+        return self.count_nodes[:, i + 1, :] - self.count_nodes[:, i, :]
 
     def state(self, i: int) -> np.ndarray:
         """Markov state (W_{t_i}, N_{t_i}) per path, shape (n_paths, d + n_atoms)."""
@@ -288,8 +293,9 @@ def simulate_paths(
     notional full run, so chunked generation concatenates exactly.
 
     The work runs on two threads: this one draws the first half of the
-    steps and one worker thread the second half, then each thread takes
-    one of the two cumulative sums (``brownian`` and ``count_nodes``).
+    steps and one worker thread the second half, each step into its node
+    of ``brownian`` and ``count_nodes``; then each thread sums one of the
+    two stores in place.
     Every draw is keyed by its step, channel and path, so the bundle is
     the same bit for bit however the work is split; the worker ends with
     the call.  A jump mean too large for its Poisson table (see
@@ -305,35 +311,31 @@ def simulate_paths(
     d = brownian_dim
     J = marks.n_atoms
 
-    # time-major storage: step i of every path is one contiguous block
-    dW = np.empty((n_steps, n_paths, d))
-    counts = np.empty((n_steps, n_paths, J), dtype=np.int64)
+    # time-major storage: step i of every path is one contiguous block;
+    # step i's draws go to node i + 1 and are summed in place afterwards
+    W = np.zeros((n_steps + 1, n_paths, d))
+    cum = np.zeros((n_steps + 1, n_paths, J), dtype=np.int64)
 
     def draw(first, stop):
         for i in range(first, stop):
             sqrt_h = np.sqrt(h[i])
             for c in range(d):
-                dW[i, :, c] = sqrt_h * key.normals(i, c, n_paths, offset=path_offset)
+                W[i + 1, :, c] = sqrt_h * key.normals(i, c, n_paths, offset=path_offset)
             for j in range(J):
                 u = key.uniforms(i, d + j, n_paths, offset=path_offset)
                 try:
-                    counts[i, :, j] = poisson_counts(u, h[i] * marks.weights[j])
+                    cum[i + 1, :, j] = poisson_counts(u, h[i] * marks.weights[j])
                 except ValueError as exc:
                     raise ValueError(f"jump draw at step {i}, atom {j}: {exc}") from None
 
-    W = np.zeros((n_steps + 1, n_paths, d))
-    cum = np.zeros((n_steps + 1, n_paths, J), dtype=np.int64)
-    sums = [(dW, W), (counts, cum)]
-
     def accumulate(first, stop):
-        for increments, nodes in sums[first:stop]:
-            _accumulate(increments, nodes)
+        for nodes in (W, cum)[first:stop]:
+            _accumulate(nodes)
 
     _on_two_threads(draw, n_steps)
-    _on_two_threads(accumulate, len(sums))
+    _on_two_threads(accumulate, 2)
     return DrivingPaths(
-        grid=grid, marks=marks, brownian=W.transpose(1, 0, 2),
-        jump_counts=counts.transpose(1, 0, 2), count_nodes=cum.transpose(1, 0, 2),
+        grid=grid, marks=marks, brownian=W.transpose(1, 0, 2), count_nodes=cum.transpose(1, 0, 2)
     )
 
 

@@ -337,6 +337,14 @@ def test_unsupported_check_request_is_rejected(tmp_path):
     assert err.value.field_path == "checks"
 
 
+@pytest.mark.parametrize("checks", [("bogus",), ("solve", "bogus")], ids=["alone", "with-a-known-kind"])
+def test_unknown_check_request_is_rejected_before_any_file(tmp_path, checks):
+    with pytest.raises(ScenarioError, match="unknown check kind 'bogus'") as err:
+        run_scenario(solve_config(), tmp_path / "out", checks=checks)
+    assert err.value.field_path == "checks"
+    assert not (tmp_path / "out").exists()
+
+
 def test_empty_check_list_is_rejected(tmp_path):
     with pytest.raises(ScenarioError) as err:
         run_scenario(solve_config(checks=[]), tmp_path)
@@ -427,7 +435,7 @@ def test_shared_bundle_and_solution_are_read_only(tmp_path):
     _report, sol1, sol2 = payloads["comparison-empirical"]
     assert sol1 is sol
     assert sol.paths is paths and sol2.paths is paths
-    for array in (paths.brownian, paths.jump_counts, paths.count_nodes, sol.y, sol.z, sol.u):
+    for array in (paths.brownian, paths.count_nodes, sol.y, sol.z, sol.u):
         assert not array.flags.writeable
         # the arrays are views of time-major storage, which is locked too
         assert array.base is not None and not array.base.flags.writeable
@@ -509,6 +517,19 @@ def test_cli_exits_two_on_validation_error(tmp_path, capsys):
     code = main(["solve", "--config", str(config_path)])
     assert code == 2
     assert "config error at seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "check-structural"])
+def test_cli_takes_seeds_below_two_to_the_64_and_refuses_the_rest_at_seed(tmp_path, capsys, command):
+    config_path = tmp_path / "scenario.json"
+    checks = ["simulate", {"kind": "structural", "samples": 400}]
+    config_path.write_text(json.dumps(solve_config(checks=checks)))
+    args = [command, "--config", str(config_path), "--out"]
+    assert main([*args, str(tmp_path / "top"), "--seed", str(2**64 - 1)]) == 0
+    assert main([*args, str(tmp_path / "over"), "--seed", str(2**64)]) == 2
+    err = capsys.readouterr().err
+    assert "config error at seed: must be nonnegative and below 2**64" in err
+    assert not (tmp_path / "over").exists()
 
 
 def test_cli_exits_two_on_target_of_another_dimension(tmp_path, capsys, monkeypatch):

@@ -302,6 +302,18 @@ def test_structural_flags_oversized_jump_coefficient():
     assert report.monotone.replay()["violated"]
 
 
+def test_structural_takes_the_largest_stream_seed():
+    # its quadratic-clause sampler is seeded one above the probe's seed,
+    # wrapped to 64 bits
+    a, b, c = _structural_base()
+    assert check_structural(_affine_m2(a, b, c), n_samples=800, seed=2**64 - 1).passed
+    c = np.array(c)
+    c[0, 0, 0] = -2.0
+    report = check_structural(_affine_m2(a, b, c), n_samples=800, seed=2**64 - 1)
+    assert report.outcome == "falsified"
+    assert report.monotone.replay()["violated"]
+
+
 def test_structural_flags_negative_state_coupling():
     a, b, c = _structural_base()
     a = np.array(a)

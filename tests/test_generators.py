@@ -344,6 +344,15 @@ class TestDeclaredBounds:
         with pytest.raises(ValueError, match="finite"):
             ScaledJumpGen(scale)
 
+    @pytest.mark.parametrize("name", ["a", "b", "c", "drift"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_affine_coefficients_must_be_finite(self, name, bad):
+        coefs = {"a": np.zeros((2, 2)), "b": np.zeros((2, 2, 1)), "c": np.zeros((1, 2, 2)),
+                 "drift": np.zeros(2)}
+        coefs[name].flat[-1] = bad
+        with pytest.raises(ValueError, match=f"coefficient {name} must be finite"):
+            AffineGen(**coefs, brownian_dim=1, marks=unit_marks())
+
     def test_affine_bound_dominates_sampled_ratios(self):
         rng = np.random.default_rng(11)
         marks = FiniteMarkMeasure(atoms=[[1.0]], weights=[0.5])

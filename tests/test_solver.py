@@ -454,10 +454,11 @@ class TestLayout:
             grid=paths.grid,
             marks=marks,
             brownian=np.ascontiguousarray(paths.brownian),
-            jump_counts=np.ascontiguousarray(paths.jump_counts),
+            count_nodes=np.ascontiguousarray(paths.count_nodes),
         )
-        assert by_hand.brownian.flags.c_contiguous
-        assert np.array_equal(by_hand.count_nodes, paths.count_nodes)
+        assert by_hand.brownian.flags.c_contiguous and by_hand.count_nodes.flags.c_contiguous
+        for i in range(paths.grid.n_steps):
+            assert np.array_equal(by_hand.jump_increments(i), paths.jump_increments(i))
         for sol, ref in zip(
             solve_backward_many(problems, by_hand), solve_backward_many(problems, paths)
         ):

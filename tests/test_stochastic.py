@@ -163,13 +163,43 @@ class TestPoissonInversion:
             simulate_paths(TimeGrid.uniform(1.0, 1), marks, 1, 20_000, 1)
 
 
+class TestHandBuiltBundle:
+    """A bundle built by hand passes node values that match its grid and marks."""
+
+    def build(self, brownian, count_nodes):
+        marks = FiniteMarkMeasure(atoms=[[1.0], [-1.0]], weights=[1.0, 0.5])
+        return DrivingPaths(TimeGrid.uniform(1.0, 5), marks, brownian, count_nodes)
+
+    def test_matching_arrays_are_accepted(self):
+        paths = self.build(np.zeros((6, 6, 2)), np.zeros((6, 6, 2), dtype=np.int64))
+        assert paths.n_paths == 6 and paths.brownian_dim == 2
+        assert paths.jump_increments(4).shape == (6, 2)
+
+    @pytest.mark.parametrize(
+        "brownian,count_nodes,match",
+        [
+            (np.zeros((6, 9, 2)), np.zeros((6, 9, 2), dtype=np.int64), r"brownian must have shape \(n_paths, 6, d\)"),
+            (np.zeros((6, 6)), np.zeros((6, 6, 2), dtype=np.int64), "brownian must have shape"),
+            (np.zeros((6, 6, 2)), np.zeros((6, 9, 2), dtype=np.int64), r"count_nodes must have shape \(6, 6, 2\)"),
+            (np.zeros((6, 6, 2)), np.zeros((5, 6, 2), dtype=np.int64), "count_nodes must have shape"),
+            (np.zeros((6, 6, 2)), np.zeros((6, 6, 3), dtype=np.int64), "count_nodes must have shape"),
+            (np.zeros((6, 6, 2)), np.zeros((6, 6, 2)), "count_nodes must have an integer dtype"),
+        ],
+        ids=["nodes-off-the-grid", "no-brownian-axis", "count-nodes-off-the-grid", "other-path-count",
+             "other-atom-count", "float-counts"],
+    )
+    def test_arrays_off_the_grid_or_marks_are_refused(self, brownian, count_nodes, match):
+        with pytest.raises(ValueError, match=match):
+            self.build(brownian, count_nodes)
+
+
 class TestSimulation:
     def test_reproducible_bitwise(self):
         grid = TimeGrid.uniform(1.0, 8)
         a = simulate_paths(grid, unit_marks(), 2, 500, seed=123)
         b = simulate_paths(grid, unit_marks(), 2, 500, seed=123)
         assert np.array_equal(a.brownian, b.brownian)
-        assert np.array_equal(a.jump_counts, b.jump_counts)
+        assert np.array_equal(a.count_nodes, b.count_nodes)
 
     def test_chunked_generation_concatenates(self):
         grid = TimeGrid.uniform(1.0, 5)
@@ -179,7 +209,8 @@ class TestSimulation:
         tail = simulate_paths(grid, marks, 2, 180, seed=5, path_offset=120)
         assert np.array_equal(full.brownian[:120], head.brownian)
         assert np.array_equal(full.brownian[120:], tail.brownian)
-        assert np.array_equal(full.jump_counts[120:], tail.jump_counts)
+        assert np.array_equal(full.count_nodes[:120], head.count_nodes)
+        assert np.array_equal(full.count_nodes[120:], tail.count_nodes)
 
     def test_brownian_moments(self):
         grid = TimeGrid.uniform(1.0, 4)
@@ -198,9 +229,22 @@ class TestSimulation:
     def test_count_nodes_cumulative(self):
         grid = TimeGrid.uniform(2.0, 6)
         paths = simulate_paths(grid, unit_marks(), 1, 50, seed=1)
-        recon = np.cumsum(paths.jump_counts, axis=1)
-        assert np.array_equal(paths.count_nodes[:, 1:, :], recon)
+        steps = np.stack([paths.jump_increments(i) for i in range(6)], axis=1)
+        assert np.all(steps >= 0)
+        assert np.array_equal(paths.count_nodes[:, 1:, :], np.cumsum(steps, axis=1))
         assert np.all(paths.count_nodes[:, 0, :] == 0)
+
+    def test_jump_increments_are_the_streams_poisson_counts_bit_for_bit(self):
+        grid = TimeGrid(np.array([0.0, 0.1, 0.4, 0.45, 1.2]))
+        marks = FiniteMarkMeasure(atoms=[[1.0], [-1.0], [2.0]], weights=[1.0, 0.5, 3.0])
+        paths = simulate_paths(grid, marks, 2, 400, seed=33, path_offset=7)
+        key, h = StreamKey(33), grid.steps
+        for i in range(4):
+            steps = paths.jump_increments(i)
+            assert steps.shape == (400, 3) and steps.dtype == np.int64
+            for j in range(3):
+                want = poisson_counts(key.uniforms(i, 2 + j, 400, offset=7), h[i] * marks.weights[j])
+                assert steps[:, j].tobytes() == want.tobytes()
 
     def test_per_step_accumulation_matches_cumsum_bytes(self):
         grid = TimeGrid.uniform(1.0, 7)
@@ -214,8 +258,13 @@ class TestSimulation:
         W = np.zeros((8, 300, 2))
         np.cumsum(dW, axis=0, out=W[1:])
         assert paths.brownian.tobytes() == W.transpose(1, 0, 2).tobytes()
+        jumps = np.stack([
+            np.stack([poisson_counts(key.uniforms(i, 2 + j, 300), h[i] * marks.weights[j])
+                      for j in range(2)], axis=1)
+            for i in range(7)
+        ])
         counts = np.zeros((8, 300, 2), dtype=np.int64)
-        np.cumsum(paths.jump_counts.transpose(1, 0, 2), axis=0, out=counts[1:])
+        np.cumsum(jumps, axis=0, out=counts[1:])
         assert paths.count_nodes.tobytes() == counts.transpose(1, 0, 2).tobytes()
 
     def test_state_concatenates_brownian_and_counts(self):
@@ -228,7 +277,8 @@ class TestSimulation:
 
 
 def reference_bundle(grid, marks, d, n_paths, seed, path_offset):
-    """The bundle built on one thread, step by step, from the keyed draws."""
+    """The bundle built on one thread, step by step, from the keyed draws:
+    Brownian nodes, jump counts per step and count nodes."""
     key, h = StreamKey(seed), grid.steps
     N, J = grid.n_steps, marks.n_atoms
     W = np.zeros((N + 1, n_paths, d))
@@ -263,8 +313,9 @@ class TestTwoThreadDraw:
         atoms = [[float(k + 1)] for k in range(len(weights))]
         marks = FiniteMarkMeasure(atoms, weights)
         paths = simulate_paths(grid, marks, d, n_paths, seed=41, path_offset=offset)
+        jumps = np.stack([paths.jump_increments(i) for i in range(grid.n_steps)], axis=1)
         for got, want in zip(
-            (paths.brownian, paths.jump_counts, paths.count_nodes),
+            (paths.brownian, jumps, paths.count_nodes),
             reference_bundle(grid, marks, d, n_paths, 41, offset),
         ):
             assert got.shape == want.shape and got.dtype == want.dtype
@@ -296,7 +347,6 @@ class TestLayout:
         marks = FiniteMarkMeasure(atoms=[[1.0], [-1.0]], weights=[1.0, 0.5])
         paths = simulate_paths(TimeGrid.uniform(1.0, 5), marks, 2, 40, seed=3)
         assert paths.brownian.shape == (40, 6, 2)
-        assert paths.jump_counts.shape == (40, 5, 2)
         assert paths.count_nodes.shape == (40, 6, 2)
         for i in range(6):
             assert paths.brownian[:, i].flags.c_contiguous
@@ -304,7 +354,8 @@ class TestLayout:
             assert paths.state(i).flags.c_contiguous
             assert paths.state(i).shape == (40, 4)
         for i in range(5):
-            assert paths.jump_counts[:, i].flags.c_contiguous
+            assert paths.jump_increments(i).shape == (40, 2)
+            assert paths.jump_increments(i).flags.c_contiguous
 
     def test_solution_steps_are_contiguous_with_path_major_shapes(self):
         marks = FiniteMarkMeasure(atoms=[[1.0], [-1.0]], weights=[1.0, 0.5])
@@ -334,7 +385,7 @@ class TestCompensation:
         marks = FiniteMarkMeasure(atoms=[[1.0], [2.0]], weights=[1.0, 3.0])
         paths = simulate_paths(grid, marks, 1, 100_000, seed=13)
         h = grid.steps[2]
-        comp = compensated_increment(paths.jump_counts[:, 2, :], h, marks)
+        comp = compensated_increment(paths.jump_increments(2), h, marks)
         # per-atom MC error is ~ sqrt(h n_j / n_paths)
         bound = 4.0 * np.sqrt(h * marks.weights / 100_000)
         assert np.all(np.abs(comp.mean(axis=0)) < bound)
