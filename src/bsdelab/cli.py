@@ -142,6 +142,13 @@ def _number(v, path) -> float:
     return v
 
 
+def _nonnegative(v, path) -> float:
+    v = _number(v, path)
+    if v < 0.0:
+        raise ScenarioError(path, "must be nonnegative")
+    return v
+
+
 def _integer(v, path) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise ScenarioError(path, "expected an integer")
@@ -470,6 +477,8 @@ class _ArtifactWriter:
     """Writes run outputs under one directory and records name + digest."""
 
     def __init__(self, out_dir: Path, fmt: str):
+        if fmt not in ("csv", "json"):
+            raise ValueError(f"unknown table format {fmt!r}; expected 'csv' or 'json'")
         self.out_dir = out_dir
         self.fmt = fmt
         self.records: list[dict] = []
@@ -523,12 +532,8 @@ def _cell(v):
 
 
 def _read_only(*arrays):
-    # the bundle and solution arrays are views of time-major storage, so
-    # lock that storage too, not only the view
     for array in arrays:
         array.flags.writeable = False
-        if isinstance(array.base, np.ndarray):
-            array.base.flags.writeable = False
 
 
 class _ScenarioRun:
@@ -610,10 +615,10 @@ def _simulate(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
     paths = run.paths()
     columns = [("t", list(scenario.grid.nodes))]
     for j in range(paths.brownian_dim):
-        columns.append((f"w{j}_mean", list(paths.brownian[:, :, j].mean(axis=0))))
-        columns.append((f"w{j}_std", list(paths.brownian[:, :, j].std(axis=0))))
+        columns.append((f"w{j}_mean", list(paths.brownian[:, :, j].mean(axis=1))))
+        columns.append((f"w{j}_std", list(paths.brownian[:, :, j].std(axis=1))))
     for j in range(scenario.marks.n_atoms):
-        columns.append((f"n{j}_mean", list(paths.count_nodes[:, :, j].mean(axis=0))))
+        columns.append((f"n{j}_mean", list(paths.count_nodes[:, :, j].mean(axis=1))))
     writer.write_table("path_stats", columns)
     n = scenario.solver.paths
     detail = f"{n} paths on {scenario.grid.n_steps} steps"
@@ -625,28 +630,27 @@ def _solve(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
     sol = run.solutions()[0]
     m = sol.state_dim
     columns = [("t", list(sol.times))]
-    # node by node over the time-major store, each node one contiguous block,
-    # half of the nodes on a worker thread; the same bytes as one reduction
-    # over the whole store, without its copies of it
-    store = sol.y.transpose(1, 0, 2)
-    lo, hi, mean, std = stats = np.empty((4, store.shape[0], m))
+    # node by node, half of the nodes on a worker thread; the same bytes as
+    # one reduction over the whole store, without its copies of it
+    y = sol.y
+    lo, hi, mean, std = stats = np.empty((4, y.shape[0], m))
 
     def node_stats(first, stop):
         for i in range(first, stop):
-            stats[:2, i] = np.quantile(store[i], [0.05, 0.95], axis=0)
-            stats[2, i] = store[i].mean(axis=0)
-            stats[3, i] = store[i].std(axis=0)
+            stats[:2, i] = np.quantile(y[i], [0.05, 0.95], axis=0)
+            stats[2, i] = y[i].mean(axis=0)
+            stats[3, i] = y[i].std(axis=0)
 
-    _on_two_threads(node_stats, store.shape[0])
+    _on_two_threads(node_stats, y.shape[0])
     for k in range(m):
         columns.append((f"y{k}_mean", list(mean[:, k])))
         columns.append((f"y{k}_std", list(std[:, k])))
         columns.append((f"y{k}_lo", list(lo[:, k])))
         columns.append((f"y{k}_hi", list(hi[:, k])))
     if scenario.target is not None:
-        # one call on the time-major store, then the mean over paths at each node
-        dk = scenario.target.dist_batch(store.reshape(-1, m))
-        columns.append(("dk_mean", list(dk.reshape(sol.y.shape[1], -1).mean(axis=1))))
+        # one call on the whole store, then the mean over paths at each node
+        dk = scenario.target.dist_batch(y.reshape(-1, m))
+        columns.append(("dk_mean", list(dk.reshape(y.shape[0], -1).mean(axis=1))))
     writer.write_table("y_stats", columns)
     svg = render_line_plot(
         sol.times,
@@ -789,15 +793,16 @@ _CHECKS = {
     "solve": _Check(_solve, ("generator", "terminal"), object, None, {}),
     "viability": _Check(
         _viability, ("generator", "target"), ConvexBody, None,
-        {"samples": (_SAMPLES, 4000), "c_max": (_number, 100.0), "threshold": (_number, None)},
+        {"samples": (_SAMPLES, 4000), "c_max": (_nonnegative, 100.0),
+         "threshold": (_nonnegative, None)},
     ),
     "viability-empirical": _Check(
         _viability_empirical, ("generator", "terminal", "target"), object, None,
-        {"level": (_number, 0.05), "expect": _choice("within", "exceeds")},
+        {"level": (_nonnegative, 0.05), "expect": _choice("within", "exceeds")},
     ),
     "comparison": _Check(
         _comparison, ("generator", "generator2"), object, None,
-        {"samples": (_SAMPLES, 3000), "c_max": (_number, 500.0), "expect": _VERDICT},
+        {"samples": (_SAMPLES, 3000), "c_max": (_nonnegative, 500.0), "expect": _VERDICT},
     ),
     "comparison-empirical": _Check(
         _comparison_empirical, ("generator", "generator2", "terminal", "terminal2"), object, None,
@@ -805,11 +810,11 @@ _CHECKS = {
     ),
     "structural": _Check(
         _structural, ("generator",), object, None,
-        {"samples": (_SAMPLES, 2500), "c_max": (_number, 500.0), "expect": _VERDICT},
+        {"samples": (_SAMPLES, 2500), "c_max": (_nonnegative, 500.0), "expect": _VERDICT},
     ),
     "matrix": _Check(
         _matrix, ("generator", "generator2", "target"), PsdCone, 1,
-        {"samples": (_SAMPLES, 3000), "c_max": (_number, 500.0), "expect": _VERDICT},
+        {"samples": (_SAMPLES, 3000), "c_max": (_nonnegative, 500.0), "expect": _VERDICT},
     ),
 }
 
@@ -905,6 +910,8 @@ def run_scenario(
     scenario = Scenario.from_dict(doc)
 
     selected = scenario.checks
+    if isinstance(checks, str):
+        raise ScenarioError("checks", f"expected a sequence of check kinds, not the string {checks!r}")
     if checks is not None:
         unknown = sorted(set(checks) - set(_CHECKS))
         if unknown:
@@ -992,7 +999,7 @@ def _example28_config() -> dict:
 
 def _ball_norm(payload) -> dict:
     _report, sol = payload
-    worst = float(np.linalg.norm(sol.y, axis=2).mean(axis=0).max())
+    worst = float(np.linalg.norm(sol.y, axis=2).mean(axis=1).max())
     detail = f"max_t mean |Y_t| = {worst:.6f} (bound 1.05)"
     return _bound_row("acceptance:ball-norm", worst, 1.05, worst, detail)
 

@@ -187,7 +187,10 @@ class ConditionSampler:
     def _draw(self, kind, name, n, shape=(), low=0.0, high=1.0, normal=False):
         """(n, *shape) draws of one field, uniform on (low, high) or standard
         normal; row i takes positions [i k, (i + 1) k) of the field's stream,
-        k = prod(shape), whatever n is."""
+        k = prod(shape), whatever n is.  Every certifier draws its samples
+        here, so this is where a budget below one sample is refused."""
+        if n < 1:
+            raise ValueError(f"n_samples must be at least 1, got {n}")
         count = n * int(np.prod(shape, dtype=np.int64))
         step, channel = 2**32 - 1 - _SAMPLER_KINDS.index(kind), _SAMPLE_FIELDS.index(name)
         if normal:
@@ -402,7 +405,10 @@ def _run_certification(
     Every move is a fixed function of the point it starts from, so the
     verdict is a function of the samples.  The verdict's ``profile`` counts
     each phase's evaluations, rows and accepted moves, and the descent's
-    depth in shrink steps."""
+    depth in shrink steps.  A cap that is negative or not finite raises
+    ``ValueError``."""
+    if not (np.isfinite(c_max) and c_max >= 0.0):
+        raise ValueError(f"c_max must be finite and nonnegative, got {c_max}")
     profile = {phase: {"evaluations": 0, "rows": 0, "accepted": 0} for phase in ("sweep", "climb", "descent")}
     profile["descent"]["depth"] = 0
 
@@ -424,9 +430,7 @@ def _run_certification(
         return e - c_max * w
 
     n = len(samples)
-    excess, weight, defined = (
-        evaluate(samples, "sweep") if n else (np.zeros(0), np.zeros(0), np.zeros(0, bool))
-    )
+    excess, weight, defined = evaluate(samples, "sweep")
     rows = np.flatnonzero(defined)
     skipped = n - rows.size
     if not rows.size:
@@ -586,13 +590,12 @@ class ViabilityPathReport:
 def viability_path_report(sol: BsdeSolution, body) -> ViabilityPathReport:
     """Track how far a solved equation strays from the target set.
 
-    The terminal values ``sol.y[:, -1]``, which are the payoff itself,
+    The terminal values ``sol.y[-1]``, which are the payoff itself,
     must sit in the target set; the report carries the per-time mean
     distance over paths and its largest value.
     """
-    n, n_nodes, m = sol.y.shape
-    # (time, path) distances, in the solver's time-major order, so y is not copied
-    dists = body.dist_batch(sol.y.transpose(1, 0, 2).reshape(-1, m)).reshape(n_nodes, n)
+    n_nodes, n, m = sol.y.shape
+    dists = body.dist_batch(sol.y.reshape(-1, m)).reshape(n_nodes, n)
     xi_dist = dists[-1]
     if np.any(xi_dist > 1e-6):
         raise ValueError(
@@ -946,7 +949,7 @@ class ComparisonPathReport:
 def comparison_path_report(sol1: BsdeSolution, sol2: BsdeSolution) -> ComparisonPathReport:
     """Compare two equations solved on one path bundle.
 
-    The terminal values ``sol.y[:, -1]``, which are the payoffs
+    The terminal values ``sol.y[-1]``, which are the payoffs
     themselves, must already be ordered; the report tracks the smallest
     componentwise gap and the per-time fraction of paths where the
     ordering fails."""
@@ -954,15 +957,15 @@ def comparison_path_report(sol1: BsdeSolution, sol2: BsdeSolution) -> Comparison
         raise ValueError("solutions must be solved on one path bundle")
     if sol1.state_dim != sol2.state_dim:
         raise ValueError("solutions must share the state dimension")
-    if np.any(sol1.y[:, -1, :] < sol2.y[:, -1, :] - 1e-12):
+    if np.any(sol1.y[-1] < sol2.y[-1] - 1e-12):
         raise ValueError("terminal data is not ordered: xi1 must dominate xi2 pathwise")
     gap = sol1.y - sol2.y
     return ComparisonPathReport(
         times=sol1.times.copy(),
         min_gap=float(gap.min()),
-        min_gap_per_time=gap.min(axis=(0, 2)),
-        violation_fraction=(gap < 0.0).any(axis=2).mean(axis=0),
-        gap_at_zero=gap[:, 0, :].mean(axis=0),
+        min_gap_per_time=gap.min(axis=(1, 2)),
+        violation_fraction=(gap < 0.0).any(axis=2).mean(axis=1),
+        gap_at_zero=gap[0].mean(axis=0),
     )
 
 

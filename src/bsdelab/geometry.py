@@ -345,10 +345,6 @@ class HalfspaceIntersection(ConvexBody):
     def dim(self) -> int:
         return self.normals.shape[1]
 
-    @property
-    def inradius_center(self) -> np.ndarray:
-        return self._interior.copy()
-
     def _solve(self, xs):
         """Projections of the rows of ``xs`` and their multipliers, one per halfspace.
 

@@ -162,14 +162,10 @@ class _StepRegression:
 class BsdeSolution:
     """Backward pass output on the simulation grid.
 
-    y has shape (n_paths, N + 1, m); z has shape (n_paths, N, m, d);
-    u has shape (n_paths, N, n_atoms, m).  ``y0`` averages the time-zero
-    values, with a first-order Monte Carlo standard error.
-
-    The solver stores y, z and u time-major and hands out transposed
-    views with these shapes, so a per-step slice such as ``y[:, i]`` is
-    one contiguous block.  A reshape that merges the path and time axes
-    copies the whole array; reshape ``y.transpose(1, 0, 2)`` instead.
+    Time-major: y has shape (N + 1, n_paths, m); z has shape
+    (N, n_paths, m, d); u has shape (N, n_paths, n_atoms, m).  ``y0``
+    averages the time-zero values, with a first-order Monte Carlo
+    standard error.
     """
 
     times: np.ndarray
@@ -184,7 +180,7 @@ class BsdeSolution:
 
     @property
     def n_paths(self) -> int:
-        return self.y.shape[0]
+        return self.y.shape[1]
 
     @property
     def state_dim(self) -> int:
@@ -307,12 +303,12 @@ def solve_backward_many(
                 )
     _check_jump_power(paths)
 
-    # time-major stores, so that each step reads and writes contiguous blocks
+    # each step reads and writes one contiguous block of each store
     ys, zs, us = [], [], []
     for gen, terminal in problems:
         m = gen.state_dim
         y = np.empty((N + 1, n, m))
-        y[N] = terminal(paths.brownian[:, N, :], paths.count_nodes[:, N, :])
+        y[N] = terminal(paths.brownian[N], paths.count_nodes[N])
         ys.append(y)
         zs.append(np.empty((N, n, m, d)))
         us.append(np.empty((N, n, J, m)))
@@ -342,9 +338,7 @@ def solve_backward_many(
     return [
         BsdeSolution(
             times=grid.nodes.copy(),
-            y=y.transpose(1, 0, 2),
-            z=z.transpose(1, 0, 2, 3),
-            u=u.transpose(1, 0, 2, 3),
+            y=y, z=z, u=u,
             y0=y[0].mean(axis=0),
             y0_se=y[1].std(axis=0) / np.sqrt(n),
             mode=mode,
@@ -379,14 +373,14 @@ def apriori_diagnostics(sol: BsdeSolution, base: BsdeSolution) -> DeviationCurve
         raise ValueError("solutions must be solved on one path bundle")
     if sol.state_dim != base.state_dim:
         raise ValueError("solutions must share the state dimension")
-    if not np.array_equal(sol.y[:, -1], base.y[:, -1]):
+    if not np.array_equal(sol.y[-1], base.y[-1]):
         raise ValueError("solutions must share the terminal data")
 
     h = sol.paths.grid.steps
-    value_gap = np.mean(np.sum((sol.y - base.y) ** 2, axis=2), axis=0)
-    z_step = np.mean(np.sum((sol.z - base.z) ** 2, axis=(2, 3)), axis=0) * h
+    value_gap = np.mean(np.sum((sol.y - base.y) ** 2, axis=2), axis=1)
+    z_step = np.mean(np.sum((sol.z - base.z) ** 2, axis=(2, 3)), axis=1) * h
     w = sol.paths.marks.weights[None, None, :, None]
-    u_step = np.mean(np.sum(w * (sol.u - base.u) ** 2, axis=(2, 3)), axis=0) * h
+    u_step = np.mean(np.sum(w * (sol.u - base.u) ** 2, axis=(2, 3)), axis=1) * h
 
     def tail(per_step):
         out = np.zeros(h.shape[0] + 1)

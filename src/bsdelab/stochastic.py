@@ -10,6 +10,7 @@ how the work is scheduled or chunked.
 from __future__ import annotations
 
 import concurrent.futures
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,9 +118,11 @@ class StreamKey:
     master_seed: int
 
     def __post_init__(self):
-        if not (0 <= int(self.master_seed) < 2**64):
+        # numpy integers pass; a float raises TypeError, where int() truncated it
+        seed = operator.index(self.master_seed)
+        if not 0 <= seed < 2**64:
             raise ValueError("master_seed must fit in an unsigned 64-bit int")
-        object.__setattr__(self, "master_seed", int(self.master_seed))
+        object.__setattr__(self, "master_seed", seed)
 
     def _raw(self, step: int, channel: int, count: int, offset: int) -> np.ndarray:
         if step < 0 or channel < 0 or offset < 0:
@@ -153,19 +156,23 @@ def _open_uniforms(raw: np.ndarray) -> np.ndarray:
     return np.minimum(u, np.nextafter(1.0, 0.0), out=u)
 
 
-def _poisson_cdf_table(mean: float, tail: float = 1e-16, cap: int = 400) -> np.ndarray:
-    """CDF values P(X <= k) until the remaining tail is below ``tail``, or
-    until, past the mode, a term leaves the sum unchanged.
+_POISSON_TAIL = 1e-16
+_POISSON_CAP = 400
 
-    Raises ``ValueError`` when ``cap`` terms leave more of the mass out than
-    the rounding of their sum can explain: at a mean above about 270 the
-    table would need more terms, and above about 745 ``exp(-mean)``
+
+def _poisson_cdf_table(mean: float) -> np.ndarray:
+    """CDF values P(X <= k) until the remaining tail is below ``_POISSON_TAIL``,
+    or until, past the mode, a term leaves the sum unchanged.
+
+    Raises ``ValueError`` when ``_POISSON_CAP`` terms leave more of the mass
+    out than the rounding of their sum can explain: at a mean above about 270
+    the table would need more terms, and above about 745 ``exp(-mean)``
     underflows to 0.
     """
     pmf = np.exp(-mean)
     cdf = [pmf]
     k = 0
-    while 1.0 - cdf[-1] > tail and k < cap:
+    while 1.0 - cdf[-1] > _POISSON_TAIL and k < _POISSON_CAP:
         k += 1
         pmf *= mean / k
         cdf.append(cdf[-1] + pmf)
@@ -173,9 +180,9 @@ def _poisson_cdf_table(mean: float, tail: float = 1e-16, cap: int = 400) -> np.n
             break
     # a sum of k terms can fall short of 1 by a few ulps and stall there;
     # such a table is complete, and ends at its first repeated value
-    if 1.0 - cdf[-1] > max(tail, cap * np.finfo(float).eps):
+    if 1.0 - cdf[-1] > max(_POISSON_TAIL, _POISSON_CAP * np.finfo(float).eps):
         raise ValueError(
-            f"Poisson mean {float(mean)!r} needs more than {cap} terms of its CDF table; "
+            f"Poisson mean {float(mean)!r} needs more than {_POISSON_CAP} terms of its CDF table; "
             "refine the time grid or lower the jump intensity"
         )
     return np.asarray(cdf)
@@ -224,19 +231,13 @@ def _accumulate(nodes: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class DrivingPaths:
-    """Simulated noise bundle on a fixed grid, as node values.
+    """Simulated noise bundle on a fixed grid, as node values, time-major.
 
-    brownian:     (n_paths, N + 1, d) node values, zero at t_0
-    count_nodes:  (n_paths, N + 1, n_atoms) integer cumulative counts at nodes
+    brownian:     (N + 1, n_paths, d) node values, zero at t_0
+    count_nodes:  (N + 1, n_paths, n_atoms) integer cumulative counts at nodes
 
-    Step i's increments are ``brownian_increments(i)`` and ``jump_increments(i)``.
-    ``simulate_paths`` stores both time-major, as (N + 1, n_paths, d)
-    and so on, and these shapes are transposed views of that storage: a
-    per-step slice such as ``brownian[:, i]`` or ``state(i)`` is one
-    contiguous block, which is what the backward pass reads.  A reshape
-    that merges the path and time axes copies the whole array; reshape
-    ``a.transpose(1, 0, 2)`` instead.  Path-major arrays built by hand
-    work too, only more slowly.
+    Node i is ``brownian[i]`` and ``count_nodes[i]``; step i's increments
+    are ``brownian_increments(i)`` and ``jump_increments(i)``.
     """
 
     grid: TimeGrid
@@ -246,18 +247,18 @@ class DrivingPaths:
 
     def __post_init__(self):
         n_nodes = self.grid.n_steps + 1
-        if self.brownian.ndim != 3 or self.brownian.shape[1] != n_nodes:
-            raise ValueError(f"brownian must have shape (n_paths, {n_nodes}, d)")
-        if self.count_nodes.shape != (self.n_paths, n_nodes, self.marks.n_atoms):
+        if self.brownian.ndim != 3 or self.brownian.shape[0] != n_nodes:
+            raise ValueError(f"brownian must have shape ({n_nodes}, n_paths, d)")
+        if self.count_nodes.shape != (n_nodes, self.n_paths, self.marks.n_atoms):
             raise ValueError(
-                f"count_nodes must have shape ({self.n_paths}, {n_nodes}, {self.marks.n_atoms})"
+                f"count_nodes must have shape ({n_nodes}, {self.n_paths}, {self.marks.n_atoms})"
             )
         if not np.issubdtype(self.count_nodes.dtype, np.integer):
             raise ValueError("count_nodes must have an integer dtype")
 
     @property
     def n_paths(self) -> int:
-        return self.brownian.shape[0]
+        return self.brownian.shape[1]
 
     @property
     def brownian_dim(self) -> int:
@@ -265,17 +266,15 @@ class DrivingPaths:
 
     def brownian_increments(self, i: int) -> np.ndarray:
         """Increment over step i, shape (n_paths, d)."""
-        return self.brownian[:, i + 1, :] - self.brownian[:, i, :]
+        return self.brownian[i + 1] - self.brownian[i]
 
     def jump_increments(self, i: int) -> np.ndarray:
         """Jump counts per atom over step i, shape (n_paths, n_atoms)."""
-        return self.count_nodes[:, i + 1, :] - self.count_nodes[:, i, :]
+        return self.count_nodes[i + 1] - self.count_nodes[i]
 
     def state(self, i: int) -> np.ndarray:
         """Markov state (W_{t_i}, N_{t_i}) per path, shape (n_paths, d + n_atoms)."""
-        return np.concatenate(
-            [self.brownian[:, i, :], self.count_nodes[:, i, :].astype(float)], axis=1
-        )
+        return np.concatenate([self.brownian[i], self.count_nodes[i].astype(float)], axis=1)
 
 
 def simulate_paths(
@@ -311,7 +310,6 @@ def simulate_paths(
     d = brownian_dim
     J = marks.n_atoms
 
-    # time-major storage: step i of every path is one contiguous block;
     # step i's draws go to node i + 1 and are summed in place afterwards
     W = np.zeros((n_steps + 1, n_paths, d))
     cum = np.zeros((n_steps + 1, n_paths, J), dtype=np.int64)
@@ -334,9 +332,7 @@ def simulate_paths(
 
     _on_two_threads(draw, n_steps)
     _on_two_threads(accumulate, 2)
-    return DrivingPaths(
-        grid=grid, marks=marks, brownian=W.transpose(1, 0, 2), count_nodes=cum.transpose(1, 0, 2)
-    )
+    return DrivingPaths(grid=grid, marks=marks, brownian=W, count_nodes=cum)
 
 
 def compensated_increment(counts: np.ndarray, h: float, marks: FiniteMarkMeasure) -> np.ndarray:

@@ -75,6 +75,10 @@ def test_validation_reports_offending_field_path():
         ({"target": {"kind": "warp"}}, "target.kind"),
         ({"checks": [{"kind": "solve"}, {"kind": "warp"}]}, "checks[1].kind"),
         ({"marks": {"points": [[1.0]], "weights": []}}, "marks.weights"),
+        ({"checks": [{"kind": "viability", "c_max": -1.0}]}, "checks[0].c_max"),
+        ({"checks": [{"kind": "viability", "threshold": -0.5}]}, "checks[0].threshold"),
+        ({"checks": [{"kind": "viability-empirical", "level": -0.05}]}, "checks[0].level"),
+        ({"checks": [{"kind": "structural", "c_max": -2.0}]}, "checks[0].c_max"),
     ]
     for overrides, expected_path in cases:
         with pytest.raises(ScenarioError) as err:
@@ -216,9 +220,8 @@ def test_solve_table_node_statistics_equal_reductions_over_the_whole_store(tmp_p
     run_scenario(cfg, tmp_path / "out", extra_acceptance=keep)
     (sol,) = solutions
     assert sol.state_dim == 2
-    store = sol.y.transpose(1, 0, 2)
-    lo, hi = np.quantile(store, [0.05, 0.95], axis=1)
-    want = {"mean": sol.y.mean(axis=0), "std": sol.y.std(axis=0), "lo": lo, "hi": hi}
+    lo, hi = np.quantile(sol.y, [0.05, 0.95], axis=1)
+    want = {"mean": sol.y.mean(axis=1), "std": sol.y.std(axis=1), "lo": lo, "hi": hi}
     with open(tmp_path / "out" / "y_stats.csv", newline="") as fh:
         header, *rows = list(csv.reader(fh))
     table = np.array(rows, dtype=float)
@@ -310,7 +313,7 @@ def test_solve_table_carries_the_mean_distance_to_the_target(tmp_path):
     column = lines[0].split(",").index("dk_mean")
     written = [float(line.split(",")[column]) for line in lines[1:]]
     # each node's mean of the one-row distances
-    expected = [np.mean([ball.dist(row) for row in sol.y[:, i]]) for i in range(len(sol.times))]
+    expected = [np.mean([ball.dist(row) for row in sol.y[i]]) for i in range(len(sol.times))]
     assert np.array(written).tobytes() == np.array(expected).tobytes()
     assert max(written) > 0.0
 
@@ -343,6 +346,23 @@ def test_unknown_check_request_is_rejected_before_any_file(tmp_path, checks):
         run_scenario(solve_config(), tmp_path / "out", checks=checks)
     assert err.value.field_path == "checks"
     assert not (tmp_path / "out").exists()
+
+
+def test_a_string_of_checks_is_rejected_before_any_file(tmp_path):
+    # a string would be read letter by letter, as kinds 's', 'i', 'm', ...
+    with pytest.raises(ScenarioError, match="not the string 'simulate'") as err:
+        run_scenario(solve_config(), tmp_path / "out", checks="simulate")
+    assert err.value.field_path == "checks"
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_unknown_table_format_is_rejected_before_any_file(tmp_path):
+    # "xml" wrote CSV tables without a word
+    with pytest.raises(ValueError, match="unknown table format 'xml'"):
+        run_scenario(solve_config(), tmp_path / "scenario", fmt="xml")
+    with pytest.raises(ValueError, match="unknown table format 'xml'"):
+        reproduce("thm25-demo", tmp_path / "preset", fmt="xml")
+    assert not any(tmp_path.iterdir())
 
 
 def test_empty_check_list_is_rejected(tmp_path):
@@ -436,15 +456,10 @@ def test_shared_bundle_and_solution_are_read_only(tmp_path):
     assert sol1 is sol
     assert sol.paths is paths and sol2.paths is paths
     for array in (paths.brownian, paths.count_nodes, sol.y, sol.z, sol.u):
-        assert not array.flags.writeable
-        # the arrays are views of time-major storage, which is locked too
-        assert array.base is not None and not array.base.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        sol.y[0, 0, 0] = 1.0
-    with pytest.raises(ValueError, match="read-only"):
-        sol.y.base[0, 0, 0] = 1.0
-    with pytest.raises(ValueError, match="read-only"):
-        paths.brownian.base[...] = 0.0
+        # the stores themselves, not views of them, are locked
+        assert array.base is None and not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 # ---------------------------------------------------------------------------
@@ -930,3 +945,31 @@ def test_reproduction_script_runs_from_a_plain_checkout(tmp_path):
     out = subprocess.run(args, env=env, cwd=tmp_path, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert any(line.startswith("thm25-demo") and " tables " in line for line in out.stdout.splitlines())
+
+
+REDUCED_TABLE_DIGESTS = {
+    "example28": "2d0ba91773707004ad014b2d2a1099c2cf5063285957b923ccca28c244519e43",
+    "remark34a": "ec44a09574dd0dc050509d5e635fae78e9cd6fe4b03d6ef90fe2f75d4309ae18",
+    "remark34b": "53e3234f8f154e4d9b43726594713b297744be7cf8dffd21418986eddd5565a4",
+    "thm25-demo": "4211ab4861c6cae18d9d436a24741d640634857e70d2922da1206c08a13f9ea5",
+}
+
+
+def test_reduced_size_presets_write_their_pinned_tables(tmp_path):
+    # The last bits of some tables depend on the BLAS thread count (the
+    # one-column fit at step 0 and the degree-4 SVD split their sums across
+    # threads; see ROADMAP's fixed-chunk TSQR item), so the digests are
+    # pinned at one BLAS thread.
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_reproductions.py"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    args = [sys.executable, str(script), "--paths", "2000", "--steps", "10", "--out", str(tmp_path)]
+    out = subprocess.run(args, env=env, cwd=tmp_path, capture_output=True, text=True)
+    # exit code 1: remark34b's y0 acceptance fails at 2000 paths, and that
+    # row is part of its digest
+    assert out.returncode in (0, 1), out.stderr
+    digests = {
+        line.split()[0]: line.rsplit(" tables ", 1)[1]
+        for line in out.stdout.splitlines()
+        if " tables " in line
+    }
+    assert digests == REDUCED_TABLE_DIGESTS

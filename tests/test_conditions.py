@@ -500,7 +500,7 @@ def test_empirical_viability_reports_two_point_excursion():
     assert report.mean_distance[-1] == pytest.approx(0.0, abs=1e-12)
     assert report.max_mean_distance >= 0.9
     assert report.max_mean_distance > 0.05
-    assert sol.y.shape == (3000, 11, 1)
+    assert sol.y.shape == (11, 3000, 1)
 
 
 def test_empirical_viability_rejects_terminal_outside_target():
@@ -749,11 +749,44 @@ class _NanOutsideGen(Generator):
         return np.where(y[:, :1] > 3.0, np.nan, y)
 
 
-def test_empty_sample_budget_is_inconclusive():
-    ball = Ball(np.zeros(2), 1.0)
-    verdict = check_viability_condition(ProjectionDriftGen(ball, 1, MARKS1), ball, n_samples=0)
-    assert verdict.outcome == "inconclusive"
-    assert verdict.samples == 0 and verdict.skipped == 0
+_BALL2 = Ball(np.zeros(2), 1.0)
+# each public certifier on a small problem it decides, called with keywords
+CERTIFIERS = {
+    "viability": lambda **kw: check_viability_condition(
+        ProjectionDriftGen(_BALL2, 1, MARKS1), _BALL2, **kw
+    ),
+    "comparison-m1": lambda **kw: check_comparison_m1(ScaledJumpGen(0.5), ScaledJumpGen(0.5), **kw),
+    "comparison-multidim": lambda **kw: check_comparison_multidim(_affine_m2(), _affine_m2(), **kw),
+    "structural": lambda **kw: check_structural(_affine_m2(), **kw),
+    "matrix": lambda **kw: check_comparison_matrix(
+        ZeroGen(3, 1, MARKS1), ZeroGen(3, 1, MARKS1), side=2, **kw
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CERTIFIERS))
+@pytest.mark.parametrize("n_samples", [0, -5])
+def test_certifiers_refuse_a_budget_below_one_sample(name, n_samples):
+    # an empty budget read as "inconclusive" or failed deep in the engine
+    with pytest.raises(ValueError, match=f"n_samples must be at least 1, got {n_samples}"):
+        CERTIFIERS[name](n_samples=n_samples)
+    assert CERTIFIERS[name](n_samples=1).outcome in ("certified", "falsified", "inconclusive")
+
+
+@pytest.mark.parametrize("name", list(CERTIFIERS))
+def test_certifiers_refuse_a_float_seed(name):
+    # the sampler's stream key once truncated it, so 1.9 ran as seed 1
+    with pytest.raises(TypeError):
+        CERTIFIERS[name](n_samples=10, seed=1.9)
+
+
+@pytest.mark.parametrize("name", [name for name in CERTIFIERS if name != "comparison-m1"])
+@pytest.mark.parametrize("c_max", [-1.0, np.nan, np.inf])
+def test_capped_certifiers_refuse_a_negative_or_non_finite_cap(name, c_max):
+    # a NaN cap failed with IndexError in the climb, -1 read as inconclusive
+    with pytest.raises(ValueError, match="c_max must be finite and nonnegative"):
+        CERTIFIERS[name](n_samples=50, c_max=c_max)
+    assert CERTIFIERS[name](n_samples=50, c_max=0.0).outcome in ("certified", "inconclusive")
 
 
 def test_engine_rejects_non_finite_evaluations():

@@ -46,10 +46,10 @@ class TestZeroDriver:
         gen = ZeroGen(state_dim=1, brownian_dim=1, marks=unit_marks())
         sol = solve_backward(gen, brownian_terminal(), paths)
         # Y_t = W_t lies in the basis span, so the fit is exact up to MC noise
-        err = sol.y[:, :, 0] - paths.brownian[:, :, 0]
+        err = sol.y[..., 0] - paths.brownian[..., 0]
         assert np.sqrt(np.mean(err**2)) < 0.05
         assert abs(sol.y0[0]) < 3.0 * max(sol.y0_se[0], 1e-3)
-        z_means = sol.z[:, :, 0, 0].mean(axis=0)
+        z_means = sol.z[..., 0, 0].mean(axis=1)
         assert np.all(np.abs(z_means - 1.0) < 0.15)
         assert np.sqrt(np.mean(sol.u**2)) < 0.15
 
@@ -58,10 +58,10 @@ class TestZeroDriver:
         gen = ZeroGen(state_dim=1, brownian_dim=1, marks=unit_marks())
         sol = solve_backward(gen, count_terminal(), paths)
         horizon = paths.grid.horizon
-        truth = paths.count_nodes[:, :, 0] + (horizon - paths.grid.nodes)[None, :]
-        err = sol.y[:, :, 0] - truth
+        truth = paths.count_nodes[..., 0] + (horizon - paths.grid.nodes)[:, None]
+        err = sol.y[..., 0] - truth
         assert np.sqrt(np.mean(err**2)) < 0.05
-        u_means = sol.u[:, :, 0, 0].mean(axis=0)
+        u_means = sol.u[..., 0, 0].mean(axis=1)
         assert np.all(np.abs(u_means - 1.0) < 0.2)
 
     def test_quadratic_payoff_in_span(self):
@@ -70,8 +70,8 @@ class TestZeroDriver:
         term = TerminalCondition(fn=lambda w, k: w[:, 0] ** 2, state_dim=1)
         sol = solve_backward(gen, term, paths)
         horizon = paths.grid.horizon
-        truth = paths.brownian[:, :, 0] ** 2 + (horizon - paths.grid.nodes)[None, :]
-        err = sol.y[:, :, 0] - truth
+        truth = paths.brownian[..., 0] ** 2 + (horizon - paths.grid.nodes)[:, None]
+        err = sol.y[..., 0] - truth
         assert np.sqrt(np.mean(err**2)) < 0.08
 
 
@@ -83,8 +83,8 @@ class TestLinearJumpScenarios:
         # closed form Y_t = N_t + (T - t)/2 holds pathwise
         i = 10
         t = paths.grid.nodes[i]
-        truth = paths.count_nodes[:, i, 0] + 0.5 * (1.0 - t)
-        assert np.sqrt(np.mean((sol.y[:, i, 0] - truth) ** 2)) < 0.05
+        truth = paths.count_nodes[i, :, 0] + 0.5 * (1.0 - t)
+        assert np.sqrt(np.mean((sol.y[i, :, 0] - truth) ** 2)) < 0.05
 
     def test_double_strength_jump_driver(self):
         paths = simulate(n_paths=40_000, n_steps=25, seed=17)
@@ -145,12 +145,12 @@ def closed_form_linear(a_matrix, terminal, paths):
     horizon = sol.times[-1]
     for i, t in enumerate(sol.times):
         scale = expm(a_matrix * (horizon - t))
-        sol.y[:, i, :] = sol.y[:, i, :] @ scale.T
+        sol.y[i] = sol.y[i] @ scale.T
         if i < sol.times.shape[0] - 1:
-            sol.z[:, i] = np.einsum("kl,nld->nkd", scale, sol.z[:, i])
-            sol.u[:, i] = np.einsum("kl,njl->njk", scale, sol.u[:, i])
-    sol.y0 = sol.y[:, 0, :].mean(axis=0)
-    sol.y0_se = sol.y[:, 1, :].std(axis=0) / np.sqrt(sol.n_paths)
+            sol.z[i] = np.einsum("kl,nld->nkd", scale, sol.z[i])
+            sol.u[i] = np.einsum("kl,njl->njk", scale, sol.u[i])
+    sol.y0 = sol.y[0].mean(axis=0)
+    sol.y0_se = sol.y[1].std(axis=0) / np.sqrt(sol.n_paths)
     return sol
 
 
@@ -186,7 +186,7 @@ class TestLinearClosedForm:
         closed = closed_form_linear(a, brownian_terminal(), paths)
         t = paths.grid.nodes[:-1]
         expected = np.exp(1.0 - t)
-        z_means = closed.z[:, :, 0, 0].mean(axis=0)
+        z_means = closed.z[..., 0, 0].mean(axis=1)
         assert np.all(np.abs(z_means - expected) < 0.2)
 
 
@@ -199,7 +199,7 @@ class TestRegressionMachinery:
         assert first.step == 0
         assert first.rank == 1
         assert first.condition == pytest.approx(1.0)
-        assert np.ptp(sol.y[:, 0, 0]) < 1e-14
+        assert np.ptp(sol.y[0, :, 0]) < 1e-14
 
     def test_exactly_collinear_columns_reduced_not_fatal(self):
         rng = np.random.default_rng(0)
@@ -446,17 +446,18 @@ def layout_problems(case):
 class TestLayout:
     @pytest.mark.parametrize("case", ["scaled-jump", "affine"])
     def test_path_major_bundle_gives_the_same_bits(self, case):
-        # the simulator stores its bundle time-major; one built by hand from
-        # C-ordered path-major arrays must solve to the same bytes
+        # the simulator stores its bundle time-major and contiguous; one built
+        # by hand from path-major memory, viewed with the time-major shapes,
+        # must solve to the same bytes
         d, marks, problems = layout_problems(case)
         paths = simulate(n_paths=3_000, n_steps=8, seed=97, d=d, marks=marks)
-        by_hand = DrivingPaths(
-            grid=paths.grid,
-            marks=marks,
-            brownian=np.ascontiguousarray(paths.brownian),
-            count_nodes=np.ascontiguousarray(paths.count_nodes),
+        brownian, count_nodes = (
+            np.ascontiguousarray(a.swapaxes(0, 1)).swapaxes(0, 1)
+            for a in (paths.brownian, paths.count_nodes)
         )
-        assert by_hand.brownian.flags.c_contiguous and by_hand.count_nodes.flags.c_contiguous
+        by_hand = DrivingPaths(grid=paths.grid, marks=marks, brownian=brownian, count_nodes=count_nodes)
+        for a in (by_hand.brownian, by_hand.count_nodes):
+            assert not a.flags.c_contiguous and a.swapaxes(0, 1).flags.c_contiguous
         for i in range(paths.grid.n_steps):
             assert np.array_equal(by_hand.jump_increments(i), paths.jump_increments(i))
         for sol, ref in zip(

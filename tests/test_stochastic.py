@@ -75,6 +75,20 @@ class TestStreamKey:
         b = StreamKey(7).uniforms(3, 1, 256)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [-0.5, 1.9, 3.0])
+    def test_a_float_seed_is_refused_rather_than_truncated(self, seed):
+        # int(seed) ran -0.5 as seed 0 and 1.9 as seed 1, bit for bit
+        with pytest.raises(TypeError):
+            StreamKey(seed)
+        with pytest.raises(TypeError):
+            simulate_paths(TimeGrid.uniform(1.0, 2), unit_marks(), 1, 10, seed=seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint64(7), np.int32(7)], ids=["int64", "uint64", "int32"])
+    def test_numpy_integer_seeds_key_the_python_integers_streams(self, seed):
+        key = StreamKey(seed)
+        assert type(key.master_seed) is int and key.master_seed == 7
+        assert key.uniforms(3, 1, 64).tobytes() == StreamKey(7).uniforms(3, 1, 64).tobytes()
+
     def test_distinct_channels_decorrelated(self):
         a = StreamKey(7).uniforms(3, 1, 50_000)
         b = StreamKey(7).uniforms(3, 2, 50_000)
@@ -178,7 +192,7 @@ class TestHandBuiltBundle:
     @pytest.mark.parametrize(
         "brownian,count_nodes,match",
         [
-            (np.zeros((6, 9, 2)), np.zeros((6, 9, 2), dtype=np.int64), r"brownian must have shape \(n_paths, 6, d\)"),
+            (np.zeros((9, 6, 2)), np.zeros((9, 6, 2), dtype=np.int64), r"brownian must have shape \(6, n_paths, d\)"),
             (np.zeros((6, 6)), np.zeros((6, 6, 2), dtype=np.int64), "brownian must have shape"),
             (np.zeros((6, 6, 2)), np.zeros((6, 9, 2), dtype=np.int64), r"count_nodes must have shape \(6, 6, 2\)"),
             (np.zeros((6, 6, 2)), np.zeros((5, 6, 2), dtype=np.int64), "count_nodes must have shape"),
@@ -207,15 +221,15 @@ class TestSimulation:
         full = simulate_paths(grid, marks, 2, 300, seed=5)
         head = simulate_paths(grid, marks, 2, 120, seed=5)
         tail = simulate_paths(grid, marks, 2, 180, seed=5, path_offset=120)
-        assert np.array_equal(full.brownian[:120], head.brownian)
-        assert np.array_equal(full.brownian[120:], tail.brownian)
-        assert np.array_equal(full.count_nodes[:120], head.count_nodes)
-        assert np.array_equal(full.count_nodes[120:], tail.count_nodes)
+        assert np.array_equal(full.brownian[:, :120], head.brownian)
+        assert np.array_equal(full.brownian[:, 120:], tail.brownian)
+        assert np.array_equal(full.count_nodes[:, :120], head.count_nodes)
+        assert np.array_equal(full.count_nodes[:, 120:], tail.count_nodes)
 
     def test_brownian_moments(self):
         grid = TimeGrid.uniform(1.0, 4)
         paths = simulate_paths(grid, unit_marks(), 1, 100_000, seed=17)
-        w_T = paths.brownian[:, -1, 0]
+        w_T = paths.brownian[-1, :, 0]
         assert abs(w_T.mean()) < 0.02
         assert abs(w_T.var() - 1.0) < 0.02
 
@@ -223,16 +237,16 @@ class TestSimulation:
         # E N_T = T * n(E) = 1 for the unit atom on [0, 1]
         grid = TimeGrid.uniform(1.0, 10)
         paths = simulate_paths(grid, unit_marks(), 1, 100_000, seed=29)
-        total = paths.count_nodes[:, -1, 0]
+        total = paths.count_nodes[-1, :, 0]
         assert abs(total.mean() - 1.0) < 0.02
 
     def test_count_nodes_cumulative(self):
         grid = TimeGrid.uniform(2.0, 6)
         paths = simulate_paths(grid, unit_marks(), 1, 50, seed=1)
-        steps = np.stack([paths.jump_increments(i) for i in range(6)], axis=1)
+        steps = np.stack([paths.jump_increments(i) for i in range(6)])
         assert np.all(steps >= 0)
-        assert np.array_equal(paths.count_nodes[:, 1:, :], np.cumsum(steps, axis=1))
-        assert np.all(paths.count_nodes[:, 0, :] == 0)
+        assert np.array_equal(paths.count_nodes[1:], np.cumsum(steps, axis=0))
+        assert np.all(paths.count_nodes[0] == 0)
 
     def test_jump_increments_are_the_streams_poisson_counts_bit_for_bit(self):
         grid = TimeGrid(np.array([0.0, 0.1, 0.4, 0.45, 1.2]))
@@ -257,7 +271,7 @@ class TestSimulation:
         ])
         W = np.zeros((8, 300, 2))
         np.cumsum(dW, axis=0, out=W[1:])
-        assert paths.brownian.tobytes() == W.transpose(1, 0, 2).tobytes()
+        assert paths.brownian.tobytes() == W.tobytes()
         jumps = np.stack([
             np.stack([poisson_counts(key.uniforms(i, 2 + j, 300), h[i] * marks.weights[j])
                       for j in range(2)], axis=1)
@@ -265,15 +279,15 @@ class TestSimulation:
         ])
         counts = np.zeros((8, 300, 2), dtype=np.int64)
         np.cumsum(jumps, axis=0, out=counts[1:])
-        assert paths.count_nodes.tobytes() == counts.transpose(1, 0, 2).tobytes()
+        assert paths.count_nodes.tobytes() == counts.tobytes()
 
     def test_state_concatenates_brownian_and_counts(self):
         grid = TimeGrid.uniform(1.0, 3)
         paths = simulate_paths(grid, unit_marks(), 2, 10, seed=4)
         s = paths.state(2)
         assert s.shape == (10, 3)
-        assert np.array_equal(s[:, :2], paths.brownian[:, 2, :])
-        assert np.array_equal(s[:, 2], paths.count_nodes[:, 2, 0].astype(float))
+        assert np.array_equal(s[:, :2], paths.brownian[2])
+        assert np.array_equal(s[:, 2], paths.count_nodes[2, :, 0].astype(float))
 
 
 def reference_bundle(grid, marks, d, n_paths, seed, path_offset):
@@ -291,7 +305,7 @@ def reference_bundle(grid, marks, d, n_paths, seed, path_offset):
             u = key.uniforms(i, d + j, n_paths, path_offset)
             counts[i, :, j] = poisson_counts(u, h[i] * marks.weights[j])
             nodes[i + 1, :, j] = nodes[i, :, j] + counts[i, :, j]
-    return W.transpose(1, 0, 2), counts.transpose(1, 0, 2), nodes.transpose(1, 0, 2)
+    return W, counts, nodes
 
 
 class TestTwoThreadDraw:
@@ -313,7 +327,7 @@ class TestTwoThreadDraw:
         atoms = [[float(k + 1)] for k in range(len(weights))]
         marks = FiniteMarkMeasure(atoms, weights)
         paths = simulate_paths(grid, marks, d, n_paths, seed=41, path_offset=offset)
-        jumps = np.stack([paths.jump_increments(i) for i in range(grid.n_steps)], axis=1)
+        jumps = np.stack([paths.jump_increments(i) for i in range(grid.n_steps)])
         for got, want in zip(
             (paths.brownian, jumps, paths.count_nodes),
             reference_bundle(grid, marks, d, n_paths, 41, offset),
@@ -343,35 +357,35 @@ class TestTwoThreadDraw:
 
 
 class TestLayout:
-    def test_per_step_slices_are_contiguous_with_path_major_shapes(self):
+    def test_per_step_slices_are_contiguous_with_time_major_shapes(self):
         marks = FiniteMarkMeasure(atoms=[[1.0], [-1.0]], weights=[1.0, 0.5])
         paths = simulate_paths(TimeGrid.uniform(1.0, 5), marks, 2, 40, seed=3)
-        assert paths.brownian.shape == (40, 6, 2)
-        assert paths.count_nodes.shape == (40, 6, 2)
+        assert paths.brownian.shape == (6, 40, 2)
+        assert paths.count_nodes.shape == (6, 40, 2)
         for i in range(6):
-            assert paths.brownian[:, i].flags.c_contiguous
-            assert paths.count_nodes[:, i].flags.c_contiguous
+            assert paths.brownian[i].flags.c_contiguous
+            assert paths.count_nodes[i].flags.c_contiguous
             assert paths.state(i).flags.c_contiguous
             assert paths.state(i).shape == (40, 4)
         for i in range(5):
             assert paths.jump_increments(i).shape == (40, 2)
             assert paths.jump_increments(i).flags.c_contiguous
 
-    def test_solution_steps_are_contiguous_with_path_major_shapes(self):
+    def test_solution_steps_are_contiguous_with_time_major_shapes(self):
         marks = FiniteMarkMeasure(atoms=[[1.0], [-1.0]], weights=[1.0, 0.5])
         paths = simulate_paths(TimeGrid.uniform(1.0, 4), marks, 2, 1000, seed=8)
         terminal = TerminalCondition(
             fn=lambda w, k: np.stack([w[:, 0], k[:, 1].astype(float)], axis=1), state_dim=2
         )
         sol = solve_backward(ZeroGen(2, 2, marks), terminal, paths)
-        assert sol.y.shape == (1000, 5, 2)
-        assert sol.z.shape == (1000, 4, 2, 2)
-        assert sol.u.shape == (1000, 4, 2, 2)
+        assert sol.y.shape == (5, 1000, 2)
+        assert sol.z.shape == (4, 1000, 2, 2)
+        assert sol.u.shape == (4, 1000, 2, 2)
         for i in range(5):
-            assert sol.y[:, i].flags.c_contiguous
+            assert sol.y[i].flags.c_contiguous
         for i in range(4):
-            assert sol.z[:, i].flags.c_contiguous
-            assert sol.u[:, i].flags.c_contiguous
+            assert sol.z[i].flags.c_contiguous
+            assert sol.u[i].flags.c_contiguous
 
 
 class TestCompensation:
