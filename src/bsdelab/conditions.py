@@ -48,7 +48,7 @@ from .solver import (
     solve_backward,
     solve_backward_many,
 )
-from .stochastic import DrivingPaths, FiniteMarkMeasure, StreamKey
+from .stochastic import DrivingPaths, FiniteMarkMeasure, StreamKey, _noise_mismatch
 
 __all__ = [
     "SampleBatch",
@@ -592,16 +592,15 @@ def viability_path_report(sol: BsdeSolution, body) -> ViabilityPathReport:
 
     The terminal values ``sol.y[-1]``, which are the payoff itself,
     must sit in the target set; the report carries the per-time mean
-    distance over paths and its largest value.
+    distance over paths and its largest value.  It measures one node at
+    a time, so it holds one node's distances, not the whole path's.
     """
-    n_nodes, n, m = sol.y.shape
-    dists = body.dist_batch(sol.y.reshape(-1, m)).reshape(n_nodes, n)
-    xi_dist = dists[-1]
+    xi_dist = body.dist_batch(sol.y[-1])
     if np.any(xi_dist > 1e-6):
         raise ValueError(
             f"terminal data leaves the target set (max distance {xi_dist.max():.3e})"
         )
-    mean_distance = dists.mean(axis=1)
+    mean_distance = np.array([body.dist_batch(y_i).mean() for y_i in sol.y[:-1]] + [xi_dist.mean()])
     return ViabilityPathReport(
         times=sol.times.copy(),
         mean_distance=mean_distance,
@@ -689,12 +688,7 @@ def _gap_verdict(worst, witness, n_samples, detail, replay) -> ConditionVerdict:
 
 
 def _require_matching_noise(f1: Generator, f2: Generator):
-    same = (
-        f1.brownian_dim == f2.brownian_dim
-        and np.array_equal(f1.marks.atoms, f2.marks.atoms)
-        and np.array_equal(f1.marks.weights, f2.marks.weights)
-    )
-    if not same:
+    if _noise_mismatch(f1, f2):
         raise ValueError("drivers must share the same noise (Brownian dimension and marks)")
 
 
@@ -952,20 +946,28 @@ def comparison_path_report(sol1: BsdeSolution, sol2: BsdeSolution) -> Comparison
     The terminal values ``sol.y[-1]``, which are the payoffs
     themselves, must already be ordered; the report tracks the smallest
     componentwise gap and the per-time fraction of paths where the
-    ordering fails."""
+    ordering fails.  It reduces one node at a time, so it holds one
+    node's gap, not the whole path's."""
     if sol1.paths is not sol2.paths:
         raise ValueError("solutions must be solved on one path bundle")
     if sol1.state_dim != sol2.state_dim:
         raise ValueError("solutions must share the state dimension")
     if np.any(sol1.y[-1] < sol2.y[-1] - 1e-12):
         raise ValueError("terminal data is not ordered: xi1 must dominate xi2 pathwise")
-    gap = sol1.y - sol2.y
+    n_nodes = sol1.y.shape[0]
+    min_gap_per_time, violation_fraction = np.empty(n_nodes), np.empty(n_nodes)
+    for i in range(n_nodes):
+        gap = sol1.y[i] - sol2.y[i]
+        min_gap_per_time[i] = gap.min()
+        violation_fraction[i] = (gap < 0.0).any(axis=1).mean()
+        if i == 0:
+            gap_at_zero = gap.mean(axis=0)
     return ComparisonPathReport(
         times=sol1.times.copy(),
-        min_gap=float(gap.min()),
-        min_gap_per_time=gap.min(axis=(1, 2)),
-        violation_fraction=(gap < 0.0).any(axis=2).mean(axis=1),
-        gap_at_zero=gap[0].mean(axis=0),
+        min_gap=float(min_gap_per_time.min()),
+        min_gap_per_time=min_gap_per_time,
+        violation_fraction=violation_fraction,
+        gap_at_zero=gap_at_zero,
     )
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import svd
 
 from .generators import Generator
-from .stochastic import DrivingPaths, compensated_increment
+from .stochastic import DrivingPaths, _noise_mismatch, compensated_increment
 
 __all__ = [
     "TerminalCondition",
@@ -162,16 +162,17 @@ class _StepRegression:
 class BsdeSolution:
     """Backward pass output on the simulation grid.
 
-    Time-major: y has shape (N + 1, n_paths, m); z has shape
-    (N, n_paths, m, d); u has shape (N, n_paths, n_atoms, m).  ``y0``
-    averages the time-zero values, with a first-order Monte Carlo
-    standard error.
+    Time-major: y has shape (N + 1, n_paths, m).  The martingale
+    integrands z, shape (N, n_paths, m, d), and u, shape
+    (N, n_paths, n_atoms, m), are kept only by a pass asked for them
+    (``integrands=True``) and are None otherwise.  ``y0`` averages the
+    time-zero values, with a first-order Monte Carlo standard error.
     """
 
     times: np.ndarray
     y: np.ndarray
-    z: np.ndarray
-    u: np.ndarray
+    z: np.ndarray | None
+    u: np.ndarray | None
     y0: np.ndarray
     y0_se: np.ndarray
     mode: str
@@ -213,10 +214,10 @@ def _finite_driver(gen: Generator, t: float, y, z, u, step: int, where: str) -> 
 def _problem_step(gen, y, z, u, i, h, t_i, reg, dw, comp, marks, where, mode):
     """One problem's share of step i: its targets, its fit and its driver.
 
-    ``y``, ``z`` and ``u`` are the time-major stores (N + 1, n, m),
-    (N, n, m, d) and (N, n, J, m); writes y[i], z[i] and u[i].  A function,
-    so that one problem's step temporaries are freed before the next
-    problem makes its own.
+    ``y`` is the time-major store (N + 1, n, m), and step i writes y[i];
+    ``z`` (n, m, d) and ``u`` (n, J, m) are the step's integrand slots,
+    contiguous, which it overwrites.  A function, so that one problem's
+    step temporaries are freed before the next problem makes its own.
     """
     n, m = y.shape[1], gen.state_dim
     d, J = dw.shape[1], comp.shape[1]
@@ -227,15 +228,15 @@ def _problem_step(gen, y, z, u, i, h, t_i, reg, dw, comp, marks, where, mode):
     stacked = np.concatenate([y_next, z_target, u_target], axis=1)
     fitted = reg.fit(stacked)
     cond_mean = fitted[:, :m]
-    z[i] = fitted[:, m : m + m * d].reshape(n, m, d)
-    u[i] = fitted[:, m + m * d :].reshape(n, J, m)
+    z[...] = fitted[:, m : m + m * d].reshape(n, m, d)
+    u[...] = fitted[:, m + m * d :].reshape(n, J, m)
 
     if mode == "explicit":
-        y[i] = cond_mean + h * _finite_driver(gen, t_i, cond_mean, z[i], u[i], i, where)
+        y[i] = cond_mean + h * _finite_driver(gen, t_i, cond_mean, z, u, i, where)
         return
     current = cond_mean.copy()
     for _ in range(_FIXED_POINT_MAX_ITER):
-        nxt = cond_mean + h * _finite_driver(gen, t_i, current, z[i], u[i], i, where)
+        nxt = cond_mean + h * _finite_driver(gen, t_i, current, z, u, i, where)
         delta = np.max(np.abs(nxt - current))
         current = nxt
         if delta <= _FIXED_POINT_TOL:
@@ -250,15 +251,19 @@ def solve_backward(
     paths: DrivingPaths,
     basis: RegressionBasis | None = None,
     mode: str = "explicit",
+    integrands: bool = False,
 ) -> BsdeSolution:
     """Run the backward induction over a simulated bundle.
 
     ``mode`` selects how the drift enters each step: "explicit" plugs the
     regressed conditional mean into the driver, "implicit" solves the
     one-step fixed point (requires h * Lipschitz < 1).  This is the
-    one-problem case of :func:`solve_backward_many`.
+    one-problem case of :func:`solve_backward_many`, which also says what
+    ``integrands`` keeps.
     """
-    (sol,) = solve_backward_many([(gen, terminal)], paths, basis=basis, mode=mode)
+    (sol,) = solve_backward_many(
+        [(gen, terminal)], paths, basis=basis, mode=mode, integrands=integrands
+    )
     return sol
 
 
@@ -267,6 +272,7 @@ def solve_backward_many(
     paths: DrivingPaths,
     basis: RegressionBasis | None = None,
     mode: str = "explicit",
+    integrands: bool = False,
 ) -> list[BsdeSolution]:
     """Solve several equations on one bundle in a single backward pass.
 
@@ -278,6 +284,12 @@ def solve_backward_many(
     step's design and SVD are built on a worker thread, which ends with the
     call.  Only the design build runs beside this thread's fits and
     drivers: ``scipy.linalg.svd`` holds the GIL while it runs.
+
+    Only ``integrands=True`` keeps the whole z and u stores, which
+    :func:`apriori_diagnostics` reads; by default each problem writes its
+    step's z and u into one step buffer that every step reuses, the
+    solutions' ``z`` and ``u`` are None, and y, y0 and y0_se are the same
+    bytes either way.
     """
     if basis is None:
         basis = RegressionBasis()
@@ -292,9 +304,12 @@ def solve_backward_many(
     d, J = paths.brownian_dim, marks.n_atoms
     # error messages name the problem only when there is more than one
     wheres = [f" of problem {k}" if len(problems) > 1 else "" for k in range(len(problems))]
-    for (gen, _), where in zip(problems, wheres):
-        if gen.brownian_dim != d:
-            raise ValueError(f"path bundle and driver{where} disagree on the Brownian dimension")
+    for (gen, terminal), where in zip(problems, wheres):
+        clash = _noise_mismatch(paths, gen)
+        if clash:
+            raise ValueError(f"path bundle and driver{where} disagree on {clash}")
+        if terminal.state_dim != gen.state_dim:
+            raise ValueError(f"terminal and driver{where} disagree on the state dimension")
         if mode == "implicit":
             contraction = steps.max() * gen.lipschitz
             if contraction >= 1.0:
@@ -303,15 +318,17 @@ def solve_backward_many(
                 )
     _check_jump_power(paths)
 
-    # each step reads and writes one contiguous block of each store
+    # each step reads and writes one contiguous block of each store; without
+    # integrands, every step writes the one z and u block of its problem
+    n_slots = N if integrands else 1
     ys, zs, us = [], [], []
     for gen, terminal in problems:
         m = gen.state_dim
         y = np.empty((N + 1, n, m))
         y[N] = terminal(paths.brownian[N], paths.count_nodes[N])
         ys.append(y)
-        zs.append(np.empty((N, n, m, d)))
-        us.append(np.empty((N, n, J, m)))
+        zs.append(np.empty((n_slots, n, m, d)))
+        us.append(np.empty((n_slots, n, J, m)))
     regression = []
 
     def step_regression(i):
@@ -331,14 +348,19 @@ def solve_backward_many(
             h = steps[i]
             dw = paths.brownian_increments(i)
             comp = compensated_increment(paths.jump_increments(i), h, marks)
+            slot = i if integrands else 0
             for (gen, _), y, z, u, where in zip(problems, ys, zs, us, wheres):
-                _problem_step(gen, y, z, u, i, h, grid.nodes[i], reg, dw, comp, marks, where, mode)
+                _problem_step(
+                    gen, y, z[slot], u[slot], i, h, grid.nodes[i], reg, dw, comp, marks, where, mode
+                )
 
     regression.reverse()
     return [
         BsdeSolution(
             times=grid.nodes.copy(),
-            y=y, z=z, u=u,
+            y=y,
+            z=z if integrands else None,
+            u=u if integrands else None,
             y0=y[0].mean(axis=0),
             y0_se=y[1].std(axis=0) / np.sqrt(n),
             mode=mode,
@@ -368,7 +390,10 @@ class DeviationCurves:
 
 def apriori_diagnostics(sol: BsdeSolution, base: BsdeSolution) -> DeviationCurves:
     """Compare a solution against ``base``, the zero-driver solution with the
-    same terminal data on the same bundle (solve both in one pass)."""
+    same terminal data on the same bundle (solve both in one pass, with
+    ``integrands=True``)."""
+    if sol.z is None or base.z is None:
+        raise ValueError("solutions carry no integrands: solve them with integrands=True")
     if sol.paths is not base.paths:
         raise ValueError("solutions must be solved on one path bundle")
     if sol.state_dim != base.state_dim:

@@ -66,6 +66,23 @@ class FiniteMarkMeasure:
         return float(self.weights.sum())
 
 
+def _noise_mismatch(a, b) -> str | None:
+    """What two carriers of driving noise disagree on, or None when they agree.
+
+    ``a`` and ``b`` are path bundles or drivers: anything with a
+    ``brownian_dim`` and ``marks``.  Marks agree when their atoms and
+    weights are equal.
+    """
+    if a.brownian_dim != b.brownian_dim:
+        return "the Brownian dimension"
+    if not (
+        np.array_equal(a.marks.atoms, b.marks.atoms)
+        and np.array_equal(a.marks.weights, b.marks.weights)
+    ):
+        return "the marks (atoms and weights)"
+    return None
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Strictly increasing nodes 0 = t_0 < ... < t_N = horizon."""
@@ -158,6 +175,8 @@ def _open_uniforms(raw: np.ndarray) -> np.ndarray:
 
 _POISSON_TAIL = 1e-16
 _POISSON_CAP = 400
+# a count node sums at most _POISSON_CAP per step, so int32 holds it
+_MAX_STEPS = (2**31 - 1) // _POISSON_CAP
 
 
 def _poisson_cdf_table(mean: float) -> np.ndarray:
@@ -189,13 +208,13 @@ def _poisson_cdf_table(mean: float) -> np.ndarray:
 
 
 def poisson_counts(u: np.ndarray, mean: float) -> np.ndarray:
-    """Invert uniforms through the Poisson(mean) CDF.
+    """Invert uniforms through the Poisson(mean) CDF, as ``int32`` counts.
 
     Uniforms below P(X = 0), most of them at a small mean, give 0 without a
     search; only the rest are searched in the table.
     """
     cdf = _poisson_cdf_table(mean)
-    counts = np.zeros(np.shape(u), dtype=np.int64)
+    counts = np.zeros(np.shape(u), dtype=np.int32)
     fired = u >= cdf[0]
     counts[fired] = np.minimum(np.searchsorted(cdf, u[fired], side="right"), cdf.shape[0] - 1)
     return counts
@@ -234,7 +253,9 @@ class DrivingPaths:
     """Simulated noise bundle on a fixed grid, as node values, time-major.
 
     brownian:     (N + 1, n_paths, d) node values, zero at t_0
-    count_nodes:  (N + 1, n_paths, n_atoms) integer cumulative counts at nodes
+    count_nodes:  (N + 1, n_paths, n_atoms) integer cumulative counts at
+                  nodes; ``int32`` from :func:`simulate_paths`, any integer
+                  dtype in a bundle built by hand
 
     Node i is ``brownian[i]`` and ``count_nodes[i]``; step i's increments
     are ``brownian_increments(i)`` and ``jump_increments(i)``.
@@ -299,11 +320,19 @@ def simulate_paths(
     the same bit for bit however the work is split; the worker ends with
     the call.  A jump mean too large for its Poisson table (see
     ``_poisson_cdf_table``) raises ``ValueError`` naming its step and atom.
+
+    ``count_nodes`` is ``int32``: each step adds at most ``_POISSON_CAP``
+    jumps per atom, so a grid of more than ``_MAX_STEPS`` steps, whose
+    counts could overflow, is refused with ``ValueError``.
     """
     if brownian_dim < 1:
         raise ValueError("brownian_dim must be at least 1")
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
+    if grid.n_steps > _MAX_STEPS:
+        raise ValueError(
+            f"grid has {grid.n_steps} steps; int32 jump counts hold at most {_MAX_STEPS}"
+        )
     key = StreamKey(seed)
     n_steps = grid.n_steps
     h = grid.steps
@@ -312,7 +341,7 @@ def simulate_paths(
 
     # step i's draws go to node i + 1 and are summed in place afterwards
     W = np.zeros((n_steps + 1, n_paths, d))
-    cum = np.zeros((n_steps + 1, n_paths, J), dtype=np.int64)
+    cum = np.zeros((n_steps + 1, n_paths, J), dtype=np.int32)
 
     def draw(first, stop):
         for i in range(first, stop):

@@ -455,7 +455,10 @@ def test_shared_bundle_and_solution_are_read_only(tmp_path):
     _report, sol1, sol2 = payloads["comparison-empirical"]
     assert sol1 is sol
     assert sol.paths is paths and sol2.paths is paths
-    for array in (paths.brownian, paths.count_nodes, sol.y, sol.z, sol.u):
+    # no check reads the integrands, so the shared pass keeps none
+    for s in (sol1, sol2):
+        assert s.z is None and s.u is None
+    for array in (paths.brownian, paths.count_nodes, sol.y, sol2.y, sol.y0, sol.y0_se):
         # the stores themselves, not views of them, are locked
         assert array.base is None and not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):

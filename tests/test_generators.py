@@ -175,7 +175,9 @@ class TestBatchedProjectionDrift:
             state_dim=2,
         )
         sols = [
-            solve_backward(gen_cls(disc, 1, unit_marks()), terminal, paths, basis=RegressionBasis(2))
+            solve_backward(
+                gen_cls(disc, 1, unit_marks()), terminal, paths, basis=RegressionBasis(2), integrands=True
+            )
             for gen_cls in (ProjectionDriftGen, RowByRowProjectionDrift)
         ]
         batched, reference = sols

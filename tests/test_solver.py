@@ -44,7 +44,7 @@ class TestZeroDriver:
     def test_recovers_brownian_martingale(self):
         paths = simulate()
         gen = ZeroGen(state_dim=1, brownian_dim=1, marks=unit_marks())
-        sol = solve_backward(gen, brownian_terminal(), paths)
+        sol = solve_backward(gen, brownian_terminal(), paths, integrands=True)
         # Y_t = W_t lies in the basis span, so the fit is exact up to MC noise
         err = sol.y[..., 0] - paths.brownian[..., 0]
         assert np.sqrt(np.mean(err**2)) < 0.05
@@ -56,7 +56,7 @@ class TestZeroDriver:
     def test_recovers_compensated_count_martingale(self):
         paths = simulate(seed=9)
         gen = ZeroGen(state_dim=1, brownian_dim=1, marks=unit_marks())
-        sol = solve_backward(gen, count_terminal(), paths)
+        sol = solve_backward(gen, count_terminal(), paths, integrands=True)
         horizon = paths.grid.horizon
         truth = paths.count_nodes[..., 0] + (horizon - paths.grid.nodes)[:, None]
         err = sol.y[..., 0] - truth
@@ -93,7 +93,7 @@ class TestLinearJumpScenarios:
 
     def test_zero_terminal_stays_exactly_zero(self):
         paths = simulate(n_paths=5_000, n_steps=10, seed=19)
-        sol = solve_backward(ScaledJumpGen(2.0), constant_terminal(0.0), paths)
+        sol = solve_backward(ScaledJumpGen(2.0), constant_terminal(0.0), paths, integrands=True)
         assert np.all(sol.y == 0.0)
         assert np.all(sol.z == 0.0)
         assert np.all(sol.u == 0.0)
@@ -141,7 +141,7 @@ def closed_form_linear(a_matrix, terminal, paths):
     a_matrix = np.asarray(a_matrix, dtype=float)
     m = a_matrix.shape[0]
     zero = ZeroGen(state_dim=m, brownian_dim=paths.brownian_dim, marks=paths.marks)
-    sol = solve_backward(zero, terminal, paths)
+    sol = solve_backward(zero, terminal, paths, integrands=True)
     horizon = sol.times[-1]
     for i, t in enumerate(sol.times):
         scale = expm(a_matrix * (horizon - t))
@@ -163,7 +163,10 @@ class TestLinearClosedForm:
     def test_zero_matrix_reduces_to_plain_conditional_expectation(self):
         paths = simulate(n_paths=5_000, n_steps=10, seed=37)
         base = solve_backward(
-            ZeroGen(state_dim=1, brownian_dim=1, marks=unit_marks()), brownian_terminal(), paths
+            ZeroGen(state_dim=1, brownian_dim=1, marks=unit_marks()),
+            brownian_terminal(),
+            paths,
+            integrands=True,
         )
         lin = closed_form_linear(np.zeros((1, 1)), brownian_terminal(), paths)
         assert np.allclose(lin.y, base.y)
@@ -229,6 +232,28 @@ class TestRegressionMachinery:
         gen = ZeroGen(state_dim=2, brownian_dim=1, marks=unit_marks())
         with pytest.raises(ValueError, match="terminal"):
             solve_backward(gen, bad, paths)
+
+    def test_terminal_of_another_state_dimension_rejected(self):
+        # a one-component payoff once broadcast over both components of the driver
+        paths = simulate(n_paths=500, n_steps=4, seed=59)
+        gen = ZeroGen(state_dim=2, brownian_dim=1, marks=unit_marks())
+        with pytest.raises(ValueError, match="terminal and driver disagree on the state dimension"):
+            solve_backward(gen, brownian_terminal(), paths)
+
+    @pytest.mark.parametrize(
+        "marks",
+        [FiniteMarkMeasure([[1.0]], [5.0]), FiniteMarkMeasure([[2.0]], [1.0])],
+        ids=["other-weight", "other-atom"],
+    )
+    def test_driver_marks_other_than_the_bundles_rejected(self, marks):
+        # the u targets are scaled by the bundle's weights, so a driver that
+        # integrates against other marks was solved to a wrong value
+        paths = simulate(n_paths=500, n_steps=4, seed=59)
+        with pytest.raises(ValueError, match=r"path bundle and driver disagree on the marks \(atoms and weights\)"):
+            solve_backward(ScaledJumpGen(0.5, marks), count_terminal(), paths)
+        fine = (ScaledJumpGen(0.5), count_terminal())
+        with pytest.raises(ValueError, match="driver of problem 1 disagree on the marks"):
+            solve_backward_many([fine, (ScaledJumpGen(0.5, marks), count_terminal())], paths)
 
     def test_non_finite_terminal_payoff_rejected_with_row_count(self):
         paths = simulate(n_paths=500, n_steps=2, seed=59)
@@ -369,14 +394,29 @@ class TestLockstep:
     def test_equals_separate_solves_bit_for_bit(self, mode):
         paths = simulate(n_paths=4_000, n_steps=10, seed=83)
         problems = lockstep_problems()
-        together = solve_backward_many(problems, paths, mode=mode)
+        together = solve_backward_many(problems, paths, mode=mode, integrands=True)
         assert len(together) == len(problems)
         for (gen, terminal), sol in zip(problems, together):
-            alone = solve_backward(gen, terminal, paths, mode=mode)
+            alone = solve_backward(gen, terminal, paths, mode=mode, integrands=True)
             for name in ("y", "z", "u", "y0", "y0_se"):
                 assert getattr(sol, name).tobytes() == getattr(alone, name).tobytes(), name
             assert sol.regression == alone.regression
             assert sol.mode == mode and sol.paths is paths
+
+    @pytest.mark.parametrize("mode", ["explicit", "implicit"])
+    def test_integrands_change_no_bit_of_the_values(self, mode):
+        # the default pass writes z and u into one reused step buffer and
+        # keeps neither; y and its statistics must not notice
+        paths = simulate(n_paths=4_000, n_steps=10, seed=83)
+        problems = lockstep_problems()
+        kept = solve_backward_many(problems, paths, mode=mode, integrands=True)
+        for (gen, _), sol, ref in zip(problems, solve_backward_many(problems, paths, mode=mode), kept):
+            assert sol.z is None and sol.u is None
+            assert ref.z.shape == (10, 4_000, gen.state_dim, 1)
+            assert ref.u.shape == (10, 4_000, 1, gen.state_dim)
+            for name in ("y", "y0", "y0_se"):
+                assert getattr(sol, name).tobytes() == getattr(ref, name).tobytes(), name
+            assert sol.regression == ref.regression
 
     def test_one_design_per_step_for_every_problem(self, monkeypatch):
         calls = []
@@ -420,6 +460,9 @@ class TestLockstep:
         wide = ZeroGen(state_dim=1, brownian_dim=2, marks=unit_marks())
         with pytest.raises(ValueError, match="problem 1 disagree on the Brownian dimension"):
             solve_backward_many([fine, (wide, count_terminal())], paths)
+        pair = ZeroGen(state_dim=2, brownian_dim=1, marks=unit_marks())
+        with pytest.raises(ValueError, match="terminal and driver of problem 1 disagree on the state dimension"):
+            solve_backward_many([fine, (pair, count_terminal())], paths)
         with pytest.raises(ValueError, match="no problems"):
             solve_backward_many([], paths)
 
@@ -461,7 +504,8 @@ class TestLayout:
         for i in range(paths.grid.n_steps):
             assert np.array_equal(by_hand.jump_increments(i), paths.jump_increments(i))
         for sol, ref in zip(
-            solve_backward_many(problems, by_hand), solve_backward_many(problems, paths)
+            solve_backward_many(problems, by_hand, integrands=True),
+            solve_backward_many(problems, paths, integrands=True),
         ):
             for name in ("y", "z", "u", "y0", "y0_se"):
                 mine, theirs = getattr(sol, name), getattr(ref, name)
@@ -472,9 +516,12 @@ class TestLayout:
 
 
 def zero_driver_pair(gen, paths):
-    """``gen`` and the zero driver with the count payoff, solved in one pass."""
+    """``gen`` and the zero driver with the count payoff, solved in one pass
+    that keeps their integrands."""
     zero = ZeroGen(state_dim=1, brownian_dim=1, marks=unit_marks())
-    return solve_backward_many([(gen, count_terminal()), (zero, count_terminal())], paths)
+    return solve_backward_many(
+        [(gen, count_terminal()), (zero, count_terminal())], paths, integrands=True
+    )
 
 
 class TestDeviationDiagnostics:
@@ -530,12 +577,27 @@ class TestDeviationDiagnostics:
             ZeroGen(state_dim=2, brownian_dim=1, marks=unit_marks()),
             TerminalCondition(fn=lambda w, k: np.zeros((w.shape[0], 2)), state_dim=2),
             first,
+            integrands=True,
         )
         with pytest.raises(ValueError, match="state dimension"):
             apriori_diagnostics(sol, wide)
         shifted = solve_backward(
-            ZeroGen(state_dim=1, brownian_dim=1, marks=unit_marks()), constant_terminal(1.0), first
+            ZeroGen(state_dim=1, brownian_dim=1, marks=unit_marks()),
+            constant_terminal(1.0),
+            first,
+            integrands=True,
         )
         with pytest.raises(ValueError, match="terminal data"):
             apriori_diagnostics(sol, shifted)
         assert apriori_diagnostics(sol, base).total[-1] == 0.0
+
+    def test_refuses_solutions_without_integrands(self):
+        paths = simulate(n_paths=1_000, n_steps=4, seed=79)
+        sol, base = zero_driver_pair(ScaledJumpGen(0.5), paths)
+        zero = ZeroGen(state_dim=1, brownian_dim=1, marks=unit_marks())
+        bare_sol, bare_base = solve_backward_many(
+            [(ScaledJumpGen(0.5), count_terminal()), (zero, count_terminal())], paths
+        )
+        for pair in ((bare_sol, bare_base), (sol, bare_base), (bare_sol, base)):
+            with pytest.raises(ValueError, match="integrands=True"):
+                apriori_diagnostics(*pair)

@@ -14,6 +14,7 @@ from bsdelab.stochastic import (
     FiniteMarkMeasure,
     StreamKey,
     TimeGrid,
+    _MAX_STEPS,
     _open_uniforms,
     _poisson_cdf_table,
     compensated_increment,
@@ -148,7 +149,7 @@ class TestPoissonInversion:
         u = np.concatenate([StreamKey(5).uniforms(0, 0, 50_000), cdf, np.nextafter(cdf, 0.0)])
         full = np.minimum(np.searchsorted(cdf, u, side="right"), cdf.shape[0] - 1)
         counts = poisson_counts(u, mean)
-        assert counts.dtype == np.int64
+        assert counts.dtype == np.int32
         assert np.array_equal(counts, full)
         assert (counts == 0).any()
         if mean > 100.0:
@@ -178,26 +179,38 @@ class TestPoissonInversion:
 
 
 class TestHandBuiltBundle:
-    """A bundle built by hand passes node values that match its grid and marks."""
+    """A bundle built by hand passes node values that match its grid and marks.
+
+    Seven paths on a six-node grid, so that a path axis in the place of the
+    node axis, or the other way round, cannot pass.
+    """
 
     def build(self, brownian, count_nodes):
         marks = FiniteMarkMeasure(atoms=[[1.0], [-1.0]], weights=[1.0, 0.5])
         return DrivingPaths(TimeGrid.uniform(1.0, 5), marks, brownian, count_nodes)
 
     def test_matching_arrays_are_accepted(self):
-        paths = self.build(np.zeros((6, 6, 2)), np.zeros((6, 6, 2), dtype=np.int64))
-        assert paths.n_paths == 6 and paths.brownian_dim == 2
-        assert paths.jump_increments(4).shape == (6, 2)
+        paths = self.build(np.zeros((6, 7, 2)), np.zeros((6, 7, 2), dtype=np.int64))
+        assert paths.n_paths == 7 and paths.brownian_dim == 2
+        assert paths.jump_increments(4).shape == (7, 2)
+        assert paths.state(5).shape == (7, 4)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, np.int64])
+    def test_any_integer_count_dtype_is_accepted(self, dtype):
+        nodes = np.cumsum(np.ones((6, 7, 2), dtype=dtype), axis=0, dtype=dtype)
+        paths = self.build(np.zeros((6, 7, 2)), nodes)
+        assert paths.count_nodes.dtype == dtype
+        assert np.array_equal(paths.jump_increments(2), np.ones((7, 2)))
 
     @pytest.mark.parametrize(
         "brownian,count_nodes,match",
         [
-            (np.zeros((9, 6, 2)), np.zeros((9, 6, 2), dtype=np.int64), r"brownian must have shape \(6, n_paths, d\)"),
-            (np.zeros((6, 6)), np.zeros((6, 6, 2), dtype=np.int64), "brownian must have shape"),
-            (np.zeros((6, 6, 2)), np.zeros((6, 9, 2), dtype=np.int64), r"count_nodes must have shape \(6, 6, 2\)"),
-            (np.zeros((6, 6, 2)), np.zeros((5, 6, 2), dtype=np.int64), "count_nodes must have shape"),
-            (np.zeros((6, 6, 2)), np.zeros((6, 6, 3), dtype=np.int64), "count_nodes must have shape"),
-            (np.zeros((6, 6, 2)), np.zeros((6, 6, 2)), "count_nodes must have an integer dtype"),
+            (np.zeros((9, 7, 2)), np.zeros((9, 7, 2), dtype=np.int64), r"brownian must have shape \(6, n_paths, d\)"),
+            (np.zeros((6, 7)), np.zeros((6, 7, 2), dtype=np.int64), r"brownian must have shape \(6, n_paths, d\)"),
+            (np.zeros((6, 7, 2)), np.zeros((5, 7, 2), dtype=np.int64), r"count_nodes must have shape \(6, 7, 2\)"),
+            (np.zeros((6, 7, 2)), np.zeros((6, 9, 2), dtype=np.int64), r"count_nodes must have shape \(6, 7, 2\)"),
+            (np.zeros((6, 7, 2)), np.zeros((6, 7, 3), dtype=np.int64), r"count_nodes must have shape \(6, 7, 2\)"),
+            (np.zeros((6, 7, 2)), np.zeros((6, 7, 2)), "count_nodes must have an integer dtype"),
         ],
         ids=["nodes-off-the-grid", "no-brownian-axis", "count-nodes-off-the-grid", "other-path-count",
              "other-atom-count", "float-counts"],
@@ -255,7 +268,7 @@ class TestSimulation:
         key, h = StreamKey(33), grid.steps
         for i in range(4):
             steps = paths.jump_increments(i)
-            assert steps.shape == (400, 3) and steps.dtype == np.int64
+            assert steps.shape == (400, 3) and steps.dtype == np.int32
             for j in range(3):
                 want = poisson_counts(key.uniforms(i, 2 + j, 400, offset=7), h[i] * marks.weights[j])
                 assert steps[:, j].tobytes() == want.tobytes()
@@ -277,9 +290,16 @@ class TestSimulation:
                       for j in range(2)], axis=1)
             for i in range(7)
         ])
-        counts = np.zeros((8, 300, 2), dtype=np.int64)
+        counts = np.zeros((8, 300, 2), dtype=np.int32)
         np.cumsum(jumps, axis=0, out=counts[1:])
         assert paths.count_nodes.tobytes() == counts.tobytes()
+
+    def test_a_grid_whose_counts_could_overflow_int32_is_refused(self):
+        # each step adds at most 400 jumps per atom to a node
+        assert _MAX_STEPS == (2**31 - 1) // 400
+        grid = TimeGrid.uniform(1.0, _MAX_STEPS + 1)
+        with pytest.raises(ValueError, match=f"grid has {_MAX_STEPS + 1} steps; int32 jump counts hold at most {_MAX_STEPS}"):
+            simulate_paths(grid, unit_marks(), 1, 1, seed=6)
 
     def test_state_concatenates_brownian_and_counts(self):
         grid = TimeGrid.uniform(1.0, 3)
@@ -296,8 +316,8 @@ def reference_bundle(grid, marks, d, n_paths, seed, path_offset):
     key, h = StreamKey(seed), grid.steps
     N, J = grid.n_steps, marks.n_atoms
     W = np.zeros((N + 1, n_paths, d))
-    counts = np.empty((N, n_paths, J), dtype=np.int64)
-    nodes = np.zeros((N + 1, n_paths, J), dtype=np.int64)
+    counts = np.empty((N, n_paths, J), dtype=np.int32)
+    nodes = np.zeros((N + 1, n_paths, J), dtype=np.int32)
     for i in range(N):
         for c in range(d):
             W[i + 1, :, c] = W[i, :, c] + np.sqrt(h[i]) * key.normals(i, c, n_paths, path_offset)
@@ -377,7 +397,7 @@ class TestLayout:
         terminal = TerminalCondition(
             fn=lambda w, k: np.stack([w[:, 0], k[:, 1].astype(float)], axis=1), state_dim=2
         )
-        sol = solve_backward(ZeroGen(2, 2, marks), terminal, paths)
+        sol = solve_backward(ZeroGen(2, 2, marks), terminal, paths, integrands=True)
         assert sol.y.shape == (5, 1000, 2)
         assert sol.z.shape == (4, 1000, 2, 2)
         assert sol.u.shape == (4, 1000, 2, 2)
