@@ -10,8 +10,9 @@ with its table digest: the SHA-256 over the manifest's sorted
 two runs wrote the same bytes exactly when their digests agree.  Under
 its verdicts, a ``seconds`` line gives the manifest's wall-clock seconds
 of the bundle draw, the backward pass and each check.  The
-last bits of some tables depend on the BLAS thread count, so BLAS runs
-on one thread unless ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or
+tables do not depend on the BLAS thread count.  As in the ``bsdelab``
+command, BLAS runs on one thread, where the backward pass is fastest,
+unless ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or
 ``MKL_NUM_THREADS`` is set, and the summary prints the count used.  The
 summary line also gives the peak resident memory (``ru_maxrss``) of the
 whole process, so with one ``--only NAME`` it is that preset's own peak.

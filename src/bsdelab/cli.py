@@ -9,7 +9,7 @@ with its SHA-256 digest.  Identical config + seed reproduces the
 tables byte for byte; the manifest itself carries wall-clock metadata
 and therefore varies.
 
-The ``bsdelab`` console entry point wraps this with subcommands
+The ``bsdelab`` command (``bsdelab.__main__``) wraps this with subcommands
 (simulate / solve / check-* / reproduce) and the exit-code contract:
 0 all checks passed, 1 any check failed, 2 execution or config error.
 """
@@ -615,11 +615,13 @@ def _simulate(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
     scenario = run.scenario
     paths = run.paths()
     columns = [("t", list(scenario.grid.nodes))]
+    # one node's coordinate at a time: a reduction over the strided view of
+    # the whole store would make temporaries as large as the store
     for j in range(paths.brownian_dim):
-        columns.append((f"w{j}_mean", list(paths.brownian[:, :, j].mean(axis=1))))
-        columns.append((f"w{j}_std", list(paths.brownian[:, :, j].std(axis=1))))
+        columns.append((f"w{j}_mean", [w[:, j].mean() for w in paths.brownian]))
+        columns.append((f"w{j}_std", [w[:, j].std() for w in paths.brownian]))
     for j in range(scenario.marks.n_atoms):
-        columns.append((f"n{j}_mean", list(paths.count_nodes[:, :, j].mean(axis=1))))
+        columns.append((f"n{j}_mean", [k[:, j].mean() for k in paths.count_nodes]))
     writer.write_table("path_stats", columns)
     n = scenario.solver.paths
     detail = f"{n} paths on {scenario.grid.n_steps} steps"
@@ -1169,7 +1171,3 @@ def main(argv=None) -> int:
         return 2
     _print_manifest(manifest)
     return 0 if manifest.all_passed else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import svd
 
 from .generators import Generator
 from .stochastic import DrivingPaths, _noise_mismatch, compensated_increment
@@ -38,6 +37,14 @@ __all__ = [
 # is dropped silently; anything between the two thresholds is an error
 _COLLINEAR_RTOL = 1e-14
 _MAX_CONDITION = 1e12
+# the regression step's fixed row chunks: R factors over _QR_CHUNK rows,
+# the fit's reductions over _FIT_CHUNK rows
+_QR_CHUNK = 4096
+_FIT_CHUNK = 8192
+# below this condition number the basis is orthonormal to about 1e-12
+# (condition * eps), the fit's own rounding level; above it, it is
+# re-orthogonalized once
+_REORTHOGONALIZE_CONDITION = 1e4
 # the implicit step's fixed point: done when an iterate moves by at most
 # the tolerance, stalled after the iteration cap
 _FIXED_POINT_TOL = 1e-12
@@ -129,20 +136,42 @@ class RegressionDiagnostics:
     condition: float
 
 
-class _StepRegression:
-    """Economy SVD of one step's design, reused across all targets.
+def _row_chunks(a: np.ndarray, size: int):
+    """``a``'s whole chunks of ``size`` rows, stacked as one view, and its
+    remaining rows."""
+    whole = a.shape[0] // size * size
+    return a[:whole].reshape(-1, size, a.shape[1]), a[whole:]
 
-    The SVD works in the design's own buffer, which it overwrites.
+
+def _chunked_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a.T @ b, summed over fixed ``_FIT_CHUNK``-row chunks in row order, so
+    that no BLAS thread count moves its bits."""
+    chunks_a, rest_a = _row_chunks(a, _FIT_CHUNK)
+    chunks_b, rest_b = _row_chunks(b, _FIT_CHUNK)
+    return (chunks_a.transpose(0, 2, 1) @ chunks_b).sum(axis=0) + rest_a.T @ rest_b
+
+
+class _StepRegression:
+    """One step's design, reduced once and reused across all targets.
+
+    A fixed-chunk tall-skinny QR (Demmel, Grigori, Hoemmen & Langou,
+    SIAM J. Sci. Comput. 34, 2012): the R factor of each ``_QR_CHUNK``-row
+    chunk of the design, then the R of the stacked factors.  The SVD of
+    that p x p R gives the design's singular values, and so the rank cut
+    and the condition number, and its right singular vectors give the
+    basis B = D V[:, keep] / s[keep] of the kept column space.  Every sum
+    over the rows runs over fixed chunks in a fixed order, so the fit's
+    bits do not depend on the BLAS thread count.
     """
 
     def __init__(self, design: np.ndarray, step: int):
-        # gesdd makes no copy of a Fortran-ordered design and returns a
-        # Fortran-ordered u; the fit's BLAS kernel, and so its last bits,
-        # depend on that order (a C-ordered u takes another kernel)
-        u, s, _ = svd(design, full_matrices=False, overwrite_a=True, check_finite=False)
+        p = design.shape[1]
+        chunks, rest = _row_chunks(design, _QR_CHUNK)
+        factors = np.concatenate([
+            np.linalg.qr(chunks, mode="r").reshape(-1, p), np.linalg.qr(rest, mode="r")
+        ])
+        _, s, vt = np.linalg.svd(np.linalg.qr(factors, mode="r"))
         keep = s > s[0] * _COLLINEAR_RTOL
-        # u itself when every column is kept; u[:, keep] copies, Fortran-ordered
-        self.basis = u if keep.all() else u[:, keep]
         condition = float(s[0] / s[keep][-1])
         if condition > _MAX_CONDITION:
             raise SolverError(
@@ -150,12 +179,18 @@ class _StepRegression:
                 f"(condition number {condition:.3e} > {_MAX_CONDITION:.0e}); "
                 "reduce the basis degree or add paths"
             )
+        basis = design @ (vt[keep].T / s[keep])
+        if condition > _REORTHOGONALIZE_CONDITION:
+            # B is orthonormal only to about condition * eps; one Cholesky
+            # pass over its Gram matrix, as in CholeskyQR2, restores it
+            basis = basis @ np.linalg.inv(np.linalg.cholesky(_chunked_product(basis, basis))).T
+        self.basis = basis
         self.diagnostics = RegressionDiagnostics(
-            step=step, n_columns=design.shape[1], rank=int(keep.sum()), condition=condition
+            step=step, n_columns=p, rank=int(keep.sum()), condition=condition
         )
 
     def fit(self, targets: np.ndarray) -> np.ndarray:
-        return self.basis @ (self.basis.T @ targets)
+        return self.basis @ _chunked_product(self.basis, targets)
 
 
 @dataclass
@@ -278,12 +313,12 @@ def solve_backward_many(
 
     ``problems`` is a sequence of ``(generator, terminal)`` pairs.  The
     step-i regression depends only on the state (W, N) at t_i, not on the
-    equation, so each step builds one design and one SVD and fits every
-    problem's targets on it.  Each solution equals a solve of its problem
-    alone, bit for bit; ``mode`` is as in :func:`solve_backward`.  The next
-    step's design and SVD are built on a worker thread, which ends with the
-    call.  Only the design build runs beside this thread's fits and
-    drivers: ``scipy.linalg.svd`` holds the GIL while it runs.
+    equation, so each step builds one design and one regression basis and
+    fits every problem's targets on it.  Each solution equals a solve of
+    its problem alone, bit for bit, at any BLAS thread count; ``mode`` is
+    as in :func:`solve_backward`.  The next step's design and basis are
+    built on a worker thread, which ends with the call; its numpy calls
+    release the GIL, so they run beside this thread's fits and drivers.
 
     Only ``integrands=True`` keeps the whole z and u stores, which
     :func:`apriori_diagnostics` reads; by default each problem writes its
@@ -335,7 +370,7 @@ def solve_backward_many(
         return _StepRegression(basis.design_matrix(paths.state(i)), step=i)
 
     # the step-i regression reads only the state at t_i, so a worker thread
-    # builds step i - 1's design and SVD while this thread fits and drives
+    # builds step i - 1's design and basis while this thread fits and drives
     # step i; one step at most is in flight, and its error surfaces when the
     # loop reaches that step
     with concurrent.futures.ThreadPoolExecutor(max_workers=1) as worker:

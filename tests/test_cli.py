@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import bsdelab.cli
+from bsdelab.__main__ import BLAS_VARS
 from bsdelab.cli import (
     PRESET_NAMES,
     RunManifest,
@@ -931,13 +932,69 @@ def test_reproduce_preset_runs_with_reduced_workload(tmp_path, capsys):
     }).all_passed, bool)
 
 
+SRC = str(Path(bsdelab.cli.__file__).resolve().parents[1])
+
+
+def checkout_env(blas_threads=None) -> dict:
+    """This process's environment with the checkout's ``src`` first on the
+    path, and the three BLAS variables set to ``blas_threads`` or, when it
+    is None, unset."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    if blas_threads is not None:
+        env.update({var: str(blas_threads) for var in BLAS_VARS})
+    return env
+
+
 def test_loading_the_command_line_leaves_scipy_optimize_unloaded():
     # only a polytope target needs scipy.optimize; it imports it on first use
-    src = str(Path(bsdelab.cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     probe = "import sys, bsdelab.cli; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", probe], env=checkout_env(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# the BLAS variables after importing the entry module, and the thread count
+# of every OpenBLAS the process has loaded (numpy and scipy each bundle one)
+# after running the entry point
+BLAS_THREADS_PROBE = """
+import ctypes, json, os, sys
+from bsdelab.__main__ import BLAS_VARS, main
+imported = {var: os.environ.get(var) for var in BLAS_VARS}
+assert "numpy" not in sys.modules
+try:
+    main(["--version"])
+except SystemExit:
+    pass
+counts = set()
+with open("/proc/self/maps") as maps:
+    libraries = {line.split()[-1] for line in maps if "openblas" in line}
+for library in libraries:
+    lib = ctypes.CDLL(library)
+    for name in ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                 "scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_"):
+        get = getattr(lib, name, None)
+        if get is not None:
+            get.restype = ctypes.c_int
+            counts.add(get())
+print(json.dumps({"imported": imported, "threads": sorted(counts)}))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+def test_the_command_runs_blas_on_one_thread_unless_told_otherwise():
+    def probe(env):
+        out = subprocess.run(
+            [sys.executable, "-c", BLAS_THREADS_PROBE], env=env, capture_output=True, text=True
+        )
+        assert out.returncode == 0, out.stderr
+        return json.loads(out.stdout.splitlines()[-1])
+
+    unset = probe(checkout_env())
+    if not unset["threads"]:
+        pytest.skip("numpy is not linked against OpenBLAS")
+    # importing the package and the entry module sets no variable; main does
+    assert unset == {"imported": {var: None for var in BLAS_VARS}, "threads": [1]}
+    assert probe(checkout_env(2)) == {"imported": {var: "2" for var in BLAS_VARS}, "threads": [2]}
 
 
 def test_reproduction_script_runs_from_a_plain_checkout(tmp_path):
@@ -950,29 +1007,51 @@ def test_reproduction_script_runs_from_a_plain_checkout(tmp_path):
     assert any(line.startswith("thm25-demo") and " tables " in line for line in out.stdout.splitlines())
 
 
+def test_tables_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # a degree-4 basis over three features (35 columns) and 20k paths: large
+    # enough that BLAS splits its work at two threads
+    cfg = solve_config(
+        brownian_dim=2,
+        generator={"kind": "zero", "state_dim": 1},
+        terminal={"kind": "brownian-sign", "component": 1},
+        solver={"paths": 20_000, "basis_degree": 4, "mode": "explicit"},
+        grid={"horizon": 1.0, "steps": 4},
+    )
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    tables = {}
+    for threads in (1, 2):
+        out_dir = tmp_path / f"threads-{threads}"
+        args = [sys.executable, "-m", "bsdelab", "solve", "--config", str(config), "--out", str(out_dir)]
+        out = subprocess.run(args, env=checkout_env(threads), capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        tables[threads] = read_artifacts(out_dir)
+    assert "y_stats.csv" in tables[1]
+    assert tables[1] == tables[2]
+
+
 REDUCED_TABLE_DIGESTS = {
-    "example28": "2d0ba91773707004ad014b2d2a1099c2cf5063285957b923ccca28c244519e43",
-    "remark34a": "ec44a09574dd0dc050509d5e635fae78e9cd6fe4b03d6ef90fe2f75d4309ae18",
-    "remark34b": "53e3234f8f154e4d9b43726594713b297744be7cf8dffd21418986eddd5565a4",
-    "thm25-demo": "4211ab4861c6cae18d9d436a24741d640634857e70d2922da1206c08a13f9ea5",
+    "example28": "790327c8379a0e99787aa81018890076593520b543dda9046b87ec5b4d36b0a3",
+    "remark34a": "cefb3eade17cb9a165e301669774c677253b1fc2b61a0467575529a437f22ffc",
+    "remark34b": "c98a70730af058df104c9098cca9c84b007fd749c32665034a74270d6d9e13b2",
+    "thm25-demo": "ac3b803d6fbf8e0875255aacd3b66f032fa480f80d5b8ca19cedfb8d4af30a58",
 }
 
 
 def test_reduced_size_presets_write_their_pinned_tables(tmp_path):
-    # The last bits of some tables depend on the BLAS thread count (the
-    # one-column fit at step 0 and the degree-4 SVD split their sums across
-    # threads; see ROADMAP's fixed-chunk TSQR item), so the digests are
-    # pinned at one BLAS thread.
+    # Every sum over the paths in the regression step runs over fixed
+    # chunks in a fixed order, so the digests hold at any BLAS thread count;
+    # they are checked at one and at two.
     script = Path(__file__).resolve().parents[1] / "scripts" / "run_reproductions.py"
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    args = [sys.executable, str(script), "--paths", "2000", "--steps", "10", "--out", str(tmp_path)]
-    out = subprocess.run(args, env=env, cwd=tmp_path, capture_output=True, text=True)
-    # exit code 1: remark34b's y0 acceptance fails at 2000 paths, and that
-    # row is part of its digest
-    assert out.returncode in (0, 1), out.stderr
-    digests = {
-        line.split()[0]: line.rsplit(" tables ", 1)[1]
-        for line in out.stdout.splitlines()
-        if " tables " in line
-    }
-    assert digests == REDUCED_TABLE_DIGESTS
+    for threads in (1, 2):
+        args = [sys.executable, str(script), "--paths", "2000", "--steps", "10", "--out", str(tmp_path / str(threads))]
+        out = subprocess.run(args, env=checkout_env(threads), cwd=tmp_path, capture_output=True, text=True)
+        # exit code 1: remark34b's y0 acceptance fails at 2000 paths, and that
+        # row is part of its digest
+        assert out.returncode in (0, 1), out.stderr
+        digests = {
+            line.split()[0]: line.rsplit(" tables ", 1)[1]
+            for line in out.stdout.splitlines()
+            if " tables " in line
+        }
+        assert digests == REDUCED_TABLE_DIGESTS, f"{threads} BLAS thread(s)"

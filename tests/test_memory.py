@@ -1,5 +1,5 @@
-"""Memory guards: the backward pass and the path reports hold only what
-their callers read.
+"""Memory guards: the backward pass, the path reports and the simulate
+check hold only what their callers read.
 
 ``tracemalloc`` traces numpy's buffers on every thread, so a peak counts
 the design that the backward pass builds ahead on its worker thread too.
@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bsdelab.cli import Scenario, _ArtifactWriter, _ScenarioRun, _simulate
 from bsdelab.conditions import comparison_path_report, viability_path_report
 from bsdelab.generators import ScaledJumpGen, ZeroGen
 from bsdelab.geometry import Ball
@@ -46,8 +47,8 @@ def traced_peak(call):
 
 def test_default_pass_holds_its_y_stores_and_step_temporaries_only(paths):
     # 20k x 50 with m = d = J = 1: each y store is 8.2 MB, and each whole z
-    # or u store another 8 MB; the step's design, its SVD, the fits and the
-    # design built ahead take about 6 MB
+    # or u store another 8 MB; the step's design, its basis, the fits and
+    # the design built ahead take about 6 MB
     sols, peak = traced_peak(lambda: solve_backward_many(problems(), paths))
     one_y = sols[0].y.nbytes
     assert all(sol.z is None and sol.u is None for sol in sols)
@@ -69,3 +70,21 @@ def test_viability_report_holds_one_node_at_a_time(paths):
     report, peak = traced_peak(lambda: viability_path_report(sol, Ball([0.0], 1e3)))
     assert report.mean_distance.shape == (51,)
     assert peak < sol.y.nbytes / 4
+
+
+def test_simulate_check_holds_one_node_at_a_time(tmp_path):
+    scenario = Scenario.from_dict({
+        "schema": "bsdelab/scenario-v1",
+        "name": "simulate",
+        "grid": {"horizon": 1.0, "steps": 50},
+        "brownian_dim": 1,
+        "marks": {"points": [[1.0]], "weights": [1.0]},
+        "solver": {"paths": 20_000},
+        "seed": 7,
+        "checks": [{"kind": "simulate"}],
+    })
+    run = _ScenarioRun(scenario, ("simulate",))
+    brownian = run.paths().brownian
+    _, peak = traced_peak(lambda: _simulate(run, {}, _ArtifactWriter(tmp_path, "csv")))
+    assert (tmp_path / "path_stats.csv").exists()
+    assert peak < brownian.nbytes / 4

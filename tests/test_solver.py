@@ -220,6 +220,40 @@ class TestRegressionMachinery:
         with pytest.raises(SolverError, match="step 3"):
             _StepRegression(design, step=3)
 
+    @pytest.mark.parametrize("condition", [1e8, 1e11], ids=["1e8", "1e11"])
+    def test_ill_conditioned_design_below_the_cap_fits_like_extended_precision(self, condition):
+        # 20k rows: several QR chunks and fit chunks, each with a remainder
+        if np.finfo(np.longdouble).eps > 1e-18:
+            pytest.skip("no extended-precision long double on this platform")
+        rng = np.random.default_rng(11)
+        n, p = 20_000, 6
+        q, _ = np.linalg.qr(rng.normal(size=(n, p)))
+        v, _ = np.linalg.qr(rng.normal(size=(p, p)))
+        s = np.geomspace(1.0, 1.0 / condition, p) * math.sqrt(n)
+        design = np.asfortranarray((q * s) @ v.T)
+        in_span = design @ rng.normal(size=p)
+        noisy = in_span + rng.normal(size=n)
+        targets = np.stack([in_span, noisy], axis=1)
+        # reference: the projection onto the design's columns, orthonormalized
+        # by Gram-Schmidt twice in long double
+        basis = design.astype(np.longdouble)
+        for k in range(p):
+            for _ in range(2):
+                basis[:, k] -= basis[:, :k] @ (basis[:, :k].T @ basis[:, k])
+            basis[:, k] /= np.sqrt(basis[:, k] @ basis[:, k])
+        reference = basis @ (basis.T @ targets.astype(np.longdouble))
+
+        reg = _StepRegression(design, step=3)
+        assert reg.diagnostics.rank == p
+        assert reg.diagnostics.condition == pytest.approx(condition, rel=1e-3)
+        error = np.abs(reg.fit(targets) - reference).max(axis=0) / np.abs(targets).max(axis=0)
+        # a target in the column space is its own fit, and a fit with an
+        # orthonormal basis meets it to rounding level at any condition; a
+        # basis orthonormal only to condition * eps misses it by about that
+        assert error[0] < 1e-12
+        # a residual's fit is as sensitive as the least-squares problem
+        assert error[1] < condition * np.finfo(float).eps
+
     def test_underpowered_jump_regression_warns(self):
         paths = simulate(n_paths=50, n_steps=50, seed=53)
         gen = ZeroGen(state_dim=1, brownian_dim=1, marks=unit_marks())
