@@ -9,8 +9,9 @@ with its table digest: the SHA-256 over the manifest's sorted
 ``(path, sha256)`` file records, ``manifest.json`` itself excluded, so
 two runs wrote the same bytes exactly when their digests agree.  Under
 its verdicts, a ``seconds`` line gives the manifest's wall-clock seconds
-of the bundle draw, the backward pass and each check.  The
-tables do not depend on the BLAS thread count.  As in the ``bsdelab``
+of the bundle draw, the backward pass (then its worker's design and
+regression seconds and the main thread's wait for them) and each check.
+The tables do not depend on the BLAS thread count.  As in the ``bsdelab``
 command, BLAS runs on one thread, where the backward pass is fastest,
 unless ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or
 ``MKL_NUM_THREADS`` is set, and the summary prints the count used.  The
@@ -62,8 +63,10 @@ def table_digest(manifest) -> str:
 
 def seconds_line(seconds: dict) -> str:
     """The manifest's seconds: the draw and the backward pass when they ran,
-    then each check without them."""
+    the pass's split, then each check without them."""
     parts = [(name, seconds[name]) for name in ("draw", "backward") if name in seconds]
+    split = seconds.get("backward_split", {})
+    parts += [(f"backward {name}", value) for name, value in split.items()]
     parts += [(entry["check"], entry["seconds"]) for entry in seconds["checks"]]
     return ", ".join(f"{name} {value:.3f}" for name, value in parts)
 

@@ -583,6 +583,7 @@ class _ScenarioRun:
                 basis=RegressionBasis(s.solver.basis_degree), mode=s.solver.mode,
             )
             self.seconds["backward"] = time.perf_counter() - started
+            self.seconds["backward_split"] = solutions[0].seconds
             for sol in solutions:
                 _read_only(sol.y, sol.y0, sol.y0_se)
             self._solutions = solutions
@@ -852,7 +853,10 @@ class RunManifest:
     ``seconds`` gives the wall-clock seconds of the bundle draw
     (``draw``) and of the backward pass (``backward``), each present when
     it ran, and of each check in run order (``checks``, without the draw
-    and backward pass it made).  No table carries either.
+    and backward pass it made).  ``backward_split`` says where the pass's
+    time went: its worker's seconds building designs (``design``) and
+    step regressions (``regression``), and the main thread's seconds
+    waiting for them (``wait``).  No table carries any of these.
     """
 
     name: str

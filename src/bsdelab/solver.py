@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import concurrent.futures
 import itertools
+import operator
 import sys
+import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -95,36 +97,44 @@ class RegressionBasis:
     state, atoms that have not fired yet) carry no information and are
     dropped before monomial expansion; the remaining features are
     standardized, which spans the same polynomial space but keeps the
-    design well conditioned.
+    design well conditioned.  A feature whose mean or standard deviation
+    is not finite is refused with ``ValueError``.
     """
 
     degree: int = 2
 
     def __post_init__(self):
-        if self.degree < 0:
+        degree = operator.index(self.degree)
+        if degree < 0:
             raise ValueError("basis degree must be nonnegative")
+        object.__setattr__(self, "degree", degree)
 
     def design_matrix(self, features: np.ndarray) -> np.ndarray:
         # feature-major, so that each feature's mean and std are pairwise sums
         # over one contiguous row (a strided axis-0 sum adds row after row)
         rows = np.ascontiguousarray(np.asarray(features, dtype=float).T)
-        mean, std = rows.mean(axis=1), rows.std(axis=1)
+        # a NaN or inf anywhere in a feature makes its std non-finite, which
+        # would otherwise read as a dead feature below
+        with np.errstate(invalid="ignore"):
+            mean, std = rows.mean(axis=1), rows.std(axis=1)
+        bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+        if bad.size:
+            raise ValueError(f"state feature {bad[0]} is not finite")
         live = std > 0.0
-        n = rows.shape[1]
-        if not live.any():
-            return np.ones((n, 1))
         centered = (rows[live] - mean[live, None]) / std[live, None]
         powers = _monomial_powers(int(live.sum()), self.degree)
-        # built column-major, each distinct power of a feature computed once;
-        # a column multiplies its factors in ascending feature order
-        design = np.ones((powers.shape[0], n))
-        factors = {}
-        for col, p in enumerate(powers):
-            for feat_idx in np.nonzero(p)[0]:
-                key = (feat_idx, p[feat_idx])
-                if key not in factors:
-                    factors[key] = centered[feat_idx] ** p[feat_idx]
-                design[col] *= factors[key]
+        # built column-major, one product per column: a monomial's column is
+        # the column of the monomial with its last factor removed, times that
+        # factor, so a column multiplies its factors in ascending feature order;
+        # the columns come by degree, so that earlier column is already built
+        column = {tuple(p): col for col, p in enumerate(powers)}
+        design = np.empty((powers.shape[0], rows.shape[1]))
+        design[0] = 1.0
+        for col, p in enumerate(powers[1:], start=1):
+            last = np.flatnonzero(p)[-1]
+            lower = p.copy()
+            lower[last] -= 1
+            np.multiply(design[column[tuple(lower)]], centered[last], out=design[col])
         return design.T
 
 
@@ -202,6 +212,10 @@ class BsdeSolution:
     (N, n_paths, n_atoms, m), are kept only by a pass asked for them
     (``integrands=True``) and are None otherwise.  ``y0`` averages the
     time-zero values, with a first-order Monte Carlo standard error.
+    ``seconds`` is where the pass's time went: the worker's seconds in
+    the design build (``design``) and in the step regressions
+    (``regression``), and the calling thread's seconds waiting for them
+    (``wait``).
     """
 
     times: np.ndarray
@@ -213,6 +227,7 @@ class BsdeSolution:
     mode: str
     regression: list = field(repr=False)
     paths: DrivingPaths = field(repr=False)
+    seconds: dict = field(repr=False)
 
     @property
     def n_paths(self) -> int:
@@ -366,8 +381,17 @@ def solve_backward_many(
         us.append(np.empty((n_slots, n, J, m)))
     regression = []
 
+    seconds = {"design": 0.0, "regression": 0.0, "wait": 0.0}
+
     def step_regression(i):
-        return _StepRegression(basis.design_matrix(paths.state(i)), step=i)
+        started = time.perf_counter()
+        try:
+            design = basis.design_matrix(paths.state(i))
+        except ValueError as err:
+            raise ValueError(f"state at step {i}: {err}") from err
+        built = time.perf_counter()
+        reg = _StepRegression(design, step=i)
+        return reg, built - started, time.perf_counter() - built
 
     # the step-i regression reads only the state at t_i, so a worker thread
     # builds step i - 1's design and basis while this thread fits and drives
@@ -376,7 +400,11 @@ def solve_backward_many(
     with concurrent.futures.ThreadPoolExecutor(max_workers=1) as worker:
         ahead = worker.submit(step_regression, N - 1)
         for i in range(N - 1, -1, -1):
-            reg = ahead.result()
+            started = time.perf_counter()
+            reg, design_s, regression_s = ahead.result()
+            seconds["wait"] += time.perf_counter() - started
+            seconds["design"] += design_s
+            seconds["regression"] += regression_s
             if i > 0:
                 ahead = worker.submit(step_regression, i - 1)
             regression.append(reg.diagnostics)
@@ -401,6 +429,7 @@ def solve_backward_many(
             mode=mode,
             regression=list(regression),
             paths=paths,
+            seconds=dict(seconds),
         )
         for y, z, u in zip(ys, zs, us)
     ]

@@ -1,5 +1,6 @@
 import math
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -193,6 +194,36 @@ class TestLinearClosedForm:
         assert np.all(np.abs(z_means - expected) < 0.2)
 
 
+def design_features(seed, n_live):
+    """3000 rows of ``n_live`` live features of mixed scales, the last one
+    counts, with a dead (zero-variance) feature after the first."""
+    rng = np.random.default_rng(seed)
+    live = rng.normal(size=(3000, n_live)) * [1.0, 3.0, 0.2][:n_live]
+    live[:, -1] = rng.poisson(0.7, size=3000)
+    return np.insert(live, 1, 2.5, axis=1)
+
+
+def column_loop(features, degree, factor_by_factor):
+    """The design built one column at a time from 1.0, each factor
+    recomputed, in ascending feature order: a power k as k factors, or else
+    as ``**``.  The statistics are reductions over feature-major rows, as in
+    the basis."""
+    rows = np.ascontiguousarray(features.T)
+    std = rows.std(axis=1)
+    live = std > 0.0
+    centered = (features[:, live] - rows.mean(axis=1)[live]) / std[live]
+    powers = _monomial_powers(int(live.sum()), degree)
+    design = np.ones((features.shape[0], powers.shape[0]))
+    for col, p in enumerate(powers):
+        for feat_idx in np.nonzero(p)[0]:
+            if factor_by_factor:
+                for _ in range(p[feat_idx]):
+                    design[:, col] *= centered[:, feat_idx]
+            else:
+                design[:, col] *= centered[:, feat_idx] ** p[feat_idx]
+    return design
+
+
 class TestRegressionMachinery:
     def test_step_zero_design_collapses_to_constant(self):
         paths = simulate(n_paths=3_000, n_steps=5, seed=47)
@@ -319,32 +350,72 @@ class TestRegressionMachinery:
         with pytest.raises(ValueError):
             RegressionBasis(-1)
 
+    def test_a_float_degree_is_refused_at_construction(self):
+        with pytest.raises(TypeError):
+            RegressionBasis(2.5)
+        with pytest.raises(TypeError):
+            RegressionBasis(2.0)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.int32])
+    def test_numpy_integer_degrees_are_accepted(self, dtype):
+        basis = RegressionBasis(dtype(2))
+        assert type(basis.degree) is int and basis == RegressionBasis(2)
+        features = np.random.default_rng(3).normal(size=(500, 2))
+        assert basis.design_matrix(features).tobytes() == RegressionBasis(2).design_matrix(features).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_state_value_is_refused_naming_the_step(self, bad):
+        # a non-finite feature has a non-finite std, which must not read as
+        # a dead (zero-variance) feature and be dropped
+        paths = simulate(n_paths=4_000, n_steps=3, seed=83)
+        brownian = paths.brownian.copy()
+        brownian[1, 3, 0] = bad
+        by_hand = DrivingPaths(
+            grid=paths.grid, marks=paths.marks, brownian=brownian, count_nodes=paths.count_nodes
+        )
+        gen = ZeroGen(state_dim=1, brownian_dim=1, marks=unit_marks())
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="state at step 1: state feature 0 is not finite"):
+            solve_backward(gen, brownian_terminal(), by_hand)
+        assert threading.active_count() == before
+
     @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
     @pytest.mark.parametrize("n_live", [1, 2, 3])
     def test_design_matrix_matches_the_column_loop(self, degree, n_live):
-        def column_loop(features):
-            # the design built one column at a time, each power recomputed;
-            # the statistics are reductions over feature-major rows, as in the basis
-            rows = np.ascontiguousarray(features.T)
-            std = rows.std(axis=1)
-            live = std > 0.0
-            centered = (features[:, live] - rows.mean(axis=1)[live]) / std[live]
-            powers = _monomial_powers(int(live.sum()), degree)
-            design = np.ones((features.shape[0], powers.shape[0]))
-            for col, p in enumerate(powers):
-                for feat_idx in np.nonzero(p)[0]:
-                    design[:, col] *= centered[:, feat_idx] ** p[feat_idx]
-            return design
-
-        rng = np.random.default_rng(degree + 10 * n_live)
-        live = rng.normal(size=(3000, n_live)) * [1.0, 3.0, 0.2][:n_live]
-        live[:, -1] = rng.poisson(0.7, size=3000)
-        # a dead (zero-variance) feature between the live ones is dropped
-        features = np.insert(live, 1, 2.5, axis=1)
+        features = design_features(degree + 10 * n_live, n_live)
         design = RegressionBasis(degree).design_matrix(features)
-        expected = column_loop(features)
+        expected = column_loop(features, degree, factor_by_factor=True)
         assert design.shape == expected.shape
         assert design.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n_live", [1, 2, 3])
+    def test_columns_up_to_degree_two_equal_the_power_reference(self, n_live):
+        # x**2 is x*x and x**1 is x, so the columns of degree <= 2 keep the
+        # bytes of a design built with powers
+        features = design_features(40 + n_live, n_live)
+        design = RegressionBasis(4).design_matrix(features)
+        expected = column_loop(features, 4, factor_by_factor=False)
+        low = _monomial_powers(n_live, 4).sum(axis=1) <= 2
+        assert low.sum() == (n_live + 1) * (n_live + 2) // 2
+        assert design[:, low].tobytes() == np.ascontiguousarray(expected[:, low]).tobytes()
+
+    @pytest.mark.parametrize("n_live", [1, 2, 3])
+    def test_higher_degree_columns_are_the_exact_product_to_rounding(self, n_live):
+        # two or three roundings of a product of standardized floats: within
+        # 4 eps of the exact product of the same floats
+        features = design_features(50 + n_live, n_live)[:300]
+        design = RegressionBasis(4).design_matrix(features)
+        powers = _monomial_powers(n_live, 4)
+        # the degree-1 columns are the standardized features themselves
+        standardized = design[:, 1 : n_live + 1]
+        eps = np.finfo(float).eps
+        for col in np.flatnonzero(powers.sum(axis=1) >= 3):
+            for row in range(features.shape[0]):
+                exact = Fraction(1)
+                for feat_idx, k in enumerate(powers[col]):
+                    exact *= Fraction(standardized[row, feat_idx]) ** int(k)
+                got = Fraction(design[row, col])
+                assert abs(got - exact) <= 4 * eps * abs(exact), (col, row)
 
     def test_standardized_columns_match_an_fsum_reference(self):
         # the state (W, N) of a 200k-path bundle; a sum that adds row after
