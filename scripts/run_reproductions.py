@@ -20,23 +20,23 @@ whole process, so with one ``--only NAME`` it is that preset's own peak.
 The exit code is 0 only when every check of every executed preset passed.
 """
 
+import argparse
+import hashlib
 import os
-
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# BLAS reads these when numpy loads, so they are set before any import of it
-for _var in BLAS_VARS:
-    os.environ.setdefault(_var, "1")
-
-import argparse  # noqa: E402
-import hashlib  # noqa: E402
-import resource  # noqa: E402
-import sys  # noqa: E402
-import time  # noqa: E402
-from pathlib import Path  # noqa: E402
+import resource
+import sys
+import time
+from pathlib import Path
 
 # the checkout's own package comes first, so the script runs from a plain
 # checkout as well as with the package installed
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from bsdelab.__main__ import BLAS_VARS  # noqa: E402
+
+# BLAS reads these when numpy loads, so they are set before any import of it
+for _var in BLAS_VARS:
+    os.environ.setdefault(_var, "1")
 
 from bsdelab.cli import PRESET_NAMES, reproduce  # noqa: E402
 

@@ -17,25 +17,25 @@ the same verdicts, witnesses and replays exactly when their digests agree.
 It exits 1 when a falsified witness does not replay to a violation.
 """
 
+import argparse
+import collections
+import hashlib
+import json
 import os
-
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# BLAS reads these when numpy loads, so they are set before any import of it
-for _var in BLAS_VARS:
-    os.environ.setdefault(_var, "1")
-
-import argparse  # noqa: E402
-import collections  # noqa: E402
-import hashlib  # noqa: E402
-import json  # noqa: E402
-import sys  # noqa: E402
-import time  # noqa: E402
-from pathlib import Path  # noqa: E402
+import sys
+import time
+from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 # the checkout's own package and benchmark come first
 sys.path.insert(0, str(ROOT / "perfbench"))
 sys.path.insert(0, str(ROOT / "src"))
+
+from bsdelab.__main__ import BLAS_VARS  # noqa: E402
+
+# BLAS reads these when numpy loads, so they are set before any import of it
+for _var in BLAS_VARS:
+    os.environ.setdefault(_var, "1")
 
 import numpy as np  # noqa: E402
 from workloads import UNIT_MARKS, random_affine_pair  # noqa: E402

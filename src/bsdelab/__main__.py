@@ -5,7 +5,8 @@ or ``MKL_NUM_THREADS`` is set: the backward pass's fits and its worker
 thread's regression step are faster on one BLAS thread than sharing a pool
 of two.  BLAS reads these variables when numpy loads, so ``main`` sets them
 before it imports the command line module; importing this module sets
-nothing.
+nothing.  The scripts under ``scripts/`` read ``BLAS_VARS`` from here before
+numpy loads, so this module imports only ``os`` and ``sys``.
 """
 
 import os

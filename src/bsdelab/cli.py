@@ -278,7 +278,7 @@ def _affine(brownian_dim, marks, target, a, b, c, drift):
 # each generator kind: its constructor, called with the Brownian dimension,
 # the marks, the target set and the kind's fields, and its fields
 _GENERATORS = {
-    "zero": (lambda d, marks, _, state_dim: ZeroGen(state_dim, d, marks), {"state_dim": _integer}),
+    "zero": (lambda d, marks, _, state_dim: ZeroGen(state_dim, d, marks), {"state_dim": _at_least(1)}),
     "scaled-jump": (lambda d, marks, _, scale: ScaledJumpGen(scale, marks), {"scale": _number}),
     "projection-drift": (_projection_drift, {}),
     "affine": (

@@ -161,6 +161,8 @@ _ZERO_BLOCK_FRACTION = 0.25
 # 32-bit step range, which no path bundle reaches (a bundle's steps are its
 # time steps 0, 1, ...); each field of a kind draws on its own channel.
 _SAMPLER_KINDS = ("viability", "pair", "ordered", "reversed", "matrix")
+# the pair sampler's kind for each ordering of its jump blocks
+_PAIR_KINDS = {"free": "pair", "ordered": "ordered", "reversed": "reversed"}
 _SAMPLE_FIELDS = (
     "t", "y", "y_prime", "z", "u", "z_prime", "u_prime", "zero", "zero_prime",
     "matched", "boundary", "side", "eps", "direction", "du", "du_zero", "rank", "q",
@@ -235,12 +237,12 @@ class ConditionSampler:
         z, u = self._noise_blocks(kind, n)
         return SampleBatch(self._draw(kind, "t", n), y, z, u)
 
-    def pair(self, n: int, ordered_jumps: bool = False, reversed_jumps: bool = False) -> SampleBatch:
-        """Samples for comparison checks; ``ordered_jumps`` forces u >= u',
-        ``reversed_jumps`` u <= u'."""
-        if ordered_jumps and reversed_jumps:
-            raise ValueError("pair: ordered_jumps and reversed_jumps exclude each other")
-        kind = "ordered" if ordered_jumps else "reversed" if reversed_jumps else "pair"
+    def pair(self, n: int, jumps: str = "free") -> SampleBatch:
+        """Samples for comparison checks; ``jumps`` is "free", "ordered"
+        (forcing u >= u') or "reversed" (u <= u')."""
+        if jumps not in _PAIR_KINDS:
+            raise ValueError(f"pair: jumps must be one of {', '.join(map(repr, _PAIR_KINDS))}, got {jumps!r}")
+        kind = _PAIR_KINDS[jumps]
         y = self._draw(kind, "y", n, (self.m,), -_Y_BOX, _Y_BOX)
         # boundary rows pull every negative entry to just below zero
         near = self._draw(kind, "boundary", n) < _BOUNDARY_FRACTION
@@ -255,7 +257,7 @@ class ConditionSampler:
         shape = (self.n_atoms, self.m)
         du = self._draw(kind, "du", n, shape, 0.0, _U_BOX)
         du[self._draw(kind, "du_zero", n, shape) < 0.3] = 0.0
-        return dataclasses.replace(out, u=u_prime + du if ordered_jumps else u_prime - du)
+        return dataclasses.replace(out, u=u_prime + du if kind == "ordered" else u_prime - du)
 
     def matrix(self, side: int, n: int) -> SampleBatch:
         """Symmetric-matrix samples in flattened coordinates."""
@@ -657,7 +659,7 @@ def check_comparison_m1(
         raise ValueError("scalar comparison requires one-dimensional drivers")
     _require_matching_noise(f1, f2)
     sampler = ConditionSampler(1, f1.brownian_dim, f1.marks.n_atoms, seed)
-    samples = sampler.pair(n_samples, ordered_jumps=True)
+    samples = sampler.pair(n_samples, jumps="ordered")
     s = samples.take([int(np.argmin(_monotone_gaps(f1, f2, samples)))])  # the first smallest gap
     # sharpen it: the row itself and its jump gap scaled by 2, 4 and 8, the
     # first smallest gap kept (the row itself on a tie)
@@ -814,7 +816,7 @@ def check_structural(
 
     # wrapped to the stream keys' 64 bits; every smaller seed keeps its samples
     sampler = ConditionSampler(gen.state_dim, gen.brownian_dim, gen.marks.n_atoms, (seed + 1) % 2**64)
-    samples = sampler.pair(n_samples, ordered_jumps=True)
+    samples = sampler.pair(n_samples, jumps="ordered")
     gaps = _monotone_gaps(gen, gen, samples)
     # the first smallest gap, scanning samples and then components
     first = int(np.argmin(gaps))
@@ -826,7 +828,7 @@ def check_structural(
         lambda b: (-_monotone_gaps(gen, gen, b)[:, worst_k], np.zeros(len(b))),
     )
 
-    quad_samples = sampler.pair(n_samples, reversed_jumps=True)
+    quad_samples = sampler.pair(n_samples, jumps="reversed")
     quadratic = _run_certification(_QuadraticClause(gen), quad_samples, c_max)
 
     diag_u = all(

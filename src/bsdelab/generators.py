@@ -78,17 +78,6 @@ def evaluate(gen: Generator, t: float, y, z, u) -> np.ndarray:
     return gen(t, y, z, u)[0]
 
 
-@dataclass(frozen=True)
-class ZeroGen(Generator):
-    state_dim: int
-    brownian_dim: int
-    marks: FiniteMarkMeasure
-    lipschitz: float = 0.0
-
-    def _eval(self, t, y, z, u):
-        return np.zeros_like(y)
-
-
 class ProjectionDriftGen(Generator):
     """f(y) = y - project(y): pushes a point by its offset from the body.
 
@@ -100,6 +89,8 @@ class ProjectionDriftGen(Generator):
     def __init__(self, body: ConvexBody, brownian_dim: int, marks: FiniteMarkMeasure):
         if not isinstance(body, ConvexBody):
             raise ValueError(f"projection drift needs a convex body, got {type(body).__name__}")
+        if brownian_dim < 1:
+            raise ValueError(f"projection drift: brownian_dim must be at least 1, got {brownian_dim}")
         self.body = body
         self.state_dim = body.dim
         self.brownian_dim = brownian_dim
@@ -110,40 +101,24 @@ class ProjectionDriftGen(Generator):
         return y - self.body.project_batch(y)
 
 
-class ScaledJumpGen(Generator):
-    """Scalar driver f = -scale * u(first atom), the linear jump example."""
-
-    def __init__(self, scale: float, marks: FiniteMarkMeasure | None = None):
-        self.scale = float(scale)
-        if not np.isfinite(self.scale):
-            raise ValueError("scaled jump driver: scale must be finite")
-        self.marks = marks if marks is not None else FiniteMarkMeasure([[1.0]], [1.0])
-        self.state_dim = 1
-        self.brownian_dim = 1
-        # u enters through the intensity norm sqrt(n_1) |u_1|
-        self.lipschitz = abs(self.scale) * max(1.0, 1.0 / np.sqrt(self.marks.weights[0]))
-
-    def _eval(self, t, y, z, u):
-        return -self.scale * u[:, 0, :]
-
-
 class AffineGen(Generator):
     """f(t, y, z, u) = A y + B : z + sum_j C_j u_j + drift(t).
 
     A is (m, m); B is (m, m, d) contracting the whole z matrix;
     C is (n_atoms, m, m) with one matrix per atom; drift is a constant
-    vector or a callable of time.  The declared Lipschitz bound comes
-    from the spectral norms of the three linear maps.
+    vector or a callable of time returning an (m,) vector.  The declared
+    Lipschitz bound comes from the spectral norms of the three linear maps.
     """
 
     def __init__(self, a, b, c, drift, brownian_dim: int, marks: FiniteMarkMeasure):
         self.marks = marks
-        self.brownian_dim = brownian_dim
         self.a = np.asarray(a, dtype=float)
-        m = self.a.shape[0]
-        if self.a.shape != (m, m):
-            raise ValueError("state coefficient must be square")
-        self.state_dim = m
+        if self.a.ndim != 2 or self.a.shape[0] != self.a.shape[1] or self.a.shape[0] < 1:
+            raise ValueError(f"state coefficient must be m x m with m >= 1, got shape {self.a.shape}")
+        if brownian_dim < 1:
+            raise ValueError(f"affine driver: brownian_dim must be at least 1, got {brownian_dim}")
+        m = self.state_dim = self.a.shape[0]
+        self.brownian_dim = brownian_dim
         self.b = np.asarray(b, dtype=float)
         if self.b.shape != (m, m, brownian_dim):
             raise ValueError(f"z coefficient must have shape ({m}, {m}, {brownian_dim})")
@@ -157,6 +132,10 @@ class AffineGen(Generator):
         for name, coef in (("a", self.a), ("b", self.b), ("c", self.c), ("drift", self._shift)):
             if coef is not None and not np.isfinite(coef).all():
                 raise ValueError(f"affine driver: coefficient {name} must be finite")
+        # the blocks with a nonzero entry: their input's place in (y, z, u) and contraction
+        blocks = (("kl,nl->nk", self.a), ("kij,nij->nk", self.b), ("jkl,njl->nk", self.c))
+        self._live = [(k, spec, coef) for k, (spec, coef) in enumerate(blocks) if coef.any()]
+        self._drift_live = self._drift is not None or self._shift.any()
         l_y = np.linalg.norm(self.a, 2)
         l_z = np.linalg.norm(self.b.reshape(m, m * brownian_dim), 2)
         scaled = np.concatenate(
@@ -167,21 +146,54 @@ class AffineGen(Generator):
 
     def _eval(self, t, y, z, u):
         # einsum, not y @ a.T: BLAS would take another kernel for one row
-        # than for many, and a row's value would depend on its batch
-        out = np.einsum("kl,nl->nk", self.a, y)
-        out += np.einsum("kij,nij->nk", self.b, z)
-        out += np.einsum("jkl,njl->nk", self.c, u)
-        return out + self._drift_at(t)
+        # than for many, and a row's value would depend on its batch.
+        # einsum sums from +0.0, so no output is -0.0, and the +0.0 that an
+        # all-zero block adds would change no bit: such blocks are skipped.
+        inputs = (y, z, u)
+        terms = (np.einsum(spec, coef, inputs[k]) for k, spec, coef in self._live)
+        out = next(terms, None)
+        if out is None:
+            out = np.zeros(y.shape)
+        for term in terms:
+            out += term
+        if self._drift_live:
+            out += self._drift_at(t)
+        return out
 
     def _drift_at(self, t):
         if self._drift is None:
             return self._shift
         if np.ndim(t) == 0:
-            return self._drift(t)
+            return self._drift_value(t)
         # one call of the drift per distinct time
         times, inverse = np.unique(t, return_inverse=True)
-        values = np.array([self._drift(float(s)) for s in times], dtype=float).reshape(-1, self.state_dim)
+        values = np.array([self._drift_value(float(s)) for s in times]).reshape(-1, self.state_dim)
         return values[inverse]
+
+    def _drift_value(self, t: float) -> np.ndarray:
+        value = np.asarray(self._drift(t), dtype=float)
+        if value.shape != (self.state_dim,):
+            raise ValueError(f"drift at t = {t} must have shape ({self.state_dim},), got {value.shape}")
+        return value
+
+
+class ZeroGen(AffineGen):
+    """f = 0: the affine driver with every coefficient zero."""
+
+    def __init__(self, state_dim: int, brownian_dim: int, marks: FiniteMarkMeasure):
+        m, d, j = state_dim, brownian_dim, marks.n_atoms
+        super().__init__(np.zeros((m, m)), np.zeros((m, m, d)), np.zeros((j, m, m)), np.zeros(m), d, marks)
+
+
+class ScaledJumpGen(AffineGen):
+    """Scalar driver f = -scale * u(first atom), the linear jump example:
+    C = -scale on the first atom, every other coefficient zero."""
+
+    def __init__(self, scale: float, marks: FiniteMarkMeasure | None = None):
+        marks = marks if marks is not None else FiniteMarkMeasure([[1.0]], [1.0])
+        c = np.zeros((marks.n_atoms, 1, 1))
+        c[0] = -scale
+        super().__init__(np.zeros((1, 1)), np.zeros((1, 1, 1)), c, np.zeros(1), 1, marks)
 
 
 @dataclass(frozen=True)

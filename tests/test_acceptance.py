@@ -7,7 +7,9 @@ N with driver -c*N has value N_t + (1 - c)(s - t) for horizon s, and
 P(N_{0.5} = 0) = exp(-0.5) ~ 0.6065.
 """
 
+import hashlib
 import itertools
+import json
 import time
 
 import numpy as np
@@ -16,6 +18,7 @@ from conftest import record_criterion
 
 from bsdelab.conditions import (
     check_comparison_m1,
+    check_comparison_matrix,
     check_comparison_multidim,
     check_viability_condition,
     check_viability_empirical,
@@ -442,6 +445,29 @@ def _random_affine_pair(rng, sound):
     else:
         c2[0, 0, 0] = -2.5
     return AffineGen(a2, b2, c2, shift, 1, UNIT_MARKS), reference
+
+
+def test_linear_driver_verdicts_keep_their_bytes():
+    # SHA-256 of the verdicts' JSON with their replays, pinned before the
+    # zero and scaled-jump drivers became affine drivers: criterion 3's
+    # scalar verdicts, a zero-driver matrix verdict, and criterion 10's
+    # first sound pair by both routes
+    def verdicts():
+        for c in (0.0, 0.5, 1.0, 1.5, 2.0):
+            gen = ScaledJumpGen(c)
+            yield check_comparison_m1(gen, gen, n_samples=1500, seed=0)
+        zero = ZeroGen(3, 1, UNIT_MARKS)
+        yield check_comparison_matrix(zero, zero, side=2, n_samples=800, seed=0)
+        f1, f2 = _random_affine_pair(np.random.default_rng(7), sound=True)
+        yield check_comparison_multidim(f1, f2, n_samples=1500, seed=100, c_max=500.0)
+        yield check_viability_condition(*stacked_reduction(f1, f2), n_samples=2000, seed=200, c_max=500.0)
+
+    lines = []
+    for v in verdicts():
+        replay = None if v.witness is None else v.replay()
+        lines.append(json.dumps({"verdict": v.to_dict(), "replay": replay}, sort_keys=True))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "1544949b53cbcfb8bc244f85d5e959455c66e329ad0a6bd747a84b813b96a5f4"
 
 
 def test_criterion_10_reduction_coherence():

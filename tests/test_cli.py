@@ -68,6 +68,8 @@ def test_validation_reports_offending_field_path():
         ({"grid": {"horizon": 1.0, "steps": 0}}, "grid.steps"),
         ({"grid": {"horizon": 1.0}}, "grid.steps"),
         ({"brownian_dim": 0}, "brownian_dim"),
+        ({"generator": {"kind": "zero", "state_dim": 0}}, "generator.state_dim"),
+        ({"generator": {"kind": "zero", "state_dim": -1}}, "generator.state_dim"),
         ({"seed": -1}, "seed"),
         ({"solver": {"paths": 0}}, "solver.paths"),
         ({"solver": {"paths": 10, "mode": "magic"}}, "solver.mode"),
@@ -543,6 +545,16 @@ def test_cli_exits_two_on_validation_error(tmp_path, capsys):
     code = main(["solve", "--config", str(config_path)])
     assert code == 2
     assert "config error at seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("state_dim", [0, -1])
+def test_cli_exits_two_on_a_state_dim_below_one(tmp_path, capsys, state_dim):
+    config_path = tmp_path / "scenario.json"
+    config_path.write_text(json.dumps(solve_config(generator={"kind": "zero", "state_dim": state_dim})))
+    code = main(["solve", "--config", str(config_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error at generator.state_dim: must be at least 1")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "check-structural"])

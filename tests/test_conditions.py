@@ -206,7 +206,7 @@ def test_scalar_comparison_sharpens_the_sampled_row_once():
     # and 8; the scales do not compound
     g = ScaledJumpGen(2.0)
     verdict = check_comparison_m1(g, g, n_samples=1500, seed=0)
-    samples = ConditionSampler(1, 1, 1, seed=0).pair(1500, ordered_jumps=True)
+    samples = ConditionSampler(1, 1, 1, seed=0).pair(1500, jumps="ordered")
     sampled = samples.take([int(np.argmin(_monotone_gaps(g, g, samples)))])
     witness = verdict.witness
     assert np.allclose(witness.u - witness.u_prime, 8.0 * (sampled.u[0] - sampled.u_prime[0]), rtol=1e-12, atol=0.0)
@@ -328,7 +328,7 @@ def test_structural_flags_negative_state_coupling():
 def test_quadratic_clause_shrinks_the_negative_part(alpha):
     # the clause's weight is d2 to the orthant, so a shrink scales only the
     # negative entries of y
-    batch = ConditionSampler(2, 1, 1, seed=3).pair(4000, reversed_jumps=True)
+    batch = ConditionSampler(2, 1, 1, seed=3).pair(4000, jumps="reversed")
     shrunk = _QuadraticClause(_affine_m2(*_structural_base())).shrink(batch, alpha)
     assert shrunk.y.tobytes() == np.where(batch.y < 0.0, alpha * batch.y, batch.y).tobytes()
 
@@ -668,7 +668,7 @@ def _comparison_cases():
             _ComparisonInequality(ScaledJumpGen(2.0), ScaledJumpGen(0.5), OrthantProduct(1, 0)),
             ConditionSampler(1, 1, 1, seed=2).pair(60),
         ),
-        ("quadratic", _QuadraticClause(f1), pair.pair(60, reversed_jumps=True)),
+        ("quadratic", _QuadraticClause(f1), pair.pair(60, jumps="reversed")),
         ("matrix", _ComparisonInequality(g1, g2, cone), matrix),
     ]
 
@@ -827,8 +827,8 @@ SAMPLER_DRAWS = {
     "viability-ball": (2, lambda s, n: s.viability(Ball(np.zeros(2), 1.0), n)),
     "viability-psd": (3, lambda s, n: s.viability(PsdCone(2), n)),
     "pair": (2, lambda s, n: s.pair(n)),
-    "pair-ordered": (2, lambda s, n: s.pair(n, ordered_jumps=True)),
-    "pair-reversed": (2, lambda s, n: s.pair(n, reversed_jumps=True)),
+    "pair-ordered": (2, lambda s, n: s.pair(n, jumps="ordered")),
+    "pair-reversed": (2, lambda s, n: s.pair(n, jumps="reversed")),
     "matrix": (3, lambda s, n: s.matrix(2, n)),
 }
 
@@ -849,15 +849,16 @@ def test_verdict_depends_on_the_budget_only_through_the_samples():
     assert verdict.to_dict() == again.to_dict()
 
 
-def test_pair_sampler_refuses_ordered_and_reversed_jumps_together():
-    with pytest.raises(ValueError, match="exclude each other"):
-        ConditionSampler(2, 1, 1, seed=0).pair(10, ordered_jumps=True, reversed_jumps=True)
+def test_pair_sampler_refuses_an_unknown_jump_ordering():
+    for jumps in ("sorted", "", None, True):
+        with pytest.raises(ValueError, match="jumps must be one of 'free', 'ordered', 'reversed'"):
+            ConditionSampler(2, 1, 1, seed=0).pair(10, jumps=jumps)
 
 
 def test_structural_ordered_and_reversed_draws_differ():
     sampler = ConditionSampler(2, 1, 1, seed=1)
-    ordered = sampler.pair(500, ordered_jumps=True)
-    reversed_ = sampler.pair(500, reversed_jumps=True)
+    ordered = sampler.pair(500, jumps="ordered")
+    reversed_ = sampler.pair(500, jumps="reversed")
     for name in ("t", "y", "y_prime"):
         a, b = getattr(ordered, name), getattr(reversed_, name)
         assert not np.any((a == b).reshape(len(a), -1).all(axis=1)), name
@@ -865,7 +866,7 @@ def test_structural_ordered_and_reversed_draws_differ():
         assert not np.array_equal(getattr(ordered, name), getattr(reversed_, name)), name
     assert np.all(ordered.u >= ordered.u_prime) and np.all(reversed_.u <= reversed_.u_prime)
     # each kind is one stream: a second draw of the same kind repeats it
-    _assert_same_batch(sampler.pair(500, ordered_jumps=True), ordered)
+    _assert_same_batch(sampler.pair(500, jumps="ordered"), ordered)
 
 
 def test_sampler_concentrates_near_boundary():
@@ -880,7 +881,7 @@ def test_sampler_concentrates_near_boundary():
 
 
 def test_ordered_jump_sampler_respects_ordering():
-    samples = ConditionSampler(2, 1, 2, seed=1).pair(50, ordered_jumps=True)
+    samples = ConditionSampler(2, 1, 2, seed=1).pair(50, jumps="ordered")
     assert np.all(samples.u >= samples.u_prime - 1e-15)
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,34 @@ class TestEvaluation:
             marks=unit_marks(),
         )
         assert evaluate(gen, 0.25, [0.0], [[0.0]], [[0.0]])[0] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("drift", [lambda t: np.ones(3), lambda t: 1.0], ids=["length-3", "scalar"])
+    def test_callable_drift_of_another_shape_rejected_at_every_time(self, drift):
+        # m = 2: a length-3 or scalar drift once broadcast, or paired its
+        # values with the wrong rows, depending on how t was given
+        gen = AffineGen(np.eye(2), np.zeros((2, 2, 1)), np.zeros((1, 2, 2)), drift, 1, unit_marks())
+        y, z, u = np.zeros((4, 2)), np.zeros((4, 2, 1)), np.zeros((4, 1, 2))
+        for t in (0.5, np.array([0.1, 0.2, 0.3, 0.4])):
+            with pytest.raises(ValueError, match=r"drift at t = 0\.\d must have shape \(2,\), got"):
+                gen(t, y, z, u)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda mk: AffineGen(1.0, np.zeros((1, 1, 1)), np.zeros((1, 1, 1)), [0.0], 1, mk),
+            lambda mk: AffineGen(np.zeros((2, 3)), np.zeros((2, 2, 1)), np.zeros((1, 2, 2)), [0, 0], 1, mk),
+            lambda mk: AffineGen(np.zeros((0, 0)), np.zeros((0, 0, 1)), np.zeros((1, 0, 0)), [], 1, mk),
+            lambda mk: AffineGen(np.zeros((1, 1)), np.zeros((1, 1, 0)), np.zeros((1, 1, 1)), [0.0], 0, mk),
+            lambda mk: ZeroGen(0, 1, mk),
+            lambda mk: ZeroGen(1, 0, mk),
+            lambda mk: ProjectionDriftGen(Ball(center=[0.0], radius=1.0), 0, mk),
+        ],
+        ids=["scalar-a", "oblong-a", "empty-a", "affine-no-brownian", "zero-state", "zero-brownian",
+             "projection-no-brownian"],
+    )
+    def test_non_square_state_coefficient_and_dimensions_below_one_rejected(self, build):
+        with pytest.raises(ValueError, match="m x m with m >= 1|brownian_dim must be at least 1"):
+            build(unit_marks())
 
     def test_shape_mismatch_rejected(self):
         gen = ZeroGen(state_dim=2, brownian_dim=1, marks=unit_marks())
@@ -158,6 +188,72 @@ class TestPerRowTimes:
             gen(np.zeros(4), np.zeros((5, 2)), np.zeros((5, 2, 1)), np.zeros((5, 1, 2)))
 
 
+def _every_block(gen, t, y, z, u):
+    """Reference affine value: every block contracted, all-zero or not."""
+    out = np.einsum("kl,nl->nk", gen.a, y)
+    out += np.einsum("kij,nij->nk", gen.b, z)
+    out += np.einsum("jkl,njl->nk", gen.c, u)
+    return out + gen._drift_at(t)
+
+
+class TestLiveBlocks:
+    """``AffineGen`` contracts only its blocks with a nonzero entry."""
+
+    @pytest.mark.parametrize("m,d,j", [(1, 1, 1), (2, 1, 1), (3, 2, 2)])
+    def test_skipped_zero_blocks_keep_every_bit(self, m, d, j):
+        rng = np.random.default_rng(100 * m + 10 * d + j)
+        marks = FiniteMarkMeasure(atoms=[[1.0], [-0.5]][:j], weights=[1.0, 0.5][:j])
+        n = 12
+        t_rows = np.repeat(rng.uniform(0.0, 1.0, size=4), 3)
+        y, z, u = rng.normal(size=(n, m)), rng.normal(size=(n, m, d)), rng.normal(size=(n, j, m))
+        # rows with every input zero, and rows with one input block zero
+        y[:2], z[:2], u[:2] = 0.0, 0.0, 0.0
+        y[2], z[3], u[4] = 0.0, 0.0, 0.0
+        full = (rng.normal(size=(m, m)), rng.normal(size=(m, m, d)), rng.normal(size=(j, m, m)))
+        if m > 1:
+            for coef in full:
+                coef[..., 0, :] = 0.0  # a zero row within a live block
+        drifts = (np.zeros(m), rng.normal(size=m), lambda t: np.sin(t + np.arange(m)))
+        checked = 0
+        for live in itertools.product((False, True), repeat=3):
+            coefs = [c if keep else np.zeros_like(c) for c, keep in zip(full, live)]
+            for drift in drifts:
+                gen = AffineGen(*coefs, drift=drift, brownian_dim=d, marks=marks)
+                assert len(gen._live) == sum(live)
+                for t in (0.3, t_rows):
+                    out = gen(t, y, z, u)
+                    assert out.tobytes() == _every_block(gen, t, y, z, u).tobytes()
+                    checked += 1
+                empty = gen(t_rows[:0], y[:0], z[:0], u[:0])
+                assert empty.shape == (0, m)
+        assert checked == 8 * 3 * 2
+
+    def test_linear_drivers_have_no_evaluation_of_their_own(self):
+        for cls in (ZeroGen, ScaledJumpGen):
+            assert issubclass(cls, AffineGen)
+            assert "__init__" in vars(cls) and "_eval" not in vars(cls) and "lipschitz" not in vars(cls)
+
+    def test_scaled_jump_is_minus_scale_times_the_first_atom(self):
+        marks = FiniteMarkMeasure(atoms=[[1.0], [-0.5]], weights=[1.0, 0.5])
+        gen = ScaledJumpGen(1.7, marks)
+        assert isinstance(gen, AffineGen)
+        assert gen._live == [(2, "jkl,njl->nk", gen.c)] and not gen._drift_live
+        rng = np.random.default_rng(29)
+        n = 50
+        u = rng.normal(size=(n, 2, 1))
+        u[:5] = 0.0
+        out = gen(rng.uniform(size=n), rng.normal(size=(n, 1)), rng.normal(size=(n, 1, 1)), u)
+        assert np.array_equal(out, -1.7 * u[:, 0])
+        # where u = 0 the product -1.7 * u is -0.0; the contraction sums from +0.0
+        assert not np.signbit(out[:5]).any()
+
+    def test_zero_driver_contracts_nothing(self):
+        gen = ZeroGen(2, 2, unit_marks())
+        assert gen._live == [] and not gen._drift_live and gen.lipschitz == 0.0
+        out = gen(0.1, np.full((3, 2), -1.0), np.ones((3, 2, 2)), np.ones((3, 1, 2)))
+        assert out.tobytes() == np.zeros((3, 2)).tobytes()
+
+
 class RowByRowProjectionDrift(ProjectionDriftGen):
     """Reference driver: projects one row at a time with the scalar ``project``."""
 
@@ -235,6 +331,16 @@ class TestLipschitz:
         assert gen.lipschitz == pytest.approx(2.0)
         report = verify_lipschitz(gen, n_pairs=2000, seed=3)
         assert report.passed
+
+    def test_scaled_jump_bound_is_tight_above_unit_weight(self):
+        # the intensity norm weighs u by sqrt(4) = 2, so |f| grows at half
+        # the rate of that norm; max(1, 1/sqrt(n_1)) would declare 1
+        marks = FiniteMarkMeasure(atoms=[[1.0]], weights=[4.0])
+        gen = ScaledJumpGen(1.0, marks=marks)
+        assert gen.lipschitz == 0.5
+        report = verify_lipschitz(gen, n_pairs=2000, seed=3)
+        assert report.passed
+        assert report.estimate >= 0.475
 
     def test_projection_drift_within_declared_bound(self):
         ball = Ball(center=[0.0, 0.0], radius=1.0)
