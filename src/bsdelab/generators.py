@@ -182,6 +182,9 @@ class ZeroGen(AffineGen):
 
     def __init__(self, state_dim: int, brownian_dim: int, marks: FiniteMarkMeasure):
         m, d, j = state_dim, brownian_dim, marks.n_atoms
+        # named here: np.zeros refuses a negative dimension without naming it
+        if m < 1 or d < 1:
+            raise ValueError(f"zero driver: state_dim and brownian_dim must be at least 1, got {m} and {d}")
         super().__init__(np.zeros((m, m)), np.zeros((m, m, d)), np.zeros((j, m, m)), np.zeros(m), d, marks)
 
 

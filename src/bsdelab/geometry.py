@@ -1,12 +1,12 @@
 """Convex-set calculus for constrained backward equations.
 
-Each body exposes the squared distance d2(x) = |x - project(x)|^2 together
-with its gradient 2(x - project(x)) and, where it exists, its Hessian.
-Bodies compute these for batches of rows; a one-point method is the
-one-row case of its batch method.  The Hessian of d2 is undefined on a
-measure-zero locus (set boundary, facet coordinates, zero eigenvalues,
-tight constraints with zero multipliers); those points are reported with
-an explicit marker instead of a silently wrong matrix.
+Each body exposes, for a batch of rows x, the projection, the squared
+distance d2(x) = |x - project(x)|^2 (whose gradient is 2(x - project(x)))
+and, where it exists, the Hessian of d2.  A body takes rows only: one
+point is the one-row batch ``x[None]``.  The Hessian of d2 is undefined on
+a measure-zero locus (set boundary, facet coordinates, zero eigenvalues,
+tight constraints with zero multipliers); those rows are reported in a
+mask, with a zero matrix, instead of a silently wrong matrix.
 
 Symmetric-matrix bodies act on flattened coordinates: a side x side
 matrix is embedded as a vector of length side(side+1)/2 with sqrt(2)
@@ -17,6 +17,7 @@ equal trace inner products of matrices.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,7 +25,6 @@ import numpy as np
 from scipy.special import roots_legendre
 
 __all__ = [
-    "HessianResult",
     "ConvexBody",
     "Ball",
     "Box",
@@ -32,8 +32,6 @@ __all__ = [
     "HalfspaceIntersection",
     "PsdCone",
     "FinitePointSet",
-    "SpectralParts",
-    "spectral_split",
     "sym_to_vec",
     "vec_to_sym",
     "jump_defect",
@@ -58,11 +56,6 @@ def _rows(xs, dim: int) -> np.ndarray:
     return xs
 
 
-def _one_row(x) -> np.ndarray:
-    """One point as a one-row batch; the batch method checks its length."""
-    return np.asarray(x, dtype=float)[None]
-
-
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products of matching rows of two (n, k) arrays.
 
@@ -75,32 +68,15 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-@dataclass(frozen=True)
-class HessianResult:
-    """Hessian of d2 at a point, or an explicit undefined marker."""
-
-    matrix: np.ndarray | None
-    defined: bool
-    reason: str = ""
-
-    def require(self) -> np.ndarray:
-        if not self.defined:
-            raise ValueError(f"Hessian undefined: {self.reason}")
-        return self.matrix
-
-
 class ConvexBody:
     """Closed convex set with projection-based distance calculus.
 
-    A body defines the batch primitives: ``project_batch`` and
-    ``hess_dist2_batch``, and ``dist2_batch`` where it has a closed form.
-    The one-point methods are their one-row cases.
+    A body is its batch primitives on rows of shape (n, dim): it defines
+    ``project_batch`` and ``hess_dist2_batch``, and ``dist2_batch`` where
+    it has a closed form.
     """
 
     dim: int
-
-    # why the Hessian is undefined where ``hess_dist2_batch`` says so
-    _hess_undefined = "nonsmooth point"
 
     def project_batch(self, xs: np.ndarray) -> np.ndarray:
         """Projections of the rows of ``xs`` (shape (n, dim)), as a new array."""
@@ -121,32 +97,6 @@ class ConvexBody:
 
         Undefined rows carry a zero matrix.
         """
-        raise NotImplementedError
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        return self.project_batch(_one_row(x))[0]
-
-    def dist2(self, x: np.ndarray) -> float:
-        return float(self.dist2_batch(_one_row(x))[0])
-
-    def dist(self, x: np.ndarray) -> float:
-        return float(self.dist_batch(_one_row(x))[0])
-
-    def grad_dist2(self, x: np.ndarray) -> np.ndarray:
-        x = _one_row(x)
-        return 2.0 * (x - self.project_batch(x))[0]
-
-    def hess_dist2(self, x: np.ndarray) -> HessianResult:
-        mats, defined = self.hess_dist2_batch(_one_row(x))
-        if not defined[0]:
-            return HessianResult(None, False, self._hess_undefined)
-        return HessianResult(mats[0], True)
-
-    def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
-        return self.dist(x) <= tol
-
-    def sample_point(self, rng: np.random.Generator) -> np.ndarray:
-        """A random point of the body, used by property checks."""
         raise NotImplementedError
 
 
@@ -176,7 +126,6 @@ class Ball(ConvexBody):
         scale = self.radius / np.maximum(norm, self.radius)
         return np.where((norm <= self.radius)[:, None], xs, self.center + v * scale[:, None])
 
-    _hess_undefined = "point on the sphere"
 
     def hess_dist2_batch(self, xs):
         xs = _rows(xs, self.dim)
@@ -191,14 +140,6 @@ class Ball(ConvexBody):
         mats[out] = 2.0 * (1.0 - self.radius / r) * np.eye(self.dim)
         mats[out] += 2.0 * self.radius / r**3 * (vo[:, :, None] * vo[:, None, :])
         return mats, defined
-
-    def contains(self, x, tol=1e-9):
-        return np.linalg.norm(np.asarray(x, dtype=float) - self.center) <= self.radius + tol
-
-    def sample_point(self, rng):
-        v = rng.normal(size=self.dim)
-        v /= np.linalg.norm(v)
-        return self.center + v * self.radius * rng.uniform() ** (1.0 / self.dim)
 
     def dist2_batch(self, xs):
         norms = np.linalg.norm(_rows(xs, self.dim) - self.center, axis=-1)
@@ -228,7 +169,6 @@ class Box(ConvexBody):
     def project_batch(self, xs):
         return np.clip(_rows(xs, self.dim), self.lower, self.upper)
 
-    _hess_undefined = "coordinate on a facet"
 
     def hess_dist2_batch(self, xs):
         xs = _rows(xs, self.dim)
@@ -243,13 +183,6 @@ class Box(ConvexBody):
         diag[~defined] = 0.0
         return diag[:, :, None] * np.eye(self.dim), defined
 
-    def contains(self, x, tol=1e-9):
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
-
-    def sample_point(self, rng):
-        return rng.uniform(self.lower, self.upper)
-
 
 @dataclass(frozen=True)
 class OrthantProduct(ConvexBody):
@@ -259,8 +192,12 @@ class OrthantProduct(ConvexBody):
     n_free: int
 
     def __post_init__(self):
-        if self.n_plus < 0 or self.n_free < 0 or self.n_plus + self.n_free == 0:
+        # numpy integers pass; a float raises TypeError here, not at first use
+        n_plus, n_free = operator.index(self.n_plus), operator.index(self.n_free)
+        if n_plus < 0 or n_free < 0 or n_plus + n_free == 0:
             raise ValueError("orthant product needs a nonempty dimension split")
+        object.__setattr__(self, "n_plus", n_plus)
+        object.__setattr__(self, "n_free", n_free)
 
     @property
     def dim(self) -> int:
@@ -271,7 +208,6 @@ class OrthantProduct(ConvexBody):
         out[:, : self.n_plus] = np.maximum(out[:, : self.n_plus], 0.0)
         return out
 
-    _hess_undefined = "constrained coordinate at zero"
 
     def hess_dist2_batch(self, xs):
         xs = _rows(xs, self.dim)
@@ -282,14 +218,6 @@ class OrthantProduct(ConvexBody):
         diag[:, : self.n_plus] = np.where(head < 0.0, 2.0, 0.0)
         diag[~defined] = 0.0
         return diag[:, :, None] * np.eye(self.dim), defined
-
-    def contains(self, x, tol=1e-9):
-        return bool(np.all(np.asarray(x, dtype=float)[: self.n_plus] >= -tol))
-
-    def sample_point(self, rng):
-        out = rng.normal(size=self.dim) * 2.0
-        out[: self.n_plus] = np.abs(out[: self.n_plus])
-        return out
 
     def dist2_batch(self, xs):
         neg = np.minimum(_rows(xs, self.dim)[:, : self.n_plus], 0.0)
@@ -311,6 +239,8 @@ class HalfspaceIntersection(ConvexBody):
     def __init__(self, normals, offsets):
         normals = np.atleast_2d(np.asarray(normals, dtype=float))
         offsets = np.asarray(offsets, dtype=float).ravel()
+        if normals.ndim != 2 or not (np.isfinite(normals).all() and np.isfinite(offsets).all()):
+            raise ValueError("halfspaces: normals must be a finite (k, dim) array and offsets finite numbers")
         if normals.shape[0] != offsets.shape[0]:
             raise ValueError("halfspaces: normals and offsets must match")
         if normals.shape[0] == 0:
@@ -321,25 +251,24 @@ class HalfspaceIntersection(ConvexBody):
         self.normals = normals
         self.offsets = offsets
         self._norms = norms
-        self._interior = self._chebyshev_center(normals, offsets, norms)
+        self._require_interior_point()
 
-    @staticmethod
-    def _chebyshev_center(normals, offsets, norms):
+    def _require_interior_point(self):
+        """Refuse an empty intersection: the Chebyshev-centre LP must be feasible."""
         # scipy.optimize loads here and in _solve, not with the package
         from scipy.optimize import linprog
 
         # caps keep the LP bounded when the intersection is unbounded
-        m = normals.shape[1]
+        m = self.dim
         res = linprog(
             c=np.r_[np.zeros(m), -1.0],
-            A_ub=np.c_[normals, norms],
-            b_ub=offsets,
+            A_ub=np.c_[self.normals, self._norms],
+            b_ub=self.offsets,
             bounds=[(-1e6, 1e6)] * m + [(0.0, 1e3)],
             method="highs",
         )
         if not res.success:
             raise ValueError("halfspaces: empty intersection")
-        return res.x[:m]
 
     @property
     def dim(self) -> int:
@@ -379,7 +308,6 @@ class HalfspaceIntersection(ConvexBody):
     def project_batch(self, xs):
         return self._solve(_rows(xs, self.dim))[0]
 
-    _hess_undefined = "tight constraint with a zero multiplier"
 
     def hess_dist2_batch(self, xs):
         xs = _rows(xs, self.dim)
@@ -396,20 +324,6 @@ class HalfspaceIntersection(ConvexBody):
             a = self.normals[active[i]]
             mats[i] = 2.0 * np.linalg.pinv(a) @ a
         return mats, defined
-
-    def contains(self, x, tol=1e-9):
-        return bool(np.all(self.normals @ np.asarray(x, dtype=float) - self.offsets <= tol))
-
-    def sample_point(self, rng):
-        # random feasible step from the inradius center
-        direction = rng.normal(size=self.dim)
-        direction /= np.linalg.norm(direction)
-        along = self.normals @ direction
-        slack = self.offsets - self.normals @ self._interior
-        with np.errstate(divide="ignore"):
-            steps = np.where(along > 0.0, slack / along, np.inf)
-        t_max = min(np.min(steps), 1e3)
-        return self._interior + direction * t_max * rng.uniform(0.0, 0.999)
 
 
 @lru_cache(maxsize=None)
@@ -453,29 +367,10 @@ def vec_to_sym(vec: np.ndarray, side: int) -> np.ndarray:
     return vec[..., cell] * inv
 
 
-@dataclass(frozen=True)
-class SpectralParts:
-    """Orthogonal split S = positive - negative with both parts PSD."""
-
-    positive: np.ndarray
-    negative: np.ndarray
-    eigenvalues: np.ndarray
-
-
 def _finite_matrix(mat: np.ndarray) -> np.ndarray:
     if not np.isfinite(mat).all():
         raise ValueError("matrix with non-finite (NaN or inf) entries")
     return mat
-
-
-def spectral_split(mat: np.ndarray) -> SpectralParts:
-    mat = _finite_matrix(np.asarray(mat, dtype=float))
-    if not np.allclose(mat, mat.T, atol=1e-10 * max(1.0, np.abs(mat).max())):
-        raise ValueError("spectral split requires a symmetric matrix")
-    w, q = np.linalg.eigh((mat + mat.T) / 2.0)
-    pos = (q * np.maximum(w, 0.0)) @ q.T
-    neg = (q * np.maximum(-w, 0.0)) @ q.T
-    return SpectralParts(positive=pos, negative=neg, eigenvalues=w)
 
 
 @dataclass(frozen=True)
@@ -485,8 +380,11 @@ class PsdCone(ConvexBody):
     side: int
 
     def __post_init__(self):
-        if self.side < 1:
+        # numpy integers pass; a float raises TypeError here, not at first use
+        side = operator.index(self.side)
+        if side < 1:
             raise ValueError("matrix side must be at least 1")
+        object.__setattr__(self, "side", side)
 
     @property
     def dim(self) -> int:
@@ -496,13 +394,11 @@ class PsdCone(ConvexBody):
         return _finite_matrix(vec_to_sym(x, self.side))
 
     def project_batch(self, xs):
-        # the stacked form of spectral_split: vec_to_sym output is symmetric,
-        # so the symmetrization is skipped
+        # keep the positive part of each spectrum, Q max(w, 0) Q^T
         w, q = np.linalg.eigh(self._matrix(_rows(xs, self.dim)))
         pos = (q * np.maximum(w, 0.0)[:, None, :]) @ np.swapaxes(q, -1, -2)
         return sym_to_vec(pos)
 
-    _hess_undefined = "zero eigenvalue (cone boundary)"
 
     def hess_dist2_batch(self, xs):
         w, q = np.linalg.eigh(self._matrix(_rows(xs, self.dim)))
@@ -529,13 +425,6 @@ class PsdCone(ConvexBody):
         hess[~defined] = 0.0
         return hess, defined
 
-    def contains(self, x, tol=1e-9):
-        return bool(np.linalg.eigvalsh(self._matrix(x)).min() >= -tol)
-
-    def sample_point(self, rng):
-        g = rng.normal(size=(self.side, self.side))
-        return sym_to_vec(g @ g.T / math.sqrt(self.side))
-
     def dist2_batch(self, xs):
         w = np.linalg.eigvalsh(self._matrix(_rows(xs, self.dim)))
         neg = np.minimum(w, 0.0)
@@ -560,27 +449,9 @@ class FinitePointSet:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def project(self, x):
-        return self.project_batch(_one_row(x))[0]
-
-    def dist2(self, x):
-        return float(self.dist2_batch(_one_row(x))[0])
-
-    def dist(self, x):
-        return float(self.dist_batch(_one_row(x))[0])
-
-    def contains(self, x, tol=1e-9):
-        return self.dist(x) <= tol
-
-    def _pairwise_d2(self, xs):
-        xs = _rows(xs, self.dim)
-        return np.sum((xs[:, None, :] - self.points[None, :, :]) ** 2, axis=2)
-
-    def project_batch(self, xs):
-        return self.points[np.argmin(self._pairwise_d2(xs), axis=1)]
-
     def dist2_batch(self, xs):
-        return self._pairwise_d2(xs).min(axis=1)
+        xs = _rows(xs, self.dim)
+        return np.sum((xs[:, None, :] - self.points[None, :, :]) ** 2, axis=2).min(axis=1)
 
     def dist_batch(self, xs):
         return np.sqrt(self.dist2_batch(xs))
@@ -686,10 +557,12 @@ def mollified_dist2(
     combination of exact pointwise evaluations, so the classical
     mollifier bounds hold up to rounding, not up to quadrature error.
     """
-    if delta <= 0.0:
-        raise ValueError("mollification width must be positive")
-    quad = quad or QuadSpec()
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise ValueError(f"mollification width must be finite and positive, got {delta}")
     x = np.asarray(x, dtype=float)
+    if x.shape != (body.dim,) or not np.isfinite(x).all():
+        raise ValueError(f"mollified distance: the point must be a finite vector of length {body.dim}")
+    quad = quad or QuadSpec()
     dim = x.shape[0]
     nodes, base_w = _quad_nodes(dim, quad)
     kernel = _bump(np.sum(nodes * nodes, axis=1)) * base_w

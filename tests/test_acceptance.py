@@ -231,7 +231,8 @@ def test_criterion_06_projection_oracles():
     details = []
 
     # closed-form bodies: re-derive the minimizer by hand in extended
-    # precision (exact oracle), for the scalar and the batched projection
+    # precision (exact oracle), for each point alone and in a batch; a
+    # batch row equals its one-row batch, bit for bit
     for name, body, dim, oracle in _criterion_06_closed_form_cases():
         pts = rng.uniform(-3.0, 3.0, size=(1000, dim))
         batch = body.project_batch(pts)
@@ -239,11 +240,13 @@ def test_criterion_06_projection_oracles():
         for p, p_batch in zip(pts, batch):
             ref_proj, ref_d2 = oracle(p)
             ref_proj = ref_proj.astype(float)
+            p_alone = body.project_batch(p[None])[0]
+            assert np.array_equal(p_alone, p_batch)
             err = max(
                 err,
-                float(np.abs(body.project(p) - ref_proj).max()),
+                float(np.abs(p_alone - ref_proj).max()),
                 float(np.abs(p_batch - ref_proj).max()),
-                abs(body.dist2(p) - float(ref_d2)),
+                abs(body.dist2_batch(p[None])[0] - float(ref_d2)),
             )
         assert err <= tol, f"{name} oracle gap {err:.3e}"
         details.append((name, err))
@@ -265,9 +268,11 @@ def test_criterion_06_projection_oracles():
     vecs = rng.uniform(-3.0, 3.0, size=(1000, 6))
     for vec, batch_vec in zip(vecs, cone.project_batch(vecs)):
         mat = vec_to_sym(vec, 3)
-        d2 = cone.dist2(vec)
+        d2 = cone.dist2_batch(vec[None])[0]
         scale = 1.0 + float(np.sum(mat * mat))
-        for proj_vec in (cone.project(vec), batch_vec):
+        proj_alone = cone.project_batch(vec[None])[0]
+        assert np.array_equal(proj_alone, batch_vec)
+        for proj_vec in (proj_alone, batch_vec):
             proj = vec_to_sym(proj_vec, 3)
             residual = proj - mat
             psd_err = max(
@@ -324,7 +329,7 @@ def test_criterion_06_projection_oracles():
 
     poly_err = exact_err = 0.0
     for q in queries:
-        p = poly.project(q)
+        p = poly.project_batch(q[None])[0]
         best = feasible[np.argmin(np.sum((feasible - q) ** 2, axis=1))]
         poly_err = max(poly_err, float(np.linalg.norm(p - best)))
         exact_err = max(exact_err, float(np.linalg.norm(p - exact_projection(q))))
@@ -359,7 +364,7 @@ def test_criterion_06_external_solver_cross_check():
             problem.solve(
                 solver=cp.CLARABEL, tol_gap_abs=1e-12, tol_gap_rel=1e-12, tol_feas=1e-12
             )
-            solver_err = max(solver_err, float(np.abs(x.value - body.project(p)).max()))
+            solver_err = max(solver_err, float(np.abs(x.value - body.project_batch(p[None])[0]).max()))
         assert solver_err <= 1e-6, f"{name} external solver gap {solver_err:.3e}"
 
 
@@ -396,7 +401,7 @@ def test_criterion_08_mollified_distance_bounds():
             delta = float(rng.uniform(0.05, 0.5))
             res = mollified_dist2(body, x, delta, quad=QuadSpec(nodes_per_axis=9))
             assert not res.low_confidence
-            reach = body.dist(x) + delta
+            reach = body.dist_batch(x[None])[0] + delta
             assert -tol <= res.value <= reach**2 + tol
             assert np.linalg.norm(res.gradient) <= 2.0 * reach + tol
             eigs = np.linalg.eigvalsh(res.hessian)

@@ -323,7 +323,7 @@ def test_solve_table_carries_the_mean_distance_to_the_target(tmp_path):
     column = lines[0].split(",").index("dk_mean")
     written = [float(line.split(",")[column]) for line in lines[1:]]
     # each node's mean of the one-row distances
-    expected = [np.mean([ball.dist(row) for row in sol.y[i]]) for i in range(len(sol.times))]
+    expected = [np.mean([ball.dist_batch(row[None])[0] for row in sol.y[i]]) for i in range(len(sol.times))]
     assert np.array(written).tobytes() == np.array(expected).tobytes()
     assert max(written) > 0.0
 

@@ -873,7 +873,7 @@ def test_sampler_concentrates_near_boundary():
     ball = Ball(np.zeros(3), 1.0)
     sampler = ConditionSampler(3, 1, 1, seed=0)
     samples = sampler.viability(ball, 600)
-    dists = np.array([ball.dist(y) for y in samples.y])
+    dists = ball.dist_batch(samples.y)
     near = np.sum((dists > 0.0) & (dists <= 0.1 + 1e-12))
     # about 15% land just outside within the boundary width (half of the
     # 30% boundary draws), plus strays from the bulk

@@ -93,13 +93,15 @@ class TestEvaluation:
             lambda mk: AffineGen(np.zeros((1, 1)), np.zeros((1, 1, 0)), np.zeros((1, 1, 1)), [0.0], 0, mk),
             lambda mk: ZeroGen(0, 1, mk),
             lambda mk: ZeroGen(1, 0, mk),
+            lambda mk: ZeroGen(-1, 1, mk),
+            lambda mk: ZeroGen(1, -1, mk),
             lambda mk: ProjectionDriftGen(Ball(center=[0.0], radius=1.0), 0, mk),
         ],
         ids=["scalar-a", "oblong-a", "empty-a", "affine-no-brownian", "zero-state", "zero-brownian",
-             "projection-no-brownian"],
+             "negative-state", "negative-brownian", "projection-no-brownian"],
     )
     def test_non_square_state_coefficient_and_dimensions_below_one_rejected(self, build):
-        with pytest.raises(ValueError, match="m x m with m >= 1|brownian_dim must be at least 1"):
+        with pytest.raises(ValueError, match="m x m with m >= 1|must be at least 1"):
             build(unit_marks())
 
     def test_shape_mismatch_rejected(self):
@@ -255,10 +257,10 @@ class TestLiveBlocks:
 
 
 class RowByRowProjectionDrift(ProjectionDriftGen):
-    """Reference driver: projects one row at a time with the scalar ``project``."""
+    """Reference driver: projects one row at a time, each as a one-row batch."""
 
     def _eval(self, t, y, z, u):
-        return y - np.array([self.body.project(row) for row in y])
+        return y - np.array([self.body.project_batch(row[None])[0] for row in y])
 
 
 class TestBatchedProjectionDrift:

@@ -18,7 +18,6 @@ from bsdelab.geometry import (
     jump_defect,
     jump_defect_batch,
     mollified_dist2,
-    spectral_split,
     sym_to_vec,
     vec_to_sym,
 )
@@ -40,10 +39,16 @@ from bsdelab.stochastic import FiniteMarkMeasure
         lambda: Box([0.0, 0.0], [1.0, math.nan]),
         lambda: FinitePointSet([[0.0, 1.0], [math.nan, 0.0]]),
         lambda: FinitePointSet([[0.0, math.inf]]),
+        lambda: HalfspaceIntersection([[1.0, math.nan]], [1.0]),
+        lambda: HalfspaceIntersection([[1.0, 0.0], [0.0, math.inf]], [1.0, 1.0]),
+        lambda: HalfspaceIntersection([[1.0, 0.0]], [math.inf]),
+        lambda: HalfspaceIntersection([[1.0, 0.0]], [math.nan]),
+        lambda: HalfspaceIntersection(np.ones((2, 2, 2)), [1.0, 1.0]),
     ],
     ids=[
         "nan-weight", "inf-weight", "nan-atom", "inf-atom", "nan-radius", "inf-radius",
         "nan-centre", "nan-lower", "nan-upper", "nan-point", "inf-point",
+        "nan-normal", "inf-normal", "inf-offset", "nan-offset", "3d-normals",
     ],
 )
 def test_constructors_refuse_non_finite_inputs(build):
@@ -51,30 +56,63 @@ def test_constructors_refuse_non_finite_inputs(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: OrthantProduct(2.0, 0), lambda: OrthantProduct(1, 1.0), lambda: PsdCone(2.0),
+     lambda: PsdCone(1.5)],
+    ids=["orthant-float-plus", "orthant-float-free", "psd-float-side", "psd-fractional-side"],
+)
+def test_float_dimensions_refused_at_construction(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_numpy_integer_dimensions_accepted_as_ints():
+    orth, cone = OrthantProduct(np.int64(1), np.int32(1)), PsdCone(np.int64(2))
+    assert type(orth.n_plus) is int and type(orth.n_free) is int and type(cone.side) is int
+    assert np.array_equal(orth.project_batch([[-1.0, -2.0]]), [[0.0, -2.0]])
+    assert cone.dim == 3 and cone.project_batch(np.zeros((1, 3))).shape == (1, 3)
+
+
 def test_half_infinite_box_is_a_body():
     box = Box([0.0, -math.inf], [math.inf, 1.0])
-    assert box.dist(np.array([-1.0, 3.0])) == pytest.approx(math.sqrt(5.0))
+    assert box.dist_batch(np.array([[-1.0, 3.0]]))[0] == pytest.approx(math.sqrt(5.0))
 
 
-def fd_gradient(f, x, eps=1e-6):
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    for i in range(x.shape[0]):
-        e = np.zeros_like(x)
-        e[i] = eps
-        out[i] = (f(x + e) - f(x - e)) / (2.0 * eps)
-    return out
+def fd_gradient(f_batch, x, eps=1e-6):
+    """Central differences at ``x`` of a function of rows, one stencil row per axis."""
+    steps = eps * np.eye(x.shape[0])
+    return (f_batch(x + steps) - f_batch(x - steps)) / (2.0 * eps)
 
 
-def fd_hessian_of_grad(g, x, eps=1e-5):
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    out = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = eps
-        out[:, j] = (g(x + e) - g(x - e)) / (2.0 * eps)
+def fd_hessian_of_grad(grad_batch, x, eps=1e-5):
+    steps = eps * np.eye(x.shape[0])
+    out = ((grad_batch(x + steps) - grad_batch(x - steps)) / (2.0 * eps)).T
     return (out + out.T) / 2.0
+
+
+def grad_dist2(body):
+    """The gradient 2(x - project(x)) of d2, as a function of rows."""
+    return lambda xs: 2.0 * (xs - body.project_batch(xs))
+
+
+def hess_dist2(body, x):
+    """The Hessian of d2 at one point, as a one-row batch: (matrix, defined)."""
+    mats, defined = body.hess_dist2_batch(np.asarray(x, dtype=float)[None])
+    return mats[0], bool(defined[0])
+
+
+def within(body, ps, tol):
+    """Which rows of ``ps`` meet the body's defining inequalities up to ``tol``."""
+    if isinstance(body, Ball):
+        return np.linalg.norm(ps - body.center, axis=1) <= body.radius + tol
+    if isinstance(body, Box):
+        return np.all((ps >= body.lower - tol) & (ps <= body.upper + tol), axis=1)
+    if isinstance(body, OrthantProduct):
+        return np.all(ps[:, : body.n_plus] >= -tol, axis=1)
+    if isinstance(body, HalfspaceIntersection):
+        return np.all(ps @ body.normals.T - body.offsets <= tol, axis=1)
+    return np.linalg.eigvalsh(vec_to_sym(ps, body.side)).min(axis=1) >= -tol
 
 
 def triangle():
@@ -96,31 +134,31 @@ def bodies_for_properties():
 class TestProjectionPointValues:
     def test_ball_outside(self):
         ball = Ball(center=[0.0, 0.0], radius=1.0)
-        assert np.allclose(ball.project([2.0, 0.0]), [1.0, 0.0])
-        assert ball.dist2([2.0, 0.0]) == pytest.approx(1.0)
+        assert np.allclose(ball.project_batch([[2.0, 0.0]]), [[1.0, 0.0]])
+        assert ball.dist2_batch([[2.0, 0.0]])[0] == pytest.approx(1.0)
 
     def test_ball_inside_identity(self):
         ball = Ball(center=[0.0, 0.0], radius=1.0)
-        x = np.array([0.3, -0.2])
-        assert np.array_equal(ball.project(x), x)
-        assert ball.dist2(x) == 0.0
+        x = np.array([[0.3, -0.2]])
+        assert np.array_equal(ball.project_batch(x), x)
+        assert ball.dist2_batch(x)[0] == 0.0
 
     def test_orthant_product(self):
         orth = OrthantProduct(2, 1)
-        assert np.allclose(orth.project([-1.0, 2.0, 3.0]), [0.0, 2.0, 3.0])
-        assert orth.dist2([-1.0, 2.0, 3.0]) == pytest.approx(1.0)
+        assert np.allclose(orth.project_batch([[-1.0, 2.0, 3.0]]), [[0.0, 2.0, 3.0]])
+        assert orth.dist2_batch([[-1.0, 2.0, 3.0]])[0] == pytest.approx(1.0)
 
     def test_box_clipping(self):
         box = Box(lower=[-1.0, -1.0], upper=[1.0, 1.0])
-        assert np.allclose(box.project([2.0, -3.0]), [1.0, -1.0])
-        assert box.dist2([2.0, -3.0]) == pytest.approx(1.0 + 4.0)
+        assert np.allclose(box.project_batch([[2.0, -3.0]]), [[1.0, -1.0]])
+        assert box.dist2_batch([[2.0, -3.0]])[0] == pytest.approx(1.0 + 4.0)
 
     def test_single_halfspace_closed_form(self):
         half = HalfspaceIntersection(normals=[[3.0, 4.0]], offsets=[5.0])
         x = np.array([6.0, 3.0])
         viol = (3.0 * 6.0 + 4.0 * 3.0 - 5.0) / 25.0
         expected = x - viol * np.array([3.0, 4.0])
-        assert np.allclose(half.project(x), expected, atol=1e-12)
+        assert np.allclose(half.project_batch(x[None])[0], expected, atol=1e-12)
 
     def test_halfspace_box_agrees_with_box(self):
         square = HalfspaceIntersection(
@@ -128,11 +166,9 @@ class TestProjectionPointValues:
             offsets=[1.0, 1.0, 1.0, 1.0],
         )
         box = Box(lower=[-1.0, -1.0], upper=[1.0, 1.0])
-        rng = np.random.default_rng(31)
-        for _ in range(60):
-            x = rng.uniform(-4.0, 4.0, size=2)
-            assert np.allclose(square.project(x), box.project(x), atol=1e-10)
-            assert square.dist2(x) == pytest.approx(box.dist2(x), abs=1e-10)
+        xs = np.random.default_rng(31).uniform(-4.0, 4.0, size=(60, 2))
+        assert np.allclose(square.project_batch(xs), box.project_batch(xs), atol=1e-10)
+        assert np.allclose(square.dist2_batch(xs), box.dist2_batch(xs), rtol=0.0, atol=1e-10)
 
     def test_far_points_keep_their_accuracy_on_a_random_polytope(self):
         rng = np.random.default_rng(17)
@@ -143,13 +179,13 @@ class TestProjectionPointValues:
         # an unscaled least-distance solve leaves violations near 1e-8 |x| here
         excess = (ps @ normals.T - poly.offsets).max(axis=1)
         assert np.all(excess <= 1e-13 * np.linalg.norm(xs, axis=1))
-        # nearest: the obtuse-angle inequality against feasible points
-        ks = np.array([poly.sample_point(rng) for _ in range(20)])
+        # nearest: the obtuse-angle inequality against feasible points, the
+        # projections of points near the origin (which lies inside)
+        ks = poly.project_batch(rng.normal(size=(20, 6)))
         steps, spokes = xs - ps, ks[:, None, :] - ps[None, :, :]
-        cosines = np.sum(steps * spokes, axis=2) / (
-            np.linalg.norm(steps, axis=1) * np.linalg.norm(spokes, axis=2)
-        )
-        assert cosines.max() <= 1e-9
+        # cosines at most 1e-9, multiplied out so that a spoke of length 0 passes
+        lengths = np.linalg.norm(steps, axis=1) * np.linalg.norm(spokes, axis=2)
+        assert np.all(np.sum(steps * spokes, axis=2) <= 1e-9 * lengths)
 
     def test_infeasible_halfspaces_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -158,40 +194,36 @@ class TestProjectionPointValues:
     def test_psd_projection_clips_spectrum(self):
         cone = PsdCone(2)
         v = sym_to_vec(np.diag([1.0, -2.0]))
-        proj = vec_to_sym(cone.project(v), 2)
+        proj = vec_to_sym(cone.project_batch(v[None])[0], 2)
         assert np.allclose(proj, np.diag([1.0, 0.0]))
-        assert cone.dist2(v) == pytest.approx(4.0)
+        assert cone.dist2_batch(v[None])[0] == pytest.approx(4.0)
 
 
 class TestProjectionProperties:
     @pytest.mark.parametrize("body", bodies_for_properties(), ids=lambda b: type(b).__name__)
     def test_idempotent_and_member(self, body):
-        rng = np.random.default_rng(11)
-        for _ in range(40):
-            x = rng.uniform(-4.0, 4.0, size=body.dim)
-            p = body.project(x)
-            assert body.contains(p, tol=1e-8)
-            assert np.allclose(body.project(p), p, atol=1e-8)
+        xs = np.random.default_rng(11).uniform(-4.0, 4.0, size=(40, body.dim))
+        ps = body.project_batch(xs)
+        assert within(body, ps, 1e-8).all()
+        assert np.allclose(body.project_batch(ps), ps, atol=1e-8)
 
     @pytest.mark.parametrize("body", bodies_for_properties(), ids=lambda b: type(b).__name__)
     def test_obtuse_angle_inequality(self, body):
         rng = np.random.default_rng(23)
-        for _ in range(40):
-            x = rng.uniform(-4.0, 4.0, size=body.dim)
-            p = body.project(x)
-            for _ in range(5):
-                k = body.sample_point(rng)
-                assert (x - p) @ (k - p) <= 1e-10 * max(1.0, np.linalg.norm(x))
+        xs = rng.uniform(-4.0, 4.0, size=(40, body.dim))
+        ps = body.project_batch(xs)
+        # points of the body: projections of random points, some already inside
+        ks = body.project_batch(rng.uniform(-4.0, 4.0, size=(200, body.dim)))
+        inner = np.sum((xs - ps)[:, None, :] * (ks[None, :, :] - ps[:, None, :]), axis=2)
+        assert np.all(inner <= 1e-10 * np.maximum(1.0, np.linalg.norm(xs, axis=1))[:, None])
 
     @pytest.mark.parametrize("body", bodies_for_properties(), ids=lambda b: type(b).__name__)
     def test_projection_is_nearest_among_samples(self, body):
         rng = np.random.default_rng(37)
-        for _ in range(30):
-            x = rng.uniform(-4.0, 4.0, size=body.dim)
-            d = body.dist(x)
-            for _ in range(5):
-                k = body.sample_point(rng)
-                assert d <= np.linalg.norm(x - k) + 1e-9
+        xs = rng.uniform(-4.0, 4.0, size=(30, body.dim))
+        ks = body.project_batch(rng.uniform(-4.0, 4.0, size=(150, body.dim)))
+        gaps = np.linalg.norm(xs[:, None, :] - ks[None, :, :], axis=2)
+        assert np.all(body.dist_batch(xs)[:, None] <= gaps + 1e-9)
 
     @pytest.mark.parametrize("body", bodies_for_properties(), ids=lambda b: type(b).__name__)
     def test_gradient_matches_projection_form_and_fd(self, body):
@@ -199,13 +231,11 @@ class TestProjectionProperties:
         checked = 0
         while checked < 15:
             x = rng.uniform(-4.0, 4.0, size=body.dim)
-            p = body.project(x)
-            g = body.grad_dist2(x)
-            assert np.allclose(g, 2.0 * (x - p), atol=1e-9)
+            g = grad_dist2(body)(x[None])[0]
             # keep clear of kinks so the FD stencil stays on one smooth piece
-            if abs(np.linalg.norm(x - p)) < 0.05:
+            if abs(np.linalg.norm(g)) < 0.1:
                 continue
-            fd = fd_gradient(body.dist2, x)
+            fd = fd_gradient(body.dist2_batch, x)
             assert np.allclose(g, fd, rtol=1e-4, atol=1e-5)
             checked += 1
 
@@ -214,7 +244,7 @@ class TestProjectionProperties:
         rng = np.random.default_rng(43)
         xs = rng.uniform(-4.0, 4.0, size=(25, body.dim))
         batch = body.dist2_batch(xs)
-        single = np.array([body.dist2(x) for x in xs])
+        single = np.array([body.dist2_batch(x[None])[0] for x in xs])
         assert np.allclose(batch, single, atol=1e-12)
 
 
@@ -240,32 +270,36 @@ def batch_edge_rows(body):
     return body.points.copy()
 
 
-BATCH_BODIES = bodies_for_properties() + [
-    PsdCone(1),
-    PsdCone(3),
-    FinitePointSet(points=[[-1.0, 0.0], [1.0, 1.0], [0.0, -2.0]]),
-]
+PROJECTING_BODIES = bodies_for_properties() + [PsdCone(1), PsdCone(3)]
+# the finite target has distances only
+BATCH_BODIES = PROJECTING_BODIES + [FinitePointSet(points=[[-1.0, 0.0], [1.0, 1.0], [0.0, -2.0]])]
 
 
 class TestBatchProjection:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("body", BATCH_BODIES, ids=lambda b: f"{type(b).__name__}-{b.dim}")
     def test_rows_match_scalar_projection_bit_for_bit(self, body):
+        """Each row of a batch equals its one-row batch, bit for bit."""
         rng = np.random.default_rng(79)
         xs = np.vstack([
             batch_edge_rows(body),
             rng.uniform(-4.0, 4.0, size=(300, body.dim)),
             rng.normal(size=(30, body.dim)) * 1e3,
         ])
-        expected = np.stack([body.project(x) for x in xs])
-        assert np.array_equal(body.project_batch(xs), expected)
-        # strided and Fortran-ordered views give the same rows
-        assert np.array_equal(body.project_batch(xs[::3]), expected[::3])
-        assert np.array_equal(body.project_batch(np.asfortranarray(xs)), expected)
-        empty = body.project_batch(np.empty((0, body.dim)))
-        assert empty.shape == (0, body.dim)
+        primitives = ("dist2_batch", "dist_batch")
+        if hasattr(body, "project_batch"):
+            primitives = ("project_batch",) + primitives
+        for name in primitives:
+            primitive = getattr(body, name)
+            expected = np.stack([primitive(x[None])[0] for x in xs])
+            assert np.array_equal(primitive(xs), expected), name
+            # strided and Fortran-ordered views give the same rows
+            assert np.array_equal(primitive(xs[::3]), expected[::3]), name
+            assert np.array_equal(primitive(np.asfortranarray(xs)), expected), name
+            empty = primitive(np.empty((0, body.dim)))
+            assert empty.shape == (0,) + expected.shape[1:], name
 
-    @pytest.mark.parametrize("body", BATCH_BODIES, ids=lambda b: f"{type(b).__name__}-{b.dim}")
+    @pytest.mark.parametrize("body", PROJECTING_BODIES, ids=lambda b: f"{type(b).__name__}-{b.dim}")
     def test_returns_a_new_array(self, body):
         xs = np.zeros((2, body.dim))
         out = body.project_batch(xs)
@@ -276,7 +310,7 @@ class TestBatchProjection:
         cone = PsdCone(2)
         xs = np.array([[1.0, 0.0, 1.0], [np.nan, 0.0, 1.0]])
         with pytest.raises(ValueError):
-            cone.project(xs[1])
+            cone.project_batch(xs[1:])
         with pytest.raises(ValueError, match="NaN"):
             cone.project_batch(xs)
 
@@ -285,20 +319,13 @@ class TestBatchProjection:
     def test_psd_non_finite_entries_rejected_everywhere(self, bad):
         cone = PsdCone(2)
         xs = np.array([[1.0, 0.0, 1.0], [bad, 0.0, 1.0]])
-        calls = {
-            "spectral_split": lambda: spectral_split(vec_to_sym(xs[1], 2)),
-            "project": lambda: cone.project(xs[1]),
-            "dist2": lambda: cone.dist2(xs[1]),
-            "contains": lambda: cone.contains(xs[1]),
-            "hess_dist2": lambda: cone.hess_dist2(xs[1]),
-            "project_batch": lambda: cone.project_batch(xs),
-            "dist2_batch": lambda: cone.dist2_batch(xs),
-            "hess_dist2_batch": lambda: cone.hess_dist2_batch(xs),
-        }
-        for name, call in calls.items():
-            with pytest.raises(ValueError, match="non-finite"):
-                call()
-                pytest.fail(f"{name} accepted a {bad} entry")
+        primitives = ("project_batch", "dist2_batch", "dist_batch", "hess_dist2_batch")
+        # in a batch, and alone as a one-row batch
+        for name in primitives:
+            for rows in (xs, xs[1:]):
+                with pytest.raises(ValueError, match="non-finite"):
+                    getattr(cone, name)(rows)
+                    pytest.fail(f"{name} accepted a {bad} entry in {len(rows)} rows")
 
     @pytest.mark.parametrize("shape", [(3,), (2, 5), (1, 2, 2)])
     def test_wrong_row_shape_rejected(self, shape):
@@ -309,10 +336,9 @@ class TestBatchProjection:
     def test_wrong_shape_rejected_by_every_method(self, body):
         n = body.dim
         batch = ("project_batch", "dist2_batch", "dist_batch", "hess_dist2_batch")
-        scalar = ("project", "dist2", "dist", "grad_dist2", "hess_dist2")
-        calls = [(name, shape) for name in batch for shape in [(n,), (2, n + 1), (1, 2, n)]]
-        # a point of the wrong length
-        calls += [(name, (n + 1,)) for name in scalar]
+        # a bare point, rows of the wrong length (one or two), a stack of batches
+        shapes = [(n,), (1, n + 1), (2, n + 1), (1, 2, n)]
+        calls = [(name, shape) for name in batch for shape in shapes]
         for name, shape in calls:
             if not hasattr(body, name):
                 continue
@@ -330,7 +356,7 @@ def hessian_rows(body, rng):
     return np.vstack([edge, rng.uniform(-4.0, 4.0, size=(200, body.dim))])
 
 
-HESSIAN_BODIES = bodies_for_properties() + [PsdCone(1), PsdCone(3)]
+HESSIAN_BODIES = PROJECTING_BODIES
 
 
 class TestBatchHessians:
@@ -342,69 +368,73 @@ class TestBatchHessians:
         assert mats.shape == (xs.shape[0], body.dim, body.dim)
         assert defined.shape == (xs.shape[0],) and defined.dtype == bool
         for x, mat, ok in zip(xs, mats, defined):
-            res = body.hess_dist2(x)
-            assert res.defined == ok
-            if ok:
-                assert mat.tobytes() == res.matrix.tobytes()
-            else:
-                assert res.reason and np.all(mat == 0.0)
+            one, one_ok = hess_dist2(body, x)
+            assert one_ok == ok
+            assert mat.tobytes() == one.tobytes()
+            if not ok:
+                assert np.all(mat == 0.0)
         # every body has a nonsmooth locus among the rows
         assert 0 < defined.sum() < xs.shape[0]
         empty, none = body.hess_dist2_batch(np.empty((0, body.dim)))
         assert empty.shape == (0, body.dim, body.dim) and none.shape == (0,)
 
     def test_undefined_reasons_name_the_locus(self):
-        assert Ball(center=[0.0, 0.0], radius=1.0).hess_dist2([1.0, 0.0]).reason == "point on the sphere"
-        assert "facet" in Box([0.0], [1.0]).hess_dist2([1.0]).reason
-        assert "zero" in OrthantProduct(1, 1).hess_dist2([0.0, 3.0]).reason
-        assert "eigenvalue" in PsdCone(2).hess_dist2(sym_to_vec(np.diag([1.0, 0.0]))).reason
-        assert "zero multiplier" in triangle().hess_dist2([0.0, 1.5]).reason
+        """The Hessian is undefined on each body's nonsmooth locus."""
+        loci = [
+            (Ball(center=[0.0, 0.0], radius=1.0), [1.0, 0.0]),  # on the sphere
+            (Box([0.0], [1.0]), [1.0]),  # a coordinate on a facet
+            (OrthantProduct(1, 1), [0.0, 3.0]),  # a constrained coordinate at zero
+            (PsdCone(2), sym_to_vec(np.diag([1.0, 0.0]))),  # a zero eigenvalue
+            (triangle(), [0.0, 1.5]),  # a tight constraint with a zero multiplier
+        ]
+        for body, x in loci:
+            mat, defined = hess_dist2(body, x)
+            assert defined is False and np.all(mat == 0.0), type(body).__name__
 
     def test_polytope_undefined_on_the_kinks_and_exact_elsewhere(self):
         body = triangle()
         # the vertex (2, 1.5), a facet point, and a point outside the vertex
         # on the edge of the normal cone of x <= 2
         for x in ([2.0, 1.5], [0.0, 1.5], [3.0, 1.5]):
-            assert not body.hess_dist2(x).defined, x
-        assert np.array_equal(body.hess_dist2([0.0, 0.0]).matrix, np.zeros((2, 2)))
-        assert np.allclose(body.hess_dist2([0.0, 3.0]).matrix, np.diag([0.0, 2.0]), atol=1e-15)
+            assert not hess_dist2(body, x)[1], x
+        assert np.array_equal(hess_dist2(body, [0.0, 0.0])[0], np.zeros((2, 2)))
+        assert np.allclose(hess_dist2(body, [0.0, 3.0])[0], np.diag([0.0, 2.0]), atol=1e-15)
         # beyond the vertex, inside its normal cone, d2 = |x - v|^2
-        assert np.allclose(body.hess_dist2([3.0, 2.5]).matrix, 2.0 * np.eye(2), atol=1e-15)
+        assert np.allclose(hess_dist2(body, [3.0, 2.5])[0], 2.0 * np.eye(2), atol=1e-15)
 
 
 class TestHessians:
     def test_ball_interior_zero(self):
         ball = Ball(center=[0.0, 0.0], radius=1.0)
-        res = ball.hess_dist2(np.array([0.2, 0.1]))
-        assert res.defined
-        assert np.allclose(res.matrix, 0.0)
+        mat, defined = hess_dist2(ball, [0.2, 0.1])
+        assert defined
+        assert np.allclose(mat, 0.0)
 
     def test_ball_outside_closed_form(self):
         ball = Ball(center=[0.0, 0.0], radius=1.0)
-        res = ball.hess_dist2(np.array([2.0, 0.0]))
-        assert res.defined
-        assert np.allclose(res.matrix, np.diag([2.0, 1.0]))
+        mat, defined = hess_dist2(ball, [2.0, 0.0])
+        assert defined
+        assert np.allclose(mat, np.diag([2.0, 1.0]))
 
     def test_ball_boundary_undefined(self):
         ball = Ball(center=[0.0, 0.0], radius=1.0)
-        res = ball.hess_dist2(np.array([1.0, 0.0]))
-        assert not res.defined
-        with pytest.raises(ValueError, match="undefined"):
-            res.require()
+        mat, defined = hess_dist2(ball, [1.0, 0.0])
+        assert not defined
+        assert np.all(mat == 0.0)
 
     def test_box_facet_undefined_and_pinned_coordinate_smooth(self):
         box = Box(lower=[-1.0, 0.5], upper=[1.0, 0.5])
-        assert not box.hess_dist2(np.array([1.0, 2.0])).defined
-        res = box.hess_dist2(np.array([0.2, 2.0]))
-        assert res.defined
-        assert np.allclose(res.matrix, np.diag([0.0, 2.0]))
+        assert not hess_dist2(box, [1.0, 2.0])[1]
+        mat, defined = hess_dist2(box, [0.2, 2.0])
+        assert defined
+        assert np.allclose(mat, np.diag([0.0, 2.0]))
 
     def test_orthant_case_table(self):
         orth = OrthantProduct(2, 1)
-        res = orth.hess_dist2(np.array([-1.0, 2.0, -3.0]))
-        assert res.defined
-        assert np.allclose(res.matrix, np.diag([2.0, 0.0, 0.0]))
-        assert not orth.hess_dist2(np.array([0.0, 2.0, 1.0])).defined
+        mat, defined = hess_dist2(orth, [-1.0, 2.0, -3.0])
+        assert defined
+        assert np.allclose(mat, np.diag([2.0, 0.0, 0.0]))
+        assert not hess_dist2(orth, [0.0, 2.0, 1.0])[1]
 
     @pytest.mark.parametrize(
         "body",
@@ -417,16 +447,15 @@ class TestHessians:
         checked = 0
         while checked < 12:
             x = rng.uniform(-4.0, 4.0, size=body.dim)
-            res = body.hess_dist2(x)
-            if not res.defined:
+            mat, defined = hess_dist2(body, x)
+            if not defined:
                 continue
             # stay away from the nonsmooth locus by a safe margin
-            probe = [body.hess_dist2(x + dx).defined
-                     for dx in 0.03 * np.vstack([np.eye(body.dim), -np.eye(body.dim)])]
-            if not all(probe):
+            probe = x + 0.03 * np.vstack([np.eye(body.dim), -np.eye(body.dim)])
+            if not body.hess_dist2_batch(probe)[1].all():
                 continue
-            fd = fd_hessian_of_grad(body.grad_dist2, x)
-            assert np.allclose(res.matrix, fd, atol=1e-5)
+            fd = fd_hessian_of_grad(grad_dist2(body), x)
+            assert np.allclose(mat, fd, atol=1e-5)
             checked += 1
 
     def test_psd_fd_oracle_and_eigenvalue_range(self):
@@ -439,27 +468,23 @@ class TestHessians:
             if np.min(np.abs(np.linalg.eigvalsh(mat))) < 0.3:
                 continue
             v = sym_to_vec(mat)
-            res = cone.hess_dist2(v)
-            assert res.defined
-            fd = fd_hessian_of_grad(cone.grad_dist2, v)
-            assert np.allclose(res.matrix, fd, atol=1e-6)
-            eig = np.linalg.eigvalsh(res.matrix)
+            hess, defined = hess_dist2(cone, v)
+            assert defined
+            fd = fd_hessian_of_grad(grad_dist2(cone), v)
+            assert np.allclose(hess, fd, atol=1e-6)
+            eig = np.linalg.eigvalsh(hess)
             assert eig.min() >= -1e-9 and eig.max() <= 2.0 + 1e-9
             checked += 1
 
     def test_psd_singular_matrix_undefined(self):
         cone = PsdCone(2)
-        assert not cone.hess_dist2(sym_to_vec(np.diag([1.0, 0.0]))).defined
+        assert not hess_dist2(cone, sym_to_vec(np.diag([1.0, 0.0])))[1]
 
     @pytest.mark.parametrize("body", bodies_for_properties(), ids=lambda b: type(b).__name__)
     def test_defined_hessians_bounded_by_two(self, body):
-        rng = np.random.default_rng(61)
-        for _ in range(30):
-            x = rng.uniform(-4.0, 4.0, size=body.dim)
-            res = body.hess_dist2(x)
-            if res.defined:
-                eig = np.linalg.eigvalsh(res.matrix)
-                assert eig.min() >= -1e-6 and eig.max() <= 2.0 + 1e-6
+        mats, defined = body.hess_dist2_batch(np.random.default_rng(61).uniform(-4.0, 4.0, size=(30, body.dim)))
+        eig = np.linalg.eigvalsh(mats[defined])
+        assert eig.min() >= -1e-6 and eig.max() <= 2.0 + 1e-6
 
 
 class TestSymmetricEmbedding:
@@ -472,22 +497,18 @@ class TestSymmetricEmbedding:
         assert np.allclose(vec_to_sym(sym_to_vec(a), side), a, atol=1e-12)
         assert sym_to_vec(a) @ sym_to_vec(b) == pytest.approx(np.trace(a @ b), abs=1e-9)
 
-    def test_spectral_split_diagonal(self):
-        parts = spectral_split(np.diag([1.0, -2.0]))
-        assert np.allclose(parts.positive, np.diag([1.0, 0.0]))
-        assert np.allclose(parts.negative, np.diag([0.0, 2.0]))
-
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=60, deadline=None)
     def test_spectral_split_properties(self, seed):
+        """S = P(S) - P(-S), both parts PSD and orthogonal (the PSD cone is self-dual)."""
         rng = np.random.default_rng(seed)
         g = rng.normal(size=(3, 3))
         mat = g + g.T
-        parts = spectral_split(mat)
-        assert np.allclose(parts.positive - parts.negative, mat, atol=1e-10)
-        assert np.linalg.eigvalsh(parts.positive).min() >= -1e-10
-        assert np.linalg.eigvalsh(parts.negative).min() >= -1e-10
-        assert abs(np.trace(parts.positive @ parts.negative)) <= 1e-9
+        positive, negative = vec_to_sym(PsdCone(3).project_batch(sym_to_vec(np.stack([mat, -mat]))), 3)
+        assert np.allclose(positive - negative, mat, atol=1e-10)
+        assert np.linalg.eigvalsh(positive).min() >= -1e-10
+        assert np.linalg.eigvalsh(negative).min() >= -1e-10
+        assert abs(np.trace(positive @ negative)) <= 1e-9
 
     @pytest.mark.parametrize("side", [1, 2, 3, 4])
     def test_stacked_embedding_matches_entrywise_loop(self, side):
@@ -522,10 +543,6 @@ class TestSymmetricEmbedding:
         vecs = sym_to_vec(g + np.swapaxes(g, -1, -2))
         assert vecs.shape == lead + (6,)
         assert vecs.flags.c_contiguous
-
-    def test_asymmetric_input_rejected(self):
-        with pytest.raises(ValueError):
-            spectral_split(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestJumpDefect:
@@ -569,7 +586,7 @@ class TestJumpDefect:
 
 
 def looped_mollified_dist2(body: ConvexBody, x, delta, quad) -> MollifiedResult:
-    """``mollified_dist2`` with one scalar call per quadrature node, as the reference."""
+    """``mollified_dist2`` with one one-row batch per quadrature node, as the reference."""
     x = np.asarray(x, dtype=float)
     dim = x.shape[0]
     nodes, base_w = _quad_nodes(dim, quad)
@@ -580,15 +597,15 @@ def looped_mollified_dist2(body: ConvexBody, x, delta, quad) -> MollifiedResult:
     low_confidence = nodes_used < 8 or mass <= 0.0
     pts = x - delta * nodes[live]
     kv = kernel[live]
-    value = float(kv @ np.array([body.dist2(p) for p in pts]) / mass)
-    gradient = kv @ np.array([body.grad_dist2(p) for p in pts]) / mass
+    value = float(kv @ np.array([body.dist2_batch(p[None])[0] for p in pts]) / mass)
+    gradient = kv @ np.array([grad_dist2(body)(p[None])[0] for p in pts]) / mass
     hess_sum = np.zeros((dim, dim))
     hess_mass = 0.0
     skipped = 0
     for weight, p in zip(kv, pts):
-        res = body.hess_dist2(p)
-        if res.defined:
-            hess_sum += weight * res.matrix
+        mat, defined = hess_dist2(body, p)
+        if defined:
+            hess_sum += weight * mat
             hess_mass += weight
         else:
             skipped += 1
@@ -634,7 +651,7 @@ class TestMollifiedDistance:
                 x = rng.uniform(-3.0, 3.0, size=2)
                 delta = rng.uniform(0.05, 0.5)
                 res = mollified_dist2(body, x, delta)
-                dk = body.dist(x)
+                dk = body.dist_batch(x[None])[0]
                 assert -1e-12 <= res.value <= (dk + delta) ** 2 + 1e-9
                 assert np.linalg.norm(res.gradient) <= 2.0 * (dk + delta) + 1e-9
                 eig = np.linalg.eigvalsh(res.hessian)
@@ -643,7 +660,7 @@ class TestMollifiedDistance:
     def test_converges_monotonically_outside(self):
         ball = Ball(center=[0.0, 0.0], radius=1.0)
         x = np.array([2.0, 0.5])
-        errs = [mollified_dist2(ball, x, d).value - ball.dist2(x) for d in (0.2, 0.1, 0.05)]
+        errs = [mollified_dist2(ball, x, d).value - ball.dist2_batch(x[None])[0] for d in (0.2, 0.1, 0.05)]
         assert all(e >= 0.0 for e in errs)
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 1e-3
@@ -658,8 +675,9 @@ class TestMollifiedDistance:
         x = np.array([-1.0, 0.5, -0.3, 2.0])
         res = mollified_dist2(orth, x, 0.3, QuadSpec(mc_samples=4000, seed=5))
         assert isinstance(res, MollifiedResult)
-        assert abs(res.value - orth.dist2(x)) < 0.5
-        assert res.value >= orth.dist2(x) - 1e-9
+        d2 = orth.dist2_batch(x[None])[0]
+        assert abs(res.value - d2) < 0.5
+        assert res.value >= d2 - 1e-9
 
     def test_low_confidence_flag_for_tiny_budget(self):
         orth = OrthantProduct(4, 0)
@@ -670,18 +688,27 @@ class TestMollifiedDistance:
         with pytest.raises(ValueError):
             mollified_dist2(Ball(center=[0.0], radius=1.0), np.array([2.0]), 0.0)
 
+    @pytest.mark.parametrize(
+        "x, delta",
+        [([2.0], math.nan), ([2.0], math.inf), ([2.0], -1.0), ([math.nan], 0.1), ([math.inf], 0.1),
+         ([2.0, 0.0], 0.1), ([[2.0]], 0.1)],
+        ids=["nan-width", "inf-width", "negative-width", "nan-point", "inf-point", "long-point",
+             "row-point"],
+    )
+    def test_non_finite_or_misshapen_input_rejected(self, x, delta):
+        with pytest.raises(ValueError, match="width must be finite and positive|finite vector of length 1"):
+            mollified_dist2(Ball(center=[0.0], radius=1.0), np.array(x), delta)
+
 
 class TestFinitePointSet:
     def test_two_point_target(self):
         target = FinitePointSet(points=[[-1.0], [1.0]])
-        assert target.dist(np.array([0.0])) == pytest.approx(1.0)
-        assert np.allclose(target.project(np.array([0.2])), [1.0])
-        assert target.contains(np.array([-1.0]))
+        assert np.allclose(target.dist_batch([[0.0], [0.2], [-1.0]]), [1.0, 0.8, 0.0])
 
     def test_batch_matches_scalar(self):
         target = FinitePointSet(points=[[-1.0, 0.0], [1.0, 1.0]])
         rng = np.random.default_rng(73)
         xs = rng.uniform(-2.0, 2.0, size=(30, 2))
         batch = target.dist2_batch(xs)
-        single = np.array([target.dist2(x) for x in xs])
+        single = np.array([target.dist2_batch(x[None])[0] for x in xs])
         assert np.allclose(batch, single)

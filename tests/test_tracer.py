@@ -44,7 +44,7 @@ def test_layer_tracer_installs_on_the_package_and_uninstalls_cleanly():
         for name in ("check_comparison_multidim", "comparison_lhs_rhs", "matrix_lhs_rhs"):
             assert hasattr(getattr(bsdelab.conditions, name), "__wrapped__"), name
         assert hasattr(bsdelab.geometry.jump_defect, "__wrapped__")
-        assert hasattr(bsdelab.geometry.Ball.project, "__wrapped__")
+        assert hasattr(bsdelab.geometry.Ball.dist_batch, "__wrapped__")
     finally:
         tracer.uninstall()
     assert not tracer.installed
