@@ -34,13 +34,13 @@ import numpy as np
 
 from . import __version__
 from .conditions import (
+    ComparisonPathReducer,
+    ViabilityPathReducer,
     check_comparison_m1,
     check_comparison_matrix,
     check_comparison_multidim,
     check_structural,
     check_viability_condition,
-    comparison_path_report,
-    viability_path_report,
 )
 from .generators import AffineGen, Generator, ProjectionDriftGen, ScaledJumpGen, ZeroGen
 from .geometry import (
@@ -59,7 +59,7 @@ from .solver import (
     TerminalCondition,
     solve_backward_many,
 )
-from .stochastic import DrivingPaths, FiniteMarkMeasure, TimeGrid, _on_two_threads, simulate_paths
+from .stochastic import DrivingPaths, FiniteMarkMeasure, TimeGrid, simulate_paths
 from .svgplot import render_line_plot
 
 __all__ = [
@@ -543,19 +543,26 @@ class _ScenarioRun:
     Its problems are ``generator`` with ``terminal`` and, when a
     ``comparison-empirical`` check is selected, ``generator2`` with
     ``terminal2``; the first check that needs a solution solves all of
-    them in one backward pass, which keeps no integrands (no check reads
-    z or u).  Every array is read-only, so each check
-    sees the same draws and the same solutions and none can change them
-    for the next.  ``seconds`` times the draw, the backward pass and each
-    check run through ``run_check``, for the manifest.
+    them in one backward pass.  No check reads a whole store, so the pass
+    keeps none: it feeds each node it solves to the node reducers of the
+    selected ``kinds`` (``reducers``, by kind) and to ``extra_reducers``,
+    and each check reads its reducer.  The bundle and the solutions'
+    ``y0`` and ``y0_se`` are read-only, so each check sees the same draws
+    and the same solutions and none can change them for the next.
+    ``seconds`` times the draw, the backward pass and each check run
+    through ``run_check``, for the manifest.
     """
 
-    def __init__(self, scenario: Scenario, kinds):
+    def __init__(self, scenario: Scenario, kinds, extra_reducers=()):
         self.scenario = scenario
         self._problems = [(scenario.generator, scenario.terminal)]
         second = (scenario.generator2, scenario.terminal2)
         if "comparison-empirical" in kinds and None not in second:
             self._problems.append(second)
+        self.reducers = {
+            kind: _CHECKS[kind].reducer(scenario) for kind in kinds if _CHECKS[kind].reducer
+        }
+        self._fed = [*self.reducers.values(), *extra_reducers]
         self._paths = None
         self._solutions = None
         self.seconds = {"checks": []}
@@ -577,15 +584,20 @@ class _ScenarioRun:
         if self._solutions is None:
             s = self.scenario
             paths = self.paths()
+
+            def on_node(i, ys):
+                for reduce in self._fed:
+                    reduce(i, ys)
+
             started = time.perf_counter()
             solutions = solve_backward_many(
-                self._problems, paths,
-                basis=RegressionBasis(s.solver.basis_degree), mode=s.solver.mode,
+                self._problems, paths, basis=RegressionBasis(s.solver.basis_degree),
+                mode=s.solver.mode, keep=(), on_node=on_node,
             )
             self.seconds["backward"] = time.perf_counter() - started
             self.seconds["backward_split"] = solutions[0].seconds
             for sol in solutions:
-                _read_only(sol.y, sol.y0, sol.y0_se)
+                _read_only(sol.y0, sol.y0_se)
             self._solutions = solutions
         return self._solutions
 
@@ -629,31 +641,40 @@ def _simulate(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
     return _row("simulate", "completed", True, n, detail), paths
 
 
+class _NodeStats:
+    """The solve table's statistics of the primary problem, one node at a
+    time: each component's 5% and 95% quantiles, mean and std over paths,
+    and the mean distance to the target, if the scenario has one."""
+
+    def __init__(self, scenario: Scenario):
+        n_nodes = scenario.grid.nodes.shape[0]
+        self.target = scenario.target
+        self.stats = np.empty((4, n_nodes, scenario.generator.state_dim))
+        self.dk_mean = np.empty(n_nodes)
+
+    def __call__(self, i: int, ys) -> None:
+        y = ys[0]
+        self.stats[:2, i] = np.quantile(y, [0.05, 0.95], axis=0)
+        self.stats[2, i] = y.mean(axis=0)
+        self.stats[3, i] = y.std(axis=0)
+        if self.target is not None:
+            self.dk_mean[i] = self.target.dist_batch(y).mean()
+
+
 def _solve(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
     scenario = run.scenario
     sol = run.solutions()[0]
     m = sol.state_dim
+    stats = run.reducers["solve"]
+    lo, hi, mean, std = stats.stats
     columns = [("t", list(sol.times))]
-    # node by node, half of the nodes on a worker thread; the same bytes as
-    # one reduction over the whole store, without its copies of it
-    y = sol.y
-    lo, hi, mean, std = stats = np.empty((4, y.shape[0], m))
-
-    def node_stats(first, stop):
-        for i in range(first, stop):
-            stats[:2, i] = np.quantile(y[i], [0.05, 0.95], axis=0)
-            stats[2, i] = y[i].mean(axis=0)
-            stats[3, i] = y[i].std(axis=0)
-
-    _on_two_threads(node_stats, y.shape[0])
     for k in range(m):
         columns.append((f"y{k}_mean", list(mean[:, k])))
         columns.append((f"y{k}_std", list(std[:, k])))
         columns.append((f"y{k}_lo", list(lo[:, k])))
         columns.append((f"y{k}_hi", list(hi[:, k])))
     if scenario.target is not None:
-        # the mean over paths at each node, one node's distances at a time
-        columns.append(("dk_mean", [scenario.target.dist_batch(y_i).mean() for y_i in y]))
+        columns.append(("dk_mean", list(stats.dk_mean)))
     writer.write_table("y_stats", columns)
     svg = render_line_plot(
         sol.times,
@@ -687,7 +708,7 @@ def _viability_empirical(run: _ScenarioRun, params: dict, writer: _ArtifactWrite
     scenario = run.scenario
     level, expect = params["level"], params["expect"]
     sol = run.solutions()[0]
-    report = viability_path_report(sol, scenario.target)
+    report = run.reducers["viability-empirical"].report()
     columns = [("t", list(report.times)), ("dk_mean", list(report.mean_distance))]
     writer.write_table("distance_stats", columns)
     svg = render_line_plot(
@@ -726,7 +747,7 @@ def _comparison_empirical(run: _ScenarioRun, params: dict, writer: _ArtifactWrit
     scenario = run.scenario
     tolerance = params["tolerance"]
     sol1, sol2 = run.solutions()
-    report = comparison_path_report(sol1, sol2)
+    report = run.reducers["comparison-empirical"].report()
     columns = [
         ("t", list(report.times)),
         ("gap_min", list(report.min_gap_per_time)),
@@ -777,12 +798,14 @@ def _matrix(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
 
 
 class _Check(NamedTuple):
-    """One check kind: its runner, the scenario fields it needs, the type
-    its target must have, the Brownian dimension it is set up for (None:
-    any), and the field table of its parameters, ``expect`` among them if
-    it takes one."""
+    """One check kind: its runner, the maker of its node reducer from the
+    scenario (None: it reads no solved node), the scenario fields it needs,
+    the type its target must have, the Brownian dimension it is set up for
+    (None: any), and the field table of its parameters, ``expect`` among
+    them if it takes one."""
 
     run: Callable
+    reducer: Callable | None
     needs: tuple
     target: type
     brownian_dim: int | None
@@ -792,31 +815,35 @@ class _Check(NamedTuple):
 _SAMPLES = _at_least(1)
 _VERDICT = _choice("certified", "falsified")
 _CHECKS = {
-    "simulate": _Check(_simulate, (), object, None, {}),
-    "solve": _Check(_solve, ("generator", "terminal"), object, None, {}),
+    "simulate": _Check(_simulate, None, (), object, None, {}),
+    "solve": _Check(_solve, _NodeStats, ("generator", "terminal"), object, None, {}),
     "viability": _Check(
-        _viability, ("generator", "target"), ConvexBody, None,
+        _viability, None, ("generator", "target"), ConvexBody, None,
         {"samples": (_SAMPLES, 4000), "c_max": (_nonnegative, 100.0),
          "threshold": (_nonnegative, None)},
     ),
     "viability-empirical": _Check(
-        _viability_empirical, ("generator", "terminal", "target"), object, None,
+        _viability_empirical,
+        lambda scenario: ViabilityPathReducer(scenario.target, scenario.grid.nodes),
+        ("generator", "terminal", "target"), object, None,
         {"level": (_nonnegative, 0.05), "expect": _choice("within", "exceeds")},
     ),
     "comparison": _Check(
-        _comparison, ("generator", "generator2"), object, None,
+        _comparison, None, ("generator", "generator2"), object, None,
         {"samples": (_SAMPLES, 3000), "c_max": (_nonnegative, 500.0), "expect": _VERDICT},
     ),
     "comparison-empirical": _Check(
-        _comparison_empirical, ("generator", "generator2", "terminal", "terminal2"), object, None,
+        _comparison_empirical,
+        lambda scenario: ComparisonPathReducer(scenario.grid.nodes),
+        ("generator", "generator2", "terminal", "terminal2"), object, None,
         {"tolerance": (_number, 0.02), "expect": _choice("ordered", "violated")},
     ),
     "structural": _Check(
-        _structural, ("generator",), object, None,
+        _structural, None, ("generator",), object, None,
         {"samples": (_SAMPLES, 2500), "c_max": (_nonnegative, 500.0), "expect": _VERDICT},
     ),
     "matrix": _Check(
-        _matrix, ("generator", "generator2", "target"), PsdCone, 1,
+        _matrix, None, ("generator", "generator2", "target"), PsdCone, 1,
         {"samples": (_SAMPLES, 3000), "c_max": (_nonnegative, 500.0), "expect": _VERDICT},
     ),
 }
@@ -855,8 +882,11 @@ class RunManifest:
     it ran, and of each check in run order (``checks``, without the draw
     and backward pass it made).  ``backward_split`` says where the pass's
     time went: its worker's seconds building designs (``design``) and
-    step regressions (``regression``), and the main thread's seconds
-    waiting for them (``wait``).  No table carries any of these.
+    step regressions (``regression``), the main thread's seconds waiting
+    for them (``wait``), in fits (``fit``) and in drivers (``driver``),
+    and the seconds of the checks' node reductions (``nodes``), which run
+    in the pass on whichever thread is free.  No table carries any of
+    these.
     """
 
     name: str
@@ -905,6 +935,17 @@ def run_scenario(
     depend on which other checks run.  ``extra_acceptance`` may inspect
     the in-memory results and append extra verdict rows.
     """
+    return _run_scenario(
+        config, out_dir, fmt=fmt, checks=checks, seed=seed, paths=paths, steps=steps,
+        extra_acceptance=extra_acceptance, extra_reducers=(),
+    )
+
+
+def _run_scenario(
+    config, out_dir, *, fmt, checks, seed, paths, steps, extra_acceptance, extra_reducers
+) -> RunManifest:
+    """:func:`run_scenario`, whose backward pass also feeds each solved node
+    to ``extra_reducers``, for ``extra_acceptance`` to read."""
     doc = _read_config(config) if isinstance(config, (str, Path)) else _as_dict(config, "<config>")
     doc = json.loads(json.dumps(doc))  # a copy for the overrides
     if seed is not None:
@@ -945,7 +986,7 @@ def run_scenario(
     config_hash = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     started = time.perf_counter()
-    run = _ScenarioRun(scenario, {spec.kind for spec in selected})
+    run = _ScenarioRun(scenario, {spec.kind for spec in selected}, extra_reducers)
     rows, payloads = [], []
     for spec in selected:
         row, payload = run.run_check(spec, writer)
@@ -1003,10 +1044,18 @@ def _example28_config() -> dict:
     }
 
 
-def _ball_norm(payload) -> dict:
-    _report, sol = payload
-    # node by node, with no (N + 1) x n store of norms
-    worst = float(max(np.linalg.norm(y_i, axis=1).mean() for y_i in sol.y))
+class _MeanNorms:
+    """The primary problem's mean norm |Y_t| over paths, one node at a time."""
+
+    def __init__(self):
+        self.values = []
+
+    def __call__(self, i: int, ys) -> None:
+        self.values.append(np.linalg.norm(ys[0], axis=1).mean())
+
+
+def _ball_norm(_payload, norms: _MeanNorms) -> dict:
+    worst = float(max(norms.values))
     detail = f"max_t mean |Y_t| = {worst:.6f} (bound 1.05)"
     return _bound_row("acceptance:ball-norm", worst, 1.05, worst, detail)
 
@@ -1029,7 +1078,7 @@ def _remark34a_config() -> dict:
 def _y0_within(target_y0: float, tolerance: float):
     """The row of a ``solve`` check's ``Y_0``, ``within`` when |Y_0 - target_y0| <= tolerance."""
 
-    def row(sol) -> dict:
+    def row(sol, _reducer) -> dict:
         err = float(abs(sol.y0[0] - target_y0))
         detail = f"|Y_0 - ({target_y0})| = {err:.6f} (tolerance {tolerance})"
         return _bound_row("acceptance:y0", err, tolerance, sol.y0[0], detail)
@@ -1048,7 +1097,7 @@ def _remark34b_config() -> dict:
     }
 
 
-def _violation_fraction(payload) -> dict:
+def _violation_fraction(payload, _reducer) -> dict:
     report, expected = payload[0], float(np.exp(-0.5))
     idx = int(np.argmin(np.abs(report.times - 0.5)))
     frac = float(report.violation_fraction[idx])
@@ -1075,14 +1124,23 @@ def _thm25_config() -> dict:
     }
 
 
-# each preset: its config, and the function of a check's payload that gives
-# its acceptance row, by check kind
+class _Acceptance(NamedTuple):
+    """A preset's acceptance row for one check kind: the function of the
+    check's payload and of its node reducer that gives the row, and the
+    maker of that reducer (None: the row reads the payload only)."""
+
+    row: Callable
+    reducer: Callable | None = None
+
+
+# each preset: its config, and its acceptance rows, by check kind
 _PRESETS = {
-    "example28": (_example28_config, {"viability-empirical": _ball_norm}),
-    "remark34a": (_remark34a_config, {"solve": _y0_within(0.5, 0.02)}),
+    "example28": (_example28_config, {"viability-empirical": _Acceptance(_ball_norm, _MeanNorms)}),
+    "remark34a": (_remark34a_config, {"solve": _Acceptance(_y0_within(0.5, 0.02))}),
     "remark34b": (
         _remark34b_config,
-        {"solve": _y0_within(-1.0, 0.02), "comparison-empirical": _violation_fraction},
+        {"solve": _Acceptance(_y0_within(-1.0, 0.02)),
+         "comparison-empirical": _Acceptance(_violation_fraction)},
     ),
     "thm25-demo": (_thm25_config, {}),
 }
@@ -1095,12 +1153,16 @@ def reproduce(name: str, out_dir=None, *, fmt="csv", seed=None, paths=None, step
     if name not in _PRESETS:
         raise ScenarioError("preset", f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     build, rows = _PRESETS[name]
-    return run_scenario(
-        build(), out_dir, fmt=fmt, seed=seed, paths=paths, steps=steps,
+    # the rows' node reducers, fed by the run's one backward pass
+    reducers = {kind: row.reducer() for kind, row in rows.items() if row.reducer is not None}
+    return _run_scenario(
+        build(), out_dir, fmt=fmt, checks=None, seed=seed, paths=paths, steps=steps,
         # one acceptance row for each check of a kind the preset names, in check order
         extra_acceptance=lambda _scenario, payloads: [
-            rows[spec.kind](payload) for spec, _row, payload in payloads if spec.kind in rows
+            rows[spec.kind].row(payload, reducers.get(spec.kind))
+            for spec, _row, payload in payloads if spec.kind in rows
         ],
+        extra_reducers=reducers.values(),
     )
 
 

@@ -45,6 +45,7 @@ from .solver import (
     BsdeSolution,
     RegressionBasis,
     TerminalCondition,
+    replay_nodes,
     solve_backward,
     solve_backward_many,
 )
@@ -57,6 +58,7 @@ __all__ = [
     "viability_lhs_rhs",
     "check_viability_condition",
     "ViabilityPathReport",
+    "ViabilityPathReducer",
     "viability_path_report",
     "check_viability_empirical",
     "check_comparison_m1",
@@ -67,6 +69,7 @@ __all__ = [
     "StackedGenerator",
     "stacked_reduction",
     "ComparisonPathReport",
+    "ComparisonPathReducer",
     "comparison_path_report",
     "empirical_comparison",
 ]
@@ -589,25 +592,48 @@ class ViabilityPathReport:
     max_mean_distance: float
 
 
+class ViabilityPathReducer:
+    """:func:`viability_path_report` one node at a time.
+
+    Fed ``reducer(i, ys)`` for i = N, ..., 0 on the nodes ``times``, with
+    the solved problem's node i first in ``ys``, by a backward pass's
+    ``on_node`` or by :func:`replay_nodes`; it holds one node's distances,
+    not the whole path's.  The terminal node, which is the payoff itself,
+    must sit in the target set.
+    """
+
+    def __init__(self, body, times: np.ndarray):
+        self.body = body
+        self.times = times
+        self.mean_distance = np.empty(times.shape[0])
+
+    def __call__(self, i: int, ys) -> None:
+        dist = self.body.dist_batch(ys[0])
+        if i == self.times.shape[0] - 1 and np.any(dist > 1e-6):
+            raise ValueError(
+                f"terminal data leaves the target set (max distance {dist.max():.3e})"
+            )
+        self.mean_distance[i] = dist.mean()
+
+    def report(self) -> ViabilityPathReport:
+        return ViabilityPathReport(
+            times=self.times.copy(),
+            mean_distance=self.mean_distance,
+            max_mean_distance=float(self.mean_distance.max()),
+        )
+
+
 def viability_path_report(sol: BsdeSolution, body) -> ViabilityPathReport:
-    """Track how far a solved equation strays from the target set.
+    """Track how far a solved equation, which kept y, strays from the
+    target set.
 
     The terminal values ``sol.y[-1]``, which are the payoff itself,
     must sit in the target set; the report carries the per-time mean
-    distance over paths and its largest value.  It measures one node at
-    a time, so it holds one node's distances, not the whole path's.
+    distance over paths and its largest value (:class:`ViabilityPathReducer`).
     """
-    xi_dist = body.dist_batch(sol.y[-1])
-    if np.any(xi_dist > 1e-6):
-        raise ValueError(
-            f"terminal data leaves the target set (max distance {xi_dist.max():.3e})"
-        )
-    mean_distance = np.array([body.dist_batch(y_i).mean() for y_i in sol.y[:-1]] + [xi_dist.mean()])
-    return ViabilityPathReport(
-        times=sol.times.copy(),
-        mean_distance=mean_distance,
-        max_mean_distance=float(mean_distance.max()),
-    )
+    reducer = ViabilityPathReducer(body, sol.times)
+    replay_nodes([sol], reducer)
+    return reducer.report()
 
 
 def check_viability_empirical(
@@ -942,35 +968,56 @@ class ComparisonPathReport:
     gap_at_zero: np.ndarray
 
 
+class ComparisonPathReducer:
+    """:func:`comparison_path_report` one node at a time.
+
+    Fed ``reducer(i, ys)`` for i = N, ..., 0 on the nodes ``times``, with
+    node i of the dominating problem and of the dominated one first in
+    ``ys``, by a backward pass's ``on_node`` or by :func:`replay_nodes`;
+    it holds one node's gap, not the whole path's.  The terminal nodes,
+    which are the payoffs themselves, must already be ordered.
+    """
+
+    def __init__(self, times: np.ndarray):
+        self.times = times
+        self.min_gap_per_time = np.empty(times.shape[0])
+        self.violation_fraction = np.empty(times.shape[0])
+        self.gap_at_zero = None
+
+    def __call__(self, i: int, ys) -> None:
+        y1, y2 = ys[:2]
+        if i == self.times.shape[0] - 1 and np.any(y1 < y2 - 1e-12):
+            raise ValueError("terminal data is not ordered: xi1 must dominate xi2 pathwise")
+        gap = y1 - y2
+        self.min_gap_per_time[i] = gap.min()
+        self.violation_fraction[i] = (gap < 0.0).any(axis=1).mean()
+        if i == 0:
+            self.gap_at_zero = gap.mean(axis=0)
+
+    def report(self) -> ComparisonPathReport:
+        return ComparisonPathReport(
+            times=self.times.copy(),
+            min_gap=float(self.min_gap_per_time.min()),
+            min_gap_per_time=self.min_gap_per_time,
+            violation_fraction=self.violation_fraction,
+            gap_at_zero=self.gap_at_zero,
+        )
+
+
 def comparison_path_report(sol1: BsdeSolution, sol2: BsdeSolution) -> ComparisonPathReport:
-    """Compare two equations solved on one path bundle.
+    """Compare two equations solved on one path bundle, each keeping y.
 
     The terminal values ``sol.y[-1]``, which are the payoffs
     themselves, must already be ordered; the report tracks the smallest
     componentwise gap and the per-time fraction of paths where the
-    ordering fails.  It reduces one node at a time, so it holds one
-    node's gap, not the whole path's."""
+    ordering fails (:class:`ComparisonPathReducer`)."""
     if sol1.paths is not sol2.paths:
         raise ValueError("solutions must be solved on one path bundle")
     if sol1.state_dim != sol2.state_dim:
         raise ValueError("solutions must share the state dimension")
-    if np.any(sol1.y[-1] < sol2.y[-1] - 1e-12):
-        raise ValueError("terminal data is not ordered: xi1 must dominate xi2 pathwise")
-    n_nodes = sol1.y.shape[0]
-    min_gap_per_time, violation_fraction = np.empty(n_nodes), np.empty(n_nodes)
-    for i in range(n_nodes):
-        gap = sol1.y[i] - sol2.y[i]
-        min_gap_per_time[i] = gap.min()
-        violation_fraction[i] = (gap < 0.0).any(axis=1).mean()
-        if i == 0:
-            gap_at_zero = gap.mean(axis=0)
-    return ComparisonPathReport(
-        times=sol1.times.copy(),
-        min_gap=float(min_gap_per_time.min()),
-        min_gap_per_time=min_gap_per_time,
-        violation_fraction=violation_fraction,
-        gap_at_zero=gap_at_zero,
-    )
+    reducer = ComparisonPathReducer(sol1.times)
+    replay_nodes([sol1, sol2], reducer)
+    return reducer.report()
 
 
 def empirical_comparison(

@@ -56,6 +56,14 @@ def _rows(xs, dim: int) -> np.ndarray:
     return xs
 
 
+def _vector(v, name: str) -> np.ndarray:
+    """``v`` as a float vector, refused unless it is one and nonempty."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError(f"{name} must be a nonempty vector, got shape {v.shape}")
+    return v
+
+
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products of matching rows of two (n, k) arrays.
 
@@ -106,7 +114,7 @@ class Ball(ConvexBody):
     radius: float
 
     def __post_init__(self):
-        center = np.asarray(self.center, dtype=float).ravel()
+        center = _vector(self.center, "ball centre")
         if not (np.isfinite(center).all() and np.isfinite(self.radius) and self.radius > 0.0):
             raise ValueError("ball centre and radius must be finite, and the radius positive")
         object.__setattr__(self, "center", center)
@@ -152,8 +160,7 @@ class Box(ConvexBody):
     upper: np.ndarray
 
     def __post_init__(self):
-        lower = np.asarray(self.lower, dtype=float).ravel()
-        upper = np.asarray(self.upper, dtype=float).ravel()
+        lower, upper = _vector(self.lower, "box lower bound"), _vector(self.upper, "box upper bound")
         if lower.shape != upper.shape:
             raise ValueError("box bounds must have matching shapes")
         # false on a NaN bound; infinite bounds make a valid, unbounded box
@@ -503,10 +510,16 @@ class QuadSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # numpy integers pass; a float raises TypeError here, not at first use
+        for name in ("nodes_per_axis", "mc_samples", "seed"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.nodes_per_axis < 2:
             raise ValueError("need at least two nodes per axis")
         if self.mc_samples < 1:
             raise ValueError("need at least one Monte Carlo sample")
+        # the Monte Carlo nodes key on an unsigned 64-bit seed
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("quadrature seed must be nonnegative and below 2**64")
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ __all__ = [
     "SolverError",
     "solve_backward",
     "solve_backward_many",
+    "replay_nodes",
     "DeviationCurves",
     "apriori_diagnostics",
 ]
@@ -207,19 +208,21 @@ class _StepRegression:
 class BsdeSolution:
     """Backward pass output on the simulation grid.
 
-    Time-major: y has shape (N + 1, n_paths, m).  The martingale
-    integrands z, shape (N, n_paths, m, d), and u, shape
-    (N, n_paths, n_atoms, m), are kept only by a pass asked for them
-    (``integrands=True``) and are None otherwise.  ``y0`` averages the
-    time-zero values, with a first-order Monte Carlo standard error.
-    ``seconds`` is where the pass's time went: the worker's seconds in
-    the design build (``design``) and in the step regressions
-    (``regression``), and the calling thread's seconds waiting for them
-    (``wait``).
+    Time-major: the values y, shape (N + 1, n_paths, m), and the
+    martingale integrands z, shape (N, n_paths, m, d), and u, shape
+    (N, n_paths, n_atoms, m), are each kept only by a pass asked for
+    them (``keep``) and are None otherwise.  ``y0`` averages the
+    time-zero values, with a first-order Monte Carlo standard error; the
+    pass reduces both from its nodes 0 and 1, kept or not.  ``seconds``
+    is where the pass's time went: the worker's seconds in the design
+    build (``design``) and in the step regressions (``regression``), the
+    calling thread's seconds waiting for them (``wait``), in the fits
+    (``fit``) and in the drivers (``driver``), and the seconds in the node
+    callback (``nodes``), on whichever thread ran it.
     """
 
     times: np.ndarray
-    y: np.ndarray
+    y: np.ndarray | None
     z: np.ndarray | None
     u: np.ndarray | None
     y0: np.ndarray
@@ -231,11 +234,11 @@ class BsdeSolution:
 
     @property
     def n_paths(self) -> int:
-        return self.y.shape[1]
+        return self.paths.n_paths
 
     @property
     def state_dim(self) -> int:
-        return self.y.shape[2]
+        return self.y0.shape[0]
 
 
 def _check_jump_power(paths: DrivingPaths):
@@ -253,44 +256,48 @@ def _check_jump_power(paths: DrivingPaths):
         )
 
 
-def _finite_driver(gen: Generator, t: float, y, z, u, step: int, where: str) -> np.ndarray:
+def _finite_driver(gen: Generator, t: float, y, z, u, step: int, where: str, seconds: dict) -> np.ndarray:
+    started = time.perf_counter()
     out = gen(t, y, z, u)
+    seconds["driver"] += time.perf_counter() - started
     if not np.isfinite(out).all():
         bad = int(np.count_nonzero(~np.isfinite(out).all(axis=1)))
         raise SolverError(f"driver{where} returned non-finite values at step {step} on {bad} paths")
     return out
 
 
-def _problem_step(gen, y, z, u, i, h, t_i, reg, dw, comp, marks, where, mode):
+def _problem_step(gen, y_next, y_i, z, u, i, h, t_i, reg, dw, comp, marks, where, mode, seconds):
     """One problem's share of step i: its targets, its fit and its driver.
 
-    ``y`` is the time-major store (N + 1, n, m), and step i writes y[i];
-    ``z`` (n, m, d) and ``u`` (n, J, m) are the step's integrand slots,
-    contiguous, which it overwrites.  A function, so that one problem's
-    step temporaries are freed before the next problem makes its own.
+    Step i reads node i + 1, ``y_next`` (n, m), and writes node i into
+    ``y_i``; ``z`` (n, m, d) and ``u`` (n, J, m) are the step's integrand
+    slots, contiguous, which it overwrites.  A function, so that one
+    problem's step temporaries are freed before the next problem makes
+    its own.
     """
-    n, m = y.shape[1], gen.state_dim
+    n, m = y_next.shape
     d, J = dw.shape[1], comp.shape[1]
-    y_next = y[i + 1]
     z_target = (y_next[:, :, None] * dw[:, None, :]).reshape(n, m * d) / h
     u_target = (y_next[:, None, :] * comp[:, :, None]).reshape(n, J * m)
     u_target /= h * np.repeat(marks.weights, m)
     stacked = np.concatenate([y_next, z_target, u_target], axis=1)
+    started = time.perf_counter()
     fitted = reg.fit(stacked)
+    seconds["fit"] += time.perf_counter() - started
     cond_mean = fitted[:, :m]
     z[...] = fitted[:, m : m + m * d].reshape(n, m, d)
     u[...] = fitted[:, m + m * d :].reshape(n, J, m)
 
     if mode == "explicit":
-        y[i] = cond_mean + h * _finite_driver(gen, t_i, cond_mean, z, u, i, where)
+        y_i[...] = cond_mean + h * _finite_driver(gen, t_i, cond_mean, z, u, i, where, seconds)
         return
     current = cond_mean.copy()
     for _ in range(_FIXED_POINT_MAX_ITER):
-        nxt = cond_mean + h * _finite_driver(gen, t_i, current, z, u, i, where)
+        nxt = cond_mean + h * _finite_driver(gen, t_i, current, z, u, i, where, seconds)
         delta = np.max(np.abs(nxt - current))
         current = nxt
         if delta <= _FIXED_POINT_TOL:
-            y[i] = current
+            y_i[...] = current
             return
     raise SolverError(f"implicit fixed point{where} stalled at step {i}")
 
@@ -301,7 +308,7 @@ def solve_backward(
     paths: DrivingPaths,
     basis: RegressionBasis | None = None,
     mode: str = "explicit",
-    integrands: bool = False,
+    keep=("y",),
 ) -> BsdeSolution:
     """Run the backward induction over a simulated bundle.
 
@@ -309,11 +316,9 @@ def solve_backward(
     regressed conditional mean into the driver, "implicit" solves the
     one-step fixed point (requires h * Lipschitz < 1).  This is the
     one-problem case of :func:`solve_backward_many`, which also says what
-    ``integrands`` keeps.
+    ``keep`` keeps.
     """
-    (sol,) = solve_backward_many(
-        [(gen, terminal)], paths, basis=basis, mode=mode, integrands=integrands
-    )
+    (sol,) = solve_backward_many([(gen, terminal)], paths, basis=basis, mode=mode, keep=keep)
     return sol
 
 
@@ -322,7 +327,8 @@ def solve_backward_many(
     paths: DrivingPaths,
     basis: RegressionBasis | None = None,
     mode: str = "explicit",
-    integrands: bool = False,
+    keep=("y",),
+    on_node=None,
 ) -> list[BsdeSolution]:
     """Solve several equations on one bundle in a single backward pass.
 
@@ -335,16 +341,23 @@ def solve_backward_many(
     built on a worker thread, which ends with the call; its numpy calls
     release the GIL, so they run beside this thread's fits and drivers.
 
-    Only ``integrands=True`` keeps the whole z and u stores, which
-    :func:`apriori_diagnostics` reads; by default each problem writes its
-    step's z and u into one step buffer that every step reuses, the
-    solutions' ``z`` and ``u`` are None, and y, y0 and y0_se are the same
-    bytes either way.
+    ``keep`` names the stores the solutions hold, of "y", "z" and "u";
+    :func:`apriori_diagnostics` reads all three.  A store not kept is a
+    ring that every step reuses: two nodes of y, one step of z and u.
+    Either way the values, ``y0`` and ``y0_se`` are the same bytes.
+    ``on_node(i, ys)``, if given, is called for i = N, N - 1, ..., 0 as
+    the pass writes node i, with ``ys`` one read-only (n_paths, m) array
+    per problem, in problem order.  The calls run one at a time, in that
+    order, on this thread or on the worker, whichever is free, beside the
+    next step; an array is valid only during its call, so a caller that
+    needs it later copies it, and an error in a call ends the pass.
     """
     if basis is None:
         basis = RegressionBasis()
     if mode not in ("explicit", "implicit"):
         raise ValueError("mode must be 'explicit' or 'implicit'")
+    if isinstance(keep, str) or not set(keep) <= {"y", "z", "u"}:
+        raise ValueError(f"keep must be a collection of 'y', 'z' and 'u', got {keep!r}")
     problems = list(problems)
     if not problems:
         raise ValueError("no problems to solve")
@@ -368,20 +381,48 @@ def solve_backward_many(
                 )
     _check_jump_power(paths)
 
-    # each step reads and writes one contiguous block of each store; without
-    # integrands, every step writes the one z and u block of its problem
-    n_slots = N if integrands else 1
+    # node i of each store is its block i % len(store), one contiguous block:
+    # a kept store holds every node, a ring the nodes its step reads and writes
     ys, zs, us = [], [], []
     for gen, terminal in problems:
         m = gen.state_dim
-        y = np.empty((N + 1, n, m))
-        y[N] = terminal(paths.brownian[N], paths.count_nodes[N])
+        y = np.empty((N + 1 if "y" in keep else 2, n, m))
+        y[N % len(y)] = terminal(paths.brownian[N], paths.count_nodes[N])
         ys.append(y)
-        zs.append(np.empty((n_slots, n, m, d)))
-        us.append(np.empty((n_slots, n, J, m)))
+        zs.append(np.empty((N if "z" in keep else 1, n, m, d)))
+        us.append(np.empty((N if "u" in keep else 1, n, J, m)))
     regression = []
 
-    seconds = {"design": 0.0, "regression": 0.0, "wait": 0.0}
+    seconds = dict.fromkeys(("design", "regression", "wait", "fit", "driver", "nodes"), 0.0)
+
+    def reduce(i, nodes):
+        started = time.perf_counter()
+        on_node(i, nodes)
+        seconds["nodes"] += time.perf_counter() - started
+
+    # node i goes to whichever thread is free: the worker if it has built
+    # the next step, else this thread, which would wait for it.  Each call
+    # first waits for the node the worker last took, so the calls run in
+    # order, one at a time, and an error in one surfaces at the next node.
+    # The worker runs its tasks in order, so a node it takes is done before
+    # the regression submitted after it, which the step that overwrites the
+    # node in a ring waits for.
+    handed = None
+
+    def hand_on(i):
+        nonlocal handed
+        if on_node is None:
+            return
+        nodes = tuple(y[i % len(y)] for y in ys)
+        for node in nodes:
+            node.flags.writeable = False
+        if handed is not None:
+            handed.result()
+            handed = None
+        if ahead.done():
+            handed = worker.submit(reduce, i, nodes)
+        else:
+            reduce(i, nodes)
 
     def step_regression(i):
         started = time.perf_counter()
@@ -394,11 +435,12 @@ def solve_backward_many(
         return reg, built - started, time.perf_counter() - built
 
     # the step-i regression reads only the state at t_i, so a worker thread
-    # builds step i - 1's design and basis while this thread fits and drives
-    # step i; one step at most is in flight, and its error surfaces when the
-    # loop reaches that step
+    # builds step i - 1's design and basis while this thread fits, drives and
+    # hands on step i; one step at most is in flight, and its error surfaces
+    # when the loop reaches that step
     with concurrent.futures.ThreadPoolExecutor(max_workers=1) as worker:
         ahead = worker.submit(step_regression, N - 1)
+        hand_on(N)
         for i in range(N - 1, -1, -1):
             started = time.perf_counter()
             reg, design_s, regression_s = ahead.result()
@@ -411,19 +453,22 @@ def solve_backward_many(
             h = steps[i]
             dw = paths.brownian_increments(i)
             comp = compensated_increment(paths.jump_increments(i), h, marks)
-            slot = i if integrands else 0
             for (gen, _), y, z, u, where in zip(problems, ys, zs, us, wheres):
                 _problem_step(
-                    gen, y, z[slot], u[slot], i, h, grid.nodes[i], reg, dw, comp, marks, where, mode
+                    gen, y[(i + 1) % len(y)], y[i % len(y)], z[i % len(z)], u[i % len(u)],
+                    i, h, grid.nodes[i], reg, dw, comp, marks, where, mode, seconds,
                 )
+            hand_on(i)
+    if handed is not None:
+        handed.result()
 
     regression.reverse()
     return [
         BsdeSolution(
             times=grid.nodes.copy(),
-            y=y,
-            z=z if integrands else None,
-            u=u if integrands else None,
+            y=y if "y" in keep else None,
+            z=z if "z" in keep else None,
+            u=u if "u" in keep else None,
             y0=y[0].mean(axis=0),
             y0_se=y[1].std(axis=0) / np.sqrt(n),
             mode=mode,
@@ -433,6 +478,20 @@ def solve_backward_many(
         )
         for y, z, u in zip(ys, zs, us)
     ]
+
+
+def replay_nodes(solutions, on_node) -> None:
+    """Hand ``on_node`` the kept y stores of ``solutions``, solved on one
+    grid, as their backward pass would: ``on_node(i, ys)`` for
+    i = N, N - 1, ..., 0, with ``ys`` each solution's read-only node i."""
+    stores = [sol.y for sol in solutions]
+    if any(y is None for y in stores):
+        raise ValueError('solutions do not keep y: solve them with keep=("y",)')
+    for i in range(stores[0].shape[0] - 1, -1, -1):
+        nodes = tuple(y[i] for y in stores)
+        for node in nodes:
+            node.flags.writeable = False
+        on_node(i, nodes)
 
 
 @dataclass(frozen=True)
@@ -455,9 +514,9 @@ class DeviationCurves:
 def apriori_diagnostics(sol: BsdeSolution, base: BsdeSolution) -> DeviationCurves:
     """Compare a solution against ``base``, the zero-driver solution with the
     same terminal data on the same bundle (solve both in one pass, with
-    ``integrands=True``)."""
-    if sol.z is None or base.z is None:
-        raise ValueError("solutions carry no integrands: solve them with integrands=True")
+    ``keep=("y", "z", "u")``)."""
+    if any(a is None for a in (sol.y, sol.z, sol.u, base.y, base.z, base.u)):
+        raise ValueError('solutions do not keep y, z and u: solve them with keep=("y", "z", "u")')
     if sol.paths is not base.paths:
         raise ValueError("solutions must be solved on one path bundle")
     if sol.state_dim != base.state_dim:

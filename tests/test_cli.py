@@ -25,11 +25,16 @@ from bsdelab.cli import (
     Scenario,
     ScenarioError,
     _cell,
+    _MeanNorms,
+    _NodeStats,
     _PRESETS,
     main,
     reproduce,
     run_scenario,
 )
+from bsdelab.conditions import ComparisonPathReducer, ViabilityPathReducer
+from bsdelab.solver import RegressionBasis, replay_nodes, solve_backward, solve_backward_many
+from bsdelab.stochastic import simulate_paths
 
 
 def solve_config(**overrides) -> dict:
@@ -48,6 +53,17 @@ def solve_config(**overrides) -> dict:
     }
     cfg.update(overrides)
     return cfg
+
+
+def kept_solution(cfg):
+    """The primary problem of ``cfg`` solved again on the run's bundle, its
+    y store kept: a run keeps none."""
+    s = Scenario.from_dict(cfg)
+    paths = simulate_paths(s.grid, s.marks, s.brownian_dim, s.solver.paths, s.seed)
+    return solve_backward(
+        s.generator, s.terminal, paths, basis=RegressionBasis(s.solver.basis_degree),
+        mode=s.solver.mode,
+    )
 
 
 def read_artifacts(out_dir) -> dict:
@@ -197,11 +213,14 @@ def test_manifest_times_the_draw_the_backward_pass_and_each_check_outside_the_ta
     assert seconds["draw"] > 0.0 and seconds["backward"] > 0.0
     # the pass's split: the worker's design and regression seconds, and the
     # main thread's wait for them, which lies within the pass; it waits at
-    # least for the first step, which nothing overlaps
+    # least for the first step, which nothing overlaps; and the main
+    # thread's seconds in fits, drivers and node reductions
     split = seconds["backward_split"]
-    assert set(split) == {"design", "regression", "wait"}
+    assert set(split) == {"design", "regression", "wait", "fit", "driver", "nodes"}
+    assert all(value >= 0.0 for value in split.values())
     assert split["design"] > 0.0 and split["regression"] > 0.0
     assert 0.0 < split["wait"] <= seconds["backward"]
+    assert split["fit"] + split["driver"] + split["nodes"] <= seconds["backward"]
     assert all(entry["seconds"] > 0.0 for entry in seconds["checks"])
     assert first.seconds == seconds
     assert read_artifacts(tmp_path / "a") == read_artifacts(tmp_path / "b")
@@ -216,19 +235,13 @@ def test_manifest_times_the_draw_the_backward_pass_and_each_check_outside_the_ta
 
 def test_solve_table_node_statistics_equal_reductions_over_the_whole_store(tmp_path):
     # two components, so each node's band, mean and std are per column
-    solutions = []
-
-    def keep(_scenario, payloads):
-        solutions.extend(payload for spec, _row, payload in payloads if spec.kind == "solve")
-        return []
-
     cfg = solve_config(
         generator={"kind": "zero", "state_dim": 2},
         terminal={"kind": "circle-angle", "component": 0},
         grid={"horizon": 1.0, "steps": 7},
     )
-    run_scenario(cfg, tmp_path / "out", extra_acceptance=keep)
-    (sol,) = solutions
+    run_scenario(cfg, tmp_path / "out")
+    sol = kept_solution(cfg)
     assert sol.state_dim == 2
     lo, hi = np.quantile(sol.y, [0.05, 0.95], axis=1)
     want = {"mean": sol.y.mean(axis=1), "std": sol.y.std(axis=1), "lo": lo, "hi": hi}
@@ -305,20 +318,47 @@ def test_cell_formatting():
     assert _cell("text") == "text"
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        _NodeStats,
+        lambda scenario: _MeanNorms(),
+        lambda scenario: ViabilityPathReducer(scenario.target, scenario.grid.nodes),
+        lambda scenario: ComparisonPathReducer(scenario.grid.nodes),
+    ],
+    ids=["node-stats", "mean-norms", "viability", "comparison"],
+)
+def test_each_node_reducer_reads_the_same_bytes_from_the_pass_and_a_kept_solution(make):
+    # the unit circle inside the unit disc, dominating a constant below it
+    scenario = Scenario.from_dict(solve_config(
+        target={"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+        generator={"kind": "projection-drift"},
+        terminal={"kind": "circle-angle", "component": 0},
+        generator2={"kind": "zero", "state_dim": 2},
+        terminal2={"kind": "constant", "value": [-1.5, -1.5]},
+        grid={"horizon": 1.0, "steps": 8},
+        solver={"paths": 2_000, "basis_degree": 2},
+    ))
+    paths = simulate_paths(scenario.grid, scenario.marks, 1, 2_000, scenario.seed)
+    problems = [(scenario.generator, scenario.terminal), (scenario.generator2, scenario.terminal2)]
+    streamed, replayed = make(scenario), make(scenario)
+    solve_backward_many(problems, paths, keep=(), on_node=streamed)
+    replay_nodes(solve_backward_many(problems, paths), replayed)
+    reduced = vars(streamed)
+    assert any(isinstance(v, (list, np.ndarray)) and len(v) for v in reduced.values())
+    for name, value in reduced.items():
+        if isinstance(value, (list, np.ndarray)):
+            assert np.asarray(value).tobytes() == np.asarray(vars(replayed)[name]).tobytes(), name
+
+
 def test_solve_table_carries_the_mean_distance_to_the_target(tmp_path):
     cfg = solve_config(
         target={"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
         generator={"kind": "projection-drift"},
         terminal={"kind": "circle-angle", "component": 0},
     )
-    solved = {}
-
-    def keep(scenario, results):
-        solved.update((spec.kind, payload) for spec, _row, payload in results)
-        return []
-
-    run_scenario(cfg, tmp_path, extra_acceptance=keep)
-    sol, ball = solved["solve"], Scenario.from_dict(cfg).target
+    run_scenario(cfg, tmp_path)
+    sol, ball = kept_solution(cfg), Scenario.from_dict(cfg).target
     lines = (tmp_path / "y_stats.csv").read_text().splitlines()
     column = lines[0].split(",").index("dk_mean")
     written = [float(line.split(",")[column]) for line in lines[1:]]
@@ -465,10 +505,11 @@ def test_shared_bundle_and_solution_are_read_only(tmp_path):
     _report, sol1, sol2 = payloads["comparison-empirical"]
     assert sol1 is sol
     assert sol.paths is paths and sol2.paths is paths
-    # no check reads the integrands, so the shared pass keeps none
+    # every check reduces the nodes as the pass solves them, so the shared
+    # pass keeps no store
     for s in (sol1, sol2):
-        assert s.z is None and s.u is None
-    for array in (paths.brownian, paths.count_nodes, sol.y, sol2.y, sol.y0, sol.y0_se):
+        assert s.y is None and s.z is None and s.u is None
+    for array in (paths.brownian, paths.count_nodes, sol.y0, sol.y0_se, sol2.y0, sol2.y0_se):
         # the stores themselves, not views of them, are locked
         assert array.base is None and not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):

@@ -274,7 +274,7 @@ class TestBatchedProjectionDrift:
         )
         sols = [
             solve_backward(
-                gen_cls(disc, 1, unit_marks()), terminal, paths, basis=RegressionBasis(2), integrands=True
+                gen_cls(disc, 1, unit_marks()), terminal, paths, basis=RegressionBasis(2), keep=("y", "z", "u")
             )
             for gen_cls in (ProjectionDriftGen, RowByRowProjectionDrift)
         ]

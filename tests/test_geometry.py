@@ -58,6 +58,49 @@ def test_constructors_refuse_non_finite_inputs(build):
 
 @pytest.mark.parametrize(
     "build",
+    [
+        lambda: Ball([[0.0, 1.0], [1.0, 2.0]], 1.0),
+        lambda: Ball(0.0, 1.0),
+        lambda: Ball([], 1.0),
+        lambda: Box([[0.0], [0.0]], [[1.0], [1.0]]),
+        lambda: Box(0.0, 1.0),
+        lambda: Box([], []),
+    ],
+    ids=["matrix-centre", "scalar-centre", "empty-centre", "matrix-bounds", "scalar-bounds",
+         "empty-bounds"],
+)
+def test_ball_and_box_refuse_data_that_is_not_a_nonempty_vector(build):
+    with pytest.raises(ValueError, match="nonempty vector"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "fields, error",
+    [
+        ({"nodes_per_axis": 7.5}, TypeError),
+        ({"nodes_per_axis": 7.0}, TypeError),
+        ({"mc_samples": 1e3}, TypeError),
+        ({"seed": 1.0}, TypeError),
+        ({"seed": -1}, ValueError),
+        ({"seed": 2**64}, ValueError),
+        ({"nodes_per_axis": 1}, ValueError),
+        ({"mc_samples": 0}, ValueError),
+    ],
+    ids=["fractional-nodes", "float-nodes", "float-samples", "float-seed", "negative-seed",
+         "wide-seed", "one-node", "no-samples"],
+)
+def test_quad_spec_refuses_bad_budgets_at_construction(fields, error):
+    with pytest.raises(error):
+        QuadSpec(**fields)
+
+
+def test_quad_spec_reads_numpy_integers_as_ints():
+    quad = QuadSpec(nodes_per_axis=np.int64(5), mc_samples=np.int32(64), seed=np.uint64(3))
+    assert all(type(v) is int for v in (quad.nodes_per_axis, quad.mc_samples, quad.seed))
+
+
+@pytest.mark.parametrize(
+    "build",
     [lambda: OrthantProduct(2.0, 0), lambda: OrthantProduct(1, 1.0), lambda: PsdCone(2.0),
      lambda: PsdCone(1.5)],
     ids=["orthant-float-plus", "orthant-float-free", "psd-float-side", "psd-fractional-side"],

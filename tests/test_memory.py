@@ -1,9 +1,10 @@
-"""Memory guards: the backward pass, the path reports and the simulate
-check hold only what their callers read.
+"""Memory guards: the backward pass, the path reports, the scenario run
+and the simulate check hold only what their callers read.
 
 ``tracemalloc`` traces numpy's buffers on every thread, so a peak counts
 the design that the backward pass builds ahead on its worker thread too.
-Each bound is set against the y stores, which every caller reads.
+Each bound is set against one y store, (N + 1) x n x m doubles: a library
+caller may keep it, a scenario run keeps none.
 """
 
 import tracemalloc
@@ -54,8 +55,47 @@ def test_default_pass_holds_its_y_stores_and_step_temporaries_only(paths):
     assert all(sol.z is None and sol.u is None for sol in sols)
     assert peak < 3 * one_y
     # the guard sees the integrand stores when a pass keeps them
-    kept, kept_peak = traced_peak(lambda: solve_backward_many(problems(), paths, integrands=True))
+    kept, kept_peak = traced_peak(
+        lambda: solve_backward_many(problems(), paths, keep=("y", "z", "u"))
+    )
     assert kept_peak > 3 * one_y + sum(sol.z.nbytes + sol.u.nbytes for sol in kept) / 2
+
+
+def test_streamed_pass_holds_two_nodes_per_problem_and_its_step_temporaries(paths):
+    # without stores, each problem's y is a two-node ring (2 x 0.16 MB) and
+    # its z and u one step each; the step temporaries take 4-6 MB, by how the
+    # design built ahead overlaps the fits
+    sols, peak = traced_peak(lambda: solve_backward_many(problems(), paths, keep=()))
+    assert all(sol.y is None and sol.z is None and sol.u is None for sol in sols)
+    assert peak < 51 * 20_000 * 8
+
+
+def test_scenario_run_streams_its_checks_and_holds_no_y_store(tmp_path):
+    scenario = Scenario.from_dict({
+        "schema": "bsdelab/scenario-v1",
+        "name": "streamed",
+        "grid": {"horizon": 1.0, "steps": 50},
+        "brownian_dim": 1,
+        "marks": {"points": [[1.0]], "weights": [1.0]},
+        "generator": {"kind": "scaled-jump", "scale": 2.0},
+        "terminal": {"kind": "counts", "component": 0},
+        "generator2": {"kind": "zero", "state_dim": 1},
+        "terminal2": {"kind": "constant", "value": [0.0]},
+        "solver": {"paths": 20_000},
+        "seed": 7,
+        "checks": [{"kind": "solve"}, {"kind": "comparison-empirical", "expect": "violated"}],
+    })
+    run = _ScenarioRun(scenario, ("solve", "comparison-empirical"))
+    run.paths()
+    writer = _ArtifactWriter(tmp_path, "csv")
+    results, peak = traced_peak(lambda: [run.run_check(spec, writer) for spec in scenario.checks])
+    (_, sol), (_, (_report, sol1, sol2)) = results
+    assert sol is sol1 and sol1.y is None and sol2.y is None
+    assert (tmp_path / "y_stats.csv").exists() and (tmp_path / "gap_stats.csv").exists()
+    # the pass's step temporaries and two node blocks per problem; the node
+    # reductions' own temporaries, a node block or two, run beside the step
+    # and stay within the spread of the pass's peak
+    assert peak < 51 * 20_000 * 8
 
 
 def test_comparison_report_holds_one_node_at_a_time(paths):

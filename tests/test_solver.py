@@ -14,6 +14,7 @@ from bsdelab.solver import (
     _StepRegression,
     apriori_diagnostics,
     _monomial_powers,
+    replay_nodes,
     solve_backward,
     solve_backward_many,
 )
@@ -45,7 +46,7 @@ class TestZeroDriver:
     def test_recovers_brownian_martingale(self):
         paths = simulate()
         gen = ZeroGen(state_dim=1, brownian_dim=1, marks=unit_marks())
-        sol = solve_backward(gen, brownian_terminal(), paths, integrands=True)
+        sol = solve_backward(gen, brownian_terminal(), paths, keep=("y", "z", "u"))
         # Y_t = W_t lies in the basis span, so the fit is exact up to MC noise
         err = sol.y[..., 0] - paths.brownian[..., 0]
         assert np.sqrt(np.mean(err**2)) < 0.05
@@ -57,7 +58,7 @@ class TestZeroDriver:
     def test_recovers_compensated_count_martingale(self):
         paths = simulate(seed=9)
         gen = ZeroGen(state_dim=1, brownian_dim=1, marks=unit_marks())
-        sol = solve_backward(gen, count_terminal(), paths, integrands=True)
+        sol = solve_backward(gen, count_terminal(), paths, keep=("y", "z", "u"))
         horizon = paths.grid.horizon
         truth = paths.count_nodes[..., 0] + (horizon - paths.grid.nodes)[:, None]
         err = sol.y[..., 0] - truth
@@ -94,7 +95,7 @@ class TestLinearJumpScenarios:
 
     def test_zero_terminal_stays_exactly_zero(self):
         paths = simulate(n_paths=5_000, n_steps=10, seed=19)
-        sol = solve_backward(ScaledJumpGen(2.0), constant_terminal(0.0), paths, integrands=True)
+        sol = solve_backward(ScaledJumpGen(2.0), constant_terminal(0.0), paths, keep=("y", "z", "u"))
         assert np.all(sol.y == 0.0)
         assert np.all(sol.z == 0.0)
         assert np.all(sol.u == 0.0)
@@ -142,7 +143,7 @@ def closed_form_linear(a_matrix, terminal, paths):
     a_matrix = np.asarray(a_matrix, dtype=float)
     m = a_matrix.shape[0]
     zero = ZeroGen(state_dim=m, brownian_dim=paths.brownian_dim, marks=paths.marks)
-    sol = solve_backward(zero, terminal, paths, integrands=True)
+    sol = solve_backward(zero, terminal, paths, keep=("y", "z", "u"))
     horizon = sol.times[-1]
     for i, t in enumerate(sol.times):
         scale = expm(a_matrix * (horizon - t))
@@ -167,7 +168,7 @@ class TestLinearClosedForm:
             ZeroGen(state_dim=1, brownian_dim=1, marks=unit_marks()),
             brownian_terminal(),
             paths,
-            integrands=True,
+            keep=("y", "z", "u"),
         )
         lin = closed_form_linear(np.zeros((1, 1)), brownian_terminal(), paths)
         assert np.allclose(lin.y, base.y)
@@ -499,29 +500,92 @@ class TestLockstep:
     def test_equals_separate_solves_bit_for_bit(self, mode):
         paths = simulate(n_paths=4_000, n_steps=10, seed=83)
         problems = lockstep_problems()
-        together = solve_backward_many(problems, paths, mode=mode, integrands=True)
+        together = solve_backward_many(problems, paths, mode=mode, keep=("y", "z", "u"))
         assert len(together) == len(problems)
         for (gen, terminal), sol in zip(problems, together):
-            alone = solve_backward(gen, terminal, paths, mode=mode, integrands=True)
+            alone = solve_backward(gen, terminal, paths, mode=mode, keep=("y", "z", "u"))
             for name in ("y", "z", "u", "y0", "y0_se"):
                 assert getattr(sol, name).tobytes() == getattr(alone, name).tobytes(), name
             assert sol.regression == alone.regression
             assert sol.mode == mode and sol.paths is paths
 
+    @pytest.mark.parametrize("keep", [(), ("y",), ("z",), ("y", "u")], ids=["none", "y", "z", "y-u"])
     @pytest.mark.parametrize("mode", ["explicit", "implicit"])
-    def test_integrands_change_no_bit_of_the_values(self, mode):
-        # the default pass writes z and u into one reused step buffer and
-        # keeps neither; y and its statistics must not notice
+    def test_kept_stores_change_no_bit_of_the_values(self, mode, keep):
+        # a store not kept is a ring that every step reuses: two nodes of y,
+        # one step of z and u; the kept stores, y0 and y0_se must not notice
         paths = simulate(n_paths=4_000, n_steps=10, seed=83)
         problems = lockstep_problems()
-        kept = solve_backward_many(problems, paths, mode=mode, integrands=True)
-        for (gen, _), sol, ref in zip(problems, solve_backward_many(problems, paths, mode=mode), kept):
-            assert sol.z is None and sol.u is None
+        kept = solve_backward_many(problems, paths, mode=mode, keep=("y", "z", "u"))
+        for (gen, _), sol, ref in zip(
+            problems, solve_backward_many(problems, paths, mode=mode, keep=keep), kept
+        ):
             assert ref.z.shape == (10, 4_000, gen.state_dim, 1)
             assert ref.u.shape == (10, 4_000, 1, gen.state_dim)
-            for name in ("y", "y0", "y0_se"):
+            for name in ("y", "z", "u"):
+                if name in keep:
+                    assert getattr(sol, name).tobytes() == getattr(ref, name).tobytes(), name
+                else:
+                    assert getattr(sol, name) is None, name
+            for name in ("y0", "y0_se"):
                 assert getattr(sol, name).tobytes() == getattr(ref, name).tobytes(), name
+            assert (sol.n_paths, sol.state_dim) == (4_000, gen.state_dim)
             assert sol.regression == ref.regression
+
+    @pytest.mark.parametrize("keep", [(), ("y",)], ids=["none", "y"])
+    def test_node_callback_sees_each_node_once_in_pass_order_read_only(self, keep):
+        paths = simulate(n_paths=2_000, n_steps=6, seed=83)
+        problems = lockstep_problems()
+        kept = solve_backward_many(problems, paths, keep=("y",))
+        seen = []
+
+        def on_node(i, ys):
+            assert len(ys) == len(problems)
+            for y in ys:
+                assert not y.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    y[0] = 0.0
+            seen.append((i, [y.tobytes() for y in ys]))
+
+        solve_backward_many(problems, paths, keep=keep, on_node=on_node)
+        assert [i for i, _ in seen] == list(range(6, -1, -1))
+        for i, nodes in seen:
+            assert nodes == [sol.y[i].tobytes() for sol in kept], i
+        # a kept solution replays the same nodes in the same order
+        replayed = []
+        replay_nodes(kept, lambda i, ys: replayed.append((i, [y.tobytes() for y in ys])))
+        assert replayed == seen
+        # and keeps its store writeable
+        assert all(sol.y.flags.writeable for sol in kept)
+
+    def test_node_callback_error_ends_the_pass(self):
+        paths = simulate(n_paths=1_000, n_steps=6, seed=83)
+        seen = []
+
+        def on_node(i, ys):
+            seen.append(i)
+            if i == 4:
+                raise ValueError("node 4 refused")
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="node 4 refused"):
+            solve_backward_many(lockstep_problems(), paths, keep=(), on_node=on_node)
+        assert seen == [6, 5, 4]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize(
+        "keep", ["y", ("y", "w"), ("integrands",)], ids=["string", "unknown", "old-keyword"]
+    )
+    def test_refuses_an_unknown_store(self, keep):
+        paths = simulate(n_paths=500, n_steps=4, seed=83)
+        with pytest.raises(ValueError, match="keep must be"):
+            solve_backward_many(lockstep_problems(), paths, keep=keep)
+
+    def test_replay_refuses_a_solution_without_its_values(self):
+        paths = simulate(n_paths=500, n_steps=4, seed=83)
+        sol = solve_backward(ScaledJumpGen(2.0), count_terminal(), paths, keep=())
+        with pytest.raises(ValueError, match=r'keep=\("y",\)'):
+            replay_nodes([sol], lambda i, ys: None)
 
     def test_one_design_per_step_for_every_problem(self, monkeypatch):
         calls = []
@@ -609,8 +673,8 @@ class TestLayout:
         for i in range(paths.grid.n_steps):
             assert np.array_equal(by_hand.jump_increments(i), paths.jump_increments(i))
         for sol, ref in zip(
-            solve_backward_many(problems, by_hand, integrands=True),
-            solve_backward_many(problems, paths, integrands=True),
+            solve_backward_many(problems, by_hand, keep=("y", "z", "u")),
+            solve_backward_many(problems, paths, keep=("y", "z", "u")),
         ):
             for name in ("y", "z", "u", "y0", "y0_se"):
                 mine, theirs = getattr(sol, name), getattr(ref, name)
@@ -625,7 +689,7 @@ def zero_driver_pair(gen, paths):
     that keeps their integrands."""
     zero = ZeroGen(state_dim=1, brownian_dim=1, marks=unit_marks())
     return solve_backward_many(
-        [(gen, count_terminal()), (zero, count_terminal())], paths, integrands=True
+        [(gen, count_terminal()), (zero, count_terminal())], paths, keep=("y", "z", "u")
     )
 
 
@@ -682,7 +746,7 @@ class TestDeviationDiagnostics:
             ZeroGen(state_dim=2, brownian_dim=1, marks=unit_marks()),
             TerminalCondition(fn=lambda w, k: np.zeros((w.shape[0], 2)), state_dim=2),
             first,
-            integrands=True,
+            keep=("y", "z", "u"),
         )
         with pytest.raises(ValueError, match="state dimension"):
             apriori_diagnostics(sol, wide)
@@ -690,7 +754,7 @@ class TestDeviationDiagnostics:
             ZeroGen(state_dim=1, brownian_dim=1, marks=unit_marks()),
             constant_terminal(1.0),
             first,
-            integrands=True,
+            keep=("y", "z", "u"),
         )
         with pytest.raises(ValueError, match="terminal data"):
             apriori_diagnostics(sol, shifted)
@@ -704,5 +768,5 @@ class TestDeviationDiagnostics:
             [(ScaledJumpGen(0.5), count_terminal()), (zero, count_terminal())], paths
         )
         for pair in ((bare_sol, bare_base), (sol, bare_base), (bare_sol, base)):
-            with pytest.raises(ValueError, match="integrands=True"):
+            with pytest.raises(ValueError, match=r'keep=\("y", "z", "u"\)'):
                 apriori_diagnostics(*pair)

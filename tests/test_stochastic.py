@@ -397,7 +397,7 @@ class TestLayout:
         terminal = TerminalCondition(
             fn=lambda w, k: np.stack([w[:, 0], k[:, 1].astype(float)], axis=1), state_dim=2
         )
-        sol = solve_backward(ZeroGen(2, 2, marks), terminal, paths, integrands=True)
+        sol = solve_backward(ZeroGen(2, 2, marks), terminal, paths, keep=("y", "z", "u"))
         assert sol.y.shape == (5, 1000, 2)
         assert sol.z.shape == (4, 1000, 2, 2)
         assert sol.u.shape == (4, 1000, 2, 2)
