@@ -34,8 +34,8 @@ import numpy as np
 
 from . import __version__
 from .conditions import (
-    ComparisonPathReducer,
-    ViabilityPathReducer,
+    ComparisonPathReport,
+    ViabilityPathReport,
     check_comparison_m1,
     check_comparison_matrix,
     check_comparison_multidim,
@@ -500,7 +500,7 @@ class _ArtifactWriter:
         self.records.append({"path": name, "sha256": hashlib.sha256(data).hexdigest()})
 
     def write_json(self, name: str, doc) -> None:
-        self.write_text(name, json.dumps(doc, indent=1) + "\n")
+        self.write_text(name, _json_text(doc))
 
     def write_table(self, stem: str, columns: list[tuple[str, list]]) -> None:
         names = [c[0] for c in columns]
@@ -515,6 +515,23 @@ class _ArtifactWriter:
         writer.writerow(names)
         writer.writerows([_cell(v) for v in row] for row in rows)
         self.write_text(f"{stem}.csv", buf.getvalue())
+
+
+def _strict(doc):
+    """``doc`` with every float that is not finite read as None: strict
+    JSON has no NaN or infinity."""
+    if isinstance(doc, float):
+        return doc if np.isfinite(doc) else None
+    if isinstance(doc, dict):
+        return {key: _strict(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_strict(value) for value in doc]
+    return doc
+
+
+def _json_text(doc) -> str:
+    """``doc`` as an indented strict JSON document, NaN written as null."""
+    return json.dumps(_strict(doc), indent=1, allow_nan=False) + "\n"
 
 
 def _cell(v):
@@ -544,25 +561,24 @@ class _ScenarioRun:
     ``comparison-empirical`` check is selected, ``generator2`` with
     ``terminal2``; the first check that needs a solution solves all of
     them in one backward pass.  No check reads a whole store, so the pass
-    keeps none: it feeds each node it solves to the node reducers of the
-    selected ``kinds`` (``reducers``, by kind) and to ``extra_reducers``,
-    and each check reads its reducer.  The bundle and the solutions'
-    ``y0`` and ``y0_se`` are read-only, so each check sees the same draws
-    and the same solutions and none can change them for the next.
-    ``seconds`` times the draw, the backward pass and each check run
-    through ``run_check``, for the manifest.
+    keeps none: it feeds each node it solves to ``reducers``, the node
+    reducers of the selected ``kinds`` and of the ``acceptance`` rows that
+    read solved nodes, by name (see ``_REDUCERS``), and each check and
+    acceptance row reads its own.  The bundle and the solutions' ``y0``
+    and ``y0_se`` are read-only, so each check sees the same draws and the
+    same solutions and none can change them for the next.  ``seconds``
+    times the draw, the backward pass and each check run through
+    ``run_check``, for the manifest.
     """
 
-    def __init__(self, scenario: Scenario, kinds, extra_reducers=()):
+    def __init__(self, scenario: Scenario, kinds, acceptance=()):
         self.scenario = scenario
         self._problems = [(scenario.generator, scenario.terminal)]
         second = (scenario.generator2, scenario.terminal2)
         if "comparison-empirical" in kinds and None not in second:
             self._problems.append(second)
-        self.reducers = {
-            kind: _CHECKS[kind].reducer(scenario) for kind in kinds if _CHECKS[kind].reducer
-        }
-        self._fed = [*self.reducers.values(), *extra_reducers]
+        names = {*kinds, *acceptance}
+        self.reducers = {name: make(scenario) for name, make in _REDUCERS.items() if name in names}
         self._paths = None
         self._solutions = None
         self.seconds = {"checks": []}
@@ -586,7 +602,7 @@ class _ScenarioRun:
             paths = self.paths()
 
             def on_node(i, ys):
-                for reduce in self._fed:
+                for reduce in self.reducers.values():
                     reduce(i, ys)
 
             started = time.perf_counter()
@@ -601,14 +617,15 @@ class _ScenarioRun:
             self._solutions = solutions
         return self._solutions
 
-    def run_check(self, spec: CheckSpec, writer: _ArtifactWriter):
-        """Run one check; its seconds leave out the draw and the backward
-        pass it may have made, which are timed on their own."""
+    def run_check(self, spec: CheckSpec, writer: _ArtifactWriter) -> dict:
+        """Run one check and return its verdict row; its seconds leave out
+        the draw and the backward pass it may have made, which are timed on
+        their own."""
         shared, started = self._shared_seconds(), time.perf_counter()
-        row, payload = _CHECKS[spec.kind].run(self, spec.params, writer)
+        row = _CHECKS[spec.kind].run(self, spec.params, writer)
         own = time.perf_counter() - started - (self._shared_seconds() - shared)
         self.seconds["checks"].append({"check": spec.kind, "seconds": own})
-        return row, payload
+        return row
 
     def regression(self) -> list[dict]:
         """The backward pass's design diagnostics, one per time step, or []
@@ -617,7 +634,8 @@ class _ScenarioRun:
 
 
 def _row(check: str, outcome: str, passed, value, detail: str) -> dict:
-    """One verdict row; a check with no value (no constant) reads NaN."""
+    """One verdict row; a check with no value (no constant) reads NaN, which
+    a CSV table writes as ``nan`` and a JSON document as null."""
     return {
         "check": check, "outcome": outcome, "passed": bool(passed),
         "value": float("nan") if value is None else float(value), "detail": detail,
@@ -638,7 +656,7 @@ def _simulate(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
     writer.write_table("path_stats", columns)
     n = scenario.solver.paths
     detail = f"{n} paths on {scenario.grid.n_steps} steps"
-    return _row("simulate", "completed", True, n, detail), paths
+    return _row("simulate", "completed", True, n, detail)
 
 
 class _NodeStats:
@@ -659,6 +677,16 @@ class _NodeStats:
         self.stats[3, i] = y.std(axis=0)
         if self.target is not None:
             self.dk_mean[i] = self.target.dist_batch(y).mean()
+
+
+class _MeanNorms:
+    """The primary problem's mean norm |Y_t| over paths, one node at a time."""
+
+    def __init__(self):
+        self.values = []
+
+    def __call__(self, i: int, ys) -> None:
+        self.values.append(np.linalg.norm(ys[0], axis=1).mean())
 
 
 def _solve(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
@@ -686,7 +714,7 @@ def _solve(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
     writer.write_text("y_mean.svg", svg)
     y0 = ", ".join(f"{v:.6f}" for v in sol.y0)
     detail = f"Y_0 = [{y0}], standard error {float(np.max(sol.y0_se)):.2e}"
-    return _row("solve", "completed", True, sol.y0[0], detail), sol
+    return _row("solve", "completed", True, sol.y0[0], detail)
 
 
 def _viability(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
@@ -701,14 +729,14 @@ def _viability(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
     if threshold is not None and verdict.certified:
         detail += f" (threshold {threshold})"
     writer.write_json("viability_verdict.json", verdict.to_dict())
-    return _row("viability", verdict.outcome, passed, verdict.constant, detail), verdict
+    return _row("viability", verdict.outcome, passed, verdict.constant, detail)
 
 
 def _viability_empirical(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
     scenario = run.scenario
     level, expect = params["level"], params["expect"]
-    sol = run.solutions()[0]
-    report = run.reducers["viability-empirical"].report()
+    run.solutions()  # the pass fills the report
+    report = run.reducers["viability-empirical"]
     columns = [("t", list(report.times)), ("dk_mean", list(report.mean_distance))]
     writer.write_table("distance_stats", columns)
     svg = render_line_plot(
@@ -721,7 +749,7 @@ def _viability_empirical(run: _ScenarioRun, params: dict, writer: _ArtifactWrite
     passed = worst <= level if expect == "within" else worst >= level
     outcome = expect if passed else {"within": "exceeded", "exceeds": "below"}[expect]
     detail = f"max_t mean distance {worst:.6f} ({expect} {level})"
-    return _row("viability-empirical", outcome, passed, worst, detail), (report, sol)
+    return _row("viability-empirical", outcome, passed, worst, detail)
 
 
 def _comparison(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
@@ -740,14 +768,14 @@ def _comparison(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
     writer.write_json("comparison_verdict.json", verdict.to_dict())
     detail = f"{route} route: {verdict.detail or verdict.outcome}"
     passed = verdict.outcome == params["expect"]
-    return _row("comparison", verdict.outcome, passed, verdict.constant, detail), verdict
+    return _row("comparison", verdict.outcome, passed, verdict.constant, detail)
 
 
 def _comparison_empirical(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
     scenario = run.scenario
     tolerance = params["tolerance"]
-    sol1, sol2 = run.solutions()
-    report = run.reducers["comparison-empirical"].report()
+    run.solutions()  # the pass fills the report
+    report = run.reducers["comparison-empirical"]
     columns = [
         ("t", list(report.times)),
         ("gap_min", list(report.min_gap_per_time)),
@@ -767,8 +795,7 @@ def _comparison_empirical(run: _ScenarioRun, params: dict, writer: _ArtifactWrit
         f"min gap {report.min_gap:.6f} (tolerance {tolerance}), "
         f"peak violation fraction {float(report.violation_fraction.max()):.4f}"
     )
-    row = _row("comparison-empirical", outcome, outcome == params["expect"], report.min_gap, detail)
-    return row, (report, sol1, sol2)
+    return _row("comparison-empirical", outcome, outcome == params["expect"], report.min_gap, detail)
 
 
 def _structural(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
@@ -782,7 +809,7 @@ def _structural(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
     )
     writer.write_json("structural_report.json", report.to_dict())
     passed = report.outcome == params["expect"]
-    return _row("structural", report.outcome, passed, report.passed, detail), report
+    return _row("structural", report.outcome, passed, report.passed, detail)
 
 
 def _matrix(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
@@ -794,18 +821,16 @@ def _matrix(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
     writer.write_json("matrix_verdict.json", verdict.to_dict())
     detail = verdict.detail or f"constant {verdict.constant}"
     passed = verdict.outcome == params["expect"]
-    return _row("matrix", verdict.outcome, passed, verdict.constant, detail), verdict
+    return _row("matrix", verdict.outcome, passed, verdict.constant, detail)
 
 
 class _Check(NamedTuple):
-    """One check kind: its runner, the maker of its node reducer from the
-    scenario (None: it reads no solved node), the scenario fields it needs,
-    the type its target must have, the Brownian dimension it is set up for
-    (None: any), and the field table of its parameters, ``expect`` among
-    them if it takes one."""
+    """One check kind: its runner, which returns the check's verdict row,
+    the scenario fields it needs, the type its target must have, the
+    Brownian dimension it is set up for (None: any), and the field table of
+    its parameters, ``expect`` among them if it takes one."""
 
     run: Callable
-    reducer: Callable | None
     needs: tuple
     target: type
     brownian_dim: int | None
@@ -815,37 +840,42 @@ class _Check(NamedTuple):
 _SAMPLES = _at_least(1)
 _VERDICT = _choice("certified", "falsified")
 _CHECKS = {
-    "simulate": _Check(_simulate, None, (), object, None, {}),
-    "solve": _Check(_solve, _NodeStats, ("generator", "terminal"), object, None, {}),
+    "simulate": _Check(_simulate, (), object, None, {}),
+    "solve": _Check(_solve, ("generator", "terminal"), object, None, {}),
     "viability": _Check(
-        _viability, None, ("generator", "target"), ConvexBody, None,
+        _viability, ("generator", "target"), ConvexBody, None,
         {"samples": (_SAMPLES, 4000), "c_max": (_nonnegative, 100.0),
          "threshold": (_nonnegative, None)},
     ),
     "viability-empirical": _Check(
-        _viability_empirical,
-        lambda scenario: ViabilityPathReducer(scenario.target, scenario.grid.nodes),
-        ("generator", "terminal", "target"), object, None,
+        _viability_empirical, ("generator", "terminal", "target"), object, None,
         {"level": (_nonnegative, 0.05), "expect": _choice("within", "exceeds")},
     ),
     "comparison": _Check(
-        _comparison, None, ("generator", "generator2"), object, None,
+        _comparison, ("generator", "generator2"), object, None,
         {"samples": (_SAMPLES, 3000), "c_max": (_nonnegative, 500.0), "expect": _VERDICT},
     ),
     "comparison-empirical": _Check(
-        _comparison_empirical,
-        lambda scenario: ComparisonPathReducer(scenario.grid.nodes),
-        ("generator", "generator2", "terminal", "terminal2"), object, None,
+        _comparison_empirical, ("generator", "generator2", "terminal", "terminal2"), object, None,
         {"tolerance": (_number, 0.02), "expect": _choice("ordered", "violated")},
     ),
     "structural": _Check(
-        _structural, None, ("generator",), object, None,
+        _structural, ("generator",), object, None,
         {"samples": (_SAMPLES, 2500), "c_max": (_nonnegative, 500.0), "expect": _VERDICT},
     ),
     "matrix": _Check(
-        _matrix, None, ("generator", "generator2", "target"), PsdCone, 1,
+        _matrix, ("generator", "generator2", "target"), PsdCone, 1,
         {"samples": (_SAMPLES, 3000), "c_max": (_nonnegative, 500.0), "expect": _VERDICT},
     ),
+}
+
+# the maker of each node reducer a run can feed, from the scenario, by the
+# name of its reader: a check kind, or a preset's acceptance row
+_REDUCERS = {
+    "solve": _NodeStats,
+    "viability-empirical": lambda scenario: ViabilityPathReport(scenario.target, scenario.grid.nodes),
+    "comparison-empirical": lambda scenario: ComparisonPathReport(scenario.grid.nodes),
+    "acceptance:ball-norm": lambda scenario: _MeanNorms(),
 }
 
 
@@ -921,7 +951,6 @@ def run_scenario(
     seed=None,
     paths=None,
     steps=None,
-    extra_acceptance=None,
 ) -> RunManifest:
     """Validate a config (path or dict), run its checks, write artifacts.
 
@@ -932,20 +961,18 @@ def run_scenario(
     requirement of a selected check is checked before any work or file write.
     The checks share one path bundle and one backward pass over every
     problem they solve, made on first use, so a check's tables do not
-    depend on which other checks run.  ``extra_acceptance`` may inspect
-    the in-memory results and append extra verdict rows.
+    depend on which other checks run.  The verdict rows, one per check in
+    run order, go to the ``verdicts`` table and the manifest.
     """
     return _run_scenario(
-        config, out_dir, fmt=fmt, checks=checks, seed=seed, paths=paths, steps=steps,
-        extra_acceptance=extra_acceptance, extra_reducers=(),
+        config, out_dir, fmt=fmt, checks=checks, seed=seed, paths=paths, steps=steps, acceptance={}
     )
 
 
-def _run_scenario(
-    config, out_dir, *, fmt, checks, seed, paths, steps, extra_acceptance, extra_reducers
-) -> RunManifest:
-    """:func:`run_scenario`, whose backward pass also feeds each solved node
-    to ``extra_reducers``, for ``extra_acceptance`` to read."""
+def _run_scenario(config, out_dir, *, fmt, checks, seed, paths, steps, acceptance) -> RunManifest:
+    """:func:`run_scenario`, with a preset's ``acceptance`` rows after the
+    checks' rows: each is named and computed as in ``_PRESETS``, inside the
+    run, from the checks' rows and the run's node reducers."""
     doc = _read_config(config) if isinstance(config, (str, Path)) else _as_dict(config, "<config>")
     doc = json.loads(json.dumps(doc))  # a copy for the overrides
     if seed is not None:
@@ -986,14 +1013,12 @@ def _run_scenario(
     config_hash = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     started = time.perf_counter()
-    run = _ScenarioRun(scenario, {spec.kind for spec in selected}, extra_reducers)
-    rows, payloads = [], []
-    for spec in selected:
-        row, payload = run.run_check(spec, writer)
-        rows.append(row)
-        payloads.append((spec, row, payload))
-    if extra_acceptance is not None:
-        rows.extend(extra_acceptance(scenario, payloads))
+    run = _ScenarioRun(scenario, {spec.kind for spec in selected}, acceptance)
+    rows = [run.run_check(spec, writer) for spec in selected]
+    by_check = {row["check"]: row for row in rows}
+    for name, bound in acceptance.items():
+        err, limit, value, detail = bound(by_check, run.reducers)
+        rows.append(_row(name, "within" if err <= limit else "exceeded", err <= limit, value, detail))
 
     columns = ("check", "outcome", "passed", "value", "detail")
     writer.write_table("verdicts", [(key, [r[key] for r in rows]) for key in columns])
@@ -1010,19 +1035,12 @@ def _run_scenario(
         created=datetime.now(timezone.utc).isoformat(timespec="seconds"),
         out_dir=out,
     )
-    (out / "manifest.json").write_text(
-        json.dumps(manifest.to_dict(), indent=1) + "\n", encoding="utf-8"
-    )
+    (out / "manifest.json").write_text(_json_text(manifest.to_dict()), encoding="utf-8")
     return manifest
 
 
 # ---------------------------------------------------------------------------
 # reproduction presets
-
-
-def _bound_row(check: str, err: float, bound: float, value, detail: str) -> dict:
-    """An acceptance row, ``within`` when ``err`` is at most ``bound``."""
-    return _row(check, "within" if err <= bound else "exceeded", err <= bound, value, detail)
 
 
 def _example28_config() -> dict:
@@ -1044,20 +1062,10 @@ def _example28_config() -> dict:
     }
 
 
-class _MeanNorms:
-    """The primary problem's mean norm |Y_t| over paths, one node at a time."""
-
-    def __init__(self):
-        self.values = []
-
-    def __call__(self, i: int, ys) -> None:
-        self.values.append(np.linalg.norm(ys[0], axis=1).mean())
-
-
-def _ball_norm(_payload, norms: _MeanNorms) -> dict:
-    worst = float(max(norms.values))
-    detail = f"max_t mean |Y_t| = {worst:.6f} (bound 1.05)"
-    return _bound_row("acceptance:ball-norm", worst, 1.05, worst, detail)
+def _ball_norm(_rows, reducers):
+    """The largest mean norm |Y_t|, read from the row's :class:`_MeanNorms`, within 1.05."""
+    worst = float(max(reducers["acceptance:ball-norm"].values))
+    return worst, 1.05, worst, f"max_t mean |Y_t| = {worst:.6f} (bound 1.05)"
 
 
 def _remark34a_config() -> dict:
@@ -1076,14 +1084,14 @@ def _remark34a_config() -> dict:
 
 
 def _y0_within(target_y0: float, tolerance: float):
-    """The row of a ``solve`` check's ``Y_0``, ``within`` when |Y_0 - target_y0| <= tolerance."""
+    """The ``solve`` row's value, which is ``Y_0``, within ``tolerance`` of ``target_y0``."""
 
-    def row(sol, _reducer) -> dict:
-        err = float(abs(sol.y0[0] - target_y0))
-        detail = f"|Y_0 - ({target_y0})| = {err:.6f} (tolerance {tolerance})"
-        return _bound_row("acceptance:y0", err, tolerance, sol.y0[0], detail)
+    def bound(rows, _reducers):
+        y0 = rows["solve"]["value"]
+        err = abs(y0 - target_y0)
+        return err, tolerance, y0, f"|Y_0 - ({target_y0})| = {err:.6f} (tolerance {tolerance})"
 
-    return row
+    return bound
 
 
 def _remark34b_config() -> dict:
@@ -1097,15 +1105,17 @@ def _remark34b_config() -> dict:
     }
 
 
-def _violation_fraction(payload, _reducer) -> dict:
-    report, expected = payload[0], float(np.exp(-0.5))
+def _violation_fraction(_rows, reducers):
+    """The ``comparison-empirical`` report's violation fraction at t = 0.5
+    within 0.03 of exp(-1/2)."""
+    report, expected = reducers["comparison-empirical"], float(np.exp(-0.5))
     idx = int(np.argmin(np.abs(report.times - 0.5)))
     frac = float(report.violation_fraction[idx])
     detail = (
         f"violation fraction {frac:.4f} at t={report.times[idx]:.2f}, "
         f"expected {expected:.4f} +/- 0.03"
     )
-    return _bound_row("acceptance:violation-fraction", abs(frac - expected), 0.03, frac, detail)
+    return abs(frac - expected), 0.03, frac, detail
 
 
 def _thm25_config() -> dict:
@@ -1124,23 +1134,17 @@ def _thm25_config() -> dict:
     }
 
 
-class _Acceptance(NamedTuple):
-    """A preset's acceptance row for one check kind: the function of the
-    check's payload and of its node reducer that gives the row, and the
-    maker of that reducer (None: the row reads the payload only)."""
-
-    row: Callable
-    reducer: Callable | None = None
-
-
-# each preset: its config, and its acceptance rows, by check kind
+# each preset: its config, and its acceptance rows by name, in row order.
+# A row is a function of the run's verdict rows, by check kind, and of its
+# node reducers, by name (``_REDUCERS``), that gives (error, bound, value,
+# detail); it reads ``within`` when the error is at most the bound.
 _PRESETS = {
-    "example28": (_example28_config, {"viability-empirical": _Acceptance(_ball_norm, _MeanNorms)}),
-    "remark34a": (_remark34a_config, {"solve": _Acceptance(_y0_within(0.5, 0.02))}),
+    "example28": (_example28_config, {"acceptance:ball-norm": _ball_norm}),
+    "remark34a": (_remark34a_config, {"acceptance:y0": _y0_within(0.5, 0.02)}),
     "remark34b": (
         _remark34b_config,
-        {"solve": _Acceptance(_y0_within(-1.0, 0.02)),
-         "comparison-empirical": _Acceptance(_violation_fraction)},
+        {"acceptance:y0": _y0_within(-1.0, 0.02),
+         "acceptance:violation-fraction": _violation_fraction},
     ),
     "thm25-demo": (_thm25_config, {}),
 }
@@ -1152,17 +1156,10 @@ def reproduce(name: str, out_dir=None, *, fmt="csv", seed=None, paths=None, step
     """Run a named reproduction preset with its pinned configuration."""
     if name not in _PRESETS:
         raise ScenarioError("preset", f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    build, rows = _PRESETS[name]
-    # the rows' node reducers, fed by the run's one backward pass
-    reducers = {kind: row.reducer() for kind, row in rows.items() if row.reducer is not None}
+    build, acceptance = _PRESETS[name]
     return _run_scenario(
         build(), out_dir, fmt=fmt, checks=None, seed=seed, paths=paths, steps=steps,
-        # one acceptance row for each check of a kind the preset names, in check order
-        extra_acceptance=lambda _scenario, payloads: [
-            rows[spec.kind].row(payload, reducers.get(spec.kind))
-            for spec, _row, payload in payloads if spec.kind in rows
-        ],
-        extra_reducers=reducers.values(),
+        acceptance=acceptance,
     )
 
 

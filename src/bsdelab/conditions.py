@@ -46,7 +46,6 @@ from .solver import (
     RegressionBasis,
     TerminalCondition,
     replay_nodes,
-    solve_backward,
     solve_backward_many,
 )
 from .stochastic import DrivingPaths, FiniteMarkMeasure, StreamKey, _noise_mismatch
@@ -58,7 +57,6 @@ __all__ = [
     "viability_lhs_rhs",
     "check_viability_condition",
     "ViabilityPathReport",
-    "ViabilityPathReducer",
     "viability_path_report",
     "check_viability_empirical",
     "check_comparison_m1",
@@ -69,7 +67,6 @@ __all__ = [
     "StackedGenerator",
     "stacked_reduction",
     "ComparisonPathReport",
-    "ComparisonPathReducer",
     "comparison_path_report",
     "empirical_comparison",
 ]
@@ -585,26 +582,21 @@ def check_viability_condition(
     return _run_certification(_ViabilityInequality(gen, body), samples, c_max)
 
 
-@dataclass(frozen=True)
 class ViabilityPathReport:
-    times: np.ndarray
-    mean_distance: np.ndarray
-    max_mean_distance: float
+    """How far a solved equation strays from the target set ``body``: the
+    mean distance over paths at each of the nodes ``times``
+    (``mean_distance``) and its largest value (``max_mean_distance``).
 
-
-class ViabilityPathReducer:
-    """:func:`viability_path_report` one node at a time.
-
-    Fed ``reducer(i, ys)`` for i = N, ..., 0 on the nodes ``times``, with
-    the solved problem's node i first in ``ys``, by a backward pass's
-    ``on_node`` or by :func:`replay_nodes`; it holds one node's distances,
-    not the whole path's.  The terminal node, which is the payoff itself,
-    must sit in the target set.
+    The report is filled one node at a time, as ``report(i, ys)`` for
+    i = N, ..., 0 with the solved problem's node i first in ``ys``, by a
+    backward pass's ``on_node`` or by :func:`replay_nodes`; it holds one
+    node's distances, not the whole path's.  The terminal node, which is
+    the payoff itself, must sit in the target set.
     """
 
     def __init__(self, body, times: np.ndarray):
         self.body = body
-        self.times = times
+        self.times = times.copy()
         self.mean_distance = np.empty(times.shape[0])
 
     def __call__(self, i: int, ys) -> None:
@@ -615,25 +607,17 @@ class ViabilityPathReducer:
             )
         self.mean_distance[i] = dist.mean()
 
-    def report(self) -> ViabilityPathReport:
-        return ViabilityPathReport(
-            times=self.times.copy(),
-            mean_distance=self.mean_distance,
-            max_mean_distance=float(self.mean_distance.max()),
-        )
+    @property
+    def max_mean_distance(self) -> float:
+        return float(self.mean_distance.max())
 
 
 def viability_path_report(sol: BsdeSolution, body) -> ViabilityPathReport:
-    """Track how far a solved equation, which kept y, strays from the
-    target set.
-
-    The terminal values ``sol.y[-1]``, which are the payoff itself,
-    must sit in the target set; the report carries the per-time mean
-    distance over paths and its largest value (:class:`ViabilityPathReducer`).
-    """
-    reducer = ViabilityPathReducer(body, sol.times)
-    replay_nodes([sol], reducer)
-    return reducer.report()
+    """The :class:`ViabilityPathReport` of a solved equation that kept y,
+    replayed from its store."""
+    report = ViabilityPathReport(body, sol.times)
+    replay_nodes([sol], report)
+    return report
 
 
 def check_viability_empirical(
@@ -643,10 +627,12 @@ def check_viability_empirical(
     paths: DrivingPaths,
     basis: RegressionBasis | None = None,
 ) -> tuple[ViabilityPathReport, BsdeSolution]:
-    """Solve the equation on ``paths`` (explicit steps) and report it with
-    :func:`viability_path_report`."""
-    sol = solve_backward(gen, terminal, paths, basis=basis)
-    return viability_path_report(sol, body), sol
+    """Solve the equation on ``paths`` (explicit steps), keeping y, and
+    fill its :class:`ViabilityPathReport` as the pass solves each node;
+    terminal data outside the target set ends the pass at node N."""
+    report = ViabilityPathReport(body, paths.grid.nodes)
+    (sol,) = solve_backward_many([(gen, terminal)], paths, basis=basis, on_node=report)
+    return report, sol
 
 
 # ---------------------------------------------------------------------------
@@ -959,27 +945,23 @@ def stacked_reduction(f1: Generator, f2: Generator) -> tuple[StackedGenerator, O
 # empirical comparison of two solved equations
 
 
-@dataclass(frozen=True)
 class ComparisonPathReport:
-    times: np.ndarray
-    min_gap: float
-    min_gap_per_time: np.ndarray
-    violation_fraction: np.ndarray
-    gap_at_zero: np.ndarray
+    """How two solved equations stay ordered: at each of the nodes
+    ``times``, the smallest componentwise gap Y1 - Y2 over paths
+    (``min_gap_per_time``) and the fraction of paths where some component
+    of the gap is negative (``violation_fraction``); the smallest gap of
+    all (``min_gap``), and the mean gap at time zero (``gap_at_zero``).
 
-
-class ComparisonPathReducer:
-    """:func:`comparison_path_report` one node at a time.
-
-    Fed ``reducer(i, ys)`` for i = N, ..., 0 on the nodes ``times``, with
-    node i of the dominating problem and of the dominated one first in
-    ``ys``, by a backward pass's ``on_node`` or by :func:`replay_nodes`;
-    it holds one node's gap, not the whole path's.  The terminal nodes,
-    which are the payoffs themselves, must already be ordered.
+    The report is filled one node at a time, as ``report(i, ys)`` for
+    i = N, ..., 0 with node i of the dominating problem and of the
+    dominated one first in ``ys``, by a backward pass's ``on_node`` or by
+    :func:`replay_nodes`; it holds one node's gap, not the whole path's.
+    The terminal nodes, which are the payoffs themselves, must already be
+    ordered.
     """
 
     def __init__(self, times: np.ndarray):
-        self.times = times
+        self.times = times.copy()
         self.min_gap_per_time = np.empty(times.shape[0])
         self.violation_fraction = np.empty(times.shape[0])
         self.gap_at_zero = None
@@ -994,30 +976,19 @@ class ComparisonPathReducer:
         if i == 0:
             self.gap_at_zero = gap.mean(axis=0)
 
-    def report(self) -> ComparisonPathReport:
-        return ComparisonPathReport(
-            times=self.times.copy(),
-            min_gap=float(self.min_gap_per_time.min()),
-            min_gap_per_time=self.min_gap_per_time,
-            violation_fraction=self.violation_fraction,
-            gap_at_zero=self.gap_at_zero,
-        )
+    @property
+    def min_gap(self) -> float:
+        return float(self.min_gap_per_time.min())
 
 
 def comparison_path_report(sol1: BsdeSolution, sol2: BsdeSolution) -> ComparisonPathReport:
-    """Compare two equations solved on one path bundle, each keeping y.
-
-    The terminal values ``sol.y[-1]``, which are the payoffs
-    themselves, must already be ordered; the report tracks the smallest
-    componentwise gap and the per-time fraction of paths where the
-    ordering fails (:class:`ComparisonPathReducer`)."""
-    if sol1.paths is not sol2.paths:
-        raise ValueError("solutions must be solved on one path bundle")
+    """The :class:`ComparisonPathReport` of two equations solved on one
+    path bundle, each keeping y, replayed from their stores."""
     if sol1.state_dim != sol2.state_dim:
         raise ValueError("solutions must share the state dimension")
-    reducer = ComparisonPathReducer(sol1.times)
-    replay_nodes([sol1, sol2], reducer)
-    return reducer.report()
+    report = ComparisonPathReport(sol1.times)
+    replay_nodes([sol1, sol2], report)
+    return report
 
 
 def empirical_comparison(
@@ -1029,7 +1000,13 @@ def empirical_comparison(
     basis: RegressionBasis | None = None,
 ) -> tuple[ComparisonPathReport, BsdeSolution, BsdeSolution]:
     """Solve both equations on ``paths`` in one backward pass (explicit
-    steps) and compare them with :func:`comparison_path_report`."""
+    steps), keeping y, and fill their :class:`ComparisonPathReport` as the
+    pass solves each node; unordered terminal data ends the pass at node N."""
     _require_matching_noise(f1, f2)
-    sol1, sol2 = solve_backward_many([(f1, terminal1), (f2, terminal2)], paths, basis=basis)
-    return comparison_path_report(sol1, sol2), sol1, sol2
+    if f1.state_dim != f2.state_dim:
+        raise ValueError("drivers must share the state dimension")
+    report = ComparisonPathReport(paths.grid.nodes)
+    sol1, sol2 = solve_backward_many(
+        [(f1, terminal1), (f2, terminal2)], paths, basis=basis, on_node=report
+    )
+    return report, sol1, sol2

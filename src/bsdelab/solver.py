@@ -350,7 +350,10 @@ def solve_backward_many(
     per problem, in problem order.  The calls run one at a time, in that
     order, on this thread or on the worker, whichever is free, beside the
     next step; an array is valid only during its call, so a caller that
-    needs it later copies it, and an error in a call ends the pass.
+    needs it later copies it, and an error in a call ends the pass.  Node
+    N, the terminal data, is handed on this thread before any step, so a
+    callback that refuses it ends the pass before its second step
+    regression.
     """
     if basis is None:
         basis = RegressionBasis()
@@ -400,8 +403,9 @@ def solve_backward_many(
         on_node(i, nodes)
         seconds["nodes"] += time.perf_counter() - started
 
-    # node i goes to whichever thread is free: the worker if it has built
-    # the next step, else this thread, which would wait for it.  Each call
+    # node i < N goes to whichever thread is free: the worker if it has built
+    # the next step, else this thread, which would wait for it; node N stays
+    # on this thread, so its refusal comes before step N - 1.  Each call
     # first waits for the node the worker last took, so the calls run in
     # order, one at a time, and an error in one surfaces at the next node.
     # The worker runs its tasks in order, so a node it takes is done before
@@ -419,7 +423,7 @@ def solve_backward_many(
         if handed is not None:
             handed.result()
             handed = None
-        if ahead.done():
+        if i < N and ahead.done():
             handed = worker.submit(reduce, i, nodes)
         else:
             reduce(i, nodes)
@@ -482,11 +486,13 @@ def solve_backward_many(
 
 def replay_nodes(solutions, on_node) -> None:
     """Hand ``on_node`` the kept y stores of ``solutions``, solved on one
-    grid, as their backward pass would: ``on_node(i, ys)`` for
+    path bundle, as their backward pass would: ``on_node(i, ys)`` for
     i = N, N - 1, ..., 0, with ``ys`` each solution's read-only node i."""
     stores = [sol.y for sol in solutions]
     if any(y is None for y in stores):
         raise ValueError('solutions do not keep y: solve them with keep=("y",)')
+    if any(sol.paths is not solutions[0].paths for sol in solutions):
+        raise ValueError("solutions must be solved on one path bundle")
     for i in range(stores[0].shape[0] - 1, -1, -1):
         nodes = tuple(y[i] for y in stores)
         for node in nodes:

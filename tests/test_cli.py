@@ -32,7 +32,7 @@ from bsdelab.cli import (
     reproduce,
     run_scenario,
 )
-from bsdelab.conditions import ComparisonPathReducer, ViabilityPathReducer
+from bsdelab.conditions import ComparisonPathReport, ViabilityPathReport
 from bsdelab.solver import RegressionBasis, replay_nodes, solve_backward, solve_backward_many
 from bsdelab.stochastic import simulate_paths
 
@@ -323,8 +323,8 @@ def test_cell_formatting():
     [
         _NodeStats,
         lambda scenario: _MeanNorms(),
-        lambda scenario: ViabilityPathReducer(scenario.target, scenario.grid.nodes),
-        lambda scenario: ComparisonPathReducer(scenario.grid.nodes),
+        lambda scenario: ViabilityPathReport(scenario.target, scenario.grid.nodes),
+        lambda scenario: ComparisonPathReport(scenario.grid.nodes),
     ],
     ids=["node-stats", "mean-norms", "viability", "comparison"],
 )
@@ -493,16 +493,25 @@ def test_shared_run_writes_the_tables_of_each_check_run_alone(tmp_path, build):
                 assert rec["sha256"] == digests[rec["path"]], (kind, rec["path"])
 
 
-def test_shared_bundle_and_solution_are_read_only(tmp_path):
-    payloads = {}
+def test_shared_bundle_and_solution_are_read_only(tmp_path, monkeypatch):
+    made = {"simulate_paths": [], "solve_backward_many": []}
 
-    def keep(scenario, results):
-        payloads.update((spec.kind, payload) for spec, _row, payload in results)
-        return []
+    def kept(name):
+        original = getattr(bsdelab.cli, name)
 
-    run_scenario(pair_config(), tmp_path, extra_acceptance=keep)
-    paths, sol = payloads["simulate"], payloads["solve"]
-    _report, sol1, sol2 = payloads["comparison-empirical"]
+        def wrapper(*args, **kwargs):
+            made[name].append(original(*args, **kwargs))
+            return made[name][-1]
+
+        monkeypatch.setattr(bsdelab.cli, name, wrapper)
+
+    kept("simulate_paths")
+    kept("solve_backward_many")
+    run_scenario(pair_config(), tmp_path)
+    # the simulate, solve and comparison-empirical checks read one bundle
+    # and one pass, whose first solution is the solve check's
+    (paths,), (solutions,) = made["simulate_paths"], made["solve_backward_many"]
+    sol, (sol1, sol2) = solutions[0], solutions
     assert sol1 is sol
     assert sol.paths is paths and sol2.paths is paths
     # every check reduces the nodes as the pass solves them, so the shared
@@ -934,6 +943,27 @@ def test_cli_exits_two_on_an_unknown_key_in_any_config_object(
     assert code == 2
     assert capsys.readouterr().err.startswith(f"config error at {field}: not a parameter of ")
     assert not (tmp_path / "out").exists()
+
+
+def test_json_documents_write_a_missing_value_as_null(tmp_path):
+    # the doubled jump driver against the zero driver falsifies the scalar
+    # comparison, a verdict with no constant
+    cfg = pair_config()
+    cfg["checks"] = [{"kind": "comparison", "samples": 300, "expect": "falsified"}]
+    assert run_scenario(cfg, tmp_path / "json", fmt="json").verdicts[0]["outcome"] == "falsified"
+    run_scenario(cfg, tmp_path / "csv")
+
+    def refuse(constant):
+        raise AssertionError(f"strict JSON has no {constant}")
+
+    docs = {
+        name: json.loads((tmp_path / "json" / name).read_text(), parse_constant=refuse)
+        for name in ("verdicts.json", "manifest.json", "comparison_verdict.json")
+    }
+    assert docs["verdicts.json"]["rows"][0][3] is None
+    assert docs["manifest.json"]["verdicts"][0]["value"] is None
+    # the CSV table still writes the missing value as nan
+    assert (tmp_path / "csv" / "verdicts.csv").read_text().splitlines()[1].split(",")[3] == "nan"
 
 
 def test_cli_format_flag_switches_table_format(tmp_path):

@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 from test_acceptance import _random_affine_pair
 from test_geometry import bodies_for_properties
 
+import bsdelab.conditions
 from bsdelab.conditions import (
     ComparisonPathReport,
     ConditionSampler,
     ConditionVerdict,
     SampleBatch,
     StackedGenerator,
+    ViabilityPathReport,
     check_comparison_m1,
     check_comparison_matrix,
     check_comparison_multidim,
@@ -40,7 +42,7 @@ from bsdelab.generators import AffineGen, Generator, ProjectionDriftGen, ScaledJ
 from bsdelab.geometry import (
     Ball, Box, FinitePointSet, HalfspaceIntersection, OrthantProduct, PsdCone, sym_to_vec, vec_to_sym,
 )
-from bsdelab.solver import TerminalCondition, solve_backward
+from bsdelab.solver import RegressionBasis, TerminalCondition, solve_backward
 from bsdelab.stochastic import FiniteMarkMeasure, TimeGrid, simulate_paths
 
 MARKS1 = FiniteMarkMeasure([[1.0]], [1.0])
@@ -546,10 +548,91 @@ def test_empirical_comparison_rejects_unordered_terminals():
         empirical_comparison(g, g, lo, hi, paths)
 
 
+_REPORT_FIELDS = {
+    ViabilityPathReport: ("times", "mean_distance", "max_mean_distance"),
+    ComparisonPathReport: ("times", "min_gap", "min_gap_per_time", "violation_fraction", "gap_at_zero"),
+}
+
+
 def _assert_same_report(a, b):
     assert type(a) is type(b)
-    for name in a.__dataclass_fields__:
+    for name in _REPORT_FIELDS[type(a)]:
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def _spy_passes(monkeypatch):
+    """The backward passes the empirical checkers make, each as its problem
+    count; replaying a kept store raises."""
+    passes = []
+    original = bsdelab.conditions.solve_backward_many
+
+    def spied(problems, *args, **kwargs):
+        passes.append(len(problems))
+        return original(problems, *args, **kwargs)
+
+    def no_replay(*args, **kwargs):
+        raise AssertionError("the checker replayed a kept store")
+
+    monkeypatch.setattr(bsdelab.conditions, "solve_backward_many", spied)
+    monkeypatch.setattr(bsdelab.conditions, "replay_nodes", no_replay)
+    return passes
+
+
+def test_empirical_checkers_make_one_pass_and_replay_nothing(monkeypatch):
+    grid = TimeGrid.uniform(1.0, 6)
+    paths = simulate_paths(grid, MARKS1, brownian_dim=1, n_paths=700, seed=9)
+    passes = _spy_passes(monkeypatch)
+    sign = TerminalCondition(lambda w, n: np.where(w[:, :1] >= 0, 1.0, -1.0), 1)
+    target = FinitePointSet(np.array([[-1.0], [1.0]]))
+    report, sol = check_viability_empirical(ZeroGen(1, 1, MARKS1), sign, target, paths)
+    assert passes == [1]
+    assert report.mean_distance[-1] == 0.0 and sol.y.shape == (7, 700, 1)
+    g = ScaledJumpGen(0.5)
+    hi = TerminalCondition(lambda w, n: n[:, :1] + 1.0, 1)
+    lo = TerminalCondition(lambda w, n: 1.0 * n[:, :1], 1)
+    report, sol1, sol2 = empirical_comparison(g, g, hi, lo, paths)
+    assert passes == [1, 2]
+    assert report.min_gap > 0.5 and sol1.y.shape == sol2.y.shape == (7, 700, 1)
+
+
+def _refused_at_node_n(check, match):
+    """Run ``check(basis)`` and expect it refused at node N: the pass builds
+    only the design of its first step, ahead, and solves no step."""
+    designs = []
+
+    class CountedBasis(RegressionBasis):
+        def design_matrix(self, features):
+            designs.append(features.shape)
+            return super().design_matrix(features)
+
+    with pytest.raises(ValueError, match=match):
+        check(CountedBasis())
+    assert len(designs) == 1
+
+
+def test_empirical_checkers_refuse_bad_terminal_data_at_node_n():
+    grid = TimeGrid.uniform(1.0, 10)
+    paths = simulate_paths(grid, MARKS1, brownian_dim=1, n_paths=2_000, seed=3)
+    zero = ZeroGen(1, 1, MARKS1)
+    outside = TerminalCondition(lambda w, n: 10.0 * w[:, :1], 1)
+    _refused_at_node_n(
+        lambda basis: check_viability_empirical(zero, outside, Ball(np.zeros(1), 1.0), paths, basis),
+        "leaves the target set",
+    )
+    hi = TerminalCondition(lambda w, n: n[:, :1] + 1.0, 1)
+    lo = TerminalCondition(lambda w, n: 1.0 * n[:, :1], 1)
+    _refused_at_node_n(lambda basis: empirical_comparison(zero, zero, lo, hi, paths, basis), "not ordered")
+
+
+def test_empirical_comparison_refuses_mismatched_state_dimensions_before_solving(monkeypatch):
+    grid = TimeGrid.uniform(1.0, 6)
+    paths = simulate_paths(grid, MARKS1, brownian_dim=1, n_paths=700, seed=9)
+    passes = _spy_passes(monkeypatch)
+    one = TerminalCondition(lambda w, n: 1.0 * n[:, :1], 1)
+    two = TerminalCondition(lambda w, n: np.zeros((w.shape[0], 2)), 2)
+    with pytest.raises(ValueError, match="drivers must share the state dimension"):
+        empirical_comparison(ZeroGen(2, 1, MARKS1), ZeroGen(1, 1, MARKS1), two, one, paths)
+    assert passes == []
 
 
 def test_viability_wrapper_is_solve_then_report():

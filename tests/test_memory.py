@@ -88,9 +88,10 @@ def test_scenario_run_streams_its_checks_and_holds_no_y_store(tmp_path):
     run = _ScenarioRun(scenario, ("solve", "comparison-empirical"))
     run.paths()
     writer = _ArtifactWriter(tmp_path, "csv")
-    results, peak = traced_peak(lambda: [run.run_check(spec, writer) for spec in scenario.checks])
-    (_, sol), (_, (_report, sol1, sol2)) = results
-    assert sol is sol1 and sol1.y is None and sol2.y is None
+    rows, peak = traced_peak(lambda: [run.run_check(spec, writer) for spec in scenario.checks])
+    assert [row["check"] for row in rows] == ["solve", "comparison-empirical"]
+    sol1, sol2 = run.solutions()
+    assert sol1.y is None and sol2.y is None
     assert (tmp_path / "y_stats.csv").exists() and (tmp_path / "gap_stats.csv").exists()
     # the pass's step temporaries and two node blocks per problem; the node
     # reductions' own temporaries, a node block or two, run beside the step

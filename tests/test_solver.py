@@ -587,6 +587,37 @@ class TestLockstep:
         with pytest.raises(ValueError, match=r'keep=\("y",\)'):
             replay_nodes([sol], lambda i, ys: None)
 
+    @pytest.mark.parametrize("steps", [(5, 10), (10, 5)], ids=["short-first", "long-first"])
+    def test_replay_refuses_solutions_on_different_bundles(self, steps):
+        sols = [
+            solve_backward(ScaledJumpGen(2.0), count_terminal(), simulate(n_paths=2_000, n_steps=n, seed=83))
+            for n in steps
+        ]
+        seen = []
+        with pytest.raises(ValueError, match="one path bundle"):
+            replay_nodes(sols, lambda i, ys: seen.append(i))
+        assert seen == []
+
+    def test_node_n_is_refused_on_this_thread_before_the_second_step(self, monkeypatch):
+        designs, threads = [], []
+        original = RegressionBasis.design_matrix
+
+        def counted(self, features):
+            designs.append(features.shape)
+            return original(self, features)
+
+        def refuse(i, ys):
+            threads.append(threading.current_thread())
+            raise ValueError(f"node {i} refused")
+
+        monkeypatch.setattr(RegressionBasis, "design_matrix", counted)
+        paths = simulate(n_paths=2_000, n_steps=6, seed=89)
+        with pytest.raises(ValueError, match="node 6 refused"):
+            solve_backward_many(lockstep_problems(), paths, keep=(), on_node=refuse)
+        # only the first step's design, built ahead, was made
+        assert len(designs) == 1
+        assert threads == [threading.current_thread()]
+
     def test_one_design_per_step_for_every_problem(self, monkeypatch):
         calls = []
         original = RegressionBasis.design_matrix
