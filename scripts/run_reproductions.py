@@ -11,8 +11,9 @@ two runs wrote the same bytes exactly when their digests agree.  Under
 its verdicts, a ``seconds`` line gives the manifest's wall-clock seconds
 of the bundle draw, the backward pass (then every key of its split: the
 worker's design and regression seconds, the main thread's wait for them
-and its fit and driver seconds, and the node reductions' seconds) and
-each check.
+and its fit and driver seconds, the node reductions' seconds and the
+seconds rebuilding the bundle's nodes between stored ones, ``redraw``)
+and each check.
 The tables do not depend on the BLAS thread count.  As in the ``bsdelab``
 command, BLAS runs on one thread, where the backward pass is fastest,
 unless ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or

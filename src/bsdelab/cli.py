@@ -564,9 +564,10 @@ class _ScenarioRun:
     keeps none: it feeds each node it solves to ``reducers``, the node
     reducers of the selected ``kinds`` and of the ``acceptance`` rows that
     read solved nodes, by name (see ``_REDUCERS``), and each check and
-    acceptance row reads its own.  The bundle and the solutions' ``y0``
-    and ``y0_se`` are read-only, so each check sees the same draws and the
-    same solutions and none can change them for the next.  ``seconds``
+    acceptance row reads its own.  The bundle's stored nodes and the
+    solutions' ``y0`` and ``y0_se`` are read-only, and the other nodes are
+    rebuilt from the stored ones, so each check sees the same draws and
+    the same solutions and none can change them for the next.  ``seconds``
     times the draw, the backward pass and each check run through
     ``run_check``, for the manifest.
     """
@@ -645,14 +646,20 @@ def _row(check: str, outcome: str, passed, value, detail: str) -> dict:
 def _simulate(run: _ScenarioRun, params: dict, writer: _ArtifactWriter):
     scenario = run.scenario
     paths = run.paths()
+    d, J = paths.brownian_dim, scenario.marks.n_atoms
+    w_mean, w_std, n_mean = ([[] for _ in range(size)] for size in (d, d, J))
+    # one node's coordinate at a time, each node rebuilt as it is reached
+    for w, counts in paths.nodes():
+        for j in range(d):
+            w_mean[j].append(w[:, j].mean())
+            w_std[j].append(w[:, j].std())
+        for j in range(J):
+            n_mean[j].append(counts[:, j].mean())
     columns = [("t", list(scenario.grid.nodes))]
-    # one node's coordinate at a time: a reduction over the strided view of
-    # the whole store would make temporaries as large as the store
-    for j in range(paths.brownian_dim):
-        columns.append((f"w{j}_mean", [w[:, j].mean() for w in paths.brownian]))
-        columns.append((f"w{j}_std", [w[:, j].std() for w in paths.brownian]))
-    for j in range(scenario.marks.n_atoms):
-        columns.append((f"n{j}_mean", [k[:, j].mean() for k in paths.count_nodes]))
+    for j in range(d):
+        columns += [(f"w{j}_mean", w_mean[j]), (f"w{j}_std", w_std[j])]
+    for j in range(J):
+        columns.append((f"n{j}_mean", n_mean[j]))
     writer.write_table("path_stats", columns)
     n = scenario.solver.paths
     detail = f"{n} paths on {scenario.grid.n_steps} steps"

@@ -37,12 +37,17 @@ class Generator:
     """Base driver; subclasses implement ``_eval`` on validated batches.
 
     ``_eval`` receives t as a float or as an (n,) array of per-row times.
+    ``reads_z`` and ``reads_u`` say whether the driver's value can depend
+    on z and on u; the backward pass fits no integrand that no driver
+    reads.  A driver that cannot tell keeps the default, True.
     """
 
     state_dim: int
     brownian_dim: int
     marks: FiniteMarkMeasure
     lipschitz: float
+    reads_z = True
+    reads_u = True
 
     def __call__(self, t, y: np.ndarray, z: np.ndarray, u: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
@@ -83,8 +88,11 @@ class ProjectionDriftGen(Generator):
 
     Vanishes on the body, so constrained terminal data keeps the
     zero-driver solution; 2-Lipschitz because projections are
-    nonexpansive.
+    nonexpansive.  Reads neither z nor u.
     """
+
+    reads_z = False
+    reads_u = False
 
     def __init__(self, body: ConvexBody, brownian_dim: int, marks: FiniteMarkMeasure):
         if not isinstance(body, ConvexBody):
@@ -108,6 +116,8 @@ class AffineGen(Generator):
     C is (n_atoms, m, m) with one matrix per atom; drift is a constant
     vector or a callable of time returning an (m,) vector.  The declared
     Lipschitz bound comes from the spectral norms of the three linear maps.
+    The driver reads z exactly when B has a nonzero entry, and u exactly
+    when C has one.
     """
 
     def __init__(self, a, b, c, drift, brownian_dim: int, marks: FiniteMarkMeasure):
@@ -136,6 +146,8 @@ class AffineGen(Generator):
         blocks = (("kl,nl->nk", self.a), ("kij,nij->nk", self.b), ("jkl,njl->nk", self.c))
         self._live = [(k, spec, coef) for k, (spec, coef) in enumerate(blocks) if coef.any()]
         self._drift_live = self._drift is not None or self._shift.any()
+        self.reads_z = bool(self.b.any())
+        self.reads_u = bool(self.c.any())
         l_y = np.linalg.norm(self.a, 2)
         l_z = np.linalg.norm(self.b.reshape(m, m * brownian_dim), 2)
         scaled = np.concatenate(

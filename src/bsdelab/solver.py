@@ -11,6 +11,7 @@ scheme is exact up to Monte Carlo noise in the fitted coefficients.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import itertools
 import operator
 import sys
@@ -90,6 +91,22 @@ def _monomial_powers(n_features: int, degree: int) -> np.ndarray:
     ])
 
 
+@functools.lru_cache(maxsize=None)
+def _monomial_plan(n_features: int, degree: int) -> tuple[tuple[int, int], ...]:
+    """Per column after the constant one, in the order of ``_monomial_powers``:
+    the column of the monomial with its last factor removed, and that factor.
+    The columns come by degree, so that earlier column comes first."""
+    powers = _monomial_powers(n_features, degree)
+    column = {tuple(p): col for col, p in enumerate(powers)}
+    plan = []
+    for p in powers[1:]:
+        last = int(np.flatnonzero(p)[-1])
+        lower = p.copy()
+        lower[last] -= 1
+        plan.append((column[tuple(lower)], last))
+    return tuple(plan)
+
+
 @dataclass(frozen=True)
 class RegressionBasis:
     """Total-degree polynomial basis over the live state features.
@@ -110,32 +127,40 @@ class RegressionBasis:
             raise ValueError("basis degree must be nonnegative")
         object.__setattr__(self, "degree", degree)
 
-    def design_matrix(self, features: np.ndarray) -> np.ndarray:
+    def design_matrix(self, *blocks) -> np.ndarray:
+        """The (n, p) design over the features of ``blocks``, each (n, f_b)
+        and of any real dtype, side by side: the state (W, N) of one node
+        is ``design_matrix(brownian_i, counts_i)``."""
+        blocks = [np.asarray(b) for b in blocks]
         # feature-major, so that each feature's mean and std are pairwise sums
         # over one contiguous row (a strided axis-0 sum adds row after row)
-        rows = np.ascontiguousarray(np.asarray(features, dtype=float).T)
-        # a NaN or inf anywhere in a feature makes its std non-finite, which
-        # would otherwise read as a dead feature below
+        rows = np.empty((sum(b.shape[1] for b in blocks), blocks[0].shape[0]))
+        start = 0
+        for b in blocks:
+            rows[start : start + b.shape[1]] = b.T
+            start += b.shape[1]
+        # the mean and std of np.mean and np.std, with the deviation from the
+        # mean made once; a NaN or inf anywhere in a feature makes its std non
+        # finite, which would otherwise read as a dead feature below
+        mean = rows.mean(axis=1)
         with np.errstate(invalid="ignore"):
-            mean, std = rows.mean(axis=1), rows.std(axis=1)
+            centered = np.subtract(rows, mean[:, None], out=rows)
+            std = np.sqrt((centered * centered).sum(axis=1) / centered.shape[1])
         bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
         if bad.size:
             raise ValueError(f"state feature {bad[0]} is not finite")
         live = std > 0.0
-        centered = (rows[live] - mean[live, None]) / std[live, None]
-        powers = _monomial_powers(int(live.sum()), self.degree)
+        if not live.all():
+            centered = centered[live]
+        centered /= std[live, None]
+        plan = _monomial_plan(centered.shape[0], self.degree)
         # built column-major, one product per column: a monomial's column is
         # the column of the monomial with its last factor removed, times that
-        # factor, so a column multiplies its factors in ascending feature order;
-        # the columns come by degree, so that earlier column is already built
-        column = {tuple(p): col for col, p in enumerate(powers)}
-        design = np.empty((powers.shape[0], rows.shape[1]))
+        # factor, so a column multiplies its factors in ascending feature order
+        design = np.empty((len(plan) + 1, rows.shape[1]))
         design[0] = 1.0
-        for col, p in enumerate(powers[1:], start=1):
-            last = np.flatnonzero(p)[-1]
-            lower = p.copy()
-            lower[last] -= 1
-            np.multiply(design[column[tuple(lower)]], centered[last], out=design[col])
+        for col, (lower, last) in enumerate(plan, start=1):
+            np.multiply(design[lower], centered[last], out=design[col])
         return design.T
 
 
@@ -218,7 +243,8 @@ class BsdeSolution:
     build (``design``) and in the step regressions (``regression``), the
     calling thread's seconds waiting for them (``wait``), in the fits
     (``fit``) and in the drivers (``driver``), and the seconds in the node
-    callback (``nodes``), on whichever thread ran it.
+    callback (``nodes``) and in rebuilding the bundle's nodes between its
+    stored ones (``redraw``), on whichever thread ran them.
     """
 
     times: np.ndarray
@@ -266,27 +292,37 @@ def _finite_driver(gen: Generator, t: float, y, z, u, step: int, where: str, sec
     return out
 
 
-def _problem_step(gen, y_next, y_i, z, u, i, h, t_i, reg, dw, comp, marks, where, mode, seconds):
+def _problem_step(gen, y_next, y_i, z, u, i, h, t_i, reg, dw, comp, marks, where, mode, seconds, integrands):
     """One problem's share of step i: its targets, its fit and its driver.
 
     Step i reads node i + 1, ``y_next`` (n, m), and writes node i into
     ``y_i``; ``z`` (n, m, d) and ``u`` (n, J, m) are the step's integrand
-    slots, contiguous, which it overwrites.  A function, so that one
-    problem's step temporaries are freed before the next problem makes
-    its own.
+    slots, contiguous, which it overwrites with their fits when
+    ``integrands`` is true and leaves as they are otherwise.  A function,
+    so that one problem's step temporaries are freed before the next
+    problem makes its own.
     """
     n, m = y_next.shape
     d, J = dw.shape[1], comp.shape[1]
-    z_target = (y_next[:, :, None] * dw[:, None, :]).reshape(n, m * d) / h
-    u_target = (y_next[:, None, :] * comp[:, :, None]).reshape(n, J * m)
-    u_target /= h * np.repeat(marks.weights, m)
-    stacked = np.concatenate([y_next, z_target, u_target], axis=1)
+    if integrands:
+        # y, then the z and u targets, written in place into their columns
+        targets = np.empty((n, m * (1 + d + J)))
+        targets[:, :m] = y_next
+        z_target = targets[:, m : m + m * d].reshape(n, m, d)
+        np.multiply(y_next[:, :, None], dw[:, None, :], out=z_target)
+        z_target /= h
+        u_target = targets[:, m + m * d :].reshape(n, J, m)
+        np.multiply(y_next[:, None, :], comp[:, :, None], out=u_target)
+        u_target /= h * marks.weights[:, None]
+    else:
+        targets = y_next
     started = time.perf_counter()
-    fitted = reg.fit(stacked)
+    fitted = reg.fit(targets)
     seconds["fit"] += time.perf_counter() - started
     cond_mean = fitted[:, :m]
-    z[...] = fitted[:, m : m + m * d].reshape(n, m, d)
-    u[...] = fitted[:, m + m * d :].reshape(n, J, m)
+    if integrands:
+        z[...] = fitted[:, m : m + m * d].reshape(n, m, d)
+        u[...] = fitted[:, m + m * d :].reshape(n, J, m)
 
     if mode == "explicit":
         y_i[...] = cond_mean + h * _finite_driver(gen, t_i, cond_mean, z, u, i, where, seconds)
@@ -340,11 +376,18 @@ def solve_backward_many(
     as in :func:`solve_backward`.  The next step's design and basis are
     built on a worker thread, which ends with the call; its numpy calls
     release the GIL, so they run beside this thread's fits and drivers.
+    The pass rebuilds the bundle's nodes between its stored ones (see
+    :class:`~bsdelab.stochastic.DrivingPaths`) one at a time, ahead of
+    the design that reads them, on this thread or on the worker, whichever
+    is free, as the node callbacks are; it holds at most k of them.
 
     ``keep`` names the stores the solutions hold, of "y", "z" and "u";
     :func:`apriori_diagnostics` reads all three.  A store not kept is a
     ring that every step reuses: two nodes of y, one step of z and u.
-    Either way the values, ``y0`` and ``y0_se`` are the same bytes.
+    Either way the values, ``y0`` and ``y0_se`` are the same bytes.  A
+    problem whose driver reads neither z nor u (``reads_z`` and
+    ``reads_u``) fits only its y targets when ``keep`` names neither;
+    its driver is handed z and u as zeros.
     ``on_node(i, ys)``, if given, is called for i = N, N - 1, ..., 0 as
     the pass writes node i, with ``ys`` one read-only (n_paths, m) array
     per problem, in problem order.  The calls run one at a time, in that
@@ -386,14 +429,15 @@ def solve_backward_many(
 
     # node i of each store is its block i % len(store), one contiguous block:
     # a kept store holds every node, a ring the nodes its step reads and writes
-    ys, zs, us = [], [], []
+    ys, zs, us, integrands = [], [], [], []
     for gen, terminal in problems:
         m = gen.state_dim
         y = np.empty((N + 1 if "y" in keep else 2, n, m))
-        y[N % len(y)] = terminal(paths.brownian[N], paths.count_nodes[N])
+        y[N % len(y)] = terminal(paths.brownian[-1], paths.count_nodes[-1])
         ys.append(y)
-        zs.append(np.empty((N if "z" in keep else 1, n, m, d)))
-        us.append(np.empty((N if "u" in keep else 1, n, J, m)))
+        zs.append(np.zeros((N if "z" in keep else 1, n, m, d)))
+        us.append(np.zeros((N if "u" in keep else 1, n, J, m)))
+        integrands.append(bool({"z", "u"} & set(keep)) or gen.reads_z or gen.reads_u)
     regression = []
 
     seconds = dict.fromkeys(("design", "regression", "wait", "fit", "driver", "nodes"), 0.0)
@@ -428,10 +472,47 @@ def solve_backward_many(
         else:
             reduce(i, nodes)
 
+    # step i reads nodes i and i + 1 of segment i // k, and the design of
+    # step i - 1 node i - 1.  The rebuilt nodes are written into a pool of
+    # k node stores: after step i, node i + 1 is read no more and hands its
+    # store back, and one node of the segment that the designs read next is
+    # rebuilt into a free store.  That segment has k - 1 nodes to rebuild
+    # before its first design, and the k - 1 steps before that design free
+    # a store each: one node of the segment after, and k - 2 of the one
+    # being read, whose k - 1 nodes and this one fill the pool.  A node is
+    # rebuilt on whichever thread is free, as the node callbacks are; each
+    # waits for the node the worker last took, so they run in order, and an
+    # error in one surfaces at the next.
+    k = paths.stride
+    pool = [
+        (np.empty((n, d)), np.empty((n, J), dtype=paths.count_nodes.dtype)) for _ in range(k if k > 1 else 0)
+    ]
+
+    def stores():
+        while True:
+            yield pool.pop()
+
+    segments = {}
+    redraw = 0.0
+    rebuilding = None
+
+    def rebuild_next(segment):
+        nonlocal rebuilding
+        if rebuilding is not None:
+            rebuilding.result()
+            rebuilding = None
+        if segment.complete or not pool:
+            return
+        if ahead.done():
+            rebuilding = worker.submit(segment.extend)
+        else:
+            segment.extend()
+
     def step_regression(i):
+        segment = segments[i // k]
         started = time.perf_counter()
         try:
-            design = basis.design_matrix(paths.state(i))
+            design = basis.design_matrix(*segment.node(i))
         except ValueError as err:
             raise ValueError(f"state at step {i}: {err}") from err
         built = time.perf_counter()
@@ -443,8 +524,18 @@ def solve_backward_many(
     # hands on step i; one step at most is in flight, and its error surfaces
     # when the loop reaches that step
     with concurrent.futures.ThreadPoolExecutor(max_workers=1) as worker:
+        # the worker rebuilds the last segment for its first design, and this
+        # thread then starts on the one before
+        last = paths.n_segments - 1
+        segments[last] = paths.segment(last, out=stores())
+        first = worker.submit(segments[last].node, N - 1)
         ahead = worker.submit(step_regression, N - 1)
         hand_on(N)
+        first.result()
+        if last > 0:
+            segments[last - 1] = paths.segment(last - 1, out=stores())
+            while pool and not segments[last - 1].complete:
+                segments[last - 1].extend()
         for i in range(N - 1, -1, -1):
             started = time.perf_counter()
             reg, design_s, regression_s = ahead.result()
@@ -455,16 +546,31 @@ def solve_backward_many(
                 ahead = worker.submit(step_regression, i - 1)
             regression.append(reg.diagnostics)
             h = steps[i]
-            dw = paths.brownian_increments(i)
-            comp = compensated_increment(paths.jump_increments(i), h, marks)
-            for (gen, _), y, z, u, where in zip(problems, ys, zs, us, wheres):
+            segment = segments[i // k]
+            dw = segment.brownian_increments(i)
+            comp = compensated_increment(segment.jump_increments(i), h, marks)
+            for (gen, _), y, z, u, fit_zu, where in zip(problems, ys, zs, us, integrands, wheres):
                 _problem_step(
                     gen, y[(i + 1) % len(y)], y[i % len(y)], z[i % len(z)], u[i % len(u)],
-                    i, h, grid.nodes[i], reg, dw, comp, marks, where, mode, seconds,
+                    i, h, grid.nodes[i], reg, dw, comp, marks, where, mode, seconds, fit_zu,
                 )
             hand_on(i)
+            if i == 0:
+                break
+            if (i + 1) % k and i + 1 < N:
+                pool.append(segment.release(i + 1))
+            following = (i - 1) // k - 1
+            if i % k == 0:
+                redraw += segments.pop(i // k).seconds
+                if following >= 0:
+                    segments[following] = paths.segment(following, out=stores())
+            if following >= 0:
+                rebuild_next(segments[following])
     if handed is not None:
         handed.result()
+    if rebuilding is not None:
+        rebuilding.result()
+    seconds["redraw"] = redraw + sum(segment.seconds for segment in segments.values())
 
     regression.reverse()
     return [

@@ -214,9 +214,10 @@ def test_manifest_times_the_draw_the_backward_pass_and_each_check_outside_the_ta
     # the pass's split: the worker's design and regression seconds, and the
     # main thread's wait for them, which lies within the pass; it waits at
     # least for the first step, which nothing overlaps; and the main
-    # thread's seconds in fits, drivers and node reductions
+    # thread's seconds in fits, drivers and node reductions, and the seconds
+    # rebuilding the bundle's segments, on either thread
     split = seconds["backward_split"]
-    assert set(split) == {"design", "regression", "wait", "fit", "driver", "nodes"}
+    assert set(split) == {"design", "regression", "wait", "fit", "driver", "nodes", "redraw"}
     assert all(value >= 0.0 for value in split.values())
     assert split["design"] > 0.0 and split["regression"] > 0.0
     assert 0.0 < split["wait"] <= seconds["backward"]
@@ -1124,7 +1125,7 @@ REDUCED_TABLE_DIGESTS = {
     "example28": "30819e8575a8e2ccbe21f832d5c63975bcabdde2e449abd4e4167ed72399588a",
     "remark34a": "cefb3eade17cb9a165e301669774c677253b1fc2b61a0467575529a437f22ffc",
     "remark34b": "c98a70730af058df104c9098cca9c84b007fd749c32665034a74270d6d9e13b2",
-    "thm25-demo": "ac3b803d6fbf8e0875255aacd3b66f032fa480f80d5b8ca19cedfb8d4af30a58",
+    "thm25-demo": "0b97355723c7f382a853e0dc31a42bb71b17a1b4175f2f9fd32496ce28236aee",
 }
 
 

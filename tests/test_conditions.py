@@ -601,9 +601,9 @@ def _refused_at_node_n(check, match):
     designs = []
 
     class CountedBasis(RegressionBasis):
-        def design_matrix(self, features):
-            designs.append(features.shape)
-            return super().design_matrix(features)
+        def design_matrix(self, *blocks):
+            designs.append([b.shape for b in blocks])
+            return super().design_matrix(*blocks)
 
     with pytest.raises(ValueError, match=match):
         check(CountedBasis())

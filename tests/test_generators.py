@@ -445,6 +445,40 @@ class TestDependencyProbe:
         assert [dependency_probe(late, seed=seed).time for seed in (0, 1, 2)] == [True, False, True]
 
 
+def built_in_drivers():
+    """Every built-in driver kind, with each pattern of live z and u blocks."""
+    marks = FiniteMarkMeasure(atoms=[[1.0], [-1.0]], weights=[1.0, 0.5])
+    m, d = 2, 2
+    a = np.array([[0.3, -0.1], [0.2, 0.0]])
+    b = np.zeros((m, m, d))
+    b[1, 0, 1] = 0.4
+    c = np.zeros((2, m, m))
+    c[1, 0, 1] = -0.7
+    none_b, none_c = np.zeros_like(b), np.zeros_like(c)
+    return {
+        "zero": ZeroGen(m, d, marks),
+        "scaled-jump": ScaledJumpGen(1.5),
+        "affine-y": AffineGen(a, none_b, none_c, [0.1, 0.0], d, marks),
+        "affine-z": AffineGen(a, b, none_c, [0.0, 0.0], d, marks),
+        "affine-u": AffineGen(np.zeros((m, m)), none_b, c, lambda t: np.array([t, 0.0]), d, marks),
+        "affine-zu": AffineGen(a, b, c, [0.0, 0.0], d, marks),
+        "drift-ball": ProjectionDriftGen(Ball([0.0, 0.0], 1.0), d, marks),
+        "drift-psd": ProjectionDriftGen(PsdCone(2), 1, unit_marks()),
+        "drift-box": ProjectionDriftGen(Box([-1.0, 0.0], [1.0, 2.0]), d, marks),
+    }
+
+
+class TestDeclaredReads:
+    @pytest.mark.parametrize("name", list(built_in_drivers()))
+    def test_declared_reads_match_the_dependency_probe(self, name):
+        gen = built_in_drivers()[name]
+        report = dependency_probe(gen)
+        m = gen.state_dim
+        assert type(gen.reads_z) is bool and type(gen.reads_u) is bool
+        assert gen.reads_z == any(report.z_slots[k] for k in range(m))
+        assert gen.reads_u == any(report.u_slots[k] for k in range(m))
+
+
 class TestDeclaredBounds:
     def test_scaled_jump_constant_with_unit_weight(self):
         assert ScaledJumpGen(2.0).lipschitz == pytest.approx(2.0)

@@ -1,11 +1,14 @@
 import math
 import threading
+import warnings
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import bsdelab.stochastic
 from bsdelab.generators import AffineGen, ScaledJumpGen, ZeroGen
 from bsdelab.solver import (
     RegressionBasis,
@@ -30,6 +33,20 @@ def simulate(n_paths=20_000, n_steps=20, seed=7, d=1, marks=None):
     return simulate_paths(grid, marks or unit_marks(), d, n_paths, seed)
 
 
+@contextmanager
+def warnings_ignored():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        yield
+
+
+def node_stores(paths):
+    """Every node of ``paths``, read through its node iterator: Brownian
+    nodes (N + 1, n, d) and count nodes (N + 1, n, J)."""
+    w, counts = zip(*paths.nodes())
+    return np.stack(w), np.stack(counts)
+
+
 def brownian_terminal():
     return TerminalCondition(fn=lambda w, k: w[:, 0], state_dim=1)
 
@@ -48,7 +65,7 @@ class TestZeroDriver:
         gen = ZeroGen(state_dim=1, brownian_dim=1, marks=unit_marks())
         sol = solve_backward(gen, brownian_terminal(), paths, keep=("y", "z", "u"))
         # Y_t = W_t lies in the basis span, so the fit is exact up to MC noise
-        err = sol.y[..., 0] - paths.brownian[..., 0]
+        err = sol.y[..., 0] - node_stores(paths)[0][..., 0]
         assert np.sqrt(np.mean(err**2)) < 0.05
         assert abs(sol.y0[0]) < 3.0 * max(sol.y0_se[0], 1e-3)
         z_means = sol.z[..., 0, 0].mean(axis=1)
@@ -60,7 +77,7 @@ class TestZeroDriver:
         gen = ZeroGen(state_dim=1, brownian_dim=1, marks=unit_marks())
         sol = solve_backward(gen, count_terminal(), paths, keep=("y", "z", "u"))
         horizon = paths.grid.horizon
-        truth = paths.count_nodes[..., 0] + (horizon - paths.grid.nodes)[:, None]
+        truth = node_stores(paths)[1][..., 0] + (horizon - paths.grid.nodes)[:, None]
         err = sol.y[..., 0] - truth
         assert np.sqrt(np.mean(err**2)) < 0.05
         u_means = sol.u[..., 0, 0].mean(axis=1)
@@ -72,7 +89,7 @@ class TestZeroDriver:
         term = TerminalCondition(fn=lambda w, k: w[:, 0] ** 2, state_dim=1)
         sol = solve_backward(gen, term, paths)
         horizon = paths.grid.horizon
-        truth = paths.brownian[..., 0] ** 2 + (horizon - paths.grid.nodes)[:, None]
+        truth = node_stores(paths)[0][..., 0] ** 2 + (horizon - paths.grid.nodes)[:, None]
         err = sol.y[..., 0] - truth
         assert np.sqrt(np.mean(err**2)) < 0.08
 
@@ -85,7 +102,7 @@ class TestLinearJumpScenarios:
         # closed form Y_t = N_t + (T - t)/2 holds pathwise
         i = 10
         t = paths.grid.nodes[i]
-        truth = paths.count_nodes[i, :, 0] + 0.5 * (1.0 - t)
+        truth = node_stores(paths)[1][i, :, 0] + 0.5 * (1.0 - t)
         assert np.sqrt(np.mean((sol.y[i, :, 0] - truth) ** 2)) < 0.05
 
     def test_double_strength_jump_driver(self):
@@ -369,10 +386,10 @@ class TestRegressionMachinery:
         # a non-finite feature has a non-finite std, which must not read as
         # a dead (zero-variance) feature and be dropped
         paths = simulate(n_paths=4_000, n_steps=3, seed=83)
-        brownian = paths.brownian.copy()
+        brownian, count_nodes = node_stores(paths)
         brownian[1, 3, 0] = bad
         by_hand = DrivingPaths(
-            grid=paths.grid, marks=paths.marks, brownian=brownian, count_nodes=paths.count_nodes
+            grid=paths.grid, marks=paths.marks, brownian=brownian, count_nodes=count_nodes
         )
         gen = ZeroGen(state_dim=1, brownian_dim=1, marks=unit_marks())
         before = threading.active_count()
@@ -449,12 +466,12 @@ class TestRegressionMachinery:
         # step 4 is built ahead on the worker thread while step 5 is driven;
         # its error must surface only when the loop reaches it
         paths = simulate(n_paths=2_000, n_steps=10, seed=71)
-        bad_state = paths.state(4)
+        bad_state = node_stores(paths)[0][4]
         original = RegressionBasis.design_matrix
 
-        def near_collinear_at_step_4(self, features):
-            design = np.array(original(self, features), order="F")
-            if np.array_equal(features, bad_state):
+        def near_collinear_at_step_4(self, *blocks):
+            design = np.array(original(self, *blocks), order="F")
+            if np.array_equal(blocks[0], bad_state):
                 noise = np.random.default_rng(1).normal(size=design.shape[0])
                 design[:, -1] = design[:, 1] * (1.0 + 1e-13 * noise)
             return design
@@ -493,6 +510,72 @@ def lockstep_problems():
         (ZeroGen(state_dim=1, brownian_dim=1, marks=marks), constant_terminal(0.0)),
         (affine, pair),
     ]
+
+
+class TestCheckpointedBundle:
+    """A drawn bundle stores every k-th node and the pass rebuilds the rest
+    a segment at a time; a bundle built by hand stores every node."""
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 4, 5, 7, 9, 10, 12, 16, 17, 26])
+    def test_pass_on_a_drawn_bundle_equals_the_pass_on_every_node_bit_for_bit(self, n_steps):
+        # N = 1, k, k^2 and other N; the pass holds k rebuilt nodes, and
+        # a schedule that asked for more would fail on an empty pool
+        # d = 2, J = 2, uneven steps, paths 17 to 17 + 3000 of the streams
+        d, marks, problems = layout_problems("affine")
+        grid = TimeGrid(np.cumsum([0.0] + [0.05 + 0.02 * (i % 3) for i in range(n_steps)]))
+        paths = simulate_paths(grid, marks, d, 3_000, seed=61, path_offset=17)
+        brownian, count_nodes = node_stores(paths)
+        dense = DrivingPaths(grid=grid, marks=marks, brownian=brownian, count_nodes=count_nodes)
+        assert dense.stride == 1 and paths.stride == math.isqrt(n_steps - 1) + 1
+        with np.errstate(all="ignore"), warnings_ignored():
+            drawn = solve_backward_many(problems, paths, keep=("y", "z", "u"))
+            stored = solve_backward_many(problems, dense, keep=("y", "z", "u"))
+        for sol, ref in zip(drawn, stored):
+            for name in ("y", "z", "u", "y0", "y0_se"):
+                assert getattr(sol, name).tobytes() == getattr(ref, name).tobytes(), name
+            assert (sol.seconds["redraw"] > 0.0) == (paths.stride > 1)
+
+    def test_an_error_while_rebuilding_surfaces_and_leaves_no_thread(self, monkeypatch):
+        # step 5 is the one step 0.15 wide; its draw is made again when the
+        # pass rebuilds segment 1 (nodes 4 to 8, k = 4), and fails then
+        grid = TimeGrid(np.cumsum([0.0] + [0.15 if i == 5 else 0.1 for i in range(10)]))
+        paths = simulate_paths(grid, unit_marks(), 1, 2_000, seed=67)
+        original = bsdelab.stochastic.poisson_counts
+
+        def refused_at_step_5(u, mean):
+            if abs(mean - 0.15) < 1e-9:
+                raise ValueError("refused")
+            return original(u, mean)
+
+        monkeypatch.setattr(bsdelab.stochastic, "poisson_counts", refused_at_step_5)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="jump draw at step 5, atom 0: refused"):
+            solve_backward(ScaledJumpGen(2.0), count_terminal(), paths, keep=())
+        assert threading.active_count() == before
+        # the conftest guard fails the test if the worker outlived the call
+
+    def test_a_driver_that_reads_neither_integrand_fits_its_y_targets_only(self, monkeypatch):
+        widths = []
+        original = _StepRegression.fit
+
+        def recorded(self, targets):
+            widths.append(targets.shape[1])
+            return original(self, targets)
+
+        monkeypatch.setattr(_StepRegression, "fit", recorded)
+        marks = unit_marks()
+        paths = simulate(n_paths=2_000, n_steps=4, seed=71)
+        problems = [(ScaledJumpGen(2.0), count_terminal()), (ZeroGen(1, 1, marks), constant_terminal(0.0))]
+        # m (1 + d + J) = 3 targets for the jump driver, which reads u; y alone for the zero driver
+        sols = solve_backward_many(problems, paths, keep=())
+        assert widths == [3, 1] * 4
+        # a kept integrand is fitted whatever the driver reads, with the same y
+        widths.clear()
+        kept = solve_backward_many(problems, paths, keep=("y", "u"))
+        assert widths == [3, 3] * 4
+        assert np.all(kept[1].u == 0.0)
+        for sol, ref in zip(sols, kept):
+            assert np.allclose(sol.y0, ref.y0, rtol=0.0, atol=1e-15)
 
 
 class TestLockstep:
@@ -602,9 +685,9 @@ class TestLockstep:
         designs, threads = [], []
         original = RegressionBasis.design_matrix
 
-        def counted(self, features):
-            designs.append(features.shape)
-            return original(self, features)
+        def counted(self, *blocks):
+            designs.append([b.shape for b in blocks])
+            return original(self, *blocks)
 
         def refuse(i, ys):
             threads.append(threading.current_thread())
@@ -622,9 +705,9 @@ class TestLockstep:
         calls = []
         original = RegressionBasis.design_matrix
 
-        def counted(self, features):
-            calls.append(features.shape)
-            return original(self, features)
+        def counted(self, *blocks):
+            calls.append([b.shape for b in blocks])
+            return original(self, *blocks)
 
         monkeypatch.setattr(RegressionBasis, "design_matrix", counted)
         paths = simulate(n_paths=2_000, n_steps=6, seed=89)
@@ -695,14 +778,15 @@ class TestLayout:
         d, marks, problems = layout_problems(case)
         paths = simulate(n_paths=3_000, n_steps=8, seed=97, d=d, marks=marks)
         brownian, count_nodes = (
-            np.ascontiguousarray(a.swapaxes(0, 1)).swapaxes(0, 1)
-            for a in (paths.brownian, paths.count_nodes)
+            np.ascontiguousarray(a.swapaxes(0, 1)).swapaxes(0, 1) for a in node_stores(paths)
         )
         by_hand = DrivingPaths(grid=paths.grid, marks=marks, brownian=brownian, count_nodes=count_nodes)
         for a in (by_hand.brownian, by_hand.count_nodes):
             assert not a.flags.c_contiguous and a.swapaxes(0, 1).flags.c_contiguous
         for i in range(paths.grid.n_steps):
-            assert np.array_equal(by_hand.jump_increments(i), paths.jump_increments(i))
+            assert np.array_equal(
+                by_hand.segment(i).jump_increments(i), paths.segment(i // paths.stride).jump_increments(i)
+            )
         for sol, ref in zip(
             solve_backward_many(problems, by_hand, keep=("y", "z", "u")),
             solve_backward_many(problems, paths, keep=("y", "z", "u")),

@@ -1,3 +1,4 @@
+import concurrent.futures
 import threading
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy.special import ndtri
 
 import bsdelab.stochastic
 from bsdelab.generators import ZeroGen
-from bsdelab.solver import TerminalCondition, solve_backward
+from bsdelab.solver import RegressionBasis, TerminalCondition, solve_backward
 from bsdelab.stochastic import (
     DrivingPaths,
     FiniteMarkMeasure,
@@ -26,6 +27,23 @@ from bsdelab.stochastic import (
 
 def unit_marks():
     return FiniteMarkMeasure(atoms=[[1.0]], weights=[1.0])
+
+
+def node_stores(paths):
+    """Every node of ``paths``, read through its node iterator: Brownian
+    nodes (N + 1, n, d) and count nodes (N + 1, n, J)."""
+    w, counts = zip(*paths.nodes())
+    return np.stack(w), np.stack(counts)
+
+
+def step_increments(paths):
+    """Every step's increments, read a segment at a time: (N, n, d) and (N, n, J)."""
+    k, dw, dk = paths.stride, [], []
+    for i in range(paths.grid.n_steps):
+        segment = paths.segment(i // k)
+        dw.append(segment.brownian_increments(i))
+        dk.append(segment.jump_increments(i))
+    return np.stack(dw), np.stack(dk)
 
 
 class TestValidation:
@@ -64,6 +82,28 @@ class TestValidation:
             simulate_paths(grid, unit_marks(), brownian_dim=0, n_paths=10, seed=1)
         with pytest.raises(ValueError):
             simulate_paths(grid, unit_marks(), brownian_dim=1, n_paths=0, seed=1)
+
+    @pytest.mark.parametrize(
+        "name,value,error,match",
+        [
+            ("path_offset", 2.5, TypeError, "path_offset must be an integer, got 2.5"),
+            ("path_offset", -1, ValueError, "path_offset must be at least 0, got -1"),
+            ("n_paths", 10.0, TypeError, "n_paths must be an integer, got 10.0"),
+            ("brownian_dim", 1.0, TypeError, "brownian_dim must be an integer, got 1.0"),
+            ("brownian_dim", "2", TypeError, "brownian_dim must be an integer, got '2'"),
+        ],
+    )
+    def test_simulate_names_an_argument_that_is_not_a_count(self, name, value, error, match):
+        args = {"brownian_dim": 1, "n_paths": 10, "path_offset": 0, name: value}
+        with pytest.raises(error, match=match):
+            simulate_paths(TimeGrid.uniform(1.0, 4), unit_marks(), seed=1, **args)
+
+    def test_numpy_integer_counts_are_accepted(self):
+        grid = TimeGrid.uniform(1.0, 4)
+        paths = simulate_paths(grid, unit_marks(), np.int64(2), np.uint16(30), 1, path_offset=np.int32(5))
+        assert type(paths.path_offset) is int and paths.path_offset == 5
+        same = simulate_paths(grid, unit_marks(), 2, 30, 1, path_offset=5)
+        assert paths.brownian.tobytes() == same.brownian.tobytes()
 
 
 class TestStreamKey:
@@ -117,6 +157,33 @@ class TestStreamKey:
         raw = raw[(raw >> np.uint64(11)) != 2**53 - 1]
         formula = ((raw >> np.uint64(11)) + 0.5) * 2.0**-53
         assert _open_uniforms(raw).tobytes() == formula.tobytes()
+
+    def test_uniforms_equal_the_unsigned_formula_on_streams_and_edge_words(self):
+        # the words are read as int64 after the shift: exact, as they are below 2^53
+        edges = np.array([0, 2**64 - 1, (2**53 - 1) << 11, 1 << 63, (1 << 63) - 1], dtype=np.uint64)
+        streams = [StreamKey(5)._raw(step, channel, 997, step) for step in range(4) for channel in range(5)]
+        for raw in (edges, *streams):
+            formula = np.minimum(((raw >> np.uint64(11)) + 0.5) * 2.0**-53, np.nextafter(1.0, 0.0))
+            assert _open_uniforms(raw.copy()).tobytes() == formula.tobytes()
+
+    def test_raw_words_equal_a_fresh_philox_on_every_thread(self):
+        # each thread reuses one generator and sets its state; the words are
+        # those of a Philox built from the stream's key and advanced to offset
+        def reference(step, channel, count, offset):
+            key = np.array([2024, (step << 32) ^ channel], dtype=np.uint64)
+            bg = np.random.Philox(key=key)
+            bg.advance(offset // 4)
+            return bg.random_raw(count + offset % 4)[offset % 4 :]
+
+        coordinates = [(s, c, 50 + s, o) for s in (0, 3, 2**20) for c in (0, 1, 6) for o in (0, 1, 3, 4, 5, 1001)]
+
+        def words(part):
+            return [StreamKey(2024)._raw(*xyz).tobytes() for xyz in part]
+
+        with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+            drawn = [w for part in pool.map(words, (coordinates[::2], coordinates[1::2])) for w in part]
+        want = [reference(*xyz).tobytes() for xyz in coordinates[::2] + coordinates[1::2]]
+        assert drawn == want
 
 
 class TestPoissonInversion:
@@ -192,15 +259,29 @@ class TestHandBuiltBundle:
     def test_matching_arrays_are_accepted(self):
         paths = self.build(np.zeros((6, 7, 2)), np.zeros((6, 7, 2), dtype=np.int64))
         assert paths.n_paths == 7 and paths.brownian_dim == 2
-        assert paths.jump_increments(4).shape == (7, 2)
-        assert paths.state(5).shape == (7, 4)
+        # built by hand, every node is stored: one segment per step, and
+        # nothing to rebuild
+        assert paths.stride == 1 and paths.stored_nodes == [0, 1, 2, 3, 4, 5]
+        assert paths.n_segments == 5
+        segment = paths.segment(4)
+        assert (segment.first, segment.last) == (4, 5)
+        assert segment.jump_increments(4).shape == (7, 2)
+        assert all(np.shares_memory(a, paths.brownian) for a in (segment.node(4)[0], segment.node(5)[0]))
+        assert len(list(paths.nodes())) == 6
 
     @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, np.int64])
     def test_any_integer_count_dtype_is_accepted(self, dtype):
         nodes = np.cumsum(np.ones((6, 7, 2), dtype=dtype), axis=0, dtype=dtype)
         paths = self.build(np.zeros((6, 7, 2)), nodes)
         assert paths.count_nodes.dtype == dtype
-        assert np.array_equal(paths.jump_increments(2), np.ones((7, 2)))
+        assert np.array_equal(paths.segment(2).jump_increments(2), np.ones((7, 2)))
+
+    def test_a_segment_or_node_outside_the_bundle_is_refused(self):
+        paths = self.build(np.zeros((6, 7, 2)), np.zeros((6, 7, 2), dtype=np.int64))
+        with pytest.raises(IndexError, match="segment 5 out of range for 5 segments"):
+            paths.segment(5)
+        with pytest.raises(IndexError, match=r"node 3 is not in segment \[1, 2\]"):
+            paths.segment(1).node(3)
 
     @pytest.mark.parametrize(
         "brownian,count_nodes,match",
@@ -256,10 +337,11 @@ class TestSimulation:
     def test_count_nodes_cumulative(self):
         grid = TimeGrid.uniform(2.0, 6)
         paths = simulate_paths(grid, unit_marks(), 1, 50, seed=1)
-        steps = np.stack([paths.jump_increments(i) for i in range(6)])
+        _, steps = step_increments(paths)
+        _, count_nodes = node_stores(paths)
         assert np.all(steps >= 0)
-        assert np.array_equal(paths.count_nodes[1:], np.cumsum(steps, axis=0))
-        assert np.all(paths.count_nodes[0] == 0)
+        assert np.array_equal(count_nodes[1:], np.cumsum(steps, axis=0))
+        assert np.all(count_nodes[0] == 0)
 
     def test_jump_increments_are_the_streams_poisson_counts_bit_for_bit(self):
         grid = TimeGrid(np.array([0.0, 0.1, 0.4, 0.45, 1.2]))
@@ -267,7 +349,7 @@ class TestSimulation:
         paths = simulate_paths(grid, marks, 2, 400, seed=33, path_offset=7)
         key, h = StreamKey(33), grid.steps
         for i in range(4):
-            steps = paths.jump_increments(i)
+            steps = paths.segment(i // paths.stride).jump_increments(i)
             assert steps.shape == (400, 3) and steps.dtype == np.int32
             for j in range(3):
                 want = poisson_counts(key.uniforms(i, 2 + j, 400, offset=7), h[i] * marks.weights[j])
@@ -284,7 +366,8 @@ class TestSimulation:
         ])
         W = np.zeros((8, 300, 2))
         np.cumsum(dW, axis=0, out=W[1:])
-        assert paths.brownian.tobytes() == W.tobytes()
+        brownian, count_nodes = node_stores(paths)
+        assert brownian.tobytes() == W.tobytes()
         jumps = np.stack([
             np.stack([poisson_counts(key.uniforms(i, 2 + j, 300), h[i] * marks.weights[j])
                       for j in range(2)], axis=1)
@@ -292,7 +375,11 @@ class TestSimulation:
         ])
         counts = np.zeros((8, 300, 2), dtype=np.int32)
         np.cumsum(jumps, axis=0, out=counts[1:])
-        assert paths.count_nodes.tobytes() == counts.tobytes()
+        assert count_nodes.tobytes() == counts.tobytes()
+        # N = 7 stores nodes 0, 3, 6 and 7
+        assert paths.stored_nodes == [0, 3, 6, 7]
+        assert paths.brownian.tobytes() == W[[0, 3, 6, 7]].tobytes()
+        assert paths.count_nodes.tobytes() == counts[[0, 3, 6, 7]].tobytes()
 
     def test_a_grid_whose_counts_could_overflow_int32_is_refused(self):
         # each step adds at most 400 jumps per atom to a node
@@ -302,12 +389,14 @@ class TestSimulation:
             simulate_paths(grid, unit_marks(), 1, 1, seed=6)
 
     def test_state_concatenates_brownian_and_counts(self):
+        # the design reads a node's two blocks as the state (W, N) side by side
         grid = TimeGrid.uniform(1.0, 3)
         paths = simulate_paths(grid, unit_marks(), 2, 10, seed=4)
-        s = paths.state(2)
-        assert s.shape == (10, 3)
-        assert np.array_equal(s[:, :2], paths.brownian[2])
-        assert np.array_equal(s[:, 2], paths.count_nodes[2, :, 0].astype(float))
+        w, counts = paths.segment(1).node(2)
+        assert w.shape == (10, 2) and counts.shape == (10, 1)
+        state = np.concatenate([w, counts.astype(float)], axis=1)
+        basis = RegressionBasis(2)
+        assert basis.design_matrix(w, counts).tobytes() == basis.design_matrix(state).tobytes()
 
 
 def reference_bundle(grid, marks, d, n_paths, seed, path_offset):
@@ -329,8 +418,9 @@ def reference_bundle(grid, marks, d, n_paths, seed, path_offset):
 
 
 class TestTwoThreadDraw:
-    """The draw splits its steps, and its two cumulative sums, between this
-    thread and one worker; the bundle must not depend on the split."""
+    """The draw splits its paths between this thread and one worker, and
+    stores every k-th node; the bundle must not depend on the split, and a
+    node rebuilt from the node before it must equal the drawn one."""
 
     @pytest.mark.parametrize(
         "nodes,d,weights,n_paths,offset",
@@ -347,32 +437,80 @@ class TestTwoThreadDraw:
         atoms = [[float(k + 1)] for k in range(len(weights))]
         marks = FiniteMarkMeasure(atoms, weights)
         paths = simulate_paths(grid, marks, d, n_paths, seed=41, path_offset=offset)
-        jumps = np.stack([paths.jump_increments(i) for i in range(grid.n_steps)])
+        brownian, count_nodes = node_stores(paths)
+        _, jumps = step_increments(paths)
         for got, want in zip(
-            (paths.brownian, jumps, paths.count_nodes),
+            (brownian, jumps, count_nodes),
             reference_bundle(grid, marks, d, n_paths, 41, offset),
         ):
             assert got.shape == want.shape and got.dtype == want.dtype
             assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
+    @pytest.mark.parametrize(
+        "n_steps,stride,stored",
+        [(1, 1, [0, 1]), (2, 2, [0, 2]), (9, 3, [0, 3, 6, 9]), (7, 3, [0, 3, 6, 7]), (50, 8, [*range(0, 50, 8), 50])],
+        ids=["one-step", "k-steps", "k-squared-steps", "not-a-multiple-of-k", "presets"],
+    )
+    def test_every_rebuilt_node_equals_a_full_store_reference_bit_for_bit(self, n_steps, stride, stored):
+        # d = 2, J = 2, a grid of uneven steps, paths 17 to 17 + 120 of the streams
+        grid = TimeGrid(np.cumsum([0.0] + [0.05 + 0.01 * (i % 4) for i in range(n_steps)]))
+        marks = FiniteMarkMeasure([[1.0], [-1.0]], [1.5, 0.5])
+        paths = simulate_paths(grid, marks, 2, 120, seed=43, path_offset=17)
+        assert paths.stride == stride and paths.stored_nodes == stored
+        W, counts, nodes = reference_bundle(grid, marks, 2, 120, 43, 17)
+        assert paths.brownian.tobytes() == W[stored].tobytes()
+        assert paths.count_nodes.tobytes() == nodes[stored].tobytes()
+        walked = list(paths.nodes())
+        assert len(walked) == n_steps + 1
+        for i, (w, k) in enumerate(walked):
+            assert w.tobytes() == W[i].tobytes() and k.tobytes() == nodes[i].tobytes(), i
+        for s in range(paths.n_segments):
+            segment = paths.segment(s)
+            assert (segment.first, segment.last) == (stored[s], stored[s + 1])
+            for i in range(segment.first, segment.last + 1):
+                w, k = segment.node(i)
+                assert w.tobytes() == W[i].tobytes() and k.tobytes() == nodes[i].tobytes(), (s, i)
+            for i in range(segment.first, segment.last):
+                assert segment.jump_increments(i).tobytes() == counts[i].tobytes(), (s, i)
+                assert segment.brownian_increments(i).tobytes() == (W[i + 1] - W[i]).tobytes(), (s, i)
+
+    def test_a_segment_rebuilds_in_order_and_refuses_a_released_node(self):
+        grid = TimeGrid.uniform(1.0, 9)
+        paths = simulate_paths(grid, unit_marks(), 1, 50, seed=47)
+        W, _ = node_stores(paths)
+        stores = iter([(np.empty((50, 1)), np.empty((50, 1), dtype=np.int32)) for _ in range(2)])
+        segment = paths.segment(1, out=stores)
+        assert (segment.first, segment.last) == (3, 6) and not segment.complete
+        # node 5 is read first: nodes 4 and 5 are rebuilt, into the given stores
+        assert segment.node(5)[0].tobytes() == W[5].tobytes()
+        assert segment.complete and next(stores, None) is None
+        w4, _ = segment.release(4)
+        assert w4.tobytes() == W[4].tobytes()
+        with pytest.raises(ValueError, match="node 4 was released"):
+            segment.node(4)
+        with pytest.raises(IndexError, match=r"node 6 is not rebuilt in segment \[3, 6\]"):
+            segment.release(6)
+        assert segment.jump_increments(5).shape == (50, 1)
+
     def test_an_error_on_the_worker_surfaces_and_leaves_no_thread(self, monkeypatch):
-        # three steps: this thread draws steps 0 and 1, the worker step 2,
-        # whose width makes atom 1's mean about 1000
-        threads = {}
+        # the worker draws the second half of the paths; its draw of atom 1
+        # at step 2 fails, while this thread's half draws every step
+        threads = set()
         original = bsdelab.stochastic.poisson_counts
 
-        def recorded(u, mean):
-            threads[float(mean)] = threading.current_thread()
+        def failing_on_the_worker(u, mean):
+            if threading.current_thread() is not threading.main_thread():
+                threads.add(threading.current_thread())
+                if mean > 0.5:
+                    raise ValueError(f"Poisson mean {mean} refused")
             return original(u, mean)
 
-        monkeypatch.setattr(bsdelab.stochastic, "poisson_counts", recorded)
-        grid = TimeGrid(np.array([0.0, 0.001, 0.002, 1000.0]))
+        monkeypatch.setattr(bsdelab.stochastic, "poisson_counts", failing_on_the_worker)
+        grid = TimeGrid(np.array([0.0, 0.001, 0.002, 1.0]))
         marks = FiniteMarkMeasure([[1.0], [-1.0]], [1e-3, 1.0])
-        with pytest.raises(ValueError, match=r"step 2, atom 1: Poisson mean 999\.998"):
+        with pytest.raises(ValueError, match=r"step 2, atom 1: Poisson mean 0\.998 refused"):
             simulate_paths(grid, marks, 1, 200, seed=3)
-        big = max(threads)
-        assert big > 900.0 and threads[big] is not threading.main_thread()
-        assert threads[0.001 * 1e-3] is threading.main_thread()
+        assert len(threads) == 1
         # the conftest guard fails the test if the worker outlived the call
 
 
@@ -380,16 +518,17 @@ class TestLayout:
     def test_per_step_slices_are_contiguous_with_time_major_shapes(self):
         marks = FiniteMarkMeasure(atoms=[[1.0], [-1.0]], weights=[1.0, 0.5])
         paths = simulate_paths(TimeGrid.uniform(1.0, 5), marks, 2, 40, seed=3)
-        assert paths.brownian.shape == (6, 40, 2)
-        assert paths.count_nodes.shape == (6, 40, 2)
-        for i in range(6):
-            assert paths.brownian[i].flags.c_contiguous
-            assert paths.count_nodes[i].flags.c_contiguous
-            assert paths.state(i).flags.c_contiguous
-            assert paths.state(i).shape == (40, 4)
+        # k = 3: nodes 0, 3 and 5 are stored
+        assert paths.brownian.shape == (3, 40, 2)
+        assert paths.count_nodes.shape == (3, 40, 2)
+        for w, counts in paths.nodes():
+            assert w.shape == (40, 2) and w.flags.c_contiguous
+            assert counts.shape == (40, 2) and counts.flags.c_contiguous
         for i in range(5):
-            assert paths.jump_increments(i).shape == (40, 2)
-            assert paths.jump_increments(i).flags.c_contiguous
+            segment = paths.segment(i // 3)
+            assert segment.jump_increments(i).shape == (40, 2)
+            assert segment.jump_increments(i).flags.c_contiguous
+            assert segment.brownian_increments(i).flags.c_contiguous
 
     def test_solution_steps_are_contiguous_with_time_major_shapes(self):
         marks = FiniteMarkMeasure(atoms=[[1.0], [-1.0]], weights=[1.0, 0.5])
@@ -419,7 +558,7 @@ class TestCompensation:
         marks = FiniteMarkMeasure(atoms=[[1.0], [2.0]], weights=[1.0, 3.0])
         paths = simulate_paths(grid, marks, 1, 100_000, seed=13)
         h = grid.steps[2]
-        comp = compensated_increment(paths.jump_increments(2), h, marks)
+        comp = compensated_increment(paths.segment(0).jump_increments(2), h, marks)
         # per-atom MC error is ~ sqrt(h n_j / n_paths)
         bound = 4.0 * np.sqrt(h * marks.weights / 100_000)
         assert np.all(np.abs(comp.mean(axis=0)) < bound)
