@@ -560,16 +560,15 @@ class _ScenarioRun:
     Its problems are ``generator`` with ``terminal`` and, when a
     ``comparison-empirical`` check is selected, ``generator2`` with
     ``terminal2``; the first check that needs a solution solves all of
-    them in one backward pass.  No check reads a whole store, so the pass
-    keeps none: it feeds each node it solves to ``reducers``, the node
-    reducers of the selected ``kinds`` and of the ``acceptance`` rows that
-    read solved nodes, by name (see ``_REDUCERS``), and each check and
-    acceptance row reads its own.  The bundle's stored nodes and the
-    solutions' ``y0`` and ``y0_se`` are read-only, and the other nodes are
-    rebuilt from the stored ones, so each check sees the same draws and
-    the same solutions and none can change them for the next.  ``seconds``
-    times the draw, the backward pass and each check run through
-    ``run_check``, for the manifest.
+    them in one backward pass, which keeps no store: it feeds each node it
+    solves to ``reducers``, the node reducers of the selected ``kinds`` and
+    of the ``acceptance`` rows that read solved nodes, by name (see
+    ``_REDUCERS``), and each check and acceptance row reads its own.  The
+    bundle's stored nodes and the solutions' ``y0`` and ``y0_se`` are
+    read-only, and the other nodes are rebuilt from the stored ones, so
+    each check sees the same draws and the same solutions and none can
+    change them for the next.  ``seconds`` times the draw, the backward
+    pass and each check run through ``run_check``, for the manifest.
     """
 
     def __init__(self, scenario: Scenario, kinds, acceptance=()):
@@ -602,14 +601,14 @@ class _ScenarioRun:
             s = self.scenario
             paths = self.paths()
 
-            def on_node(i, ys):
+            def on_node(i, ys, zs, us):
                 for reduce in self.reducers.values():
-                    reduce(i, ys)
+                    reduce(i, ys, zs, us)
 
             started = time.perf_counter()
             solutions = solve_backward_many(
                 self._problems, paths, basis=RegressionBasis(s.solver.basis_degree),
-                mode=s.solver.mode, keep=(), on_node=on_node,
+                mode=s.solver.mode, on_node=on_node,
             )
             self.seconds["backward"] = time.perf_counter() - started
             self.seconds["backward_split"] = solutions[0].seconds
@@ -677,7 +676,7 @@ class _NodeStats:
         self.stats = np.empty((4, n_nodes, scenario.generator.state_dim))
         self.dk_mean = np.empty(n_nodes)
 
-    def __call__(self, i: int, ys) -> None:
+    def __call__(self, i: int, ys, zs, us) -> None:
         y = ys[0]
         self.stats[:2, i] = np.quantile(y, [0.05, 0.95], axis=0)
         self.stats[2, i] = y.mean(axis=0)
@@ -692,7 +691,7 @@ class _MeanNorms:
     def __init__(self):
         self.values = []
 
-    def __call__(self, i: int, ys) -> None:
+    def __call__(self, i: int, ys, zs, us) -> None:
         self.values.append(np.linalg.norm(ys[0], axis=1).mean())
 
 

@@ -45,7 +45,6 @@ from .solver import (
     BsdeSolution,
     RegressionBasis,
     TerminalCondition,
-    replay_nodes,
     solve_backward_many,
 )
 from .stochastic import DrivingPaths, FiniteMarkMeasure, StreamKey, _noise_mismatch
@@ -57,7 +56,6 @@ __all__ = [
     "viability_lhs_rhs",
     "check_viability_condition",
     "ViabilityPathReport",
-    "viability_path_report",
     "check_viability_empirical",
     "check_comparison_m1",
     "check_comparison_multidim",
@@ -67,7 +65,6 @@ __all__ = [
     "StackedGenerator",
     "stacked_reduction",
     "ComparisonPathReport",
-    "comparison_path_report",
     "empirical_comparison",
 ]
 
@@ -587,9 +584,9 @@ class ViabilityPathReport:
     mean distance over paths at each of the nodes ``times``
     (``mean_distance``) and its largest value (``max_mean_distance``).
 
-    The report is filled one node at a time, as ``report(i, ys)`` for
-    i = N, ..., 0 with the solved problem's node i first in ``ys``, by a
-    backward pass's ``on_node`` or by :func:`replay_nodes`; it holds one
+    The report is a backward pass's ``on_node``, filled one node at a
+    time, as ``report(i, ys, zs, us)`` for i = N, ..., 0 with the solved
+    problem's node i first in ``ys``; it reads no integrands and holds one
     node's distances, not the whole path's.  The terminal node, which is
     the payoff itself, must sit in the target set.
     """
@@ -599,7 +596,7 @@ class ViabilityPathReport:
         self.times = times.copy()
         self.mean_distance = np.empty(times.shape[0])
 
-    def __call__(self, i: int, ys) -> None:
+    def __call__(self, i: int, ys, zs, us) -> None:
         dist = self.body.dist_batch(ys[0])
         if i == self.times.shape[0] - 1 and np.any(dist > 1e-6):
             raise ValueError(
@@ -612,14 +609,6 @@ class ViabilityPathReport:
         return float(self.mean_distance.max())
 
 
-def viability_path_report(sol: BsdeSolution, body) -> ViabilityPathReport:
-    """The :class:`ViabilityPathReport` of a solved equation that kept y,
-    replayed from its store."""
-    report = ViabilityPathReport(body, sol.times)
-    replay_nodes([sol], report)
-    return report
-
-
 def check_viability_empirical(
     gen: Generator,
     terminal: TerminalCondition,
@@ -627,9 +616,10 @@ def check_viability_empirical(
     paths: DrivingPaths,
     basis: RegressionBasis | None = None,
 ) -> tuple[ViabilityPathReport, BsdeSolution]:
-    """Solve the equation on ``paths`` (explicit steps), keeping y, and
-    fill its :class:`ViabilityPathReport` as the pass solves each node;
-    terminal data outside the target set ends the pass at node N."""
+    """Solve the equation on ``paths`` (explicit steps) and fill its
+    :class:`ViabilityPathReport` as the pass solves each node; terminal
+    data outside the target set ends the pass at node N.  The solution
+    keeps no values, only ``y0`` and ``y0_se``."""
     report = ViabilityPathReport(body, paths.grid.nodes)
     (sol,) = solve_backward_many([(gen, terminal)], paths, basis=basis, on_node=report)
     return report, sol
@@ -952,12 +942,12 @@ class ComparisonPathReport:
     of the gap is negative (``violation_fraction``); the smallest gap of
     all (``min_gap``), and the mean gap at time zero (``gap_at_zero``).
 
-    The report is filled one node at a time, as ``report(i, ys)`` for
-    i = N, ..., 0 with node i of the dominating problem and of the
-    dominated one first in ``ys``, by a backward pass's ``on_node`` or by
-    :func:`replay_nodes`; it holds one node's gap, not the whole path's.
-    The terminal nodes, which are the payoffs themselves, must already be
-    ordered.
+    The report is a backward pass's ``on_node``, filled one node at a
+    time, as ``report(i, ys, zs, us)`` for i = N, ..., 0 with node i of
+    the dominating problem and of the dominated one first in ``ys``; it
+    reads no integrands and holds one node's gap, not the whole path's.
+    The terminal nodes, which are the payoffs themselves, must have one
+    state dimension and already be ordered.
     """
 
     def __init__(self, times: np.ndarray):
@@ -966,10 +956,13 @@ class ComparisonPathReport:
         self.violation_fraction = np.empty(times.shape[0])
         self.gap_at_zero = None
 
-    def __call__(self, i: int, ys) -> None:
+    def __call__(self, i: int, ys, zs, us) -> None:
         y1, y2 = ys[:2]
-        if i == self.times.shape[0] - 1 and np.any(y1 < y2 - 1e-12):
-            raise ValueError("terminal data is not ordered: xi1 must dominate xi2 pathwise")
+        if i == self.times.shape[0] - 1:
+            if y1.shape != y2.shape:
+                raise ValueError("solutions must share the state dimension")
+            if np.any(y1 < y2 - 1e-12):
+                raise ValueError("terminal data is not ordered: xi1 must dominate xi2 pathwise")
         gap = y1 - y2
         self.min_gap_per_time[i] = gap.min()
         self.violation_fraction[i] = (gap < 0.0).any(axis=1).mean()
@@ -981,16 +974,6 @@ class ComparisonPathReport:
         return float(self.min_gap_per_time.min())
 
 
-def comparison_path_report(sol1: BsdeSolution, sol2: BsdeSolution) -> ComparisonPathReport:
-    """The :class:`ComparisonPathReport` of two equations solved on one
-    path bundle, each keeping y, replayed from their stores."""
-    if sol1.state_dim != sol2.state_dim:
-        raise ValueError("solutions must share the state dimension")
-    report = ComparisonPathReport(sol1.times)
-    replay_nodes([sol1, sol2], report)
-    return report
-
-
 def empirical_comparison(
     f1: Generator,
     f2: Generator,
@@ -1000,8 +983,9 @@ def empirical_comparison(
     basis: RegressionBasis | None = None,
 ) -> tuple[ComparisonPathReport, BsdeSolution, BsdeSolution]:
     """Solve both equations on ``paths`` in one backward pass (explicit
-    steps), keeping y, and fill their :class:`ComparisonPathReport` as the
-    pass solves each node; unordered terminal data ends the pass at node N."""
+    steps) and fill their :class:`ComparisonPathReport` as the pass solves
+    each node; unordered terminal data ends the pass at node N.  The
+    solutions keep no values, only ``y0`` and ``y0_se``."""
     _require_matching_noise(f1, f2)
     if f1.state_dim != f2.state_dim:
         raise ValueError("drivers must share the state dimension")

@@ -32,9 +32,7 @@ __all__ = [
     "SolverError",
     "solve_backward",
     "solve_backward_many",
-    "replay_nodes",
     "DeviationCurves",
-    "apriori_diagnostics",
 ]
 
 # structural degeneracy (exact collinearity of the discrete state support)
@@ -233,12 +231,10 @@ class _StepRegression:
 class BsdeSolution:
     """Backward pass output on the simulation grid.
 
-    Time-major: the values y, shape (N + 1, n_paths, m), and the
-    martingale integrands z, shape (N, n_paths, m, d), and u, shape
-    (N, n_paths, n_atoms, m), are each kept only by a pass asked for
-    them (``keep``) and are None otherwise.  ``y0`` averages the
-    time-zero values, with a first-order Monte Carlo standard error; the
-    pass reduces both from its nodes 0 and 1, kept or not.  ``seconds``
+    The pass keeps no values: a caller reads them node by node through
+    its ``on_node`` callback (see :func:`solve_backward_many`).  ``y0``
+    averages the time-zero values, with a first-order Monte Carlo standard
+    error; the pass reduces both from its nodes 0 and 1.  ``seconds``
     is where the pass's time went: the worker's seconds in the design
     build (``design``) and in the step regressions (``regression``), the
     calling thread's seconds waiting for them (``wait``), in the fits
@@ -248,9 +244,6 @@ class BsdeSolution:
     """
 
     times: np.ndarray
-    y: np.ndarray | None
-    z: np.ndarray | None
-    u: np.ndarray | None
     y0: np.ndarray
     y0_se: np.ndarray
     mode: str
@@ -344,17 +337,17 @@ def solve_backward(
     paths: DrivingPaths,
     basis: RegressionBasis | None = None,
     mode: str = "explicit",
-    keep=("y",),
+    on_node=None,
 ) -> BsdeSolution:
     """Run the backward induction over a simulated bundle.
 
     ``mode`` selects how the drift enters each step: "explicit" plugs the
     regressed conditional mean into the driver, "implicit" solves the
     one-step fixed point (requires h * Lipschitz < 1).  This is the
-    one-problem case of :func:`solve_backward_many`, which also says what
-    ``keep`` keeps.
+    one-problem case of :func:`solve_backward_many`, which also says how
+    ``on_node`` is called.
     """
-    (sol,) = solve_backward_many([(gen, terminal)], paths, basis=basis, mode=mode, keep=keep)
+    (sol,) = solve_backward_many([(gen, terminal)], paths, basis=basis, mode=mode, on_node=on_node)
     return sol
 
 
@@ -363,7 +356,6 @@ def solve_backward_many(
     paths: DrivingPaths,
     basis: RegressionBasis | None = None,
     mode: str = "explicit",
-    keep=("y",),
     on_node=None,
 ) -> list[BsdeSolution]:
     """Solve several equations on one bundle in a single backward pass.
@@ -381,29 +373,26 @@ def solve_backward_many(
     the design that reads them, on this thread or on the worker, whichever
     is free, as the node callbacks are; it holds at most k of them.
 
-    ``keep`` names the stores the solutions hold, of "y", "z" and "u";
-    :func:`apriori_diagnostics` reads all three.  A store not kept is a
-    ring that every step reuses: two nodes of y, one step of z and u.
-    Either way the values, ``y0`` and ``y0_se`` are the same bytes.  A
-    problem whose driver reads neither z nor u (``reads_z`` and
-    ``reads_u``) fits only its y targets when ``keep`` names neither;
-    its driver is handed z and u as zeros.
-    ``on_node(i, ys)``, if given, is called for i = N, N - 1, ..., 0 as
-    the pass writes node i, with ``ys`` one read-only (n_paths, m) array
-    per problem, in problem order.  The calls run one at a time, in that
-    order, on this thread or on the worker, whichever is free, beside the
-    next step; an array is valid only during its call, so a caller that
-    needs it later copies it, and an error in a call ends the pass.  Node
-    N, the terminal data, is handed on this thread before any step, so a
-    callback that refuses it ends the pass before its second step
-    regression.
+    The pass keeps no store: ``on_node(i, ys, zs, us)``, if given, is
+    called for i = N, N - 1, ..., 0 as the pass writes node i, with ``ys``
+    one read-only (n_paths, m) array per problem, in problem order, and
+    ``zs`` and ``us`` each problem's read-only step-i integrands,
+    (n_paths, m, d) and (n_paths, n_atoms, m).  They are None at node N,
+    and None for a problem whose integrands the pass did not fit: it fits
+    them when the problem's driver reads them (``reads_z`` or ``reads_u``)
+    or when ``on_node`` has a true ``reads_integrands`` attribute, and
+    otherwise fits y alone and hands its driver z and u as zeros.  The
+    calls run one at a time, in that order, on this thread or on the worker,
+    whichever is free, beside the next step; an array is valid only
+    during its call, so a caller that needs it later copies it, and an
+    error in a call ends the pass.  Node N, the terminal data, is handed
+    on this thread before any step, so a callback that refuses it ends
+    the pass before its second step regression.
     """
     if basis is None:
         basis = RegressionBasis()
     if mode not in ("explicit", "implicit"):
         raise ValueError("mode must be 'explicit' or 'implicit'")
-    if isinstance(keep, str) or not set(keep) <= {"y", "z", "u"}:
-        raise ValueError(f"keep must be a collection of 'y', 'z' and 'u', got {keep!r}")
     problems = list(problems)
     if not problems:
         raise ValueError("no problems to solve")
@@ -427,24 +416,27 @@ def solve_backward_many(
                 )
     _check_jump_power(paths)
 
-    # node i of each store is its block i % len(store), one contiguous block:
-    # a kept store holds every node, a ring the nodes its step reads and writes
+    # each problem's y, z and u are rings two deep: node i, and step i's
+    # integrands, are block i % 2, one contiguous block.  Step i reads node
+    # i + 1 and writes node i, and a callback reading node i and step i may
+    # still run on the worker while step i - 1 writes the other block
+    reads_integrands = getattr(on_node, "reads_integrands", False)
     ys, zs, us, integrands = [], [], [], []
     for gen, terminal in problems:
         m = gen.state_dim
-        y = np.empty((N + 1 if "y" in keep else 2, n, m))
-        y[N % len(y)] = terminal(paths.brownian[-1], paths.count_nodes[-1])
+        y = np.empty((2, n, m))
+        y[N % 2] = terminal(paths.brownian[-1], paths.count_nodes[-1])
         ys.append(y)
-        zs.append(np.zeros((N if "z" in keep else 1, n, m, d)))
-        us.append(np.zeros((N if "u" in keep else 1, n, J, m)))
-        integrands.append(bool({"z", "u"} & set(keep)) or gen.reads_z or gen.reads_u)
+        zs.append(np.zeros((2, n, m, d)))
+        us.append(np.zeros((2, n, J, m)))
+        integrands.append(reads_integrands or gen.reads_z or gen.reads_u)
     regression = []
 
     seconds = dict.fromkeys(("design", "regression", "wait", "fit", "driver", "nodes"), 0.0)
 
-    def reduce(i, nodes):
+    def reduce(i, nodes, z_steps, u_steps):
         started = time.perf_counter()
-        on_node(i, nodes)
+        on_node(i, nodes, z_steps, u_steps)
         seconds["nodes"] += time.perf_counter() - started
 
     # node i < N goes to whichever thread is free: the worker if it has built
@@ -452,25 +444,28 @@ def solve_backward_many(
     # on this thread, so its refusal comes before step N - 1.  Each call
     # first waits for the node the worker last took, so the calls run in
     # order, one at a time, and an error in one surfaces at the next node.
-    # The worker runs its tasks in order, so a node it takes is done before
-    # the regression submitted after it, which the step that overwrites the
-    # node in a ring waits for.
+    # The call for node i is done before step i - 2 overwrites its blocks.
     handed = None
 
     def hand_on(i):
         nonlocal handed
         if on_node is None:
             return
-        nodes = tuple(y[i % len(y)] for y in ys)
-        for node in nodes:
-            node.flags.writeable = False
+        nodes = tuple(y[i % 2] for y in ys)
+        z_steps = u_steps = None
+        if i < N:
+            z_steps = tuple(z[i % 2] if fit else None for z, fit in zip(zs, integrands))
+            u_steps = tuple(u[i % 2] if fit else None for u, fit in zip(us, integrands))
+        for block in (*nodes, *(z_steps or ()), *(u_steps or ())):
+            if block is not None:
+                block.flags.writeable = False
         if handed is not None:
             handed.result()
             handed = None
         if i < N and ahead.done():
-            handed = worker.submit(reduce, i, nodes)
+            handed = worker.submit(reduce, i, nodes, z_steps, u_steps)
         else:
-            reduce(i, nodes)
+            reduce(i, nodes, z_steps, u_steps)
 
     # step i reads nodes i and i + 1 of segment i // k, and the design of
     # step i - 1 node i - 1.  The rebuilt nodes are written into a pool of
@@ -551,7 +546,7 @@ def solve_backward_many(
             comp = compensated_increment(segment.jump_increments(i), h, marks)
             for (gen, _), y, z, u, fit_zu, where in zip(problems, ys, zs, us, integrands, wheres):
                 _problem_step(
-                    gen, y[(i + 1) % len(y)], y[i % len(y)], z[i % len(z)], u[i % len(u)],
+                    gen, y[(i + 1) % 2], y[i % 2], z[i % 2], u[i % 2],
                     i, h, grid.nodes[i], reg, dw, comp, marks, where, mode, seconds, fit_zu,
                 )
             hand_on(i)
@@ -576,9 +571,6 @@ def solve_backward_many(
     return [
         BsdeSolution(
             times=grid.nodes.copy(),
-            y=y if "y" in keep else None,
-            z=z if "z" in keep else None,
-            u=u if "u" in keep else None,
             y0=y[0].mean(axis=0),
             y0_se=y[1].std(axis=0) / np.sqrt(n),
             mode=mode,
@@ -586,76 +578,70 @@ def solve_backward_many(
             paths=paths,
             seconds=dict(seconds),
         )
-        for y, z, u in zip(ys, zs, us)
+        for y in ys
     ]
 
 
-def replay_nodes(solutions, on_node) -> None:
-    """Hand ``on_node`` the kept y stores of ``solutions``, solved on one
-    path bundle, as their backward pass would: ``on_node(i, ys)`` for
-    i = N, N - 1, ..., 0, with ``ys`` each solution's read-only node i."""
-    stores = [sol.y for sol in solutions]
-    if any(y is None for y in stores):
-        raise ValueError('solutions do not keep y: solve them with keep=("y",)')
-    if any(sol.paths is not solutions[0].paths for sol in solutions):
-        raise ValueError("solutions must be solved on one path bundle")
-    for i in range(stores[0].shape[0] - 1, -1, -1):
-        nodes = tuple(y[i] for y in stores)
-        for node in nodes:
-            node.flags.writeable = False
-        on_node(i, nodes)
-
-
-@dataclass(frozen=True)
 class DeviationCurves:
     """Distance of a solution from its zero-driver counterpart over time.
 
-    ``total`` aggregates the squared value gap at t with the remaining
-    integrated gaps of both martingale integrands; ``linear_bound``
-    is the smallest M with total(t) <= M (T - t) on the open interval.
+    A node reducer over one backward pass: ``curves(i, ys, zs, us)`` for
+    i = N, ..., 0 reads the solution and then its zero-driver base, the
+    same terminal data solved with the zero driver, first in ``ys``,
+    ``zs`` and ``us``, and keeps one scalar per node and per step.  It
+    reads integrands (``reads_integrands``), so the pass fits them for
+    every problem.  A base of another state dimension or other terminal
+    data is refused at node N.
+
+    ``value_gap`` is the mean squared value gap at each node of ``times``;
+    ``z_tail`` and ``u_tail`` integrate the mean squared gaps of the
+    martingale integrands from t to T.  ``total`` adds the three, and
+    ``linear_bound`` is the smallest M with total(t) <= M (T - t) on the
+    open interval.
     """
 
-    times: np.ndarray
-    value_gap: np.ndarray
-    z_tail: np.ndarray
-    u_tail: np.ndarray
-    total: np.ndarray
-    linear_bound: float
+    reads_integrands = True
 
+    def __init__(self, grid, marks):
+        self.times = grid.nodes.copy()
+        self._steps = grid.steps
+        self._weights = marks.weights[:, None]
+        self.value_gap = np.empty(self.times.shape[0])
+        self._z_step = np.empty(self._steps.shape[0])
+        self._u_step = np.empty(self._steps.shape[0])
 
-def apriori_diagnostics(sol: BsdeSolution, base: BsdeSolution) -> DeviationCurves:
-    """Compare a solution against ``base``, the zero-driver solution with the
-    same terminal data on the same bundle (solve both in one pass, with
-    ``keep=("y", "z", "u")``)."""
-    if any(a is None for a in (sol.y, sol.z, sol.u, base.y, base.z, base.u)):
-        raise ValueError('solutions do not keep y, z and u: solve them with keep=("y", "z", "u")')
-    if sol.paths is not base.paths:
-        raise ValueError("solutions must be solved on one path bundle")
-    if sol.state_dim != base.state_dim:
-        raise ValueError("solutions must share the state dimension")
-    if not np.array_equal(sol.y[-1], base.y[-1]):
-        raise ValueError("solutions must share the terminal data")
+    def __call__(self, i: int, ys, zs, us) -> None:
+        y, base = ys[:2]
+        if i == self._steps.shape[0]:
+            if y.shape != base.shape:
+                raise ValueError("solutions must share the state dimension")
+            if not np.array_equal(y, base):
+                raise ValueError("solutions must share the terminal data")
+        else:
+            h = self._steps[i]
+            self._z_step[i] = np.mean(np.sum((zs[0] - zs[1]) ** 2, axis=(1, 2))) * h
+            self._u_step[i] = np.mean(np.sum(self._weights * (us[0] - us[1]) ** 2, axis=(1, 2))) * h
+        self.value_gap[i] = np.mean(np.sum((y - base) ** 2, axis=1))
 
-    h = sol.paths.grid.steps
-    value_gap = np.mean(np.sum((sol.y - base.y) ** 2, axis=2), axis=1)
-    z_step = np.mean(np.sum((sol.z - base.z) ** 2, axis=(2, 3)), axis=1) * h
-    w = sol.paths.marks.weights[None, None, :, None]
-    u_step = np.mean(np.sum(w * (sol.u - base.u) ** 2, axis=(2, 3)), axis=1) * h
-
-    def tail(per_step):
-        out = np.zeros(h.shape[0] + 1)
+    @staticmethod
+    def _tail(per_step):
+        out = np.zeros(per_step.shape[0] + 1)
         out[:-1] = np.cumsum(per_step[::-1])[::-1]
         return out
 
-    z_tail, u_tail = tail(z_step), tail(u_step)
-    total = value_gap + z_tail + u_tail
-    remaining = sol.times[-1] - sol.times[:-1]
-    linear_bound = float(np.max(total[:-1] / remaining)) if remaining.size else 0.0
-    return DeviationCurves(
-        times=sol.times.copy(),
-        value_gap=value_gap,
-        z_tail=z_tail,
-        u_tail=u_tail,
-        total=total,
-        linear_bound=linear_bound,
-    )
+    @property
+    def z_tail(self) -> np.ndarray:
+        return self._tail(self._z_step)
+
+    @property
+    def u_tail(self) -> np.ndarray:
+        return self._tail(self._u_step)
+
+    @property
+    def total(self) -> np.ndarray:
+        return self.value_gap + self.z_tail + self.u_tail
+
+    @property
+    def linear_bound(self) -> float:
+        remaining = self.times[-1] - self.times[:-1]
+        return float(np.max(self.total[:-1] / remaining)) if remaining.size else 0.0

@@ -1,9 +1,10 @@
-"""Shared pytest plumbing: a thread-leak guard, and one summary line per
-acceptance criterion."""
+"""Shared pytest plumbing: a thread-leak guard, one summary line per
+acceptance criterion, and a node reducer that collects a whole pass."""
 
 import re
 import threading
 
+import numpy as np
 import pytest
 
 _CRITERION_DETAILS: dict[int, str] = {}
@@ -12,6 +13,38 @@ _CRITERION_DETAILS: dict[int, str] = {}
 def record_criterion(number: int, detail: str) -> None:
     """Stash measured values so the terminal summary can show them."""
     _CRITERION_DETAILS[number] = detail
+
+
+class Collector:
+    """A node reducer that copies every node and step a backward pass hands
+    it into whole stores, one per problem: ``y[k]`` (N + 1, n, m), and
+    ``z[k]`` (N, n, m, d) and ``u[k]`` (N, n, J, m).  It reads integrands
+    unless built with ``integrands=False``; a problem whose integrands the
+    pass did not fit has None in ``z`` and ``u``."""
+
+    def __init__(self, integrands=True):
+        self.reads_integrands = integrands
+        self.y = self.z = self.u = None
+
+    def __call__(self, i, ys, zs, us):
+        if self.y is None:
+            self.y = _stacks(i + 1, ys)
+        _copy_into(self.y, i, ys)
+        if zs is not None:
+            if self.z is None:
+                self.z, self.u = _stacks(i + 1, zs), _stacks(i + 1, us)
+            _copy_into(self.z, i, zs)
+            _copy_into(self.u, i, us)
+
+
+def _stacks(length, blocks):
+    return [None if b is None else np.empty((length, *b.shape), b.dtype) for b in blocks]
+
+
+def _copy_into(stacks, i, blocks):
+    for stack, block in zip(stacks, blocks):
+        if stack is not None:
+            stack[i] = block
 
 
 @pytest.fixture(autouse=True)

@@ -17,12 +17,12 @@ import pytest
 from conftest import record_criterion
 
 from bsdelab.conditions import (
+    ComparisonPathReport,
     check_comparison_m1,
     check_comparison_matrix,
     check_comparison_multidim,
     check_viability_condition,
     check_viability_empirical,
-    comparison_path_report,
     empirical_comparison,
     stacked_reduction,
 )
@@ -41,9 +41,9 @@ from bsdelab.geometry import (
     vec_to_sym,
 )
 from bsdelab.solver import (
+    DeviationCurves,
     RegressionBasis,
     TerminalCondition,
-    apriori_diagnostics,
     solve_backward,
     solve_backward_many,
 )
@@ -69,14 +69,25 @@ def count_payoff_run():
     """Pinned 200k-path bundle and four problems solved on it in one pass.
 
     The scaled jump drivers 0.5 and 2.0 with the count payoff, and the zero
-    driver with the count payoff and with zero payoff.  The pass keeps the
-    integrands, which criterion 9 reads.
+    driver with the count payoff and with zero payoff.  The pass feeds the
+    deviation curves of the half driver against its zero-driver base, which
+    criterion 9 reads, and the comparison report of the double driver over
+    the zero payoff, which criterion 2 reads; the curves read integrands,
+    so the pass fits all four problems' integrands.
     """
     grid = TimeGrid.uniform(1.0, 50)
     start = time.perf_counter()
     paths = simulate_paths(grid, UNIT_MARKS, brownian_dim=1, n_paths=200_000, seed=2024)
     terminal, zero = _count_terminal(), ZeroGen(1, 1, UNIT_MARKS)
-    half, double, base, nil = solve_backward_many(
+    curves, report = DeviationCurves(grid, UNIT_MARKS), ComparisonPathReport(grid.nodes)
+
+    def on_node(i, ys, zs, us):
+        # problems (half, double, base, nil): (half, base), then (double, nil)
+        curves(i, ys[0::2], zs and zs[0::2], us and us[0::2])
+        report(i, ys[1::2], zs and zs[1::2], us and us[1::2])
+
+    on_node.reads_integrands = True
+    half, double, _, _ = solve_backward_many(
         [
             (ScaledJumpGen(0.5), terminal),
             (ScaledJumpGen(2.0), terminal),
@@ -85,10 +96,10 @@ def count_payoff_run():
         ],
         paths,
         basis=RegressionBasis(degree=2),
-        keep=("y", "z", "u"),
+        on_node=on_node,
     )
     elapsed = time.perf_counter() - start
-    return {"half": half, "double": double, "base": base, "nil": nil, "elapsed": elapsed}
+    return {"half": half, "double": double, "curves": curves, "report": report, "elapsed": elapsed}
 
 
 def test_criterion_01_half_scaled_jump_driver_value(count_payoff_run):
@@ -97,18 +108,24 @@ def test_criterion_01_half_scaled_jump_driver_value(count_payoff_run):
     assert err <= 0.02, f"time-zero value off by {err:.4f}"
     assert elapsed <= 60.0, f"solve took {elapsed:.1f}s"
 
-    # zero driver with zero terminal data must reproduce zero bitwise
+    # zero driver with zero terminal data must reproduce zero bitwise, at every node
     small = simulate_paths(TimeGrid.uniform(1.0, 50), UNIT_MARKS, 1, 6000, seed=5)
-    zero_sol = solve_backward(
-        ZeroGen(1, 1, UNIT_MARKS), _zero_terminal(), small, basis=RegressionBasis(degree=2)
+    nodes = []
+
+    def exactly_zero(i, ys, zs, us):
+        assert np.all(ys[0] == 0.0), f"node {i} is not zero"
+        nodes.append(i)
+
+    solve_backward(
+        ZeroGen(1, 1, UNIT_MARKS), _zero_terminal(), small, basis=RegressionBasis(degree=2),
+        on_node=exactly_zero,
     )
-    assert np.all(zero_sol.y == 0.0)
+    assert nodes == list(range(50, -1, -1))
     record_criterion(1, f"|Y0 - 0.5| = {err:.5f} <= 0.02 in {elapsed:.1f}s; zero run exact")
 
 
 def test_criterion_02_double_scaled_jump_value_and_violations(count_payoff_run):
-    sol = count_payoff_run["double"]
-    report = comparison_path_report(sol, count_payoff_run["nil"])
+    sol, report = count_payoff_run["double"], count_payoff_run["report"]
     err = abs(float(sol.y0[0]) + 1.0)
     assert err <= 0.02, f"time-zero value off by {err:.4f}"
     idx = int(np.argmin(np.abs(report.times - 0.5)))
@@ -411,7 +428,7 @@ def test_criterion_08_mollified_distance_bounds():
 
 
 def test_criterion_09_deviation_curve_shape(count_payoff_run):
-    curves = apriori_diagnostics(count_payoff_run["half"], count_payoff_run["base"])
+    curves = count_payoff_run["curves"]
     t = curves.times
     expected = 0.25 * (1.0 - t) ** 2
     early = t <= 0.8

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import Collector
 
 import bsdelab.cli
 from bsdelab.__main__ import BLAS_VARS
@@ -33,7 +34,7 @@ from bsdelab.cli import (
     run_scenario,
 )
 from bsdelab.conditions import ComparisonPathReport, ViabilityPathReport
-from bsdelab.solver import RegressionBasis, replay_nodes, solve_backward, solve_backward_many
+from bsdelab.solver import RegressionBasis, solve_backward, solve_backward_many
 from bsdelab.stochastic import simulate_paths
 
 
@@ -55,15 +56,18 @@ def solve_config(**overrides) -> dict:
     return cfg
 
 
-def kept_solution(cfg):
-    """The primary problem of ``cfg`` solved again on the run's bundle, its
-    y store kept: a run keeps none."""
+def collected_values(cfg):
+    """The values (N + 1, n, m) of the primary problem of ``cfg``, solved
+    again on the run's bundle and collected node by node: a run keeps
+    none."""
     s = Scenario.from_dict(cfg)
     paths = simulate_paths(s.grid, s.marks, s.brownian_dim, s.solver.paths, s.seed)
-    return solve_backward(
+    stores = Collector(integrands=False)
+    solve_backward(
         s.generator, s.terminal, paths, basis=RegressionBasis(s.solver.basis_degree),
-        mode=s.solver.mode,
+        mode=s.solver.mode, on_node=stores,
     )
+    return stores.y[0]
 
 
 def read_artifacts(out_dir) -> dict:
@@ -242,10 +246,10 @@ def test_solve_table_node_statistics_equal_reductions_over_the_whole_store(tmp_p
         grid={"horizon": 1.0, "steps": 7},
     )
     run_scenario(cfg, tmp_path / "out")
-    sol = kept_solution(cfg)
-    assert sol.state_dim == 2
-    lo, hi = np.quantile(sol.y, [0.05, 0.95], axis=1)
-    want = {"mean": sol.y.mean(axis=1), "std": sol.y.std(axis=1), "lo": lo, "hi": hi}
+    y = collected_values(cfg)
+    assert y.shape[2] == 2
+    lo, hi = np.quantile(y, [0.05, 0.95], axis=1)
+    want = {"mean": y.mean(axis=1), "std": y.std(axis=1), "lo": lo, "hi": hi}
     with open(tmp_path / "out" / "y_stats.csv", newline="") as fh:
         header, *rows = list(csv.reader(fh))
     table = np.array(rows, dtype=float)
@@ -329,7 +333,7 @@ def test_cell_formatting():
     ],
     ids=["node-stats", "mean-norms", "viability", "comparison"],
 )
-def test_each_node_reducer_reads_the_same_bytes_from_the_pass_and_a_kept_solution(make):
+def test_each_node_reducer_reads_the_same_bytes_from_the_pass_and_from_whole_stores(make):
     # the unit circle inside the unit disc, dominating a constant below it
     scenario = Scenario.from_dict(solve_config(
         target={"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
@@ -342,9 +346,11 @@ def test_each_node_reducer_reads_the_same_bytes_from_the_pass_and_a_kept_solutio
     ))
     paths = simulate_paths(scenario.grid, scenario.marks, 1, 2_000, scenario.seed)
     problems = [(scenario.generator, scenario.terminal), (scenario.generator2, scenario.terminal2)]
-    streamed, replayed = make(scenario), make(scenario)
-    solve_backward_many(problems, paths, keep=(), on_node=streamed)
-    replay_nodes(solve_backward_many(problems, paths), replayed)
+    streamed, replayed, stores = make(scenario), make(scenario), Collector(integrands=False)
+    solve_backward_many(problems, paths, on_node=streamed)
+    solve_backward_many(problems, paths, on_node=stores)
+    for i in range(paths.grid.n_steps, -1, -1):
+        replayed(i, tuple(y[i] for y in stores.y), None, None)
     reduced = vars(streamed)
     assert any(isinstance(v, (list, np.ndarray)) and len(v) for v in reduced.values())
     for name, value in reduced.items():
@@ -359,12 +365,12 @@ def test_solve_table_carries_the_mean_distance_to_the_target(tmp_path):
         terminal={"kind": "circle-angle", "component": 0},
     )
     run_scenario(cfg, tmp_path)
-    sol, ball = kept_solution(cfg), Scenario.from_dict(cfg).target
+    y, ball = collected_values(cfg), Scenario.from_dict(cfg).target
     lines = (tmp_path / "y_stats.csv").read_text().splitlines()
     column = lines[0].split(",").index("dk_mean")
     written = [float(line.split(",")[column]) for line in lines[1:]]
     # each node's mean of the one-row distances
-    expected = [np.mean([ball.dist_batch(row[None])[0] for row in sol.y[i]]) for i in range(len(sol.times))]
+    expected = [np.mean([ball.dist_batch(row[None])[0] for row in node]) for node in y]
     assert np.array(written).tobytes() == np.array(expected).tobytes()
     assert max(written) > 0.0
 
@@ -515,10 +521,6 @@ def test_shared_bundle_and_solution_are_read_only(tmp_path, monkeypatch):
     sol, (sol1, sol2) = solutions[0], solutions
     assert sol1 is sol
     assert sol.paths is paths and sol2.paths is paths
-    # every check reduces the nodes as the pass solves them, so the shared
-    # pass keeps no store
-    for s in (sol1, sol2):
-        assert s.y is None and s.z is None and s.u is None
     for array in (paths.brownian, paths.count_nodes, sol.y0, sol.y0_se, sol2.y0, sol2.y0_se):
         # the stores themselves, not views of them, are locked
         assert array.base is None and not array.flags.writeable

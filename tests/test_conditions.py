@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import Collector
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import _random_affine_pair
@@ -22,12 +23,10 @@ from bsdelab.conditions import (
     check_viability_condition,
     check_viability_empirical,
     comparison_lhs_rhs,
-    comparison_path_report,
     empirical_comparison,
     matrix_lhs_rhs,
     stacked_reduction,
     viability_lhs_rhs,
-    viability_path_report,
 )
 from bsdelab.conditions import (
     _REFINE_ROUNDS,
@@ -42,7 +41,7 @@ from bsdelab.generators import AffineGen, Generator, ProjectionDriftGen, ScaledJ
 from bsdelab.geometry import (
     Ball, Box, FinitePointSet, HalfspaceIntersection, OrthantProduct, PsdCone, sym_to_vec, vec_to_sym,
 )
-from bsdelab.solver import RegressionBasis, TerminalCondition, solve_backward
+from bsdelab.solver import RegressionBasis, TerminalCondition, solve_backward, solve_backward_many
 from bsdelab.stochastic import FiniteMarkMeasure, TimeGrid, simulate_paths
 
 MARKS1 = FiniteMarkMeasure([[1.0]], [1.0])
@@ -502,7 +501,7 @@ def test_empirical_viability_reports_two_point_excursion():
     assert report.mean_distance[-1] == pytest.approx(0.0, abs=1e-12)
     assert report.max_mean_distance >= 0.9
     assert report.max_mean_distance > 0.05
-    assert sol.y.shape == (11, 3000, 1)
+    assert sol.times.shape == (11,) and sol.n_paths == 3000 and sol.y0.shape == (1,)
 
 
 def test_empirical_viability_rejects_terminal_outside_target():
@@ -562,7 +561,7 @@ def _assert_same_report(a, b):
 
 def _spy_passes(monkeypatch):
     """The backward passes the empirical checkers make, each as its problem
-    count; replaying a kept store raises."""
+    count."""
     passes = []
     original = bsdelab.conditions.solve_backward_many
 
@@ -570,15 +569,24 @@ def _spy_passes(monkeypatch):
         passes.append(len(problems))
         return original(problems, *args, **kwargs)
 
-    def no_replay(*args, **kwargs):
-        raise AssertionError("the checker replayed a kept store")
-
     monkeypatch.setattr(bsdelab.conditions, "solve_backward_many", spied)
-    monkeypatch.setattr(bsdelab.conditions, "replay_nodes", no_replay)
     return passes
 
 
-def test_empirical_checkers_make_one_pass_and_replay_nothing(monkeypatch):
+def _fed_from_stores(report, problems, paths):
+    """``report`` fed node by node, in pass order, from the whole y stores
+    of ``problems``, each solved alone and collected."""
+    stores = []
+    for gen, terminal in problems:
+        collector = Collector(integrands=False)
+        solve_backward(gen, terminal, paths, on_node=collector)
+        stores.append(collector.y[0])
+    for i in range(paths.grid.n_steps, -1, -1):
+        report(i, tuple(y[i] for y in stores), None, None)
+    return report
+
+
+def test_empirical_checkers_make_one_pass(monkeypatch):
     grid = TimeGrid.uniform(1.0, 6)
     paths = simulate_paths(grid, MARKS1, brownian_dim=1, n_paths=700, seed=9)
     passes = _spy_passes(monkeypatch)
@@ -586,13 +594,13 @@ def test_empirical_checkers_make_one_pass_and_replay_nothing(monkeypatch):
     target = FinitePointSet(np.array([[-1.0], [1.0]]))
     report, sol = check_viability_empirical(ZeroGen(1, 1, MARKS1), sign, target, paths)
     assert passes == [1]
-    assert report.mean_distance[-1] == 0.0 and sol.y.shape == (7, 700, 1)
+    assert report.mean_distance[-1] == 0.0 and sol.n_paths == 700
     g = ScaledJumpGen(0.5)
     hi = TerminalCondition(lambda w, n: n[:, :1] + 1.0, 1)
     lo = TerminalCondition(lambda w, n: 1.0 * n[:, :1], 1)
     report, sol1, sol2 = empirical_comparison(g, g, hi, lo, paths)
     assert passes == [1, 2]
-    assert report.min_gap > 0.5 and sol1.y.shape == sol2.y.shape == (7, 700, 1)
+    assert report.min_gap > 0.5 and sol1.paths is sol2.paths is paths
 
 
 def _refused_at_node_n(check, match):
@@ -641,19 +649,18 @@ def test_viability_wrapper_is_solve_then_report():
     target = FinitePointSet(np.array([[-1.0], [1.0]]))
     terminal = TerminalCondition(lambda w, n: np.where(w[:, :1] >= 0, 1.0, -1.0), 1)
     gen = ZeroGen(1, 1, MARKS1)
-    report, sol = check_viability_empirical(gen, terminal, target, paths)
-    direct = viability_path_report(solve_backward(gen, terminal, paths), target)
+    report, _ = check_viability_empirical(gen, terminal, target, paths)
+    direct = _fed_from_stores(ViabilityPathReport(target, paths.grid.nodes), [(gen, terminal)], paths)
     _assert_same_report(report, direct)
-    _assert_same_report(viability_path_report(sol, target), direct)
 
 
 def test_viability_report_checks_the_solved_terminal_values():
     grid = TimeGrid.uniform(1.0, 5)
     paths = simulate_paths(grid, MARKS1, brownian_dim=1, n_paths=600, seed=3)
     terminal = TerminalCondition(lambda w, n: 10.0 * w[:, :1], 1)
-    sol = solve_backward(ZeroGen(1, 1, MARKS1), terminal, paths)
+    report = ViabilityPathReport(Ball(np.zeros(1), 1.0), paths.grid.nodes)
     with pytest.raises(ValueError, match="leaves the target set"):
-        viability_path_report(sol, Ball(np.zeros(1), 1.0))
+        _fed_from_stores(report, [(ZeroGen(1, 1, MARKS1), terminal)], paths)
 
 
 def test_comparison_wrapper_is_solve_then_report():
@@ -663,39 +670,21 @@ def test_comparison_wrapper_is_solve_then_report():
     zero = ZeroGen(1, 1, MARKS1)
     counts = TerminalCondition(lambda w, n: 1.0 * n[:, :1], 1)
     nil = TerminalCondition(lambda w, n: np.zeros((w.shape[0], 1)), 1)
-    report, sol1, sol2 = empirical_comparison(g, zero, counts, nil, paths)
-    direct = comparison_path_report(
-        solve_backward(g, counts, paths), solve_backward(zero, nil, paths)
-    )
+    report, _, _ = empirical_comparison(g, zero, counts, nil, paths)
+    direct = _fed_from_stores(ComparisonPathReport(paths.grid.nodes), [(g, counts), (zero, nil)], paths)
     _assert_same_report(report, direct)
-    _assert_same_report(comparison_path_report(sol1, sol2), direct)
     assert report.violation_fraction.max() > 0.0
 
 
-def test_comparison_report_rejects_solutions_on_different_bundles():
-    grid = TimeGrid.uniform(1.0, 6)
-    g = ScaledJumpGen(0.5)
-    term = TerminalCondition(lambda w, n: 1.0 * n[:, :1], 1)
-    # two draws of the same stream are equal but are still two bundles
-    first = simulate_paths(grid, MARKS1, brownian_dim=1, n_paths=700, seed=9)
-    second = simulate_paths(grid, MARKS1, brownian_dim=1, n_paths=700, seed=9)
-    sol1 = solve_backward(g, term, first)
-    with pytest.raises(ValueError, match="one path bundle"):
-        comparison_path_report(sol1, solve_backward(g, term, second))
-    assert comparison_path_report(sol1, solve_backward(g, term, first)).min_gap == 0.0
-
-
-def test_comparison_report_rejects_mismatched_state_dimensions():
+def test_comparison_report_rejects_mismatched_state_dimensions_at_node_n():
     grid = TimeGrid.uniform(1.0, 6)
     paths = simulate_paths(grid, MARKS1, brownian_dim=1, n_paths=700, seed=9)
-    one = solve_backward(
-        ZeroGen(1, 1, MARKS1), TerminalCondition(lambda w, n: 1.0 * n[:, :1], 1), paths
+    one = (ZeroGen(1, 1, MARKS1), TerminalCondition(lambda w, n: 1.0 * n[:, :1], 1))
+    two = (ZeroGen(2, 1, MARKS1), TerminalCondition(lambda w, n: np.zeros((w.shape[0], 2)), 2))
+    _refused_at_node_n(
+        lambda basis: solve_backward_many([one, two], paths, basis, on_node=ComparisonPathReport(grid.nodes)),
+        "solutions must share the state dimension",
     )
-    two = solve_backward(
-        ZeroGen(2, 1, MARKS1), TerminalCondition(lambda w, n: np.zeros((w.shape[0], 2)), 2), paths
-    )
-    with pytest.raises(ValueError, match="state dimension"):
-        comparison_path_report(one, two)
 
 
 # ---------------------------------------------------------------------------

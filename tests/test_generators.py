@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from conftest import Collector
 
 from bsdelab.generators import (
     AffineGen,
@@ -272,15 +273,15 @@ class TestBatchedProjectionDrift:
             lambda w, n: np.stack([1.3 * np.cos(w[:, 0]) + 0.2 * n[:, 0], np.sin(w[:, 0])], axis=1),
             state_dim=2,
         )
-        sols = [
-            solve_backward(
-                gen_cls(disc, 1, unit_marks()), terminal, paths, basis=RegressionBasis(2), keep=("y", "z", "u")
-            )
-            for gen_cls in (ProjectionDriftGen, RowByRowProjectionDrift)
-        ]
-        batched, reference = sols
-        for name in ("y", "z", "u", "y0"):
-            assert getattr(batched, name).tobytes() == getattr(reference, name).tobytes(), name
+        stores = [Collector(), Collector()]
+        batched, reference = (
+            solve_backward(gen_cls(disc, 1, unit_marks()), terminal, paths, basis=RegressionBasis(2), on_node=kept)
+            for gen_cls, kept in zip((ProjectionDriftGen, RowByRowProjectionDrift), stores)
+        )
+        assert batched.y0.tobytes() == reference.y0.tobytes()
+        for name in ("y", "z", "u"):
+            mine, theirs = (getattr(kept, name)[0] for kept in stores)
+            assert mine.tobytes() == theirs.tobytes(), name
 
     def test_psd_cone_bundle_matches_pointwise_evaluation(self):
         cone = PsdCone(2)

@@ -1,25 +1,21 @@
-"""Memory guards: the path bundle, the backward pass, the path reports,
+"""Memory guards: the path bundle, the backward pass, its node reducers,
 the scenario run and the simulate check hold only what their callers read.
 
 ``tracemalloc`` traces numpy's buffers on every thread, so a peak counts
 the design that the backward pass builds ahead on its worker thread too.
-Each bound is set against one y store, (N + 1) x n x m doubles, which a
-library caller may keep and a scenario run keeps none of, or against the
-dense bundle, every node of W and of the counts.  A drawn bundle stores
-every k-th node only and the pass rebuilds the others into k node
-stores, so a guard on the pass counts the draw too.
+Each bound is set against one y store, (N + 1) x n x m doubles, which the
+pass never holds, or against the dense bundle, every node of W and of the
+counts.  A drawn bundle stores every k-th node only and the pass rebuilds
+the others into k node stores, so a guard on the pass counts the draw too.
 """
 
 import tracemalloc
 
 import numpy as np
-import pytest
 
 from bsdelab.cli import Scenario, _ArtifactWriter, _ScenarioRun, _simulate
-from bsdelab.conditions import comparison_path_report, viability_path_report
 from bsdelab.generators import ScaledJumpGen, ZeroGen
-from bsdelab.geometry import Ball
-from bsdelab.solver import TerminalCondition, solve_backward_many
+from bsdelab.solver import DeviationCurves, TerminalCondition, solve_backward_many
 from bsdelab.stochastic import FiniteMarkMeasure, TimeGrid, simulate_paths
 
 MARKS = FiniteMarkMeasure([[1.0]], [1.0])
@@ -31,11 +27,6 @@ DENSE_BUNDLE = 51 * 20_000 * (8 + 4)
 
 def draw():
     return simulate_paths(TimeGrid.uniform(1.0, 50), MARKS, 1, 20_000, seed=7)
-
-
-@pytest.fixture(scope="module")
-def paths():
-    return draw()
 
 
 def problems():
@@ -57,34 +48,34 @@ def traced_peak(call):
     return result, peak
 
 
-def test_default_pass_holds_its_y_stores_and_step_temporaries_only(paths):
-    # each y store is 8.2 MB, and each whole z or u store another 8 MB; the
-    # step's design, its basis, the fits and the design built ahead take
-    # about 6 MB.  The drawn bundle stores 8 nodes (1.9 MB) and the pass
-    # rebuilds nodes into 8 node stores (1.9 MB): the y stores and the rest
-    # stay below the y stores and a dense bundle (12.2 MB), which the
-    # bundle that stored every node exceeded with the step temporaries
-    sols, peak = traced_peak(lambda: solve_backward_many(problems(), draw()))
-    one_y = sols[0].y.nbytes
-    assert one_y == ONE_Y
-    assert all(sol.z is None and sol.u is None for sol in sols)
-    assert peak < 2 * one_y + DENSE_BUNDLE
-    # the guard sees the integrand stores when a pass keeps them
-    kept, kept_peak = traced_peak(
-        lambda: solve_backward_many(problems(), paths, keep=("y", "z", "u"))
-    )
-    assert kept_peak > 3 * one_y + sum(sol.z.nbytes + sol.u.nbytes for sol in kept) / 2
-
-
 def test_streamed_pass_holds_two_nodes_per_problem_and_its_step_temporaries():
-    # without stores, each problem's y is a two-node ring (2 x 0.16 MB) and
-    # its z and u one step each; the step temporaries take 4-6 MB, by how the
-    # design built ahead overlaps the fits.  With the draw: its 8 stored
-    # nodes (1.9 MB) and the pass's 8 node stores (1.9 MB), in all about 10 MB,
+    # each problem's y is a two-node ring (2 x 0.16 MB), and its z and u
+    # two-step rings; the step temporaries take 4-6 MB, by how the design
+    # built ahead overlaps the fits.  With the draw: its 8 stored nodes
+    # (1.9 MB) and the pass's 8 node stores (1.9 MB), in all about 10 MB,
     # below the dense bundle alone (12.2 MB); a bundle that stored every
     # node peaked at 18.4 MB with the pass
-    sols, peak = traced_peak(lambda: solve_backward_many(problems(), draw(), keep=()))
-    assert all(sol.y is None and sol.z is None and sol.u is None for sol in sols)
+    _, peak = traced_peak(lambda: solve_backward_many(problems(), draw()))
+    assert peak < DENSE_BUNDLE
+
+
+def test_pass_feeding_the_deviation_curves_holds_no_store():
+    # the curves read integrands, so both problems fit z and u, whose
+    # two-step rings and wider targets (3 columns) add under 1 MB: the pass
+    # peaked at 10.6 MB, as the streamed pass above does.  The curves keep
+    # one scalar per node and per step; whole z and u stores would add
+    # 16 MB per problem
+    counts = TerminalCondition(fn=lambda w, k: k[:, 0].astype(float), state_dim=1)
+    base = (ZeroGen(1, 1, MARKS), counts)
+
+    def solve():
+        paths = draw()
+        curves = DeviationCurves(paths.grid, paths.marks)
+        solve_backward_many([(ScaledJumpGen(2.0), counts), base], paths, on_node=curves)
+        return curves
+
+    curves, peak = traced_peak(solve)
+    assert curves.total.shape == (51,) and curves.total[0] > 0.0
     assert peak < DENSE_BUNDLE
 
 
@@ -117,28 +108,12 @@ def test_scenario_run_streams_its_checks_and_holds_no_y_store(tmp_path):
     writer = _ArtifactWriter(tmp_path, "csv")
     rows, peak = traced_peak(lambda: [run.run_check(spec, writer) for spec in scenario.checks])
     assert [row["check"] for row in rows] == ["solve", "comparison-empirical"]
-    sol1, sol2 = run.solutions()
-    assert sol1.y is None and sol2.y is None
     assert (tmp_path / "y_stats.csv").exists() and (tmp_path / "gap_stats.csv").exists()
     # the draw's stored nodes, the pass's node stores, its step
     # temporaries and two node blocks per problem; the node reductions' own
     # temporaries, a node block or two, run beside the step and stay within
     # the spread of the pass's peak
     assert peak < DENSE_BUNDLE
-
-
-def test_comparison_report_holds_one_node_at_a_time(paths):
-    sol1, sol2 = solve_backward_many(problems(), paths)
-    report, peak = traced_peak(lambda: comparison_path_report(sol1, sol2))
-    assert report.min_gap_per_time.shape == (51,)
-    assert peak < sol1.y.nbytes / 4
-
-
-def test_viability_report_holds_one_node_at_a_time(paths):
-    sol, _ = solve_backward_many(problems(), paths)
-    report, peak = traced_peak(lambda: viability_path_report(sol, Ball([0.0], 1e3)))
-    assert report.mean_distance.shape == (51,)
-    assert peak < sol.y.nbytes / 4
 
 
 def test_simulate_check_holds_one_node_at_a_time(tmp_path):

@@ -1,11 +1,15 @@
+import concurrent.futures
 import math
 import threading
+import time
 import warnings
 from contextlib import contextmanager
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import Collector
 from scipy.linalg import expm
 
 import bsdelab.stochastic
@@ -14,10 +18,9 @@ from bsdelab.solver import (
     RegressionBasis,
     SolverError,
     TerminalCondition,
+    DeviationCurves,
     _StepRegression,
-    apriori_diagnostics,
     _monomial_powers,
-    replay_nodes,
     solve_backward,
     solve_backward_many,
 )
@@ -63,47 +66,51 @@ class TestZeroDriver:
     def test_recovers_brownian_martingale(self):
         paths = simulate()
         gen = ZeroGen(state_dim=1, brownian_dim=1, marks=unit_marks())
-        sol = solve_backward(gen, brownian_terminal(), paths, keep=("y", "z", "u"))
+        stores = Collector()
+        sol = solve_backward(gen, brownian_terminal(), paths, on_node=stores)
         # Y_t = W_t lies in the basis span, so the fit is exact up to MC noise
-        err = sol.y[..., 0] - node_stores(paths)[0][..., 0]
+        err = stores.y[0][..., 0] - node_stores(paths)[0][..., 0]
         assert np.sqrt(np.mean(err**2)) < 0.05
         assert abs(sol.y0[0]) < 3.0 * max(sol.y0_se[0], 1e-3)
-        z_means = sol.z[..., 0, 0].mean(axis=1)
+        z_means = stores.z[0][..., 0, 0].mean(axis=1)
         assert np.all(np.abs(z_means - 1.0) < 0.15)
-        assert np.sqrt(np.mean(sol.u**2)) < 0.15
+        assert np.sqrt(np.mean(stores.u[0]**2)) < 0.15
 
     def test_recovers_compensated_count_martingale(self):
         paths = simulate(seed=9)
         gen = ZeroGen(state_dim=1, brownian_dim=1, marks=unit_marks())
-        sol = solve_backward(gen, count_terminal(), paths, keep=("y", "z", "u"))
+        stores = Collector()
+        solve_backward(gen, count_terminal(), paths, on_node=stores)
         horizon = paths.grid.horizon
         truth = node_stores(paths)[1][..., 0] + (horizon - paths.grid.nodes)[:, None]
-        err = sol.y[..., 0] - truth
+        err = stores.y[0][..., 0] - truth
         assert np.sqrt(np.mean(err**2)) < 0.05
-        u_means = sol.u[..., 0, 0].mean(axis=1)
+        u_means = stores.u[0][..., 0, 0].mean(axis=1)
         assert np.all(np.abs(u_means - 1.0) < 0.2)
 
     def test_quadratic_payoff_in_span(self):
         paths = simulate(seed=11)
         gen = ZeroGen(state_dim=1, brownian_dim=1, marks=unit_marks())
         term = TerminalCondition(fn=lambda w, k: w[:, 0] ** 2, state_dim=1)
-        sol = solve_backward(gen, term, paths)
+        stores = Collector(integrands=False)
+        solve_backward(gen, term, paths, on_node=stores)
         horizon = paths.grid.horizon
         truth = node_stores(paths)[0][..., 0] ** 2 + (horizon - paths.grid.nodes)[:, None]
-        err = sol.y[..., 0] - truth
+        err = stores.y[0][..., 0] - truth
         assert np.sqrt(np.mean(err**2)) < 0.08
 
 
 class TestLinearJumpScenarios:
     def test_half_strength_jump_driver(self):
         paths = simulate(n_paths=40_000, n_steps=25, seed=13)
-        sol = solve_backward(ScaledJumpGen(0.5), count_terminal(), paths)
+        stores = Collector(integrands=False)
+        sol = solve_backward(ScaledJumpGen(0.5), count_terminal(), paths, on_node=stores)
         assert sol.y0[0] == pytest.approx(0.5, abs=0.03)
         # closed form Y_t = N_t + (T - t)/2 holds pathwise
         i = 10
         t = paths.grid.nodes[i]
         truth = node_stores(paths)[1][i, :, 0] + 0.5 * (1.0 - t)
-        assert np.sqrt(np.mean((sol.y[i, :, 0] - truth) ** 2)) < 0.05
+        assert np.sqrt(np.mean((stores.y[0][i, :, 0] - truth) ** 2)) < 0.05
 
     def test_double_strength_jump_driver(self):
         paths = simulate(n_paths=40_000, n_steps=25, seed=17)
@@ -112,10 +119,11 @@ class TestLinearJumpScenarios:
 
     def test_zero_terminal_stays_exactly_zero(self):
         paths = simulate(n_paths=5_000, n_steps=10, seed=19)
-        sol = solve_backward(ScaledJumpGen(2.0), constant_terminal(0.0), paths, keep=("y", "z", "u"))
-        assert np.all(sol.y == 0.0)
-        assert np.all(sol.z == 0.0)
-        assert np.all(sol.u == 0.0)
+        stores = Collector()
+        solve_backward(ScaledJumpGen(2.0), constant_terminal(0.0), paths, on_node=stores)
+        assert np.all(stores.y[0] == 0.0)
+        assert np.all(stores.z[0] == 0.0)
+        assert np.all(stores.u[0] == 0.0)
 
 
 class TestModes:
@@ -152,7 +160,8 @@ class TestModes:
 
 
 def closed_form_linear(a_matrix, terminal, paths):
-    """Solution for the linear driver f(y) = A y.
+    """Solution for the linear driver f(y) = A y: its stores y, z and u,
+    and its y0.
 
     Runs a zero-driver pass and rescales it by the matrix exponential
     exp(A (T - t)); the martingale integrands scale the same way.
@@ -160,17 +169,17 @@ def closed_form_linear(a_matrix, terminal, paths):
     a_matrix = np.asarray(a_matrix, dtype=float)
     m = a_matrix.shape[0]
     zero = ZeroGen(state_dim=m, brownian_dim=paths.brownian_dim, marks=paths.marks)
-    sol = solve_backward(zero, terminal, paths, keep=("y", "z", "u"))
+    stores = Collector()
+    sol = solve_backward(zero, terminal, paths, on_node=stores)
+    (y,), (z,), (u,) = stores.y, stores.z, stores.u
     horizon = sol.times[-1]
     for i, t in enumerate(sol.times):
         scale = expm(a_matrix * (horizon - t))
-        sol.y[i] = sol.y[i] @ scale.T
+        y[i] = y[i] @ scale.T
         if i < sol.times.shape[0] - 1:
-            sol.z[i] = np.einsum("kl,nld->nkd", scale, sol.z[i])
-            sol.u[i] = np.einsum("kl,njl->njk", scale, sol.u[i])
-    sol.y0 = sol.y[0].mean(axis=0)
-    sol.y0_se = sol.y[1].std(axis=0) / np.sqrt(sol.n_paths)
-    return sol
+            z[i] = np.einsum("kl,nld->nkd", scale, z[i])
+            u[i] = np.einsum("kl,njl->njk", scale, u[i])
+    return SimpleNamespace(y=y, z=z, u=u, y0=y[0].mean(axis=0))
 
 
 class TestLinearClosedForm:
@@ -181,15 +190,16 @@ class TestLinearClosedForm:
 
     def test_zero_matrix_reduces_to_plain_conditional_expectation(self):
         paths = simulate(n_paths=5_000, n_steps=10, seed=37)
-        base = solve_backward(
+        base = Collector()
+        solve_backward(
             ZeroGen(state_dim=1, brownian_dim=1, marks=unit_marks()),
             brownian_terminal(),
             paths,
-            keep=("y", "z", "u"),
+            on_node=base,
         )
         lin = closed_form_linear(np.zeros((1, 1)), brownian_terminal(), paths)
-        assert np.allclose(lin.y, base.y)
-        assert np.allclose(lin.z, base.z)
+        assert np.allclose(lin.y, base.y[0])
+        assert np.allclose(lin.z, base.z[0])
 
     def test_matches_backward_scheme_to_first_order(self):
         paths = simulate(n_paths=40_000, n_steps=40, seed=41)
@@ -246,12 +256,13 @@ class TestRegressionMachinery:
     def test_step_zero_design_collapses_to_constant(self):
         paths = simulate(n_paths=3_000, n_steps=5, seed=47)
         gen = ZeroGen(state_dim=1, brownian_dim=1, marks=unit_marks())
-        sol = solve_backward(gen, brownian_terminal(), paths)
+        stores = Collector(integrands=False)
+        sol = solve_backward(gen, brownian_terminal(), paths, on_node=stores)
         first = sol.regression[0]
         assert first.step == 0
         assert first.rank == 1
         assert first.condition == pytest.approx(1.0)
-        assert np.ptp(sol.y[0, :, 0]) < 1e-14
+        assert np.ptp(stores.y[0][0, :, 0]) < 1e-14
 
     def test_exactly_collinear_columns_reduced_not_fatal(self):
         rng = np.random.default_rng(0)
@@ -527,11 +538,15 @@ class TestCheckpointedBundle:
         brownian, count_nodes = node_stores(paths)
         dense = DrivingPaths(grid=grid, marks=marks, brownian=brownian, count_nodes=count_nodes)
         assert dense.stride == 1 and paths.stride == math.isqrt(n_steps - 1) + 1
+        drawn_stores, stored_stores = Collector(), Collector()
         with np.errstate(all="ignore"), warnings_ignored():
-            drawn = solve_backward_many(problems, paths, keep=("y", "z", "u"))
-            stored = solve_backward_many(problems, dense, keep=("y", "z", "u"))
+            drawn = solve_backward_many(problems, paths, on_node=drawn_stores)
+            stored = solve_backward_many(problems, dense, on_node=stored_stores)
+        for name in ("y", "z", "u"):
+            for mine, theirs in zip(getattr(drawn_stores, name), getattr(stored_stores, name)):
+                assert mine.tobytes() == theirs.tobytes(), name
         for sol, ref in zip(drawn, stored):
-            for name in ("y", "z", "u", "y0", "y0_se"):
+            for name in ("y0", "y0_se"):
                 assert getattr(sol, name).tobytes() == getattr(ref, name).tobytes(), name
             assert (sol.seconds["redraw"] > 0.0) == (paths.stride > 1)
 
@@ -550,7 +565,7 @@ class TestCheckpointedBundle:
         monkeypatch.setattr(bsdelab.stochastic, "poisson_counts", refused_at_step_5)
         before = threading.active_count()
         with pytest.raises(ValueError, match="jump draw at step 5, atom 0: refused"):
-            solve_backward(ScaledJumpGen(2.0), count_terminal(), paths, keep=())
+            solve_backward(ScaledJumpGen(2.0), count_terminal(), paths)
         assert threading.active_count() == before
         # the conftest guard fails the test if the worker outlived the call
 
@@ -567,14 +582,17 @@ class TestCheckpointedBundle:
         paths = simulate(n_paths=2_000, n_steps=4, seed=71)
         problems = [(ScaledJumpGen(2.0), count_terminal()), (ZeroGen(1, 1, marks), constant_terminal(0.0))]
         # m (1 + d + J) = 3 targets for the jump driver, which reads u; y alone for the zero driver
-        sols = solve_backward_many(problems, paths, keep=())
+        bare = Collector(integrands=False)
+        sols = solve_backward_many(problems, paths, on_node=bare)
         assert widths == [3, 1] * 4
-        # a kept integrand is fitted whatever the driver reads, with the same y
+        assert bare.z[1] is None and bare.u[1] is None and bare.u[0].shape == (4, 2_000, 1, 1)
+        # a callback that reads integrands has them fitted whatever the driver reads, with the same y
         widths.clear()
-        kept = solve_backward_many(problems, paths, keep=("y", "u"))
+        stores = Collector()
+        read = solve_backward_many(problems, paths, on_node=stores)
         assert widths == [3, 3] * 4
-        assert np.all(kept[1].u == 0.0)
-        for sol, ref in zip(sols, kept):
+        assert np.all(stores.u[1] == 0.0)
+        for sol, ref in zip(sols, read):
             assert np.allclose(sol.y0, ref.y0, rtol=0.0, atol=1e-15)
 
 
@@ -583,103 +601,108 @@ class TestLockstep:
     def test_equals_separate_solves_bit_for_bit(self, mode):
         paths = simulate(n_paths=4_000, n_steps=10, seed=83)
         problems = lockstep_problems()
-        together = solve_backward_many(problems, paths, mode=mode, keep=("y", "z", "u"))
+        stores = Collector()
+        together = solve_backward_many(problems, paths, mode=mode, on_node=stores)
         assert len(together) == len(problems)
-        for (gen, terminal), sol in zip(problems, together):
-            alone = solve_backward(gen, terminal, paths, mode=mode, keep=("y", "z", "u"))
-            for name in ("y", "z", "u", "y0", "y0_se"):
+        for k, ((gen, terminal), sol) in enumerate(zip(problems, together)):
+            own = Collector()
+            alone = solve_backward(gen, terminal, paths, mode=mode, on_node=own)
+            for name in ("y", "z", "u"):
+                assert getattr(stores, name)[k].tobytes() == getattr(own, name)[0].tobytes(), name
+            for name in ("y0", "y0_se"):
                 assert getattr(sol, name).tobytes() == getattr(alone, name).tobytes(), name
             assert sol.regression == alone.regression
             assert sol.mode == mode and sol.paths is paths
 
-    @pytest.mark.parametrize("keep", [(), ("y",), ("z",), ("y", "u")], ids=["none", "y", "z", "y-u"])
-    @pytest.mark.parametrize("mode", ["explicit", "implicit"])
-    def test_kept_stores_change_no_bit_of_the_values(self, mode, keep):
-        # a store not kept is a ring that every step reuses: two nodes of y,
-        # one step of z and u; the kept stores, y0 and y0_se must not notice
-        paths = simulate(n_paths=4_000, n_steps=10, seed=83)
-        problems = lockstep_problems()
-        kept = solve_backward_many(problems, paths, mode=mode, keep=("y", "z", "u"))
-        for (gen, _), sol, ref in zip(
-            problems, solve_backward_many(problems, paths, mode=mode, keep=keep), kept
-        ):
-            assert ref.z.shape == (10, 4_000, gen.state_dim, 1)
-            assert ref.u.shape == (10, 4_000, 1, gen.state_dim)
-            for name in ("y", "z", "u"):
-                if name in keep:
-                    assert getattr(sol, name).tobytes() == getattr(ref, name).tobytes(), name
-                else:
-                    assert getattr(sol, name) is None, name
-            for name in ("y0", "y0_se"):
-                assert getattr(sol, name).tobytes() == getattr(ref, name).tobytes(), name
-            assert (sol.n_paths, sol.state_dim) == (4_000, gen.state_dim)
-            assert sol.regression == ref.regression
-
-    @pytest.mark.parametrize("keep", [(), ("y",)], ids=["none", "y"])
-    def test_node_callback_sees_each_node_once_in_pass_order_read_only(self, keep):
+    @pytest.mark.parametrize("integrands", [False, True], ids=["y", "integrands"])
+    def test_node_callback_sees_each_node_once_in_pass_order_read_only(self, integrands):
+        # the jump driver reads u and the affine one z and u, so the pass
+        # fits their integrands; the zero driver's only for a callback that
+        # reads them
         paths = simulate(n_paths=2_000, n_steps=6, seed=83)
         problems = lockstep_problems()
-        kept = solve_backward_many(problems, paths, keep=("y",))
+        stores = Collector(integrands)
+        sols = solve_backward_many(problems, paths, on_node=stores)
         seen = []
 
-        def on_node(i, ys):
+        def on_node(i, ys, zs, us):
             assert len(ys) == len(problems)
-            for y in ys:
-                assert not y.flags.writeable
+            blocks = list(ys)
+            if i == 6:
+                assert zs is None and us is None
+            else:
+                assert len(zs) == len(us) == len(problems)
+                assert (zs[1] is None, us[1] is None) == (not integrands, not integrands)
+                blocks += [b for b in (*zs, *us) if b is not None]
+            for block in blocks:
+                assert not block.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
-                    y[0] = 0.0
-            seen.append((i, [y.tobytes() for y in ys]))
+                    block[0] = 0.0
+            steps = [] if zs is None else [
+                None if z is None else (z.tobytes(), u.tobytes()) for z, u in zip(zs, us)
+            ]
+            seen.append((i, [y.tobytes() for y in ys], steps))
 
-        solve_backward_many(problems, paths, keep=keep, on_node=on_node)
-        assert [i for i, _ in seen] == list(range(6, -1, -1))
-        for i, nodes in seen:
-            assert nodes == [sol.y[i].tobytes() for sol in kept], i
-        # a kept solution replays the same nodes in the same order
-        replayed = []
-        replay_nodes(kept, lambda i, ys: replayed.append((i, [y.tobytes() for y in ys])))
-        assert replayed == seen
-        # and keeps its store writeable
-        assert all(sol.y.flags.writeable for sol in kept)
+        on_node.reads_integrands = integrands
+        again = solve_backward_many(problems, paths, on_node=on_node)
+        assert [i for i, _, _ in seen] == list(range(6, -1, -1))
+        for i, nodes, steps in seen:
+            assert nodes == [y[i].tobytes() for y in stores.y], i
+            for k, step in enumerate(steps):
+                if step is None:
+                    assert stores.z[k] is None and stores.u[k] is None
+                else:
+                    assert step == (stores.z[k][i].tobytes(), stores.u[k][i].tobytes()), (i, k)
+        for sol, ref in zip(again, sols):
+            assert sol.y0.tobytes() == ref.y0.tobytes() and sol.y0_se.tobytes() == ref.y0_se.tobytes()
+
+    def test_integrands_read_on_the_worker_are_not_overwritten_by_the_next_step(self, monkeypatch):
+        # the driver's sleep lets the worker build the next design before the
+        # step is done, so a node's call goes to the worker; the call then
+        # sleeps before it copies, while this thread runs the next step,
+        # which writes that step's integrands.  The z and u rings are two
+        # deep, so it writes the other block
+        class Slow(ZeroGen):
+            def _eval(self, t, y, z, u):
+                time.sleep(0.02)
+                return np.zeros_like(y)
+
+        marks = unit_marks()
+        problems = [(ScaledJumpGen(2.0), count_terminal()), (Slow(1, 1, marks), brownian_terminal())]
+        paths = simulate(n_paths=2_000, n_steps=8, seed=89)
+        late, threads = Collector(), []
+
+        def sleep_then_copy(i, ys, zs, us):
+            threads.append(threading.current_thread())
+            time.sleep(0.05)
+            late(i, ys, zs, us)
+
+        sleep_then_copy.reads_integrands = True
+        solve_backward_many(problems, paths, on_node=sleep_then_copy)
+        assert any(thread is not threading.current_thread() for thread in threads)
+        # the reference copies at once on this thread: a pass that finds its
+        # worker never done hands every node on this thread, before the next step
+        at_once = Collector()
+        monkeypatch.setattr(concurrent.futures.Future, "done", lambda self: False)
+        solve_backward_many(problems, paths, on_node=at_once)
+        for name in ("y", "z", "u"):
+            for mine, theirs in zip(getattr(late, name), getattr(at_once, name)):
+                assert mine.tobytes() == theirs.tobytes(), name
 
     def test_node_callback_error_ends_the_pass(self):
         paths = simulate(n_paths=1_000, n_steps=6, seed=83)
         seen = []
 
-        def on_node(i, ys):
+        def on_node(i, ys, zs, us):
             seen.append(i)
             if i == 4:
                 raise ValueError("node 4 refused")
 
         before = threading.active_count()
         with pytest.raises(ValueError, match="node 4 refused"):
-            solve_backward_many(lockstep_problems(), paths, keep=(), on_node=on_node)
+            solve_backward_many(lockstep_problems(), paths, on_node=on_node)
         assert seen == [6, 5, 4]
         assert threading.active_count() == before
-
-    @pytest.mark.parametrize(
-        "keep", ["y", ("y", "w"), ("integrands",)], ids=["string", "unknown", "old-keyword"]
-    )
-    def test_refuses_an_unknown_store(self, keep):
-        paths = simulate(n_paths=500, n_steps=4, seed=83)
-        with pytest.raises(ValueError, match="keep must be"):
-            solve_backward_many(lockstep_problems(), paths, keep=keep)
-
-    def test_replay_refuses_a_solution_without_its_values(self):
-        paths = simulate(n_paths=500, n_steps=4, seed=83)
-        sol = solve_backward(ScaledJumpGen(2.0), count_terminal(), paths, keep=())
-        with pytest.raises(ValueError, match=r'keep=\("y",\)'):
-            replay_nodes([sol], lambda i, ys: None)
-
-    @pytest.mark.parametrize("steps", [(5, 10), (10, 5)], ids=["short-first", "long-first"])
-    def test_replay_refuses_solutions_on_different_bundles(self, steps):
-        sols = [
-            solve_backward(ScaledJumpGen(2.0), count_terminal(), simulate(n_paths=2_000, n_steps=n, seed=83))
-            for n in steps
-        ]
-        seen = []
-        with pytest.raises(ValueError, match="one path bundle"):
-            replay_nodes(sols, lambda i, ys: seen.append(i))
-        assert seen == []
 
     def test_node_n_is_refused_on_this_thread_before_the_second_step(self, monkeypatch):
         designs, threads = [], []
@@ -689,14 +712,14 @@ class TestLockstep:
             designs.append([b.shape for b in blocks])
             return original(self, *blocks)
 
-        def refuse(i, ys):
+        def refuse(i, ys, zs, us):
             threads.append(threading.current_thread())
             raise ValueError(f"node {i} refused")
 
         monkeypatch.setattr(RegressionBasis, "design_matrix", counted)
         paths = simulate(n_paths=2_000, n_steps=6, seed=89)
         with pytest.raises(ValueError, match="node 6 refused"):
-            solve_backward_many(lockstep_problems(), paths, keep=(), on_node=refuse)
+            solve_backward_many(lockstep_problems(), paths, on_node=refuse)
         # only the first step's design, built ahead, was made
         assert len(designs) == 1
         assert threads == [threading.current_thread()]
@@ -787,31 +810,51 @@ class TestLayout:
             assert np.array_equal(
                 by_hand.segment(i).jump_increments(i), paths.segment(i // paths.stride).jump_increments(i)
             )
-        for sol, ref in zip(
-            solve_backward_many(problems, by_hand, keep=("y", "z", "u")),
-            solve_backward_many(problems, paths, keep=("y", "z", "u")),
-        ):
-            for name in ("y", "z", "u", "y0", "y0_se"):
-                mine, theirs = getattr(sol, name), getattr(ref, name)
-                assert mine.shape == theirs.shape, name
-                assert (
-                    np.ascontiguousarray(mine).tobytes() == np.ascontiguousarray(theirs).tobytes()
-                ), name
+        hand_stores, drawn_stores = Collector(), Collector()
+        sols = solve_backward_many(problems, by_hand, on_node=hand_stores)
+        refs = solve_backward_many(problems, paths, on_node=drawn_stores)
+        values = [(sol.y0, ref.y0) for sol, ref in zip(sols, refs)]
+        values += [(sol.y0_se, ref.y0_se) for sol, ref in zip(sols, refs)]
+        for name in ("y", "z", "u"):
+            values += zip(getattr(hand_stores, name), getattr(drawn_stores, name))
+        for mine, theirs in values:
+            assert mine.shape == theirs.shape
+            assert mine.tobytes() == theirs.tobytes()
 
 
-def zero_driver_pair(gen, paths):
-    """``gen`` and the zero driver with the count payoff, solved in one pass
-    that keeps their integrands."""
+def zero_driver_pair(gen, paths, *also):
+    """The :class:`DeviationCurves` of ``gen`` against the zero driver, both
+    with the count payoff, solved in one pass; ``also`` are further node
+    reducers, each fed the same nodes."""
     zero = ZeroGen(state_dim=1, brownian_dim=1, marks=unit_marks())
-    return solve_backward_many(
-        [(gen, count_terminal()), (zero, count_terminal())], paths, keep=("y", "z", "u")
-    )
+    curves = DeviationCurves(paths.grid, paths.marks)
+
+    def on_node(i, ys, zs, us):
+        for reduce in (curves, *also):
+            reduce(i, ys, zs, us)
+
+    on_node.reads_integrands = True
+    solve_backward_many([(gen, count_terminal()), (zero, count_terminal())], paths, on_node=on_node)
+    return curves
+
+
+def designs_made(monkeypatch):
+    """The design matrices built from now on, each as its blocks' shapes."""
+    designs = []
+    original = RegressionBasis.design_matrix
+
+    def counted(self, *blocks):
+        designs.append([b.shape for b in blocks])
+        return original(self, *blocks)
+
+    monkeypatch.setattr(RegressionBasis, "design_matrix", counted)
+    return designs
 
 
 class TestDeviationDiagnostics:
     def test_linear_jump_driver_curve(self):
         paths = simulate(n_paths=30_000, n_steps=25, seed=61)
-        curves = apriori_diagnostics(*zero_driver_pair(ScaledJumpGen(0.5), paths))
+        curves = zero_driver_pair(ScaledJumpGen(0.5), paths)
         # value gap follows ((T - t)/2)^2; martingale integrands coincide
         for idx in (0, 5, 12):
             t = curves.times[idx]
@@ -824,7 +867,7 @@ class TestDeviationDiagnostics:
 
     def test_everything_vanishes_at_horizon(self):
         paths = simulate(n_paths=5_000, n_steps=8, seed=67)
-        curves = apriori_diagnostics(*zero_driver_pair(ScaledJumpGen(0.5), paths))
+        curves = zero_driver_pair(ScaledJumpGen(0.5), paths)
         assert curves.value_gap[-1] == 0.0
         assert curves.z_tail[-1] == 0.0
         assert curves.u_tail[-1] == 0.0
@@ -833,55 +876,51 @@ class TestDeviationDiagnostics:
     def test_zero_driver_has_zero_curve(self):
         paths = simulate(n_paths=5_000, n_steps=8, seed=71)
         gen = ZeroGen(state_dim=1, brownian_dim=1, marks=unit_marks())
-        curves = apriori_diagnostics(*zero_driver_pair(gen, paths))
+        curves = zero_driver_pair(gen, paths)
         assert np.allclose(curves.total, 0.0)
         assert curves.linear_bound == 0.0
 
-    def test_solves_nothing(self, monkeypatch):
-        paths = simulate(n_paths=2_000, n_steps=6, seed=73)
-        sol, base = zero_driver_pair(ScaledJumpGen(0.5), paths)
+    def test_curves_equal_the_whole_store_formula_bit_for_bit(self):
+        # the formula over whole (N + 1) x n stores, as it read before the
+        # curves became a reducer, on the nodes of the same pass
+        paths = simulate(n_paths=5_000, n_steps=12, seed=73)
+        stores = Collector()
+        curves = zero_driver_pair(ScaledJumpGen(0.5), paths, stores)
+        (y, base_y), (z, base_z), (u, base_u) = stores.y, stores.z, stores.u
+        h = paths.grid.steps
+        value_gap = np.mean(np.sum((y - base_y) ** 2, axis=2), axis=1)
+        z_step = np.mean(np.sum((z - base_z) ** 2, axis=(2, 3)), axis=1) * h
+        w = paths.marks.weights[None, None, :, None]
+        u_step = np.mean(np.sum(w * (u - base_u) ** 2, axis=(2, 3)), axis=1) * h
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("the diagnostics ran a backward pass")
+        def tail(per_step):
+            out = np.zeros(h.shape[0] + 1)
+            out[:-1] = np.cumsum(per_step[::-1])[::-1]
+            return out
 
-        monkeypatch.setattr("bsdelab.solver.solve_backward_many", refuse)
-        monkeypatch.setattr("bsdelab.solver.solve_backward", refuse)
-        curves = apriori_diagnostics(sol, base)
-        assert curves.total[-1] == 0.0
+        z_tail, u_tail = tail(z_step), tail(u_step)
+        total = value_gap + z_tail + u_tail
+        remaining = paths.grid.nodes[-1] - paths.grid.nodes[:-1]
+        assert z_tail[0] > 0.0 and u_tail[0] > 0.0
+        assert curves.times.tobytes() == paths.grid.nodes.tobytes()
+        want = {"value_gap": value_gap, "z_tail": z_tail, "u_tail": u_tail, "total": total}
+        for name, values in want.items():
+            assert getattr(curves, name).tobytes() == values.tobytes(), name
+        assert curves.linear_bound == float(np.max(total[:-1] / remaining))
 
-    def test_rejects_a_base_it_cannot_compare(self):
-        # two draws of the same stream are equal but are still two bundles
-        first = simulate(n_paths=1_000, n_steps=4, seed=79)
-        second = simulate(n_paths=1_000, n_steps=4, seed=79)
-        sol, base = zero_driver_pair(ScaledJumpGen(0.5), first)
-        _, other = zero_driver_pair(ScaledJumpGen(0.5), second)
-        with pytest.raises(ValueError, match="one path bundle"):
-            apriori_diagnostics(sol, other)
-        wide = solve_backward(
+    def test_rejects_a_base_it_cannot_compare_at_node_n(self, monkeypatch):
+        paths = simulate(n_paths=1_000, n_steps=4, seed=79)
+        sol = (ScaledJumpGen(0.5), count_terminal())
+        wide = (
             ZeroGen(state_dim=2, brownian_dim=1, marks=unit_marks()),
             TerminalCondition(fn=lambda w, k: np.zeros((w.shape[0], 2)), state_dim=2),
-            first,
-            keep=("y", "z", "u"),
         )
-        with pytest.raises(ValueError, match="state dimension"):
-            apriori_diagnostics(sol, wide)
-        shifted = solve_backward(
-            ZeroGen(state_dim=1, brownian_dim=1, marks=unit_marks()),
-            constant_terminal(1.0),
-            first,
-            keep=("y", "z", "u"),
-        )
-        with pytest.raises(ValueError, match="terminal data"):
-            apriori_diagnostics(sol, shifted)
-        assert apriori_diagnostics(sol, base).total[-1] == 0.0
-
-    def test_refuses_solutions_without_integrands(self):
-        paths = simulate(n_paths=1_000, n_steps=4, seed=79)
-        sol, base = zero_driver_pair(ScaledJumpGen(0.5), paths)
-        zero = ZeroGen(state_dim=1, brownian_dim=1, marks=unit_marks())
-        bare_sol, bare_base = solve_backward_many(
-            [(ScaledJumpGen(0.5), count_terminal()), (zero, count_terminal())], paths
-        )
-        for pair in ((bare_sol, bare_base), (sol, bare_base), (bare_sol, base)):
-            with pytest.raises(ValueError, match=r'keep=\("y", "z", "u"\)'):
-                apriori_diagnostics(*pair)
+        shifted = (ZeroGen(state_dim=1, brownian_dim=1, marks=unit_marks()), constant_terminal(1.0))
+        designs = designs_made(monkeypatch)
+        for base, match in ((wide, "state dimension"), (shifted, "terminal data")):
+            designs.clear()
+            with pytest.raises(ValueError, match=match):
+                solve_backward_many([sol, base], paths, on_node=DeviationCurves(paths.grid, paths.marks))
+            # only the first step's design, built ahead, was made
+            assert len(designs) == 1, match
+        assert zero_driver_pair(ScaledJumpGen(0.5), paths).total[-1] == 0.0

@@ -3,6 +3,7 @@ import threading
 
 import numpy as np
 import pytest
+from conftest import Collector
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
@@ -536,15 +537,20 @@ class TestLayout:
         terminal = TerminalCondition(
             fn=lambda w, k: np.stack([w[:, 0], k[:, 1].astype(float)], axis=1), state_dim=2
         )
-        sol = solve_backward(ZeroGen(2, 2, marks), terminal, paths, keep=("y", "z", "u"))
-        assert sol.y.shape == (5, 1000, 2)
-        assert sol.z.shape == (4, 1000, 2, 2)
-        assert sol.u.shape == (4, 1000, 2, 2)
-        for i in range(5):
-            assert sol.y[i].flags.c_contiguous
-        for i in range(4):
-            assert sol.z[i].flags.c_contiguous
-            assert sol.u[i].flags.c_contiguous
+        stores, handed = Collector(), []
+
+        def on_node(i, ys, zs, us):
+            handed.extend(ys if zs is None else (*ys, *zs, *us))
+            stores(i, ys, zs, us)
+
+        on_node.reads_integrands = True
+        solve_backward(ZeroGen(2, 2, marks), terminal, paths, on_node=on_node)
+        assert stores.y[0].shape == (5, 1000, 2)
+        assert stores.z[0].shape == (4, 1000, 2, 2)
+        assert stores.u[0].shape == (4, 1000, 2, 2)
+        assert len(handed) == 5 + 2 * 4
+        for block in handed:
+            assert block.flags.c_contiguous
 
 
 class TestCompensation:
