@@ -591,7 +591,8 @@ class DeviationCurves:
     ``zs`` and ``us``, and keeps one scalar per node and per step.  It
     reads integrands (``reads_integrands``), so the pass fits them for
     every problem.  A base of another state dimension or other terminal
-    data is refused at node N.
+    data is refused at node N, and a step without both problems'
+    integrands at that step.
 
     ``value_gap`` is the mean squared value gap at each node of ``times``;
     ``z_tail`` and ``u_tail`` integrate the mean squared gaps of the
@@ -618,6 +619,10 @@ class DeviationCurves:
             if not np.array_equal(y, base):
                 raise ValueError("solutions must share the terminal data")
         else:
+            if zs[0] is None or zs[1] is None:
+                raise ValueError(
+                    "the curves read both problems' integrands: pass an on_node whose reads_integrands is true"
+                )
             h = self._steps[i]
             self._z_step[i] = np.mean(np.sum((zs[0] - zs[1]) ** 2, axis=(1, 2))) * h
             self._u_step[i] = np.mean(np.sum(self._weights * (us[0] - us[1]) ** 2, axis=(1, 2))) * h

@@ -12,9 +12,13 @@ the others into k node stores, so a guard on the pass counts the draw too.
 import tracemalloc
 
 import numpy as np
+import pytest
+from conftest import Collector
 
 from bsdelab.cli import Scenario, _ArtifactWriter, _ScenarioRun, _simulate
+from bsdelab.conditions import ComparisonPathReport, ViabilityPathReport
 from bsdelab.generators import ScaledJumpGen, ZeroGen
+from bsdelab.geometry import Ball
 from bsdelab.solver import DeviationCurves, TerminalCondition, solve_backward_many
 from bsdelab.stochastic import FiniteMarkMeasure, TimeGrid, simulate_paths
 
@@ -33,6 +37,12 @@ def problems():
     counts = TerminalCondition(fn=lambda w, k: k[:, 0].astype(float), state_dim=1)
     zero = TerminalCondition(fn=lambda w, k: np.zeros(w.shape[0]), state_dim=1)
     return [(ScaledJumpGen(2.0), counts), (ZeroGen(1, 1, MARKS), zero)]
+
+
+def curves_problems():
+    """A driver and its zero-driver base, both with the count payoff."""
+    counts = TerminalCondition(fn=lambda w, k: k[:, 0].astype(float), state_dim=1)
+    return [(ScaledJumpGen(2.0), counts), (ZeroGen(1, 1, MARKS), counts)]
 
 
 def traced_peak(call):
@@ -65,18 +75,70 @@ def test_pass_feeding_the_deviation_curves_holds_no_store():
     # peaked at 10.6 MB, as the streamed pass above does.  The curves keep
     # one scalar per node and per step; whole z and u stores would add
     # 16 MB per problem
-    counts = TerminalCondition(fn=lambda w, k: k[:, 0].astype(float), state_dim=1)
-    base = (ZeroGen(1, 1, MARKS), counts)
-
     def solve():
         paths = draw()
         curves = DeviationCurves(paths.grid, paths.marks)
-        solve_backward_many([(ScaledJumpGen(2.0), counts), base], paths, on_node=curves)
+        solve_backward_many(curves_problems(), paths, on_node=curves)
         return curves
 
     curves, peak = traced_peak(solve)
     assert curves.total.shape == (51,) and curves.total[0] > 0.0
     assert peak < DENSE_BUNDLE
+
+
+def collect(paths):
+    """The whole y, z and u stores of :func:`curves_problems` on ``paths``."""
+    stores = Collector()
+    solve_backward_many(curves_problems(), paths, on_node=stores)
+    return stores
+
+
+@pytest.fixture(scope="module")
+def stores():
+    paths = draw()
+    return paths, collect(paths)
+
+
+def fed_node_by_node(reduce, stores):
+    """``reduce`` fed the collected stores in pass order, with no pass."""
+    n_steps = stores.y[0].shape[0] - 1
+    for i in range(n_steps, -1, -1):
+        steps = (None, None)
+        if i < n_steps:
+            steps = (tuple(z[i] for z in stores.z), tuple(u[i] for u in stores.u))
+        reduce(i, tuple(y[i] for y in stores.y), *steps)
+    return reduce
+
+
+def test_guard_counts_the_stores_a_reducer_keeps():
+    # the pass that feeds the curves above, with a reducer that copies every node and
+    # step: each problem's y store (8.2 MB) and z and u stores (8 MB each)
+    # stay held, so the peak is above them
+    kept, peak = traced_peak(lambda: collect(draw()))
+    assert kept.y[0].nbytes == ONE_Y
+    assert peak > sum(store.nbytes for name in ("y", "z", "u") for store in getattr(kept, name))
+
+
+def test_comparison_report_holds_one_node_at_a_time(stores):
+    paths, kept = stores
+    report, peak = traced_peak(lambda: fed_node_by_node(ComparisonPathReport(paths.grid.nodes), kept))
+    assert report.min_gap_per_time.shape == (51,) and report.gap_at_zero.shape == (1,)
+    assert peak < ONE_Y / 4
+
+
+def test_viability_report_holds_one_node_at_a_time(stores):
+    paths, kept = stores
+    report = ViabilityPathReport(Ball([0.0], 1e3), paths.grid.nodes)
+    report, peak = traced_peak(lambda: fed_node_by_node(report, kept))
+    assert report.mean_distance.shape == (51,)
+    assert peak < ONE_Y / 4
+
+
+def test_deviation_curves_hold_one_step_at_a_time(stores):
+    paths, kept = stores
+    curves, peak = traced_peak(lambda: fed_node_by_node(DeviationCurves(paths.grid, paths.marks), kept))
+    assert curves.total.shape == (51,) and curves.total[0] > 0.0
+    assert peak < ONE_Y / 4
 
 
 def test_drawn_bundle_stores_every_kth_node_and_holds_no_dense_store():

@@ -614,6 +614,54 @@ class TestLockstep:
             assert sol.regression == alone.regression
             assert sol.mode == mode and sol.paths is paths
 
+    @pytest.mark.parametrize("reader", ["none", "values", "integrands", "truthy"])
+    @pytest.mark.parametrize("mode", ["explicit", "implicit"])
+    def test_a_reader_moves_no_bit_of_a_problem_whose_driver_reads_its_integrands(self, mode, reader):
+        # the jump and affine drivers read their integrands, so the pass fits
+        # them whatever reads the nodes: no reader, a reader of the values
+        # alone and one whose reads_integrands is merely truthy see the bits
+        # of a reader of integrands.  The zero driver's z and u are fitted
+        # only when read; its y fit then shares one product with them
+        paths = simulate(n_paths=4_000, n_steps=10, seed=83)
+        problems = lockstep_problems()
+        ref = Collector()
+        refs = solve_backward_many(problems, paths, mode=mode, on_node=ref)
+        stores = None if reader == "none" else Collector(reader != "values")
+        if reader == "truthy":
+            stores.reads_integrands = 1
+        sols = solve_backward_many(problems, paths, mode=mode, on_node=stores)
+        for k, ((gen, _), sol, own) in enumerate(zip(problems, sols, refs)):
+            assert ref.z[k].shape == (10, 4_000, gen.state_dim, 1)
+            assert ref.u[k].shape == (10, 4_000, 1, gen.state_dim)
+            assert (sol.n_paths, sol.state_dim) == (4_000, gen.state_dim)
+            if stores is not None and reader == "values" and k == 1:
+                assert stores.z[k] is None and stores.u[k] is None
+            if k == 1:
+                continue
+            for name in ("y0", "y0_se"):
+                assert getattr(sol, name).tobytes() == getattr(own, name).tobytes(), name
+            assert sol.regression == own.regression
+            if stores is not None:
+                for name in ("y", "z", "u"):
+                    assert getattr(stores, name)[k].tobytes() == getattr(ref, name)[k].tobytes(), name
+
+    @pytest.mark.parametrize("attribute", [None, False, True], ids=["absent", "false", "true"])
+    def test_the_pass_fits_the_integrands_its_drivers_or_its_callback_read(self, attribute):
+        # the jump driver reads u and the affine one z and u; the zero
+        # driver's are fitted only for a callback that says it reads them
+        paths = simulate(n_paths=1_000, n_steps=4, seed=83)
+        fitted = []
+
+        def on_node(i, ys, zs, us):
+            if zs is not None:
+                fitted.append(([z is not None for z in zs], [u is not None for u in us]))
+
+        if attribute is not None:
+            on_node.reads_integrands = attribute
+        solve_backward_many(lockstep_problems(), paths, on_node=on_node)
+        want = [True, bool(attribute), True]
+        assert fitted == [(want, want)] * 4
+
     @pytest.mark.parametrize("integrands", [False, True], ids=["y", "integrands"])
     def test_node_callback_sees_each_node_once_in_pass_order_read_only(self, integrands):
         # the jump driver reads u and the affine one z and u, so the pass
@@ -908,6 +956,26 @@ class TestDeviationDiagnostics:
             assert getattr(curves, name).tobytes() == values.tobytes(), name
         assert curves.linear_bound == float(np.max(total[:-1] / remaining))
 
+    def test_solves_nothing(self, monkeypatch):
+        # the curves reduce the nodes they are handed: fed a pass's collected
+        # stores with no pass running, they equal the curves that pass fed
+        paths = simulate(n_paths=2_000, n_steps=6, seed=73)
+        stores = Collector()
+        streamed = zero_driver_pair(ScaledJumpGen(0.5), paths, stores)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the curves ran a backward pass")
+
+        monkeypatch.setattr("bsdelab.solver.solve_backward_many", refuse)
+        monkeypatch.setattr("bsdelab.solver.solve_backward", refuse)
+        fed = DeviationCurves(paths.grid, paths.marks)
+        for i in range(6, -1, -1):
+            steps = (None, None) if i == 6 else (tuple(z[i] for z in stores.z), tuple(u[i] for u in stores.u))
+            fed(i, tuple(y[i] for y in stores.y), *steps)
+        for name in ("value_gap", "z_tail", "u_tail", "total"):
+            assert getattr(fed, name).tobytes() == getattr(streamed, name).tobytes(), name
+        assert fed.linear_bound == streamed.linear_bound and streamed.total[0] > 0.0
+
     def test_rejects_a_base_it_cannot_compare_at_node_n(self, monkeypatch):
         paths = simulate(n_paths=1_000, n_steps=4, seed=79)
         sol = (ScaledJumpGen(0.5), count_terminal())
@@ -924,3 +992,21 @@ class TestDeviationDiagnostics:
             # only the first step's design, built ahead, was made
             assert len(designs) == 1, match
         assert zero_driver_pair(ScaledJumpGen(0.5), paths).total[-1] == 0.0
+
+    def test_refuses_solutions_without_integrands(self):
+        # a callback that feeds the curves but does not say it reads
+        # integrands leaves the zero driver's unfitted: the first step ends
+        # the pass
+        paths = simulate(n_paths=1_000, n_steps=4, seed=79)
+        zero = ZeroGen(state_dim=1, brownian_dim=1, marks=unit_marks())
+        for gen in (ScaledJumpGen(0.5), zero):
+            problems = [(gen, count_terminal()), (zero, count_terminal())]
+            curves, seen = DeviationCurves(paths.grid, paths.marks), []
+
+            def fan_out(i, ys, zs, us):
+                seen.append(i)
+                curves(i, ys, zs, us)
+
+            with pytest.raises(ValueError, match="reads_integrands is true"):
+                solve_backward_many(problems, paths, on_node=fan_out)
+            assert seen == [4, 3]
